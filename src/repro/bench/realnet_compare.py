@@ -46,7 +46,8 @@ import time
 from typing import Any, Callable
 
 from repro.bench.harness import Table
-from repro.realnet.cluster import RealCluster, RealClusterConfig
+from repro.realnet.cluster import RealCluster
+from repro.runtime.core import ClusterConfig
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.types import MessageId, ProcessId
 from repro.vsync.events import GroupApplication
@@ -136,7 +137,7 @@ def sim_steady(n: int, rounds: int) -> dict[str, Any]:
 
 async def _real_bootstrap(n: int) -> dict[str, Any]:
     t0 = time.perf_counter()
-    async with RealCluster(n, config=RealClusterConfig(seed=SEED)) as cluster:
+    async with RealCluster(n, config=ClusterConfig(seed=SEED)) as cluster:
         settled = await cluster.settle(timeout=SETTLE_TIMEOUT)
         wall = time.perf_counter() - t0
         assert settled, cluster.views()
@@ -151,7 +152,7 @@ async def _real_steady(n: int, rounds: int) -> dict[str, Any]:
         apps.append(app)
         return app
 
-    config = RealClusterConfig(seed=SEED, trace_level="none")
+    config = ClusterConfig(seed=SEED, trace_level="none")
     async with RealCluster(n, app_factory=factory, config=config) as cluster:
         assert await cluster.settle(timeout=SETTLE_TIMEOUT), cluster.views()
         expected = n * n * rounds

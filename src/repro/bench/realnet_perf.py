@@ -46,8 +46,10 @@ from typing import Any
 from repro.bench.harness import Table
 from repro.obs.report import quantile
 from repro.obs.snapshot import MetricSample
+from repro.ports import make_cluster
 from repro.realnet import wallclock
-from repro.realnet.cluster import RealCluster, RealClusterConfig
+from repro.realnet.cluster import RealCluster
+from repro.runtime.core import ClusterConfig
 from repro.types import MessageId, ProcessId, ViewId
 from repro.vsync.events import GroupApplication
 
@@ -96,7 +98,7 @@ async def _steady(n: int, rounds: int, burst: int, codec: str) -> dict[str, Any]
         apps.append(app)
         return app
 
-    config = RealClusterConfig(
+    config = ClusterConfig(
         seed=SEED,
         scale=TIMER_SCALE,
         trace_level="none",
@@ -168,12 +170,10 @@ def _steady_proc(n: int, rounds: int, burst: int, codec: str) -> dict[str, Any]:
     core it mostly prices the process-hop overhead — both are worth a
     row in the bench file.
     """
-    from repro.realnet.proc_driver import ProcClusterConfig, ProcRealClusterDriver
-
-    config = ProcClusterConfig(
-        seed=SEED, scale=TIMER_SCALE, trace_level="none", codec=codec
+    driver = make_cluster(
+        "realnet-proc", n, seed=SEED, scale=TIMER_SCALE, trace_level="none",
+        codec=codec,
     )
-    driver = ProcRealClusterDriver(n, config).start()
     try:
         assert driver.settle(timeout=SETTLE_TIMEOUT), driver.views()
         sites = sorted(s.site for s in driver.live_stacks())
@@ -229,7 +229,7 @@ async def _latency(n: int, rate: int, duration: float, codec: str) -> dict[str, 
     buildup shows up as latency — the honest way to measure a system
     under offered load, where a closed loop would self-throttle.
     """
-    config = RealClusterConfig(
+    config = ClusterConfig(
         seed=SEED,
         scale=TIMER_SCALE,
         trace_level="none",

@@ -52,7 +52,7 @@ from typing import Sequence
 
 from repro.apps.factories import APP_NAMES, app_factory
 from repro.bench.harness import Table
-from repro.ports import RUNTIMES, ClusterPort, make_cluster
+from repro.ports import RUNTIMES, make_cluster
 from repro.trace.checks import (
     CheckReport,
     check_cluster,
@@ -84,31 +84,31 @@ def _print_reports(reports: list[CheckReport]) -> int:
     return violations
 
 
-def _report_properties(cluster: ClusterPort) -> int:
-    return _print_reports(check_cluster(cluster))
+def _minority_split(sites: int) -> tuple[list[int], list[int]]:
+    """Two-thirds / one-third site groups for the demo partitions."""
+    minority = max(1, sites // 3)
+    return list(range(sites - minority)), list(range(sites - minority, sites))
+
+
+def _print_views(cluster, title: str, file=None) -> None:
+    print(title, file=file)
+    for site, view in cluster.views().items():
+        print(f"  site {site}: {view}", file=file)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
     cluster = make_cluster("sim", args.sites, seed=args.seed)
     cluster.settle()
-    print(f"group formed at t={cluster.now}:")
-    for site, view in cluster.views().items():
-        print(f"  site {site}: {view}")
-    minority = max(1, args.sites // 3)
-    left = list(range(args.sites - minority))
-    right = list(range(args.sites - minority, args.sites))
+    _print_views(cluster, f"group formed at t={cluster.now}:")
+    left, right = _minority_split(args.sites)
     cluster.partition([left, right])
     cluster.settle()
-    print(f"\npartitioned {left} | {right}:")
-    for site, view in cluster.views().items():
-        print(f"  site {site}: {view}")
+    _print_views(cluster, f"\npartitioned {left} | {right}:")
     cluster.heal()
     cluster.settle()
-    print("\nhealed:")
-    for site, view in cluster.views().items():
-        print(f"  site {site}: {view}")
+    _print_views(cluster, "\nhealed:")
     print("\nproperty checks:")
-    return 1 if _report_properties(cluster) else 0
+    return 1 if _print_reports(check_cluster(cluster)) else 0
 
 
 def _print_load_results(load_report, verdict, unit: str) -> None:
@@ -155,16 +155,7 @@ def _run_client_load(args: argparse.Namespace, cluster, schedule, tail) -> int:
     )
     unit = "s" if args.runtime != "sim" else "u"
     _print_load_results(result.load, result.verdict, unit)
-    report = result.workload
-    if args.export:
-        from repro.trace.export import dump_trace
-
-        with open(args.export, "w", encoding="utf-8") as handle:
-            count = dump_trace(report.trace, handle)
-        print(f"exported {count} trace events to {args.export}")
-    _export_metrics(report.metrics, args.metrics, args.metrics_jsonl)
-    print("property checks:")
-    violations = _print_reports(report.reports)
+    violations = _export_and_check(args, result.workload)
     if not result.load.completed:
         print("no client operation completed", file=sys.stderr)
         return 1
@@ -187,33 +178,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         elif args.app != "store":
             raise SystemExit("--client-rate serves the 'store' app; "
                              f"got --app {args.app}")
-    if args.runtime == "realnet-proc":
-        # Applications travel by name: the driver passes --app on each
-        # child's command line instead of shipping a closure.
-        if args.fd_mode is not None:
-            raise SystemExit(
-                "--fd-mode is not plumbed through the realnet-proc child "
-                "command line; use --runtime sim or --runtime realnet"
-            )
-        factory = None
-        knobs = {"scale": args.scale, "app": args.app, "codec": args.codec}
-    elif args.runtime == "realnet":
-        factory = app_factory(args.app, args.sites)
-        knobs = {"scale": args.scale, "codec": args.codec}
-    else:
-        factory = app_factory(args.app, args.sites)
-        knobs = {}
-    if args.runtime != "realnet-proc":
-        if args.fd_mode is not None:
-            knobs["fd_mode"] = args.fd_mode
-        if args.gossip_fanout is not None:
-            knobs["gossip_fanout"] = args.gossip_fanout
-    if args.tracing:
-        knobs["tracing"] = True
-    cluster = make_cluster(
-        args.runtime, args.sites, app_factory=factory,
-        seed=args.seed, loss_prob=args.loss, **knobs,
-    )
+    # One knob set for every runtime: the application travels by name
+    # and make_cluster rejects what the chosen runtime cannot honour.
+    try:
+        cluster = make_cluster(
+            args.runtime, args.sites, seed=args.seed, loss_prob=args.loss,
+            app=args.app, scale=args.scale, codec=args.codec,
+            fd_mode=args.fd_mode, gossip_fanout=args.gossip_fanout,
+            tracing=args.tracing,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     try:
         if args.client_rate:
             return _run_client_load(
@@ -242,27 +217,33 @@ def cmd_run(args: argparse.Namespace) -> int:
         table.add("settlement sessions", stats.settlement_sessions)
         table.add("settled", cluster.is_settled())
         table.show()
-        if args.export:
-            from repro.trace.export import dump_trace
-
-            with open(args.export, "w", encoding="utf-8") as handle:
-                count = dump_trace(report.trace, handle)
-            print(f"exported {count} trace events to {args.export}")
-        _export_metrics(report.metrics, args.metrics, args.metrics_jsonl)
-        print("property checks:")
-        return 1 if _print_reports(report.reports) else 0
+        return 1 if _export_and_check(args, report) else 0
     finally:
         cluster.close()
 
 
-def _export_metrics(snapshot, prom_path, jsonl_path) -> None:
+def _export_and_check(args: argparse.Namespace, report) -> int:
+    """Write a run's requested trace/metrics files, print its property
+    reports and return the violation count."""
+    if args.export:
+        from repro.trace.export import dump_trace
+
+        with open(args.export, "w", encoding="utf-8") as handle:
+            count = dump_trace(report.trace, handle)
+        print(f"exported {count} trace events to {args.export}")
+    _export_metrics(report.metrics, args.metrics, args.metrics_jsonl)
+    print("property checks:")
+    return _print_reports(report.reports)
+
+
+def _export_metrics(snapshot, prom_path, jsonl_path, help_texts=None) -> None:
     """Write a run's MetricsSnapshot to the requested export files."""
     if snapshot is None or (not prom_path and not jsonl_path):
         return
     from repro.obs.export import write_jsonl, write_prometheus
 
     if prom_path:
-        write_prometheus(snapshot, prom_path)
+        write_prometheus(snapshot, prom_path, help_texts)
         print(f"exported metrics (Prometheus text) to {prom_path}")
     if jsonl_path:
         write_jsonl(snapshot, jsonl_path)
@@ -283,11 +264,7 @@ def cmd_recheck(args: argparse.Namespace) -> int:
         print(render_timeline(recorder))
         print()
     reports = check_view_synchrony(recorder) + check_enriched_views(recorder)
-    violations = 0
-    for report in reports:
-        print(f"  {report}")
-        violations += len(report.violations)
-    return 1 if violations else 0
+    return 1 if _print_reports(reports) else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -325,6 +302,15 @@ def cmd_realnet_demo(args: argparse.Namespace) -> int:
     return 1 if result.property_violations else 0
 
 
+def _parse_targets(specs: Sequence[str], host: str) -> list[tuple[str, int]]:
+    """``[HOST:]PORT`` command-line targets (``host`` when omitted)."""
+    targets = []
+    for spec in specs:
+        target_host, _, port = spec.rpartition(":")
+        targets.append((target_host or host, int(port)))
+    return targets
+
+
 def _parse_book(spec: str) -> dict[int, tuple[str, int]]:
     """Parse a ``site:host:port,...`` address book (proc-driver children)."""
     book: dict[int, tuple[str, int]] = {}
@@ -338,25 +324,21 @@ def cmd_realnet_node(args: argparse.Namespace) -> int:
     """One standalone node of a fixed-port multi-process deployment."""
     import asyncio
 
-    from repro.realnet.node import realnet_stack_config, run_standalone
+    from repro.realnet.node import run_standalone
+    from repro.runtime.core import ClusterConfig
 
     if args.supervised:
         from repro.realnet import wallclock
         from repro.realnet.procnode import run_supervised
 
-        if not args.book:
-            raise SystemExit("--supervised requires --book site:host:port,...")
+        if not args.book or not args.config:
+            raise SystemExit(
+                "--supervised requires --book site:host:port,... and --config JSON"
+            )
         wallclock.run(
             run_supervised(
-                args.site,
-                _parse_book(args.book),
-                app=args.app,
-                scale=args.scale,
-                loss_prob=args.loss,
-                seed=args.seed,
-                codec=args.codec,
-                trace_level=args.trace_level,
-                tracing=args.tracing,
+                args.site, _parse_book(args.book),
+                ClusterConfig.from_json(args.config),
             )
         )
         return 0
@@ -371,11 +353,11 @@ def cmd_realnet_node(args: argparse.Namespace) -> int:
         run_standalone(
             args.site,
             book,
+            ClusterConfig(
+                seed=args.seed, scale=args.scale, codec=args.codec,
+                tracing=args.tracing, quiet=False,
+            ),
             incarnation=args.incarnation,
-            stack_config=realnet_stack_config(args.scale),
-            seed=args.seed,
-            codec=args.codec,
-            tracing=args.tracing,
             on_view=lambda view: print(f"  installed {view}"),
         )
     )
@@ -391,9 +373,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         if not cluster.settle(timeout=args.timeout):
-            print("cluster failed to form a view; views:", file=sys.stderr)
-            for site, view in cluster.views().items():
-                print(f"  site {site}: {view}", file=sys.stderr)
+            _print_views(
+                cluster, "cluster failed to form a view; views:", sys.stderr
+            )
             return 1
         book = cluster.cluster.address_book
         spec = ",".join(
@@ -429,10 +411,7 @@ def cmd_load(args: argparse.Namespace) -> int:
     if args.book:
         book = _parse_book(args.book)
     elif args.targets:
-        book = {}
-        for site, target in enumerate(args.targets):
-            host, _, port = target.rpartition(":")
-            book[site] = (host or args.host, int(port))
+        book = dict(enumerate(_parse_targets(args.targets, args.host)))
     else:
         book = {
             site: (args.host, args.base_port + site)
@@ -492,16 +471,7 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
         f"sites={args.sites} seed={args.seed})"
     )
     print(render_report(report.metrics, trace=report.trace, title=title))
-    if args.metrics:
-        from repro.obs.export import write_prometheus
-
-        write_prometheus(report.metrics, args.metrics, help_texts)
-        print(f"exported metrics (Prometheus text) to {args.metrics}")
-    if args.jsonl:
-        from repro.obs.export import write_jsonl
-
-        write_jsonl(report.metrics, args.jsonl)
-        print(f"exported metrics (JSONL) to {args.jsonl}")
+    _export_metrics(report.metrics, args.metrics, args.jsonl, help_texts)
     return 0 if report.ok else 1
 
 
@@ -510,10 +480,7 @@ def cmd_obs_watch(args: argparse.Namespace) -> int:
     from repro.obs.watch import watch
 
     if args.targets:
-        targets = []
-        for spec in args.targets:
-            host, _, port = spec.rpartition(":")
-            targets.append((host or args.host, int(port)))
+        targets = _parse_targets(args.targets, args.host)
     else:
         targets = [
             (args.host, args.base_port + site) for site in range(args.sites)
@@ -553,10 +520,7 @@ def _run_trace_demo(runtime: str, sites: int, seed: int) -> list:
             client.close()
         if reply is None or reply.status != "ok":
             raise SystemExit(f"traced demo put failed: {reply}")
-        minority = max(1, sites // 3)
-        left = list(range(sites - minority))
-        right = list(range(sites - minority, sites))
-        cluster.partition([left, right])
+        cluster.partition(list(_minority_split(sites)))
         cluster.settle(timeout=600.0 * scale, poll=10.0 * scale)
         cluster.heal()
         cluster.settle(timeout=600.0 * scale, poll=10.0 * scale)
@@ -584,10 +548,7 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     if args.targets:
         from repro.obs.watch import fetch_traces
 
-        targets = []
-        for spec in args.targets:
-            host, _, port = spec.rpartition(":")
-            targets.append((host or "127.0.0.1", int(port)))
+        targets = _parse_targets(args.targets, "127.0.0.1")
         pulled = asyncio.run(fetch_traces(targets, codec=args.codec))
         for (host, port), dump in zip(targets, pulled):
             if dump is None:
@@ -781,14 +742,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "run of --duration units (throughput/latency "
                           "measurement mode, usually with --client-rate)")
     run.add_argument("--scale", type=float, default=1.0,
-                     help="realnet only: stretch protocol timers (and the "
-                          "schedule with them) by this factor")
+                     help="realnet runtimes: stretch protocol timers (and "
+                          "the schedule with them) by this factor")
     run.add_argument("--codec", choices=("bin", "json"), default="bin",
                      help="realnet runtimes: preferred wire codec")
     run.add_argument("--fd-mode", choices=("heartbeat", "gossip"), default=None,
                      help="failure-detection plane (default: the stack "
-                          "profile's choice, all-to-all heartbeats); "
-                          "sim and realnet runtimes")
+                          "profile's choice, all-to-all heartbeats)")
     run.add_argument("--gossip-fanout", type=int, default=None,
                      help="digest fanout for --fd-mode gossip "
                           "(see docs/scaling.md for the timeout math)")
@@ -875,18 +835,15 @@ def build_parser() -> argparse.ArgumentParser:
     rnode.add_argument("--codec", choices=("bin", "json"), default="bin",
                        help="preferred wire codec (negotiated per link)")
     rnode.add_argument("--supervised", action="store_true",
-                       help="run under a ProcRealClusterDriver parent: serve "
-                            "control ops and wait for the boot op instead of "
+                       help="run under a ProcCluster parent: serve control "
+                            "ops and wait for the boot op instead of "
                             "starting the stack immediately")
     rnode.add_argument("--book", default=None, metavar="SITE:HOST:PORT,...",
                        help="explicit address book (supervised mode); "
                             "overrides --sites/--base-port")
-    rnode.add_argument("--app", choices=APP_NAMES, default="none",
-                       help="supervised mode: application to run on the stack")
-    rnode.add_argument("--loss", type=float, default=0.0,
-                       help="supervised mode: simulated send loss probability")
-    rnode.add_argument("--trace-level", default="full",
-                       help="supervised mode: trace recorder level")
+    rnode.add_argument("--config", default=None, metavar="JSON",
+                       help="supervised mode: the parent's ClusterConfig "
+                            "(replaces --seed/--scale/--codec/--tracing)")
     rnode.add_argument("--tracing", action="store_true",
                        help="record causal spans into the flight recorder "
                             "(served over the obs frame)")

@@ -312,13 +312,8 @@ class DriverStoreClient:
         read_mode: str = "any",
     ) -> None:
         self.driver = driver
-        # In-process realnet keeps the address book on the inner
-        # cluster; the multi-process driver keeps it on itself.
-        book = getattr(driver, "address_book", None)
-        if not book:
-            book = driver.cluster.address_book
         self._client = AsyncStoreClient(
-            addresses=dict(book),
+            addresses=dict(driver.address_book),
             site=site,
             client_id=client_id,
             codec=codec,
@@ -330,7 +325,7 @@ class DriverStoreClient:
         return self._client.last_token
 
     def _run(self, coro: Any) -> ClientReply:
-        return self.driver._submit(coro, timeout=60.0)
+        return self.driver.loop.submit(coro, timeout=60.0)
 
     def put(self, key: Any, value: Any) -> ClientReply:
         return self._run(self._client.put(key, value))

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.apps.factories import app_factory
 from repro.fuzz import bugs
 from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
 from repro.fuzz.corpus import Corpus, CorpusEntry, WorkloadSpec
@@ -135,7 +134,6 @@ class FuzzEngine:
         """Replay one entry on a fresh cluster; fill in its verdicts."""
         config = self.config
         spec = entry.workload
-        factory = app_factory(spec.app, spec.n_sites)
         planted = entry.planted_bug
         prior_env = os.environ.get("REPRO_FUZZ_BUG")
         if planted and config.runtime == "realnet-proc":
@@ -146,7 +144,7 @@ class FuzzEngine:
                 cluster = make_cluster(
                     config.runtime,
                     spec.n_sites,
-                    factory,
+                    app=spec.app,
                     seed=entry.seed,
                     loss_prob=entry.loss_prob,
                 )

@@ -36,12 +36,14 @@ Three ports exist:
     property checks, the CLI) needs from a running cluster, regardless
     of which backend drives it.  The simulator's
     :class:`~repro.runtime.cluster.Cluster` satisfies it natively; the
-    real-network runtime satisfies it through the blocking
-    :class:`~repro.realnet.driver.RealClusterDriver` adapter (the
-    underlying :class:`~repro.realnet.cluster.RealCluster` exposes the
-    same surface with ``async`` waiting methods for asyncio-native
-    callers).  :func:`make_cluster` builds either backend behind the
-    port, so consumers never name a concrete cluster class.
+    wall-clock runtimes satisfy it through the blocking
+    :class:`~repro.realnet.driver.RealClusterDriver` facade (the
+    adapter underneath — :class:`~repro.realnet.cluster.RealCluster` or
+    :class:`~repro.realnet.proc_driver.ProcCluster` — exposes the same
+    surface with ``async`` waiting methods for asyncio-native callers).
+    All three adapters share :mod:`repro.runtime.core`, and
+    :func:`make_cluster` builds any of them behind the port, so
+    consumers never name a concrete cluster class.
 
 Keep this module import-light: it must be importable from
 :mod:`repro.sim.process` without touching :mod:`repro.net` (which imports
@@ -51,6 +53,7 @@ inside :func:`make_cluster`.
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol, runtime_checkable
 
 from repro.types import ProcessId, SiteId
@@ -159,10 +162,12 @@ class ClusterPort(Protocol):
 
     **Waiting.**  All waiting methods block the caller and take hard
     timeouts: ``run_for`` advances/passes a backend-time duration,
-    ``settle`` waits for membership convergence, ``wait_until`` polls an
-    arbitrary predicate (called with the cluster itself).  On the
-    simulator blocking is free (virtual time); on the real network the
-    blocking adapter parks the calling thread while the event loop runs.
+    ``settle`` waits for membership convergence
+    (:func:`repro.runtime.core.settled`, the one definition on every
+    runtime), ``wait_until`` polls an arbitrary predicate (see there).
+    On the simulator blocking is free (virtual time); on the real
+    network the blocking facade parks the calling thread while the event
+    loop runs.
 
     **Lifecycle.**  The environment actions are a superset of
     :class:`~repro.net.faults.FaultTarget`, so a declarative fault
@@ -197,7 +202,19 @@ class ClusterPort(Protocol):
 
     def wait_until(
         self, predicate: Callable[[Any], Any], timeout: float = ..., poll: float = ...
-    ) -> bool: ...
+    ) -> bool:
+        """Block until ``predicate(cluster)`` is truthy or ``timeout``
+        backend-time units pass; returns whether it became true.
+
+        One rule on every runtime: the predicate is called with the port
+        object, **on the calling thread**, once per ``poll``, and may
+        call any port method — including the blocking ones.  (On the
+        wall-clock runtimes that means it does *not* run on the event
+        loop; reads of stack state are point-in-time, and a
+        ``wait_until`` issued from a loop-thread callback is refused
+        like every other blocking call.)
+        """
+        ...
 
     def is_settled(self) -> bool: ...
 
@@ -243,65 +260,52 @@ class ClusterPort(Protocol):
     def metrics_snapshot(self, source: str = "cluster") -> Any: ...
 
 
+#: runtime -> (module, adapter class); imported lazily so this module
+#: stays import-light for :mod:`repro.sim.process`.
+_ADAPTERS = {
+    "sim": ("repro.runtime.cluster", "Cluster"),
+    "realnet": ("repro.realnet.cluster", "RealCluster"),
+    "realnet-proc": ("repro.realnet.proc_driver", "ProcCluster"),
+}
+
 #: Names accepted by :func:`make_cluster`.
-RUNTIMES = ("sim", "realnet", "realnet-proc")
+RUNTIMES = tuple(_ADAPTERS)
 
 
 def make_cluster(
     runtime: str,
     n_sites: int,
     app_factory: Callable[[ProcessId], Any] | None = None,
-    *,
-    seed: int = 0,
-    loss_prob: float = 0.0,
-    trace_level: str = "full",
     **knobs: Any,
 ) -> ClusterPort:
     """Build a cluster of ``n_sites`` behind the :class:`ClusterPort`.
 
-    ``runtime`` selects the backend: ``"sim"`` returns a
-    :class:`~repro.runtime.cluster.Cluster` over the deterministic
-    simulator; ``"realnet"`` boots a localhost-TCP
-    :class:`~repro.realnet.cluster.RealCluster` wrapped in the blocking
+    One construction path for every runtime: ``knobs`` become a
+    :class:`~repro.runtime.core.ClusterConfig` (``seed``, ``loss_prob``,
+    ``trace_level``, ``scale``, ``codec``, ``fd_mode``, ``app``, ... —
+    see its field table), ``runtime`` picks the adapter, and a
+    non-default field that runtime cannot honour is a ``ValueError``
+    naming it (``fifo_links=False`` off the simulator, an
+    ``app_factory`` closure on ``realnet-proc``).  ``"sim"`` returns the
+    :class:`~repro.runtime.cluster.Cluster` itself; the wall-clock
+    runtimes return their adapter wrapped in the blocking
     :class:`~repro.realnet.driver.RealClusterDriver`, already started
-    and ready for synchronous calls.  Extra ``knobs`` are forwarded to
-    the backend's config dataclass (:class:`~repro.runtime.cluster.
-    ClusterConfig` / :class:`~repro.realnet.cluster.RealClusterConfig`).
+    and ready for synchronous calls.
 
     Callers own the result's lifetime: ``close()`` it (or use
-    ``contextlib.closing``) when done — mandatory for ``realnet``,
-    where it tears down sockets and the driver thread.
-
-    The runtime modules are imported lazily so this module stays
-    import-light for :mod:`repro.sim.process`.
+    ``contextlib.closing``) when done — mandatory on the wall clock,
+    where it tears down sockets, child processes and the loop thread.
     """
+    if runtime not in _ADAPTERS:
+        raise ValueError(f"unknown runtime {runtime!r}; pick one of {RUNTIMES}")
+    from repro.runtime.core import ClusterConfig
+
+    module, name = _ADAPTERS[runtime]
+    adapter = getattr(importlib.import_module(module), name)(
+        n_sites, app_factory, ClusterConfig(**knobs)
+    )
     if runtime == "sim":
-        from repro.runtime.cluster import Cluster, ClusterConfig
+        return adapter
+    from repro.realnet.driver import RealClusterDriver
 
-        config = ClusterConfig(
-            seed=seed, loss_prob=loss_prob, trace_level=trace_level, **knobs
-        )
-        return Cluster(n_sites, app_factory=app_factory, config=config)
-    if runtime == "realnet":
-        from repro.realnet.cluster import RealClusterConfig
-        from repro.realnet.driver import RealClusterDriver
-
-        real_config = RealClusterConfig(
-            seed=seed, loss_prob=loss_prob, trace_level=trace_level, **knobs
-        )
-        return RealClusterDriver(
-            n_sites, app_factory=app_factory, config=real_config
-        ).start()
-    if runtime == "realnet-proc":
-        from repro.realnet.proc_driver import ProcClusterConfig, ProcRealClusterDriver
-
-        if app_factory is not None:
-            raise ValueError(
-                "realnet-proc selects applications by name (the 'app' knob); "
-                "a factory closure cannot cross the process boundary"
-            )
-        proc_config = ProcClusterConfig(
-            seed=seed, loss_prob=loss_prob, trace_level=trace_level, **knobs
-        )
-        return ProcRealClusterDriver(n_sites, config=proc_config).start()
-    raise ValueError(f"unknown runtime {runtime!r}; pick one of {RUNTIMES}")
+    return RealClusterDriver(adapter).start()

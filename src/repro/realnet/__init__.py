@@ -13,19 +13,22 @@ event loop and TCP:
   loss/latency and a firewall predicate so the simulator's fault knobs
   carry over to live sockets;
 * :class:`RealNode` / :class:`RealCluster` — per-site harness and
-  in-process multi-node orchestrator (ephemeral localhost ports,
-  crash/recover/partition/heal/join, wall-clock ``settle``);
+  in-process multi-node adapter over :mod:`repro.runtime.core`
+  (ephemeral localhost ports, crash/recover/partition/heal/join,
+  wall-clock ``settle``), configured by the same
+  :class:`~repro.runtime.core.ClusterConfig` as every other runtime;
 * :class:`RealClusterDriver` — blocking
-  :class:`~repro.ports.ClusterPort` adapter (event loop on a dedicated
+  :class:`~repro.ports.ClusterPort` facade (event loop on a dedicated
   thread) so synchronous harness code — workloads, invariant monitors,
-  the CLI — drives a real cluster exactly like a simulated one;
+  the CLI — drives either wall-clock adapter exactly like a simulated
+  cluster;
 * :mod:`repro.realnet.codec` — the wire format (see docs/protocol.md).
 
 The protocol layers are byte-identical between backends; nothing in
 fd/gms/vsync/evs knows which one it is running on.
 """
 
-from repro.realnet.cluster import RealCluster, RealClusterConfig
+from repro.realnet.cluster import RealCluster
 from repro.realnet.driver import RealClusterDriver
 from repro.realnet.codec import (
     MAX_FRAME_BYTES,
@@ -40,7 +43,6 @@ from repro.realnet.wallclock import WallClockEvent, WallClockScheduler
 __all__ = [
     "MAX_FRAME_BYTES",
     "RealCluster",
-    "RealClusterConfig",
     "RealClusterDriver",
     "RealNetwork",
     "RealNode",

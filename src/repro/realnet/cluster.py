@@ -25,265 +25,185 @@ scheduler against real sockets unchanged:
 * :meth:`join` grows the universe by a brand-new site.
 
 ``settle()`` is the wall-clock analogue of the simulator's: it polls
-(on real time) until every live stack has installed the view its
-network component prescribes.  All waiting entry points take hard
-timeouts — a wedged cluster reports failure, it cannot hang the caller.
+(on real time) the one convergence predicate of
+:mod:`repro.runtime.core`.  All waiting entry points take hard timeouts
+— a wedged cluster reports failure, it cannot hang the caller.
+
+:class:`WallClockCluster` is what this adapter shares with the
+process-per-site one (:mod:`repro.realnet.proc_driver`): both live on
+an asyncio loop, wait with coroutines and return tasks from
+``recover`` / ``join``; :class:`~repro.realnet.driver.RealClusterDriver`
+wraps either behind the blocking :class:`~repro.ports.ClusterPort`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import SimulationError
 from repro.net.network import NetworkStats
-from repro.net.topology import Topology
-from repro.obs.instrument import ClusterObs
-from repro.obs.registry import MetricsRegistry
-from repro.obs.snapshot import MetricsSnapshot
-from repro.obs.tracing import FlightRecorder, Tracer
-from repro.realnet.node import AppFactory, RealNode, realnet_stack_config
+from repro.realnet.node import RealNode
 from repro.realnet.transport import wait_for_condition
 from repro.realnet.wallclock import WallClockScheduler
+from repro.runtime.core import (
+    SECONDS_PER_UNIT,
+    AppFactory,
+    ClusterConfig,
+    ClusterCore,
+    build_observability,
+    crash_stack,
+    new_recorder,
+    register_net_gauges,
+    sum_network_stats,
+    sum_transport_stats,
+)
 from repro.sim.rng import RngStreams
 from repro.sim.stable_storage import StableStore
-from repro.trace.events import CrashEvent, RecoverEvent
+from repro.trace.events import RecoverEvent
 from repro.trace.recorder import TraceRecorder
-from repro.types import ProcessId, SiteId
-from repro.vsync.stack import GroupStack, StackConfig
+from repro.types import SiteId
+from repro.vsync.stack import GroupStack
 
 
-@dataclass
-class RealClusterConfig:
-    """Knobs for a real-network cluster.
+class WallClockCluster(ClusterCore):
+    """The asyncio half of a wall-clock adapter.
 
-    ``scale`` stretches the default timer profile (see
-    :func:`~repro.realnet.node.realnet_stack_config`); ``stack``
-    overrides it wholesale.  ``loss_prob`` and ``latency`` are the
-    injected chaos knobs, applied at every sender on top of whatever
-    the kernel's loopback actually does.  ``codec`` picks the wire
-    format every node *prefers* (``"bin"`` — the compact default — or
-    ``"json"`` as a debug/compat mode; the actual format is negotiated
-    per connection, so mixed clusters interoperate).  ``flush_tick``
-    overrides the links' micro-batching flush tick (``0.0`` disables
-    the wait; ``None`` keeps the transport default), and ``batch_bytes``
-    the per-flush byte cap (``0`` means one frame per flush — the
-    unbatched data path, kept as a benchmark baseline).
+    Lives on one event loop: ``start`` / ``stop`` / ``settle`` /
+    ``wait_until`` are coroutines, environment actions run on the loop
+    thread and track the tasks they spawn, and all times are wall
+    seconds since :meth:`start`.
     """
 
-    seed: int = 0
-    loss_prob: float = 0.0
-    latency: Any = None
-    scale: float = 1.0
-    stack: StackConfig | None = None
-    host: str = "127.0.0.1"
-    detailed_stats: bool = True
-    codec: str = "bin"
-    flush_tick: float | None = None
-    batch_bytes: int | None = None
-    trace_level: str = "full"
-    trace_capacity: int | None = None
-    quiet: bool = True
-    #: Gate the in-stack observability hooks (the registry and its
-    #: callback gauges always exist; see ClusterConfig.metrics).
-    metrics: bool = True
-    #: Attach a causal tracer + flight recorder to the hooks (implies
-    #: the hooks are live even with ``metrics=False``); see
-    #: ClusterConfig.tracing.
-    tracing: bool = False
-    flight_budget: int = 256 * 1024
-    #: 1-in-N sampling gate for uncaused root spans (workload
-    #: multicasts); caused spans are always traced.
-    trace_sample: int = 16
-    #: Failure-detection plane override: ``"heartbeat"`` / ``"gossip"``
-    #: (``None`` keeps the stack profile's choice).  Same surface as
-    #: the simulator's ClusterConfig, so a scale profile moves between
-    #: runtimes unchanged; with gossip remember ``fd_timeout`` must
-    #: cover an epidemic round, not one hop (docs/scaling.md).
-    fd_mode: str | None = None
-    gossip_fanout: int | None = None
+    UNIT = SECONDS_PER_UNIT
+    #: Default wall seconds between polls of a waiting method.
+    POLL = 0.02
 
-    def stack_config(self) -> StackConfig:
-        cfg = self.stack if self.stack is not None else realnet_stack_config(self.scale)
-        if self.fd_mode is not None:
-            cfg = replace(cfg, fd_mode=self.fd_mode)
-        if self.gossip_fanout is not None:
-            cfg = replace(cfg, gossip_fanout=self.gossip_fanout)
-        return cfg
+    def __init__(self, n_sites: int, config: ClusterConfig | None, **core: Any) -> None:
+        super().__init__(n_sites, config, **core)
+        self.address_book: dict[SiteId, tuple[str, int]] = {}
+        self._bg: set[asyncio.Task] = set()
+
+    async def stop(self) -> None:
+        """Cancel and reap every tracked background task."""
+        for task in list(self._bg):
+            task.cancel()
+        await asyncio.gather(*self._bg, return_exceptions=True)
+        self._bg.clear()
+
+    async def __aenter__(self) -> Any:
+        return await self.start()
+
+    async def __aexit__(self, *exc: Any) -> None:
+        await self.stop()
+
+    def _spawn(self, coro: Any) -> asyncio.Task:
+        task = asyncio.get_running_loop().create_task(coro)
+        self._bg.add(task)
+        task.add_done_callback(self._bg.discard)
+        return task
+
+    async def refresh(self) -> None:
+        """Bring introspection state up to date before a predicate is
+        evaluated (nothing to do when the stacks are in this process)."""
+
+    async def settle(self, timeout: float = 10.0, poll: float | None = None) -> bool:
+        """Wait (on the wall clock) for membership to converge."""
+        return await self.wait_until(type(self).is_settled, timeout, poll)
+
+    async def wait_until(
+        self,
+        predicate: Callable[[Any], Any],
+        timeout: float = 10.0,
+        poll: float | None = None,
+    ) -> bool:
+        """Poll ``predicate(cluster)`` on the loop thread."""
+        return await wait_for_condition(
+            lambda: predicate(self), timeout, poll or self.POLL, self.refresh
+        )
 
 
-class RealCluster:
+class RealCluster(WallClockCluster):
     """A set of localhost sites running group stacks over real TCP."""
+
+    runtime = "realnet"
 
     def __init__(
         self,
         n_sites: int,
         app_factory: AppFactory | None = None,
-        config: RealClusterConfig | None = None,
+        config: ClusterConfig | None = None,
     ) -> None:
-        if n_sites < 1:
-            raise SimulationError("cluster needs at least one site")
-        self.config = config or RealClusterConfig()
-        self.app_factory = app_factory
-        self.topology = Topology(range(n_sites))
-        self.address_book: dict[SiteId, tuple[str, int]] = {}
+        super().__init__(n_sites, config)
+        self.app_factory = self.config.app_factory(n_sites, app_factory)
         self.nodes: dict[SiteId, RealNode] = {}
-        self.scheduler: WallClockScheduler | None = None
         # Each node records its own history (as a real deployment
         # would); the orchestrator keeps one recorder for environment
         # events (crash/recover) and retains the recorders of replaced
         # incarnations so gather_trace() can merge the full execution.
-        self._env_recorder = TraceRecorder(
-            level=self.config.trace_level,
-            capacity=self.config.trace_capacity,
-            label="env",
-        )
+        self._env_recorder = new_recorder(self.config, "env")
         self._retired_recorders: list[TraceRecorder] = []
         self.store = StableStore()
         self.rng = RngStreams(self.config.seed)
-        self._incarnation: dict[SiteId, int] = {}
-        self._bg: set[asyncio.Task] = set()
-        self._started = False
-        # One registry shared by every co-located node: the nodes share
-        # one wall-clock scheduler, so cross-node spans (multicast on
-        # one node, delivery on another) are measurable on one clock.
-        self.metrics = MetricsRegistry(
-            clock=lambda: self.now, runtime="realnet"
+        # One registry, flight recorder and tracer shared by every
+        # co-located node: they share one wall-clock scheduler, so
+        # cross-node spans (multicast on one node, delivery on another)
+        # are measurable on one clock.  The wall epoch is pinned in
+        # start(), when the scheduler's t=0 is established.
+        self.metrics, self.flight, _tracer, self.obs = build_observability(
+            self.config, lambda: self.now,
+            runtime="realnet", name="cluster", epoch=time.time(),
         )
-        # One flight recorder and tracer for all co-located nodes: they
-        # share one wall-clock scheduler (one time base), exactly like
-        # the shared metrics registry above.  The wall epoch is pinned
-        # in start(), when the scheduler's t=0 is established.
-        self.flight: FlightRecorder | None = None
-        tracer = None
-        if self.config.tracing:
-            self.flight = FlightRecorder(
-                "cluster", "realnet",
-                budget=self.config.flight_budget,
-                epoch=time.time(),
-            )
-            tracer = Tracer(
-                self.flight,
-                lambda: self.now,
-                root_sample=self.config.trace_sample,
-            )
-        self.obs = (
-            ClusterObs(self.metrics, tracer)
-            if (self.config.metrics or tracer is not None)
-            else None
-        )
-        self._register_collectors()
-
-    def _register_collectors(self) -> None:
-        """Callback gauges over counters the transport already keeps.
-
-        Same ``net_*`` metric names as the simulator's collectors, so
-        sim and realnet snapshots of one workload compare row by row;
-        the ``transport_*`` series are realnet-only (sockets/frames
-        have no simulator analogue).
-        """
-        reg = self.metrics
-        for name, help_text, key in (
-            ("net_messages_sent_total", "Messages offered to the network", "sent"),
-            ("net_messages_delivered_total", "Messages delivered by the network",
-             "delivered"),
-        ):
-            reg.gauge_callback(
-                name, help_text,
-                (lambda k: lambda: float(getattr(self.network_stats(), k)))(key),
-            )
-        for reason, key in (
-            ("partition", "dropped_partition"),
-            ("loss", "dropped_loss"),
-            ("dead", "dropped_dead"),
-        ):
-            reg.gauge_callback(
-                "net_messages_dropped_total", "Messages dropped, by reason",
-                (lambda k: lambda: float(getattr(self.network_stats(), k)))(key),
-                ("reason",), (reason,),
-            )
+        register_net_gauges(self.metrics, self.network_stats)
+        # The ``transport_*`` series are wall-clock-only (sockets/frames
+        # have no simulator analogue).
         for key in ("frames_sent", "bytes_sent", "frames_received",
                     "bytes_received", "frames_dropped"):
-            reg.gauge_callback(
+            self.metrics.gauge_callback(
                 f"transport_{key}_total", f"Transport {key.replace('_', ' ')}",
                 (lambda k: lambda: float(self.transport_stats().get(k, 0)))(key),
             )
-
-    def metrics_snapshot(self, source: str = "cluster") -> MetricsSnapshot:
-        """Point-in-time metrics copy (the ClusterPort accessor)."""
-        return self.metrics.snapshot(source)
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> "RealCluster":
         """Bring every transport up, then boot every stack."""
-        if self._started:
+        if self.scheduler is not None:
             raise SimulationError("cluster already started")
-        self._started = True
         self.scheduler = WallClockScheduler()
         if self.flight is not None:
             # Wall time of the scheduler's t=0: lets `repro obs trace`
             # merge this cluster's dump with other nodes' on one clock.
             self.flight.epoch = time.time() - self.scheduler.now
         for site in sorted(self.topology.sites):
-            node = self._make_node(site)
-            await node.start_transport()
+            await self._make_node(site).start_transport()
         for site in sorted(self.nodes):
             self.nodes[site].start_stack()
         return self
 
     async def stop(self) -> None:
         """Tear everything down; idempotent."""
-        for task in list(self._bg):
-            task.cancel()
-        for task in list(self._bg):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._bg.clear()
+        await super().stop()
         for node in list(self.nodes.values()):
             await node.stop()
 
-    async def __aenter__(self) -> "RealCluster":
-        return await self.start()
-
-    async def __aexit__(self, *exc: Any) -> None:
-        await self.stop()
-
     def _make_node(self, site: SiteId) -> RealNode:
-        incarnation = self._incarnation.get(site, -1) + 1
-        self._incarnation[site] = incarnation
-        cfg = self.config
+        pid = self._next_pid(site)
         old = self.nodes.get(site)
         if old is not None:
             self._retired_recorders.append(old.recorder)
         node = RealNode(
-            ProcessId(site, incarnation),
+            pid,
             self.address_book,
+            self.config,
             scheduler=self.scheduler,
             storage=self.store.site(site),
-            recorder=TraceRecorder(
-                level=cfg.trace_level,
-                capacity=cfg.trace_capacity,
-                label=f"site{site}/inc{incarnation}",
-            ),
+            recorder=new_recorder(self.config, f"site{site}/inc{pid.incarnation}"),
             app_factory=self.app_factory,
-            stack_config=cfg.stack_config(),
             universe=lambda: set(self.topology.sites),
             connectivity=self.topology.allows,
-            loss_prob=cfg.loss_prob,
-            latency=cfg.latency,
             rng=self.rng,
-            host=cfg.host,
-            port=0,
-            detailed_stats=cfg.detailed_stats,
-            codec=cfg.codec,
-            flush_tick=cfg.flush_tick,
-            batch_bytes=cfg.batch_bytes,
-            quiet=cfg.quiet,
             obs=self.obs,
             metrics=self.metrics,
             metrics_source="cluster",
@@ -292,27 +212,28 @@ class RealCluster:
         self.nodes[site] = node
         return node
 
-    def _spawn(self, coro: Any) -> asyncio.Task:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._bg.add(task)
-        task.add_done_callback(self._bg.discard)
-        return task
+    async def _boot(self, site: SiteId, recovering: bool) -> GroupStack:
+        old = self.nodes.get(site)
+        if old is not None:
+            await old.network.stop()
+        node = self._make_node(site)
+        await node.start_transport()
+        stack = node.start_stack()
+        if recovering:
+            self._env_recorder.record(
+                RecoverEvent(time=self.now, pid=stack.pid, site=site)
+            )
+        return stack
 
     # -- environment actions (FaultTarget) -----------------------------
 
     def crash(self, site: SiteId) -> None:
         """Kill the process at ``site`` and close its sockets."""
         node = self.nodes.get(site)
-        if node is None or node.stack is None or not node.stack.alive:
-            return
-        node.stack.crash()
-        if self.scheduler is not None:
-            self._env_recorder.record(
-                CrashEvent(time=self.scheduler.now, pid=node.stack.pid)
-            )
-            if self.obs is not None:
-                self.obs.process_crashed(node.stack.pid, self.scheduler.now)
-        self._spawn(node.network.stop())
+        if node is not None and crash_stack(
+            node.stack, self._env_recorder, self.obs, self.now
+        ):
+            self._spawn(node.network.stop())
 
     def recover(self, site: SiteId) -> "asyncio.Task[GroupStack]":
         """Restart ``site`` under a fresh incarnation on a fresh port.
@@ -328,19 +249,7 @@ class RealCluster:
         node = self.nodes.get(site)
         if node is not None and node.alive:
             raise SimulationError(f"site {site} is up; cannot recover")
-        return self._spawn(self._recover(site))
-
-    async def _recover(self, site: SiteId) -> GroupStack:
-        old = self.nodes.get(site)
-        if old is not None:
-            await old.network.stop()
-        node = self._make_node(site)
-        await node.start_transport()
-        stack = node.start_stack()
-        self._env_recorder.record(
-            RecoverEvent(time=self.now, pid=stack.pid, site=site)
-        )
-        return stack
+        return self._spawn(self._boot(site, recovering=True))
 
     def join(self, site: SiteId) -> "asyncio.Task[GroupStack]":
         """Add a brand-new site to the universe and boot it.
@@ -350,181 +259,45 @@ class RealCluster:
         its transport is up and its stack is registered.
         """
         self.topology.add_site(site)
-        return self._spawn(self._join(site))
-
-    async def _join(self, site: SiteId) -> GroupStack:
-        node = self._make_node(site)
-        await node.start_transport()
-        return node.start_stack()
-
-    # -- connectivity (firewalling) ------------------------------------
-
-    def partition(self, groups: Sequence[Sequence[SiteId]]) -> None:
-        """Firewall the universe into the given site groups."""
-        self.topology.partition(groups)
-
-    def heal(self) -> None:
-        self.topology.heal()
-
-    def isolate(self, site: SiteId) -> None:
-        self.topology.isolate(site)
-
-    # -- waiting -------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now if self.scheduler is not None else 0.0
-
-    @property
-    def time_scale(self) -> float:
-        """Wall seconds per scenario unit.
-
-        The realnet timer profile (:func:`~repro.realnet.node.
-        realnet_stack_config`) maps the simulator's canonical ratios
-        onto loopback at ~0.01 s per simulated unit at ``scale=1.0``
-        (fd-interval 5 units ↔ 50 ms); fault schedules and workload
-        intervals written in scenario units are scaled by the same
-        factor so faults land at the same point of protocol time on
-        both backends.
-        """
-        return 0.01 * self.config.scale
-
-    def arm(self, schedule: Any) -> None:
-        """Arm a :class:`~repro.net.faults.FaultSchedule` against real
-        sockets.
-
-        Scenario-unit action times are scaled by :attr:`time_scale` and
-        shifted to be relative to ``now`` — a schedule authored for the
-        simulator runs unchanged here.
-        """
-        if self.scheduler is None:
-            raise SimulationError("cluster is not started; cannot arm")
-        schedule.scaled(self.time_scale).shifted(self.now).arm(self.scheduler, self)
-
-    async def settle(self, timeout: float = 10.0, poll: float = 0.02) -> bool:
-        """Wait (on the wall clock) for membership to converge."""
-        return await wait_for_condition(self.is_settled, timeout, poll)
-
-    async def wait_until(
-        self,
-        predicate: Callable[["RealCluster"], Any],
-        timeout: float = 10.0,
-        poll: float = 0.02,
-    ) -> bool:
-        return await wait_for_condition(lambda: predicate(self), timeout, poll)
-
-    def is_settled(self) -> bool:
-        """Same convergence definition as the simulator's cluster."""
-        live = self.live_stacks()
-        for stack in live:
-            if stack.view is None or stack.is_flushing:
-                return False
-            component = self.topology.component_of(stack.pid.site)
-            expected = {s.pid for s in live if s.pid.site in component}
-            if stack.view.members != expected:
-                return False
-            for other in live:
-                if (
-                    other.pid in expected
-                    and other.current_view_id() != stack.current_view_id()
-                ):
-                    return False
-        return True
+        return self._spawn(self._boot(site, recovering=False))
 
     # -- queries -------------------------------------------------------
 
-    def stack_at(self, site: SiteId) -> GroupStack:
-        node = self.nodes.get(site)
-        if node is None or node.stack is None:
-            raise SimulationError(f"no process was ever started at site {site}")
-        return node.stack
-
-    def live_stacks(self) -> list[GroupStack]:
-        return [
-            n.stack
-            for n in self.nodes.values()
-            if n.stack is not None and n.stack.alive
-        ]
-
-    def live_pids(self) -> set[ProcessId]:
-        return {s.pid for s in self.live_stacks()}
-
-    def views(self) -> dict[SiteId, str]:
+    @property
+    def stacks(self) -> dict[SiteId, GroupStack]:
+        """Current incarnation's stack per booted site."""
         return {
-            site: str(node.stack.view)
-            for site, node in sorted(self.nodes.items())
-            if node.stack is not None and node.stack.alive
+            site: node.stack
+            for site, node in self.nodes.items()
+            if node.stack is not None
         }
 
-    def app_at(self, site: SiteId) -> Any:
-        """The application object of the current incarnation at ``site``."""
-        node = self.nodes.get(site)
-        if node is None or node.app is None:
-            raise SimulationError(f"no process was ever started at site {site}")
-        return node.app
-
-    def flight_recorders(self) -> list[FlightRecorder]:
-        """Live flight recorders (one, shared by the co-located nodes)."""
-        return [self.flight] if self.flight is not None else []
-
-    def node_recorders(self) -> list[TraceRecorder]:
-        """Every per-node recorder: live incarnations plus retired ones."""
-        return self._retired_recorders + [
-            node.recorder for _, node in sorted(self.nodes.items())
-        ]
-
     def gather_trace(self) -> TraceRecorder:
-        """Merge every node's locally recorded history (plus the
-        orchestrator's crash/recover events) into one globally ordered
-        trace — the input the property checkers expect.  All recorders
-        share this cluster's wall-clock scheduler, so their timestamps
-        are directly comparable; ordering is
-        :meth:`~repro.trace.recorder.TraceRecorder.merge`'s
-        ``(time, pid, seq)``.
-        """
-        return TraceRecorder.merge(self._env_recorder, *self.node_recorders())
-
-    @property
-    def recorder(self) -> TraceRecorder:
-        """The merged execution history (see :meth:`gather_trace`).
-
-        Kept as a property for source compatibility with the era of one
-        shared recorder; each access re-merges, so grab it once after
+        """Merge every node's locally recorded history — live and
+        retired incarnations, plus the orchestrator's crash/recover
+        events — into one globally ordered trace, the input the property
+        checkers expect.  All recorders share this cluster's wall-clock
+        scheduler, so their timestamps are directly comparable; ordering
+        is :meth:`~repro.trace.recorder.TraceRecorder.merge`'s
+        ``(time, pid, seq)``.  Each call re-merges: grab it once after
         the run quiesces rather than inside a hot loop.
         """
-        return self.gather_trace()
+        return TraceRecorder.merge(
+            self._env_recorder,
+            *self._retired_recorders,
+            *(node.recorder for _, node in sorted(self.nodes.items())),
+        )
 
     def network_stats(self) -> NetworkStats:
         """Aggregate wire counters over every node (live and dead)."""
-        total = NetworkStats(detailed=self.config.detailed_stats)
-        for node in self.nodes.values():
-            stats = node.network.stats
-            total.sent += stats.sent
-            total.delivered += stats.delivered
-            total.dropped_partition += stats.dropped_partition
-            total.dropped_loss += stats.dropped_loss
-            total.dropped_dead += stats.dropped_dead
-            for name, count in stats.by_type.items():
-                total.by_type[name] = total.by_type.get(name, 0) + count
-        return total
+        return sum_network_stats(
+            (node.network.stats for node in self.nodes.values()),
+            self.config.detailed_stats,
+        )
 
     def transport_stats(self) -> dict[str, Any]:
-        """Aggregate link/server counters over every node (live and dead).
-
-        Sums frame, flush, byte and connection counters; ``max_batch`` /
-        ``max_frames_per_read`` are cluster-wide maxima and ``codecs``
-        counts live links by negotiated wire format.
-        """
-        total: dict[str, Any] = {}
-        codecs: dict[str, int] = {}
-        for node in self.nodes.values():
-            stats = node.network.transport_stats()
-            for name, count in stats.pop("codecs").items():
-                codecs[name] = codecs.get(name, 0) + count
-            for key, value in stats.items():
-                if key in ("max_batch", "max_frames_per_read"):
-                    total[key] = max(total.get(key, 0), value)
-                else:
-                    total[key] = total.get(key, 0) + value
-        total["codecs"] = codecs
-        return total
+        """Aggregate link/server counters over every node (live and
+        dead); see :func:`~repro.runtime.core.sum_transport_stats`."""
+        return sum_transport_stats(
+            node.network.transport_stats() for node in self.nodes.values()
+        )

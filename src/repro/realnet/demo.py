@@ -23,8 +23,9 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-from repro.realnet.cluster import RealCluster, RealClusterConfig
-from repro.trace.checks import check_enriched_views, check_view_synchrony
+from repro.realnet.cluster import RealCluster
+from repro.runtime.core import ClusterConfig
+from repro.trace.checks import check_cluster
 
 
 @dataclass
@@ -66,7 +67,7 @@ async def partition_merge_demo(
         if not await cluster.settle(timeout=timeout):
             raise AssertionError(f"{what}: membership did not settle; views={cluster.views()}")
 
-    config = RealClusterConfig(seed=seed, scale=scale, codec=codec)
+    config = ClusterConfig(seed=seed, scale=scale, codec=codec)
     async with RealCluster(n_sites, config=config) as cluster:
         t0 = cluster.now
         await must_settle(cluster, "bootstrap")
@@ -134,9 +135,7 @@ async def partition_merge_demo(
         svsets_after_merge = len(merger.eview.structure.svsets)
         say(f"\nafter SV-SetMerge: {merger.eview}")
 
-        reports = check_view_synchrony(cluster.recorder) + check_enriched_views(
-            cluster.recorder
-        )
+        reports = check_cluster(cluster)
         violations = sum(len(r.violations) for r in reports)
         say("\nproperty checks on the recorded trace:")
         for report in reports:

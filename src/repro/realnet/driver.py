@@ -1,153 +1,98 @@
-"""Blocking :class:`~repro.ports.ClusterPort` adapter for the realnet.
+"""The blocking facade: synchronous code over an event-loop thread.
 
 The simulator's :class:`~repro.runtime.cluster.Cluster` is synchronous —
 ``settle()`` returns when membership converged, ``recover()`` returns
-the fresh stack — while :class:`~repro.realnet.cluster.RealCluster` is
-asyncio-native: its waiting methods are coroutines and its lifecycle
-actions return tasks.  :class:`RealClusterDriver` erases that skew so
-synchronous harness code (workload clients, the CLI, plain tests) can
-drive either runtime through the same port:
+the fresh stack — while the wall-clock adapters
+(:class:`~repro.realnet.cluster.RealCluster`,
+:class:`~repro.realnet.proc_driver.ProcCluster`) are asyncio-native:
+their waiting methods are coroutines and their lifecycle actions return
+tasks.  Two classes erase that skew, once, for both:
 
-* it owns a dedicated event-loop thread and boots a
-  :class:`RealCluster` on it;
-* waiting methods (``settle`` / ``wait_until`` / ``run_for``) block the
-  calling thread while the loop keeps running the protocols;
-* lifecycle actions submit to the loop and wait for the effect —
-  ``recover`` / ``join`` resolve the underlying startup task and return
-  the :class:`~repro.vsync.stack.GroupStack`, exactly like the
-  simulator;
-* ``after`` arms timers on the loop from any thread, so workload
-  drivers tick on the cluster's own scheduler (their callbacks run on
-  the loop thread, where touching stacks is safe).
+:class:`LoopThread`
+    An event loop on a dedicated daemon thread plus the only three ways
+    onto it: :meth:`~LoopThread.submit` (run a coroutine, block for its
+    result, cancel it on timeout), :meth:`~LoopThread.invoke` (call a
+    function there — inline when already on the loop) and
+    :meth:`~LoopThread.after` (a timer whose ``cancel`` hops threads).
+    Also used by :class:`repro.workload.openloop.LoadTarget`.
 
-Threading rules, kept deliberately simple: every *mutating* call is
-routed to the loop thread (directly when already on it — e.g. an armed
-fault schedule's action or a workload tick — otherwise via a submitted
-coroutine the caller blocks on).  Read-only introspection delegates
-without a hop; the GIL makes those dictionary reads safe, and callers
-that need a consistent snapshot take it after a blocking wait returns.
-
-``close()`` tears down sockets, stops the loop and joins the thread; it
-is idempotent and also runs on context-manager exit and interpreter
-exit (daemon thread), so a crashed test cannot leak a loop.
+:class:`RealClusterDriver`
+    The blocking :class:`~repro.ports.ClusterPort` over either
+    wall-clock adapter, so synchronous harness code (workload clients,
+    the CLI, plain tests) drives any runtime through the same port.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
+import inspect
 import threading
 import time
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.realnet.cluster import AppFactory, RealCluster, RealClusterConfig
 from repro.realnet.wallclock import new_event_loop
-from repro.trace.recorder import TraceRecorder
-from repro.types import ProcessId, SiteId
-from repro.vsync.stack import GroupStack
 
 #: Default hard timeout for individual submitted actions (seconds).
 #: Generous — actions are local socket operations; a hang is a bug.
 ACTION_TIMEOUT = 30.0
 
 
-class _LoopEvent:
+class LoopTimer:
     """Cancellable-event proxy whose ``cancel`` hops to the loop thread."""
 
-    __slots__ = ("_driver", "_handle")
+    __slots__ = ("_loop", "_handle")
 
-    def __init__(self, driver: "RealClusterDriver", handle: Any) -> None:
-        self._driver = driver
+    def __init__(self, loop: "LoopThread", handle: Any) -> None:
+        self._loop = loop
         self._handle = handle
 
     def cancel(self) -> None:
-        self._driver._invoke(self._handle.cancel)
+        self._loop.invoke(self._handle.cancel)
 
 
-class RealClusterDriver:
-    """Synchronous facade over a :class:`RealCluster` on its own loop.
+class LoopThread:
+    """An asyncio event loop running on its own daemon thread."""
 
-    Satisfies :class:`repro.ports.ClusterPort`.  Build one directly and
-    call :meth:`start`, use it as a context manager, or get one already
-    started from :func:`repro.ports.make_cluster`::
-
-        with RealClusterDriver(3, config=RealClusterConfig(seed=7)) as cluster:
-            assert cluster.settle(timeout=10.0)
-            cluster.partition([[0, 1], [2]])
-            ...
-
-    All times on this surface are **wall seconds** (the backend time of
-    the realnet runtime); scenario-unit quantities must be multiplied by
-    :attr:`time_scale` first — :meth:`arm` and the workload drivers do
-    that internally.
-    """
-
-    #: ClusterPort runtime tag (client/workload code branches on it).
-    runtime = "realnet"
-
-    def __init__(
-        self,
-        n_sites: int,
-        app_factory: AppFactory | None = None,
-        config: RealClusterConfig | None = None,
-    ) -> None:
-        self.cluster = RealCluster(n_sites, app_factory=app_factory, config=config)
+    def __init__(self, name: str) -> None:
+        self.name = name
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._closed = False
 
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> "RealClusterDriver":
-        """Spin up the loop thread and boot the cluster; idempotent-safe
-        to call once.  Returns ``self`` for chaining."""
+    def start(self) -> "LoopThread":
         if self._loop is not None:
-            raise SimulationError("driver already started")
+            raise SimulationError(f"{self.name} loop already started")
         self._loop = new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="realnet-driver", daemon=True
+            target=self._loop.run_forever, name=self.name, daemon=True
         )
         self._thread.start()
-        self._submit(self.cluster.start(), timeout=ACTION_TIMEOUT)
         return self
 
-    def close(self) -> None:
-        """Stop the cluster, the loop and the thread; idempotent."""
-        if self._closed or self._loop is None:
-            self._closed = True
-            return
-        self._closed = True
-        try:
-            self._submit(self.cluster.stop(), timeout=ACTION_TIMEOUT)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._thread is not None:
-                self._thread.join(timeout=ACTION_TIMEOUT)
-            self._loop.close()
+    @property
+    def running(self) -> bool:
+        return self._loop is not None and not self._loop.is_closed()
 
-    def __enter__(self) -> "RealClusterDriver":
-        return self.start() if self._loop is None else self
+    def on_loop(self) -> bool:
+        """Is the caller on the loop thread?"""
+        return threading.current_thread() is self._thread
 
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+    def submit(self, coro: Any, timeout: float | None = None) -> Any:
+        """Run ``coro`` on the loop thread and block until its result.
 
-    # -- plumbing ------------------------------------------------------
-
-    def _on_loop(self) -> bool:
-        return (
-            self._loop is not None
-            and threading.current_thread() is self._thread
-        )
-
-    def _submit(self, coro: Any, timeout: float | None = None) -> Any:
-        """Run ``coro`` on the loop thread, block until its result."""
-        if self._loop is None:
-            raise SimulationError("driver is not running")
-        if self._on_loop():  # would deadlock waiting on ourselves
+        On ``timeout`` the coroutine is cancelled and
+        :class:`~repro.errors.SimulationError` raised.  Refused from the
+        loop thread itself: the caller would wait on its own loop.
+        """
+        if not self.running or self.on_loop():
+            coro.close()  # never scheduled: silence "never awaited"
             raise SimulationError(
-                "blocking driver call from the loop thread; use the "
-                "underlying RealCluster's async surface instead"
+                "blocking driver call from the loop thread; use the adapter's "
+                "async surface instead"
+                if self.running
+                else f"{self.name} loop is not running"
             )
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         try:
@@ -155,34 +100,125 @@ class RealClusterDriver:
         except concurrent.futures.TimeoutError:
             future.cancel()
             raise SimulationError(
-                f"realnet action did not complete within {timeout}s"
+                f"{self.name} action did not complete within {timeout}s"
             ) from None
 
-    def _invoke(self, fn: Callable[..., Any], *args: Any) -> Any:
+    def invoke(
+        self, fn: Callable[..., Any], *args: Any, timeout: float = ACTION_TIMEOUT
+    ) -> Any:
         """Call ``fn(*args)`` on the loop thread and return its result.
 
-        Direct when already there (fault-schedule actions, workload
-        ticks); a blocking round-trip otherwise.
+        Inline when already there (fault-schedule actions, workload
+        ticks) — an awaitable result is then returned as is, for the
+        loop to run.  From any other thread it is a blocking round trip
+        that also awaits an awaitable result (a startup task, a
+        coroutine method), so the caller gets the finished value.
         """
-        if self._on_loop():
+        if self.on_loop():
             return fn(*args)
 
         async def call() -> Any:
-            return fn(*args)
+            result = fn(*args)
+            return await result if inspect.isawaitable(result) else result
 
-        return self._submit(call(), timeout=ACTION_TIMEOUT)
+        return self.submit(call(), timeout)
 
-    # -- time ----------------------------------------------------------
+    def after(
+        self, scheduler: Any, delay: float, callback: Callable[..., None], *args: Any
+    ) -> LoopTimer:
+        """Arm ``callback`` on ``scheduler`` (a loop-bound
+        :class:`~repro.ports.SchedulerPort`) from any thread; the
+        callback runs on the loop thread and the handle's ``cancel`` is
+        safe from any thread."""
+        return LoopTimer(self, self.invoke(scheduler.after, delay, callback, *args))
 
-    @property
-    def now(self) -> float:
-        """Wall seconds since the cluster's scheduler was created."""
-        scheduler = self.cluster.scheduler
-        return scheduler.now if scheduler is not None else 0.0
+    def close(self) -> None:
+        """Stop the loop and join the thread; idempotent."""
+        if not self.running:
+            return
+        assert self._loop is not None and self._thread is not None
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=ACTION_TIMEOUT)
+        self._loop.close()
 
-    @property
-    def time_scale(self) -> float:
-        return self.cluster.time_scale
+
+class RealClusterDriver:
+    """Synchronous :class:`~repro.ports.ClusterPort` over a wall-clock
+    adapter running on its own loop thread.
+
+    Wrap an adapter and call :meth:`start`, use the driver as a context
+    manager, or get one already started from
+    :func:`repro.ports.make_cluster`::
+
+        with RealClusterDriver(RealCluster(3, config=ClusterConfig(seed=7))) as cluster:
+            assert cluster.settle(timeout=10.0)
+            cluster.partition([[0, 1], [2]])
+            ...
+
+    The methods below are the ones that *wait*.  Everything else on the
+    port — ``crash`` / ``recover`` / ``partition`` / ``heal`` / ``arm``
+    / ``stack_at`` / ``live_stacks`` / ``gather_trace`` /
+    ``network_stats`` / ``metrics_snapshot`` / ``transport_stats`` and
+    adapter extras such as the proc adapter's ``mcast_many`` — is the
+    adapter's own attribute, reached through :meth:`__getattr__`:
+    methods run on the loop thread — inline when the caller is already
+    there (an armed fault schedule's action, a workload tick), otherwise
+    as a blocking round trip, whereby ``recover`` / ``join`` resolve
+    their startup task and return the stack, exactly like the simulator
+    — and plain attributes (``now``, ``time_scale``, ``metrics``,
+    ``address_book``) read through.  A blocking call made *from* the
+    loop thread would wait on itself and is refused.
+
+    All times on this surface are **wall seconds**; scenario-unit
+    quantities must be multiplied by ``time_scale`` first — ``arm`` and
+    the workload drivers do that internally.
+    """
+
+    def __init__(self, cluster: Any) -> None:
+        self.cluster = cluster
+        self.loop = LoopThread(f"{cluster.runtime}-driver")
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_") or name == "cluster":
+            raise AttributeError(name)
+        attr = getattr(self.cluster, name)
+        if callable(attr):
+            return functools.partial(self.loop.invoke, attr)
+        return attr
+
+    # -- lifecycle -----------------------------------------------------
+
+    def start(self) -> "RealClusterDriver":
+        """Spin up the loop thread and boot the cluster; returns
+        ``self`` for chaining.  A failed boot closes everything."""
+        self.loop.start()
+        try:
+            self.loop.submit(
+                self.cluster.start(), timeout=self.cluster.config.startup_timeout
+            )
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def close(self) -> None:
+        """Stop the cluster, the loop and the thread; idempotent.  Also
+        runs on context-manager exit, and the thread is a daemon, so a
+        crashed test cannot leak a loop."""
+        try:
+            if self.loop.running:
+                self.loop.submit(self.cluster.stop(), timeout=ACTION_TIMEOUT)
+        finally:
+            self.loop.close()
+            self.cluster.close()
+
+    def __enter__(self) -> "RealClusterDriver":
+        return self if self.loop.running else self.start()
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    # -- waiting -------------------------------------------------------
 
     def run_for(self, duration: float) -> float:
         """Let ``duration`` wall seconds elapse.
@@ -192,11 +228,11 @@ class RealClusterDriver:
         Returns the new ``now``.
         """
         time.sleep(max(0.0, duration))
-        return self.now
+        return self.cluster.now
 
-    def settle(self, timeout: float = 10.0, poll: float = 0.02) -> bool:
+    def settle(self, timeout: float = 10.0, poll: float | None = None) -> bool:
         """Block until membership converges (or ``timeout`` wall seconds)."""
-        return self._submit(
+        return self.loop.submit(
             self.cluster.settle(timeout=timeout, poll=poll),
             timeout=timeout + ACTION_TIMEOUT,
         )
@@ -205,102 +241,36 @@ class RealClusterDriver:
         self,
         predicate: Callable[[Any], Any],
         timeout: float = 10.0,
-        poll: float = 0.02,
+        poll: float | None = None,
     ) -> bool:
-        """Block until ``predicate(driver)`` is truthy (polled on the
-        loop thread, so the predicate may touch cluster state freely)."""
-        return self._submit(
-            self.cluster.wait_until(lambda _c: predicate(self), timeout, poll),
-            timeout=timeout + ACTION_TIMEOUT,
-        )
+        """Block until ``predicate(driver)`` is truthy.
 
-    def is_settled(self) -> bool:
-        return self.cluster.is_settled()
+        The predicate runs on the **calling thread**, after the adapter
+        refreshed its introspection state, so it may call any port
+        method — including blocking ones (``network_stats``,
+        ``settle``, the proc adapter's ``delivered_total``).  The same
+        rule on both wall-clock runtimes.
+        """
+        poll = poll or self.cluster.POLL
+        deadline = time.monotonic() + timeout
+        while True:
+            self.loop.submit(self.cluster.refresh(), timeout=ACTION_TIMEOUT)
+            if predicate(self):
+                return True
+            if time.monotonic() >= deadline:
+                return bool(predicate(self))
+            time.sleep(poll)
 
-    def after(self, delay: float, callback: Callable[..., None], *args: Any) -> _LoopEvent:
+    def after(self, delay: float, callback: Callable[..., None], *args: Any) -> LoopTimer:
         """Arm ``callback`` on the cluster's wall-clock scheduler after
         ``delay`` wall seconds; callable from any thread.  The callback
         runs on the loop thread."""
-        handle = self._invoke(
-            lambda: self.cluster.scheduler.after(delay, callback, *args)
+        return self.loop.after(self.cluster.scheduler, delay, callback, *args)
+
+    def join(self, site: Any) -> Any:
+        """Grow the universe by ``site`` and return its stack once up
+        (bounded by the startup timeout: on realnet-proc an interpreter
+        has to boot)."""
+        return self.loop.invoke(
+            self.cluster.join, site, timeout=self.cluster.config.startup_timeout
         )
-        return _LoopEvent(self, handle)
-
-    # -- lifecycle / environment actions -------------------------------
-
-    def crash(self, site: SiteId) -> None:
-        self._invoke(self.cluster.crash, site)
-
-    def recover(self, site: SiteId) -> GroupStack:
-        """Restart ``site`` and return the fresh stack once it is up —
-        the simulator's synchronous contract, resolved over real
-        sockets."""
-
-        async def recover_and_wait() -> GroupStack:
-            return await self.cluster.recover(site)
-
-        return self._submit(recover_and_wait(), timeout=ACTION_TIMEOUT)
-
-    def join(self, site: SiteId) -> GroupStack:
-        """Grow the universe by ``site`` and return its stack once up."""
-
-        async def join_and_wait() -> GroupStack:
-            return await self.cluster.join(site)
-
-        return self._submit(join_and_wait(), timeout=ACTION_TIMEOUT)
-
-    def partition(self, groups: Sequence[Sequence[SiteId]]) -> None:
-        self._invoke(self.cluster.partition, groups)
-
-    def heal(self) -> None:
-        self._invoke(self.cluster.heal)
-
-    def isolate(self, site: SiteId) -> None:
-        self._invoke(self.cluster.isolate, site)
-
-    def arm(self, schedule: Any) -> None:
-        """Arm a scenario-unit :class:`~repro.net.faults.FaultSchedule`
-        (scaled/shifted by the cluster; see :meth:`RealCluster.arm`)."""
-        self._invoke(self.cluster.arm, schedule)
-
-    # -- introspection -------------------------------------------------
-
-    def stack_at(self, site: SiteId) -> GroupStack:
-        return self.cluster.stack_at(site)
-
-    def app_at(self, site: SiteId) -> Any:
-        return self.cluster.app_at(site)
-
-    def live_stacks(self) -> list[GroupStack]:
-        return self.cluster.live_stacks()
-
-    def live_pids(self) -> set[ProcessId]:
-        return self.cluster.live_pids()
-
-    def views(self) -> dict[SiteId, str]:
-        return self.cluster.views()
-
-    def flight_recorders(self) -> list[Any]:
-        """The cluster's live flight recorders (reads are GIL-safe)."""
-        return self.cluster.flight_recorders()
-
-    def gather_trace(self) -> TraceRecorder:
-        """Merge the per-node recorders on the loop thread (a paused
-        instant of the run), returning the global trace."""
-        return self._invoke(self.cluster.gather_trace)
-
-    def network_stats(self) -> Any:
-        return self._invoke(self.cluster.network_stats)
-
-    def transport_stats(self) -> dict[str, Any]:
-        return self._invoke(self.cluster.transport_stats)
-
-    @property
-    def metrics(self) -> Any:
-        """The cluster's metrics registry (reads are GIL-safe)."""
-        return self.cluster.metrics
-
-    def metrics_snapshot(self, source: str = "cluster") -> Any:
-        """Snapshot the registry on the loop thread (a paused instant
-        of the run, like :meth:`gather_trace`)."""
-        return self._invoke(self.cluster.metrics_snapshot, source)

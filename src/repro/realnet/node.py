@@ -32,19 +32,19 @@ from __future__ import annotations
 
 import asyncio
 import signal
+import time
 from typing import Any, Callable, Iterable
 
 from repro.gms.membership import MembershipConfig
 from repro.realnet.network import Connectivity, RealNetwork
 from repro.realnet.wallclock import WallClockScheduler
+from repro.runtime.core import AppFactory, ClusterConfig, build_observability
 from repro.sim.rng import RngStreams
 from repro.sim.stable_storage import SiteStorage, StableStore
 from repro.trace.recorder import TraceRecorder
 from repro.types import ProcessId, SiteId
 from repro.vsync.events import GroupApplication
 from repro.vsync.stack import GroupStack, StackConfig
-
-AppFactory = Callable[[ProcessId], GroupApplication]
 
 
 def realnet_stack_config(scale: float = 1.0) -> StackConfig:
@@ -73,29 +73,23 @@ class RealNode:
         self,
         pid: ProcessId,
         address_book: dict[SiteId, tuple[str, int]],
+        config: ClusterConfig | None = None,
         *,
         scheduler: WallClockScheduler | None = None,
         storage: SiteStorage | None = None,
         recorder: TraceRecorder | None = None,
         app_factory: AppFactory | None = None,
-        stack_config: StackConfig | None = None,
         universe: Callable[[], Iterable[SiteId]] | None = None,
         connectivity: Connectivity | None = None,
-        loss_prob: float = 0.0,
-        latency: Any = None,
         rng: RngStreams | None = None,
-        host: str = "127.0.0.1",
+        host: str | None = None,
         port: int = 0,
-        detailed_stats: bool = True,
-        codec: str = "bin",
-        flush_tick: float | None = None,
-        batch_bytes: int | None = None,
-        quiet: bool = True,
         obs: Any = None,
         metrics: Any = None,
         metrics_source: str | None = None,
         flight: Any = None,
     ) -> None:
+        config = config or ClusterConfig()
         self.pid = pid
         self.address_book = address_book
         self.scheduler = scheduler if scheduler is not None else WallClockScheduler()
@@ -106,7 +100,7 @@ class RealNode:
             else TraceRecorder(level="full", label=f"site{pid.site}")
         )
         self.app_factory = app_factory or (lambda _pid: GroupApplication())
-        self.stack_config = stack_config or realnet_stack_config()
+        self.stack_config = config.resolved_stack(realnet_stack_config(config.scale))
         self._universe = universe or (lambda: set(self.address_book))
         # Observability: the ClusterObs hub the stack reports into (may
         # be shared across co-located nodes) and the metrics registry
@@ -119,17 +113,17 @@ class RealNode:
             self.scheduler,
             pid.site,
             address_book,
-            host=host,
+            host=host if host is not None else config.host,
             port=port,
             connectivity=connectivity,
-            loss_prob=loss_prob,
-            latency=latency,
             rng=rng,
-            detailed_stats=detailed_stats,
-            codec=codec,
-            flush_tick=flush_tick,
-            batch_bytes=batch_bytes,
-            quiet=quiet,
+            loss_prob=config.loss_prob,
+            latency=config.latency,
+            detailed_stats=config.detailed_stats,
+            codec=config.codec,
+            flush_tick=config.flush_tick,
+            batch_bytes=config.batch_bytes,
+            quiet=config.quiet,
         )
         if self.metrics is not None:
             registry = self.metrics
@@ -152,8 +146,19 @@ class RealNode:
         """Phase 1: bind the server socket, publish our address."""
         return await self.network.start()
 
-    def start_stack(self) -> GroupStack:
-        """Phase 2: boot the unmodified protocol stack on the transport."""
+    def start_stack(
+        self, pid: ProcessId | None = None, recorder: TraceRecorder | None = None
+    ) -> GroupStack:
+        """Phase 2: boot the unmodified protocol stack on the transport.
+
+        ``pid`` / ``recorder`` boot a *fresh incarnation* on the same
+        transport after the previous stack died — how a supervised
+        process recovers without giving up its listening socket.
+        """
+        if pid is not None:
+            self.pid = pid
+        if recorder is not None:
+            self.recorder = recorder
         self.app = self.app_factory(self.pid)
         self.stack = GroupStack(
             self.pid,
@@ -186,11 +191,6 @@ class RealNode:
         service = StoreService(self.app, registry=self.metrics, obs=self.obs)
         self.network.client_handler = service.handle_control
 
-    async def start(self) -> GroupStack:
-        """Single-phase convenience start (standalone nodes)."""
-        await self.start_transport()
-        return self.start_stack()
-
     async def stop(self) -> None:
         """Kill the stack (if running) and tear the transport down."""
         if self.stack is not None and self.stack.alive:
@@ -202,19 +202,24 @@ class RealNode:
         return self.stack is not None and self.stack.alive
 
 
+async def serve_until_stopped(stop: asyncio.Event) -> None:
+    """Block until ``stop`` is set; SIGINT/SIGTERM set it."""
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(sig, stop.set)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass
+    await stop.wait()
+
+
 async def run_standalone(
     site: SiteId,
     address_book: dict[SiteId, tuple[str, int]],
+    config: ClusterConfig | None = None,
     *,
     incarnation: int = 0,
     app_factory: AppFactory | None = None,
-    stack_config: StackConfig | None = None,
-    loss_prob: float = 0.0,
-    latency: Any = None,
-    seed: int = 0,
-    codec: str = "bin",
-    quiet: bool = False,
-    tracing: bool = False,
     on_view: Callable[[Any], None] | None = None,
     stop_event: asyncio.Event | None = None,
 ) -> RealNode:
@@ -227,49 +232,28 @@ async def run_standalone(
     """
     if site not in address_book:
         raise ValueError(f"site {site} missing from the address book")
-    from repro.obs.instrument import ClusterObs
-    from repro.obs.registry import MetricsRegistry
-
+    config = config or ClusterConfig()
     host, port = address_book[site]
     scheduler = WallClockScheduler()
-    registry = MetricsRegistry(clock=lambda: scheduler.now, runtime="realnet")
-    flight = None
-    tracer = None
-    if tracing:
-        import time
-
-        from repro.obs.tracing import FlightRecorder, Tracer
-
-        # Per-process tracer, salted by site: span ids minted by
-        # different nodes never collide without coordination.
-        flight = FlightRecorder(
-            f"site{site}", "realnet", epoch=time.time() - scheduler.now
-        )
-        tracer = Tracer(flight, lambda: scheduler.now, salt=site)
+    registry, flight, _tracer, obs = build_observability(
+        config, lambda: scheduler.now, runtime="realnet",
+        name=f"site{site}", epoch=time.time() - scheduler.now, salt=site,
+    )
     node = RealNode(
         ProcessId(site, incarnation),
         address_book,
+        config,
         scheduler=scheduler,
-        app_factory=app_factory,
-        stack_config=stack_config,
-        loss_prob=loss_prob,
-        latency=latency,
-        rng=RngStreams(seed),
+        app_factory=config.app_factory(len(address_book), app_factory),
+        rng=RngStreams(config.seed),
         host=host,
         port=port,
-        codec=codec,
-        quiet=quiet,
-        obs=ClusterObs(registry, tracer),
+        obs=obs,
+        metrics=registry,
         flight=flight,
     )
-    stop = stop_event if stop_event is not None else asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    await node.start()
+    await node.start_transport()
+    node.start_stack()
     if on_view is not None:
         last_view: list[Any] = [None]
 
@@ -283,7 +267,9 @@ async def run_standalone(
 
         poll_view()
     try:
-        await stop.wait()
+        await serve_until_stopped(
+            stop_event if stop_event is not None else asyncio.Event()
+        )
     finally:
         await node.stop()
     return node

@@ -1,8 +1,9 @@
 """Supervised node process: the child side of the multi-core cluster.
 
 One OS process per site.  The parent (:class:`~repro.realnet.
-proc_driver.ProcRealClusterDriver`) spawns ``repro realnet node
---supervised`` children and steers them over their *normal listening
+proc_driver.ProcCluster`) spawns ``repro realnet node --supervised``
+children, hands each the cluster config as one JSON argument, and steers
+them over their *normal listening
 sockets* with **control frames** — a third frame kind (:data:`CTL_KIND`,
 ``0x03``) next to ``msg`` (``0x01``) and the obs snapshot kind
 (``0x02``).  A control request carries one ``(op, arg)`` value in the
@@ -38,29 +39,27 @@ Design decisions worth naming:
 from __future__ import annotations
 
 import asyncio
-import signal
+import dataclasses
 import time
 from typing import Any
 
-from repro.apps.factories import app_factory
 from repro.errors import CodecError, SimulationError
 from repro.net.topology import Topology
-from repro.obs.instrument import ClusterObs
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import FlightRecorder, Tracer
-from repro.realnet.network import RealNetwork
-from repro.realnet.node import realnet_stack_config
+from repro.realnet.node import RealNode, serve_until_stopped
 from repro.realnet.codec import _LEN, decode_frame_body, decode_value, encode_frame, encode_value
 from repro.realnet.codec_bin import decode_value_bin, encode_value_bin
 from repro.realnet.wallclock import WallClockScheduler
+from repro.runtime.core import (
+    ClusterConfig,
+    build_observability,
+    crash_stack,
+    new_recorder,
+)
 from repro.sim.rng import RngStreams
-from repro.sim.stable_storage import StableStore
-from repro.trace.events import CrashEvent, RecoverEvent
+from repro.trace.events import RecoverEvent
 from repro.trace.export import event_to_json
 from repro.trace.recorder import TraceRecorder
 from repro.types import ProcessId, SiteId
-from repro.vsync.events import GroupApplication
-from repro.vsync.stack import GroupStack, StackConfig
 
 #: Frame-kind byte for bin1 control frames (``msg`` 0x01, obs 0x02).
 CTL_KIND = 0x03
@@ -117,104 +116,60 @@ def parse_ctl_reply(fmt: Any, body: bytes) -> tuple[bool, Any] | None:
 
 
 class NodeSupervisor:
-    """One site's transport + (re)bootable stack + control dispatcher.
+    """One site's (re)bootable :class:`~repro.realnet.node.RealNode` +
+    control dispatcher.
 
     Owns everything the in-process :class:`~repro.realnet.cluster.
     RealCluster` wires per site, but for exactly one site in its own
     process: a wall-clock scheduler, a metrics registry + ClusterObs, a
     local topology mirror, per-incarnation trace recorders (retired
-    recorders are kept for ``gather_trace``) and one
-    :class:`~repro.realnet.network.RealNetwork` on a fixed port.  The
-    stack is **not** booted at construction — the parent issues ``boot``
-    once every child's transport is up, the same two-phase start the
-    in-process orchestrator uses.
+    recorders are kept for ``gather_trace``) and one node on a fixed
+    port, whose transport outlives its stacks.  The stack is **not**
+    booted at construction — the parent issues ``boot`` once every
+    child's transport is up, the same two-phase start the in-process
+    orchestrator uses.
     """
 
     def __init__(
         self,
         site: SiteId,
         address_book: dict[SiteId, tuple[str, int]],
-        *,
-        app: str = "none",
-        scale: float = 1.0,
-        stack_config: StackConfig | None = None,
-        loss_prob: float = 0.0,
-        seed: int = 0,
-        codec: str = "bin",
-        trace_level: str = "full",
-        quiet: bool = True,
-        tracing: bool = False,
-        flight_budget: int = 256 * 1024,
-        trace_sample: int = 16,
+        config: ClusterConfig | None = None,
     ) -> None:
         if site not in address_book:
             raise ValueError(f"site {site} missing from the address book")
+        self.config = config = config or ClusterConfig()
         self.site = site
         self.address_book = dict(address_book)
         self.scheduler = WallClockScheduler()
-        self.registry = MetricsRegistry(
-            clock=lambda: self.scheduler.now, runtime="realnet"
+        self.registry, self.flight, _tracer, self.obs = build_observability(
+            config, lambda: self.scheduler.now, runtime="realnet",
+            name=f"site{site}", epoch=self.epoch, salt=site,
         )
-        self.flight: FlightRecorder | None = None
-        tracer = None
-        if tracing:
-            # Per-process tracer, salted by site (see repro.obs.tracing):
-            # children mint span ids with no cross-process coordination.
-            self.flight = FlightRecorder(
-                f"site{site}", "realnet",
-                budget=flight_budget,
-                epoch=time.time() - self.scheduler.now,
-            )
-            tracer = Tracer(
-                self.flight,
-                lambda: self.scheduler.now,
-                salt=site,
-                root_sample=trace_sample,
-            )
-        self.obs = ClusterObs(self.registry, tracer)
         self.topology = Topology(sorted(self.address_book))
-        self.store = StableStore()
-        self.trace_level = trace_level
-        self.env_recorder = TraceRecorder(level=trace_level, label=f"env{site}")
+        self.env_recorder = new_recorder(config, f"env{site}")
         self._retired: list[TraceRecorder] = []
-        self.recorder: TraceRecorder | None = None
-        self.app_name = app
-        self.stack_config = (
-            stack_config if stack_config is not None else realnet_stack_config(scale)
-        )
-        self.stack: GroupStack | None = None
-        self.app: Any = None
         self._incarnation = -1
         self.stop_event: asyncio.Event = asyncio.Event()
         host, port = self.address_book[site]
-        self.network = RealNetwork(
-            self.scheduler,
-            site,
+        self.node = RealNode(
+            ProcessId(site, 0),
             self.address_book,
+            config,
+            scheduler=self.scheduler,
+            app_factory=config.app_factory(len(self.address_book)),
+            universe=lambda: set(self.topology.sites),
+            connectivity=self.topology.allows,
+            rng=RngStreams(config.seed),
             host=host,
             port=port,
-            connectivity=self.topology.allows,
-            loss_prob=loss_prob,
-            rng=RngStreams(seed),
-            codec=codec,
-            quiet=quiet,
+            obs=self.obs,
+            metrics=self.registry,
+            flight=self.flight,
         )
-        self.network.snapshot_provider = lambda: self.registry.snapshot(
-            f"site{site}"
-        )
-        if self.flight is not None:
-            self.network.trace_provider = self.flight.dump
-        self.network.control_handler = self._handle_ctl
+        self.node.network.control_handler = self._handle_ctl
 
     # -- lifecycle -----------------------------------------------------
-
-    async def start_transport(self) -> tuple[str, int]:
-        return await self.network.start()
-
-    async def shutdown(self) -> None:
-        if self.stack is not None and self.stack.alive:
-            self.stack.crash()
-        await self.network.stop()
 
     @property
     def epoch(self) -> float:
@@ -223,30 +178,15 @@ class NodeSupervisor:
 
     def boot(self) -> ProcessId:
         """(Re)start the stack under a fresh incarnation."""
-        if self.stack is not None and self.stack.alive:
+        if self.node.alive:
             raise SimulationError(f"site {self.site} is up; cannot boot")
-        if self.recorder is not None:
-            self._retired.append(self.recorder)
+        if self._incarnation >= 0:
+            self._retired.append(self.node.recorder)
         self._incarnation += 1
         pid = ProcessId(self.site, self._incarnation)
-        self.recorder = TraceRecorder(
-            level=self.trace_level,
-            label=f"site{self.site}/inc{self._incarnation}",
+        self.node.start_stack(
+            pid, new_recorder(self.config, f"site{self.site}/inc{pid.incarnation}")
         )
-        factory = app_factory(self.app_name, len(self.address_book))
-        self.app = factory(pid) if factory is not None else GroupApplication()
-        stack = GroupStack(
-            pid,
-            self.scheduler,
-            self.store.site(self.site),
-            self.app,
-            self.recorder,
-            universe=lambda: set(self.topology.sites),
-            config=self.stack_config,
-            obs=self.obs,
-        )
-        self.network.register(stack)
-        self.stack = stack
         if self._incarnation > 0:
             self.env_recorder.record(
                 RecoverEvent(time=self.scheduler.now, pid=pid, site=self.site)
@@ -255,15 +195,9 @@ class NodeSupervisor:
 
     def crash(self) -> bool:
         """Kill the stack; transport and control surface stay up."""
-        stack = self.stack
-        if stack is None or not stack.alive:
-            return False
-        stack.crash()
-        self.env_recorder.record(
-            CrashEvent(time=self.scheduler.now, pid=stack.pid)
+        return crash_stack(
+            self.node.stack, self.env_recorder, self.obs, self.scheduler.now
         )
-        self.obs.process_crashed(stack.pid, self.scheduler.now)
-        return True
 
     # -- control dispatch ----------------------------------------------
 
@@ -329,15 +263,13 @@ class NodeSupervisor:
         raise SimulationError(f"unknown control op {op!r}")
 
     def _mcast(self, payload: Any) -> bool:
-        stack = self.stack
-        if stack is None or not stack.alive or stack.is_flushing:
+        if not self.node.alive or self.node.stack.is_flushing:
             return False
-        stack.multicast(payload)
+        self.node.stack.multicast(payload)
         return True
 
     def _status(self) -> dict[str, Any]:
-        stack = self.stack
-        alive = stack is not None and stack.alive
+        stack, alive = self.node.stack, self.node.alive
         view = stack.view if alive else None
         return {
             "site": self.site,
@@ -359,8 +291,8 @@ class NodeSupervisor:
 
     def _trace(self) -> tuple[float, tuple]:
         recorders = [self.env_recorder, *self._retired]
-        if self.recorder is not None:
-            recorders.append(self.recorder)
+        if self._incarnation >= 0:
+            recorders.append(self.node.recorder)
         dumped = tuple(
             (rec.label, tuple(event_to_json(event) for event in rec.events))
             for rec in recorders
@@ -368,31 +300,16 @@ class NodeSupervisor:
         return (self.epoch, dumped)
 
     def _net_stats(self) -> dict[str, Any]:
-        stats = self.network.stats
         return {
-            "sent": stats.sent,
-            "delivered": stats.delivered,
-            "dropped_partition": stats.dropped_partition,
-            "dropped_loss": stats.dropped_loss,
-            "dropped_dead": stats.dropped_dead,
-            "by_type": dict(stats.by_type),
-            "transport": self.network.transport_stats(),
+            "net": dataclasses.asdict(self.node.network.stats),
+            "transport": self.node.network.transport_stats(),
         }
 
 
 async def run_supervised(
     site: SiteId,
     address_book: dict[SiteId, tuple[str, int]],
-    *,
-    app: str = "none",
-    scale: float = 1.0,
-    loss_prob: float = 0.0,
-    seed: int = 0,
-    codec: str = "bin",
-    trace_level: str = "full",
-    quiet: bool = True,
-    tracing: bool = False,
-    stop_event: asyncio.Event | None = None,
+    config: ClusterConfig | None = None,
 ) -> NodeSupervisor:
     """Run one supervised node until ``shutdown`` (or SIGINT/SIGTERM).
 
@@ -402,29 +319,10 @@ async def run_supervised(
     child heartbeats into the void while its siblings are still
     importing Python.
     """
-    supervisor = NodeSupervisor(
-        site,
-        address_book,
-        app=app,
-        scale=scale,
-        loss_prob=loss_prob,
-        seed=seed,
-        codec=codec,
-        trace_level=trace_level,
-        quiet=quiet,
-        tracing=tracing,
-    )
-    stop = stop_event if stop_event is not None else asyncio.Event()
-    supervisor.stop_event = stop
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    await supervisor.start_transport()
+    supervisor = NodeSupervisor(site, address_book, config)
+    await supervisor.node.start_transport()
     try:
-        await stop.wait()
+        await serve_until_stopped(supervisor.stop_event)
     finally:
-        await supervisor.shutdown()
+        await supervisor.node.stop()
     return supervisor

@@ -536,15 +536,20 @@ async def wait_for_condition(
     predicate: Callable[[], Any],
     timeout: float,
     poll: float = 0.02,
+    refresh: Callable[[], Awaitable[None]] | None = None,
 ) -> bool:
     """Poll ``predicate`` on the wall clock until truthy or ``timeout``.
 
-    The realnet analogue of the simulator's ``run_until``; used by the
-    orchestrator's ``settle`` and by the smoke tests.
+    The wall-clock analogue of the simulator's ``run_until`` and the one
+    poll loop behind every asyncio ``settle`` / ``wait_until``.
+    ``refresh`` is awaited before each evaluation — the process-per-site
+    adapter re-reads its children's status there.
     """
     loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
     while True:
+        if refresh is not None:
+            await refresh()
         if predicate():
             return True
         if loop.time() >= deadline:

@@ -1,119 +1,47 @@
-"""Cluster harness: one object per simulated run.
+"""The simulator's cluster adapter: one object per simulated run.
 
 Owns the scheduler, the network, stable storage, the trace recorder and
 one :class:`~repro.vsync.stack.GroupStack` per site, and exposes the
 environment actions fault schedules need (crash / recover / partition /
 heal / join).  Examples, tests and benchmarks all start here.
 
-:class:`Cluster` is the simulator's implementation of
-:class:`repro.ports.ClusterPort` — the harness layer (workload clients,
-scenarios, invariant monitors, property checks, the CLI) drives it only
-through that contract, so the same code runs over the real-network
-backend (:class:`~repro.realnet.driver.RealClusterDriver`) unchanged.
-Simulated backend time equals scenario time (``time_scale == 1.0``).
+:class:`Cluster` is the virtual-time adapter over
+:class:`~repro.runtime.core.ClusterCore` and the simulator's
+implementation of :class:`repro.ports.ClusterPort` — the harness layer
+(workload clients, scenarios, invariant monitors, property checks, the
+CLI) drives it only through that contract, so the same code runs over
+the wall-clock adapters unchanged.  Waiting advances virtual time;
+backend time equals scenario time (``time_scale == 1.0``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.net.latency import ConstantLatency
-from repro.obs.instrument import ClusterObs
-from repro.obs.registry import MetricsRegistry
-from repro.obs.snapshot import MetricsSnapshot
-from repro.obs.tracing import FlightRecorder, Tracer
 from repro.net.network import Network
-from repro.net.topology import Topology
+from repro.runtime.core import (
+    AppFactory,
+    ClusterConfig,
+    ClusterCore,
+    build_observability,
+    crash_stack,
+    new_recorder,
+    register_net_gauges,
+)
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
 from repro.sim.stable_storage import StableStore
-from repro.trace.events import CrashEvent, RecoverEvent
+from repro.trace.events import RecoverEvent
 from repro.trace.recorder import TraceRecorder
-from repro.types import ProcessId, SiteId
+from repro.types import SiteId
 from repro.vsync.events import GroupApplication
 from repro.vsync.stack import GroupStack, StackConfig
 
-AppFactory = Callable[[ProcessId], GroupApplication]
 
-
-def _default_app_factory(pid: ProcessId) -> GroupApplication:
-    return GroupApplication()
-
-
-@dataclass
-class ClusterConfig:
-    """Knobs for a simulated cluster.
-
-    ``detailed_stats`` keeps the per-payload-type wire breakdown that
-    protocol analysis and the CLI report on; benchmarks switch it off.
-    ``trace_level`` / ``trace_capacity`` configure the recorder (see
-    :class:`~repro.trace.recorder.TraceRecorder`): ``"full"`` history for
-    checkers and determinism comparisons, ``"membership"`` for long runs
-    that only care about structure, ``"none"`` plus the ring buffer for
-    throughput benchmarks.
-
-    ``metrics`` gates the in-stack observability hooks (``stack.obs``);
-    the registry itself and its callback gauges always exist — they
-    cost nothing until a snapshot is taken — so ``metrics=False`` (the
-    bench fast path) still exports scheduler/network counters.
-
-    ``tracing`` attaches a causal :class:`~repro.obs.tracing.Tracer`
-    (backed by one byte-budgeted flight recorder for the whole simulated
-    cluster) to the same hooks; it implies the hooks are live even with
-    ``metrics=False``.  ``flight_budget`` bounds the recorder's ring in
-    approximate encoded bytes, and ``trace_sample`` is the 1-in-N gate
-    for *uncaused* root spans (steady workload multicasts); caused
-    spans are always traced — see :meth:`Tracer.sample_root`.
-    """
-
-    seed: int = 0
-    latency: Any = field(default_factory=lambda: ConstantLatency(1.0))
-    loss_prob: float = 0.0
-    fifo_links: bool = True
-    stack: StackConfig = field(default_factory=StackConfig)
-    detailed_stats: bool = True
-    trace_level: str = "full"
-    trace_capacity: int | None = None
-    metrics: bool = True
-    tracing: bool = False
-    flight_budget: int = 256 * 1024
-    trace_sample: int = 16
-    # Scale knobs, applied onto ``stack`` (and its membership config) at
-    # cluster construction so callers — including make_cluster(**knobs)
-    # — can flip planes without building a whole StackConfig.  None
-    # means "leave the stack config's own value alone".
-    fd_mode: str | None = None
-    gossip_fanout: int | None = None
-    tree_fanout: int | None = None
-    expand_debounce: float | None = None
-
-    def resolved_stack(self) -> StackConfig:
-        """``stack`` with the scale-knob overrides folded in."""
-        import dataclasses
-
-        stack = self.stack
-        overrides = {}
-        if self.fd_mode is not None:
-            overrides["fd_mode"] = self.fd_mode
-        if self.gossip_fanout is not None:
-            overrides["gossip_fanout"] = self.gossip_fanout
-        mconf = stack.membership
-        moverrides = {}
-        if self.tree_fanout is not None:
-            moverrides["tree_fanout"] = self.tree_fanout
-        if self.expand_debounce is not None:
-            moverrides["expand_debounce"] = self.expand_debounce
-        if moverrides:
-            overrides["membership"] = dataclasses.replace(mconf, **moverrides)
-        return dataclasses.replace(stack, **overrides) if overrides else stack
-
-
-class Cluster:
+class Cluster(ClusterCore):
     """A set of sites running group stacks over one simulated network."""
 
-    #: ClusterPort runtime tag (client/workload code branches on it).
     runtime = "sim"
 
     def __init__(
@@ -123,14 +51,11 @@ class Cluster:
         config: ClusterConfig | None = None,
         auto_start: bool = True,
     ) -> None:
-        if n_sites < 1:
-            raise SimulationError("cluster needs at least one site")
-        self.config = config or ClusterConfig()
-        self._stack_config = self.config.resolved_stack()
-        self.app_factory = app_factory or _default_app_factory
+        super().__init__(n_sites, config)
+        self._stack_config = self.config.resolved_stack(StackConfig())
+        self.app_factory = self.config.app_factory(n_sites, app_factory)
         self.scheduler = Scheduler()
         self.rng = RngStreams(self.config.seed)
-        self.topology = Topology(range(n_sites))
         self.network = Network(
             self.scheduler,
             self.topology,
@@ -141,76 +66,24 @@ class Cluster:
             detailed_stats=self.config.detailed_stats,
         )
         self.store = StableStore()
-        self.recorder = TraceRecorder(
-            level=self.config.trace_level,
-            capacity=self.config.trace_capacity,
-            label="sim",
-        )
+        self.recorder = new_recorder(self.config, "sim")
         # Metrics read virtual time: every exported value is a
-        # deterministic function of the seed.
-        self.metrics = MetricsRegistry(clock=lambda: self.scheduler.now,
-                                       runtime="sim")
-        self.flight: FlightRecorder | None = None
-        tracer = None
-        if self.config.tracing:
-            # One recorder and tracer for the whole simulated cluster:
-            # virtual time is already a global order, and a sim epoch of
-            # zero means dumps merge with realnet ones on the wall epoch.
-            self.flight = FlightRecorder(
-                "sim", "sim", budget=self.config.flight_budget, epoch=0.0
-            )
-            tracer = Tracer(
-                self.flight,
-                lambda: self.scheduler.now,
-                root_sample=self.config.trace_sample,
-            )
-        self.obs = (
-            ClusterObs(self.metrics, tracer)
-            if (self.config.metrics or tracer is not None)
-            else None
+        # deterministic function of the seed.  A sim epoch of zero means
+        # flight dumps merge with realnet ones on the wall epoch.
+        self.metrics, self.flight, _tracer, self.obs = build_observability(
+            self.config, lambda: self.scheduler.now,
+            runtime="sim", name="sim", epoch=0.0,
         )
-        self._register_collectors()
-        self._incarnation: dict[SiteId, int] = {}
+        self.metrics.gauge_callback(
+            "sim_events_total", "Scheduler events executed",
+            lambda: float(self.scheduler.events_run),
+        )
+        register_net_gauges(self.metrics, self.network_stats)
         self.stacks: dict[SiteId, GroupStack] = {}
         self.apps: dict[SiteId, GroupApplication] = {}
         if auto_start:
             for site in sorted(self.topology.sites):
                 self.start_site(site)
-
-    def _register_collectors(self) -> None:
-        """Callback gauges over counters the simulator already keeps.
-
-        Read at snapshot time only — the hot path never touches the
-        registry for these, and the bench harnesses read the same
-        series, so BENCH_PERF and observability can never disagree.
-        """
-        reg = self.metrics
-        reg.gauge_callback(
-            "sim_events_total", "Scheduler events executed",
-            lambda: float(self.scheduler.events_run),
-        )
-        stats = self.network.stats
-        reg.gauge_callback(
-            "net_messages_sent_total", "Messages offered to the network",
-            lambda: float(stats.sent),
-        )
-        reg.gauge_callback(
-            "net_messages_delivered_total", "Messages delivered by the network",
-            lambda: float(stats.delivered),
-        )
-        for reason, read in (
-            ("partition", lambda: float(stats.dropped_partition)),
-            ("loss", lambda: float(stats.dropped_loss)),
-            ("dead", lambda: float(stats.dropped_dead)),
-        ):
-            reg.gauge_callback(
-                "net_messages_dropped_total", "Messages dropped, by reason",
-                read, ("reason",), (reason,),
-            )
-
-    def metrics_snapshot(self, source: str = "cluster") -> MetricsSnapshot:
-        """Point-in-time metrics copy (the ClusterPort accessor)."""
-        return self.metrics.snapshot(source)
 
     # -- process management --------------------------------------------------
 
@@ -218,9 +91,7 @@ class Cluster:
         """Start (or restart) the process at ``site``."""
         if site in self.stacks and self.stacks[site].alive:
             raise SimulationError(f"site {site} is already running")
-        incarnation = self._incarnation.get(site, -1) + 1
-        self._incarnation[site] = incarnation
-        pid = ProcessId(site, incarnation)
+        pid = self._next_pid(site)
         app = self.app_factory(pid)
         stack = GroupStack(
             pid,
@@ -238,13 +109,7 @@ class Cluster:
         return stack
 
     def crash(self, site: SiteId) -> None:
-        stack = self.stacks.get(site)
-        if stack is None or not stack.alive:
-            return
-        stack.crash()
-        self.recorder.record(CrashEvent(time=self.scheduler.now, pid=stack.pid))
-        if self.obs is not None:
-            self.obs.process_crashed(stack.pid, self.scheduler.now)
+        crash_stack(self.stacks.get(site), self.recorder, self.obs, self.now)
 
     def recover(self, site: SiteId) -> GroupStack:
         """Restart a crashed site under a fresh process identifier."""
@@ -262,50 +127,7 @@ class Cluster:
         self.topology.add_site(site)
         return self.start_site(site)
 
-    # -- connectivity -------------------------------------------------------------
-
-    def partition(self, groups: Sequence[Sequence[SiteId]]) -> None:
-        self.topology.partition(groups)
-
-    def heal(self) -> None:
-        self.topology.heal()
-
-    def isolate(self, site: SiteId) -> None:
-        self.topology.isolate(site)
-
     # -- execution ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    @property
-    def time_scale(self) -> float:
-        """Backend time per scenario unit: the simulator runs *in*
-        scenario units, so the scale is 1.0."""
-        return 1.0
-
-    def after(self, delay: float, callback: Callable[..., Any], *args: Any):
-        """Schedule ``callback`` after ``delay`` backend-time units.
-
-        The :class:`~repro.ports.ClusterPort` timer surface — workload
-        drivers and invariant monitors arm their ticks here instead of
-        touching the backend scheduler directly.
-        """
-        return self.scheduler.after(delay, callback, *args)
-
-    def arm(self, schedule: Any) -> None:
-        """Arm a :class:`~repro.net.faults.FaultSchedule` against this
-        cluster.
-
-        Action times are scenario units *relative to now*: the schedule
-        is scaled by :attr:`time_scale` (1.0 here) and shifted by the
-        current time, so the same schedule object arms identically on a
-        backend whose clock already advanced.  On a fresh simulated
-        cluster (``now == 0``) this is exactly the classic
-        ``schedule.arm(cluster.scheduler, cluster)``.
-        """
-        schedule.scaled(self.time_scale).shifted(self.now).arm(self.scheduler, self)
 
     def run(self, until: float | None = None) -> float:
         return self.scheduler.run(until=until)
@@ -328,74 +150,16 @@ class Cluster:
             self.run_for(min(poll, deadline - self.scheduler.now))
         return bool(predicate(self))
 
-    # ClusterPort name for run_until: both backends wait on a predicate
+    # ClusterPort name for run_until: every backend waits on a predicate
     # of the cluster; the simulator does so by advancing virtual time.
     wait_until = run_until
 
     def settle(self, timeout: float = 600.0, poll: float = 10.0) -> bool:
-        """Run until membership converges (or ``timeout`` elapses).
-
-        Converged means: every live process has installed a view whose
-        membership is exactly the live processes of its own network
-        component, agrees on the view identifier with all of them, and
-        is not in the middle of a flush.
-        """
-        deadline = self.scheduler.now + timeout
-        while self.scheduler.now < deadline:
-            if self.is_settled():
-                return True
-            self.run_for(min(poll, deadline - self.scheduler.now))
-        return self.is_settled()
-
-    def is_settled(self) -> bool:
-        live = [s for s in self.stacks.values() if s.alive]
-        for stack in live:
-            if stack.view is None or stack.is_flushing:
-                return False
-            component = self.topology.component_of(stack.pid.site)
-            expected = {
-                s.pid for s in live if s.pid.site in component
-            }
-            if stack.view.members != expected:
-                return False
-            for other in live:
-                if other.pid in expected and other.current_view_id() != stack.current_view_id():
-                    return False
-        return True
+        """Run until membership converges — :func:`~repro.runtime.core.
+        settled` holds — or ``timeout`` virtual units elapse."""
+        return self.run_until(Cluster.is_settled, timeout, poll)
 
     # -- queries ------------------------------------------------------------------------
-
-    def stack_at(self, site: SiteId) -> GroupStack:
-        stack = self.stacks.get(site)
-        if stack is None:
-            raise SimulationError(f"no process was ever started at site {site}")
-        return stack
-
-    def live_stacks(self) -> list[GroupStack]:
-        return [s for s in self.stacks.values() if s.alive]
-
-    def live_pids(self) -> set[ProcessId]:
-        return {s.pid for s in self.live_stacks()}
-
-    def views(self) -> dict[SiteId, str]:
-        """Human-readable current view per live site (for debugging)."""
-        return {
-            site: str(stack.view)
-            for site, stack in sorted(self.stacks.items())
-            if stack.alive
-        }
-
-    def app_at(self, site: SiteId) -> GroupApplication:
-        """The application object attached to the stack at ``site``."""
-        app = self.apps.get(site)
-        if app is None:
-            raise SimulationError(f"no process was ever started at site {site}")
-        return app
-
-    def flight_recorders(self) -> list[FlightRecorder]:
-        """Live flight recorders (one for the whole sim); ClusterPort
-        accessor used by dump-on-violation and the trace CLI."""
-        return [self.flight] if self.flight is not None else []
 
     def gather_trace(self) -> TraceRecorder:
         """The full execution history: one shared recorder observes the
@@ -405,7 +169,3 @@ class Cluster:
     def network_stats(self) -> Any:
         """Wire counters of the simulated network."""
         return self.network.stats
-
-    def close(self) -> None:
-        """Release backend resources (none in the simulator); part of
-        the :class:`~repro.ports.ClusterPort` contract."""

@@ -216,11 +216,10 @@ class LoadTarget:
     runtime = "realnet"
 
     def __init__(self, address_book: dict[int, tuple[str, int]]) -> None:
-        import threading
         import time
 
         from repro.obs.registry import MetricsRegistry
-        from repro.realnet.wallclock import new_event_loop
+        from repro.realnet.driver import LoopThread
 
         if not address_book:
             raise ValueError("need at least one target address")
@@ -230,11 +229,7 @@ class LoadTarget:
         self.metrics = MetricsRegistry(
             clock=lambda: self.now, runtime="realnet"
         )
-        self._loop = new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="load-target", daemon=True
-        )
-        self._thread.start()
+        self.loop = LoopThread("load-target").start()
 
     @property
     def now(self) -> float:
@@ -243,23 +238,8 @@ class LoadTarget:
     def metrics_snapshot(self, source: str = "load") -> Any:
         return self.metrics.snapshot(source=source)
 
-    def _submit(self, coro: Any, timeout: float | None = None) -> Any:
-        import asyncio
-        import concurrent.futures
-
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        try:
-            return future.result(timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise TimeoutError(
-                f"load run did not finish within {timeout}s"
-            ) from None
-
     def close(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10.0)
-        self._loop.close()
+        self.loop.close()
 
     def __enter__(self) -> "LoadTarget":
         return self
@@ -423,10 +403,7 @@ class OpenLoopLoad:
 
         driver = self.cluster
         spec = self.spec
-        book = getattr(driver, "address_book", None)
-        if not book:
-            book = driver.cluster.address_book
-        book = dict(book)
+        book = dict(driver.address_book)
         sites = sorted(book)
 
         async def go() -> None:
@@ -477,4 +454,4 @@ class OpenLoopLoad:
                 *(c.close() for c in clients), return_exceptions=True
             )
 
-        driver._submit(go(), timeout=spec.duration * 3 + 120.0)
+        driver.loop.submit(go(), timeout=spec.duration * 3 + 120.0)

@@ -10,7 +10,8 @@ from repro.apps.factories import app_factory
 from repro.apps.versioned_store import prov_tuple
 from repro.client.client import AsyncStoreClient
 from repro.client.protocol import ClientRequest, client_request_frame, parse_client_reply
-from repro.realnet.cluster import RealCluster, RealClusterConfig
+from repro.realnet.cluster import RealCluster
+from repro.runtime.core import ClusterConfig
 from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
 from repro.realnet.codec_bin import WIRE_FORMATS, schema_fingerprint
 
@@ -24,8 +25,8 @@ def run(coro) -> None:
     asyncio.run(asyncio.wait_for(coro, HARD_TIMEOUT))
 
 
-def store_config(seed: int) -> RealClusterConfig:
-    return RealClusterConfig(seed=seed)
+def store_config(seed: int) -> ClusterConfig:
+    return ClusterConfig(seed=seed)
 
 
 def test_tcp_client_put_get_history_ryw():

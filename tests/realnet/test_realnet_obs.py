@@ -16,7 +16,8 @@ import asyncio
 import pytest
 
 from repro.obs.watch import fetch_snapshot, fetch_snapshots, render_watch
-from repro.realnet.cluster import RealCluster, RealClusterConfig
+from repro.realnet.cluster import RealCluster
+from repro.runtime.core import ClusterConfig
 
 pytestmark = pytest.mark.realnet
 
@@ -45,7 +46,7 @@ def run(coro) -> None:
 @pytest.mark.parametrize("codec", ["bin", "json"])
 def test_watch_fetches_live_snapshot_over_each_codec(codec):
     async def scenario():
-        config = RealClusterConfig(seed=11, codec=codec)
+        config = ClusterConfig(seed=11, codec=codec)
         async with RealCluster(3, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             for stack in cluster.live_stacks():
@@ -63,7 +64,7 @@ def test_watch_fetches_live_snapshot_over_each_codec(codec):
 
 def test_watch_polls_all_nodes_and_renders_console():
     async def scenario():
-        async with RealCluster(3, config=RealClusterConfig(seed=12)) as cluster:
+        async with RealCluster(3, config=ClusterConfig(seed=12)) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             targets = [cluster.address_book[s] for s in sorted(cluster.address_book)]
             snapshots = await fetch_snapshots(targets)

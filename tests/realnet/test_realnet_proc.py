@@ -1,8 +1,9 @@
 """Multi-process cluster driver: one OS process per site over real TCP.
 
 These scenarios spawn real ``python -m repro realnet node --supervised``
-child processes and drive them through :class:`ProcRealClusterDriver`'s
-synchronous :class:`~repro.ports.ClusterPort` surface, so they live in
+child processes (the :class:`~repro.realnet.proc_driver.ProcCluster`
+adapter) and drive them through the blocking
+:class:`~repro.ports.ClusterPort` facade, so they live in
 the ``realnet`` lane.  Every blocking step carries its own timeout
 (process startup, settle polls, control-channel requests), so a wedged
 cluster fails the test instead of hanging CI.
@@ -151,11 +152,6 @@ def test_checked_workload_runs_over_processes():
         assert cluster.network_stats().delivered > 0
 
 
-def test_proc_runtime_rejects_factory_closures():
-    with pytest.raises(ValueError, match="process boundary"):
-        make_cluster("realnet-proc", 3, app_factory=lambda pid: object())
-
-
 def test_proc_runtime_app_at_is_unavailable():
     from repro.errors import SimulationError
 
@@ -163,3 +159,62 @@ def test_proc_runtime_app_at_is_unavailable():
         assert cluster.settle(timeout=SETTLE)
         with pytest.raises(SimulationError, match="child process"):
             cluster.app_at(0)
+
+
+def test_proc_cluster_under_the_gossip_failure_detector():
+    """Every ClusterConfig knob reaches the children (they receive the
+    config as one JSON argument): a 4-site cluster on the gossip plane
+    at fanout 2 settles, detects a crash and re-admits the recovery."""
+    with contextlib.closing(
+        proc_cluster(4, seed=7, fd_mode="gossip", gossip_fanout=2)
+    ) as cluster:
+        assert cluster.settle(timeout=SETTLE), cluster.views()
+        assert len(cluster.live_pids()) == 4
+        assert cluster.network_stats().by_type.get("GossipDigest", 0) > 0
+        assert cluster.network_stats().by_type.get("Heartbeat", 0) == 0
+
+        cluster.crash(1)
+        assert cluster.settle(timeout=SETTLE), cluster.views()
+        assert len(cluster.live_pids()) == 3
+        stack = cluster.recover(1)
+        assert stack.pid.incarnation == 1
+        assert cluster.settle(timeout=SETTLE), cluster.views()
+        assert stack.pid in cluster.live_pids()
+        assert len(set(cluster.views().values())) == 1
+        assert_no_violations(cluster)
+
+
+@pytest.mark.parametrize("runtime", ["realnet", "realnet-proc"])
+def test_wait_until_runs_the_predicate_on_the_callers_thread(runtime):
+    """One rule on both wall-clock runtimes (ClusterPort.wait_until):
+    the predicate runs on the calling thread, so it may itself make
+    blocking port calls — which the loop thread would have to refuse."""
+    import threading
+
+    caller = threading.current_thread()
+    seen: set[threading.Thread] = set()
+
+    def formed_and_talking(c: ClusterPort) -> bool:
+        seen.add(threading.current_thread())
+        return (
+            c.settle(timeout=0.5)  # blocking
+            and c.network_stats().delivered > 0  # blocking on realnet-proc
+            and len(c.live_stacks()) == 3
+        )
+
+    with contextlib.closing(make_cluster(runtime, 3, seed=8)) as cluster:
+        assert cluster.wait_until(formed_and_talking, timeout=SETTLE), cluster.views()
+        assert seen == {caller}
+        refused: list[Exception] = []
+        done = threading.Event()
+
+        def from_the_loop() -> None:
+            try:
+                cluster.wait_until(lambda c: True, timeout=1.0)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                refused.append(exc)
+            done.set()
+
+        cluster.after(0.0, from_the_loop)
+        assert done.wait(SETTLE)
+        assert len(refused) == 1 and "loop thread" in str(refused[0])

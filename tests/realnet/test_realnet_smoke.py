@@ -19,9 +19,10 @@ import pytest
 
 from repro.net.faults import FaultSchedule, Heal, Partition
 from repro.net.latency import UniformLatency
-from repro.realnet.cluster import RealCluster, RealClusterConfig
+from repro.realnet.cluster import RealCluster
 from repro.realnet.demo import partition_merge_demo
-from repro.trace.checks import check_enriched_views, check_view_synchrony
+from repro.runtime.core import ClusterConfig
+from repro.trace.checks import check_cluster, check_enriched_views, check_view_synchrony
 
 pytestmark = pytest.mark.realnet
 
@@ -36,16 +37,13 @@ def run(coro) -> None:
 
 
 def assert_no_violations(cluster: RealCluster) -> None:
-    reports = check_view_synchrony(cluster.recorder) + check_enriched_views(
-        cluster.recorder
-    )
-    for report in reports:
+    for report in check_cluster(cluster):
         assert report.ok, f"{report.name}: {report.violations[:5]}"
 
 
 def test_three_node_bootstrap_reaches_common_view():
     async def scenario():
-        async with RealCluster(3, config=RealClusterConfig(seed=1)) as cluster:
+        async with RealCluster(3, config=ClusterConfig(seed=1)) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             views = {s.current_view_id() for s in cluster.live_stacks()}
             assert len(views) == 1
@@ -62,7 +60,7 @@ def test_three_node_bootstrap_reaches_common_view():
 
 def test_node_kill_triggers_view_change():
     async def scenario():
-        async with RealCluster(3, config=RealClusterConfig(seed=2)) as cluster:
+        async with RealCluster(3, config=ClusterConfig(seed=2)) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             victim = cluster.stack_at(2).pid
             cluster.crash(2)  # kills the stack AND closes its sockets
@@ -77,7 +75,7 @@ def test_node_kill_triggers_view_change():
 
 def test_killed_node_recovers_with_fresh_incarnation():
     async def scenario():
-        async with RealCluster(3, config=RealClusterConfig(seed=3)) as cluster:
+        async with RealCluster(3, config=ClusterConfig(seed=3)) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             cluster.crash(1)
             assert await cluster.settle(timeout=SETTLE), cluster.views()
@@ -110,7 +108,7 @@ def test_fault_schedule_applies_to_real_sockets():
     """A declarative FaultSchedule armed on the wall-clock scheduler."""
 
     async def scenario():
-        async with RealCluster(3, config=RealClusterConfig(seed=5)) as cluster:
+        async with RealCluster(3, config=ClusterConfig(seed=5)) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             schedule = FaultSchedule()
             base = cluster.now
@@ -137,7 +135,7 @@ def test_fault_schedule_applies_to_real_sockets():
 
 
 def test_bootstrap_survives_injected_loss_and_latency():
-    config = RealClusterConfig(
+    config = ClusterConfig(
         seed=6,
         loss_prob=0.03,
         latency=UniformLatency(0.0005, 0.004),
@@ -169,7 +167,7 @@ def test_binary_links_negotiate_and_multicast_delivers():
 
             return App()
 
-        config = RealClusterConfig(seed=7, codec="bin")
+        config = ClusterConfig(seed=7, codec="bin")
         async with RealCluster(3, app_factory=factory, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             cluster.stack_at(0).multicast(("bin-payload", 1, 2.5, (3, 4)))
@@ -192,7 +190,7 @@ def test_json_codec_cluster_still_settles():
     """codec="json" keeps the debug/compat data path fully working."""
 
     async def scenario():
-        config = RealClusterConfig(seed=8, codec="json")
+        config = ClusterConfig(seed=8, codec="json")
         async with RealCluster(3, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             wire = cluster.transport_stats()
@@ -219,9 +217,9 @@ def test_mixed_codec_cluster_interoperates():
             site: RealNode(
                 ProcessId(site, 0),
                 address_book,
+                ClusterConfig(codec=codec),
                 scheduler=scheduler,
                 universe=lambda: {0, 1, 2},
-                codec=codec,
             )
             for site, codec in codecs.items()
         }

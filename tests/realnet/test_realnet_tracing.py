@@ -17,7 +17,8 @@ import pytest
 from repro.obs.trace_analysis import build_trees, critical_path
 from repro.obs.tracing import TraceDump
 from repro.obs.watch import fetch_trace, fetch_traces
-from repro.realnet.cluster import RealCluster, RealClusterConfig
+from repro.realnet.cluster import RealCluster
+from repro.runtime.core import ClusterConfig
 
 pytestmark = pytest.mark.realnet
 
@@ -32,7 +33,7 @@ def run(coro) -> None:
 @pytest.mark.parametrize("codec", ["bin", "json"])
 def test_fetch_trace_pulls_the_flight_recorder_over_each_codec(codec):
     async def scenario():
-        config = RealClusterConfig(seed=11, codec=codec, tracing=True)
+        config = ClusterConfig(seed=11, codec=codec, tracing=True)
         async with RealCluster(3, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             host, port = cluster.address_book[0]
@@ -48,7 +49,7 @@ def test_fetch_trace_pulls_the_flight_recorder_over_each_codec(codec):
 
 def test_traceless_node_yields_none_not_a_hang():
     async def scenario():
-        config = RealClusterConfig(seed=12)  # tracing off
+        config = ClusterConfig(seed=12)  # tracing off
         async with RealCluster(2, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             host, port = cluster.address_book[0]

@@ -1,0 +1,85 @@
+"""Cross-commit identity of seeded simulator traces.
+
+``tests/test_determinism.py`` shows that one commit replays a seed
+identically; this file pins the *exported bytes* of two seeded runs, so
+a refactor that is meant to leave protocol behaviour alone (ROADMAP
+aim 2: "seeded sim traces stay byte-identical") is checked against the
+commit that recorded the digests, not only against itself.
+
+Regenerate when a protocol change is intended:
+``PYTHONPATH=src python tests/test_golden_traces.py`` prints the new
+table; paste it over ``GOLDEN`` and say why in the commit message.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+
+import pytest
+
+from repro.apps.factories import app_factory
+from repro.net.faults import Crash, FaultSchedule, Heal, Partition, Recover
+from repro.ports import make_cluster
+from repro.trace.export import dump_trace
+from repro.workload.clients import MulticastClient, QueryClient
+from repro.workload.openloop import LoadSpec
+from repro.workload.runner import run_checked_workload, run_client_load
+from repro.workload.scenarios import figure2_scenario
+
+
+def _digest(trace) -> str:
+    out = io.StringIO()
+    dump_trace(trace, out)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def figure2_trace():
+    """Figure-2 partition/merge under multicast + query clients."""
+    cluster = make_cluster("sim", 6, app_factory("db", 6), seed=7)
+    report = run_checked_workload(
+        cluster,
+        figure2_scenario(),
+        client_factories=[
+            lambda c: MulticastClient(c, interval=20.0),
+            lambda c: QueryClient(c, interval=30.0),
+        ],
+    )
+    assert report.ok, report.violations[:5]
+    return report.trace
+
+
+def store_faults_trace():
+    """Open-loop store load through a crash/recover and a partition/heal."""
+    cluster = make_cluster("sim", 5, app_factory("store", 5), seed=7)
+    schedule = FaultSchedule()
+    schedule.add(Crash(60.0, 4))
+    schedule.add(Recover(160.0, 4))
+    schedule.add(Partition(260.0, ((0, 1, 2), (3, 4))))
+    schedule.add(Heal(460.0))
+    spec = LoadSpec(
+        rate=0.4, duration=600.0, clients=4, n_keys=32, read_fraction=0.6, seed=7
+    )
+    result = run_client_load(cluster, spec, schedule, slo_p99=200.0)
+    assert result.ok, result.workload.violations[:5]
+    return result.workload.trace
+
+
+SCENARIOS = {"figure2": figure2_trace, "store_faults": store_faults_trace}
+
+#: sha256 of ``repro.trace.export.dump_trace`` output, recorded at commit
+#: 9bc14ce (the parent of the cluster-core consolidation).
+GOLDEN = {
+    "figure2": "cf2dded8ed3c36f4d47ca043073b87052c0289b42fc4c14de50e98fc9475475e",
+    "store_faults": "c9cba93aac5b47e498a995a4c55ecea20116205c7ed730b744dfe621a2f3467f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_seeded_trace_matches_golden_digest(name: str) -> None:
+    assert _digest(SCENARIOS[name]()) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name, build in sorted(SCENARIOS.items()):
+        print(f'    "{name}": "{_digest(build())}",')

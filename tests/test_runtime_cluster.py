@@ -114,15 +114,3 @@ def test_lock_manager_survives_total_failure():
     handle = cluster.apps[2].acquire()
     cluster.run_for(30)
     assert handle.status == "granted"
-
-
-def test_run_until_predicate():
-    cluster = Cluster(3, config=ClusterConfig(seed=0))
-    ok = cluster.run_until(lambda c: c.is_settled(), timeout=400)
-    assert ok
-    assert cluster.is_settled()
-
-
-def test_run_until_times_out_on_impossible_predicate():
-    cluster = settled_cluster(2)
-    assert not cluster.run_until(lambda c: False, timeout=30)
