@@ -10,12 +10,11 @@ tracking the simulator core got:
   of a pacing sleep, so the wire — not the pacer — is the bottleneck).
   Each size runs twice in the same process on the same machine:
 
-  - ``json`` — the tagged-JSON codec with micro-batching disabled
-    (``flush_tick=0``, ``batch_bytes=0``: one frame written and
-    drained per flush), i.e. the PR-2 data path: this is the
-    **baseline**;
+  - ``json`` — the tagged-JSON codec with batching disabled
+    (``batch_bytes=0``: one frame per write), i.e. the PR-2 data
+    path: this is the **baseline**;
   - ``bin`` — the ``bin1`` positional binary codec with default
-    micro-batching: the current data path.
+    batching: the current data path.
 
   The headline number is ``bin msgs/s ÷ json msgs/s`` at n=8.
 
@@ -104,9 +103,7 @@ async def _steady(n: int, rounds: int, burst: int, codec: str) -> dict[str, Any]
         trace_level="none",
         detailed_stats=False,
         codec=codec,
-        # The JSON baseline is the PR-2 data path: no flush tick, one
-        # frame written and drained per flush.
-        flush_tick=0.0 if codec == "json" else None,
+        # The JSON baseline is the PR-2 data path: one frame per write.
         batch_bytes=0 if codec == "json" else None,
     )
     async with RealCluster(n, app_factory=factory, config=config) as cluster:

@@ -159,7 +159,8 @@ class RealCluster(WallClockCluster):
         # The ``transport_*`` series are wall-clock-only (sockets/frames
         # have no simulator analogue).
         for key in ("frames_sent", "bytes_sent", "frames_received",
-                    "bytes_received", "frames_dropped"):
+                    "bytes_received", "frames_dropped", "flushes",
+                    "write_stalls"):
             self.metrics.gauge_callback(
                 f"transport_{key}_total", f"Transport {key.replace('_', ' ')}",
                 (lambda k: lambda: float(self.transport_stats().get(k, 0)))(key),

@@ -44,6 +44,7 @@ from repro.net.network import NetworkStats
 from repro.ports import ProcessPort
 from repro.realnet.codec_bin import WIRE_FORMATS, ParsedMsg, supported_formats
 from repro.realnet.transport import (
+    BATCH_BYTES,
     FrameServer,
     OutMessage,
     PeerLink,
@@ -77,7 +78,6 @@ class RealNetwork:
         rng: RngStreams | None = None,
         detailed_stats: bool = True,
         codec: str = "bin",
-        flush_tick: float | None = None,
         batch_bytes: int | None = None,
         quiet: bool = True,
     ) -> None:
@@ -93,8 +93,7 @@ class RealNetwork:
         self.stats = NetworkStats(detailed=detailed_stats)
         self._formats = supported_formats(codec)
         self._preferred = WIRE_FORMATS[self._formats[0]]
-        self._flush_tick = flush_tick
-        self._batch_bytes = batch_bytes
+        self._batch_bytes = BATCH_BYTES if batch_bytes is None else batch_bytes
         if not quiet:
             enable_stderr_logging()
         self._proc: ProcessPort | None = None
@@ -249,16 +248,7 @@ class RealNetwork:
                 dst_site=dst_site,
                 resolve=lambda site=dst_site: self.address_book.get(site),
                 offer_formats=self._formats,
-                **(
-                    {}
-                    if self._flush_tick is None
-                    else {"flush_tick": self._flush_tick}
-                ),
-                **(
-                    {}
-                    if self._batch_bytes is None
-                    else {"batch_bytes": self._batch_bytes}
-                ),
+                batch_bytes=self._batch_bytes,
             )
             self._links[dst_site] = link
             link.start()
@@ -346,16 +336,7 @@ class RealNetwork:
     def link_stats(self) -> dict[SiteId, dict[str, Any]]:
         """Per-peer link counters, including batching and codec state."""
         return {
-            site: {
-                "frames_sent": link.frames_sent,
-                "frames_dropped": link.frames_dropped,
-                "encode_errors": link.encode_errors,
-                "connects": link.connects,
-                "flushes": link.flushes,
-                "bytes_sent": link.bytes_sent,
-                "max_batch": link.max_batch,
-                "codec": link.wire_format,
-            }
+            site: {**link.stats(), "codec": link.wire_format}
             for site, link in sorted(self._links.items())
         }
 
@@ -369,6 +350,8 @@ class RealNetwork:
             "flushes": 0,
             "bytes_sent": 0,
             "max_batch": 0,
+            "write_stalls": 0,
+            "queued": 0,
             "frames_received": 0,
             "bytes_received": 0,
             "reads": 0,
@@ -378,13 +361,11 @@ class RealNetwork:
         }
         codecs: dict[str, int] = {}
         for link in self._links.values():
-            totals["frames_sent"] += link.frames_sent
-            totals["frames_dropped"] += link.frames_dropped
-            totals["encode_errors"] += link.encode_errors
-            totals["connects"] += link.connects
-            totals["flushes"] += link.flushes
-            totals["bytes_sent"] += link.bytes_sent
-            totals["max_batch"] = max(totals["max_batch"], link.max_batch)
+            for key, value in link.stats().items():
+                if key == "max_batch":
+                    totals[key] = max(totals[key], value)
+                else:
+                    totals[key] += value
             if link.wire_format is not None:
                 codecs[link.wire_format] = codecs.get(link.wire_format, 0) + 1
         server = self._server

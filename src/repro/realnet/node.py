@@ -121,7 +121,6 @@ class RealNode:
             latency=config.latency,
             detailed_stats=config.detailed_stats,
             codec=config.codec,
-            flush_tick=config.flush_tick,
             batch_bytes=config.batch_bytes,
             quiet=config.quiet,
         )

@@ -10,20 +10,38 @@ answers with one JSON ``welcome`` naming the format it picked (see
 that travels in the negotiated format.  A JSON-only peer and a
 binary-capable peer therefore interoperate without configuration.
 
-Each :class:`PeerLink` owns a bounded send queue and a background task
-that dials (re-resolving the peer's address each attempt, so a peer
-that recovered on a fresh port is found), handshakes, and drains the
-queue in **micro-batches**: after the first queued message it waits at
-most :data:`FLUSH_TICK` (sub-millisecond) for stragglers, packs
-everything queued — bounded by :data:`BATCH_BYTES` — into one
-``writelines`` + ``drain`` flush, and encodes each message in the
-link's negotiated format (payload bytes are encoded once per format
-and shared across a multicast's links via
-:class:`OutMessage`).  Connection failures trigger exponential backoff
-(:data:`BACKOFF_BASE` doubling to :data:`BACKOFF_CAP`); messages
-offered while the queue is full are dropped — the group protocols
-above are built to tolerate message loss, so a dead or wedged peer
-costs bounded memory, never backpressure into protocol code.
+Each :class:`PeerLink` owns a bounded send queue and flushes it **at
+the end of the loop turn that filled it**: the first :meth:`PeerLink.offer`
+of a turn schedules one ``loop.call_soon`` callback, and when the loop
+reaches it every message the turn produced for that peer — a burst's
+multicasts, a read buffer's worth of acks, a protocol round's replies —
+is already queued.  The callback packs them all (split at
+:data:`BATCH_BYTES`) into one buffer per ``write``, encoding each in
+the link's negotiated format (payload bytes are encoded once per
+format and shared across a multicast's links via :class:`OutMessage`).
+So a turn's traffic shares batches and syscalls, and a lone message
+on an idle link leaves as its turn ends: there is no flush timer
+because waiting can only add latency — under load the queue is never
+empty when the callback runs, and on an idle link there is nothing to
+wait for.
+
+Memory is bounded twice over.  The queue holds at most
+:data:`SEND_QUEUE_CAP` messages; an offer beyond that is dropped and
+counted — the group protocols above are built to tolerate message
+loss, so a dead or wedged peer costs bounded memory, never
+backpressure into protocol code.  And a flush that finds the socket's
+write buffer above the transport's high-water mark writes nothing: the
+messages stay queued (in order) and the link's task awaits one
+``drain()`` before flushing them, so the socket buffer never holds
+more than the high-water mark plus one batch.
+
+The link's background task is otherwise idle while the link is
+healthy.  It dials (re-resolving the peer's address each attempt, so a
+peer that recovered on a fresh port is found), handshakes, and then
+sleeps until the peer goes away or a stalled flush asks for a drain;
+connection failures trigger exponential backoff (:data:`BACKOFF_BASE`
+doubling to :data:`BACKOFF_CAP`) and a redial, and whatever was queued
+meanwhile is flushed right after the next ``welcome``.
 
 The server side accepts any number of connections, validates the
 ``hello``, replies with the ``welcome``, and then splits its read
@@ -42,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import random
+from collections import deque
 from typing import Any, Awaitable, Callable
 
 from repro.errors import CodecError
@@ -67,17 +86,12 @@ logger = logging.getLogger("repro.realnet.transport")
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 1.0
 
-#: Outbound messages buffered per peer while (re)connecting.
+#: Outbound messages queued per peer (while (re)connecting, or behind a
+#: socket that is not draining); offers beyond it are dropped.
 SEND_QUEUE_CAP = 2048
 
-#: Micro-batch flush tick: after the first queued message, wait this
-#: long (seconds) for more before flushing.  Sub-millisecond — far
-#: below every protocol timer — but long enough to coalesce a
-#: multicast fan-out or a flush round into one syscall.  0 disables
-#: the wait (PR-2 behavior: flush whatever is already queued).
-FLUSH_TICK = 0.0005
-
-#: Byte bound per flush: stop packing when a batch reaches this size.
+#: Byte bound per write: stop packing when a batch reaches this size
+#: (0 = one frame per write).
 BATCH_BYTES = 256 * 1024
 
 #: How long the dialer waits for the server's ``welcome`` before
@@ -129,6 +143,28 @@ class OutMessage:
         return enc
 
 
+class _LinkProtocol(asyncio.StreamReaderProtocol):
+    """The stream protocol, plus one callback when the peer goes away
+    (EOF or connection loss) so an idle link needs no parked read."""
+
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        on_gone: Callable[[], None],
+        loop: asyncio.AbstractEventLoop,
+    ) -> None:
+        super().__init__(reader, loop=loop)
+        self._on_gone = on_gone
+
+    def eof_received(self) -> bool | None:
+        self._on_gone()
+        return super().eof_received()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._on_gone()
+        super().connection_lost(exc)
+
+
 class PeerLink:
     """Outbound message pipe to one peer site: reconnect, negotiate, batch."""
 
@@ -140,7 +176,6 @@ class PeerLink:
         resolve: Resolver,
         offer_formats: tuple[str, ...] = (FORMAT_JSON,),
         queue_cap: int = SEND_QUEUE_CAP,
-        flush_tick: float = FLUSH_TICK,
         batch_bytes: int = BATCH_BYTES,
     ) -> None:
         self.name = name
@@ -148,13 +183,22 @@ class PeerLink:
         self._dst_site = dst_site
         self._resolve = resolve
         self._offer = offer_formats
-        self._flush_tick = flush_tick
+        self._queue_cap = queue_cap
         self._batch_bytes = batch_bytes
-        self._queue: asyncio.Queue[OutMessage] = asyncio.Queue(maxsize=queue_cap)
+        self._pending: deque[OutMessage] = deque()
         self._task: asyncio.Task | None = None
+        # Set between a welcome and the loss of that connection: the
+        # only time offers schedule flushes.
         self._writer: asyncio.StreamWriter | None = None
-        #: Wire-format name negotiated on the current connection.
-        self.wire_format: str | None = None
+        self._fmt: Any = None
+        self._high_water = 0
+        self._call_soon: Callable[..., Any] | None = None
+        #: A flush callback is pending — or, while ``_stalled``, owed by
+        #: the link task once the socket drains.
+        self._flush_scheduled = False
+        self._stalled = False
+        self._peer_gone = False
+        self._wake = asyncio.Event()
         self.frames_sent = 0
         self.frames_dropped = 0
         self.encode_errors = 0
@@ -162,6 +206,14 @@ class PeerLink:
         self.flushes = 0
         self.bytes_sent = 0
         self.max_batch = 0
+        #: Flushes that found the socket above its high-water mark.
+        self.write_stalls = 0
+
+    @property
+    def wire_format(self) -> str | None:
+        """Wire-format name negotiated on the current connection."""
+        fmt = self._fmt
+        return fmt.name if fmt is not None else None
 
     def start(self) -> None:
         if self._task is None:
@@ -180,13 +232,34 @@ class PeerLink:
         self._src = src
 
     def offer(self, msg: OutMessage) -> bool:
-        """Enqueue a message for transmission; False (dropped) when full."""
-        try:
-            self._queue.put_nowait(msg)
-            return True
-        except asyncio.QueueFull:
+        """Enqueue a message for transmission; False (dropped) when full.
+
+        The first offer of a loop turn on a connected link schedules the
+        turn's one flush; offers made while the link is down just queue.
+        """
+        pending = self._pending
+        if len(pending) >= self._queue_cap:
             self.frames_dropped += 1
             return False
+        pending.append(msg)
+        if not self._flush_scheduled and self._fmt is not None:
+            self._flush_scheduled = True
+            self._call_soon(self._flush)
+        return True
+
+    def stats(self) -> dict[str, int]:
+        """This link's counters (``queued`` is the current depth)."""
+        return {
+            "frames_sent": self.frames_sent,
+            "frames_dropped": self.frames_dropped,
+            "encode_errors": self.encode_errors,
+            "connects": self.connects,
+            "flushes": self.flushes,
+            "bytes_sent": self.bytes_sent,
+            "max_batch": self.max_batch,
+            "write_stalls": self.write_stalls,
+            "queued": len(self._pending),
+        }
 
     async def stop(self) -> None:
         if self._task is not None:
@@ -196,17 +269,93 @@ class PeerLink:
             except asyncio.CancelledError:
                 pass
             self._task = None
-        await self._close_writer()
 
-    async def _close_writer(self) -> None:
-        writer, self._writer = self._writer, None
-        self.wire_format = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+    def _flush(self) -> None:
+        """Write everything queued, one fresh buffer per byte-capped batch.
+
+        Runs as a ``call_soon`` callback (or from the link task after a
+        drain).  Harmless when stale: with the link down it leaves the
+        queue for the next welcome.
+        """
+        writer = self._writer
+        if writer is None or self._peer_gone or writer.is_closing():
+            return
+        fmt = self._fmt
+        pending = self._pending
+        transport = writer.transport
+        high_water = self._high_water
+        batch_bytes = self._batch_bytes
+        frame_into = fmt.frame_msg_into
+        dst_site = self._dst_site
+        # Re-read per flush: rebind_src may have moved the link to a
+        # fresh local incarnation mid-connection.
+        src = self._src
+        while pending:
+            if transport.get_write_buffer_size() > high_water:
+                # The peer is not keeping up.  Leave the queue as it is
+                # (offers beyond the cap are dropped and counted) and
+                # let the link task flush once the socket has drained;
+                # _flush_scheduled stays set so offers do not pile up
+                # callbacks meanwhile.
+                self.write_stalls += 1
+                self._stalled = True
+                self._wake.set()
+                return
+            # The buffer must be *fresh* each write: uvloop's transport
+            # keeps a reference to the object it was handed, so reusing
+            # it would corrupt in-flight data.  Frames are packed in
+            # place (length prefix patched via pack_into).
+            batch = bytearray()
+            frames = 0
+            while pending:
+                msg = pending.popleft()
+                try:
+                    frame_into(batch, src, dst_site, msg.dst_inc, msg.encoded(fmt))
+                except CodecError as exc:
+                    self.encode_errors += 1
+                    logger.warning("link %s: cannot encode frame: %s", self.name, exc)
+                else:
+                    frames += 1
+                if len(batch) >= batch_bytes:
+                    break
+            if frames:
+                writer.write(batch)
+                self.frames_sent += frames
+                self.bytes_sent += len(batch)
+                self.flushes += 1
+                if frames > self.max_batch:
+                    self.max_batch = frames
+        self._flush_scheduled = False
+
+    def _link_up(self, writer: asyncio.StreamWriter, fmt: Any) -> None:
+        """The welcome arrived: flush whatever queued while dialling."""
+        self._writer = writer
+        self._fmt = fmt
+        self._high_water = writer.transport.get_write_buffer_limits()[1]
+        self._call_soon = asyncio.get_running_loop().call_soon
+        if self._pending:
+            self._flush_scheduled = True
+            self._call_soon(self._flush)
+
+    def _link_down(self) -> None:
+        self._writer = None
+        self._fmt = None
+        self._flush_scheduled = False
+        self._stalled = False
+
+    def _on_peer_gone(self) -> None:
+        self._peer_gone = True
+        self._wake.set()
+
+    async def _dial(
+        self, host: str, port: int
+    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """``asyncio.open_connection`` with a :class:`_LinkProtocol`."""
+        loop = asyncio.get_running_loop()
+        reader = asyncio.StreamReader(loop=loop)
+        protocol = _LinkProtocol(reader, self._on_peer_gone, loop)
+        transport, _ = await loop.create_connection(lambda: protocol, host, port)
+        return reader, asyncio.StreamWriter(transport, protocol, reader, loop)
 
     async def _handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -222,7 +371,6 @@ class PeerLink:
                 }
             )
         )
-        await writer.drain()
         chosen = FORMAT_JSON
         try:
             welcome = await asyncio.wait_for(read_frame(reader), WELCOME_TIMEOUT)
@@ -234,54 +382,21 @@ class PeerLink:
             name = welcome.get("codec") if welcome.get("k") == "welcome" else None
             if name in self._offer and name in WIRE_FORMATS:
                 chosen = name
-        self.wire_format = chosen
         return WIRE_FORMATS[chosen]
 
-    async def _drain_queue(self, writer: asyncio.StreamWriter, fmt: Any) -> None:
-        queue = self._queue
-        flush_tick = self._flush_tick
-        batch_bytes = self._batch_bytes
-        frame_into = fmt.frame_msg_into
-        dst_site = self._dst_site
-        while True:
-            msg = await queue.get()
-            # Re-read per flush: rebind_src may have moved the link to a
-            # fresh local incarnation mid-connection.
-            src = self._src
-            if flush_tick > 0.0 and queue.empty():
-                # Sub-millisecond pause: let a fan-out or protocol round
-                # land its siblings in the queue, then flush once.
-                await asyncio.sleep(flush_tick)
-            # One batch buffer per flush, packed in place (length prefix
-            # patched via pack_into) and written with a single write().
-            # The buffer must be *fresh* each flush: uvloop's transport
-            # keeps a reference to the object it was handed, so reusing
-            # it would corrupt in-flight data.
-            batch = bytearray()
-            frames = 0
-            while True:
-                try:
-                    frame_into(batch, src, dst_site, msg.dst_inc, msg.encoded(fmt))
-                except CodecError as exc:
-                    self.encode_errors += 1
-                    logger.warning("link %s: cannot encode frame: %s", self.name, exc)
-                else:
-                    frames += 1
-                if len(batch) >= batch_bytes:
-                    break
-                try:
-                    msg = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-            if not frames:
-                continue
-            writer.write(batch)
-            await writer.drain()
-            self.frames_sent += frames
-            self.bytes_sent += len(batch)
-            self.flushes += 1
-            if frames > self.max_batch:
-                self.max_batch = frames
+    async def _idle(self, writer: asyncio.StreamWriter) -> None:
+        """A healthy link needs no task: sleep until the peer goes away
+        (raises) or a stalled flush asks for a drain."""
+        wake = self._wake
+        while not self._peer_gone:
+            if self._stalled:
+                await writer.drain()
+                self._stalled = False
+                self._flush()
+            else:
+                wake.clear()
+                await wake.wait()
+        raise ConnectionError("peer closed the connection")
 
     async def _run(self) -> None:
         rng = random.Random()
@@ -292,22 +407,28 @@ class PeerLink:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, BACKOFF_CAP)
                 continue
+            self._peer_gone = False
             try:
-                reader, writer = await asyncio.open_connection(*address)
+                reader, writer = await self._dial(*address)
             except OSError:
                 await asyncio.sleep(backoff * (0.5 + rng.random()))
                 backoff = min(backoff * 2, BACKOFF_CAP)
                 continue
-            self._writer = writer
             self.connects += 1
             try:
                 fmt = await self._handshake(reader, writer)
                 backoff = BACKOFF_BASE  # handshake done: healthy link
-                await self._drain_queue(writer, fmt)
+                self._link_up(writer, fmt)
+                await self._idle(writer)
             except (OSError, ConnectionError):
                 logger.info("link %s: peer went away; reconnecting", self.name)
             finally:
-                await self._close_writer()
+                self._link_down()
+                writer.close()
+                try:
+                    await writer.wait_closed()
+                except OSError:
+                    pass
 
 
 class FrameServer:

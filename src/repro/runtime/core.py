@@ -56,7 +56,7 @@ SECONDS_PER_UNIT = 0.01
 #: Fields a runtime cannot honour.  A non-default value in one of them
 #: is a ``ValueError`` naming the field, never a silently ignored knob.
 UNSUPPORTED: dict[str, tuple[str, ...]] = {
-    "sim": ("scale", "host", "codec", "flush_tick", "batch_bytes", "quiet",
+    "sim": ("scale", "host", "codec", "batch_bytes", "quiet",
             "startup_timeout"),
     "realnet": ("fifo_links",),
     # Objects cannot cross the process boundary; the rest travels as JSON.
@@ -107,10 +107,9 @@ class ClusterConfig:
 
     Wall-clock fields: ``codec`` picks the wire format every node
     *prefers* (``"bin"`` or the ``"json"`` debug mode; negotiated per
-    connection, so mixed clusters interoperate); ``flush_tick``
-    overrides the links' micro-batching tick (``0.0`` disables the
-    wait) and ``batch_bytes`` the per-flush byte cap (``0`` = one frame
-    per flush, the unbatched benchmark baseline); ``startup_timeout``
+    connection, so mixed clusters interoperate); ``batch_bytes``
+    overrides the links' byte cap per write (``0`` = one frame per
+    write, the unbatched benchmark baseline); ``startup_timeout``
     bounds boot (on realnet-proc: spawn + connect + boot, dominated by
     interpreter startup).  ``app`` names a factory from
     :mod:`repro.apps.factories`, used when no factory closure is given
@@ -136,7 +135,6 @@ class ClusterConfig:
     scale: float = 1.0
     host: str = "127.0.0.1"
     codec: str = "bin"
-    flush_tick: float | None = None
     batch_bytes: int | None = None
     quiet: bool = True
     app: str = "none"

@@ -58,6 +58,9 @@ def test_watch_fetches_live_snapshot_over_each_codec(codec):
             assert snap.total("view_changes_total") >= 3
             assert snap.total("multicasts_total") >= 3
             assert snap.total("deliveries_total") >= 9
+            # Link batching and backpressure are visible to the watcher.
+            assert snap.total("transport_flushes_total") >= 1
+            assert snap.total("transport_write_stalls_total") == 0
 
     run(scenario())
 

@@ -127,7 +127,7 @@ def test_run_until_times_out_on_impossible_predicate():
 
 def test_cluster_config_is_the_union_of_the_three_former_dataclasses():
     fields = [f.name for f in dataclasses.fields(ClusterConfig)]
-    assert len(fields) == 24
+    assert len(fields) == 23
     for names in UNSUPPORTED.values():
         assert set(names) <= set(fields)
 
@@ -149,6 +149,7 @@ def test_config_round_trips_through_the_child_json_argument():
         ("realnet-proc", {"fifo_links": False}),
         ("realnet-proc", {"latency": object()}),
         ("realnet-proc", {"stack": object()}),
+        ("sim", {"batch_bytes": 0}),  # the one link knob left
     ],
 )
 def test_make_cluster_names_the_field_a_runtime_cannot_honour(runtime, knob):

@@ -28,6 +28,8 @@ from repro.realnet.codec import (
     encode_value,
     registered_payloads,
 )
+from repro.realnet.codec_bin import WIRE_FORMATS
+from repro.realnet.transport import FrameServer, OutMessage, PeerLink
 from repro.realnet.wallclock import WallClockScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
@@ -275,5 +277,109 @@ def test_wallclock_now_advances():
         start = sched.now
         await asyncio.sleep(0.02)
         assert sched.now >= start + 0.015
+
+    asyncio.run(asyncio.wait_for(scenario(), 5))
+
+
+# ---------------------------------------------------------------------------
+# Peer link flush: packing, byte cap, encode errors (fake writer, no sockets)
+# ---------------------------------------------------------------------------
+
+
+class _FakeWriter:
+    """Stands in for the StreamWriter *and* its transport: records each
+    ``write`` and reports whatever buffer size the test sets."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+        self.buffered = 0
+        self.transport = self
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    def is_closing(self) -> bool:
+        return False
+
+    def get_write_buffer_size(self) -> int:
+        return self.buffered
+
+    def get_write_buffer_limits(self) -> tuple[int, int]:
+        return (16 * 1024, 64 * 1024)
+
+
+def _flushed_link(payloads, **link_kwargs):
+    """Offer ``payloads`` to a connected link in one loop turn; returns
+    (link, payloads carried by each write, in write order)."""
+    fmt = WIRE_FORMATS["bin1"]
+    writer = _FakeWriter()
+    link = PeerLink("0->1", (0, 0), 1, lambda: None, **link_kwargs)
+
+    async def scenario():
+        link._link_up(writer, fmt)
+        for payload in payloads:
+            assert link.offer(OutMessage(None, payload, {}))
+        assert writer.writes == []  # nothing leaves before the turn ends
+        await asyncio.sleep(0)
+
+    asyncio.run(asyncio.wait_for(scenario(), 5))
+    splitter = FrameServer("", 0, lambda msg: None)
+    written = [
+        [
+            fmt.parse_msg_at(body, 0, len(body)).payload()
+            for body in splitter._split_frames(bytearray(data))
+        ]
+        for data in writer.writes
+    ]
+    return link, written
+
+
+def test_link_flush_splits_one_turns_messages_at_batch_bytes_in_order():
+    payloads = [("m", i, "x" * 1000) for i in range(10)]
+    link, written = _flushed_link(payloads, batch_bytes=2500)
+    assert [len(batch) for batch in written] == [3, 3, 3, 1]
+    assert [p for batch in written for p in batch] == payloads
+    stats = link.stats()
+    assert (stats["flushes"], stats["max_batch"], stats["frames_sent"]) == (4, 3, 10)
+    assert stats["queued"] == 0
+
+
+def test_link_flush_with_batch_bytes_zero_writes_one_frame_per_write():
+    payloads = [("m", i) for i in range(5)]
+    link, written = _flushed_link(payloads, batch_bytes=0)
+    assert written == [[p] for p in payloads]
+    assert link.stats()["max_batch"] == 1
+
+
+def test_link_flush_counts_and_skips_an_unencodable_payload():
+    link, written = _flushed_link([("a", 1), object(), ("b", 2)])
+    assert written == [[("a", 1), ("b", 2)]]  # neighbours kept, in order
+    stats = link.stats()
+    assert (stats["encode_errors"], stats["frames_sent"], stats["queued"]) == (1, 2, 0)
+
+
+def test_link_flush_above_high_water_writes_nothing_and_keeps_the_queue():
+    fmt = WIRE_FORMATS["bin1"]
+    writer = _FakeWriter()
+    link = PeerLink("0->1", (0, 0), 1, lambda: None, queue_cap=4)
+
+    def offer(i: int) -> bool:
+        return link.offer(OutMessage(None, ("m", i), {}))
+
+    async def scenario():
+        link._link_up(writer, fmt)
+        writer.buffered = 64 * 1024 + 1
+        assert [offer(i) for i in range(3)] == [True] * 3
+        await asyncio.sleep(0)
+        assert writer.writes == []
+        stats = link.stats()
+        assert (stats["write_stalls"], stats["queued"]) == (1, 3)
+        # The flush is now owed by the link task (after a drain): offers
+        # keep queueing up to the cap but schedule nothing meanwhile.
+        assert [offer(i) for i in range(3, 6)] == [True, False, False]
+        await asyncio.sleep(0)
+        stats = link.stats()
+        assert (stats["write_stalls"], stats["queued"], stats["frames_dropped"]) == (1, 4, 2)
+        assert writer.writes == []
 
     asyncio.run(asyncio.wait_for(scenario(), 5))
