@@ -12,7 +12,7 @@ from typing import Iterable, Literal
 
 from repro.errors import EnrichedViewError
 from repro.gms.view import View
-from repro.types import ProcessId, SubviewId, SvSetId
+from repro.types import ProcessId, SubviewId, SvSetId, sorted_pids
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class Subview:
     members: frozenset[ProcessId]
 
     def __str__(self) -> str:
-        names = ",".join(str(p) for p in sorted(self.members))
+        names = ",".join(str(p) for p in sorted_pids(self.members))
         return f"{self.sid}{{{names}}}"
 
 
@@ -74,7 +74,7 @@ class EViewStructure:
         """
         subviews = []
         svsets = []
-        for pid in sorted(members):
+        for pid in sorted_pids(members):
             sid = SubviewId(view_epoch, pid, 0)
             ssid = SvSetId(view_epoch, pid, 0)
             subviews.append(Subview(sid, frozenset({pid})))
@@ -161,9 +161,18 @@ class EViewStructure:
         raise EnrichedViewError(f"no sv-set {ssid}")
 
     def as_tuples(self):
-        """Hashable snapshot used by trace events."""
+        """Hashable snapshot used by trace events.
+
+        A pure function of a frozen object that every member installing
+        the same view shares, so it is computed once per instance.
+        """
+        try:
+            return self._tuples  # type: ignore[attr-defined]
+        except AttributeError:
+            pass
         subviews = tuple(sorted(((sv.sid, sv.members) for sv in self.subviews)))
         svsets = tuple(sorted(((ss.ssid, ss.subviews) for ss in self.svsets)))
+        object.__setattr__(self, "_tuples", (subviews, svsets))
         return subviews, svsets
 
     # -- delta application -------------------------------------------------

@@ -196,7 +196,7 @@ class GossipDetector(DetectorBase):
             pid = ProcessId(site, incarnation)
         self._last_heard[site] = (self.stack.scheduler.now, pid)
         if self._reachable_incs.get(site) != incarnation:
-            self._refresh()
+            self._admit(pid)
 
     def _refute(self) -> None:
         """SWIM refutation: we are being suspected under our live

@@ -29,6 +29,9 @@ from repro.types import ProcessId, SiteId, ViewId
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
 
+#: "No reachable peer": the oldest stamp of an empty set.
+_NEVER = float("inf")
+
 
 @dataclass(frozen=True)
 class Heartbeat:
@@ -54,6 +57,19 @@ class DetectorBase:
     interval).  Everything else — the last-heard table, the reachability
     cache, view-disagreement detection and the expiry sweep — is flavour
     independent.
+
+    The reachable set is kept incrementally.  ``_oldest`` is a lower
+    bound on the oldest last-heard stamp among the reachable peers,
+    exact after every full rebuild (:meth:`_refresh`) and after every
+    sweep that walks the set.  It stays a valid bound in between because
+    **stamps only grow**: a site's entry is only ever overwritten with
+    the current time (or removed by :meth:`force_down`, which rebuilds).
+    While ``now - _oldest <= timeout`` no reachable peer can have
+    expired, and a peer outside the set expired at the rebuild that
+    dropped it and has not been heard since — so a peer entering changes
+    exactly one element (:meth:`_admit`) and a sweep has nothing to do.
+    Past the bound, both fall back to the full rebuild, which is also
+    what expires whoever timed out when an arrival triggers it.
     """
 
     def __init__(
@@ -66,18 +82,24 @@ class DetectorBase:
         self.interval = interval
         self.timeout = timeout
         self._last_heard: dict[SiteId, tuple[float, ProcessId]] = {}
-        self._heard_views: dict[ProcessId, tuple[float, ViewId | None]] = {}
+        # One entry per site — the newest incarnation heard — so the
+        # table is bounded by the universe, not by incarnations ever met.
+        self._heard_views: dict[SiteId, tuple[float, ProcessId, ViewId | None]] = {}
         self._reachable_cache: frozenset[ProcessId] = frozenset({stack.pid})
         # Int mirror of the cache (site -> incarnation): the per-message
         # "already reachable?" probe must not pay a ProcessId hash.
         self._reachable_incs: dict[SiteId, int] = {
             stack.pid.site: stack.pid.incarnation
         }
+        self._oldest = _NEVER
         self.on_change: Callable[[], None] | None = None
-        # Sweep-cost accounting for the perf regression tests: entries
-        # examined by the periodic sweep, cumulatively.  Must stay
-        # O(live peers), not O(every site ever heard).
+        # Work accounting for the perf regression tests, cumulative:
+        # entries examined by the periodic sweep (must stay O(live
+        # peers), not O(every site ever heard)) and full rebuilds of the
+        # reachable set (must stay O(sweeps + expiries), not O(peers
+        # learned)).
         self.sweep_examined = 0
+        self.full_rebuilds = 0
 
     def start(self) -> None:
         """Arm the beacon and sweep timers.
@@ -128,41 +150,83 @@ class DetectorBase:
             return  # stale incarnation; ignore
         self._last_heard[site] = (self.stack.scheduler.now, src)
         if self._reachable_incs.get(site) != src.incarnation:
+            self._admit(src)
+
+    def _admit(self, pid: ProcessId) -> None:
+        """``pid`` was just stamped and is not in the reachable set.
+
+        Inside the bound (see the class docstring) it is the only
+        element that changes: it joins, displacing an older incarnation
+        of its site.  Past the bound — or for a sibling incarnation of
+        our own site, which never counts as a peer — rebuild.
+        """
+        site = pid.site
+        now = self.stack.now
+        if now - self._oldest > self.timeout or site == self.stack.pid.site:
             self._refresh()
+            return
+        cache = self._reachable_cache
+        old = self._reachable_incs.get(site)
+        if old is not None:
+            cache = cache - {ProcessId(site, old)}
+        self._reachable_cache = cache | {pid}
+        self._reachable_incs[site] = pid.incarnation
+        if now < self._oldest:
+            self._oldest = now  # the first peer: its stamp is the oldest
+        if self.on_change is not None:
+            self.on_change()
 
     def _sweep(self) -> None:
         """Expire timed-out peers.
 
-        Only the currently-reachable peers need examining: a site that
-        is *not* in the cache can only enter it through :meth:`heard`
-        (which refreshes immediately), so its ``_last_heard`` entry is
+        Nothing to do inside the bound.  Past it, only the
+        currently-reachable peers need examining: a site that is *not*
+        in the cache can only enter it through :meth:`heard` (which
+        admits it immediately), so its ``_last_heard`` entry is
         irrelevant to the sweep.  This keeps sweep work O(live peers)
         even when the universe holds hundreds of long-dead or
-        partitioned sites.
+        partitioned sites.  A walk that finds nobody expired leaves the
+        bound exact again.
         """
         now = self.stack.now
-        own = self.stack.pid
+        if now - self._oldest <= self.timeout:
+            return
+        own_site = self.stack.pid.site
+        last_heard = self._last_heard
+        oldest = _NEVER
         expired = False
         examined = 0
         for pid in self._reachable_cache:
-            if pid == own:
+            site = pid.site
+            if site == own_site:
                 continue
             examined += 1
-            entry = self._last_heard.get(pid.site)
+            entry = last_heard.get(site)
             if entry is None or now - entry[0] > self.timeout:
                 expired = True
                 break
+            if entry[0] < oldest:
+                oldest = entry[0]
         self.sweep_examined += examined
         if expired:
             self._refresh()
+        else:
+            self._oldest = oldest
+
+    def _beacon(self, src: ProcessId, view_id: ViewId | None) -> None:
+        """A beacon from ``src`` naming its view.  An incarnation
+        :meth:`heard` rejects as stale leaves no view behind either."""
+        known = self._last_heard.get(src.site)
+        if known is None or known[1].incarnation <= src.incarnation:
+            self._heard_views[src.site] = (self.stack.now, src, view_id)
+        self.heard(src)
 
     def on_digest(self, src: ProcessId, digest) -> None:
         """A gossip digest arrived.  The base treatment (used when a
         heartbeat-plane node shares a cluster with gossip-plane nodes)
         is to read it as a plain beacon from its sender; the gossip
         detector overrides this to mine the entries."""
-        self._heard_views[src] = (self.stack.now, digest.view_id)
-        self.heard(src)
+        self._beacon(src, digest.view_id)
 
     def force_down(self, site: SiteId) -> None:
         """Expire a site immediately (used for graceful leaves)."""
@@ -170,13 +234,21 @@ class DetectorBase:
         self._refresh()
 
     def _refresh(self) -> None:
+        """Full rebuild: the reachable set from ``_last_heard``, and the
+        exact oldest stamp among those who made it."""
+        self.full_rebuilds += 1
         now = self.stack.now
+        own_site = self.stack.pid.site
         alive = {self.stack.pid}
+        oldest = _NEVER
         for site, (when, pid) in self._last_heard.items():
-            if site == self.stack.pid.site:
+            if site == own_site:
                 continue
             if now - when <= self.timeout:
                 alive.add(pid)
+                if when < oldest:
+                    oldest = when
+        self._oldest = oldest
         new_cache = frozenset(alive)
         if new_cache != self._reachable_cache:
             self._reachable_cache = new_cache
@@ -195,9 +267,12 @@ class DetectorBase:
         return pids - self._reachable_cache
 
     def heard_view(self, pid: ProcessId) -> ViewId | None:
-        """Last view identifier heard from ``pid`` (None if never)."""
-        entry = self._heard_views.get(pid)
-        return entry[1] if entry is not None else None
+        """Last view identifier heard from ``pid`` (None if never, or if
+        a newer incarnation of its site has been heard since)."""
+        entry = self._heard_views.get(pid.site)
+        if entry is None or entry[1].incarnation != pid.incarnation:
+            return None
+        return entry[2]
 
     def view_disagreement(self, since: float = 0.0) -> bool:
         """True iff some reachable peer reports a different view id.
@@ -216,14 +291,19 @@ class DetectorBase:
         mine = self.stack.current_view_id()
         if mine is None:
             return False
+        own_site = self.stack.pid.site
+        heard_views = self._heard_views
         for pid in self._reachable_cache:
-            if pid == self.stack.pid:
+            site = pid.site
+            if site == own_site:
                 continue
-            entry = self._heard_views.get(pid)
+            entry = heard_views.get(site)
             if entry is None:
                 continue
-            when, theirs = entry
+            when, who, theirs = entry
             if when < since or theirs is None:
+                continue
+            if who.incarnation != pid.incarnation:
                 continue
             if theirs != mine and theirs > mine:
                 return True
@@ -250,5 +330,4 @@ class HeartbeatDetector(DetectorBase):
     # -- receiving --------------------------------------------------------
 
     def on_heartbeat(self, src: ProcessId, beat: Heartbeat) -> None:
-        self._heard_views[src] = (self.stack.now, beat.view_id)
-        self.heard(src)
+        self._beacon(src, beat.view_id)

@@ -43,7 +43,7 @@ from repro.gms.messages import (
     VcPrepare,
     VcPropose,
 )
-from repro.gms.tree import AggregationTree
+from repro.gms.tree import AggregationTree, round_tree
 from repro.gms.view import View
 from repro.trace.events import ViewInstallEvent
 from repro.types import (
@@ -54,6 +54,8 @@ from repro.types import (
     SvSetId,
     ViewId,
     min_process,
+    pid_key,
+    sorted_pids,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,8 +172,11 @@ class ViewAgreement:
         reachable = self.stack.fd.reachable() - (
             self._quarantined() - {self.stack.pid}
         )
-        disagreement = self.stack.fd.view_disagreement(since=self.last_install_time)
-        if reachable != self.view.members or disagreement:
+        # The disagreement probe walks every reachable peer; it is a
+        # pure query, so ask only when the cheap test did not decide.
+        if reachable != self.view.members or self.stack.fd.view_disagreement(
+            since=self.last_install_time
+        ):
             self._initiate()
 
     def on_fd_change(self) -> None:
@@ -265,12 +270,13 @@ class ViewAgreement:
 
         A pure function of the round's coordinator and membership, so
         every member reconstructs the coordinator's tree locally from
-        the prepare (or install) it received.
+        the prepare (or install) it received — and all of them may share
+        the one :func:`~repro.gms.tree.round_tree` keeps for that key.
         """
         fanout = self.config.tree_fanout
         if fanout <= 0 or len(members) <= fanout + 1:
             return None
-        return AggregationTree(members, coordinator, fanout)
+        return round_tree(members, coordinator, fanout)
 
     def _cancel_round(self) -> None:
         if self._round is not None and self._round.timer is not None:
@@ -407,7 +413,9 @@ class ViewAgreement:
         subviews: list[Subview] = []
         svsets: list[SvSet] = []
         for prev_vid, flushes in groups.items():
-            authority = max(flushes, key=lambda f: (f.eview_seq, f.sender))
+            authority = max(
+                flushes, key=lambda f: (f.eview_seq, *pid_key(f.sender))
+            )
             union: dict[MessageId, Message] = {}
             for flush in flushes:
                 for m in flush.received:
@@ -482,7 +490,7 @@ class ViewAgreement:
         for sv in structure.subviews:
             remaining = sv.members & survivors
             if remaining:
-                new_sid = SubviewId(new_epoch, min(remaining), 0)
+                new_sid = SubviewId(new_epoch, min_process(remaining), 0)
                 renamed[sv.sid] = new_sid
                 subviews.append(Subview(new_sid, remaining))
         for ss in structure.svsets:
@@ -491,10 +499,13 @@ class ViewAgreement:
             )
             if remaining_ids:
                 anchor = min(
-                    member
-                    for sv in subviews
-                    if sv.sid in remaining_ids
-                    for member in sv.members
+                    (
+                        member
+                        for sv in subviews
+                        if sv.sid in remaining_ids
+                        for member in sv.members
+                    ),
+                    key=pid_key,
                 )
                 svsets.append(
                     SvSet(SvSetId(new_epoch, anchor, 0), remaining_ids)
@@ -623,7 +634,7 @@ class ViewAgreement:
             agg.timer = None
         batch = VcFlushBatch(
             agg.round_id,
-            tuple(agg.collected[pid] for pid in sorted(agg.collected)),
+            tuple(agg.collected[pid] for pid in sorted_pids(agg.collected)),
         )
         self.stack.send(agg.parent, batch)
 

@@ -17,7 +17,8 @@ enforce Uniqueness (Property 2.2) purely locally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import attrgetter
+from typing import Any, Iterable
 
 SiteId = int
 
@@ -150,8 +151,20 @@ class Message:
         return f"Message({self.msg_id}, eview_seq={self.eview_seq})"
 
 
+#: Sort key of a :class:`ProcessId`: its two ints.  The order is the
+#: dataclass order (lexicographic on the same fields), but a keyed sort
+#: extracts n tuples in C and compares ints, where the generated
+#: ``__lt__`` runs a Python frame per comparison — n·log(n) of them.
+pid_key = attrgetter("site", "incarnation")
+
+
+def sorted_pids(pids: "Iterable[ProcessId]") -> list[ProcessId]:
+    """``sorted(pids)``, by :data:`pid_key`."""
+    return sorted(pids, key=pid_key)
+
+
 def min_process(pids: "set[ProcessId] | frozenset[ProcessId]") -> ProcessId:
     """Deterministic coordinator choice: the least process identifier."""
     if not pids:
         raise ValueError("cannot pick a coordinator from an empty set")
-    return min(pids)
+    return min(pids, key=pid_key)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ViewSynchronyError
 from repro.gms.view import View
 from repro.trace.events import DeliveryEvent, MulticastEvent
-from repro.types import Message, MessageId, ProcessId, ViewId
+from repro.types import Message, MessageId, ProcessId, ViewId, sorted_pids
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
@@ -85,7 +85,7 @@ class ViewChannels:
         self._next_seqno = 0
         self._fifo_next = {m: 1 for m in view.members}
         self._chains = {}
-        self._senders = tuple(sorted(view.members))
+        self._senders = tuple(sorted_pids(view.members))
         own = self.stack.pid
         self._peers = tuple(m for m in self._senders if m != own)
         self.suspended = False

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.types import ProcessId, ViewId
+from repro.types import ProcessId, ViewId, sorted_pids
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
@@ -73,14 +73,8 @@ class StabilityTracker:
         view = stack.view
         if view is None or stack.is_flushing or len(view.members) < 2:
             return
-        # Sort by the identifier's key fields directly: n key extractions
-        # beat n·log(n) Python-level ProcessId comparisons.
-        prefix = tuple(
-            sorted(
-                stack.channels.delivered_prefix().items(),
-                key=lambda kv: (kv[0].site, kv[0].incarnation),
-            )
-        )
+        delivered = stack.channels.delivered_prefix()
+        prefix = tuple((pid, delivered[pid]) for pid in sorted_pids(delivered))
         report = StabilityReport(view.view_id, stack.pid, prefix)
         if view.coordinator == stack.pid:
             self.on_report(stack.pid, report)
@@ -122,7 +116,9 @@ class StabilityTracker:
                 stable[sender] = prefix
         if not stable:
             return
-        notice = StabilityNotice(view.view_id, tuple(sorted(stable.items())))
+        notice = StabilityNotice(
+            view.view_id, tuple((pid, stable[pid]) for pid in sorted_pids(stable))
+        )
         self.notices_sent += 1
         own = self.stack.pid
         self.stack.send_many((m for m in view.members if m != own), notice)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from repro.fd.heartbeat import Heartbeat
 from repro.net.latency import SpikeLatency
 from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.types import ProcessId, ViewId
 from repro.vsync.stack import StackConfig
 
 from tests.conftest import settled_cluster
@@ -86,3 +88,38 @@ def test_view_disagreement_detected():
     assert not stack.fd.view_disagreement(
         since=stack.membership.last_install_time
     )
+
+
+def test_heard_views_bounded_by_sites_across_recoveries():
+    """Fifty crash/recover cycles of one site: the heard-view table
+    holds one entry per site, not one per incarnation ever heard."""
+    n = 4
+    cluster = settled_cluster(n)
+    for _ in range(50):
+        cluster.crash(1)
+        cluster.run_for(30.0)
+        cluster.recover(1)
+        cluster.run_for(30.0)
+    assert cluster.settle()
+    latest = cluster.stack_at(1).pid
+    assert latest.incarnation == 50
+    for stack in cluster.live_stacks():
+        assert len(stack.fd._heard_views) <= n
+        if stack.pid != latest:
+            assert stack.fd.heard_view(latest) == stack.current_view_id()
+            assert stack.fd.heard_view(ProcessId(1, 49)) is None
+
+
+def test_stale_incarnation_beacon_leaves_no_view_behind():
+    cluster = settled_cluster(3)
+    old = cluster.stack_at(1).pid
+    cluster.crash(1)
+    cluster.run_for(60.0)
+    fresh = cluster.recover(1).pid
+    assert cluster.settle()
+    stack = cluster.stack_at(0)
+    current = stack.fd.heard_view(fresh)
+    stack.fd.on_heartbeat(old, Heartbeat(old, ViewId(99, old)))
+    assert stack.fd.heard_view(old) is None
+    assert stack.fd.heard_view(fresh) == current
+    assert fresh in stack.fd.reachable() and old not in stack.fd.reachable()

@@ -1,7 +1,7 @@
 """Cross-commit identity of seeded simulator traces.
 
 ``tests/test_determinism.py`` shows that one commit replays a seed
-identically; this file pins the *exported bytes* of two seeded runs, so
+identically; this file pins the *exported bytes* of three seeded runs, so
 a refactor that is meant to leave protocol behaviour alone (ROADMAP
 aim 2: "seeded sim traces stay byte-identical") is checked against the
 commit that recorded the digests, not only against itself.
@@ -19,9 +19,11 @@ import io
 import pytest
 
 from repro.apps.factories import app_factory
+from repro.gms.membership import MembershipConfig
 from repro.net.faults import Crash, FaultSchedule, Heal, Partition, Recover
 from repro.ports import make_cluster
 from repro.trace.export import dump_trace
+from repro.vsync.stack import StackConfig
 from repro.workload.clients import MulticastClient, QueryClient
 from repro.workload.openloop import LoadSpec
 from repro.workload.runner import run_checked_workload, run_client_load
@@ -65,13 +67,49 @@ def store_faults_trace():
     return result.workload.trace
 
 
-SCENARIOS = {"figure2": figure2_trace, "store_faults": store_faults_trace}
+def scale_profile_trace():
+    """The scale profile (gossip detection, tree agreement, debounced
+    expansion) at n=24: bootstrap, half/half partition, a crash and a
+    recovery inside one half, heal."""
+    n = 24
+    cluster = make_cluster(
+        "sim",
+        n,
+        seed=7,
+        stack=StackConfig(
+            fd_timeout=45.0,
+            membership=MembershipConfig(tree_fanout=4, expand_debounce=6.0),
+        ),
+        fd_mode="gossip",
+        gossip_fanout=3,
+    )
+    assert cluster.settle()
+    cluster.partition([list(range(n // 2)), list(range(n // 2, n))])
+    assert cluster.settle()
+    cluster.crash(5)
+    assert cluster.settle()
+    cluster.recover(5)
+    assert cluster.settle()
+    cluster.heal()
+    assert cluster.settle()
+    return cluster.gather_trace()
 
-#: sha256 of ``repro.trace.export.dump_trace`` output, recorded at commit
-#: 9bc14ce (the parent of the cluster-core consolidation).
+
+SCENARIOS = {
+    "figure2": figure2_trace,
+    "store_faults": store_faults_trace,
+    "scale_profile": scale_profile_trace,
+}
+
+#: sha256 of ``repro.trace.export.dump_trace`` output.  ``figure2`` and
+#: ``store_faults`` were recorded at commit 9bc14ce (the parent of the
+#: cluster-core consolidation); ``scale_profile`` at commit 7ca1ce2,
+#: before the incremental reachable set, the tree memo and the int-key
+#: identifier sorts touched anything under ``src/``.
 GOLDEN = {
     "figure2": "cf2dded8ed3c36f4d47ca043073b87052c0289b42fc4c14de50e98fc9475475e",
     "store_faults": "c9cba93aac5b47e498a995a4c55ecea20116205c7ed730b744dfe621a2f3467f",
+    "scale_profile": "d40ecf40a39cf124e631e846887840b19497e5f7808370fbf0b9ddf78eeb1f37",
 }
 
 

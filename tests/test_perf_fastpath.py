@@ -386,6 +386,76 @@ def test_sweep_cost_tracks_live_peers_not_universe(fd_mode):
         assert 0 < stack.fd.sweep_examined <= (sweeps + 2) * 3
 
 
+def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
+    """n=64 under the scale profile, bootstrap + partition + heal.
+    Counts, not wall time: the reachable set is rebuilt from scratch
+    O(sweeps + expiries) times per site, not once per peer learned, and
+    a round's aggregation tree is built once, not once per member per
+    message."""
+    from repro.fd.heartbeat import DetectorBase
+    from repro.gms import tree as tree_mod
+    from repro.gms.membership import MembershipConfig, ViewAgreement
+    from repro.vsync.stack import StackConfig
+
+    n, fanout, timeout = 64, 8, 45.0
+    learned = [0]
+    built = [0]
+    tree_keys = set()
+
+    def spy(cls, name, before):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            before(self, *args)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    def count(counter):
+        def bump(*_):
+            counter[0] += 1
+
+        return bump
+
+    def key(members, coordinator):
+        if len(members) > fanout + 1:  # smaller rounds stay flat
+            tree_keys.add((members, coordinator))
+
+    spy(DetectorBase, "_admit", count(learned))
+    spy(tree_mod.AggregationTree, "__init__", count(built))
+    spy(ViewAgreement, "on_prepare", lambda _s, _src, m: key(m.members, m.round_id[0]))
+    spy(ViewAgreement, "on_install", lambda _s, _src, m: key(m.view.members, m.round_id[0]))
+    tree_mod.round_tree.cache_clear()
+
+    config = ClusterConfig(
+        fd_mode="gossip",
+        gossip_fanout=4,
+        trace_level="none",
+        stack=StackConfig(
+            fd_timeout=timeout,
+            membership=MembershipConfig(
+                tree_fanout=fanout, expand_debounce=6.0, flush_stall_timeout=90.0
+            ),
+        ),
+    )
+    cluster = Cluster(n, config=config)
+    assert cluster.settle()
+    cluster.partition([list(range(n // 2)), list(range(n // 2, n))])
+    assert cluster.settle()
+    cluster.heal()
+    assert cluster.settle()
+
+    stacks = list(cluster.stacks.values())
+    sweeps = cluster.now / stacks[0].fd.interval + 2
+    expiries = n // 2  # the far half, lost once
+    for stack in stacks:
+        assert stack.fd.full_rebuilds <= sweeps + expiries
+    # Every site learned the other 63 and re-learned the far 32.
+    assert learned[0] >= n * (n - 1 + n // 2)
+    assert sum(s.fd.full_rebuilds for s in stacks) * 8 <= learned[0]
+    assert 0 < built[0] <= len(tree_keys)
+
+
 def test_staggered_heartbeats_do_not_share_an_instant():
     cluster = Cluster(6, config=ClusterConfig(latency=ConstantLatency(1.0)))
     cluster.settle()

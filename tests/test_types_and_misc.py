@@ -3,6 +3,8 @@ stack dispatch corners."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.analysis import FIGURE_1_EDGES, TransitionMatrix, transition_matrix
@@ -18,6 +20,7 @@ from repro.errors import (
     SimulationError,
     ViewSynchronyError,
 )
+from repro.gms.tree import AggregationTree, round_tree
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.types import (
     Message,
@@ -27,6 +30,8 @@ from repro.types import (
     SvSetId,
     ViewId,
     min_process,
+    pid_key,
+    sorted_pids,
 )
 
 from tests.conftest import settled_cluster
@@ -67,6 +72,42 @@ def test_min_process_rejects_empty():
 def test_min_process_picks_least():
     pids = {ProcessId(2), ProcessId(0, 1), ProcessId(0, 0)}
     assert min_process(pids) == ProcessId(0, 0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_int_key_order_is_the_dataclass_order(seed):
+    """``sorted_pids`` / ``min_process`` sort by the two ints; the result
+    must be what the generated ``__lt__`` gives, incarnation ties of one
+    site included."""
+    rng = random.Random(seed)
+    pids = {
+        ProcessId(rng.randrange(12), rng.randrange(4)) for _ in range(40)
+    }
+    assert len({p.site for p in pids}) < len(pids)  # ties on site exist
+    assert sorted_pids(pids) == sorted(pids)
+    assert min_process(pids) == min(pids)
+    assert [pid_key(p) for p in sorted(pids)] == sorted(pid_key(p) for p in pids)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_memoised_round_tree_equals_a_fresh_one(seed):
+    rng = random.Random(seed)
+    members = frozenset(
+        ProcessId(rng.randrange(200), rng.randrange(3))
+        for _ in range(rng.randrange(2, 90))
+    )
+    root = rng.choice(sorted_pids(members))
+    fanout = rng.randrange(1, 9)
+    fresh = AggregationTree(members, root, fanout)
+    shared = round_tree(members, root, fanout)
+    assert round_tree(frozenset(members), root, fanout) is shared
+    assert shared.order == fresh.order == (root, *sorted(members - {root}))
+    for pid in members:
+        assert pid in shared
+        assert shared.parent(pid) == fresh.parent(pid)
+        assert shared.children(pid) == fresh.children(pid)
+        assert shared.subtree_size(pid) == fresh.subtree_size(pid)
+    assert shared.subtree_size(root) == len(members)
 
 
 # ---------------------------------------------------------------------------
