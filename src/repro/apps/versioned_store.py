@@ -132,7 +132,7 @@ class VersionedStore(GroupObject):
                 self.chains[key] = self.chains.get(key, ()) + (entry,)
             self._log_len = len(log or ())
             self._reindex()
-            if self.audit_trace:
+            if self._audits():
                 # A recovered incarnation re-enters holding these
                 # versions; record it so trace audits (the acked-write
                 # checker) see disk-restored state, not just adoptions.
@@ -247,7 +247,7 @@ class VersionedStore(GroupObject):
             if client:
                 self._client_index[(client, client_seq)] = (key, prov)
             self._persist_entry(key, entry)
-            if self.audit_trace:
+            if self._audits():
                 self._record(
                     "store_apply",
                     {
@@ -281,7 +281,7 @@ class VersionedStore(GroupObject):
             handle.token = done[1]
         elif handle.msg_id is not None:
             handle.token = provenance_of(handle.msg_id)
-        if self.audit_trace and handle.token is not None:
+        if handle.token is not None and self._audits():
             self._record(
                 "store_ack",
                 {
@@ -308,7 +308,7 @@ class VersionedStore(GroupObject):
         super().on_view(eview)
 
     def on_mode_change(self, change, eview: EView) -> None:
-        if change.new is Mode.NORMAL and self.audit_trace:
+        if change.new is Mode.NORMAL and self._audits():
             self._record_state()
 
     # ------------------------------------------------------------------
@@ -340,7 +340,7 @@ class VersionedStore(GroupObject):
         self.chains = merged
         self._reindex()
         self._persist()
-        if self.audit_trace:
+        if self._audits():
             self._record_state()
 
     def merge_app_states(self, offers: list[AppStateOffer]) -> Any:
@@ -396,6 +396,16 @@ class VersionedStore(GroupObject):
             self.stack.storage.write(_CHAINS_KEY, tuple(self.chains.items()))
             self.stack.storage.write(_LOG_KEY, [])
             self._log_len = 0
+
+    def _audits(self) -> bool:
+        """Would an audit event be recorded?  Asked before building one:
+        a ``store_state`` inventory sorts every provenance held."""
+        stack = self.stack
+        return (
+            self.audit_trace
+            and stack is not None
+            and stack.recorder.wants(AppEvent)
+        )
 
     def _record_state(self) -> None:
         provs = sorted(

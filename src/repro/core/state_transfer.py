@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ApplicationError
-from repro.types import ProcessId
+from repro.types import MessageId, ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
@@ -63,8 +63,18 @@ def op_digest(digest: int, msg_id: Any) -> int:
     requester's digest should be at an older version by XOR-ing its own
     log tail back out.  Uses crc32 over the repr, not ``hash()``, so the
     value agrees across realnet processes with randomised hash seeds.
+
+    Every replica folds the same identifier in (and adoption folds the
+    whole applied set again), so a :class:`~repro.types.MessageId`
+    keeps its hash once computed, the way it keeps ``_hash``.
     """
-    return digest ^ zlib.crc32(repr(msg_id).encode())
+    try:
+        return digest ^ msg_id._op_crc
+    except AttributeError:
+        crc = zlib.crc32(repr(msg_id).encode())
+        if type(msg_id) is MessageId:
+            object.__setattr__(msg_id, "_op_crc", crc)
+        return digest ^ crc
 
 
 @dataclass(frozen=True)

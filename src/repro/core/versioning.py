@@ -150,7 +150,11 @@ class QuorumTally:
     pending on a view change with :meth:`abort_all`.  The tally also
     handles the *early-ack* race: self-delivery is synchronous inside
     ``multicast``, so our own replica's acknowledgement can arrive
-    before ``open`` registers the handle; it parks until then.
+    before ``open`` registers the handle; it parks until then.  No
+    other replica can be that early, and our messages open in sending
+    order, so an acknowledgement for one at or below the newest opened
+    is late (the operation already committed), not early: it is
+    dropped, and nothing stays parked behind a committed operation.
 
     Handles are duck-typed: they must expose mutable ``status``
     (``"pending"`` until the tally sets ``"committed"``/``"aborted"``),
@@ -162,6 +166,7 @@ class QuorumTally:
         self._total = sum(self.votes.values())
         self._pending: dict[MessageId, Any] = {}
         self._early: dict[MessageId, set[ProcessId]] = {}
+        self._newest_opened: MessageId | None = None
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -173,6 +178,7 @@ class QuorumTally:
         single-site quorum), else ``None``.
         """
         self._pending[msg_id] = handle
+        self._newest_opened = msg_id
         committed = None
         for replica in sorted(self._early.pop(msg_id, set())):
             done = self.ack(msg_id, replica, my_pid)
@@ -186,13 +192,18 @@ class QuorumTally:
         """Count one replica's acknowledgement.
 
         Returns the handle when this acknowledgement commits it, else
-        ``None``.  Acks for an unknown message we ourselves sent are
+        ``None``.  Our own ack for a message of ours not opened yet is
         parked for :meth:`open`; anything else is a stale ack for an
         operation already committed or aborted and is dropped.
         """
         handle = self._pending.get(msg_id)
         if handle is None:
-            if msg_id.sender == my_pid:
+            newest = self._newest_opened
+            if (
+                replica == my_pid
+                and msg_id.sender == my_pid
+                and (newest is None or msg_id > newest)
+            ):
                 self._early.setdefault(msg_id, set()).add(replica)
             return None
         if handle.done or replica in handle.ackers:

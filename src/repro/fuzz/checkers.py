@@ -219,11 +219,7 @@ class LostSettlementChecker(TraceChecker):
             return report
         t_end = max(ev.time for ev in rec.events)
         grace = self.grace * ctx.time_scale
-        crashed: set = set()
-        recovered_later: set = set()
-        for ev in rec.events:
-            if type(ev) is CrashEvent:
-                crashed.add(ev.pid)
+        crashed = {ev.pid for ev in rec.of_type(CrashEvent)}
         last_mode: dict = {}
         mode_at: dict = {}
         for ev in rec.of_type(ModeChangeEvent):
@@ -243,7 +239,6 @@ class LostSettlementChecker(TraceChecker):
             for ev in settle_events
             if ev.tag == "settle_wait_all_sites" and ev.time > t_end - grace
         }
-        del recovered_later
         for pid, mode in sorted(last_mode.items(), key=lambda kv: repr(kv[0])):
             if pid in crashed:
                 continue
@@ -383,7 +378,7 @@ class AckedWriteLossChecker(TraceChecker):
                 }
         if not acked:
             return report
-        dead = {ev.pid for ev in rec.events if type(ev) is CrashEvent}
+        dead = {ev.pid for ev in rec.of_type(CrashEvent)}
         retained: set = set()
         for pid, provs in holdings.items():
             if pid not in dead:

@@ -28,6 +28,35 @@ from typing import Any, Iterator
 from repro.types import SiteId
 
 _ATOMIC = (int, float, complex, bool, str, bytes, type(None))
+_CONTAINERS = (tuple, frozenset)
+
+# How instances of a class are judged: shared outright, never shared, by
+# their items, or (a tuple of names) by the values of those fields.
+_SHARE, _COPY, _ITEMS = "share", "copy", "items"
+
+#: The judgement of every class seen so far.  Only facts about the
+#: *class* are kept — its frozen flag and field list cannot change; the
+#: values its instances hold can, so those are walked on every call.
+_SHAPES: dict[type, "str | tuple[str, ...]"] = {
+    **{kind: _SHARE for kind in _ATOMIC},
+    **{kind: _ITEMS for kind in _CONTAINERS},
+}
+
+
+def _shape_of(kind: type) -> "str | tuple[str, ...]":
+    """Classify a class on first sight (subclasses included: an
+    ``IntEnum`` is atomic, a namedtuple is a tuple)."""
+    shape: "str | tuple[str, ...]" = _COPY
+    if issubclass(kind, _ATOMIC):
+        shape = _SHARE
+    elif issubclass(kind, _CONTAINERS):
+        shape = _ITEMS
+    elif is_dataclass(kind):
+        params = getattr(kind, "__dataclass_params__", None)
+        if params is not None and params.frozen:
+            shape = tuple(f.name for f in fields(kind)) or _SHARE
+    _SHAPES[kind] = shape
+    return shape
 
 
 def _is_immutable(value: Any) -> bool:
@@ -35,20 +64,21 @@ def _is_immutable(value: Any) -> bool:
 
     The check must stay structural: a frozen dataclass may still carry a
     mutable object in an ``Any`` field (e.g. a ``Message`` payload), so
-    per-type verdicts cannot be cached.
+    verdicts about *values* cannot be cached per type — only the shape
+    of the type is (``_SHAPES``).
     """
-    if isinstance(value, _ATOMIC):
+    kind = type(value)
+    shape = _SHAPES.get(kind) or _shape_of(kind)
+    if shape is _SHARE:
         return True
-    if isinstance(value, (tuple, frozenset)):
-        return all(_is_immutable(item) for item in value)
-    if is_dataclass(value) and not isinstance(value, type):
-        params = getattr(value, "__dataclass_params__", None)
-        if params is None or not params.frozen:
+    if shape is _COPY:
+        return False
+    if shape is _ITEMS:
+        return all(map(_is_immutable, value))
+    for name in shape:
+        if not _is_immutable(getattr(value, name)):
             return False
-        return all(
-            _is_immutable(getattr(value, f.name)) for f in fields(value)
-        )
-    return False
+    return True
 
 
 def snapshot(value: Any) -> Any:

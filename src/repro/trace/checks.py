@@ -300,35 +300,34 @@ def check_cut_consistency(rec: TraceRecorder) -> CheckReport:
     multicast -> delivery edges, reconstructed from the trace alone.
     """
     report = CheckReport("CutConsistency(6.2)")
-    # Per-process ordered event sequences with local indices.
-    local_index: dict[tuple[ProcessId, int], int] = {}
-    sequences: dict[ProcessId, list] = {}
+    # One pass: each event's index in its own process's sequence, kept
+    # for the three kinds the cuts are defined over.
+    seen: dict[ProcessId, int] = {}
+    # Application points of each e-view change per process.
+    applied_at: dict[tuple[ViewId, int], dict[ProcessId, int]] = {}
+    mcast_pos: dict = {}
+    # A cut constrains only the deliveries made in its own view.
+    delivered_in: dict[ViewId, list[tuple[DeliveryEvent, int]]] = {}
     for ev in rec.events:
         pid = getattr(ev, "pid", None)
         if pid is None:
             continue
-        seq = sequences.setdefault(pid, [])
-        local_index[(pid, id(ev))] = len(seq)
-        seq.append(ev)
-
-    def index_of(ev) -> int:
-        return local_index[(ev.pid, id(ev))]
-
-    # Application points of each e-view change per process.
-    applied_at: dict[tuple[ViewId, int], dict[ProcessId, int]] = {}
-    for ev in rec.of_type(EViewChangeEvent):
-        applied_at.setdefault((ev.view_id, ev.eview_seq), {})[ev.pid] = index_of(ev)
-
-    mcast_pos: dict = {}
-    for ev in rec.of_type(MulticastEvent):
-        mcast_pos[ev.msg_id] = (ev.pid, index_of(ev))
+        at = seen.get(pid, 0)
+        seen[pid] = at + 1
+        kind = type(ev)
+        if kind is DeliveryEvent:
+            delivered_in.setdefault(ev.view_id, []).append((ev, at))
+        elif kind is MulticastEvent:
+            mcast_pos[ev.msg_id] = (pid, at)
+        elif kind is EViewChangeEvent:
+            applied_at.setdefault((ev.view_id, ev.eview_seq), {})[pid] = at
 
     for (view_id, seq_no), cut in applied_at.items():
         if seq_no == 0:
             continue  # the install itself is covered by view semantics
         report.checked += 1
-        for ev in rec.of_type(DeliveryEvent):
-            if ev.pid not in cut or ev.view_id != view_id:
+        for ev, delivered_at in delivered_in.get(view_id, ()):
+            if ev.pid not in cut:
                 continue
             origin = mcast_pos.get(ev.msg_id)
             if origin is None:
@@ -337,7 +336,7 @@ def check_cut_consistency(rec: TraceRecorder) -> CheckReport:
             if sender not in cut:
                 continue
             sent_after_cut = sent_at > cut[sender]
-            delivered_before_cut = index_of(ev) < cut[ev.pid]
+            delivered_before_cut = delivered_at < cut[ev.pid]
             if sent_after_cut and delivered_before_cut:
                 report.violation(
                     f"{ev.msg_id} crosses the cut of e-view change "

@@ -20,11 +20,22 @@ an event object, so a filtered run pays neither allocation nor append.
 The invariant checkers work unchanged on a filtered stream — they see a
 prefix-consistent subset of the full trace (filtering is by type, never
 by process or time window).
+
+Queries read an index, not the event list: the first :meth:`of_type` or
+view-shaped query after a change groups ``events`` by exact type in one
+pass, and each view-shaped table (deliveries per ``(pid, view)``,
+installs per process, ...) is derived from those groups on first use.
+The index describes ``events`` as it stood when it was built; the next
+query after *any* change — a ``record()`` that appended or evicted, or
+``events`` rebound to another list — rebuilds it, so a query never
+returns a stale answer and a checker pass costs a constant number of
+scans however many views the run installed.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import SimulationError
@@ -59,6 +70,82 @@ LEVELS: dict[str, frozenset[type[TraceEvent]] | None] = {
 }
 
 
+class _TraceIndex:
+    """Per-type and per-``(pid, view)`` tables over one state of a
+    recorder's ``events`` (see the module docstring for the contract).
+
+    ``by_type`` is the one pass over the events; every other table is
+    built from its per-type lists the first time a query needs it.
+    """
+
+    def __init__(
+        self, events: "list[TraceEvent] | deque[TraceEvent]", dropped: int
+    ) -> None:
+        self.events = events
+        self.size = len(events)
+        self.dropped = dropped
+        self.by_type: dict[type[TraceEvent], list[TraceEvent]] = {}
+        by_type = self.by_type
+        for event in events:
+            kind = type(event)
+            group = by_type.get(kind)
+            if group is None:
+                group = by_type[kind] = []
+            group.append(event)
+
+    def describes(
+        self, events: "list[TraceEvent] | deque[TraceEvent]", dropped: int
+    ) -> bool:
+        """Is ``events`` still the sequence this index was built over?
+        An append grows it, a ring-buffer eviction bumps ``dropped``."""
+        return (
+            events is self.events
+            and len(events) == self.size
+            and dropped == self.dropped
+        )
+
+    @cached_property
+    def delivered(self) -> dict[tuple[ProcessId, ViewId], set[MessageId]]:
+        table: dict[tuple[ProcessId, ViewId], set[MessageId]] = {}
+        for ev in self.by_type.get(DeliveryEvent, ()):
+            key = (ev.pid, ev.view_id)
+            ids = table.get(key)
+            if ids is None:
+                ids = table[key] = set()
+            ids.add(ev.msg_id)
+        return table
+
+    @cached_property
+    def installs_by_pid(self) -> dict[ProcessId, list[ViewInstallEvent]]:
+        table: dict[ProcessId, list[ViewInstallEvent]] = {}
+        for ev in self.by_type.get(ViewInstallEvent, ()):
+            table.setdefault(ev.pid, []).append(ev)
+        return table
+
+    @cached_property
+    def installers(self) -> dict[ViewId, set[ProcessId]]:
+        table: dict[ViewId, set[ProcessId]] = {}
+        for ev in self.by_type.get(ViewInstallEvent, ()):
+            table.setdefault(ev.view_id, set()).add(ev.pid)
+        return table
+
+    @cached_property
+    def successors(self) -> dict[tuple[ProcessId, ViewId], ViewId]:
+        table: dict[tuple[ProcessId, ViewId], ViewId] = {}
+        for ev in self.by_type.get(ViewInstallEvent, ()):
+            if ev.prev_view_id is not None:
+                table[(ev.pid, ev.prev_view_id)] = ev.view_id
+        return table
+
+    @cached_property
+    def install_modes(self) -> dict[tuple[ProcessId, ViewId], str]:
+        """First mode change of each process in each view."""
+        table: dict[tuple[ProcessId, ViewId], str] = {}
+        for ev in self.by_type.get(ModeChangeEvent, ()):
+            table.setdefault((ev.pid, ev.view_id), ev.new_mode)
+        return table
+
+
 class TraceRecorder:
     """Collects the :class:`TraceEvent` stream of a run, in occurrence
     order, subject to the configured filter and capacity."""
@@ -89,6 +176,7 @@ class TraceRecorder:
         #: on a leaf recorder, populated by :meth:`merge` so a merged
         #: trace keeps *which node* undercounted, not just by how much.
         self.dropped_by_source: dict[str, int] = {}
+        self._index: _TraceIndex | None = None
 
     def wants(self, event_type: type[TraceEvent]) -> bool:
         """Would an event of this type be recorded?  Hot paths check this
@@ -167,9 +255,17 @@ class TraceRecorder:
 
     # -- generic queries ------------------------------------------------
 
+    def _indexed(self) -> _TraceIndex:
+        """The index over the current ``events``, rebuilt if they changed
+        since it was built."""
+        index = self._index
+        if index is None or not index.describes(self.events, self.dropped):
+            index = self._index = _TraceIndex(self.events, self.dropped)
+        return index
+
     def of_type(self, event_type: type[E]) -> Iterator[E]:
         """All events of exactly the given type, in order."""
-        return (e for e in self.events if type(e) is event_type)
+        return iter(self._indexed().by_type.get(event_type, ()))
 
     def where(self, predicate: Callable[[TraceEvent], bool]) -> Iterator[TraceEvent]:
         return (e for e in self.events if predicate(e))
@@ -206,38 +302,23 @@ class TraceRecorder:
 
     def installers_of(self, view_id: ViewId) -> set[ProcessId]:
         """Which processes actually installed ``view_id``."""
-        return {
-            ev.pid
-            for ev in self.of_type(ViewInstallEvent)
-            if ev.view_id == view_id
-        }
+        return set(self._indexed().installers.get(view_id, ()))
 
     def deliveries_in_view(self, pid: ProcessId, view_id: ViewId) -> set[MessageId]:
         """Messages process ``pid`` delivered while in ``view_id``."""
-        return {
-            ev.msg_id
-            for ev in self.of_type(DeliveryEvent)
-            if ev.pid == pid and ev.view_id == view_id
-        }
+        return set(self._indexed().delivered.get((pid, view_id), ()))
 
     def view_sequence(self, pid: ProcessId) -> list[ViewInstallEvent]:
         """The ordered sequence of views installed by process ``pid``."""
-        return [ev for ev in self.of_type(ViewInstallEvent) if ev.pid == pid]
+        return list(self._indexed().installs_by_pid.get(pid, ()))
 
     def successor_views(self) -> dict[tuple[ProcessId, ViewId], ViewId]:
         """For each (process, view) pair, the next view that process
         installed, if any.  Used by the Agreement checker to find the
         groups of processes that "survive from one view to the same
         next view"."""
-        result: dict[tuple[ProcessId, ViewId], ViewId] = {}
-        for ev in self.of_type(ViewInstallEvent):
-            if ev.prev_view_id is not None:
-                result[(ev.pid, ev.prev_view_id)] = ev.view_id
-        return result
+        return dict(self._indexed().successors)
 
     def mode_at_install(self, pid: ProcessId, view_id: ViewId) -> str | None:
         """The mode ``pid`` adopted when it installed ``view_id``."""
-        for ev in self.of_type(ModeChangeEvent):
-            if ev.pid == pid and ev.view_id == view_id:
-                return ev.new_mode
-        return None
+        return self._indexed().install_modes.get((pid, view_id))

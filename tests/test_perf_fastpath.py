@@ -4,7 +4,15 @@ copy-on-write stable storage, and heartbeat phase staggering."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import enum
+import random
+from typing import Any, NamedTuple
+
 import pytest
+
+from repro.core.versioning import Provenance, VersionEntry
 
 from repro.errors import SimulationError
 from repro.fd.heartbeat import HeartbeatDetector
@@ -323,6 +331,260 @@ def test_storage_write_isolates_mutable_and_shares_immutable():
     pid = ProcessId(7)
     store.write("p", pid)
     assert store.read("p") is pid
+
+
+def _immutable_by_definition(value) -> bool:
+    """The definition :func:`snapshot` implements, as first written:
+    reflection on every value, nothing remembered between calls."""
+    atomic = (int, float, complex, bool, str, bytes, type(None))
+    if isinstance(value, atomic):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(_immutable_by_definition(item) for item in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        params = getattr(value, "__dataclass_params__", None)
+        if params is None or not params.frozen:
+            return False
+        return all(
+            _immutable_by_definition(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        )
+    return False
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class _Pair(NamedTuple):
+    left: Any
+    right: Any
+
+
+@dataclasses.dataclass(frozen=True)
+class _Sealed:
+    tag: str
+    payload: Any  # may hold a list: frozen is not immutable
+
+
+@dataclasses.dataclass(frozen=True)
+class _Empty:
+    pass
+
+
+@dataclasses.dataclass
+class _Open:
+    payload: Any
+
+
+def _zoo_value(rng: random.Random, depth: int = 0) -> Any:
+    """One random nested value; leaves only once ``depth`` runs out."""
+    pid = ProcessId(rng.randrange(8), rng.randrange(3))
+    vid = ViewId(rng.randrange(1, 9), pid)
+    leaves = [
+        lambda: rng.randrange(-5, 5),
+        lambda: rng.random(),
+        lambda: rng.choice(["", "x", "key"]),
+        lambda: rng.choice([True, False, None, b"raw", 2j]),
+        lambda: rng.choice(list(_Colour)),
+        lambda: pid,
+        lambda: vid,
+        lambda: MessageId(pid, vid, rng.randrange(1, 99)),
+        lambda: _Empty(),
+        lambda: [],
+        lambda: {},
+    ]
+    if depth >= 3:
+        return rng.choice(leaves)()
+
+    def child():
+        return _zoo_value(rng, depth + 1)
+
+    def hashable_child():
+        value = child()
+        return value if _immutable_by_definition(value) else rng.randrange(9)
+
+    nodes = [
+        lambda: tuple(child() for _ in range(rng.randrange(4))),
+        lambda: frozenset(hashable_child() for _ in range(rng.randrange(4))),
+        lambda: _Pair(child(), child()),
+        lambda: _Sealed("t", child()),
+        lambda: _Open(child()),
+        lambda: VersionEntry(child(), Provenance(vid.epoch, pid, 1), "c", 2),
+        lambda: [child() for _ in range(rng.randrange(3))],
+        lambda: {"k": child(), 2: child()},
+        lambda: {hashable_child()},
+    ]
+    return rng.choice(leaves + nodes * 3)()
+
+
+def _scribble(value: Any) -> None:
+    """Mutate every mutable object reachable from ``value`` in place."""
+    if isinstance(value, list):
+        for item in value:
+            _scribble(item)
+        value.append("scribble")
+    elif isinstance(value, dict):
+        for item in value.values():
+            _scribble(item)
+        value["scribble"] = True
+    elif isinstance(value, set):
+        value.add("scribble")
+    elif isinstance(value, (tuple, frozenset)):
+        for item in value:
+            _scribble(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _scribble(getattr(value, f.name))
+        if isinstance(value, _Open):
+            value.payload = "scribble"
+
+
+def test_snapshot_zoo_shares_exactly_what_the_definition_allows():
+    """Seeded zoo: the share-or-copy decision equals the reflective
+    definition on every value, and whatever was decided, scribbling on
+    the original never shows through a read."""
+    rng = random.Random(23)
+    shared = copied = 0
+    for i in range(600):
+        value = _zoo_value(rng)
+        immutable = _immutable_by_definition(value)
+        snap = snapshot(value)
+        assert (snap is value) == immutable, value
+        assert snap == value
+        store = SiteStorage(0)
+        store.write("w", value)
+        store.append("log", value)
+        before = copy.deepcopy(value)
+        _scribble(value)
+        assert immutable == (value == before)  # the scribble took
+        assert store.read("w") == before, before
+        assert store.read("log") == [before], before
+        # A read hands out a snapshot too: scribbling on it is private.
+        _scribble(store.read("w"))
+        assert store.read("w") == before
+        shared += immutable
+        copied += not immutable
+    assert shared > 100 and copied > 100  # the zoo exercises both
+
+
+def test_snapshot_named_cases():
+    pid = ProcessId(1)
+    prov = Provenance(1, pid, 1)
+    assert snapshot(_Colour.RED) is _Colour.RED
+    assert snapshot(True) is True
+    pair = _Pair((1, frozenset({pid})), "x")
+    assert snapshot(pair) is pair
+    assert type(snapshot(_Pair([1], 2))) is _Pair
+    assert snapshot(_Pair([1], 2)) == _Pair([1], 2)
+    empty = _Empty()
+    assert snapshot(empty) is empty
+    entry = VersionEntry("v", prov, "c", 1)
+    assert snapshot(("k", entry))[1] is entry
+    mutable_entry = VersionEntry(["v"], prov, "c", 1)
+    copied = snapshot(("k", mutable_entry))[1]
+    assert copied == mutable_entry and copied is not mutable_entry
+    assert copied.value is not mutable_entry.value
+    # The frozen flag is a fact about the class; what a field holds is
+    # not — one class, both verdicts, in either order.
+    assert snapshot(_Sealed("t", (1, 2))) == _Sealed("t", (1, 2))
+    sealed_list = _Sealed("t", [1])
+    assert snapshot(sealed_list) is not sealed_list
+    sealed_tuple = _Sealed("t", (1,))
+    assert snapshot(sealed_tuple) is sealed_tuple
+    opened = _Open(1)
+    assert snapshot(opened) is not opened
+
+
+def test_snapshot_reflects_on_a_class_once(monkeypatch):
+    """``dataclasses.fields`` / ``is_dataclass`` run when a class is
+    first seen, never per value: the op-log append pays attribute reads."""
+    from repro.sim import stable_storage
+
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(stable_storage, "fields", counting(dataclasses.fields))
+    monkeypatch.setattr(
+        stable_storage, "is_dataclass", counting(dataclasses.is_dataclass)
+    )
+
+    def item(i: int):
+        pid = ProcessId(i % 5, i % 2)
+        return (f"k{i}", VersionEntry(f"v{i}", Provenance(1 + i, pid, i), "c", i))
+
+    store = SiteStorage(0)
+    store.append("log", item(0))  # warm-up: classes seen for the first time
+    calls[0] = 0
+    for i in range(1, 200):
+        store.append("log", item(i))
+    store.write("base", tuple(store.read("log")))
+    assert calls[0] == 0
+    assert len(store.read("base")) == 200
+
+
+# ---------------------------------------------------------------------------
+# Property checks: cost follows the trace, not the number of views
+# ---------------------------------------------------------------------------
+
+
+class _CountingEvents(list):
+    """An event list that counts how often it is walked end to end."""
+
+    def __init__(self, events):
+        super().__init__(events)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _checked_run(cycles: int):
+    """A seeded 5-site store run through ``cycles`` crash/recover
+    cycles under client puts; returns (passes over the events made by
+    ``check_cluster``, views installed)."""
+    from repro.apps.factories import app_factory
+    from repro.client.sim import SimStoreClient
+    from repro.trace.checks import check_cluster
+
+    cluster = Cluster(
+        5, app_factory=app_factory("store", 5), config=ClusterConfig(seed=4)
+    )
+    assert cluster.settle(timeout=500)
+    client = SimStoreClient(cluster, site=0, client_id="c")
+    for cycle in range(cycles):
+        assert client.put("k", cycle).ok
+        cluster.crash(4)
+        assert cluster.settle(timeout=500)
+        assert client.put("k", -cycle).ok
+        cluster.recover(4)
+        assert cluster.settle(timeout=500)
+    rec = cluster.gather_trace()
+    views = len(rec.installed_views())
+    rec.events = _CountingEvents(rec.events)
+    reports = check_cluster(cluster, trace=rec)
+    assert all(r.ok for r in reports), [str(r) for r in reports if not r.ok]
+    assert sum(r.checked for r in reports) > 0
+    return rec.events.passes, views
+
+
+def test_check_cluster_passes_over_the_trace_do_not_grow_with_views():
+    """k faults and 2k faults: twice the views, the same number of full
+    passes over ``rec.events`` — every per-view question is answered by
+    the index, which is built in one."""
+    passes_k, views_k = _checked_run(3)
+    passes_2k, views_2k = _checked_run(6)
+    assert views_2k >= views_k + 6
+    assert passes_2k == passes_k
+    assert 0 < passes_k <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ cursor, and clusters mixing chunk-capable and legacy whole-blob peers.
 
 from __future__ import annotations
 
+import random
+import zlib
+from functools import reduce
+
 from repro.core.group_object import GroupObject
 from repro.core.mode_functions import AlwaysFullModeFunction, QuorumModeFunction
 from repro.core.modes import Mode
@@ -19,10 +23,11 @@ from repro.core.state_transfer import (
     TChunk,
     TOffer,
     TResume,
+    op_digest,
 )
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.sim.stable_storage import SiteStorage
-from repro.types import ProcessId
+from repro.types import MessageId, ProcessId, ViewId
 
 
 class Obj(GroupObject):
@@ -288,3 +293,50 @@ def test_mismatched_reoffer_discards_the_partial():
     receiver.on_offer(donor_pid, offer)
     _, resume = rx_stack.sent[0]
     assert resume == TResume(offer.transfer, 0)
+
+
+# ---------------------------------------------------------------------------
+# The lineage digest
+# ---------------------------------------------------------------------------
+
+
+def _ids(n: int, seed: int = 11) -> list[MessageId]:
+    rng = random.Random(seed)
+    return [
+        MessageId(
+            ProcessId(rng.randrange(16), rng.randrange(3)),
+            ViewId(rng.randrange(1, 40), ProcessId(rng.randrange(16), 0)),
+            seqno,
+        )
+        for seqno in range(1, n + 1)
+    ]
+
+
+def test_op_digest_is_crc32_of_repr_fresh_and_remembered():
+    """Realnet processes must agree on the value, so it is pinned to its
+    definition: on first use of an identifier, on reuse of that object,
+    and on an equal identifier built elsewhere (another process's copy)."""
+    for msg_id in _ids(50):
+        expected = zlib.crc32(repr(msg_id).encode())
+        assert op_digest(0, msg_id) == expected  # fresh
+        assert op_digest(0, msg_id) == expected  # remembered
+        assert op_digest(0xABCD, msg_id) == 0xABCD ^ expected
+        twin = MessageId(msg_id.sender, msg_id.view, msg_id.seqno)
+        assert op_digest(0, twin) == expected
+        assert twin == msg_id and hash(twin) == hash(msg_id)
+        assert repr(twin) == repr(msg_id)  # the memo is not a field
+    # Anything with a repr folds in, not only MessageId.
+    assert op_digest(7, ("legacy", 3)) == 7 ^ zlib.crc32(repr(("legacy", 3)).encode())
+
+
+def test_op_digest_is_order_independent_and_reversible():
+    ids = _ids(40)
+    forward = reduce(op_digest, ids, 0)
+    shuffled = list(ids)
+    random.Random(5).shuffle(shuffled)
+    assert reduce(op_digest, shuffled, 0) == forward
+    # A donor recovers the digest at an older version by folding its own
+    # log tail back out.
+    older = reduce(op_digest, ids[:25], 0)
+    assert reduce(op_digest, ids[25:], forward) == older
+    assert op_digest(op_digest(forward, ids[0]), ids[0]) == forward

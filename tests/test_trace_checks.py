@@ -6,6 +6,11 @@ and asserts the corresponding checker flags it (and only it).
 
 from __future__ import annotations
 
+import pytest
+
+from repro.fuzz.bugs import KNOWN_BUGS
+from repro.fuzz.engine import FuzzConfig, FuzzEngine, quick_entry
+from repro.net.faults import Heal, Partition
 from repro.trace.checks import (
     check_agreement,
     check_causal_order,
@@ -16,13 +21,17 @@ from repro.trace.checks import (
     check_view_monotonicity,
 )
 from repro.trace.events import (
+    AppEvent,
+    CrashEvent,
     DeliveryEvent,
     EViewChangeEvent,
+    ModeChangeEvent,
     MulticastEvent,
     ViewInstallEvent,
 )
 from repro.trace.recorder import TraceRecorder
 from repro.types import MessageId, ProcessId, SubviewId, SvSetId, ViewId
+from tests.test_golden_traces import SCENARIOS
 
 P0, P1, P2 = ProcessId(0), ProcessId(1), ProcessId(2)
 V1 = ViewId(1, P0)
@@ -340,3 +349,184 @@ def test_enriched_checks_keep_incarnations_distinct():
     rec.record(DeliveryEvent(time=7, pid=fresh, msg_id=m2, view_id=V2))
     rec.record(DeliveryEvent(time=7, pid=P0, msg_id=m2, view_id=V2))
     assert all_ok(check_enriched_views(rec))
+
+
+# ---------------------------------------------------------------------------
+# The query index against a full-scan oracle
+# ---------------------------------------------------------------------------
+#
+# The oracle is the recorder's query set as first written: every answer
+# is one comprehension over ``rec.events``.  It lives here, not in the
+# recorder, so the index has a reference that shares none of its code.
+
+
+def _scan_of_type(rec, event_type):
+    return [e for e in rec.events if type(e) is event_type]
+
+
+def _scan_deliveries_in_view(rec, pid, view_id):
+    return {
+        e.msg_id
+        for e in rec.events
+        if type(e) is DeliveryEvent and e.pid == pid and e.view_id == view_id
+    }
+
+
+def _scan_view_sequence(rec, pid):
+    return [e for e in rec.events if type(e) is ViewInstallEvent and e.pid == pid]
+
+
+def _scan_installers_of(rec, view_id):
+    return {
+        e.pid
+        for e in rec.events
+        if type(e) is ViewInstallEvent and e.view_id == view_id
+    }
+
+
+def _scan_successor_views(rec):
+    result = {}
+    for e in rec.events:
+        if type(e) is ViewInstallEvent and e.prev_view_id is not None:
+            result[(e.pid, e.prev_view_id)] = e.view_id
+    return result
+
+
+def _scan_mode_at_install(rec, pid, view_id):
+    for e in rec.events:
+        if type(e) is ModeChangeEvent and e.pid == pid and e.view_id == view_id:
+            return e.new_mode
+    return None
+
+
+def _assert_queries_match_scan(rec):
+    """Every indexed query, over every key the trace holds plus misses."""
+    kinds = {type(e) for e in rec.events} | {CrashEvent, AppEvent}
+    for kind in kinds:
+        assert list(rec.of_type(kind)) == _scan_of_type(rec, kind)
+    assert rec.deliveries() == _scan_of_type(rec, DeliveryEvent)
+    assert rec.view_installs() == _scan_of_type(rec, ViewInstallEvent)
+    assert rec.successor_views() == _scan_successor_views(rec)
+    nobody, nowhere = ProcessId(999, 9), ViewId(999, ProcessId(999, 9))
+    pids = {e.pid for e in rec.events} | {nobody}
+    views = {
+        e.view_id
+        for e in rec.events
+        if isinstance(e, (DeliveryEvent, ViewInstallEvent, ModeChangeEvent))
+    } | {nowhere}
+    for pid in pids:
+        assert rec.view_sequence(pid) == _scan_view_sequence(rec, pid)
+        for view_id in views:
+            assert rec.deliveries_in_view(pid, view_id) == (
+                _scan_deliveries_in_view(rec, pid, view_id)
+            )
+            assert rec.mode_at_install(pid, view_id) == (
+                _scan_mode_at_install(rec, pid, view_id)
+            )
+    for view_id in views:
+        assert rec.installers_of(view_id) == _scan_installers_of(rec, view_id)
+
+
+@pytest.fixture(scope="module", params=sorted(SCENARIOS))
+def golden_trace(request):
+    return SCENARIOS[request.param]()
+
+
+def test_indexed_queries_match_scan_on_golden_traces(golden_trace):
+    _assert_queries_match_scan(golden_trace)
+
+
+def test_indexed_queries_match_scan_on_merged_per_node_trace(golden_trace):
+    """The realnet shape: one recorder per site, merged for analysis."""
+    per_site = {}
+    for event in golden_trace.events:
+        site = event.pid.site
+        if site not in per_site:
+            per_site[site] = TraceRecorder(label=f"site{site}")
+        per_site[site].record(event)
+    merged = TraceRecorder.merge(*per_site.values())
+    assert len(merged) == len(golden_trace)
+    _assert_queries_match_scan(merged)
+
+
+def test_indexed_queries_match_scan_on_an_evicting_ring_buffer(golden_trace):
+    ring = TraceRecorder(capacity=len(golden_trace) // 3)
+    for event in golden_trace.events:
+        ring.record(event)
+    assert ring.dropped > 0
+    _assert_queries_match_scan(ring)
+
+
+@pytest.mark.parametrize("capacity", [None, 4])
+def test_index_does_not_go_stale_across_record(capacity):
+    """query -> record() -> query: the second answer includes the new
+    event; at capacity the length never changes, only the contents."""
+    rec = TraceRecorder(capacity=capacity)
+    m2 = MessageId(P0, V1, 2)
+    for pid in (P0, P1):
+        _install(rec, 0, pid, V1, {P0, P1}, None)
+    rec.record(MulticastEvent(time=1, pid=P0, msg_id=M))
+    rec.record(DeliveryEvent(time=2, pid=P1, msg_id=M, view_id=V1))
+    assert len(rec) == 4
+    _assert_queries_match_scan(rec)
+    assert rec.deliveries_in_view(P1, V1) == {M}
+    rec.record(DeliveryEvent(time=3, pid=P1, msg_id=m2, view_id=V1))
+    assert rec.deliveries_in_view(P1, V1) == {M, m2}
+    _install(rec, 4, P1, V2, {P1}, V1)
+    assert rec.successor_views() == {(P1, V1): V2}
+    assert rec.installers_of(V2) == {P1}
+    rec.record(
+        ModeChangeEvent(
+            time=4, pid=P1, view_id=V2, old_mode="N", new_mode="R",
+            transition="Failure",
+        )
+    )
+    assert rec.mode_at_install(P1, V2) == "R"
+    _assert_queries_match_scan(rec)
+    if capacity is not None:
+        assert len(rec) == capacity and rec.dropped == 3
+        assert rec.view_sequence(P0) == []  # P0's install was evicted
+
+
+def test_index_follows_a_rebound_event_list():
+    rec = TraceRecorder()
+    rec.record(MulticastEvent(time=1, pid=P0, msg_id=M))
+    assert len(rec.multicasts()) == 1
+    rec.events = [DeliveryEvent(time=2, pid=P0, msg_id=M, view_id=V1)]
+    assert rec.multicasts() == []
+    _assert_queries_match_scan(rec)
+
+
+def test_query_results_are_the_callers_to_mutate():
+    rec = TraceRecorder()
+    _install(rec, 0, P0, V1, {P0}, None)
+    _install(rec, 1, P0, V2, {P0}, V1)
+    rec.record(DeliveryEvent(time=2, pid=P0, msg_id=M, view_id=V2))
+    rec.deliveries_in_view(P0, V2).clear()
+    rec.successor_views().clear()
+    rec.view_sequence(P0).clear()
+    rec.installers_of(V1).clear()
+    _assert_queries_match_scan(rec)
+
+
+#: Which checker is the one that catches each planted bug.
+CATCHES = {
+    "lost_settlement": "LostSettlement",
+    "stale_transfer": "StaleStateTransfer",
+}
+
+
+def test_every_planted_bug_has_a_named_checker():
+    assert set(CATCHES) == KNOWN_BUGS
+
+
+@pytest.mark.parametrize("bug", sorted(CATCHES))
+def test_planted_bug_still_caught_by_its_checker(bug):
+    """The checked-in reproducer's schedule, through the whole pipeline
+    (run, gather, every registered checker over the indexed trace)."""
+    schedule = [Partition(200.0, ((1, 2, 3, 4), (0,))), Heal(400.0)]
+    engine = FuzzEngine(FuzzConfig(seed=3))
+    executed = engine.execute_entry(quick_entry(schedule, seed=3, planted_bug=bug))
+    assert executed.failing_checkers == (CATCHES[bug],)
+    clean = engine.execute_entry(quick_entry(schedule, seed=3))
+    assert not clean.failed

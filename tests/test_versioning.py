@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.apps.factories import app_factory
+from repro.client.sim import SimStoreClient
 from repro.core.group_object import AppStateOffer
 from repro.core.versioning import (
     Provenance,
@@ -13,6 +15,7 @@ from repro.core.versioning import (
     newest_incarnations,
     provenance_of,
 )
+from repro.runtime.cluster import Cluster
 from repro.types import MessageId, ProcessId, ViewId
 
 
@@ -158,6 +161,35 @@ def test_tally_parks_early_self_acks() -> None:
     handle = Handle()
     committed = tally.open(mid(0, 1), handle, me)  # single-site quorum
     assert committed is handle and handle.status == "committed"
+
+
+def test_late_acks_leave_no_residue() -> None:
+    """n=5: three acks commit a put, the other two arrive afterwards.
+    They are late, not early — nothing may stay parked behind them."""
+    tally = QuorumTally({site: 1 for site in range(5)})
+    me = ProcessId(0, 0)
+    for seq in range(1, 201):
+        handle = Handle()
+        assert tally.ack(mid(0, seq), me, me) is None  # early self-ack
+        tally.open(mid(0, seq), handle, me)
+        for site in range(1, 5):
+            tally.ack(mid(0, seq), ProcessId(site, 0), me)
+        tally.ack(mid(0, seq), me, me)  # a late duplicate of our own
+        assert handle.status == "committed" and len(handle.ackers) == 3
+    assert len(tally) == 0
+    assert tally._early == {}
+
+
+def test_late_acks_leave_no_residue_in_a_running_store() -> None:
+    cluster = Cluster(5, app_factory=app_factory("store", 5))
+    assert cluster.settle(timeout=500)
+    client = SimStoreClient(cluster, site=0, client_id="c")
+    for i in range(200):
+        assert client.put(f"k{i % 7}", i).ok
+    cluster.run_for(50)
+    assert cluster.app_at(0).puts_committed == 200
+    for site in range(5):
+        assert cluster.app_at(site)._tally._early == {}
 
 
 def test_tally_drops_early_acks_for_foreign_messages() -> None:
