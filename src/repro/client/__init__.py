@@ -4,7 +4,7 @@ The store's client API is one request/reply vocabulary
 (:mod:`repro.client.protocol`) served by one router
 (:mod:`repro.client.service`) and reachable two ways:
 
-* **realnet**: ``CLI_KIND`` frames on every node's normal listening
+* **realnet**: ``cli`` side frames on every node's normal listening
   socket (:mod:`repro.client.client` — real TCP clients);
 * **sim**: an in-process port with the same request/reply semantics
   (:mod:`repro.client.sim`), so workloads drive both runtimes through
@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.client.protocol import CLI_KIND, ClientReply, ClientRequest
+from repro.client.protocol import ClientReply, ClientRequest
 from repro.client.service import StoreService
 
 __all__ = [
-    "CLI_KIND",
     "ClientRequest",
     "ClientReply",
     "StoreService",

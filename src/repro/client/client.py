@@ -1,19 +1,20 @@
 """Real TCP store clients: dial a node socket, pipeline requests.
 
-:class:`AsyncStoreClient` is the asyncio-native client: one TCP
-connection to one serving node, the standard ``hello``/``welcome``
-codec negotiation (same as :func:`repro.obs.watch.fetch_snapshot`),
-then pipelined ``CLI_KIND`` frames with replies matched to in-flight
-requests by ``req_id``.  Pipelining matters: put replies are deferred
-server-side until quorum commit, so one connection can carry many
-outstanding operations — the open-loop load generator depends on that.
+:class:`AsyncStoreClient` is the asyncio-native client: one
+:class:`~repro.realnet.transport.SideConn` to one serving node, plus
+what the store protocol adds to it — pipelined ``cli`` frames with
+replies matched to in-flight requests by ``req_id``.  Pipelining
+matters: put replies are deferred server-side until quorum commit, so
+one connection can carry many outstanding operations — the open-loop
+load generator depends on that.
 
 :meth:`AsyncStoreClient.call` also implements the client half of the
 retry contract: on ``retry`` it backs off and resubmits *the same*
 ``(client, client_seq)`` (the store's exactly-once index collapses
 duplicates of writes that actually landed), on ``not_leader`` it
-redials the named site, and on connection loss it redials and
-resubmits — an acked write is therefore acked exactly once, whatever
+redials the named site, and on connection loss — a dial nobody
+welcomes and a garbled reply included — it redials the next site and
+resubmits: an acked write is therefore acked exactly once, whatever
 views did in between.
 
 :class:`DriverStoreClient` is the blocking facade over a
@@ -27,20 +28,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Mapping
 
-from repro.client.protocol import (
-    ClientReply,
-    ClientRequest,
-    client_request_frame,
-    parse_client_reply,
-)
-from repro.errors import CodecError
-from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
-from repro.realnet.codec_bin import (
-    FORMAT_JSON,
-    WIRE_FORMATS,
-    schema_fingerprint,
-    supported_formats,
-)
+from repro.client.protocol import ClientReply, ClientRequest
+from repro.realnet.transport import CONN_LOST, SideConn
 
 #: Wall seconds between resubmissions of a retried operation.
 RETRY_DELAY = 0.2
@@ -50,12 +39,6 @@ MAX_ATTEMPTS = 25
 
 #: Wall seconds to await one reply before treating the attempt as lost.
 REPLY_TIMEOUT = 10.0
-
-
-async def _read_raw_frame(reader: asyncio.StreamReader) -> bytes:
-    prefix = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(prefix)
-    return await reader.readexactly(length)
 
 
 class AsyncStoreClient:
@@ -95,9 +78,7 @@ class AsyncStoreClient:
         self.last_token: tuple | None = None
         self._seq = 0
         self._req = 0
-        self._fmt: Any = None
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._conn: SideConn | None = None
         self._read_task: asyncio.Task | None = None
         self._inflight: dict[int, asyncio.Future] = {}
         self._connected_site: int | None = None
@@ -108,42 +89,21 @@ class AsyncStoreClient:
         """Dial ``site`` (default: the configured one) and negotiate."""
         await self.close()
         dial = self.site if site is None else site
-        host, port = self.addresses[dial]
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(
-            encode_frame(
-                {
-                    "k": "hello",
-                    "src": [-1, 0],  # not a site: an external client
-                    "codecs": list(supported_formats(self.codec)),
-                    "schema": schema_fingerprint(),
-                }
-            )
-        )
-        await writer.drain()
-        welcome = decode_frame_body(await _read_raw_frame(reader))
-        name = welcome.get("codec") if welcome.get("k") == "welcome" else None
-        self._fmt = WIRE_FORMATS[name if name in WIRE_FORMATS else FORMAT_JSON]
-        self._reader, self._writer = reader, writer
+        self._conn = await SideConn.open(*self.addresses[dial], self.codec)
         self._connected_site = dial
-        self._read_task = asyncio.ensure_future(self._read_loop(reader))
+        self._read_task = asyncio.ensure_future(self._read_loop(self._conn))
 
     async def close(self) -> None:
-        task, writer = self._read_task, self._writer
-        self._read_task = self._reader = self._writer = None
-        self._connected_site = None
+        task, conn = self._read_task, self._conn
+        self._read_task = self._conn = self._connected_site = None
         if task is not None:
             task.cancel()
             try:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+        if conn is not None:
+            await conn.close()
         self._fail_inflight(ConnectionResetError("connection closed"))
 
     def _fail_inflight(self, exc: Exception) -> None:
@@ -152,36 +112,37 @@ class AsyncStoreClient:
             if not future.done():
                 future.set_exception(exc)
 
-    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+    async def _read_loop(self, conn: SideConn) -> None:
         try:
             while True:
-                reply = parse_client_reply(self._fmt, await _read_raw_frame(reader))
-                if reply is None:
-                    continue  # another layer's frame on a shared socket
+                reply = await conn.recv("cli")
                 future = self._inflight.pop(reply.req_id, None)
                 if future is not None and not future.done():
                     future.set_result(reply)
-        except asyncio.CancelledError:
-            raise
-        except (OSError, EOFError, asyncio.IncompleteReadError, CodecError) as exc:
+        except CONN_LOST as exc:
+            # Nobody reads this socket any more: it is lost, whatever
+            # state the peer thinks it is in.
+            if self._conn is conn:
+                self._conn = self._connected_site = None
             self._fail_inflight(exc)
+            await conn.close()
 
     # -- one attempt ---------------------------------------------------
 
     async def request(self, request: ClientRequest) -> ClientReply:
         """Send one request on the live connection, await its reply."""
-        if self._writer is None:
+        conn = self._conn
+        if conn is None:
             raise ConnectionResetError("not connected")
         future: asyncio.Future = asyncio.get_event_loop().create_future()
         self._inflight[request.req_id] = future
         try:
-            self._writer.write(client_request_frame(self._fmt, request))
-            await self._writer.drain()
+            await conn.send("cli", request)
             return await asyncio.wait_for(future, timeout=self.reply_timeout)
         finally:
             self._inflight.pop(request.req_id, None)
             if future.done() and not future.cancelled():
-                # A drain that raised leaves the parked future behind for
+                # A send that raised leaves the parked future behind for
                 # close() to fail; consume the exception so an abandoned
                 # reply never logs "exception was never retrieved".
                 future.exception()
@@ -239,15 +200,15 @@ class AsyncStoreClient:
                     ryw=request.ryw,
                 )
             try:
-                if self._writer is None or (
+                if self._conn is None or (
                     dial is not None and dial != self._connected_site
                 ):
                     await self.connect(dial)
                 reply = await self.request(request)
-            except (OSError, EOFError, asyncio.TimeoutError, ConnectionError):
-                # Dead or wedged connection: redial somewhere and retry
-                # the same client_seq — never double-acked, thanks to
-                # the store's exactly-once index.
+            except CONN_LOST:
+                # Dead, wedged or garbling connection: redial somewhere
+                # and retry the same client_seq — never double-acked,
+                # thanks to the store's exactly-once index.
                 await self.close()
                 dial = self._fallback_site(dial)
                 continue
@@ -257,7 +218,6 @@ class AsyncStoreClient:
             if reply.status == "not_leader":
                 if reply.leader_site >= 0 and reply.leader_site in self.addresses:
                     dial = reply.leader_site
-                    continue
                 continue
             if op == "put" and reply.status == "ok":
                 self.last_token = reply.prov

@@ -1,20 +1,14 @@
-"""Client wire vocabulary: ``CLI_KIND`` frames on the node socket.
+"""Client wire vocabulary: what a ``cli`` side frame carries.
 
 External clients talk to a serving node over the node's *normal*
-listening socket, reusing the transport's ``hello``/``welcome``
-negotiation — the client protocol works over both wire codecs with no
-extra port and no extra configuration, exactly like the obs snapshot
-service (:mod:`repro.obs.watch`):
+listening socket; the framing, the handshake and the kind table are the
+side channel's (docs/protocol.md §7).  This module owns the two payload
+dataclasses and what their fields mean.
 
-* JSON: request ``{"k": "cli_req", "p": <tagged ClientRequest>}``,
-  reply ``{"k": "cli_rep", "p": <tagged ClientReply>}``.
-* bin1: a body opening with the frame-kind byte :data:`CLI_KIND`
-  (``0x04``) followed by the bin1-encoded dataclass.
-
-Unlike obs polls, replies are **asynchronous**: a put is answered only
-once a quorum of the current view applied it, so the server keeps the
-connection's ``send`` callback and replies when the store commits.
-``req_id`` matches replies to pipelined requests on one connection.
+Replies are **asynchronous**: a put is answered only once a quorum of
+the current view applied it, so the server keeps the connection's
+``reply`` function and answers when the store commits.  ``req_id``
+matches replies to pipelined requests on one connection.
 
 Reply statuses and the client's obligations:
 
@@ -42,10 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import CodecError
-
 __all__ = [
-    "CLI_KIND",
     "ClientRequest",
     "ClientReply",
     "client_request_frame",
@@ -53,9 +44,6 @@ __all__ = [
     "parse_client_request",
     "parse_client_reply",
 ]
-
-#: Frame-kind byte for bin1 client frames (msg 0x01, obs 0x02, ctl 0x03).
-CLI_KIND = 0x04
 
 #: The operations a request may name.
 OPS = ("put", "get", "history", "ping")
@@ -101,77 +89,32 @@ class ClientReply:
     trace: Any = None
 
 
-# -- frame builders / parsers (both codecs) --------------------------------
+# -- frames ---------------------------------------------------------------
 #
-# codec_bin imports are deferred to call time: the shared payload
-# registry in repro.realnet.codec registers these dataclasses at its own
-# import, and a module-level import here would cycle through the
-# partially-initialised codec_bin when codec_bin is imported first.
+# The ``cli`` row of the side-frame table, spelled per direction; ``fmt``
+# is a connection's negotiated wire format.
 
 
 def client_request_frame(fmt: Any, request: ClientRequest) -> bytes:
     """One framed client request in the connection's negotiated format."""
-    from repro.realnet.codec import _LEN, encode_frame, encode_value
-    from repro.realnet.codec_bin import encode_value_bin
-
-    if fmt.binary:
-        body = bytes([CLI_KIND]) + encode_value_bin(request)
-        return _LEN.pack(len(body)) + body
-    return encode_frame({"k": "cli_req", "p": encode_value(request)})
+    return fmt.frame_side("cli", request)
 
 
 def client_reply_frame(fmt: Any, reply: ClientReply) -> bytes:
     """One framed client reply in the connection's negotiated format."""
-    from repro.realnet.codec import _LEN, encode_frame, encode_value
-    from repro.realnet.codec_bin import encode_value_bin
+    return fmt.frame_side("cli", reply, True)
 
-    if fmt.binary:
-        body = bytes([CLI_KIND]) + encode_value_bin(reply)
-        return _LEN.pack(len(body)) + body
-    return encode_frame({"k": "cli_rep", "p": encode_value(reply)})
+
+def _cli_value(parsed: tuple[str, Any] | None) -> Any:
+    return parsed[1] if parsed is not None and parsed[0] == "cli" else None
 
 
 def parse_client_request(fmt: Any, body: bytes) -> ClientRequest | None:
-    """Decode a non-``msg`` frame body as a client request, or None.
-
-    None means "not a client frame" (some other control kind); a frame
-    that *is* a client frame but carries garbage raises
-    :class:`CodecError` like every other malformed body.
-    """
-    from repro.realnet.codec import decode_frame_body, decode_value
-    from repro.realnet.codec_bin import decode_value_bin
-
-    if fmt.binary:
-        if not body or body[0] != CLI_KIND:
-            return None
-        value = decode_value_bin(body[1:])
-    else:
-        try:
-            frame = decode_frame_body(body)
-        except CodecError:
-            return None  # not even JSON: some other layer's bytes
-        if frame.get("k") != "cli_req":
-            return None
-        value = decode_value(frame.get("p"))
-    if not isinstance(value, ClientRequest):
-        raise CodecError(f"client request frame carried {type(value).__name__}")
-    return value
+    """The request in one frame body; None for a frame of another kind,
+    :class:`~repro.errors.CodecError` for a garbled one."""
+    return _cli_value(fmt.parse_side(body, 0, len(body)))
 
 
 def parse_client_reply(fmt: Any, body: bytes) -> ClientReply | None:
-    """Decode one frame body as a client reply, or None for other kinds."""
-    from repro.realnet.codec import decode_frame_body, decode_value
-    from repro.realnet.codec_bin import decode_value_bin
-
-    if fmt.binary:
-        if not body or body[0] != CLI_KIND:
-            return None
-        value = decode_value_bin(body[1:])
-    else:
-        frame = decode_frame_body(body)
-        if frame.get("k") != "cli_rep":
-            return None
-        value = decode_value(frame.get("p"))
-    if not isinstance(value, ClientReply):
-        raise CodecError(f"client reply frame carried {type(value).__name__}")
-    return value
+    """The reply in one frame body; None for a frame of another kind."""
+    return _cli_value(fmt.parse_side(body, 0, len(body), True))

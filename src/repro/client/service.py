@@ -7,10 +7,10 @@ versioned_store.VersionedStore`.  The core router
 every :class:`~repro.client.protocol.ClientReply` to a callback, which
 is what makes replies *asynchronous*: a put's reply fires from the
 store's quorum-commit callback, not from the request dispatch.  The
-sim client port calls the router directly; on realnet
-:meth:`handle_control` adapts it to the transport's control hook,
-parsing ``CLI_KIND`` frames and writing framed replies back through
-the connection's ``send`` callback.
+sim client port calls the router directly; on realnet the node
+registers :meth:`handle_control` as its ``cli`` side-frame handler
+(docs/protocol.md §7), so it gets decoded requests and the connection's
+``reply`` function.
 
 Retry-on-view-change is the client's half of the contract: the service
 never blocks an operation across a view change — it answers ``retry``
@@ -30,14 +30,7 @@ from repro.apps.versioned_store import (
     prov_from_tuple,
     prov_tuple,
 )
-from repro.client.protocol import (
-    OPS,
-    ClientReply,
-    ClientRequest,
-    client_reply_frame,
-    parse_client_request,
-)
-from repro.errors import CodecError
+from repro.client.protocol import OPS, ClientReply, ClientRequest
 
 ReplyCb = Callable[[ClientReply], None]
 
@@ -174,36 +167,19 @@ class StoreService:
         )
 
     # ------------------------------------------------------------------
-    # Realnet adapter: the transport's client-frame hook
+    # Realnet adapter: the node's ``cli`` side-frame handler
     # ------------------------------------------------------------------
 
-    def handle_control(
-        self, fmt: Any, body: bytes, send: Callable[[bytes], None]
-    ) -> bytes | None:
-        """Serve one ``CLI_KIND`` frame; None for other control kinds.
+    def handle_control(self, request: ClientRequest, reply: ReplyCb) -> None:
+        """Serve one ``cli`` frame, once per frame.
 
-        Replies (including deferred put acks) travel through ``send`` on
-        the originating connection, so the synchronous return is always
-        None for frames this layer owns.
+        Every reply (deferred put acks included) travels through
+        ``reply`` on the originating connection.  An op outside
+        :data:`OPS` is refused here so it never becomes a metric label.
         """
-        try:
-            request = parse_client_request(fmt, body)
-        except CodecError:
-            # A recognisable client frame with a garbled payload: tell
-            # the peer rather than leaving its request hanging.
-            send(client_reply_frame(fmt, ClientReply(-1, "error", value="bad request")))
-            return None
-        if request is None:
-            return None
         if request.op not in OPS:
-            send(
-                client_reply_frame(
-                    fmt,
-                    ClientReply(request.req_id, "error", value=f"unknown op {request.op!r}"),
-                )
+            reply(
+                ClientReply(request.req_id, "error", value=f"unknown op {request.op!r}")
             )
-            return None
-        self.handle_request(
-            request, lambda reply: send(client_reply_frame(fmt, reply))
-        )
-        return None
+        else:
+            self.handle_request(request, reply)

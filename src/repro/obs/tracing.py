@@ -9,7 +9,7 @@ instrumented interval emits one :class:`SpanEvent` into a per-node
 bounded :class:`FlightRecorder`.  The recorder is the black box of the
 chaos-soak roadmap item: a byte-budgeted ring that always holds the
 most recent causal history and dumps to disk when a checker trips, or
-on demand over the 0x02 obs frame.
+on demand over the ``obs`` frame kind.
 
 Determinism: span identifiers come from a per-tracer counter salted
 with the node's site, never from randomness or wall time, so a seeded
@@ -95,7 +95,7 @@ class SpanEvent:
 
 @dataclass(frozen=True)
 class TraceDump:
-    """One node's flight-recorder contents, as shipped over 0x02."""
+    """One node's flight-recorder contents, as shipped in ``obs`` replies."""
 
     node: str
     runtime: str

@@ -1,33 +1,18 @@
 """Live metrics console: poll snapshots from running realnet nodes.
 
-``repro obs watch`` dials each node's normal listening socket, performs
-the standard ``hello``/``welcome`` negotiation (so it works against
-JSON-only and binary nodes alike), then sends one **obs request** frame
-and reads back one **obs reply** carrying a
-:class:`~repro.obs.snapshot.MetricsSnapshot` in the negotiated format:
+``repro obs watch`` dials each node's normal listening socket as a side
+connection (docs/protocol.md §7) and makes one ``obs`` round trip: the
+request names what it wants — ``"snapshot"`` for the node's
+:class:`~repro.obs.snapshot.MetricsSnapshot`, ``"trace"`` for its
+flight recorder as a :class:`~repro.obs.tracing.TraceDump` (``repro obs
+trace``) — and the reply carries it.  Nodes without tracing simply
+don't answer a trace pull, and the client times out and reports the
+node as traceless.
 
-* JSON: request ``{"k": "obs_req"}``, reply ``{"k": "obs_snap", "p":
-  <tagged snapshot>}``.
-* bin1: a body opening with the frame-kind byte :data:`OBS_KIND`
-  (``0x02``); the reply carries the bin1-encoded snapshot after the
-  kind byte.
-
-The same frame kind also serves **flight-recorder pulls** (``repro obs
-trace``): a request with the trace discriminator — JSON ``{"k":
-"obs_req", "what": "trace"}``, bin1 body ``[OBS_KIND, OBS_TRACE]`` —
-is answered with the node's :class:`~repro.obs.tracing.TraceDump`
-(JSON ``{"k": "obs_trace", "p": ...}``; bin1 ``[OBS_KIND, OBS_TRACE]``
-+ encoded dump).  Nodes without tracing simply don't answer, and the
-client times out and reports the node as traceless.
-
-On the node, :class:`~repro.realnet.transport.FrameServer` hands any
-non-``msg`` frame to its ``on_control`` hook, which
-:func:`handle_obs_control` serves — protocol traffic and observability
-share one socket, one negotiation, and one codec registry.
-
-A node whose socket is down (or dies mid-read) is *skipped* for the
-poll, never fatal: :func:`fetch_snapshots` yields ``None`` for it and
-reports the skip through ``on_skip``, which :func:`watch` counts in its
+A node whose socket is down (or dies mid-read, or accepts and never
+answers the hello) is *skipped* for the poll, never fatal:
+:func:`fetch_snapshots` yields ``None`` for it and reports the skip
+through ``on_skip``, which :func:`watch` counts in its
 ``watch_nodes_skipped_total`` gauge — the loop keeps polling and picks
 the node back up when it returns.
 """
@@ -40,21 +25,10 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import CodecError
 from repro.obs.snapshot import MetricsSnapshot, merge_snapshots
-from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
-from repro.realnet.codec import decode_value, encode_value
-from repro.realnet.codec_bin import (
-    FORMAT_JSON,
-    WIRE_FORMATS,
-    decode_value_bin,
-    encode_value_bin,
-    schema_fingerprint,
-    supported_formats,
-)
+from repro.obs.tracing import TraceDump
+from repro.realnet.transport import CONN_LOST, SideConn
 
 __all__ = [
-    "OBS_KIND",
-    "OBS_TRACE",
-    "handle_obs_control",
     "fetch_snapshot",
     "fetch_snapshots",
     "fetch_trace",
@@ -63,185 +37,29 @@ __all__ = [
     "watch",
 ]
 
-#: Frame-kind byte for bin1 observability frames (``msg`` is 0x01).
-OBS_KIND = 0x02
-
-#: Sub-kind byte selecting a flight-recorder pull over 0x02.
-OBS_TRACE = 0x01
-
 _REQUEST_TIMEOUT = 5.0
-
-
-# -- frame builders / parsers (both codecs) --------------------------------
-
-
-def obs_request_body(fmt: Any, what: str = "snapshot") -> bytes:
-    if fmt.binary:
-        if what == "trace":
-            return bytes([OBS_KIND, OBS_TRACE])
-        return bytes([OBS_KIND])
-    import json
-
-    frame: dict[str, Any] = {"k": "obs_req"}
-    if what != "snapshot":
-        frame["what"] = what
-    return json.dumps(frame).encode("utf-8")
-
-
-def obs_reply_frame(fmt: Any, snapshot: MetricsSnapshot) -> bytes:
-    """One framed obs reply in the connection's negotiated format."""
-    if fmt.binary:
-        body = bytes([OBS_KIND]) + encode_value_bin(snapshot)
-        return _LEN.pack(len(body)) + body
-    return encode_frame({"k": "obs_snap", "p": encode_value(snapshot)})
-
-
-def obs_trace_reply_frame(fmt: Any, dump: Any) -> bytes:
-    """One framed flight-recorder reply (a TraceDump) in ``fmt``."""
-    if fmt.binary:
-        body = bytes([OBS_KIND, OBS_TRACE]) + encode_value_bin(dump)
-        return _LEN.pack(len(body)) + body
-    return encode_frame({"k": "obs_trace", "p": encode_value(dump)})
-
-
-def parse_obs_request_kind(fmt: Any, body: bytes) -> str | None:
-    """``"snapshot"`` / ``"trace"`` if this body is an obs request."""
-    if fmt.binary:
-        if not body or body[0] != OBS_KIND or len(body) > 2:
-            return None
-        if len(body) == 1:
-            return "snapshot"
-        return "trace" if body[1] == OBS_TRACE else None
-    try:
-        frame = decode_frame_body(body)
-    except CodecError:
-        return None
-    if frame.get("k") != "obs_req":
-        return None
-    what = frame.get("what", "snapshot")
-    return what if what in ("snapshot", "trace") else None
-
-
-def parse_obs_request(fmt: Any, body: bytes) -> bool:
-    """Is this non-``msg`` frame body an obs *snapshot* request?"""
-    return parse_obs_request_kind(fmt, body) == "snapshot"
-
-
-def parse_obs_reply(fmt: Any, body: bytes) -> MetricsSnapshot | None:
-    if fmt.binary:
-        if not body or body[0] != OBS_KIND:
-            return None
-        value = decode_value_bin(body[1:])
-    else:
-        frame = decode_frame_body(body)
-        if frame.get("k") != "obs_snap":
-            return None
-        value = decode_value(frame.get("p"))
-    if not isinstance(value, MetricsSnapshot):
-        raise CodecError(f"obs reply carried {type(value).__name__}")
-    return value
-
-
-def parse_obs_trace_reply(fmt: Any, body: bytes) -> Any | None:
-    """The TraceDump if this body is a flight-recorder reply."""
-    from repro.obs.tracing import TraceDump
-
-    if fmt.binary:
-        if len(body) < 2 or body[0] != OBS_KIND or body[1] != OBS_TRACE:
-            return None
-        value = decode_value_bin(body[2:])
-    else:
-        frame = decode_frame_body(body)
-        if frame.get("k") != "obs_trace":
-            return None
-        value = decode_value(frame.get("p"))
-    if not isinstance(value, TraceDump):
-        raise CodecError(f"obs trace reply carried {type(value).__name__}")
-    return value
-
-
-def handle_obs_control(
-    fmt: Any,
-    body: bytes,
-    provider: Callable[[], MetricsSnapshot] | None,
-    trace_provider: Callable[[], Any] | None = None,
-) -> bytes | None:
-    """Server-side hook: answer obs requests, ignore everything else.
-
-    Wired into :class:`~repro.realnet.transport.FrameServer` as its
-    ``on_control`` callback.  Returns the framed reply to write back,
-    or None for frames this layer does not understand (including trace
-    requests on nodes without tracing — the client times out rather
-    than the node guessing at an answer).
-    """
-    kind = parse_obs_request_kind(fmt, body)
-    if kind == "snapshot" and provider is not None:
-        return obs_reply_frame(fmt, provider())
-    if kind == "trace" and trace_provider is not None:
-        return obs_trace_reply_frame(fmt, trace_provider())
-    return None
 
 
 # -- the polling client ----------------------------------------------------
 
 
-async def _read_raw_frame(reader: asyncio.StreamReader) -> bytes:
-    prefix = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(prefix)
-    return await reader.readexactly(length)
-
-
-async def _negotiate(
-    host: str, port: int, codec: str
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter, Any]:
-    """Dial one node and run the hello/welcome codec negotiation."""
-    reader, writer = await asyncio.open_connection(host, port)
-    writer.write(
-        encode_frame(
-            {
-                "k": "hello",
-                "src": [-1, 0],  # not a site: an observer
-                "codecs": list(supported_formats(codec)),
-                "schema": schema_fingerprint(),
-            }
-        )
-    )
-    await writer.drain()
-    welcome = decode_frame_body(await _read_raw_frame(reader))
-    name = welcome.get("codec") if welcome.get("k") == "welcome" else None
-    fmt = WIRE_FORMATS[name if name in WIRE_FORMATS else FORMAT_JSON]
-    return reader, writer, fmt
-
-
 async def _fetch_obs(
-    host: str,
-    port: int,
-    *,
-    what: str,
-    parse: Callable[[Any, bytes], Any],
-    codec: str,
-    timeout: float,
+    host: str, port: int, what: str, expect: type, codec: str, timeout: float
 ) -> Any:
-    """One negotiated obs request/reply round trip."""
+    """One negotiated obs round trip for ``what``, an ``expect``."""
 
     async def _go() -> Any:
-        reader, writer, fmt = await _negotiate(host, port, codec)
+        conn = await SideConn.open(host, port, codec)
         try:
-            body = obs_request_body(fmt, what)
-            writer.write(_LEN.pack(len(body)) + body)
-            await writer.drain()
-            while True:
-                reply = parse(fmt, await _read_raw_frame(reader))
-                if reply is not None:
-                    return reply
+            await conn.send("obs", what)
+            return await conn.recv("obs")
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+            await conn.close()
 
-    return await asyncio.wait_for(_go(), timeout=timeout)
+    value = await asyncio.wait_for(_go(), timeout=timeout)
+    if not isinstance(value, expect):
+        raise CodecError(f"obs {what} reply carried {type(value).__name__}")
+    return value
 
 
 async def fetch_snapshot(
@@ -252,10 +70,7 @@ async def fetch_snapshot(
     timeout: float = _REQUEST_TIMEOUT,
 ) -> MetricsSnapshot:
     """Dial one node, negotiate, request and return its snapshot."""
-    return await _fetch_obs(
-        host, port, what="snapshot", parse=parse_obs_reply,
-        codec=codec, timeout=timeout,
-    )
+    return await _fetch_obs(host, port, "snapshot", MetricsSnapshot, codec, timeout)
 
 
 async def fetch_trace(
@@ -264,29 +79,12 @@ async def fetch_trace(
     *,
     codec: str = "bin",
     timeout: float = _REQUEST_TIMEOUT,
-) -> Any:
-    """Pull one node's flight recorder (a TraceDump) over 0x02.
+) -> TraceDump:
+    """Pull one node's flight recorder (a TraceDump).
 
     Times out (the node never answers) when the node has no tracer.
     """
-    return await _fetch_obs(
-        host, port, what="trace", parse=parse_obs_trace_reply,
-        codec=codec, timeout=timeout,
-    )
-
-
-#: Errors that mean "this node is down / mid-restart", not "the poll is
-#: broken": every per-node fetch swallows these and yields None so one
-#: dead socket can never abort a whole poll round.  IncompleteReadError
-#: (a node dying mid-read) is an EOFError, *not* an OSError — its
-#: absence here once aborted `repro obs watch` loops on node crashes.
-_SKIP_ERRORS = (
-    OSError,
-    EOFError,
-    CodecError,
-    asyncio.TimeoutError,
-    ConnectionError,
-)
+    return await _fetch_obs(host, port, "trace", TraceDump, codec, timeout)
 
 
 async def fetch_snapshots(
@@ -306,7 +104,7 @@ async def fetch_snapshots(
     async def _one(host: str, port: int) -> MetricsSnapshot | None:
         try:
             return await fetch_snapshot(host, port, codec=codec, timeout=timeout)
-        except _SKIP_ERRORS:
+        except CONN_LOST:
             if on_skip is not None:
                 on_skip()
             return None
@@ -327,7 +125,7 @@ async def fetch_traces(
     async def _one(host: str, port: int) -> Any:
         try:
             return await fetch_trace(host, port, codec=codec, timeout=timeout)
-        except _SKIP_ERRORS:
+        except CONN_LOST:
             return None
 
     return list(

@@ -187,29 +187,17 @@ def decode_frame_body(body: bytes) -> dict[str, Any]:
     return frame
 
 
-async def read_frame(reader: Any) -> dict[str, Any] | None:
-    """Read one frame from an :class:`asyncio.StreamReader`.
+async def read_body(reader: Any) -> bytes:
+    """Read one frame body from an :class:`asyncio.StreamReader`.
 
-    Returns None on clean EOF at a frame boundary; raises
-    :class:`CodecError` on an oversized length prefix and lets socket
-    errors propagate to the caller's reconnect logic.
+    Raises :class:`CodecError` on an oversized length prefix and lets
+    EOF (:class:`asyncio.IncompleteReadError`) and socket errors
+    propagate to the caller's reconnect logic.
     """
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise CodecError("connection closed mid-length-prefix") from None
-    (length,) = _LEN.unpack(prefix)
+    (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
     if length > MAX_FRAME_BYTES:
         raise CodecError(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise CodecError("connection closed mid-frame") from None
-    return decode_frame_body(body)
+    return await reader.readexactly(length)
 
 
 # -- registry population --------------------------------------------------
@@ -279,7 +267,7 @@ def _register_harness_payloads() -> None:
 
 
 def _register_obs_payloads() -> None:
-    """Metric-snapshot and tracing payloads for the 0x02 obs frames:
+    """Metric-snapshot and tracing payloads for the ``obs`` side frames:
     registered with both wire codecs so a watch/trace client can poll
     mixed-codec clusters, and so :class:`~repro.obs.tracing.TraceCtx`
     can ride inside any protocol payload."""

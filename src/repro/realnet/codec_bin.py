@@ -33,8 +33,10 @@ This module provides the binary alternative, ``bin1``:
   upgrades nothing unless both ends prove they share a schema.
 
 Both formats are wrapped in :class:`WireFormat` objects with a common
-surface (``encode_payload`` / ``frame_msg`` / ``parse_msg``) so the
-transport treats the codec as per-connection state.  Framing on the
+surface (``encode_payload`` / ``frame_msg`` / ``parse_msg`` for protocol
+messages, ``frame_side`` / ``parse_side`` for everything else on the
+socket, see :data:`SIDE_KINDS`) so the transport — and every client of
+a node socket — treats the codec as per-connection state.  Framing on the
 socket is unchanged — 4-byte big-endian length + body, capped at
 :data:`~repro.realnet.codec.MAX_FRAME_BYTES` — only the body bytes
 differ.  See docs/protocol.md §7.
@@ -46,7 +48,7 @@ import hashlib
 import struct
 from dataclasses import fields
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import CodecError
 from repro.realnet import codec as _json_codec
@@ -77,9 +79,51 @@ _SMALL_INT = 0x80
 
 _F64 = struct.Struct(">d")
 
-#: Frame-kind byte opening every binary body.  Unknown kinds are
-#: ignored (future compatibility), mirroring the JSON server loop.
+#: Frame-kind byte opening a binary ``msg`` body (the side kinds'
+#: bytes are in :data:`SIDE_KINDS`).  Unknown kinds are ignored (future
+#: compatibility), mirroring the JSON server loop.
 MSG_KIND = 0x01
+
+
+class SideKind(NamedTuple):
+    """One row of the side-frame table: how a kind looks on the wire."""
+
+    byte: int  # bin1 frame-kind byte (requests and replies alike)
+    request: str  # JSON "k" of a request
+    reply: str  # JSON "k" of a reply
+    request_types: tuple[str, ...]  # payload type names a request may carry
+    reply_types: tuple[str, ...]
+
+
+#: Every frame kind on a node socket other than ``msg``, by name: a side
+#: frame is its kind plus ONE value in the connection's format (bin1
+#: ``byte . value``, JSON ``{"k": name, "p": tagged value}``), sent by
+#: an outside dialer and answered with frames of the same kind.  Payload
+#: types are named, not imported: the decoders only build builtins and
+#: registered classes, whose names are unique.  docs/protocol.md §7.
+SIDE_KINDS: dict[str, SideKind] = {
+    "obs": SideKind(0x02, "obs_req", "obs_rep", ("str",), ("MetricsSnapshot", "TraceDump")),
+    "ctl": SideKind(0x03, "ctl", "ctl_r", ("tuple",), ("tuple",)),
+    "cli": SideKind(0x04, "cli_req", "cli_rep", ("ClientRequest",), ("ClientReply",)),
+}
+
+_SIDE_BY_BYTE = {row.byte: kind for kind, row in SIDE_KINDS.items()}
+#: Indexed by ``reply``: JSON frame name -> kind.
+_SIDE_BY_JSON = (
+    {row.request: kind for kind, row in SIDE_KINDS.items()},
+    {row.reply: kind for kind, row in SIDE_KINDS.items()},
+)
+
+
+def _side(kind: str, value: Any, reply: bool) -> tuple[str, Any]:
+    """A decoded side frame, once its payload type fits its kind."""
+    row = SIDE_KINDS[kind]
+    if type(value).__name__ not in (row.reply_types if reply else row.request_types):
+        raise CodecError(
+            f"{kind} {'reply' if reply else 'request'} frame carried "
+            f"{type(value).__name__}"
+        )
+    return kind, value
 
 
 # -- class table ----------------------------------------------------------
@@ -571,6 +615,27 @@ class JsonWireFormat:
             lambda: _json_codec.decode_value(frame.get("p")),
         )
 
+    def frame_side(self, kind: str, value: Any, reply: bool = False) -> bytes:
+        """One framed side request (or reply) of ``kind`` carrying ``value``."""
+        row = SIDE_KINDS[kind]
+        return _json_codec.encode_frame(
+            {
+                "k": row.reply if reply else row.request,
+                "p": _json_codec.encode_value(value),
+            }
+        )
+
+    def parse_side(
+        self, buf: bytes | bytearray, start: int, end: int, reply: bool = False
+    ) -> tuple[str, Any] | None:
+        """``(kind, value)`` of the side request (or reply) occupying
+        ``buf[start:end]``; None for a ``msg`` or unknown frame kind."""
+        frame = _json_codec.decode_frame_body(bytes(buf[start:end]))
+        kind = _SIDE_BY_JSON[reply].get(frame.get("k"))
+        if kind is None:
+            return None
+        return _side(kind, _json_codec.decode_value(frame.get("p")), reply)
+
 
 class BinWireFormat:
     """``bin1``: positional binary bodies behind the same surface.
@@ -706,6 +771,37 @@ class BinWireFormat:
             return value
 
         return ParsedMsg(src_site, src_inc, dst_site, dst_inc, thunk)
+
+    def frame_side(self, kind: str, value: Any, reply: bool = False) -> bytes:
+        """One framed side frame; the kind byte is the same both ways
+        (``reply`` only matters to the JSON format's frame names)."""
+        packer_table()
+        out = bytearray((0, 0, 0, 0, SIDE_KINDS[kind].byte))
+        _enc(out, value)
+        length = len(out) - 4
+        if length > MAX_FRAME_BYTES:
+            raise CodecError(f"frame of {length} bytes exceeds cap {MAX_FRAME_BYTES}")
+        _LEN.pack_into(out, 0, length)
+        return bytes(out)
+
+    def parse_side(
+        self, buf: bytes | bytearray, start: int, end: int, reply: bool = False
+    ) -> tuple[str, Any] | None:
+        """``(kind, value)`` of the side frame occupying ``buf[start:end]``,
+        decoded in place; None for a ``msg`` or unknown kind byte.
+        ``reply`` selects which payload type the kind must carry."""
+        if start >= end:
+            raise CodecError("truncated binary frame")
+        kind = _SIDE_BY_BYTE.get(buf[start])
+        if kind is None:
+            return None
+        try:
+            value, stop = _dec_at(buf, start + 1, class_table().by_id)
+        except (IndexError, struct.error):
+            raise CodecError("truncated binary frame") from None
+        if stop != end:
+            raise CodecError(f"{kind} frame payload ends {stop - end:+d} bytes off its frame")
+        return _side(kind, value, reply)
 
 
 JSON_FORMAT = JsonWireFormat()

@@ -99,23 +99,13 @@ class RealNetwork:
         self._proc: ProcessPort | None = None
         self._server: FrameServer | None = None
         self._links: dict[SiteId, PeerLink] = {}
-        #: Callable returning a MetricsSnapshot, set by the node when a
-        #: metrics registry exists; serves ``repro obs watch`` requests
-        #: arriving on the normal listening socket.
-        self.snapshot_provider: Any = None
-        #: Callable returning a TraceDump, set by the node when tracing
-        #: is on; serves flight-recorder pulls over the same obs frame
-        #: kind (see repro.obs.watch).
-        self.trace_provider: Any = None
-        #: Optional second-stage control hook ``(fmt, body) -> bytes |
-        #: None`` consulted after the obs handler: the supervised node's
-        #: lifecycle control protocol (see repro.realnet.procnode).
-        self.control_handler: Any = None
-        #: Optional third-stage control hook ``(fmt, body, send) ->
-        #: bytes | None`` serving external client requests; ``send``
-        #: writes framed replies back on the originating connection at
-        #: any later time (see repro.client.service.StoreService).
-        self.client_handler: Any = None
+        #: Side-frame handlers by kind (a row name of
+        #: :data:`~repro.realnet.codec_bin.SIDE_KINDS`), installed by
+        #: whoever serves that plane on this node: ``handler(value,
+        #: reply)`` gets the decoded request and answers — now or later,
+        #: any number of times — through ``reply(value)``.  A kind
+        #: nobody registered is ignored.
+        self.side_handlers: dict[str, Callable[[Any, Callable[[Any], None]], None]] = {}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -130,7 +120,7 @@ class RealNetwork:
         self._server = FrameServer(
             self.host, self._requested_port, self._on_msg,
             accept_formats=self._formats,
-            on_control=self._on_control,
+            on_side=self._on_side,
         )
         address = await self._server.start()
         self.address_book[self.site] = address
@@ -306,26 +296,11 @@ class RealNetwork:
         stats.delivered += 1
         proc.deliver_network(ProcessId(msg.src_site, msg.src_inc), payload)
 
-    def _on_control(
-        self, fmt: Any, body: bytes, send: Any = None
-    ) -> bytes | None:
-        """Serve non-``msg`` frames: obs snapshot polls, then the
-        node's control protocol, then the client service (when those
-        hooks are installed)."""
-        from repro.obs.watch import handle_obs_control
-
-        reply = handle_obs_control(
-            fmt, body, self.snapshot_provider, self.trace_provider
-        )
-        if reply is not None:
-            return reply
-        if self.control_handler is not None:
-            reply = self.control_handler(fmt, body)
-            if reply is not None:
-                return reply
-        if self.client_handler is not None and send is not None:
-            return self.client_handler(fmt, body, send)
-        return None
+    def _on_side(self, kind: str, value: Any, reply: Callable[[Any], None]) -> None:
+        """Hand one decoded side frame to the handler of its kind."""
+        handler = self.side_handlers.get(kind)
+        if handler is not None:
+            handler(value, reply)
 
     # -- introspection -------------------------------------------------
 

@@ -124,18 +124,21 @@ class RealNode:
             batch_bytes=config.batch_bytes,
             quiet=config.quiet,
         )
+        # What an ``obs`` request may ask this node for, by name.
+        self._obs_sources: dict[str, Callable[[], Any]] = {}
         if self.metrics is not None:
             registry = self.metrics
             # The source names the *registry*, not the node: co-located
             # nodes sharing one registry must answer with one source so
             # watch clients can tell shared from per-process registries.
             source = metrics_source or f"site{pid.site}"
-            self.network.snapshot_provider = lambda: registry.snapshot(source)
+            self._obs_sources["snapshot"] = lambda: registry.snapshot(source)
         # Flight recorder (may be shared across co-located nodes):
         # serves `repro obs trace` pulls on the same listening socket.
         self.flight = flight
         if flight is not None:
-            self.network.trace_provider = flight.dump
+            self._obs_sources["trace"] = flight.dump
+        self.network.side_handlers["obs"] = self._serve_obs
         self.app: GroupApplication | None = None
         self.stack: GroupStack | None = None
 
@@ -173,13 +176,21 @@ class RealNode:
         self._wire_client_service()
         return self.stack
 
+    def _serve_obs(self, what: str, reply: Callable[[Any], None]) -> None:
+        """Answer an ``obs`` request; one for something this node does
+        not keep (a trace pull without tracing) goes unanswered and the
+        poller times out rather than the node guessing at an answer."""
+        source = self._obs_sources.get(what)
+        if source is not None:
+            reply(source())
+
     def _wire_client_service(self) -> None:
         """Serve external clients when the app is a versioned store.
 
-        ``CLI_KIND`` frames on this node's normal listening socket are
-        routed into the store through a :class:`~repro.client.service.
-        StoreService`; nodes running other apps leave the hook unset and
-        such frames are logged and dropped by the transport.
+        ``cli`` frames on this node's normal listening socket are routed
+        into the store through a :class:`~repro.client.service.
+        StoreService`; nodes running other apps register no handler and
+        such frames are ignored.
         """
         from repro.apps.versioned_store import VersionedStore
 
@@ -188,7 +199,7 @@ class RealNode:
         from repro.client.service import StoreService
 
         service = StoreService(self.app, registry=self.metrics, obs=self.obs)
-        self.network.client_handler = service.handle_control
+        self.network.side_handlers["cli"] = service.handle_control
 
     async def stop(self) -> None:
         """Kill the stack (if running) and tear the transport down."""

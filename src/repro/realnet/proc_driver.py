@@ -21,9 +21,9 @@ in :mod:`repro.realnet.procnode`:
 * **observability** — ``gather_trace`` pulls every child's recorders as
   JSON-lines and shifts event times by the child<->parent wall-epoch
   difference onto one comparable time base before merging;
-  ``metrics_snapshot`` polls each child's obs frame kind (the same
-  service ``repro obs watch`` uses) and merges the per-process
-  registries.
+  ``metrics_snapshot`` polls each child's ``obs`` frame kind (the
+  same service ``repro obs watch`` uses) and merges the per-process
+  registries with the parent's own.
 
 A background poller refreshes a per-site status cache (~20 Hz), which
 backs the introspection surface: ``stacks`` holds one
@@ -60,21 +60,9 @@ from repro.net.topology import Topology
 from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import MetricsSnapshot, merge_snapshots
 from repro.obs.tracing import FlightRecorder, TraceDump
-from repro.obs.watch import (
-    _read_raw_frame,
-    obs_request_body,
-    parse_obs_reply,
-)
 from repro.realnet.cluster import WallClockCluster
-from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
-from repro.realnet.codec_bin import (
-    FORMAT_JSON,
-    WIRE_FORMATS,
-    schema_fingerprint,
-    supported_formats,
-)
 from repro.realnet.driver import ACTION_TIMEOUT
-from repro.realnet.procnode import ctl_request_frame, parse_ctl_reply
+from repro.realnet.transport import CONN_LOST, SideConn
 from repro.realnet.wallclock import WallClockScheduler
 from repro.runtime.core import (
     AppFactory,
@@ -86,8 +74,9 @@ from repro.trace.export import event_from_json
 from repro.trace.recorder import TraceRecorder
 from repro.types import ProcessId, SiteId
 
+
 class _CtlClient:
-    """One control connection to a supervised child, on the driver loop.
+    """One side connection to a supervised child, on the driver loop.
 
     Requests are serialized by a lock (the reply stream is FIFO per
     connection); a dropped connection is re-dialed once per request.
@@ -99,58 +88,26 @@ class _CtlClient:
         self._port = port
         self._codec = codec
         self._lock = asyncio.Lock()
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self.fmt: Any = None
+        self._conn: SideConn | None = None
 
     async def connect(self) -> None:
-        reader, writer = await asyncio.open_connection(self._host, self._port)
-        writer.write(
-            encode_frame(
-                {
-                    "k": "hello",
-                    "src": [-1, 0],  # not a site: a controller
-                    "codecs": list(supported_formats(self._codec)),
-                    "schema": schema_fingerprint(),
-                }
-            )
-        )
-        await writer.drain()
-        welcome = decode_frame_body(await _read_raw_frame(reader))
-        name = welcome.get("codec") if welcome.get("k") == "welcome" else None
-        self.fmt = WIRE_FORMATS[name if name in WIRE_FORMATS else FORMAT_JSON]
-        self._reader, self._writer = reader, writer
+        self._conn = await SideConn.open(self._host, self._port, self._codec)
 
     async def aclose(self) -> None:
-        writer, self._writer = self._writer, None
-        self._reader = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            await conn.close()
 
-    async def _exchange(
-        self,
-        make_frame: Callable[[Any], bytes],
-        parse: Callable[[Any, bytes], Any],
-    ) -> Any:
-        """Send one frame (built for the negotiated format) and return
-        the first reply ``parse`` accepts, skipping interleaved frames of
-        other kinds.  A dropped connection is re-dialed once."""
+    async def _exchange(self, kind: str, value: Any) -> Any:
+        """Send one ``kind`` request and return its reply's value."""
         for attempt in (0, 1):
             try:
-                if self._reader is None:
+                if self._conn is None:
                     await self.connect()
-                assert self._writer is not None and self._reader is not None
-                self._writer.write(make_frame(self.fmt))
-                await self._writer.drain()
-                while True:
-                    parsed = parse(self.fmt, await _read_raw_frame(self._reader))
-                    if parsed is not None:
-                        return parsed
-            except (OSError, ConnectionError, asyncio.IncompleteReadError):
+                assert self._conn is not None
+                await self._conn.send(kind, value)
+                return await self._conn.recv(kind)
+            except CONN_LOST:
                 await self.aclose()
                 if attempt:
                     raise
@@ -161,10 +118,7 @@ class _CtlClient:
         """One control round trip; a child-side failure raises here."""
         async with self._lock:
             ok, result = await asyncio.wait_for(
-                self._exchange(
-                    lambda fmt: ctl_request_frame(fmt, op, arg), parse_ctl_reply
-                ),
-                timeout,
+                self._exchange("ctl", (op, arg)), timeout
             )
         if not ok:
             raise SimulationError(
@@ -172,16 +126,11 @@ class _CtlClient:
             )
         return result
 
-    async def fetch_metrics(self) -> MetricsSnapshot | None:
+    async def fetch_metrics(self) -> MetricsSnapshot:
         """One obs snapshot poll over this connection (the frame kind
         ``repro obs watch`` uses)."""
-
-        def frame(fmt: Any) -> bytes:
-            body = obs_request_body(fmt)
-            return _LEN.pack(len(body)) + body
-
         async with self._lock:
-            return await self._exchange(frame, parse_obs_reply)
+            return await self._exchange("obs", "snapshot")
 
 
 class _MirrorTopology(Topology):
@@ -303,10 +252,9 @@ class ProcCluster(WallClockCluster):
         self._log_dir: str | None = None
         # The children own the stack metrics (see metrics_snapshot);
         # this registry carries what the parent itself measures, e.g. an
-        # open-loop generator's client-side latency histograms.
-        self.metrics = MetricsRegistry(
-            clock=lambda: self.now, runtime="realnet-proc"
-        )
+        # open-loop generator's client-side latency histograms.  Same
+        # runtime label as the children's so the merge keeps it.
+        self.metrics = MetricsRegistry(clock=lambda: self.now, runtime="realnet")
 
     # -- lifecycle -----------------------------------------------------
 
@@ -376,7 +324,7 @@ class ProcCluster(WallClockCluster):
                 await client.connect()
                 await client.request("ping", timeout=5.0)
                 break
-            except (OSError, ConnectionError, asyncio.IncompleteReadError):
+            except CONN_LOST:
                 await client.aclose()
                 if asyncio.get_running_loop().time() >= deadline:
                     raise SimulationError(
@@ -570,8 +518,10 @@ class ProcCluster(WallClockCluster):
         return sum_transport_stats(r["transport"] for r in replies.values())
 
     async def metrics_snapshot(self, source: str = "cluster") -> MetricsSnapshot:
-        """Merged per-child registry snapshots (one registry per OS
-        process, polled over the obs frame kind)."""
+        """The parent's own registry (what it measures itself, e.g. an
+        open-loop generator's ``client_op_latency``) merged with every
+        child's (one registry per OS process, polled over the ``obs``
+        frame kind; a child that does not answer is left out)."""
 
         async def one(client: _CtlClient) -> MetricsSnapshot | None:
             try:
@@ -580,5 +530,6 @@ class ProcCluster(WallClockCluster):
                 return None
 
         snaps = await asyncio.gather(*(one(c) for c in self._ctl.values()))
-        snaps = [s for s in snaps if s is not None]
-        return merge_snapshots(*snaps) if snaps else self.metrics.snapshot(source)
+        return merge_snapshots(
+            self.metrics.snapshot(source), *(s for s in snaps if s is not None)
+        )

@@ -4,10 +4,9 @@ One OS process per site.  The parent (:class:`~repro.realnet.
 proc_driver.ProcCluster`) spawns ``repro realnet node --supervised``
 children, hands each the cluster config as one JSON argument, and steers
 them over their *normal listening
-sockets* with **control frames** — a third frame kind (:data:`CTL_KIND`,
-``0x03``) next to ``msg`` (``0x01``) and the obs snapshot kind
-(``0x02``).  A control request carries one ``(op, arg)`` value in the
-connection's negotiated codec; the reply carries ``(ok, result)``.
+sockets* with **control frames** — the ``ctl`` side-frame kind
+(docs/protocol.md §7).  A control request carries one ``(op, arg)``
+value; the reply carries ``(ok, result)``.
 Lifecycle (crash / recover / boot / topology pushes / join bookkeeping),
 workload injection, trace collection and wire-stat scraping all travel
 through this one protocol, so the parent needs no side channels: the
@@ -41,13 +40,11 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import CodecError, SimulationError
+from repro.errors import SimulationError
 from repro.net.topology import Topology
 from repro.realnet.node import RealNode, serve_until_stopped
-from repro.realnet.codec import _LEN, decode_frame_body, decode_value, encode_frame, encode_value
-from repro.realnet.codec_bin import decode_value_bin, encode_value_bin
 from repro.realnet.wallclock import WallClockScheduler
 from repro.runtime.core import (
     ClusterConfig,
@@ -60,59 +57,6 @@ from repro.trace.events import RecoverEvent
 from repro.trace.export import event_to_json
 from repro.trace.recorder import TraceRecorder
 from repro.types import ProcessId, SiteId
-
-#: Frame-kind byte for bin1 control frames (``msg`` 0x01, obs 0x02).
-CTL_KIND = 0x03
-
-
-# -- control frames (both codecs) ------------------------------------------
-
-
-def ctl_request_frame(fmt: Any, op: str, arg: Any = None) -> bytes:
-    """One framed ``(op, arg)`` control request in ``fmt``."""
-    if fmt.binary:
-        body = bytes([CTL_KIND]) + encode_value_bin((op, arg))
-        return _LEN.pack(len(body)) + body
-    return encode_frame({"k": "ctl", "p": encode_value((op, arg))})
-
-
-def ctl_reply_frame(fmt: Any, ok: bool, result: Any) -> bytes:
-    """One framed ``(ok, result)`` control reply in ``fmt``."""
-    if fmt.binary:
-        body = bytes([CTL_KIND]) + encode_value_bin((ok, result))
-        return _LEN.pack(len(body)) + body
-    return encode_frame({"k": "ctl_r", "p": encode_value((ok, result))})
-
-
-def _parse_pair(fmt: Any, body: bytes, json_kind: str) -> tuple | None:
-    if fmt.binary:
-        if not body or body[0] != CTL_KIND:
-            return None
-        value = decode_value_bin(bytes(body[1:]))
-    else:
-        try:
-            frame = decode_frame_body(body)
-        except CodecError:
-            return None
-        if frame.get("k") != json_kind:
-            return None
-        value = decode_value(frame.get("p"))
-    if not isinstance(value, tuple) or len(value) != 2:
-        raise CodecError("malformed control frame body")
-    return value
-
-
-def parse_ctl_request(fmt: Any, body: bytes) -> tuple[str, Any] | None:
-    """``(op, arg)`` if this non-``msg`` body is a control request."""
-    return _parse_pair(fmt, body, "ctl")
-
-
-def parse_ctl_reply(fmt: Any, body: bytes) -> tuple[bool, Any] | None:
-    """``(ok, result)`` if this body is a control reply."""
-    return _parse_pair(fmt, body, "ctl_r")
-
-
-# -- the supervised node ---------------------------------------------------
 
 
 class NodeSupervisor:
@@ -167,7 +111,7 @@ class NodeSupervisor:
             metrics=self.registry,
             flight=self.flight,
         )
-        self.node.network.control_handler = self._handle_ctl
+        self.node.network.side_handlers["ctl"] = self._handle_ctl
 
     # -- lifecycle -----------------------------------------------------
 
@@ -201,16 +145,14 @@ class NodeSupervisor:
 
     # -- control dispatch ----------------------------------------------
 
-    def _handle_ctl(self, fmt: Any, body: bytes) -> bytes | None:
-        request = parse_ctl_request(fmt, body)
-        if request is None:
-            return None
-        op, arg = request
+    def _handle_ctl(self, request: tuple, reply: Callable[[tuple], None]) -> None:
         try:
+            op, arg = request
             result = self._dispatch(op, arg)
         except Exception as exc:  # noqa: BLE001 - reply, don't kill the link
-            return ctl_reply_frame(fmt, False, f"{type(exc).__name__}: {exc}")
-        return ctl_reply_frame(fmt, True, result)
+            reply((False, f"{type(exc).__name__}: {exc}"))
+        else:
+            reply((True, result))
 
     def _dispatch(self, op: str, arg: Any) -> Any:
         if op == "status":

@@ -3,12 +3,17 @@
 Connections are **unidirectional** for protocol traffic: a node dials
 one outbound link per peer site and only ever writes ``msg`` frames on
 it; its server socket only ever reads them.  The single exception is
-the handshake — the dialer opens with a JSON ``hello`` naming the wire
-formats it speaks (and its payload-schema fingerprint), the server
-answers with one JSON ``welcome`` naming the format it picked (see
-:func:`~repro.realnet.codec_bin.choose_format`), and everything after
-that travels in the negotiated format.  A JSON-only peer and a
-binary-capable peer therefore interoperate without configuration.
+the handshake (:func:`handshake`) — the dialer opens with a JSON
+``hello`` naming the wire formats it speaks (and its payload-schema
+fingerprint), the server answers with one JSON ``welcome`` naming the
+format it picked (see :func:`~repro.realnet.codec_bin.choose_format`),
+and everything after that travels in the negotiated format.  A
+JSON-only peer and a binary-capable peer therefore interoperate without
+configuration.  Whoever is not a site — store clients, the process
+driver, ``repro obs`` — dials the same socket through a
+:class:`SideConn` and exchanges *side frames*
+(:data:`~repro.realnet.codec_bin.SIDE_KINDS`), which the server decodes
+once and hands to its ``on_side`` callback with a reply function.
 
 Each :class:`PeerLink` owns a bounded send queue and flushes it **at
 the end of the loop turn that filled it**: the first :meth:`PeerLink.offer`
@@ -69,7 +74,7 @@ from repro.realnet.codec import (
     _LEN,
     decode_frame_body,
     encode_frame,
-    read_frame,
+    read_body,
 )
 from repro.realnet.codec_bin import (
     FORMAT_JSON,
@@ -77,6 +82,7 @@ from repro.realnet.codec_bin import (
     WIRE_FORMATS,
     choose_format,
     schema_fingerprint,
+    supported_formats,
 )
 
 logger = logging.getLogger("repro.realnet.transport")
@@ -94,9 +100,20 @@ SEND_QUEUE_CAP = 2048
 #: (0 = one frame per write).
 BATCH_BYTES = 256 * 1024
 
-#: How long the dialer waits for the server's ``welcome`` before
-#: assuming a pre-negotiation peer and falling back to JSON.
+#: How long a dialer waits for the server's ``welcome`` before giving
+#: the dial up as failed.
 WELCOME_TIMEOUT = 2.0
+
+#: The hello ``src`` of a dialer that is not a site.
+OUTSIDER = (-1, 0)
+
+#: What a :class:`SideConn` raises when its node is down, mid-restart,
+#: wedged or talking garbage: to every caller it means "this connection
+#: is lost" (redial, next site, skip the node), never "the operation is
+#: broken".  IncompleteReadError (a node dying mid-read) is an EOFError,
+#: *not* an OSError — its absence here once aborted `repro obs watch`
+#: loops on node crashes.
+CONN_LOST = (OSError, EOFError, CodecError, asyncio.TimeoutError)
 
 #: Server-side read size for the batched frame-splitting loop.
 READ_CHUNK = 256 * 1024
@@ -117,6 +134,87 @@ def enable_stderr_logging(level: int = logging.INFO) -> logging.Logger:
         root.addHandler(handler)
     root.setLevel(level)
     return root
+
+
+async def handshake(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    src: tuple[int, int],
+    offer: tuple[str, ...],
+) -> Any:
+    """Dialling half of the negotiation: send the ``hello``, return the
+    wire format the ``welcome`` names.
+
+    A peer that accepted but does not answer within
+    :data:`WELCOME_TIMEOUT` raises :class:`asyncio.TimeoutError`, one
+    that answers anything but a usable welcome :class:`CodecError`, one
+    that hangs up ``EOFError``: all three are a failed dial.
+    """
+    writer.write(
+        encode_frame(
+            {
+                "k": "hello",
+                "src": [src[0], src[1]],
+                "codecs": list(offer),
+                "schema": schema_fingerprint(),
+            }
+        )
+    )
+    welcome = decode_frame_body(
+        await asyncio.wait_for(read_body(reader), WELCOME_TIMEOUT)
+    )
+    name = welcome.get("codec") if welcome.get("k") == "welcome" else None
+    if name not in (*offer, FORMAT_JSON):  # JSON is the server's fallback
+        raise CodecError(f"no usable welcome: {welcome!r}")
+    return WIRE_FORMATS[name]
+
+
+class SideConn:
+    """One negotiated connection from outside the group to a node socket.
+
+    The dialling side of every side plane: :meth:`send` a request of
+    some kind, :meth:`recv` the next reply of that kind.  What a caller
+    layers on top — pipelining, a lock, one round trip — is its own.
+    """
+
+    def __init__(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, fmt: Any
+    ) -> None:
+        self._reader = reader
+        self._writer = writer
+        self.fmt = fmt
+
+    @classmethod
+    async def open(cls, host: str, port: int, codec: str = "bin") -> "SideConn":
+        """Dial and negotiate; a node that accepts but never welcomes
+        fails the dial after :data:`WELCOME_TIMEOUT`."""
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            fmt = await handshake(reader, writer, OUTSIDER, supported_formats(codec))
+        except BaseException:
+            writer.close()
+            raise
+        return cls(reader, writer, fmt)
+
+    async def send(self, kind: str, value: Any) -> None:
+        self._writer.write(self.fmt.frame_side(kind, value))
+        await self._writer.drain()
+
+    async def recv(self, kind: str) -> Any:
+        """The value of the next ``kind`` reply; frames of any other
+        kind on the shared socket are skipped."""
+        while True:
+            body = await read_body(self._reader)
+            parsed = self.fmt.parse_side(body, 0, len(body), True)
+            if parsed is not None and parsed[0] == kind:
+                return parsed[1]
+
+    async def close(self) -> None:
+        self._writer.close()
+        try:
+            await self._writer.wait_closed()
+        except OSError:
+            pass
 
 
 class OutMessage:
@@ -357,33 +455,6 @@ class PeerLink:
         transport, _ = await loop.create_connection(lambda: protocol, host, port)
         return reader, asyncio.StreamWriter(transport, protocol, reader, loop)
 
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Any:
-        """Send hello, read welcome, return the negotiated wire format."""
-        writer.write(
-            encode_frame(
-                {
-                    "k": "hello",
-                    "src": [self._src[0], self._src[1]],
-                    "codecs": list(self._offer),
-                    "schema": schema_fingerprint(),
-                }
-            )
-        )
-        chosen = FORMAT_JSON
-        try:
-            welcome = await asyncio.wait_for(read_frame(reader), WELCOME_TIMEOUT)
-        except (asyncio.TimeoutError, CodecError):
-            logger.debug("link %s: no welcome; assuming JSON peer", self.name)
-        else:
-            if welcome is None:
-                raise ConnectionError("peer closed during handshake")
-            name = welcome.get("codec") if welcome.get("k") == "welcome" else None
-            if name in self._offer and name in WIRE_FORMATS:
-                chosen = name
-        return WIRE_FORMATS[chosen]
-
     async def _idle(self, writer: asyncio.StreamWriter) -> None:
         """A healthy link needs no task: sleep until the peer goes away
         (raises) or a stalled flush asks for a drain."""
@@ -416,11 +487,15 @@ class PeerLink:
                 continue
             self.connects += 1
             try:
-                fmt = await self._handshake(reader, writer)
+                fmt = await handshake(reader, writer, self._src, self._offer)
                 backoff = BACKOFF_BASE  # handshake done: healthy link
                 self._link_up(writer, fmt)
                 await self._idle(writer)
-            except (OSError, ConnectionError):
+            except (CodecError, asyncio.TimeoutError):
+                # Accepted, but no usable welcome: a failed dial.
+                await asyncio.sleep(backoff * (0.5 + rng.random()))
+                backoff = min(backoff * 2, BACKOFF_CAP)
+            except (OSError, EOFError):
                 logger.info("link %s: peer went away; reconnecting", self.name)
             finally:
                 self._link_down()
@@ -447,20 +522,18 @@ class FrameServer:
         port: int,
         on_msg: Callable[[ParsedMsg], None],
         accept_formats: tuple[str, ...] = (FORMAT_JSON,),
-        on_control: Callable[[Any, bytes, Callable[[bytes], None]], "bytes | None"]
-        | None = None,
+        on_side: Callable[[str, Any, Callable[[Any], None]], None] | None = None,
     ) -> None:
         self._host = host
         self._port = port
         self._on_msg = on_msg
         self._accept = accept_formats
-        #: Optional handler for non-``msg`` frame bodies: called with
-        #: (negotiated format, body, send) where ``send(data)`` writes
-        #: framed bytes back on the originating connection at any later
-        #: time (the client service's deferred put replies); a bytes
-        #: return is written back immediately (the obs snapshot
-        #: service), None ignores the frame as before.
-        self._on_control = on_control
+        #: Optional handler for side frames: called with ``(kind, value,
+        #: reply)`` where ``reply(value)`` writes one frame of the same
+        #: kind back on the originating connection, now or at any later
+        #: time (deferred put replies); without it side frames are
+        #: ignored like any unknown kind.
+        self._on_side = on_side
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self.frames_received = 0
@@ -539,13 +612,17 @@ class FrameServer:
         buf = bytearray()
         fmt: Any = None  # negotiated after the hello
         on_msg = self._on_msg
+        on_side = self._on_side
 
-        def send(data: bytes) -> None:
-            # Per-connection reply channel handed to the control hook;
-            # safe to call after the dispatching frame (deferred client
-            # replies), a no-op once the peer is gone.
-            if not writer.is_closing():
-                writer.write(data)
+        def reply_as(kind: str) -> Callable[[Any], None]:
+            # The reply channel handed to the side handler; safe to call
+            # after the dispatching frame (deferred client replies), a
+            # no-op once the peer is gone.
+            def reply(value: Any) -> None:
+                if not writer.is_closing():
+                    writer.write(fmt.frame_side(kind, value, True))
+
+            return reply
 
         try:
             while True:
@@ -562,8 +639,7 @@ class FrameServer:
                 # its (start, end) extent inside the read buffer, no
                 # per-frame slice.  Dispatch is synchronous, so every
                 # payload thunk is consumed before the buffer is
-                # compacted below.  Rare paths (hello, control frames)
-                # still copy their body out.
+                # compacted below.  Only the hello copies its body out.
                 pos = 0
                 end = len(buf)
                 walked = 0
@@ -601,21 +677,17 @@ class FrameServer:
                     walked += 1
                     try:
                         parsed = fmt.parse_msg_at(buf, body_start, frame_end)
-                        if parsed is None:
-                            # Not a msg frame: offer it to the control
-                            # hook (obs polls, client requests); unknown
-                            # kinds stay ignored so future frames don't
-                            # kill the link.
-                            if self._on_control is not None:
-                                reply = self._on_control(
-                                    fmt, bytes(buf[body_start:frame_end]), send
-                                )
-                                if reply is not None:
-                                    writer.write(reply)
-                                    await writer.drain()
-                        else:
+                        if parsed is not None:
                             msgs += 1
                             on_msg(parsed)
+                        elif on_side is not None:
+                            # Not a msg: decode it once as a side frame
+                            # (obs polls, control ops, client requests);
+                            # unknown kinds stay ignored so future
+                            # frames don't kill the link.
+                            side = fmt.parse_side(buf, body_start, frame_end)
+                            if side is not None:
+                                on_side(side[0], side[1], reply_as(side[0]))
                     except CodecError as exc:
                         # The framing is intact (the length prefix was
                         # sane), only this body is garbage: drop the one

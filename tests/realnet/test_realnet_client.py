@@ -9,11 +9,20 @@ import pytest
 from repro.apps.factories import app_factory
 from repro.apps.versioned_store import prov_tuple
 from repro.client.client import AsyncStoreClient
-from repro.client.protocol import ClientRequest, client_request_frame, parse_client_reply
+from repro.client.protocol import (
+    ClientReply,
+    ClientRequest,
+    client_reply_frame,
+    client_request_frame,
+    parse_client_reply,
+    parse_client_request,
+)
+from repro.obs.watch import fetch_snapshots
+from repro.realnet import transport
 from repro.realnet.cluster import RealCluster
 from repro.runtime.core import ClusterConfig
 from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
-from repro.realnet.codec_bin import WIRE_FORMATS, schema_fingerprint
+from repro.realnet.codec_bin import BIN_FORMAT, WIRE_FORMATS, schema_fingerprint
 
 pytestmark = pytest.mark.realnet
 
@@ -131,6 +140,116 @@ def test_garbage_frame_is_dropped_and_link_survives():
                 writer.close()
                 await writer.wait_closed()
             assert cluster.transport_stats()["bad_frames"] >= 1
+
+    run(scenario())
+
+
+class StubNode:
+    """A loopback listener speaking just enough of the node socket.
+
+    Each accepted connection plays the next scripted behaviour (the last
+    one repeats): ``"wedged"`` accepts and never writes; ``"garbage"``
+    welcomes, then answers every request with an undecodable ``cli``
+    frame; ``"ok"`` welcomes and answers every request ``ok``.
+    """
+
+    def __init__(self, *script: str) -> None:
+        self.script = script
+        self.dials = 0
+        self._server: asyncio.AbstractServer | None = None
+
+    async def start(self) -> tuple[str, int]:
+        self._server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def stop(self) -> None:
+        assert self._server is not None
+        self._server.close()
+        await self._server.wait_closed()
+
+    @staticmethod
+    async def _read(reader: asyncio.StreamReader) -> bytes:
+        (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+        return await reader.readexactly(length)
+
+    async def _serve(self, reader, writer) -> None:
+        behaviour = self.script[min(self.dials, len(self.script) - 1)]
+        self.dials += 1
+        try:
+            if behaviour == "wedged":
+                await reader.read()  # until the dialer gives up
+                return
+            assert decode_frame_body(await self._read(reader))["k"] == "hello"
+            writer.write(encode_frame({"k": "welcome", "codec": "bin1"}))
+            while True:
+                request = parse_client_request(BIN_FORMAT, await self._read(reader))
+                if behaviour == "garbage":
+                    writer.write(_LEN.pack(3) + b"\x04\xff\xff")
+                else:
+                    writer.write(
+                        client_reply_frame(BIN_FORMAT, ClientReply(request.req_id, "ok"))
+                    )
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+
+def test_garbled_reply_is_connection_loss_not_an_error():
+    """A reply frame that does not decode means nobody can trust this
+    socket any more: the operation must redial and resubmit, and the
+    client must not be left writing into a connection nobody reads."""
+
+    async def scenario():
+        node = StubNode("garbage", "ok")
+        client = AsyncStoreClient(
+            await node.start(), client_id="c", retry_delay=0.05, reply_timeout=5.0
+        )
+        try:
+            reply = await asyncio.wait_for(client.ping(), 4.0)
+            assert reply.status == "ok"
+            assert node.dials == 2
+            # ... and later calls ride the fresh connection, promptly.
+            assert (await asyncio.wait_for(client.ping(), 1.0)).status == "ok"
+            assert node.dials == 2
+        finally:
+            await client.close()
+            await node.stop()
+
+    run(scenario())
+
+
+def test_a_node_that_accepts_but_never_welcomes_is_a_failed_dial(monkeypatch):
+    """A wedged process still completes the kernel accept; every outside
+    dialer must give the hello up after WELCOME_TIMEOUT: the store
+    client moves to the next site, the obs poller skips the node."""
+    monkeypatch.setattr(transport, "WELCOME_TIMEOUT", 0.3)
+
+    async def scenario():
+        wedged, good = StubNode("wedged"), StubNode("ok")
+        book = {0: await wedged.start(), 1: await good.start()}
+        client = AsyncStoreClient(addresses=book, site=0, retry_delay=0.1)
+        loop = asyncio.get_running_loop()
+        try:
+            start = loop.time()
+            reply = await asyncio.wait_for(client.ping(), 5.0)
+            elapsed = loop.time() - start
+            assert reply.status == "ok" and client._connected_site == 1
+            assert elapsed < 0.3 + 0.1 + 1.0  # WELCOME_TIMEOUT + retry_delay + slack
+            skips: list[int] = []
+            start = loop.time()
+            snapshots = await asyncio.wait_for(
+                fetch_snapshots(
+                    [book[0]], timeout=30.0, on_skip=lambda: skips.append(1)
+                ),
+                5.0,
+            )
+            assert snapshots == [None] and skips == [1]
+            assert loop.time() - start < 0.3 + 1.0
+        finally:
+            await client.close()
+            await wedged.stop()
+            await good.stop()
 
     run(scenario())
 

@@ -111,6 +111,22 @@ def test_proc_cluster_armed_schedule_and_metrics():
         assert_no_violations(cluster)
 
 
+def test_proc_slo_verdict_counts_the_parents_own_latencies():
+    """The open-loop generator records ``client_op_latency`` in the
+    parent's registry, not in any child's: ``metrics_snapshot`` must
+    merge it in or ``slo_verdict`` prices zero operations."""
+    from repro.workload.openloop import LoadSpec, OpenLoopLoad, slo_verdict
+
+    with contextlib.closing(proc_cluster(3, seed=6, app="store")) as cluster:
+        assert cluster.settle(timeout=SETTLE), cluster.views()
+        spec = LoadSpec(rate=40.0, duration=1.0, clients=2, n_keys=16, seed=6)
+        report = OpenLoopLoad(cluster, spec).run()
+        verdict = slo_verdict(cluster, target_p99=5.0)
+        assert verdict.count == report.completed > 0
+        # the children's stack metrics are still in the same snapshot
+        assert cluster.metrics_snapshot().total("view_changes_total") > 0
+
+
 def test_proc_cluster_join_grows_the_group():
     with contextlib.closing(proc_cluster(3, seed=2)) as cluster:
         assert cluster.settle(timeout=SETTLE), cluster.views()

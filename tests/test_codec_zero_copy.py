@@ -15,8 +15,8 @@ it:
   ``IndexError``/``struct.error`` out of the decoder;
 * buffer compaction after synchronous dispatch (the receive-loop
   pattern) never corrupts already-decoded payloads;
-* the supervised-node control frames (:mod:`repro.realnet.procnode`)
-  round-trip under both codecs.
+* the ``msg`` parser and the side-frame parser pass each other's frames
+  on (side-frame framing itself is ``tests/test_side_frames.py``).
 
 The sample list is imported from ``test_realnet_codec_bin`` so its
 "covers every registered class" assertion keeps this file honest too.
@@ -38,12 +38,6 @@ from repro.realnet.codec_bin import (
     decode_value_bin,
     encode_value_bin,
     packer_table,
-)
-from repro.realnet.procnode import (
-    ctl_reply_frame,
-    ctl_request_frame,
-    parse_ctl_reply,
-    parse_ctl_request,
 )
 from tests.test_realnet_codec_bin import _samples
 
@@ -254,33 +248,15 @@ def test_compaction_after_dispatch_keeps_decoded_payloads():
 
 
 # ---------------------------------------------------------------------------
-# Control frames (supervised nodes)
+# msg frames next to side frames
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-def test_ctl_request_roundtrips(fmt):
-    frame = ctl_request_frame(fmt, "mcast_many", (32, ("client", 0, 1)))
-    (length,) = _LEN.unpack(frame[:4])
-    body = frame[4:]
-    assert length == len(body)
-    assert parse_ctl_request(fmt, body) == ("mcast_many", (32, ("client", 0, 1)))
-    # a ctl body is not a msg frame and must be ignored by the msg parser
-    assert fmt.parse_msg_at(bytearray(body), 0, len(body)) is None
-
-
-@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
-def test_ctl_reply_roundtrips(fmt):
-    frame = ctl_reply_frame(fmt, True, {"site": 3, "alive": True})
-    ok, result = parse_ctl_reply(fmt, frame[4:])
-    assert ok is True
-    assert result == {"site": 3, "alive": True}
-    frame = ctl_reply_frame(fmt, False, "SimulationError: nope")
-    assert parse_ctl_reply(fmt, frame[4:]) == (False, "SimulationError: nope")
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
 def test_ctl_parsers_ignore_other_frame_kinds(fmt):
     msg = fmt.frame_msg((0, 0), 1, 0, fmt.encode_payload("x"))[4:]
-    assert parse_ctl_request(fmt, msg) is None
-    assert parse_ctl_reply(fmt, msg) is None
+    assert fmt.parse_side(msg, 0, len(msg)) is None
+    assert fmt.parse_side(msg, 0, len(msg), True) is None
+    # and a ctl body is not a msg frame: the msg parser must pass it on
+    ctl = fmt.frame_side("ctl", ("mcast_many", (32, ("client", 0, 1))))[4:]
+    assert fmt.parse_msg_at(bytearray(ctl), 0, len(ctl)) is None
