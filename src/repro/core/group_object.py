@@ -24,7 +24,7 @@ Subclasses implement the abstract-data-type half: ``snapshot_state`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.mode_functions import ModeFunction
@@ -36,26 +36,12 @@ from repro.core.settlement import (
     StateRequest,
 )
 from repro.core.state_creation import choose_by_last_to_fail
-from repro.core.state_transfer import (
-    IncrementalReceiver,
-    IncrementalSender,
-    TAck,
-    TChunk,
-    TOffer,
-    TResume,
-    assemble_snapshot,
-    op_digest,
-    snapshot_chunks,
-)
 from repro.errors import ApplicationError
 from repro.evs.eview import EView
 from repro.types import MessageId, ProcessId
 
 _VERSION_KEY = "groupobject.version"
 _EPOCH_KEY = "groupobject.last_epoch"
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -89,33 +75,17 @@ class GroupObject(ModeTrackingApp):
         mode_function: ModeFunction,
         enriched_continuation: bool = True,
         creation_requires_all_sites: bool = False,
-        transfer_chunk_size: int | None = None,
-        delta_log_cap: int = 512,
     ) -> None:
         super().__init__(mode_function)
         self.settlement = SettlementEngine(self, enriched_continuation)
         # Skeen-safe state creation: wait for every site before
         # recreating, so the last process to fail is certainly heard.
         self.creation_requires_all_sites = creation_requires_all_sites
-        # Incremental state transfer (repro.core.state_transfer): None
-        # keeps the legacy whole-blob StateOffer exchange; an int turns
-        # settlement replies into announced chunk streams of that many
-        # entries per chunk, with version-range diffs when the
-        # requester's lineage is a prefix of the donor's.
-        self.transfer_chunk_size = transfer_chunk_size
-        self.delta_log_cap = delta_log_cap
         self.fresh = False
         self.version = 0
         self._prev_members: frozenset[ProcessId] | None = None
         self._buffered_ops: list[tuple[ProcessId, Any, MessageId]] = []
         self._applied_ops: set[MessageId] = set()
-        # Lineage digest of the applied set (order independent, see
-        # op_digest) and the recent-operation log that backs diff
-        # streams: (version-after-apply, sender, op, msg_id) tuples.
-        self._ops_digest = 0
-        self._delta_log: list[tuple[int, ProcessId, Any, MessageId]] = []
-        self._inc_senders: dict[Any, IncrementalSender] = {}
-        self._transfer_rx: IncrementalReceiver | None = None
         self.ops_applied = 0
         self.ops_rejected = 0
 
@@ -132,7 +102,6 @@ class GroupObject(ModeTrackingApp):
         # last-process-to-fail selection breaks ties by version, and the
         # stale-transfer detector compares offer versions.
         self.version = int(stack.storage.read(_VERSION_KEY, 0))
-        self._transfer_rx = IncrementalReceiver(stack, self._on_transfer_complete)
         fn = self.automaton.mode_function
         if getattr(fn, "dynamic", False):
             fn.bind_stack(stack)
@@ -261,10 +230,6 @@ class GroupObject(ModeTrackingApp):
             return
         self._applied_ops.add(msg_id)
         self.version += 1
-        self._ops_digest = op_digest(self._ops_digest, msg_id)
-        self._delta_log.append((self.version, sender, op, msg_id))
-        if len(self._delta_log) > self.delta_log_cap:
-            del self._delta_log[: -self.delta_log_cap]
         self.apply_op(sender, op, msg_id)
         self.ops_applied += 1
         self._persist_meta()
@@ -287,15 +252,6 @@ class GroupObject(ModeTrackingApp):
         self.adopt_state(state)
         self._applied_ops = set(applied)
         self.version = max(self.version, version)
-        # The adopted state starts a fresh lineage segment: the digest
-        # is recomputed from the applied set (op_digest is order
-        # independent) and the delta log restarts — diffs can only be
-        # served for operations applied after this point.
-        digest = 0
-        for mid in self._applied_ops:
-            digest = op_digest(digest, mid)
-        self._ops_digest = digest
-        self._delta_log.clear()
         self.fresh = True
         self._persist_meta()
         # Replay concurrent operations the snapshot predates.
@@ -378,148 +334,11 @@ class GroupObject(ModeTrackingApp):
             last_epoch=int(self.stack.storage.read(_EPOCH_KEY, 0)),
         )
 
-    def build_state_request(self, session) -> StateRequest:
-        """The request this leader sends responders in phase 2.
-
-        With chunked transfer enabled it advertises that capability and
-        our operation lineage, so donors can reply with a version-range
-        diff; otherwise the legacy whole-blob request.
-        """
-        if self.transfer_chunk_size is None:
-            return StateRequest(session)
-        return StateRequest(
-            session,
-            accepts_chunks=True,
-            have_version=self.version,
-            have_digest=self._ops_digest,
-        )
-
-    def answer_state_request(self, src: ProcessId, request: StateRequest) -> None:
-        """Donor side of phase 2: whole blob or announced chunk stream."""
-        obs = self.stack.obs
-        if obs is not None and request.trace is not None:
-            obs.settle_offer(self.pid, self.stack.now, request.trace)
-        size = self.transfer_chunk_size
-        if not request.accepts_chunks or size is None:
-            # Either side predates (or disabled) chunked transfer: the
-            # legacy single-message StateOffer keeps mixed clusters
-            # interoperable in both directions.
-            offer = self.make_offer(request.session)
-            if request.trace is not None:
-                offer = replace(offer, trace=request.trace)
-            self.stack.send_direct(src, offer)
-            return
-        kind, chunks, base_version = self._plan_stream(request, size)
-        last_epoch = int(self.stack.storage.read(_EPOCH_KEY, 0))
-        target_version = self.version
-        session = request.session
-        trace = request.trace
-        sender = IncrementalSender(
-            self.stack,
-            src,
-            offer_of=lambda tid: TOffer(
-                transfer=tid,
-                session=session,
-                kind=kind,
-                total_chunks=len(chunks),
-                base_version=base_version,
-                target_version=target_version,
-                sender=self.pid,
-                last_epoch=last_epoch,
-                trace=trace,
-            ),
-            chunks=chunks,
-        )
-        sender.on_done = lambda: self._inc_senders.pop(sender.transfer_id, None)
-        self._inc_senders[sender.transfer_id] = sender
-        sender.start()
-
-    def _plan_stream(
-        self, request: StateRequest, size: int
-    ) -> tuple[str, list[Any], int]:
-        """Decide diff vs snapshot for one requester.
-
-        A diff is safe iff the requester's ``(version, digest)`` names a
-        state this donor's delta log can extend to its current one: the
-        log must cover exactly the missing version range, and XOR-ing
-        those operations back out of our digest must land on the
-        requester's — i.e. their applied set is precisely ours minus the
-        log tail.  Anything else (log trimmed, lineage diverged after a
-        partition, requester ahead) falls back to a chunked snapshot.
-        """
-        have = request.have_version
-        if 0 <= have <= self.version:
-            entries = [e for e in self._delta_log if e[0] > have]
-            if len(entries) == self.version - have:
-                expected = self._ops_digest
-                for entry in entries:
-                    expected = op_digest(expected, entry[3])
-                if expected == request.have_digest:
-                    chunks = [
-                        tuple(entries[i : i + size])
-                        for i in range(0, len(entries), size)
-                    ]
-                    return "diff", chunks, have
-        snapshot = (
-            self.snapshot_state(),
-            frozenset(self._applied_ops),
-            self.version,
-        )
-        return "snapshot", snapshot_chunks(snapshot, size), -1
-
-    def _on_transfer_complete(self, offer: TOffer, payloads: list[Any]) -> None:
-        """A chunk stream finished: reconstruct the donor's StateOffer.
-
-        Diff streams replay the missed operations onto our own state
-        (the digest handshake proved it is the donor's state at
-        ``base_version``), after which *we* hold the donor's snapshot;
-        snapshot streams reassemble the envelope from the chunks.
-        Either way settlement proceeds exactly as if the donor had sent
-        the single-message offer.
-        """
-        if offer.kind == "diff":
-            for chunk in payloads:
-                for _version, sender, op, msg_id in chunk:
-                    self._apply(sender, op, msg_id)
-            snapshot = (
-                self.snapshot_state(),
-                frozenset(self._applied_ops),
-                self.version,
-            )
-            version = self.version
-        else:
-            snapshot = assemble_snapshot(payloads, offer.target_version)
-            version = offer.target_version
-        self.settlement.on_offer(
-            offer.sender,
-            StateOffer(
-                session=offer.session,
-                sender=offer.sender,
-                snapshot=snapshot,
-                version=version,
-                last_epoch=offer.last_epoch,
-                trace=offer.trace,
-            ),
-        )
-
     def on_direct(self, sender: ProcessId, payload: Any) -> None:
         if isinstance(payload, StateRequest):
             self.settlement.on_request(sender, payload)
         elif isinstance(payload, StateOffer):
             self.settlement.on_offer(sender, payload)
-        elif isinstance(payload, TOffer):
-            if self._transfer_rx is not None:
-                self._transfer_rx.on_offer(sender, payload)
-        elif isinstance(payload, TResume) and payload.transfer in self._inc_senders:
-            self._inc_senders[payload.transfer].on_resume(payload)
-        elif (
-            isinstance(payload, TChunk)
-            and self._transfer_rx is not None
-            and self._transfer_rx.owns(payload.transfer)
-        ):
-            self._transfer_rx.on_chunk(sender, payload)
-        elif isinstance(payload, TAck) and payload.transfer in self._inc_senders:
-            self._inc_senders[payload.transfer].on_ack(payload)
         else:
             self.on_app_direct(sender, payload)
 

@@ -12,9 +12,11 @@ One settlement session, led by the least view member:
 1. **mark** — merge all sv-sets into one, marking every member as a
    participant of the internal operation;
 2. **collect** — classify the situation from the e-view structure
-   (:func:`~repro.core.classify.classify_enriched`) and request state
-   from the responders it identifies: one representative per donor
-   subview, or everybody for state creation;
+   (:func:`~repro.core.classify.classify_enriched`) and send a
+   :class:`StateRequest` to the responders it identifies: one
+   representative per donor subview, or everybody for state creation;
+   each answers with exactly one :class:`StateOffer` carrying its whole
+   ``(state, applied-ops, version)`` snapshot;
 3. **decide** — a single donor's snapshot is adopted as-is; multiple
    donors go through the application's ``merge_states``; creation goes
    through ``choose_creation_state``;
@@ -52,21 +54,9 @@ SessionId = tuple[ProcessId, int]
 
 @dataclass(frozen=True)
 class StateRequest:
-    """Leader -> responder: please offer your state.
-
-    The three incremental-transfer fields default to the legacy
-    whole-blob protocol, so old peers interoperate in both directions:
-    ``accepts_chunks`` advertises that the requester understands
-    ``TOffer``-announced chunk streams, and ``have_version`` /
-    ``have_digest`` describe the requester's current operation lineage
-    (:func:`repro.core.state_transfer.op_digest`) so a donor can answer
-    with a version-range diff instead of a snapshot.
-    """
+    """Leader -> responder: please offer your state."""
 
     session: SessionId
-    accepts_chunks: bool = False
-    have_version: int = -1
-    have_digest: int = 0
     #: Causal context of the leader's settle.round span (tracing only).
     trace: Any = None
 
@@ -277,12 +267,10 @@ class SettlementEngine:
         ctx = obs.settle_ctx(self.obj.pid) if obs is not None else None
         # Phase 2: collect.
         if session.pending:
-            request = self.obj.build_state_request(session.session_id)
-            if ctx is not None:
-                request = replace(request, trace=ctx)
+            request = StateRequest(session.session_id, trace=ctx)
             for responder in session.pending:
                 if responder == self.obj.pid:
-                    self._offer_locally(request)
+                    self.on_offer(self.obj.pid, self._make_offer(request))
                 else:
                     stack.send_direct(responder, request)
             return
@@ -337,24 +325,22 @@ class SettlementEngine:
         )
         return chosen
 
-    def _offer_locally(self, request: StateRequest) -> None:
+    def _make_offer(self, request: StateRequest) -> StateOffer:
+        """This member's one-message answer to ``request``, local or
+        remote: the snapshot, the round's trace echoed back, and the
+        ``settle.offer`` span."""
         offer = self.obj.make_offer(request.session)
         if request.trace is not None:
             offer = replace(offer, trace=request.trace)
-            obs = self.obj.stack.obs if self.obj.stack else None
-            if obs is not None:
-                obs.settle_offer(
-                    self.obj.pid, self.obj.stack.now, request.trace
-                )
-        self.on_offer(self.obj.pid, offer)
+            stack = self.obj.stack
+            if stack.obs is not None:
+                stack.obs.settle_offer(self.obj.pid, stack.now, request.trace)
+        return offer
 
     # -- message hooks (wired through the group object) ---------------------------------
 
     def on_request(self, src: ProcessId, request: StateRequest) -> None:
-        # The group object picks the reply shape — whole-blob StateOffer
-        # or an incremental chunk stream — from the request's fields and
-        # its own transfer configuration.
-        self.obj.answer_state_request(src, request)
+        self.obj.stack.send_direct(src, self._make_offer(request))
 
     def on_offer(self, src: ProcessId, offer: StateOffer) -> None:
         session = self.session

@@ -11,8 +11,10 @@ The tool runs at the coordinator deciding a view that admits a joiner:
 it snapshots the local application state (the coordinator is by
 construction up to date in the primary), streams it to the joiner as
 ``size`` chunks (one chunk per round trip, so blocking time grows
-linearly in the state size — experiment E8), installs the state at the
-joiner, and only then releases the deferred view installation.
+linearly in the state size — experiment E8) through
+:class:`~repro.core.state_transfer.ChunkSender` /
+:class:`~repro.core.state_transfer.ChunkReceiver`, installs the state at
+the joiner, and only then releases the deferred view installation.
 
 Works with any application; with a :class:`~repro.core.group_object.
 GroupObject` it moves real state and marks the joiner fresh, so the
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.settlement import StateAdopt
-from repro.core.state_transfer import ChunkSender, TAck, TChunk
+from repro.core.state_transfer import ChunkReceiver, ChunkSender, TAck, TChunk
 from repro.types import ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,6 +57,7 @@ class BlockingTransferTool:
         self.stack = stack
         self.size_of = size_of
         self._senders: dict = {}
+        self._receiver = ChunkReceiver(stack, self._install_state)
         self.transfers_started = 0
         self.transfers_completed = 0
         self.blocked_time = 0.0
@@ -105,9 +108,7 @@ class BlockingTransferTool:
     def on_direct(self, src: ProcessId, payload: Any) -> bool:
         """Intercept transfer traffic; returns True when consumed."""
         if isinstance(payload, TChunk):
-            if isinstance(payload.payload, _IsisState):
-                self._install_state(payload.payload.envelope)
-            self.stack.send_direct(src, TAck(payload.transfer, payload.index))
+            self._receiver.on_chunk(src, payload)
             return True
         if isinstance(payload, TAck):
             sender = self._senders.get(payload.transfer)
@@ -118,7 +119,12 @@ class BlockingTransferTool:
             return True
         return False
 
-    def _install_state(self, envelope: Any) -> None:
+    def _install_state(self, payloads: list[Any]) -> None:
+        last = payloads[-1]
         app = self.stack.app
-        if envelope is not None and hasattr(app, "_on_adopt"):
-            app._on_adopt(StateAdopt((self.stack.pid, 0), envelope))
+        if (
+            isinstance(last, _IsisState)
+            and last.envelope is not None
+            and hasattr(app, "_on_adopt")
+        ):
+            app._on_adopt(StateAdopt((self.stack.pid, 0), last.envelope))

@@ -134,16 +134,6 @@ class ClusterObs:
             "Gossip failure-detector digests pushed, per process",
             ("pid",),
         )
-        self.transfer_chunks = r.counter(
-            "state_transfer_chunks_total",
-            "State-transfer chunks sent, per sender and stream kind",
-            ("pid", "kind"),
-        )
-        self.transfer_resumes = r.counter(
-            "state_transfer_resumes_total",
-            "Chunked transfers resumed from a persisted cursor",
-            ("pid",),
-        )
         self.spans_evicted = r.counter(
             "spans_evicted_total",
             "Open spans evicted from bounded span maps before closing"
@@ -395,32 +385,13 @@ class ClusterObs:
 
     # -- state transfer ----------------------------------------------------
 
-    def transfer_chunk_sent(self, pid: Any, kind: str) -> None:
-        self.transfer_chunks.labels(str(pid), kind).inc()
-
-    def transfer_resumed(self, pid: Any) -> None:
-        self.transfer_resumes.labels(str(pid)).inc()
-
     def transfer_started(self, pid: Any, peer: Any, at: float) -> None:
         self._transfers.open((str(pid), str(peer)), at)
 
-    def transfer_done(
-        self, pid: Any, peer: Any, at: float, trace: TraceCtx | None = None
-    ) -> None:
+    def transfer_done(self, pid: Any, peer: Any, at: float) -> None:
         duration = self._transfers.close((str(pid), str(peer)), at)
         if duration is not None:
             self.transfer_duration.labels(str(pid)).observe(duration)
-        t = self.tracer
-        if t is not None and trace is not None:
-            t.span(
-                "transfer.stream",
-                pid,
-                _site(pid),
-                at - duration if duration is not None else at,
-                at,
-                parent=trace,
-                attrs=(("peer", str(peer)),),
-            )
 
     # -- faults ------------------------------------------------------------
 

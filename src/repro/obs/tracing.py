@@ -27,7 +27,6 @@ Span taxonomy (see docs/observability.md for the full contract):
 ``settle.round``   settlement leader: session start -> done/abandon
 ``settle.offer``   donor: state offer sent
 ``settle.adopt``   member: settlement state adopted
-``transfer.stream``  receiver: chunked transfer start -> final chunk
 ``mcast.send``     sender: view-synchronous multicast issued
 ``mcast.deliver``  receiver: multicast send -> this delivery
 ``client.put/get`` root, store service: request in -> reply out

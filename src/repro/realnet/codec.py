@@ -253,11 +253,11 @@ def _register_harness_payloads() -> None:
     from repro.apps.replicated_file import _WriteAck
     from repro.core.group_object import _OpMsg
     from repro.core.settlement import StateAdopt, StateOffer, StateRequest
-    from repro.core.state_transfer import TAck, TChunk, TOffer, TResume, TSmallPiece
+    from repro.core.state_transfer import TAck, TChunk, TSmallPiece
 
     for cls in (
         StateRequest, StateOffer, StateAdopt,
-        TChunk, TAck, TSmallPiece, TOffer, TResume,
+        TChunk, TAck, TSmallPiece,
         _OpMsg,
         _AcquireReq, _ReleaseReq, _Denied,
         _LookupRequest, _LookupReply,

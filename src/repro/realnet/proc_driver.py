@@ -79,7 +79,10 @@ class _CtlClient:
     """One side connection to a supervised child, on the driver loop.
 
     Requests are serialized by a lock (the reply stream is FIFO per
-    connection); a dropped connection is re-dialed once per request.
+    connection); a dropped connection is re-dialed once per request.  A
+    round trip that times out or is cancelled closes the connection, so
+    the child's late reply cannot be read as the answer to the next
+    request: that one dials afresh.
     """
 
     def __init__(self, name: str, host: str, port: int, codec: str) -> None:
@@ -112,14 +115,19 @@ class _CtlClient:
                 if attempt:
                     raise
 
+    async def _round_trip(self, kind: str, value: Any, timeout: float) -> Any:
+        async with self._lock:
+            try:
+                return await asyncio.wait_for(self._exchange(kind, value), timeout)
+            except (asyncio.TimeoutError, asyncio.CancelledError):
+                await self.aclose()
+                raise
+
     async def request(
         self, op: str, arg: Any = None, timeout: float = ACTION_TIMEOUT
     ) -> Any:
         """One control round trip; a child-side failure raises here."""
-        async with self._lock:
-            ok, result = await asyncio.wait_for(
-                self._exchange("ctl", (op, arg)), timeout
-            )
+        ok, result = await self._round_trip("ctl", (op, arg), timeout)
         if not ok:
             raise SimulationError(
                 f"control op {op!r} failed on {self.name}: {result}"
@@ -128,9 +136,8 @@ class _CtlClient:
 
     async def fetch_metrics(self) -> MetricsSnapshot:
         """One obs snapshot poll over this connection (the frame kind
-        ``repro obs watch`` uses)."""
-        async with self._lock:
-            return await self._exchange("obs", "snapshot")
+        ``repro obs watch`` uses), bounded like a control op."""
+        return await self._round_trip("obs", "snapshot", ACTION_TIMEOUT)
 
 
 class _MirrorTopology(Topology):

@@ -10,16 +10,22 @@ cluster fails the test instead of hanging CI.
 
 Wall time per scenario is dominated by child interpreter startup
 (~0.5s per site); the settle budgets absorb loaded shared runners.
+The control-client regression at the end talks to a loopback stub
+instead of a real child.
 """
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 
 import pytest
 
 from repro.net.faults import Crash, FaultSchedule, Recover
 from repro.ports import ClusterPort, make_cluster
+from repro.realnet import proc_driver
+from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
+from repro.realnet.codec_bin import BIN_FORMAT
 from repro.trace.checks import check_enriched_views, check_view_synchrony
 
 pytestmark = pytest.mark.realnet
@@ -234,3 +240,79 @@ def test_wait_until_runs_the_predicate_on_the_callers_thread(runtime):
         cluster.after(0.0, from_the_loop)
         assert done.wait(SETTLE)
         assert len(refused) == 1 and "loop thread" in str(refused[0])
+
+
+class SlowChild:
+    """A loopback stand-in for a supervised child's control socket.
+
+    Answers each ``ctl`` request ``(True, "<op>-result")`` in order on
+    its connection, after ``delays[op]`` seconds (0 by default); never
+    answers an ``obs`` poll.
+    """
+
+    def __init__(self, **delays: float) -> None:
+        self.delays = delays
+        self.dials = 0
+        self._server: asyncio.AbstractServer | None = None
+
+    async def start(self) -> tuple[str, int]:
+        self._server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+        return self._server.sockets[0].getsockname()[:2]
+
+    async def stop(self) -> None:
+        assert self._server is not None
+        self._server.close()
+        await self._server.wait_closed()
+
+    @staticmethod
+    async def _read(reader: asyncio.StreamReader) -> bytes:
+        (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+        return await reader.readexactly(length)
+
+    async def _serve(self, reader, writer) -> None:
+        self.dials += 1
+        try:
+            assert decode_frame_body(await self._read(reader))["k"] == "hello"
+            writer.write(encode_frame({"k": "welcome", "codec": "bin1"}))
+            while True:
+                body = await self._read(reader)
+                kind, value = BIN_FORMAT.parse_side(body, 0, len(body))
+                if kind != "ctl":
+                    continue
+                op = value[0]
+                await asyncio.sleep(self.delays.get(op, 0.0))
+                writer.write(
+                    BIN_FORMAT.frame_side("ctl", (True, f"{op}-result"), reply=True)
+                )
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+
+def test_a_timed_out_control_op_leaves_no_stale_reply(monkeypatch):
+    """The child's late answer to a timed-out op must not be taken for
+    the answer to the next one: the timeout drops the connection and the
+    next op dials afresh.  An obs poll the child never answers is
+    bounded like a control op."""
+    monkeypatch.setattr(proc_driver, "ACTION_TIMEOUT", 0.3)
+
+    async def scenario():
+        child = SlowChild(slow=0.5)
+        host, port = await child.start()
+        client = proc_driver._CtlClient("stub", host, port, "bin")
+        try:
+            with pytest.raises(asyncio.TimeoutError):
+                await client.request("slow", timeout=0.1)
+            assert await client.request("fast", timeout=2.0) == "fast-result"
+            assert child.dials == 2
+            with pytest.raises(asyncio.TimeoutError):
+                await client.fetch_metrics()
+            assert await client.request("fast", timeout=2.0) == "fast-result"
+            assert child.dials == 3
+        finally:
+            await client.aclose()
+            await child.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), 10.0))

@@ -18,8 +18,9 @@ it:
 * the ``msg`` parser and the side-frame parser pass each other's frames
   on (side-frame framing itself is ``tests/test_side_frames.py``).
 
-The sample list is imported from ``test_realnet_codec_bin`` so its
-"covers every registered class" assertion keeps this file honest too.
+The sample list is the shared ``tests/wire_samples.py`` table, whose
+"covers every registered class" assertion in ``test_realnet_codec_bin``
+keeps this file honest too.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.realnet.codec_bin import (
     encode_value_bin,
     packer_table,
 )
-from tests.test_realnet_codec_bin import _samples
+from tests.wire_samples import samples
 
 FORMATS = (JSON_FORMAT, BIN_FORMAT)
 
@@ -78,7 +79,7 @@ def test_packer_table_refreshes_when_the_registry_grows(monkeypatch):
         packer_table()
 
 
-@pytest.mark.parametrize("payload", _samples(), ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("payload", samples(), ids=lambda p: type(p).__name__)
 def test_packer_output_roundtrips_for_every_class(payload):
     assert decode_value_bin(encode_value_bin(payload)) == payload
 
@@ -169,11 +170,11 @@ def test_parse_msg_at_walks_a_multi_frame_batch(fmt):
 
 def test_parse_msg_at_every_registered_payload_at_offsets():
     """Every wire dataclass decodes from mid-buffer extents in one batch."""
-    samples = _samples()
+    payloads = samples()
     batch, extents = _pack_batch(
-        BIN_FORMAT, [((0, 0), 1, 0, payload) for payload in samples]
+        BIN_FORMAT, [((0, 0), 1, 0, payload) for payload in payloads]
     )
-    for (start, end), payload in zip(extents, samples):
+    for (start, end), payload in zip(extents, payloads):
         assert BIN_FORMAT.parse_msg_at(batch, start, end).payload() == payload
 
 
@@ -208,9 +209,9 @@ def test_parse_msg_at_fuzzed_truncations_all_raise_codec_error():
     """Seeded sweep: any truncation point raises CodecError, never a raw
     IndexError/struct.error and never a silently wrong value."""
     rng = random.Random(7)
-    samples = _samples()
+    payloads = samples()
     for _ in range(200):
-        payload = rng.choice(samples)
+        payload = rng.choice(payloads)
         body = BIN_FORMAT.frame_msg((1, 0), 2, 0, BIN_FORMAT.encode_payload(payload))[4:]
         cut = rng.randrange(0, len(body))
         buf = bytearray(body[:cut])

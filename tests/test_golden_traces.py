@@ -1,7 +1,7 @@
 """Cross-commit identity of seeded simulator traces.
 
 ``tests/test_determinism.py`` shows that one commit replays a seed
-identically; this file pins the *exported bytes* of three seeded runs, so
+identically; this file pins the *exported bytes* of four seeded runs, so
 a refactor that is meant to leave protocol behaviour alone (ROADMAP
 aim 2: "seeded sim traces stay byte-identical") is checked against the
 commit that recorded the digests, not only against itself.
@@ -19,7 +19,9 @@ import io
 import pytest
 
 from repro.apps.factories import app_factory
+from repro.apps.replicated_file import ReplicatedFile
 from repro.gms.membership import MembershipConfig
+from repro.isis import isis_stack_config
 from repro.net.faults import Crash, FaultSchedule, Heal, Partition, Recover
 from repro.ports import make_cluster
 from repro.trace.export import dump_trace
@@ -95,21 +97,52 @@ def scale_profile_trace():
     return cluster.gather_trace()
 
 
+def isis_blocking_trace():
+    """The Isis baseline with the blocking state-transfer tool: 20-chunk
+    transfers at one-member-per-view growth, a minority partition and
+    its reabsorption after the heal (the ``ChunkSender`` /
+    ``ChunkReceiver`` path, installing state before acknowledging)."""
+    votes = {s: 1 for s in range(5)}
+    cluster = make_cluster(
+        "sim",
+        5,
+        lambda pid: ReplicatedFile(votes),
+        seed=7,
+        stack=isis_stack_config(blocking_transfer=True, size_of=lambda app: 20),
+    )
+    cluster.run_for(900)
+    cluster.apps[0].write("ledger", "v1")
+    cluster.run_for(40)
+    cluster.partition([[0, 1, 2], [3, 4]])
+    cluster.run_for(300)
+    cluster.apps[0].write("ledger", "v2")
+    cluster.run_for(40)
+    cluster.heal()
+    cluster.run_for(900)
+    for site in range(5):
+        assert cluster.apps[site].read("ledger") == "v2", site
+    return cluster.gather_trace()
+
+
 SCENARIOS = {
     "figure2": figure2_trace,
     "store_faults": store_faults_trace,
     "scale_profile": scale_profile_trace,
+    "isis_blocking": isis_blocking_trace,
 }
 
 #: sha256 of ``repro.trace.export.dump_trace`` output.  ``figure2`` and
 #: ``store_faults`` were recorded at commit 9bc14ce (the parent of the
 #: cluster-core consolidation); ``scale_profile`` at commit 7ca1ce2,
 #: before the incremental reachable set, the tree memo and the int-key
-#: identifier sorts touched anything under ``src/``.
+#: identifier sorts touched anything under ``src/``; ``isis_blocking``
+#: at commit 04b1eb7, before the blocking tool's receiving side moved
+#: onto ``ChunkReceiver``.
 GOLDEN = {
     "figure2": "cf2dded8ed3c36f4d47ca043073b87052c0289b42fc4c14de50e98fc9475475e",
     "store_faults": "c9cba93aac5b47e498a995a4c55ecea20116205c7ed730b744dfe621a2f3467f",
     "scale_profile": "d40ecf40a39cf124e631e846887840b19497e5f7808370fbf0b9ddf78eeb1f37",
+    "isis_blocking": "4d995ee9465806c051c45668833d324cf29f13d82837cf98b46b2ad466e0d9fd",
 }
 
 

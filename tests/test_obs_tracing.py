@@ -26,7 +26,7 @@ from repro.ports import make_cluster
 #: The documented span vocabulary (docs/observability.md).
 TAXONOMY = {
     "view.change", "view.flush", "view.agree", "view.install",
-    "settle.round", "settle.offer", "settle.adopt", "transfer.stream",
+    "settle.round", "settle.offer", "settle.adopt",
     "mcast.send", "mcast.deliver",
     "client.put", "client.get", "client.history",
     "put.route", "put.quorum",

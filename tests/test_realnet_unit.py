@@ -12,11 +12,7 @@ import asyncio
 import pytest
 
 from repro.errors import CodecError
-from repro.evs.eview import EvDelta, EViewStructure
-from repro.evs.messages import EvChange, EvReq
-from repro.fd.heartbeat import Heartbeat
-from repro.gms.messages import PredecessorPlan, VcFlush, VcInstall, VcPrepare
-from repro.gms.view import View
+from repro.gms.messages import VcInstall
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.ports import NetworkPort, SchedulerPort
@@ -33,9 +29,7 @@ from repro.realnet.transport import FrameServer, OutMessage, PeerLink
 from repro.realnet.wallclock import WallClockScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
-from repro.types import Message, MessageId, ProcessId, SubviewId, SvSetId, ViewId
-from repro.vsync.stability import StabilityReport
-from repro.vsync.stack import DirectPayload, SubviewScoped
+from tests.wire_samples import samples
 
 
 # ---------------------------------------------------------------------------
@@ -70,70 +64,12 @@ def test_real_network_satisfies_network_port():
 
 
 # ---------------------------------------------------------------------------
-# Codec: every wire payload round-trips
+# Codec: JSON framing and tagging
 # ---------------------------------------------------------------------------
 
 
-def _pid(site: int, inc: int = 0) -> ProcessId:
-    return ProcessId(site, inc)
-
-
-def _sample_payloads():
-    p0, p1, p2 = _pid(0), _pid(1), _pid(2, 3)
-    vid = ViewId(4, p0)
-    view = View(vid, frozenset({p0, p1, p2}))
-    structure = EViewStructure.singletons(4, view.members)
-    delta = EvDelta(
-        seq=1,
-        kind="svset",
-        inputs=frozenset({SvSetId(4, p0, 0), SvSetId(4, p1, 0)}),
-        new_svset=SvSetId(4, p0, 1),
-    )
-    msg = Message(MessageId(p1, vid, 7), payload={"op": "put", "k": [1, 2]}, eview_seq=2)
-    return [
-        p2,
-        vid,
-        view,
-        structure,
-        delta,
-        msg,
-        Heartbeat(p1, vid, last_seqno=9, eview_seq=2),
-        VcPrepare((p0, 5), frozenset({p0, p1})),
-        VcFlush(
-            round_id=(p0, 5),
-            sender=p1,
-            view_id=vid,
-            max_epoch=4,
-            received=(msg,),
-            eview_seq=2,
-            structure=structure,
-            evlog=(delta,),
-            reachable=frozenset({p0, p1}),
-        ),
-        VcInstall(
-            round_id=(p0, 5),
-            view=view,
-            structure=structure,
-            predecessors={vid: PredecessorPlan(messages=(msg,), evlog=(delta,), eview_seq=2)},
-        ),
-        EvReq(p1, vid, "subview", frozenset({SubviewId(4, p0, 0)})),
-        EvChange(vid, delta),
-        StabilityReport(vid, p1, ((p0, 3), (p1, 9))),
-        DirectPayload({"blob": "x" * 10}),
-        SubviewScoped(frozenset({p0, p1}), ["nested", {"deep": (1, 2.5)}]),
-    ]
-
-
-@pytest.mark.parametrize("payload", _sample_payloads(), ids=lambda p: type(p).__name__)
-def test_codec_roundtrip(payload):
-    encoded = encode_value(payload)
-    decoded = decode_value(encoded)
-    assert decoded == payload
-    assert type(decoded) is type(payload)
-
-
 def test_codec_roundtrip_through_json_frame():
-    payload = _sample_payloads()[9]  # VcInstall: the deepest nesting
+    payload = next(s for s in samples() if isinstance(s, VcInstall))
     frame = encode_frame({"k": "msg", "p": encode_value(payload)})
     body = decode_frame_body(frame[4:])
     assert decode_value(body["p"]) == payload

@@ -18,51 +18,20 @@ import dataclasses
 
 import pytest
 
-from repro.client.protocol import ClientReply, ClientRequest
-from repro.core.settlement import StateAdopt, StateOffer, StateRequest
-from repro.core.state_transfer import TOffer
-from repro.gms.messages import VcInstall, VcPrepare, VcPropose
-from repro.gms.view import View
+from repro.client.protocol import ClientReply
 from repro.obs.tracing import TraceCtx
 from repro.realnet.codec import decode_value, encode_value
 from repro.realnet.codec_bin import decode_value_bin, encode_value_bin
-from repro.types import Message, MessageId, ProcessId, ViewId
+from tests.wire_samples import samples
 
-P0, P1 = ProcessId(0, 0), ProcessId(1, 0)
-VID = ViewId(3, P0)
 CTX = TraceCtx(trace_id=0x4001, span_id=0x5001, parent=0x4001)
 
 
 def _traced_samples():
-    """One instance per context-carrying wire dataclass, trace unset."""
-    from repro.evs.eview import EViewStructure
-
-    view = View(VID, frozenset({P0, P1}))
-    structure = EViewStructure.singletons(3, view.members)
+    """Every shared wire sample whose class carries a ``trace`` field."""
     return [
-        Message(MessageId(P1, VID, 7), payload={"op": "put"}, eview_seq=2),
-        VcPropose(P1, frozenset({P0, P1})),
-        VcPrepare((P0, 5), frozenset({P0, P1})),
-        VcInstall(round_id=(P0, 5), view=view, structure=structure),
-        StateRequest(session=(P0, 2), accepts_chunks=True),
-        StateOffer(
-            session=(P0, 2), sender=P1, snapshot={"k": "v"}, version=5,
-            last_epoch=3,
-        ),
-        StateAdopt(session=(P0, 2), state={"k": "v"}, view_id=VID),
-        TOffer(
-            transfer=(P1, 2),
-            session=(P0, 2),
-            kind="whole",
-            total_chunks=2,
-            base_version=0,
-            target_version=5,
-            sender=P1,
-            last_epoch=3,
-        ),
-        ClientRequest(req_id=1, op="put", key="k", value="v", client="c0",
-                      client_seq=1),
-        ClientReply(req_id=1, status="ok", value="v"),
+        s for s in samples()
+        if any(f.name == "trace" for f in dataclasses.fields(s))
     ]
 
 
