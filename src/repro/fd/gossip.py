@@ -4,8 +4,8 @@ The all-to-all heartbeat plane costs O(n²) messages per interval — fine
 at a dozen sites, prohibitive at hundreds.  This module replaces the
 beacon with van Renesse-style gossip: each site keeps a monotonically
 increasing *liveness counter* per known site and, every interval, pushes
-a compact digest of its whole table (site → incarnation, counter,
-suspicion flag) to ``fanout`` peers sampled from the universe.  Fresh
+its whole table — ``(site, (incarnation, counter))`` rows plus the set of
+sites it suspects — to ``fanout`` peers sampled from the universe.  Fresh
 counters spread epidemically, reaching every site in O(log n / log
 fanout) intervals with O(n·fanout) messages per interval total.
 
@@ -15,13 +15,13 @@ Receiving a digest yields two kinds of evidence:
   delivery through :meth:`DetectorBase.heard`); the digest additionally
   carries the sender's view id and traffic positions, so the in-view
   loss-repair piggyback of the heartbeat plane works unchanged;
-* **indirect** — an entry whose ``(incarnation, counter)`` is *strictly
+* **indirect** — a row whose ``(incarnation, counter)`` is *strictly
   newer* than our recorded one proves the named site was alive recently
   enough for its fresh counter to have gossiped here; we refresh its
   last-heard stamp without ever exchanging a message with it.
 
-Suspicion piggybacks SWIM-style: each entry carries whether the sender
-currently believes the site unreachable, and a site seeing itself
+Suspicion piggybacks SWIM-style: the digest names the sites the sender
+currently believes unreachable, and a site seeing itself
 suspected under its own incarnation bumps its counter and gossips
 immediately (rate-limited to once per interval), so a false suspicion is
 refuted in one epidemic round instead of lingering until the suspect
@@ -58,30 +58,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @dataclass(frozen=True)
-class GossipEntry:
-    """One site's liveness row as known by the digest's sender."""
-
-    site: SiteId
-    incarnation: int
-    counter: int
-    suspect: bool = False
-
-
-@dataclass(frozen=True)
 class GossipDigest:
     """The periodic liveness push.
 
     Like :class:`~repro.fd.heartbeat.Heartbeat` it carries the sender's
     view id and traffic positions (``last_seqno`` / ``eview_seq``) so
     the stack's in-view loss repair works identically under either
-    plane; ``entries`` adds the sender's whole liveness table.
+    plane.  ``rows`` adds its liveness table, ``(site, (incarnation,
+    counter))`` with its own row first, and ``suspects`` the sites of
+    that table it has not heard within its timeout, or never.
     """
 
     sender: ProcessId
     view_id: ViewId | None
     last_seqno: int = 0
     eview_seq: int = 0
-    entries: tuple[GossipEntry, ...] = ()
+    rows: tuple[tuple[SiteId, tuple[int, int]], ...] = ()
+    suspects: frozenset[SiteId] = frozenset()
 
 
 class GossipDetector(DetectorBase):
@@ -101,6 +94,7 @@ class GossipDetector(DetectorBase):
         self.fanout = fanout
         # Liveness table: site -> (incarnation, counter).  Own counter
         # advances once per beat; peers' rows advance as digests arrive.
+        # Our own site never enters it.
         self._counters: dict[SiteId, tuple[int, int]] = {}
         self._counter = 0
         self._last_refute = -1e18
@@ -128,30 +122,25 @@ class GossipDetector(DetectorBase):
     def _push(self, targets: list[SiteId]) -> None:
         if not targets:
             return
+        own = self.stack.pid
+        now = self.stack.now
+        last_heard = self._last_heard.get
         digest = GossipDigest(
-            self.stack.pid,
+            own,
             self.stack.current_view_id(),
             last_seqno=self.stack.channels.own_seqno(),
             eview_seq=self.stack.evs.applied_seq,
-            entries=self._make_entries(),
+            rows=((own.site, (own.incarnation, self._counter)), *self._counters.items()),
+            suspects=frozenset([
+                site for site in self._counters
+                if (seen := last_heard(site)) is None or now - seen[0] > self.timeout
+            ]),
         )
         self.stack.send_sites(targets, digest)
         self.digests_sent += len(targets)
         obs = self.stack.obs
         if obs is not None:
-            obs.gossip_digest_sent(self.stack.pid, len(targets))
-
-    def _make_entries(self) -> tuple[GossipEntry, ...]:
-        own = self.stack.pid
-        now = self.stack.now
-        entries = [GossipEntry(own.site, own.incarnation, self._counter, False)]
-        for site, (incarnation, counter) in self._counters.items():
-            if site == own.site:
-                continue
-            heard = self._last_heard.get(site)
-            suspect = heard is None or now - heard[0] > self.timeout
-            entries.append(GossipEntry(site, incarnation, counter, suspect))
-        return tuple(entries)
+            obs.gossip_digest_sent(own, len(targets))
 
     # -- receiving --------------------------------------------------------
 
@@ -165,24 +154,26 @@ class GossipDetector(DetectorBase):
             # breaking bit-for-bit equivalence with the heartbeat plane.
             # Direct evidence only, exactly like a heartbeat.
             return
+        # Only rows strictly newer than the table (against a (-1, -1)
+        # sentinel) reach the loop.  Our own site never enters the table,
+        # so a row naming it always passes: refutation is decided here.
+        known = self._counters.get
+        fresh = [row for row in digest.rows if row[1] > known(row[0], (-1, -1))]
         own = self.stack.pid
+        suspects = digest.suspects
         refute = False
-        for entry in digest.entries:
-            if entry.site == own.site:
-                if entry.suspect and entry.incarnation == own.incarnation:
+        for site, key in fresh:
+            if site == own.site:
+                if key[0] == own.incarnation and site in suspects:
                     refute = True
                 continue
-            key = (entry.incarnation, entry.counter)
-            cur = self._counters.get(entry.site)
-            if cur is not None and key <= cur:
-                continue
-            self._counters[entry.site] = key
-            if entry.site != src.site and not entry.suspect:
+            self._counters[site] = key
+            if site != src.site and site not in suspects:
                 # Indirect evidence: a strictly fresher counter proves
                 # the named site beat recently enough for the update to
                 # gossip here.  Never fires in the degenerate full-fanout
                 # regime — the origin's own digest always lands first.
-                self._note_indirect(entry.site, entry.incarnation)
+                self._note_indirect(site, key[0])
         if refute:
             self._refute()
 
@@ -201,12 +192,10 @@ class GossipDetector(DetectorBase):
     def _refute(self) -> None:
         """SWIM refutation: we are being suspected under our live
         incarnation — push a fresh counter immediately so the rumor dies
-        in one epidemic round.  Suppressed at full fanout, where every
-        peer already hears us directly each interval (and where the
-        extra send would break bit-for-bit equivalence with the
-        heartbeat plane)."""
-        if self.fanout >= self.stack.universe_size() - 1:
-            return
+        in one epidemic round.  Never at full fanout, where every peer
+        already hears us directly each interval (and where the extra
+        send would break bit-for-bit equivalence with the heartbeat
+        plane): :meth:`on_digest` returns before reading a row there."""
         now = self.stack.now
         if now - self._last_refute < self.interval:
             return

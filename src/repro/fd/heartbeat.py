@@ -225,7 +225,7 @@ class DetectorBase:
         """A gossip digest arrived.  The base treatment (used when a
         heartbeat-plane node shares a cluster with gossip-plane nodes)
         is to read it as a plain beacon from its sender; the gossip
-        detector overrides this to mine the entries."""
+        detector overrides this to mine the rows."""
         self._beacon(src, digest.view_id)
 
     def force_down(self, site: SiteId) -> None:

@@ -53,6 +53,7 @@ from repro.types import (
     SubviewId,
     SvSetId,
     ViewId,
+    least_member,
     min_process,
     pid_key,
     sorted_pids,
@@ -524,9 +525,8 @@ class ViewAgreement:
             children = tree.children(self.stack.pid)
             if children:
                 self.stack.send_many(children, msg)
-        candidate = min_process(
-            msg.members | self.stack.fd.reachable() | {self.stack.pid}
-        )
+        least = (least_member(msg.members), least_member(self.stack.fd.reachable()))
+        candidate = min(*least, self.stack.pid, key=pid_key)
         if candidate == self.stack.pid and coordinator != self.stack.pid:
             # We should coordinate instead; tell them and do it.
             self.stack.send(coordinator, VcNack(msg.round_id, self.stack.pid))

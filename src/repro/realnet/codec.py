@@ -210,7 +210,7 @@ async def read_body(reader: Any) -> bytes:
 def _register_stack_payloads() -> None:
     from repro.evs.eview import EvDelta, EView, EViewStructure, Subview, SvSet
     from repro.evs.messages import EvChange, EvRepairReq, EvReq
-    from repro.fd.gossip import GossipDigest, GossipEntry
+    from repro.fd.gossip import GossipDigest
     from repro.fd.heartbeat import Heartbeat
     from repro.gms.messages import (
         Leave,
@@ -232,7 +232,7 @@ def _register_stack_payloads() -> None:
     for cls in (
         ProcessId, ViewId, MessageId, SubviewId, SvSetId, Message,
         View, Subview, SvSet, EvDelta, EViewStructure, EView,
-        Heartbeat, GossipEntry, GossipDigest,
+        Heartbeat, GossipDigest,
         VcPropose, VcPrepare, VcNack, VcFlush, VcFlushBatch, PredecessorPlan,
         VcInstall, VcAbort, Leave,
         EvReq, EvChange, EvRepairReq,

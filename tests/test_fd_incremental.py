@@ -5,7 +5,9 @@ of everything that touches the set — direct and indirect evidence, new
 and stale incarnations, clock advances short of and past the timeout,
 sweeps, forced expiries — and after every step compared with an oracle
 that lives here, not in ``src/``: the rebuild-from-scratch rule the
-detector used before it learned to change one element at a time.
+detector used before it learned to change one element at a time.  A
+gossip detector also pushes a digest after every step, and each one is
+checked against the table it was cut from.
 """
 
 from __future__ import annotations
@@ -25,15 +27,59 @@ OWN = ProcessId(3, 1)
 
 
 class FakeStack:
-    """The three things a detector reads off its stack here."""
+    """What a detector reads off its stack here.  ``fd`` is the detector
+    it carries, like the real stack's; every gossip digest it is asked
+    to send is checked against that detector's table on the spot."""
 
     def __init__(self) -> None:
         self.pid = OWN
         self.scheduler = SimpleNamespace(now=0.0)
+        self.channels = SimpleNamespace(own_seqno=lambda: 0)
+        self.evs = SimpleNamespace(applied_seq=0)
+        self.obs = None
+        self.fd: DetectorBase | None = None
+        self.pushes = 0
 
     @property
     def now(self) -> float:
         return self.scheduler.now
+
+    def current_view_id(self) -> None:
+        return None
+
+    def universe_sites(self) -> range:
+        return range(SITES)
+
+    def universe_size(self) -> int:
+        return SITES
+
+    def send_sites(self, sites, digest) -> None:
+        assert_digest_is_table(self.fd, digest)
+        self.pushes += 1
+
+
+def assert_digest_is_table(det: GossipDetector, digest) -> None:
+    """A digest is the sender's table at the instant of the push: its own
+    row, then ``_counters`` in insertion order with the very key objects
+    stored there, and as suspects exactly the sites of that table not
+    heard within the timeout (or never heard)."""
+    own = det.stack.pid
+    assert digest.rows[0] == (own.site, (own.incarnation, det._counter))
+    rest = digest.rows[1:]
+    assert [site for site, _ in rest] == list(det._counters)
+    assert all(key is det._counters[site] for site, key in rest)
+    now = det.stack.now
+    assert digest.suspects == {
+        site
+        for site in det._counters
+        if site not in det._last_heard or now - det._last_heard[site][0] > det.timeout
+    }
+
+
+def detector(cls, **knobs) -> DetectorBase:
+    stack = FakeStack()
+    stack.fd = cls(stack, interval=5.0, timeout=TIMEOUT, **knobs)
+    return stack.fd
 
 
 class Oracle:
@@ -106,6 +152,8 @@ def _drive(det: DetectorBase, seed: int, steps: int = 600) -> None:
             det.force_down(site)
             oracle.force_down()
 
+        if indirect:
+            det._push([0])
         assert det.reachable() == oracle.cache
         assert det._reachable_incs == {p.site: p.incarnation for p in oracle.cache}
         assert bool(fired) == (oracle.cache != before)
@@ -115,22 +163,23 @@ def _drive(det: DetectorBase, seed: int, steps: int = 600) -> None:
             det._last_heard[p.site][0] for p in det.reachable() if p.site != OWN.site
         ]
         assert all(det._oldest <= stamp for stamp in stamps)
+    assert stack.pushes == (steps if indirect else 0)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_base_detector_matches_rebuild_from_scratch(seed: int) -> None:
-    _drive(DetectorBase(FakeStack(), interval=5.0, timeout=TIMEOUT), seed)
+    _drive(detector(DetectorBase), seed)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_gossip_detector_matches_rebuild_from_scratch(seed: int) -> None:
-    _drive(GossipDetector(FakeStack(), interval=5.0, timeout=TIMEOUT, fanout=3), seed)
+    _drive(detector(GossipDetector, fanout=3), seed)
 
 
 def test_most_arrivals_do_not_rebuild() -> None:
     """The point of the exercise: peers trickling in inside one timeout
     cost one element each, not one rebuild each."""
-    det = DetectorBase(FakeStack(), interval=5.0, timeout=TIMEOUT)
+    det = detector(DetectorBase)
     for site in range(40):
         if site != OWN.site:
             det.stack.scheduler.now += 0.1

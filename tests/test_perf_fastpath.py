@@ -651,18 +651,25 @@ def test_sweep_cost_tracks_live_peers_not_universe(fd_mode):
 def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
     """n=64 under the scale profile, bootstrap + partition + heal.
     Counts, not wall time: the reachable set is rebuilt from scratch
-    O(sweeps + expiries) times per site, not once per peer learned, and
-    a round's aggregation tree is built once, not once per member per
-    message."""
+    O(sweeps + expiries) times per site, not once per peer learned; a
+    round's aggregation tree is built once, not once per member per
+    message; a digest is its sender's table, not one new object per row,
+    and only the rows newer than the receiver's table are walked; and
+    the least member of a set is computed once per distinct set."""
+    from repro.fd.gossip import GossipDetector, GossipDigest
     from repro.fd.heartbeat import DetectorBase
     from repro.gms import tree as tree_mod
     from repro.gms.membership import MembershipConfig, ViewAgreement
-    from repro.vsync.stack import StackConfig
+    from repro.types import least_member
+    from repro.vsync.stack import GroupStack, StackConfig
 
     n, fanout, timeout = 64, 8, 45.0
     learned = [0]
     built = [0]
     tree_keys = set()
+    rows = {"received": 0, "newer": 0, "indirect": 0, "pushed": 0}
+    noted = [0]
+    asked = set()
 
     def spy(cls, name, before):
         original = getattr(cls, name)
@@ -683,11 +690,35 @@ def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
         if len(members) > fanout + 1:  # smaller rounds stay flat
             tree_keys.add((members, coordinator))
 
+    def prepare(agreement, _src, msg):
+        key(msg.members, msg.round_id[0])
+        asked.update((msg.members, agreement.stack.fd.reachable()))
+
+    def received(det, src, digest):
+        table = det._counters
+        own = det.stack.pid.site
+        rows["received"] += len(digest.rows)
+        for site, stamp in digest.rows:
+            if site != own and stamp > table.get(site, (-1, -1)):
+                rows["newer"] += 1
+                if site != src.site and site not in digest.suspects:
+                    rows["indirect"] += 1
+
+    def pushed(stack, _sites, payload):
+        if isinstance(payload, GossipDigest):
+            table = stack.fd._counters
+            assert all(stamp is table[site] for site, stamp in payload.rows[1:])
+            rows["pushed"] += 1
+
     spy(DetectorBase, "_admit", count(learned))
     spy(tree_mod.AggregationTree, "__init__", count(built))
-    spy(ViewAgreement, "on_prepare", lambda _s, _src, m: key(m.members, m.round_id[0]))
+    spy(ViewAgreement, "on_prepare", prepare)
     spy(ViewAgreement, "on_install", lambda _s, _src, m: key(m.view.members, m.round_id[0]))
+    spy(GossipDetector, "on_digest", received)
+    spy(GossipDetector, "_note_indirect", count(noted))
+    spy(GroupStack, "send_sites", pushed)
     tree_mod.round_tree.cache_clear()
+    least_member.cache_clear()
 
     config = ClusterConfig(
         fd_mode="gossip",
@@ -716,6 +747,10 @@ def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
     assert learned[0] >= n * (n - 1 + n // 2)
     assert sum(s.fd.full_rebuilds for s in stacks) * 8 <= learned[0]
     assert 0 < built[0] <= len(tree_keys)
+    assert rows["pushed"] > 0
+    assert noted[0] == rows["indirect"]
+    assert rows["newer"] * 4 < rows["received"]
+    assert 0 < least_member.cache_info().misses <= len(asked)
 
 
 def test_staggered_heartbeats_do_not_share_an_instant():

@@ -21,7 +21,7 @@ from repro.core.state_transfer import TAck, TChunk, TSmallPiece
 from repro.core.versioning import Provenance, VersionEntry
 from repro.evs.eview import EvDelta, EView, EViewStructure, Subview, SvSet
 from repro.evs.messages import EvChange, EvRepairReq, EvReq
-from repro.fd.gossip import GossipDigest, GossipEntry
+from repro.fd.gossip import GossipDigest
 from repro.fd.heartbeat import Heartbeat
 from repro.gms.messages import (
     Leave,
@@ -73,16 +73,13 @@ def samples():
         delta,
         msg,
         Heartbeat(p1, vid, last_seqno=9, eview_seq=2),
-        GossipEntry(site=2, incarnation=3, counter=17, suspect=True),
         GossipDigest(
             sender=p1,
             view_id=vid,
             last_seqno=9,
             eview_seq=2,
-            entries=(
-                GossipEntry(site=0, incarnation=0, counter=5),
-                GossipEntry(site=2, incarnation=3, counter=17, suspect=True),
-            ),
+            rows=((1, (0, 9)), (0, (0, 5)), (2, (3, 17))),
+            suspects=frozenset({2}),
         ),
         VcPropose(p1, frozenset({p0, p1})),
         VcPrepare((p0, 5), frozenset({p0, p1}), direct=True),
