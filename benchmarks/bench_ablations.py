@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.isis import IsisConfig, isis_stack_config
 from repro.net.latency import UniformLatency
 from repro.runtime.cluster import Cluster, ClusterConfig
@@ -37,6 +36,7 @@ from repro.vsync.stack import StackConfig
 
 
 from repro.vsync.events import GroupApplication
+from repro.workload import Table
 
 
 class _Reactor(GroupApplication):

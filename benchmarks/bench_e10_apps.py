@@ -26,9 +26,9 @@ from typing import Any
 from repro.apps.lock_manager import MajorityLockManager
 from repro.apps.replicated_db import ParallelLookupDatabase
 from repro.apps.replicated_file import ReplicatedFile
-from repro.bench.harness import Table, run_with_schedule
 from repro.core.modes import Mode
-from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.ports import make_cluster
+from repro.workload import Table, run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 N_SITES = 5
@@ -38,13 +38,11 @@ SEEDS = range(5)
 def file_run(seed: int) -> dict[str, Any]:
     votes = {s: 1 for s in range(N_SITES)}
     gen = RandomFaultGenerator(n_sites=N_SITES, seed=seed, duration=250)
-    cluster = Cluster(
-        N_SITES,
-        app_factory=lambda pid: ReplicatedFile(votes),
-        config=ClusterConfig(seed=seed),
+    cluster = make_cluster(
+        "sim", N_SITES, lambda pid: ReplicatedFile(votes), seed=seed
     )
     schedule = gen.generate()
-    schedule.arm(cluster.scheduler, cluster)
+    cluster.arm(schedule)
     committed: dict[str, list] = {}
     writes = 0
     deadline = schedule.horizon + gen.settle_tail
@@ -97,13 +95,10 @@ def file_run(seed: int) -> dict[str, Any]:
 def db_run(seed: int) -> dict[str, Any]:
     predicates = {"all": lambda k, v: True}
     gen = RandomFaultGenerator(n_sites=N_SITES, seed=seed + 100, duration=250)
-    cluster = run_with_schedule(
-        N_SITES,
-        gen.generate(),
-        app_factory=lambda pid: ParallelLookupDatabase(predicates),
-        config=ClusterConfig(seed=seed),
-        tail=gen.settle_tail + 250,
+    cluster = make_cluster(
+        "sim", N_SITES, lambda pid: ParallelLookupDatabase(predicates), seed=seed
     )
+    run_checked_workload(cluster, gen.generate(), tail=gen.settle_tail + 250)
     cluster.run_for(250)
     cluster.settle(timeout=500)
     live = [s for s in cluster.apps if cluster.stacks[s].alive]
@@ -131,13 +126,11 @@ def db_run(seed: int) -> dict[str, Any]:
 
 def lock_run(seed: int) -> dict[str, Any]:
     gen = RandomFaultGenerator(n_sites=N_SITES, seed=seed + 200, duration=250)
-    cluster = Cluster(
-        N_SITES,
-        app_factory=lambda pid: MajorityLockManager(range(N_SITES)),
-        config=ClusterConfig(seed=seed),
+    cluster = make_cluster(
+        "sim", N_SITES, lambda pid: MajorityLockManager(range(N_SITES)), seed=seed
     )
     schedule = gen.generate()
-    schedule.arm(cluster.scheduler, cluster)
+    cluster.arm(schedule)
     deadline = schedule.horizon + gen.settle_tail
     violations = 0
     grants = 0

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.trace.events import ViewInstallEvent
+from repro.workload import Table
 
 SIZES = [2, 4, 8, 12, 16, 24]
 

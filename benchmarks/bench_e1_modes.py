@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.analysis import FIGURE_1_EDGES, TransitionMatrix, transition_matrix
 from repro.apps.replicated_file import ReplicatedFile
-from repro.bench.harness import Table, run_with_schedule
-from repro.runtime.cluster import ClusterConfig
+from repro.ports import make_cluster
+from repro.workload import Table, run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 N_SITES = 5
@@ -24,14 +24,10 @@ def run_experiment() -> dict[tuple[str, str, str], int]:
     votes = {s: 1 for s in range(N_SITES)}
     for seed in SEEDS:
         gen = RandomFaultGenerator(n_sites=N_SITES, seed=seed, duration=350)
-        schedule = gen.generate()
-        cluster = run_with_schedule(
-            N_SITES,
-            schedule,
-            app_factory=lambda pid: ReplicatedFile(votes),
-            config=ClusterConfig(seed=seed),
-            tail=gen.settle_tail,
+        cluster = make_cluster(
+            "sim", N_SITES, lambda pid: ReplicatedFile(votes), seed=seed
         )
+        run_checked_workload(cluster, gen.generate(), tail=gen.settle_tail)
         cluster.run_for(200)
         matrix = matrix.merge(transition_matrix(cluster.recorder))
     return matrix.counts

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table, run_with_schedule
 from repro.net.latency import UniformLatency
-from repro.runtime.cluster import ClusterConfig
-from repro.trace.checks import check_enriched_views, check_view_synchrony
+from repro.ports import make_cluster
 from repro.vsync.events import GroupApplication
+from repro.workload import Table, run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 N_SITES = 5
@@ -44,22 +43,22 @@ def run_experiment() -> dict[str, Any]:
     for seed in SEEDS:
         loss = 0.03 if seed % 2 else 0.0
         gen = RandomFaultGenerator(n_sites=N_SITES, seed=seed, duration=300)
-        schedule = gen.generate()
-        config = ClusterConfig(
-            seed=seed, loss_prob=loss, latency=UniformLatency(0.5, 2.5)
-        )
-        cluster = run_with_schedule(
+        cluster = make_cluster(
+            "sim",
             N_SITES,
-            schedule,
-            app_factory=lambda pid: Chatty(),
-            config=config,
+            lambda pid: Chatty(),
+            seed=seed,
+            loss_prob=loss,
+            latency=UniformLatency(0.5, 2.5),
+        )
+        run = run_checked_workload(
+            cluster,
+            gen.generate(),
             tail=gen.settle_tail + 200,
             settle_timeout=900,
         )
-        deliveries += len(cluster.recorder.deliveries())
-        reports = check_view_synchrony(cluster.recorder)
-        reports += check_enriched_views(cluster.recorder)
-        for report in reports:
+        deliveries += len(run.trace.deliveries())
+        for report in run.reports:
             entry = totals.setdefault(report.name, {"checked": 0, "violations": 0})
             entry["checked"] += report.checked
             entry["violations"] += len(report.violations)

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table, run_with_schedule
+from repro.ports import make_cluster
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.trace.checks import check_structure
+from repro.workload import Table, run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 SEEDS = range(8)
@@ -62,10 +63,10 @@ def preservation_rate() -> dict[str, Any]:
     checked = violations = 0
     for seed in SEEDS:
         gen = RandomFaultGenerator(n_sites=5, seed=seed, duration=300)
-        cluster = run_with_schedule(
-            5, gen.generate(), config=ClusterConfig(seed=seed), tail=gen.settle_tail
+        run = run_checked_workload(
+            make_cluster("sim", 5, seed=seed), gen.generate(), tail=gen.settle_tail
         )
-        report = check_structure(cluster.recorder)
+        report = check_structure(run.trace)
         checked += report.checked
         violations += len(report.violations)
     return {"checked": checked, "violations": violations}

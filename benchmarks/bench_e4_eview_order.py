@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.trace.checks import (
     check_causal_order,
@@ -21,6 +20,7 @@ from repro.trace.checks import (
     check_total_order,
 )
 from repro.trace.events import EViewChangeEvent
+from repro.workload import Table
 
 
 def figure3_replay() -> list[tuple[str, str]]:

@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.isis import isis_stack_config
-from repro.bench.harness import Table
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.trace.events import ViewInstallEvent
+from repro.workload import Table
 
 MS = [1, 2, 4, 8, 16]
 

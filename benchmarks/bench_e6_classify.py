@@ -22,14 +22,14 @@ from __future__ import annotations
 from typing import Any
 
 from repro.apps.lock_manager import MajorityLockManager
-from repro.bench.harness import Table, run_with_schedule
 from repro.core.classify import classify_enriched, classify_flat, ground_truth
 from repro.core.cuts import cut_at_install
 from repro.evs.eview import EView, EViewStructure, Subview, SvSet
 from repro.gms.view import View
-from repro.runtime.cluster import ClusterConfig
+from repro.ports import make_cluster
 from repro.trace.events import EViewChangeEvent
 from repro.types import ProcessId, SubviewId, SvSetId, ViewId
+from repro.workload import Table, run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 N_SITES = 5
@@ -109,14 +109,13 @@ def randomized_score() -> dict[str, Any]:
     entries = []
     for seed in SEEDS:
         gen = RandomFaultGenerator(n_sites=N_SITES, seed=seed, duration=300)
-        cluster = run_with_schedule(
-            N_SITES,
-            gen.generate(),
-            app_factory=lambda pid: MajorityLockManager(range(N_SITES)),
-            config=ClusterConfig(seed=seed),
-            tail=gen.settle_tail + 150,
+        cluster = make_cluster(
+            "sim", N_SITES, lambda pid: MajorityLockManager(range(N_SITES)), seed=seed
         )
-        entries.extend(diagnose_run(cluster.recorder, majority))
+        run = run_checked_workload(
+            cluster, gen.generate(), tail=gen.settle_tail + 150
+        )
+        entries.extend(diagnose_run(run.trace, majority))
     return {
         "events": len(entries),
         "flat_exact": sum(e.flat_exact for e in entries),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.core.group_object import GroupObject
 from repro.core.classify import ground_truth
 from repro.core.mode_functions import (
@@ -31,6 +30,7 @@ from repro.core.mode_functions import (
 )
 from repro.isis import isis_stack_config
 from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.workload import Table
 
 N_SITES = 5
 SEEDS = range(5)

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.core.state_transfer import TAck, TChunk, TSmallPiece, TwoPieceTransfer
 from repro.isis import isis_stack_config
 from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.workload import Table
 
 SIZES = [1, 10, 40, 100, 200]
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.core.group_object import GroupObject
 from repro.core.mode_functions import AlwaysFullModeFunction
 from repro.core.modes import Mode
 from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.workload import Table
 
 SEEDS = range(6)
 INITIAL_SITES = 4

@@ -14,12 +14,12 @@ import io
 
 from repro.analysis import classification_score, diagnose_run, transition_matrix
 from repro.apps import MajorityLockManager
-from repro.bench.harness import run_with_schedule
-from repro.runtime.cluster import ClusterConfig
-from repro.trace.checks import check_enriched_views, check_view_synchrony
+from repro.ports import make_cluster
+from repro.trace.checks import check_cluster
 from repro.trace.export import dump_trace
 from repro.trace.stats import summarize
 from repro.trace.timeline import render_timeline
+from repro.workload import run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 N = 5
@@ -29,13 +29,10 @@ def main() -> None:
     generator = RandomFaultGenerator(n_sites=N, seed=12, duration=300)
     schedule = generator.generate()
     print(f"-- running {len(schedule.actions)} fault actions over {N} sites --")
-    cluster = run_with_schedule(
-        N,
-        schedule,
-        app_factory=lambda pid: MajorityLockManager(range(N)),
-        config=ClusterConfig(seed=12),
-        tail=generator.settle_tail + 150,
+    cluster = make_cluster(
+        "sim", N, lambda pid: MajorityLockManager(range(N)), seed=12
     )
+    run_checked_workload(cluster, schedule, tail=generator.settle_tail + 150)
     cluster.run_for(200)
     cluster.settle(timeout=500)
 
@@ -74,8 +71,7 @@ def main() -> None:
           f"flat exact {score['flat_exact']:.0%}")
 
     print("\n-- property checks + export --")
-    reports = check_view_synchrony(cluster.recorder)
-    reports += check_enriched_views(cluster.recorder)
+    reports = check_cluster(cluster)
     assert all(r.ok for r in reports)
     print("   all", len(reports), "properties hold")
     buffer = io.StringIO()

@@ -1,5 +1,4 @@
-"""Experiment harness shared by the benchmarks (see DESIGN.md §3)."""
-
-from repro.bench.harness import Table, run_with_schedule, seeded_runs
-
-__all__ = ["Table", "run_with_schedule", "seeded_runs"]
+"""The legacy performance ledger: ``perf``, ``realnet_perf``,
+``client_perf``, ``obs_perf`` and ``realnet_compare``, which write and
+compare ``BENCH_PERF.json``.  Nothing outside this package imports it;
+fault schedules run through :func:`repro.workload.run_checked_workload`."""

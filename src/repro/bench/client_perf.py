@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.bench.harness import Table
+from repro.workload import Table
 
 SEED = 7
 SETTLE_TIMEOUT = 60.0

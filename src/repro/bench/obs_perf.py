@@ -33,9 +33,9 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.bench.perf import SEED, bench_steady_multicast
 from repro.runtime.cluster import ClusterConfig
+from repro.workload import Table
 
 N = 24
 DURATION = 400.0

@@ -52,10 +52,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.bench.harness import Table
 from repro.gms.membership import MembershipConfig
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.vsync.stack import StackConfig
+from repro.workload import Table
 
 SEED = 7
 STEADY_TICK = 2.0

@@ -45,12 +45,12 @@ import asyncio
 import time
 from typing import Any, Callable
 
-from repro.bench.harness import Table
 from repro.realnet.cluster import RealCluster
 from repro.runtime.core import ClusterConfig
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.types import MessageId, ProcessId
 from repro.vsync.events import GroupApplication
+from repro.workload import Table
 
 SEED = 7
 SETTLE_TIMEOUT = 60.0

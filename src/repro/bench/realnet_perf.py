@@ -42,7 +42,6 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.bench.harness import Table
 from repro.obs.report import quantile
 from repro.obs.snapshot import MetricSample
 from repro.ports import make_cluster
@@ -51,6 +50,7 @@ from repro.realnet.cluster import RealCluster
 from repro.runtime.core import ClusterConfig
 from repro.types import MessageId, ProcessId, ViewId
 from repro.vsync.events import GroupApplication
+from repro.workload import Table
 
 SEED = 7
 SETTLE_TIMEOUT = 60.0

@@ -51,7 +51,6 @@ import sys
 from typing import Sequence
 
 from repro.apps.factories import APP_NAMES, app_factory
-from repro.bench.harness import Table
 from repro.ports import RUNTIMES, make_cluster
 from repro.trace.checks import (
     CheckReport,
@@ -59,6 +58,7 @@ from repro.trace.checks import (
     check_enriched_views,
     check_view_synchrony,
 )
+from repro.workload import Table
 from repro.workload.generator import RandomFaultGenerator
 from repro.workload.runner import run_checked_workload
 

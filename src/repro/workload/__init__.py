@@ -22,6 +22,7 @@ from repro.workload.clients import (
     QueryClient,
 )
 from repro.workload.runner import WorkloadReport, run_checked_workload
+from repro.workload.table import Table
 
 __all__ = [
     "clean_scenario",
@@ -38,4 +39,5 @@ __all__ = [
     "QueryClient",
     "WorkloadReport",
     "run_checked_workload",
+    "Table",
 ]

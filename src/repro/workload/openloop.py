@@ -25,8 +25,8 @@ scattered over the keyspace by a multiplicative scramble).
 Every completion lands in the cluster's metrics registry —
 ``client_ops_total{op,status}`` and the ``client_op_latency{op}``
 histogram — and :func:`slo_verdict` turns those histograms into
-per-operation p50/p99 and a pass/fail against a latency target, the
-same numbers ``repro.bench.client_perf`` records into BENCH_PERF.json.
+per-operation p50/p99 and a pass/fail against a latency target: the
+verdict :func:`~repro.workload.runner.run_client_load` returns.
 
 Rates and durations are in **backend time** (wall seconds on realnet,
 virtual units on the simulator), like every other duration handed to

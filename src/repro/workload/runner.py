@@ -1,13 +1,14 @@
 """One harness, two runtimes: checked workload runs over any cluster.
 
-:func:`run_checked_workload` is the runtime-agnostic successor of the
-simulator-only ``run_with_schedule`` flow: it drives an already-built
-:class:`~repro.ports.ClusterPort` — simulated or real-network — through
-a scenario-unit :class:`~repro.net.faults.FaultSchedule` and a mix of
-workload clients, settles, gathers the (merged) trace and runs the
-paper's property checks over it.  The CLI's ``run``/``check`` commands,
+:func:`run_checked_workload` is the one way to run a fault schedule: it
+drives an already-built :class:`~repro.ports.ClusterPort` — simulated or
+real-network — through a scenario-unit
+:class:`~repro.net.faults.FaultSchedule` and a mix of workload clients,
+settles, gathers the (merged) trace and runs the paper's property checks
+over it.  The CLI's ``run``/``check`` commands, the paper's experiments,
 the realnet workload smoke tests and the sim-vs-realnet bench all call
-this one function; none of them name a concrete cluster class.
+it (or its open-loop sibling :func:`run_client_load`); none of them name
+a concrete cluster class.
 
 Every duration parameter is in scenario units; the harness converts via
 the cluster's :attr:`~repro.ports.ClusterPort.time_scale`, so the same
@@ -44,9 +45,8 @@ class WorkloadReport:
     reports: list[CheckReport] = field(default_factory=list)
     clients: list[Any] = field(default_factory=list)
     check_wall_s: float = 0.0
-    #: MetricsSnapshot taken after the checks (None when the backend
-    #: predates the metrics surface) — every checked workload gets a
-    #: metrics artifact alongside its trace.
+    #: MetricsSnapshot taken after the checks — every checked workload
+    #: gets a metrics artifact alongside its trace.
     metrics: Any = None
 
     @property
@@ -96,15 +96,38 @@ def run_checked_workload(
     cluster.run_for((schedule.horizon + tail) * scale)
     for client in clients:
         client.stop()
+    return _settle_and_check(
+        cluster, schedule, tail, settle_timeout, settle_poll, enriched, clients
+    )
+
+
+def _settle_and_check(
+    cluster: ClusterPort,
+    schedule: FaultSchedule,
+    tail: float,
+    settle_timeout: float,
+    settle_poll: float,
+    enriched: bool,
+    clients: list[Any],
+    checkers: Sequence[str] | None = None,
+) -> WorkloadReport:
+    """The tail both runners share: settle, gather the trace, run the
+    property checks (plus the named fuzz ``checkers``), snapshot the
+    metrics and report.  Everything after the settle only reads state."""
+    scale = cluster.time_scale
     settled = cluster.settle(
         timeout=settle_timeout * scale, poll=settle_poll * scale
     )
     t0 = time.perf_counter()
     trace = cluster.gather_trace()
     reports = check_cluster(cluster, enriched=enriched, trace=trace)
+    if checkers:
+        from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
+
+        reports += run_checkers(
+            trace, make_checkers(checkers), CheckContext(time_scale=scale)
+        )
     check_wall = time.perf_counter() - t0
-    snap_fn = getattr(cluster, "metrics_snapshot", None)
-    metrics = snap_fn() if callable(snap_fn) else None
     report = WorkloadReport(
         runtime_now=cluster.now,
         settled=settled,
@@ -114,7 +137,7 @@ def run_checked_workload(
         reports=reports,
         clients=clients,
         check_wall_s=check_wall,
-        metrics=metrics,
+        metrics=cluster.metrics_snapshot(),
     )
     # Black box: a tripped checker freezes each flight recorder's recent
     # causal history to disk (no-op when tracing is off).
@@ -169,7 +192,6 @@ def run_client_load(
     The load starts against a *formed* group (an initial settle), so
     the latency histograms price faults, not bootstrap.
     """
-    from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
     from repro.workload.openloop import OpenLoopLoad, slo_verdict
 
     scale = cluster.time_scale
@@ -182,32 +204,11 @@ def run_client_load(
     # of the schedule (plus the settle tail) play out before checking.
     remaining = start + schedule.horizon * scale - cluster.now
     cluster.run_for(max(0.0, remaining) + tail * scale)
-    settled = cluster.settle(
-        timeout=settle_timeout * scale, poll=settle_poll * scale
-    )
-    t0 = time.perf_counter()
-    trace = cluster.gather_trace()
-    reports = check_cluster(cluster, enriched=enriched, trace=trace)
-    if checkers:
-        reports += run_checkers(
-            trace, make_checkers(checkers), CheckContext(time_scale=scale)
-        )
-    check_wall = time.perf_counter() - t0
-    snap_fn = getattr(cluster, "metrics_snapshot", None)
-    metrics = snap_fn() if callable(snap_fn) else None
-    workload = WorkloadReport(
-        runtime_now=cluster.now,
-        settled=settled,
-        schedule_actions=len(schedule.actions),
-        horizon=schedule.horizon + tail,
-        trace=trace,
-        reports=reports,
-        check_wall_s=check_wall,
-        metrics=metrics,
-    )
-    dump_on_violations(cluster, workload.violations)
     return ClientLoadReport(
-        workload=workload,
+        workload=_settle_and_check(
+            cluster, schedule, tail, settle_timeout, settle_poll, enriched, [],
+            checkers,
+        ),
         load=load_report,
         verdict=slo_verdict(cluster, slo_p99 * scale),
     )

@@ -110,11 +110,11 @@ def test_fault_schedule_applies_to_real_sockets():
     async def scenario():
         async with RealCluster(3, config=ClusterConfig(seed=5)) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
+            # Scenario units, relative to now: 0.1 s and 1.2 s at scale 1.
             schedule = FaultSchedule()
-            base = cluster.now
-            schedule.add(Partition(base + 0.1, ((0, 1), (2,))))
-            schedule.add(Heal(base + 1.2))
-            schedule.arm(cluster.scheduler, cluster)
+            schedule.add(Partition(10.0, ((0, 1), (2,))))
+            schedule.add(Heal(120.0))
+            cluster.arm(schedule)
             split = await cluster.wait_until(
                 lambda c: len({s.current_view_id() for s in c.live_stacks()}) == 2,
                 timeout=SETTLE,

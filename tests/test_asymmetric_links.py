@@ -82,10 +82,9 @@ def test_oneway_fault_actions_in_schedules():
 
     cluster = settled_cluster(3)
     schedule = FaultSchedule()
-    base = cluster.now
-    schedule.add(OneWayCut(base + 20.0, 1, 2))
-    schedule.add(OneWayHeal(base + 120.0, 1, 2))
-    schedule.arm(cluster.scheduler, cluster)
+    schedule.add(OneWayCut(20.0, 1, 2))
+    schedule.add(OneWayHeal(120.0, 1, 2))
+    cluster.arm(schedule)
     cluster.run_for(60)
     assert not cluster.topology.allows(1, 2)
     assert cluster.topology.allows(2, 1)
@@ -96,7 +95,8 @@ def test_oneway_fault_actions_in_schedules():
 
 
 def test_random_schedules_with_oneway_cuts_stay_safe():
-    from repro.bench.harness import run_with_schedule
+    from repro.ports import make_cluster
+    from repro.workload import run_checked_workload
     from repro.workload.generator import RandomFaultGenerator
 
     for seed in range(4):
@@ -109,10 +109,8 @@ def test_random_schedules_with_oneway_cuts_stay_safe():
                 "partition": 0.7, "heal": 1.2, "oneway": 1.0,
             },
         )
-        schedule = gen.generate()
-        cluster = run_with_schedule(
-            4, schedule, config=ClusterConfig(seed=seed),
-            tail=gen.settle_tail + 200, settle_timeout=900,
+        cluster = make_cluster("sim", 4, seed=seed)
+        run = run_checked_workload(
+            cluster, gen.generate(), tail=gen.settle_tail + 200, settle_timeout=900
         )
-        assert cluster.is_settled(), (seed, cluster.views())
-        assert_all_properties(cluster.recorder)
+        assert run.ok, (seed, cluster.views(), run.violations[:5])

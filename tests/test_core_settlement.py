@@ -194,18 +194,15 @@ def test_continuation_reissues_adopt_after_demoting_view_change():
     the view change may have demoted the adopters' freshness, and the
     old adopt (tagged with the dead view) was discarded with it."""
     from repro.apps.replicated_file import ReplicatedFile
-    from repro.bench.harness import run_with_schedule
+    from repro.ports import make_cluster
+    from repro.workload import run_checked_workload
     from repro.workload.generator import RandomFaultGenerator
 
     votes = {s: 1 for s in range(7)}
     gen = RandomFaultGenerator(n_sites=7, seed=521, duration=350)
-    cluster = run_with_schedule(
-        7,
-        gen.generate(),
-        app_factory=lambda pid: ReplicatedFile(votes),
-        config=ClusterConfig(seed=21),
-        tail=gen.settle_tail + 300,
-        settle_timeout=900,
+    cluster = make_cluster("sim", 7, lambda pid: ReplicatedFile(votes), seed=21)
+    run_checked_workload(
+        cluster, gen.generate(), tail=gen.settle_tail + 300, settle_timeout=900
     )
     cluster.run_for(300)
     cluster.settle(timeout=600)

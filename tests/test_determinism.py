@@ -7,25 +7,27 @@ from __future__ import annotations
 import io
 
 from repro.apps.replicated_file import ReplicatedFile
-from repro.bench.harness import run_with_schedule
-from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.net.latency import UniformLatency
+from repro.ports import make_cluster
+from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.trace.export import dump_trace
+from repro.workload import run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 
 def _run_once(seed: int) -> str:
     gen = RandomFaultGenerator(n_sites=4, seed=seed, duration=250)
     votes = {s: 1 for s in range(4)}
-    cluster = run_with_schedule(
+    cluster = make_cluster(
+        "sim",
         4,
-        gen.generate(),
-        app_factory=lambda pid: ReplicatedFile(votes),
-        config=ClusterConfig(seed=seed, latency=UniformLatency(0.5, 2.5)),
-        tail=gen.settle_tail,
+        lambda pid: ReplicatedFile(votes),
+        seed=seed,
+        latency=UniformLatency(0.5, 2.5),
     )
+    run = run_checked_workload(cluster, gen.generate(), tail=gen.settle_tail)
     buffer = io.StringIO()
-    dump_trace(cluster.recorder, buffer)
+    dump_trace(run.trace, buffer)
     return buffer.getvalue()
 
 

@@ -1,7 +1,7 @@
 """Cross-commit identity of seeded simulator traces.
 
 ``tests/test_determinism.py`` shows that one commit replays a seed
-identically; this file pins the *exported bytes* of four seeded runs, so
+identically; this file pins the *exported bytes* of five seeded runs, so
 a refactor that is meant to leave protocol behaviour alone (ROADMAP
 aim 2: "seeded sim traces stay byte-identical") is checked against the
 commit that recorded the digests, not only against itself.
@@ -27,6 +27,7 @@ from repro.ports import make_cluster
 from repro.trace.export import dump_trace
 from repro.vsync.stack import StackConfig
 from repro.workload.clients import MulticastClient, QueryClient
+from repro.workload.generator import RandomFaultGenerator
 from repro.workload.openloop import LoadSpec
 from repro.workload.runner import run_checked_workload, run_client_load
 from repro.workload.scenarios import figure2_scenario
@@ -97,6 +98,17 @@ def scale_profile_trace():
     return cluster.gather_trace()
 
 
+def random_schedule_trace():
+    """E1's setup at seed 3: a replicated file at 5 sites under a random
+    crash/recover/partition/heal schedule, then 200 more units."""
+    votes = {s: 1 for s in range(5)}
+    gen = RandomFaultGenerator(n_sites=5, seed=3, duration=350)
+    cluster = make_cluster("sim", 5, lambda pid: ReplicatedFile(votes), seed=3)
+    run_checked_workload(cluster, gen.generate(), tail=gen.settle_tail)
+    cluster.run_for(200)
+    return cluster.gather_trace()
+
+
 def isis_blocking_trace():
     """The Isis baseline with the blocking state-transfer tool: 20-chunk
     transfers at one-member-per-view growth, a minority partition and
@@ -129,6 +141,7 @@ SCENARIOS = {
     "store_faults": store_faults_trace,
     "scale_profile": scale_profile_trace,
     "isis_blocking": isis_blocking_trace,
+    "random_schedule": random_schedule_trace,
 }
 
 #: sha256 of ``repro.trace.export.dump_trace`` output.  ``figure2`` and
@@ -137,12 +150,14 @@ SCENARIOS = {
 #: before the incremental reachable set, the tree memo and the int-key
 #: identifier sorts touched anything under ``src/``; ``isis_blocking``
 #: at commit 04b1eb7, before the blocking tool's receiving side moved
-#: onto ``ChunkReceiver``.
+#: onto ``ChunkReceiver``; ``random_schedule`` at commit c0846cb, through
+#: the sim-only schedule runner that ``run_checked_workload`` replaced.
 GOLDEN = {
     "figure2": "cf2dded8ed3c36f4d47ca043073b87052c0289b42fc4c14de50e98fc9475475e",
     "store_faults": "c9cba93aac5b47e498a995a4c55ecea20116205c7ed730b744dfe621a2f3467f",
     "scale_profile": "d40ecf40a39cf124e631e846887840b19497e5f7808370fbf0b9ddf78eeb1f37",
     "isis_blocking": "4d995ee9465806c051c45668833d324cf29f13d82837cf98b46b2ad466e0d9fd",
+    "random_schedule": "d81562f955640e5c5759edecad068dae3ff588114dd432e77dcbe9229073ea6d",
 }
 
 

@@ -7,9 +7,9 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.replicated_file import ReplicatedFile
-from repro.bench.harness import run_with_schedule
 from repro.core.modes import Mode
-from repro.runtime.cluster import ClusterConfig
+from repro.ports import make_cluster
+from repro.workload import run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 from tests.conftest import assert_all_properties
@@ -20,26 +20,17 @@ SEEDS = [0, 1, 2, 3, 5, 7, 9, 13]
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bare_stack_properties_under_random_faults(seed):
     gen = RandomFaultGenerator(n_sites=5, seed=seed, duration=350)
-    schedule = gen.generate()
-    cluster = run_with_schedule(
-        5, schedule, config=ClusterConfig(seed=seed), tail=gen.settle_tail
-    )
-    assert cluster.is_settled(), cluster.views()
-    assert_all_properties(cluster.recorder)
+    cluster = make_cluster("sim", 5, seed=seed)
+    run = run_checked_workload(cluster, gen.generate(), tail=gen.settle_tail)
+    assert run.ok, (cluster.views(), run.violations[:5])
 
 
 @pytest.mark.parametrize("seed", [0, 3, 9])
 def test_file_object_properties_and_convergence_under_random_faults(seed):
     gen = RandomFaultGenerator(n_sites=5, seed=seed, duration=300)
-    schedule = gen.generate()
     votes = {s: 1 for s in range(5)}
-    cluster = run_with_schedule(
-        5,
-        schedule,
-        app_factory=lambda pid: ReplicatedFile(votes),
-        config=ClusterConfig(seed=seed),
-        tail=gen.settle_tail + 200,
-    )
+    cluster = make_cluster("sim", 5, lambda pid: ReplicatedFile(votes), seed=seed)
+    run_checked_workload(cluster, gen.generate(), tail=gen.settle_tail + 200)
     cluster.run_for(250)
     assert cluster.is_settled(), cluster.views()
     assert_all_properties(cluster.recorder)
@@ -57,12 +48,10 @@ def test_properties_hold_with_message_loss_and_jitter(seed):
     from repro.net.latency import UniformLatency
 
     gen = RandomFaultGenerator(n_sites=4, seed=seed, duration=250)
-    schedule = gen.generate()
-    config = ClusterConfig(
-        seed=seed, loss_prob=0.03, latency=UniformLatency(0.5, 3.0)
+    cluster = make_cluster(
+        "sim", 4, seed=seed, loss_prob=0.03, latency=UniformLatency(0.5, 3.0)
     )
-    cluster = run_with_schedule(
-        4, schedule, config=config, tail=gen.settle_tail + 300,
-        settle_timeout=900,
+    run = run_checked_workload(
+        cluster, gen.generate(), tail=gen.settle_tail + 300, settle_timeout=900
     )
-    assert_all_properties(cluster.recorder)
+    assert not run.violations, run.violations[:5]

@@ -5,11 +5,12 @@ for a view change that may never come."""
 from __future__ import annotations
 
 from repro.apps.replicated_file import ReplicatedFile
-from repro.bench.harness import run_with_schedule
 from repro.core.modes import Mode
 from repro.net.latency import UniformLatency
+from repro.ports import make_cluster
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.trace.checks import check_enriched_views, check_view_synchrony
+from repro.workload import run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 from tests.conftest import assert_all_properties, settled_cluster
@@ -55,16 +56,16 @@ def test_lost_adopt_does_not_strand_a_member():
     must still reconcile via retransmission."""
     votes = {s: 1 for s in range(5)}
     gen = RandomFaultGenerator(n_sites=5, seed=1704, duration=250)
-    cfg = ClusterConfig(
-        seed=4, loss_prob=0.05, latency=UniformLatency(0.3, 3.5)
-    )
-    cluster = run_with_schedule(
+    cluster = make_cluster(
+        "sim",
         5,
-        gen.generate(),
-        app_factory=lambda pid: ReplicatedFile(votes),
-        config=cfg,
-        tail=gen.settle_tail + 400,
-        settle_timeout=1200,
+        lambda pid: ReplicatedFile(votes),
+        seed=4,
+        loss_prob=0.05,
+        latency=UniformLatency(0.3, 3.5),
+    )
+    run_checked_workload(
+        cluster, gen.generate(), tail=gen.settle_tail + 400, settle_timeout=1200
     )
     cluster.run_for(400)
     cluster.settle(timeout=900)

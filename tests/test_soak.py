@@ -12,9 +12,9 @@ import os
 import pytest
 
 from repro.apps.replicated_file import ReplicatedFile
-from repro.bench.harness import run_with_schedule
-from repro.runtime.cluster import ClusterConfig
+from repro.ports import make_cluster
 from repro.trace.checks import all_ok, check_enriched_views, check_view_synchrony
+from repro.workload import run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
 SOAK = os.environ.get("REPRO_SOAK") == "1"
@@ -26,32 +26,23 @@ SITES = (5, 7) if SOAK else (5,)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_soak_bare_stack(n_sites, seed):
     gen = RandomFaultGenerator(n_sites=n_sites, seed=seed, duration=350)
-    cluster = run_with_schedule(
-        n_sites,
-        gen.generate(),
-        config=ClusterConfig(seed=seed),
-        tail=gen.settle_tail,
-        settle_timeout=900,
+    cluster = make_cluster("sim", n_sites, seed=seed)
+    run = run_checked_workload(
+        cluster, gen.generate(), tail=gen.settle_tail, settle_timeout=900
     )
-    reports = check_view_synchrony(cluster.recorder)
-    reports += check_enriched_views(cluster.recorder)
-    assert all_ok(reports), [
-        (r.name, r.violations[:2]) for r in reports if not r.ok
+    assert all_ok(run.reports), [
+        (r.name, r.violations[:2]) for r in run.reports if not r.ok
     ]
-    assert cluster.is_settled(), cluster.views()
+    assert run.settled, cluster.views()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_soak_file_object(seed):
     votes = {s: 1 for s in range(5)}
     gen = RandomFaultGenerator(n_sites=5, seed=seed + 1000, duration=300)
-    cluster = run_with_schedule(
-        5,
-        gen.generate(),
-        app_factory=lambda pid: ReplicatedFile(votes),
-        config=ClusterConfig(seed=seed),
-        tail=gen.settle_tail + 250,
-        settle_timeout=900,
+    cluster = make_cluster("sim", 5, lambda pid: ReplicatedFile(votes), seed=seed)
+    run_checked_workload(
+        cluster, gen.generate(), tail=gen.settle_tail + 250, settle_timeout=900
     )
     cluster.run_for(200)
     cluster.settle(timeout=600)

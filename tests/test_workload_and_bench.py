@@ -1,12 +1,18 @@
-"""Tests for workload generators, canned scenarios and the bench harness."""
+"""Tests for workload generators, canned scenarios, tables and the
+checked-run tail."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import Table, run_with_schedule
+from repro.apps.factories import app_factory
 from repro.net.faults import Crash, Heal, Join, Partition, Recover
+from repro.ports import make_cluster
+from repro.trace.checks import check_cluster
+from repro.workload import Table
 from repro.workload.generator import RandomFaultGenerator
+from repro.workload.openloop import LoadSpec
+from repro.workload.runner import run_client_load
 from repro.workload.scenarios import (
     cascade_scenario,
     clean_scenario,
@@ -15,8 +21,6 @@ from repro.workload.scenarios import (
     partition_heal_scenario,
     total_failure_scenario,
 )
-
-from tests.conftest import assert_all_properties
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +123,7 @@ def test_generator_respects_max_down_fraction():
 
 
 # ---------------------------------------------------------------------------
-# Bench harness
+# Tables and the checked-run tail
 # ---------------------------------------------------------------------------
 
 
@@ -139,11 +143,26 @@ def test_table_rejects_bad_rows():
         table.add(1)
 
 
-def test_run_with_schedule_end_to_end():
+def test_run_client_load_reports_through_the_shared_tail():
+    """``run_client_load`` ends in the same settle-and-check tail as
+    ``run_checked_workload``: its report carries the cluster's own trace,
+    the settle verdict, and the property reports ``check_cluster`` gives
+    followed by the fuzz checkers it names."""
+    cluster = make_cluster("sim", 4, app_factory("store", 4), seed=5)
     schedule = partition_heal_scenario(4, split_at=120, heal_at=280, minority=1)
-    cluster = run_with_schedule(4, schedule, tail=250)
-    assert cluster.is_settled()
-    assert_all_properties(cluster.recorder)
+    spec = LoadSpec(rate=0.2, duration=300.0, clients=2, n_keys=8, seed=5)
+    result = run_client_load(cluster, spec, schedule, slo_p99=200.0)
+    report = result.workload
+    assert report.trace is cluster.gather_trace()
+    assert report.settled and cluster.is_settled()
+    assert report.horizon == schedule.horizon + 250.0
+    assert report.schedule_actions == len(schedule.actions)
+    expected = [(r.name, r.checked) for r in check_cluster(cluster)]
+    assert [(r.name, r.checked) for r in report.reports] == expected + [
+        ("AckedWriteLoss", report.reports[-1].checked)
+    ]
+    assert report.metrics is not None
+    assert result.ok, report.violations[:5]
 
 
 # ---------------------------------------------------------------------------
