@@ -3,8 +3,10 @@
 Commands:
 
 ``demo``
-    Run the quickstart scenario (bootstrap, partition, heal) and print
-    the views and property-check results.
+    The paper's partition/merge walkthrough on ``--runtime sim`` or
+    ``realnet``: bootstrap, a minority partition (two concurrent
+    e-views), ``SV-SetMerge`` on each side, heal (structure preserved),
+    one ``SV-SetMerge`` applied everywhere, then the property checks.
 ``run``
     Run a seeded random fault schedule over a chosen application and
     print a run summary plus the property reports.  ``--runtime sim``
@@ -26,10 +28,9 @@ Commands:
     in-run equivalent is ``run --client-rate`` (works on both
     runtimes, and additionally checks that no acknowledged write was
     lost across the run's faults).
-``realnet``
-    Run the stacks over real TCP sockets: the partition/merge demo
-    (default), or one standalone node of a multi-process deployment
-    (``realnet node``).
+``realnet node``
+    One standalone node of a fixed-port multi-process deployment over
+    real TCP sockets.
 ``obs``
     Observability console.  ``obs report`` runs the figure-2 checked
     workload on either runtime and prints the unified metrics report
@@ -42,6 +43,12 @@ Commands:
     failures to minimal reproducers; ``fuzz replay`` re-runs a corpus
     entry and verifies its verdict; ``fuzz shrink`` minimizes one
     entry; ``fuzz corpus`` summarizes a corpus directory.
+
+A flag several commands take (``--sites``, ``--seed``, ``--codec``, the
+address flags, ...) is declared once, in :data:`SHARED_FLAGS`, with one
+help text; each command supplies only its default.  Addresses are read
+once, after parsing, by :func:`_read_addresses`, and a malformed entry
+is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -50,14 +57,9 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.apps.factories import APP_NAMES, app_factory
+from repro.apps.factories import APP_NAMES
 from repro.ports import RUNTIMES, make_cluster
-from repro.trace.checks import (
-    CheckReport,
-    check_cluster,
-    check_enriched_views,
-    check_view_synchrony,
-)
+from repro.trace.checks import CheckReport, check_enriched_views, check_view_synchrony
 from repro.workload import Table
 from repro.workload.generator import RandomFaultGenerator
 from repro.workload.runner import run_checked_workload
@@ -76,6 +78,83 @@ EXPERIMENTS = [
     ("A1-A3", "ablations of load-bearing mechanisms", "bench_ablations.py"),
 ]
 
+#: Runtimes whose stacks live in this process.  The demo reads e-views
+#: and ``obs report``'s query client reads applications in-process, so
+#: they exclude realnet-proc.
+IN_PROCESS_RUNTIMES = ("sim", "realnet")
+
+#: The flags several commands share, each declared once: dest ->
+#: ``add_argument`` keywords, so a flag has one help text and one type
+#: everywhere.  :func:`_shared` adds them.
+SHARED_FLAGS: dict[str, dict] = {
+    "runtime": dict(default="sim",
+                    help="backend: simulator, loopback TCP or one process per site"),
+    "sites": dict(type=int, help="number of sites"),
+    "seed": dict(type=int, help="random seed: the same seed, the same run"),
+    "scale": dict(type=float, default=1.0,
+                  help="wall-clock runtimes: stretch every protocol timer "
+                       "by this factor"),
+    "codec": dict(choices=("bin", "json"), default="bin",
+                  help="preferred wire codec, negotiated per link"),
+    "tracing": dict(action="store_true",
+                    help="causal tracing into per-node flight recorders"),
+    "app": dict(choices=APP_NAMES, help="application on every site"),
+    "loss": dict(type=float, default=0.0, help="message loss probability"),
+    "asymmetric": dict(action="store_true",
+                       help="generate one-way link cuts too"),
+    "host": dict(default="127.0.0.1", help="host of derived or :PORT addresses"),
+    "base_port": dict(type=int, default=7400,
+                      help="derived addresses: site s listens on base-port + s"),
+    "book": dict(metavar="SITE:HOST:PORT,...",
+                 help="explicit address book, as 'repro serve' prints it; "
+                      "overrides targets and --sites/--base-port"),
+    "targets": dict(nargs="*", metavar="HOST:PORT",
+                    help="node sockets as [HOST:]PORT, in site order"),
+    "metrics": dict(metavar="FILE", help="write metrics as Prometheus text"),
+    "metrics_jsonl": dict(metavar="FILE", help="write metrics as JSONL"),
+}
+
+
+def _shared(parser: argparse.ArgumentParser, *names: str,
+            runtimes: Sequence[str] = RUNTIMES, **defaults) -> None:
+    """Add the :data:`SHARED_FLAGS` ``names`` with the table's defaults,
+    and ``defaults`` with the given ones; ``runtimes`` narrows the
+    choices of ``--runtime``."""
+    for dest in (*names, *defaults):
+        kwargs = dict(SHARED_FLAGS[dest])
+        if dest in defaults:
+            kwargs["default"] = defaults[dest]
+        if dest == "runtime":
+            kwargs["choices"] = runtimes
+        flag = dest if dest == "targets" else "--" + dest.replace("_", "-")
+        parser.add_argument(flag, **kwargs)
+
+
+def _read_addresses(args: argparse.Namespace) -> dict[int, tuple[str, int]]:
+    """The one address reader: site -> (host, port) from ``--book``
+    (``SITE:HOST:PORT,...``), else from ``[HOST:]PORT`` targets in site
+    order, else ``--host`` with ports from ``--base-port``.  A malformed
+    entry is a ``ValueError`` naming it."""
+    host = getattr(args, "host", SHARED_FLAGS["host"]["default"])
+    # (entry as given, site, [HOST:]PORT, host for a bare :PORT or None)
+    if getattr(args, "book", None):
+        entries = [(e, *e.partition(":")[::2], None) for e in args.book.split(",")]
+    elif getattr(args, "targets", None):
+        entries = [(t, str(s), t, host) for s, t in enumerate(args.targets)]
+    elif "base_port" in args:
+        return {site: (host, args.base_port + site) for site in range(args.sites)}
+    else:
+        return {}
+    book = {}
+    for entry, site, address, default_host in entries:
+        given, _, port = address.rpartition(":")
+        if not (site.isdigit() and port.isdigit() and (given or default_host)):
+            form = "[HOST:]PORT" if default_host else "SITE:HOST:PORT"
+            raise ValueError(f"malformed address {entry!r}: expected {form}")
+        book[int(site)] = (given or default_host, int(port))
+    return book
+
+
 def _print_reports(reports: list[CheckReport]) -> int:
     violations = 0
     for report in reports:
@@ -84,31 +163,26 @@ def _print_reports(reports: list[CheckReport]) -> int:
     return violations
 
 
-def _minority_split(sites: int) -> tuple[list[int], list[int]]:
-    """Two-thirds / one-third site groups for the demo partitions."""
-    minority = max(1, sites // 3)
-    return list(range(sites - minority)), list(range(sites - minority, sites))
-
-
-def _print_views(cluster, title: str, file=None) -> None:
-    print(title, file=file)
-    for site, view in cluster.views().items():
-        print(f"  site {site}: {view}", file=file)
+def _cluster(runtime: str, sites: int, **knobs):
+    """:func:`make_cluster`, with a knob ``runtime`` cannot honour as an
+    error message instead of a traceback."""
+    try:
+        return make_cluster(runtime, sites, **knobs)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    cluster = make_cluster("sim", args.sites, seed=args.seed)
-    cluster.settle()
-    _print_views(cluster, f"group formed at t={cluster.now}:")
-    left, right = _minority_split(args.sites)
-    cluster.partition([left, right])
-    cluster.settle()
-    _print_views(cluster, f"\npartitioned {left} | {right}:")
-    cluster.heal()
-    cluster.settle()
-    _print_views(cluster, "\nhealed:")
-    print("\nproperty checks:")
-    return 1 if _print_reports(check_cluster(cluster)) else 0
+    """The partition/merge walkthrough on an in-process runtime."""
+    from repro.workload.scenarios import partition_merge
+
+    cluster = _cluster(args.runtime, args.sites, seed=args.seed,
+                       scale=args.scale, codec=args.codec)
+    try:
+        report = partition_merge(cluster, print)
+    finally:
+        cluster.close()
+    return 0 if report.ok else 1
 
 
 def _print_load_results(load_report, verdict, unit: str) -> None:
@@ -180,15 +254,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                              f"got --app {args.app}")
     # One knob set for every runtime: the application travels by name
     # and make_cluster rejects what the chosen runtime cannot honour.
-    try:
-        cluster = make_cluster(
-            args.runtime, args.sites, seed=args.seed, loss_prob=args.loss,
-            app=args.app, scale=args.scale, codec=args.codec,
-            fd_mode=args.fd_mode, gossip_fanout=args.gossip_fanout,
-            tracing=args.tracing,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    cluster = _cluster(
+        args.runtime, args.sites, seed=args.seed, loss_prob=args.loss,
+        app=args.app, scale=args.scale, codec=args.codec,
+        fd_mode=args.fd_mode, gossip_fanout=args.gossip_fanout,
+        tracing=args.tracing,
+    )
     try:
         if args.client_rate:
             return _run_client_load(
@@ -231,23 +302,24 @@ def _export_and_check(args: argparse.Namespace, report) -> int:
         with open(args.export, "w", encoding="utf-8") as handle:
             count = dump_trace(report.trace, handle)
         print(f"exported {count} trace events to {args.export}")
-    _export_metrics(report.metrics, args.metrics, args.metrics_jsonl)
+    _export_metrics(args, report.metrics)
     print("property checks:")
     return _print_reports(report.reports)
 
 
-def _export_metrics(snapshot, prom_path, jsonl_path, help_texts=None) -> None:
-    """Write a run's MetricsSnapshot to the requested export files."""
-    if snapshot is None or (not prom_path and not jsonl_path):
+def _export_metrics(args: argparse.Namespace, snapshot, help_texts=None) -> None:
+    """Write a MetricsSnapshot to the ``--metrics``/``--metrics-jsonl``
+    files, when given."""
+    if snapshot is None or (not args.metrics and not args.metrics_jsonl):
         return
     from repro.obs.export import write_jsonl, write_prometheus
 
-    if prom_path:
-        write_prometheus(snapshot, prom_path, help_texts)
-        print(f"exported metrics (Prometheus text) to {prom_path}")
-    if jsonl_path:
-        write_jsonl(snapshot, jsonl_path)
-        print(f"exported metrics (JSONL) to {jsonl_path}")
+    if args.metrics:
+        write_prometheus(snapshot, args.metrics, help_texts)
+        print(f"exported metrics (Prometheus text) to {args.metrics}")
+    if args.metrics_jsonl:
+        write_jsonl(snapshot, args.metrics_jsonl)
+        print(f"exported metrics (JSONL) to {args.metrics_jsonl}")
 
 
 def cmd_recheck(args: argparse.Namespace) -> int:
@@ -291,35 +363,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_realnet_demo(args: argparse.Namespace) -> int:
-    """Partition + EVS merge over localhost TCP sockets."""
-    from repro.realnet.demo import run_demo
-
-    result = run_demo(
-        n_sites=args.sites, seed=args.seed, scale=args.scale,
-        timeout=args.timeout, codec=args.codec,
-    )
-    return 1 if result.property_violations else 0
-
-
-def _parse_targets(specs: Sequence[str], host: str) -> list[tuple[str, int]]:
-    """``[HOST:]PORT`` command-line targets (``host`` when omitted)."""
-    targets = []
-    for spec in specs:
-        target_host, _, port = spec.rpartition(":")
-        targets.append((target_host or host, int(port)))
-    return targets
-
-
-def _parse_book(spec: str) -> dict[int, tuple[str, int]]:
-    """Parse a ``site:host:port,...`` address book (proc-driver children)."""
-    book: dict[int, tuple[str, int]] = {}
-    for entry in spec.split(","):
-        site, host, port = entry.rsplit(":", 2)
-        book[int(site)] = (host, int(port))
-    return book
-
-
 def cmd_realnet_node(args: argparse.Namespace) -> int:
     """One standalone node of a fixed-port multi-process deployment."""
     import asyncio
@@ -327,6 +370,7 @@ def cmd_realnet_node(args: argparse.Namespace) -> int:
     from repro.realnet.node import run_standalone
     from repro.runtime.core import ClusterConfig
 
+    book = args.addresses
     if args.supervised:
         from repro.realnet import wallclock
         from repro.realnet.procnode import run_supervised
@@ -336,17 +380,14 @@ def cmd_realnet_node(args: argparse.Namespace) -> int:
                 "--supervised requires --book site:host:port,... and --config JSON"
             )
         wallclock.run(
-            run_supervised(
-                args.site, _parse_book(args.book),
-                ClusterConfig.from_json(args.config),
-            )
+            run_supervised(args.site, book, ClusterConfig.from_json(args.config))
         )
         return 0
-    book = {
-        site: (args.host, args.base_port + site) for site in range(args.sites)
-    }
+    if args.site not in book:
+        raise SystemExit(f"--site {args.site} is not in the universe {sorted(book)}")
+    host, port = book[args.site]
     print(
-        f"site {args.site} listening on {args.host}:{args.base_port + args.site} "
+        f"site {args.site} listening on {host}:{port} "
         f"(universe: {sorted(book)}); Ctrl-C to leave"
     )
     asyncio.run(
@@ -367,14 +408,14 @@ def cmd_realnet_node(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot a realnet store cluster and serve external clients."""
     cluster = make_cluster(
-        "realnet", args.sites,
-        app_factory=app_factory("store", args.sites),
+        "realnet", args.sites, app="store",
         seed=args.seed, scale=args.scale, codec=args.codec,
     )
     try:
         if not cluster.settle(timeout=args.timeout):
-            _print_views(
-                cluster, "cluster failed to form a view; views:", sys.stderr
+            print(
+                f"cluster failed to form a view; views: {cluster.views()}",
+                file=sys.stderr,
             )
             return 1
         book = cluster.cluster.address_book
@@ -408,15 +449,7 @@ def cmd_load(args: argparse.Namespace) -> int:
         slo_verdict,
     )
 
-    if args.book:
-        book = _parse_book(args.book)
-    elif args.targets:
-        book = dict(enumerate(_parse_targets(args.targets, args.host)))
-    else:
-        book = {
-            site: (args.host, args.base_port + site)
-            for site in range(args.sites)
-        }
+    book = args.addresses
     spec = LoadSpec(
         rate=args.rate,
         duration=args.duration,
@@ -450,10 +483,7 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.workload.clients import MulticastClient, QueryClient
     from repro.workload.scenarios import figure2_scenario
 
-    cluster = make_cluster(
-        args.runtime, args.sites,
-        app_factory=app_factory("db", args.sites), seed=args.seed,
-    )
+    cluster = make_cluster(args.runtime, args.sites, app="db", seed=args.seed)
     try:
         report = run_checked_workload(
             cluster,
@@ -471,7 +501,7 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
         f"sites={args.sites} seed={args.seed})"
     )
     print(render_report(report.metrics, trace=report.trace, title=title))
-    _export_metrics(report.metrics, args.metrics, args.jsonl, help_texts)
+    _export_metrics(args, report.metrics, help_texts)
     return 0 if report.ok else 1
 
 
@@ -479,14 +509,9 @@ def cmd_obs_watch(args: argparse.Namespace) -> int:
     """Live console over running realnet nodes' metric snapshots."""
     from repro.obs.watch import watch
 
-    if args.targets:
-        targets = _parse_targets(args.targets, args.host)
-    else:
-        targets = [
-            (args.host, args.base_port + site) for site in range(args.sites)
-        ]
     return watch(
-        targets, interval=args.interval, count=args.count, codec=args.codec
+        list(args.addresses.values()), interval=args.interval,
+        count=args.count, codec=args.codec,
     )
 
 
@@ -499,10 +524,9 @@ def _run_trace_demo(runtime: str, sites: int, seed: int) -> list:
     with a partition/heal, and returns the flight-recorder dumps — the
     same span taxonomy on either runtime.
     """
-    cluster = make_cluster(
-        runtime, sites, app_factory=app_factory("store", sites),
-        seed=seed, tracing=True,
-    )
+    from repro.workload.scenarios import minority_split
+
+    cluster = make_cluster(runtime, sites, app="store", seed=seed, tracing=True)
     try:
         scale = cluster.time_scale
         if not cluster.settle(timeout=600.0 * scale, poll=10.0 * scale):
@@ -520,7 +544,7 @@ def _run_trace_demo(runtime: str, sites: int, seed: int) -> list:
             client.close()
         if reply is None or reply.status != "ok":
             raise SystemExit(f"traced demo put failed: {reply}")
-        cluster.partition(list(_minority_split(sites)))
+        cluster.partition(minority_split(sites))
         cluster.settle(timeout=600.0 * scale, poll=10.0 * scale)
         cluster.heal()
         cluster.settle(timeout=600.0 * scale, poll=10.0 * scale)
@@ -548,7 +572,7 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
     if args.targets:
         from repro.obs.watch import fetch_traces
 
-        targets = _parse_targets(args.targets, "127.0.0.1")
+        targets = list(args.addresses.values())
         pulled = asyncio.run(fetch_traces(targets, codec=args.codec))
         for (host, port), dump in zip(targets, pulled):
             if dump is None:
@@ -624,10 +648,7 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
     table.show()
     if args.corpus:
         print(f"corpus saved under {args.corpus}")
-    _export_metrics(
-        engine.metrics.snapshot(source="fuzz"),
-        args.metrics, args.metrics_jsonl,
-    )
+    _export_metrics(args, engine.metrics.snapshot(source="fuzz"))
     if stats.first_failure is not None:
         print("\nfirst failure:")
         for violation in stats.first_failure.violations[:5]:
@@ -720,41 +741,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="bootstrap / partition / heal walkthrough")
-    demo.add_argument("--sites", type=int, default=5)
-    demo.add_argument("--seed", type=int, default=0)
+    demo = sub.add_parser(
+        "demo",
+        help="partition / SV-SetMerge / heal / SV-SetMerge walkthrough "
+             "with property checks",
+    )
+    _shared(demo, "runtime", "scale", "codec", runtimes=IN_PROCESS_RUNTIMES,
+            sites=5, seed=0)
     demo.set_defaults(func=cmd_demo)
 
     run = sub.add_parser("run", help="run a random fault schedule")
-    run.add_argument("--runtime", choices=RUNTIMES, default="sim",
-                     help="backend: deterministic simulator (default) or "
-                          "real loopback TCP sockets")
-    run.add_argument("--sites", type=int, default=5)
-    run.add_argument("--seed", type=int, default=0)
+    _shared(run, "runtime", "loss", "asymmetric", "scale", "codec", "tracing",
+            "metrics", "metrics_jsonl", sites=5, seed=0, app="none")
     run.add_argument("--duration", type=float, default=400.0)
-    run.add_argument("--loss", type=float, default=0.0)
-    run.add_argument("--app", choices=APP_NAMES, default="none")
-    run.add_argument("--asymmetric", action="store_true",
-                     help="include one-way link cuts in the generated "
-                          "schedule (asymmetric failures)")
     run.add_argument("--no-faults", action="store_true",
                      help="drop the generated fault schedule: a fault-free "
                           "run of --duration units (throughput/latency "
                           "measurement mode, usually with --client-rate)")
-    run.add_argument("--scale", type=float, default=1.0,
-                     help="realnet runtimes: stretch protocol timers (and "
-                          "the schedule with them) by this factor")
-    run.add_argument("--codec", choices=("bin", "json"), default="bin",
-                     help="realnet runtimes: preferred wire codec")
     run.add_argument("--fd-mode", choices=("heartbeat", "gossip"), default=None,
                      help="failure-detection plane (default: the stack "
                           "profile's choice, all-to-all heartbeats)")
     run.add_argument("--gossip-fanout", type=int, default=None,
                      help="digest fanout for --fd-mode gossip "
                           "(see docs/scaling.md for the timeout math)")
-    run.add_argument("--tracing", action="store_true",
-                     help="causal tracing + per-node flight recorders "
-                          "(see docs/observability.md)")
     run.add_argument("--client-rate", type=float, default=0.0,
                      metavar="OPS_PER_UNIT",
                      help="offer open-loop client load against the store "
@@ -780,11 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(for the SLO verdict line)")
     run.add_argument("--export", metavar="FILE", default=None,
                      help="write the trace as JSON lines to FILE")
-    run.add_argument("--metrics", metavar="FILE", default=None,
-                     help="write the run's metrics snapshot in Prometheus "
-                          "text format to FILE")
-    run.add_argument("--metrics-jsonl", metavar="FILE", default=None,
-                     help="write the run's metrics snapshot as JSONL to FILE")
     run.set_defaults(func=cmd_run)
 
     recheck = sub.add_parser("recheck", help="verify an exported trace file")
@@ -794,10 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     recheck.set_defaults(func=cmd_recheck)
 
     check = sub.add_parser("check", help="property soak test over many seeds")
-    check.add_argument("--runtime", choices=RUNTIMES, default="sim",
-                       help="backend to soak (realnet runs wall-clock: "
-                            "keep --runs small)")
-    check.add_argument("--sites", type=int, default=5)
+    _shared(check, "runtime", sites=5)
     check.add_argument("--runs", type=int, default=10)
     check.add_argument("--duration", type=float, default=300.0)
     check.set_defaults(func=cmd_check)
@@ -805,48 +806,23 @@ def build_parser() -> argparse.ArgumentParser:
     realnet = sub.add_parser(
         "realnet", help="run the stacks over real TCP sockets"
     )
-    realnet_sub = realnet.add_subparsers(dest="realnet_command")
-    rdemo = realnet_sub.add_parser(
-        "demo", help="partition + EVS merge over localhost sockets (default)"
-    )
-    for p in (realnet, rdemo):
-        p.add_argument("--sites", type=int, default=3)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--scale", type=float, default=1.0,
-                       help="stretch every protocol timer by this factor")
-        p.add_argument("--timeout", type=float, default=30.0,
-                       help="hard wall-clock budget per phase (seconds)")
-        p.add_argument("--codec", choices=("bin", "json"), default="bin",
-                       help="preferred wire codec (negotiated per link; "
-                            "json is the debug/compat mode)")
-        p.set_defaults(func=cmd_realnet_demo)
+    realnet_sub = realnet.add_subparsers(dest="realnet_command", required=True)
     rnode = realnet_sub.add_parser(
         "node", help="one standalone node of a fixed-port deployment"
     )
     rnode.add_argument("--site", type=int, required=True)
-    rnode.add_argument("--sites", type=int, default=3,
-                       help="universe size; ports are base-port..base-port+sites-1")
-    rnode.add_argument("--base-port", type=int, default=7400)
-    rnode.add_argument("--host", default="127.0.0.1")
+    _shared(rnode, "base_port", "host", "scale", "codec", "book", "tracing",
+            sites=3, seed=0)
     rnode.add_argument("--incarnation", type=int, default=0,
                        help="bump after a crash so the site rejoins fresh")
-    rnode.add_argument("--seed", type=int, default=0)
-    rnode.add_argument("--scale", type=float, default=1.0)
-    rnode.add_argument("--codec", choices=("bin", "json"), default="bin",
-                       help="preferred wire codec (negotiated per link)")
     rnode.add_argument("--supervised", action="store_true",
                        help="run under a ProcCluster parent: serve control "
                             "ops and wait for the boot op instead of "
-                            "starting the stack immediately")
-    rnode.add_argument("--book", default=None, metavar="SITE:HOST:PORT,...",
-                       help="explicit address book (supervised mode); "
-                            "overrides --sites/--base-port")
+                            "starting the stack immediately (requires "
+                            "--book and --config)")
     rnode.add_argument("--config", default=None, metavar="JSON",
                        help="supervised mode: the parent's ClusterConfig "
                             "(replaces --seed/--scale/--codec/--tracing)")
-    rnode.add_argument("--tracing", action="store_true",
-                       help="record causal spans into the flight recorder "
-                            "(served over the obs frame)")
     rnode.set_defaults(func=cmd_realnet_node)
 
     serve = sub.add_parser(
@@ -854,12 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot a realnet store cluster and serve external clients "
              "(drive it with 'repro load' from another terminal)",
     )
-    serve.add_argument("--sites", type=int, default=3)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--scale", type=float, default=1.0,
-                       help="stretch every protocol timer by this factor")
-    serve.add_argument("--codec", choices=("bin", "json"), default="bin",
-                       help="preferred wire codec (negotiated per link)")
+    _shared(serve, "scale", "codec", sites=3, seed=0)
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="wall seconds to wait for the initial view")
     serve.add_argument("--duration", type=float, default=0.0,
@@ -872,15 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop client load against a running store cluster "
              "(see 'repro serve')",
     )
-    load.add_argument("targets", nargs="*", metavar="HOST:PORT",
-                      help="server sockets, one per site in site order; "
-                           "default derives host:base-port..+sites-1")
-    load.add_argument("--book", default=None, metavar="SITE:HOST:PORT,...",
-                      help="explicit site address book (the line "
-                           "'repro serve' prints); overrides targets")
-    load.add_argument("--host", default="127.0.0.1")
-    load.add_argument("--base-port", type=int, default=7400)
-    load.add_argument("--sites", type=int, default=3)
+    _shared(load, "targets", "book", "host", "base_port", sites=3, seed=0)
     load.add_argument("--rate", type=float, default=200.0,
                       help="offered store ops per wall second")
     load.add_argument("--duration", type=float, default=10.0,
@@ -897,7 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fraction of ops that are history reads")
     load.add_argument("--read-mode", choices=("any", "leader"), default="any",
                       help="serve gets from any replica or the leader only")
-    load.add_argument("--seed", type=int, default=0)
     load.add_argument("--slo", type=float, default=1.0,
                       help="p99 latency target in wall seconds")
     load.add_argument("--slo-strict", action="store_true",
@@ -913,34 +875,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the figure-2 checked workload and print the unified "
              "metrics report (live registry vs trace aggregates)",
     )
-    oreport.add_argument("--runtime", choices=("sim", "realnet"), default="sim",
-                         help="realnet-proc is excluded: the report's query "
-                              "client needs in-process application access")
-    oreport.add_argument("--sites", type=int, default=6)
-    oreport.add_argument("--seed", type=int, default=7)
-    oreport.add_argument("--metrics", metavar="FILE", default=None,
-                         help="also write the snapshot in Prometheus text "
-                              "format to FILE")
-    oreport.add_argument("--jsonl", metavar="FILE", default=None,
-                         help="also write the snapshot as JSONL to FILE")
+    _shared(oreport, "runtime", "metrics", "metrics_jsonl",
+            runtimes=IN_PROCESS_RUNTIMES, sites=6, seed=7)
     oreport.set_defaults(func=cmd_obs_report)
     owatch = obs_sub.add_parser(
         "watch",
         help="poll running realnet nodes for live metric snapshots "
              "(over their normal listening sockets)",
     )
-    owatch.add_argument("targets", nargs="*", metavar="HOST:PORT",
-                        help="nodes to poll; default derives "
-                             "host:base-port..base-port+sites-1")
-    owatch.add_argument("--host", default="127.0.0.1")
-    owatch.add_argument("--base-port", type=int, default=7400)
-    owatch.add_argument("--sites", type=int, default=3)
+    _shared(owatch, "targets", "host", "base_port", "codec", sites=3)
     owatch.add_argument("--interval", type=float, default=2.0,
                         help="seconds between polls")
     owatch.add_argument("--count", type=int, default=0,
                         help="stop after this many polls (0 = until Ctrl-C)")
-    owatch.add_argument("--codec", choices=("bin", "json"), default="bin",
-                        help="preferred wire codec for the obs frames")
     owatch.set_defaults(func=cmd_obs_watch)
     otrace = obs_sub.add_parser(
         "trace",
@@ -948,25 +895,20 @@ def build_parser() -> argparse.ArgumentParser:
              "(live node pulls, dump files, or a built-in demo run) "
              "with critical paths and Perfetto export",
     )
-    otrace.add_argument("targets", nargs="*", metavar="HOST:PORT",
-                        help="running traced nodes to pull rings from")
+    _shared(otrace, "runtime", "targets", "codec",
+            runtimes=IN_PROCESS_RUNTIMES, sites=3, seed=7)
     otrace.add_argument("--files", nargs="+", metavar="FILE", default=None,
                         help="flight-recorder dump files (repro-flight-v1 "
                              "JSON, as written on checker violations)")
     otrace.add_argument("--demo", action="store_true",
                         help="run the acceptance scenario (one client put "
                              "+ one partition/heal view change) on a traced "
-                             "cluster and analyze its rings")
-    otrace.add_argument("--runtime", choices=("sim", "realnet"), default="sim",
-                        help="--demo backend")
-    otrace.add_argument("--sites", type=int, default=3, help="--demo size")
-    otrace.add_argument("--seed", type=int, default=7)
+                             "--runtime cluster of --sites and analyze its "
+                             "rings")
     otrace.add_argument("--limit", type=int, default=0,
                         help="print only the first N trees (0 = all)")
     otrace.add_argument("--perfetto", metavar="FILE", default=None,
                         help="also export Chrome/Perfetto trace-event JSON")
-    otrace.add_argument("--codec", choices=("bin", "json"), default="bin",
-                        help="preferred wire codec for live pulls")
     otrace.set_defaults(func=cmd_obs_trace)
 
     fuzz = sub.add_parser(
@@ -975,15 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_sub = fuzz.add_subparsers(dest="fuzz_command", required=True)
 
     def _fuzz_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--runtime", choices=RUNTIMES, default="sim",
-                       help="backend the runs execute on")
-        p.add_argument("--sites", type=int, default=5)
-        p.add_argument("--app", choices=APP_NAMES, default="file",
-                       help="application under test (file exercises "
-                            "versioned state transfer)")
-        p.add_argument("--seed", type=int, default=0,
-                        help="campaign seed: same seed, same schedules")
-        p.add_argument("--loss", type=float, default=0.0)
+        _shared(p, "runtime", "loss", "asymmetric", sites=5, app="file", seed=0)
         p.add_argument("--iterations", type=int, default=None,
                        help="iteration budget (default 25, or unbounded "
                             "when --time-budget is given)")
@@ -995,8 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plant", default=None, metavar="BUG",
                        help="arm a planted protocol bug (test-only hook; "
                             "see repro.fuzz.bugs.KNOWN_BUGS)")
-        p.add_argument("--asymmetric", action="store_true",
-                       help="generate one-way link cuts too")
         p.add_argument("--shrink-budget", type=int, default=80,
                        help="replay budget per automatic shrink")
         p.add_argument("--no-shrink", action="store_true",
@@ -1008,10 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     _fuzz_common(frun)
     frun.add_argument("--corpus", default=None, metavar="DIR",
                       help="directory to persist/resume the corpus")
-    frun.add_argument("--metrics", metavar="FILE", default=None,
-                      help="write campaign metrics (Prometheus text) to FILE")
-    frun.add_argument("--metrics-jsonl", metavar="FILE", default=None,
-                      help="write campaign metrics as JSONL to FILE")
+    _shared(frun, "metrics", "metrics_jsonl")
     frun.set_defaults(func=cmd_fuzz_run)
 
     freplay = fuzz_sub.add_parser(
@@ -1044,6 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if any(flag in args for flag in ("book", "targets", "base_port")):
+        try:
+            args.addresses = _read_addresses(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

@@ -12,7 +12,7 @@ family, histogram samples expanded into ``_bucket{le=...}`` /
 same workload coexist in one store.
 
 JSONL: a meta line followed by one JSON object per sample — the format
-``repro obs report --jsonl`` writes and downstream tooling greps.
+``--metrics-jsonl`` writes (``repro run``, ``obs report``, ``fuzz run``) and downstream tooling greps.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ import pytest
 from repro.net.faults import FaultSchedule, Heal, Partition
 from repro.net.latency import UniformLatency
 from repro.realnet.cluster import RealCluster
-from repro.realnet.demo import partition_merge_demo
 from repro.runtime.core import ClusterConfig
 from repro.trace.checks import check_cluster, check_enriched_views, check_view_synchrony
+from tests.scenario_checks import assert_partition_merge
 
 pytestmark = pytest.mark.realnet
 
@@ -90,18 +90,12 @@ def test_killed_node_recovers_with_fresh_incarnation():
     run(scenario())
 
 
-def test_partition_two_eviews_heal_svsetmerge():
-    """The acceptance scenario: firewall -> two e-views -> heal -> merge."""
-
-    async def scenario():
-        result = await partition_merge_demo(n_sites=3, seed=4, timeout=SETTLE)
-        assert len(set(result.partition_views.values())) == 2
-        assert result.svsets_after_heal >= 2  # partition scars preserved
-        assert result.svsets_after_merge == 1  # SV-SetMerge unified them
-        assert result.property_violations == 0
-        assert result.dropped_partition > 0  # the firewall really cut frames
-
-    run(scenario())
+@pytest.mark.parametrize("codec", ["bin", "json"])
+def test_partition_merge_scenario_over_sockets(codec):
+    """The acceptance scenario behind `repro demo --runtime realnet`:
+    firewall -> two e-views -> SV-SetMerge -> heal -> SV-SetMerge, with
+    the assertions the simulator run is held to."""
+    assert_partition_merge("realnet", 3, seed=4, codec=codec)
 
 
 def test_fault_schedule_applies_to_real_sockets():
@@ -254,19 +248,6 @@ def test_mixed_codec_cluster_interoperates():
         finally:
             for node in nodes.values():
                 await node.stop()
-
-    run(scenario())
-
-
-def test_demo_reports_transport_stats():
-    """The demo surfaces the new link/batch counters."""
-
-    async def scenario():
-        result = await partition_merge_demo(n_sites=3, seed=9, timeout=SETTLE)
-        assert result.wire_frames > 0
-        assert result.wire_flushes > 0
-        assert result.wire_bytes > 0
-        assert result.codecs.get("bin1", 0) > 0  # default codec is binary
 
     run(scenario())
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -180,3 +182,58 @@ def test_fuzz_replay_checked_in_reproducer(capsys):
 def test_fuzz_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fuzz"])
+
+
+SHARED_FLAGS = (
+    "--runtime", "--sites", "--seed", "--scale", "--codec", "--tracing",
+    "--app", "--loss", "--asymmetric", "--host", "--base-port", "--book",
+    "targets", "--metrics", "--metrics-jsonl",
+)
+
+
+def _actions(parser):
+    """Every argument action of ``parser`` and of its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                yield from _actions(subparser)
+        else:
+            yield action
+
+
+def test_shared_flags_have_one_help_and_one_type_everywhere():
+    seen: dict[str, set] = {}
+    for action in _actions(build_parser()):
+        name = action.option_strings[-1] if action.option_strings else action.dest
+        if name in SHARED_FLAGS:
+            seen.setdefault(name, set()).add((action.help, action.type))
+    assert set(seen) == set(SHARED_FLAGS)
+    mixed = sorted(name for name, variants in seen.items() if len(variants) > 1)
+    assert mixed == []
+
+
+def test_obs_report_exports_jsonl_under_the_shared_flag():
+    args = build_parser().parse_args(["obs", "report", "--metrics-jsonl", "m.jsonl"])
+    assert args.metrics_jsonl == "m.jsonl"
+
+
+def test_demo_excludes_realnet_proc():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["demo", "--runtime", "realnet-proc"])
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["load", "7400x"], "7400x"),
+        (["load", "--book", "0:localhost"], "0:localhost"),
+        (["obs", "watch", "host:notaport"], "host:notaport"),
+        (["realnet", "node", "--site", "0", "--supervised", "--config", "{}",
+          "--book", "0:h:7400,x:h:7401"], "x:h:7401"),
+    ],
+)
+def test_malformed_address_is_a_usage_error(argv, entry, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert repr(entry) in capsys.readouterr().err

@@ -21,6 +21,7 @@ from repro.ports import RUNTIMES, ClusterPort, make_cluster
 from repro.workload.clients import MulticastClient, QueryClient
 from repro.workload.runner import run_checked_workload
 from repro.workload.scenarios import figure2_scenario
+from tests.scenario_checks import assert_partition_merge
 
 
 def make_sim(n_sites: int = 3, **kwargs) -> ClusterPort:
@@ -188,3 +189,13 @@ def test_run_checked_workload_accounts_time_in_scenario_units():
     assert report.runtime_now == cluster.now
     # run phase covers horizon+tail; settle may add polls beyond it.
     assert cluster.now >= 225.0
+
+
+# ---------------------------------------------------------------------------
+# The partition/merge scenario behind `repro demo`
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_sites", [3, 5])
+def test_partition_merge_scenario_on_sim(n_sites):
+    assert_partition_merge("sim", n_sites, seed=4)
