@@ -126,13 +126,14 @@ class ChunkReceiver:
         self.stack = stack
         self.on_complete = on_complete
         self._collected: dict[TransferId, dict[int, Any]] = {}
-        self.completed: list[TransferId] = []
+        #: Transfers finished so far (a count: nothing per transfer is kept).
+        self.completed = 0
 
     def on_chunk(self, src: ProcessId, chunk: TChunk) -> None:
         store = self._collected.setdefault(chunk.transfer, {})
         store[chunk.index] = chunk.payload
         if chunk.last and len(store) == chunk.index + 1:
-            self.completed.append(chunk.transfer)
+            self.completed += 1
             payloads = [store[i] for i in range(len(store))]
             del self._collected[chunk.transfer]
             self.on_complete(payloads)

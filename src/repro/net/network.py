@@ -7,7 +7,8 @@ in flight destroys it — the harshest (and simplest) cut semantics.
 
 Links are FIFO by default: deliveries on the same ``(src, dst)`` link
 never overtake each other even when sampled latencies would reorder
-them.  The protocols above do not *depend* on this (sequence numbers and
+them — except that the first copy clocked after a topology change is
+left unclocked (see :meth:`Network.multicast`).  The protocols above do not *depend* on this (sequence numbers and
 round identifiers guard them), but FIFO links keep traces easier to read;
 tests exercise the non-FIFO mode too.
 
@@ -17,6 +18,16 @@ Fast-path notes: deliveries ride the scheduler's fire-and-forget lane
 one stats update and one pass — per-destination loss and latency are
 still sampled independently, in destination order, so a multicast is
 observationally identical to the equivalent ``send`` loop.
+
+One scheduler event per fan-out instant: the copies of one call that
+arrive at the same virtual time share one heap entry, which delivers
+them back to back in destination order.  One entry per copy would run
+the same execution: those entries would take consecutive ``seq``
+numbers, so nothing could run between them, and whatever a handler
+schedules for that instant queues behind the last of them either way.
+Every copy is still checked (connectivity, live incarnation) at its
+own delivery, so a handler that cuts a link or crashes a later
+receiver still drops that copy.
 """
 
 from __future__ import annotations
@@ -38,9 +49,9 @@ class NetworkStats:
     """Counters describing what happened on the wire.
 
     ``detailed`` enables the per-payload-type breakdown (``by_type``),
-    which costs a type lookup and a dict update on every single send;
-    benchmarks leave it off, protocol analysis turns it on (the
-    :class:`~repro.runtime.cluster.Cluster` default).
+    which costs a type lookup and a dict update per send call (once per
+    multicast); benchmarks leave it off, protocol analysis turns it on
+    (the :class:`~repro.runtime.cluster.Cluster` default).
     """
 
     detailed: bool = False
@@ -51,9 +62,9 @@ class NetworkStats:
     dropped_dead: int = 0
     by_type: dict[str, int] = field(default_factory=dict)
 
-    def record_type(self, payload: Any) -> None:
+    def record_type(self, payload: Any, count: int = 1) -> None:
         name = type(payload).__name__
-        self.by_type[name] = self.by_type.get(name, 0) + 1
+        self.by_type[name] = self.by_type.get(name, 0) + count
 
 
 class Network:
@@ -132,67 +143,83 @@ class Network:
         self.send(src, dst, payload)
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
-        """Send ``payload`` from ``src`` to ``dst`` (may silently drop)."""
-        stats = self.stats
-        stats.sent += 1
-        if stats.detailed:
-            stats.record_type(payload)
-        if dst.site not in self.topology.sites:
-            stats.dropped_dead += 1
-            return
-        if not self.topology.allows(src.site, dst.site):
-            stats.dropped_partition += 1
-            return
-        if self.loss_prob > 0 and self._rng.random() < self.loss_prob:
-            stats.dropped_loss += 1
-            return
-        delay = self.latency.sample(self._rng)
-        arrival = self.scheduler.now + delay
-        if self.fifo_links:
-            arrival = self._fifo_arrival(src, dst, arrival)
-        self.scheduler.fire_at(arrival, self._deliver, src, dst, payload)
+        """Send ``payload`` from ``src`` to ``dst`` (may silently drop):
+        a fan-out of one."""
+        self.multicast(src, (dst,), payload)
 
     def multicast(self, src: ProcessId, dsts: Iterable[ProcessId], payload: Any) -> None:
         """Fan ``payload`` out from ``src`` to every destination.
 
         Loss and latency are sampled independently per destination, in
-        the iteration order of ``dsts`` (so a seeded run is identical to
-        the per-destination ``send`` loop it replaces), but the stats
+        the iteration order of ``dsts`` (so a seeded call draws what a
+        loop of one-destination sends would draw), but the stats
         counters are updated in one batch and the payload type is
-        classified once.
+        classified once.  The surviving copies are grouped by arrival
+        time, and each distinct arrival time is one scheduler event.
         """
         stats = self.stats
         topology = self.topology
-        scheduler = self.scheduler
         sites = topology.sites
+        allows = topology.allows
         loss_prob = self.loss_prob
-        rng_random = self._rng.random
+        rng = self._rng
         sample = self.latency.sample
         fifo = self.fifo_links
-        now = scheduler.now
+        clock = self._link_clock
+        stale = fifo and topology.changes != self._topo_epoch
+        now = self.scheduler.now
+        src_site = src.site
 
+        # Surviving destinations keyed by arrival time; dicts keep
+        # insertion order, so each group stays in destination order.
+        instants: dict[float, list[ProcessId]] = {}
         sent = dropped_dead = dropped_partition = dropped_loss = 0
         for dst in dsts:
             sent += 1
-            if stats.detailed:
-                stats.record_type(payload)
-            if dst.site not in sites:
+            site = dst.site
+            if site not in sites:
                 dropped_dead += 1
                 continue
-            if not topology.allows(src.site, dst.site):
+            if not allows(src_site, site):
                 dropped_partition += 1
                 continue
-            if loss_prob > 0 and rng_random() < loss_prob:
+            if loss_prob > 0 and rng.random() < loss_prob:
                 dropped_loss += 1
                 continue
-            arrival = now + sample(self._rng)
+            arrival = now + sample(rng)
             if fifo:
-                arrival = self._fifo_arrival(src, dst, arrival)
-            scheduler.fire_at(arrival, self._deliver, src, dst, payload)
+                # FIFO: a copy arrives after the previous one on its link.
+                link = (src_site, site)
+                prev = clock.get(link)
+                if prev is not None and arrival < prev + 1e-9:
+                    arrival = prev + 1e-9
+                if stale:
+                    # The first copy clocked after a topology change
+                    # prunes the table and leaves its own link unclocked
+                    # (its clock has always gone into the table the
+                    # prune replaces), so the next copy on that link may
+                    # overtake it.  The golden digests depend on this;
+                    # fixing it is a change that must name the digests
+                    # it moves.
+                    self._prune_link_clocks()
+                    clock = self._link_clock
+                    stale = False
+                else:
+                    clock[link] = arrival
+            group = instants.get(arrival)
+            if group is None:
+                instants[arrival] = [dst]
+            else:
+                group.append(dst)
         stats.sent += sent
         stats.dropped_dead += dropped_dead
         stats.dropped_partition += dropped_partition
         stats.dropped_loss += dropped_loss
+        if sent and stats.detailed:
+            stats.record_type(payload, sent)
+        fire_at = self.scheduler.fire_at
+        for arrival, group in instants.items():
+            fire_at(arrival, self._deliver, src, group, payload)
 
     def multicast_sites(self, src: ProcessId, sites: Iterable[SiteId], payload: Any) -> None:
         """Fan out to whichever incarnations currently live at ``sites``
@@ -210,21 +237,10 @@ class Network:
         self.stats.dropped_dead += missing
         self.multicast(src, dsts, payload)
 
-    def _fifo_arrival(self, src: ProcessId, dst: ProcessId, arrival: float) -> float:
-        clock = self._link_clock
-        if self.topology.changes != self._topo_epoch:
-            self._prune_link_clocks()
-        link = (src.site, dst.site)
-        prev = clock.get(link)
-        if prev is not None:
-            arrival = max(arrival, prev + 1e-9)
-        clock[link] = arrival
-        return arrival
-
     def _prune_link_clocks(self) -> None:
         """Drop link-clock entries that can no longer affect ordering.
 
-        Called lazily on the first send after a topology change.  An
+        Called lazily on the first copy sent after a topology change.  An
         entry whose clock is already in the past constrains nothing (a
         fresh arrival is at least ``now``), so long partition/heal
         histories cannot accumulate clocks without bound.  Entries with
@@ -240,17 +256,30 @@ class Network:
             if clock + 1e-9 > now
         }
 
-    def _deliver(self, src: ProcessId, dst: ProcessId, payload: Any) -> None:
-        if not self.topology.allows(src.site, dst.site):
-            self.stats.dropped_partition += 1
-            return
-        target = self._site_live.get(dst.site)
-        if (
-            target is None
-            or not target.alive
-            or (target.pid is not dst and target.pid != dst)
-        ):
-            self.stats.dropped_dead += 1
-            return
-        self.stats.delivered += 1
-        target.deliver_network(src, payload)
+    def _deliver(self, src: ProcessId, dsts: list[ProcessId], payload: Any) -> None:
+        """Deliver one fan-out instant's copies in destination order.
+
+        Each copy is checked when it is reached, so a handler earlier in
+        the group that cuts a link or crashes a later receiver drops that
+        copy.  The liveness check is the one ``deliver_network`` would
+        make, so the handler is called directly.
+        """
+        allows = self.topology.allows
+        live = self._site_live
+        stats = self.stats
+        src_site = src.site
+        for dst in dsts:
+            site = dst.site
+            if not allows(src_site, site):
+                stats.dropped_partition += 1
+                continue
+            target = live.get(site)
+            if (
+                target is None
+                or not target.alive
+                or (target.pid is not dst and target.pid != dst)
+            ):
+                stats.dropped_dead += 1
+                continue
+            stats.delivered += 1
+            target.on_network(src, payload)

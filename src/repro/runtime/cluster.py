@@ -75,7 +75,10 @@ class Cluster(ClusterCore):
             runtime="sim", name="sim", epoch=0.0,
         )
         self.metrics.gauge_callback(
-            "sim_events_total", "Scheduler events executed",
+            "sim_events_total",
+            "Scheduler events executed: one per timer firing or per"
+            " multicast fan-out instant (net_messages_delivered_total"
+            " counts the copies)",
             lambda: float(self.scheduler.events_run),
         )
         register_net_gauges(self.metrics, self.network_stats)

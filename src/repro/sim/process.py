@@ -119,7 +119,9 @@ class Process:
         raise NotImplementedError
 
     def deliver_network(self, src: ProcessId, payload: Any) -> None:
-        """Entry point used by the network; drops input if crashed."""
+        """Entry point used by the real-network runtime; drops input if
+        crashed.  The simulated network makes the same liveness check
+        per copy of a fan-out and calls :meth:`on_network` directly."""
         if not self.alive:
             return
         self.on_network(src, payload)

@@ -14,6 +14,9 @@ Two scheduling lanes share the heap:
 * the fast lane (:meth:`Scheduler.fire_at` / :meth:`Scheduler.fire_after`)
   allocates no handle at all — used for fire-and-forget work such as
   message deliveries, which dominate event volume and never cancel.
+  The network pushes one entry per multicast fan-out instant (every
+  copy of one call that arrives at that time), so an event is not a
+  message: ``events_run`` counts entries, the network counts copies.
 
 Cancellation is lazy: a cancelled event stays in the heap (marked dead)
 until it surfaces, but when dead entries exceed half the heap the queue
@@ -125,9 +128,10 @@ class Scheduler:
         """Fast lane: schedule a fire-and-forget callback at ``time``.
 
         No :class:`Event` handle is allocated, so the entry can never be
-        cancelled — the right lane for message deliveries, which account
-        for nearly all scheduled work and are only ever dropped by the
-        network's own connectivity checks, never rescinded.
+        cancelled — the right lane for message deliveries (one entry per
+        fan-out instant), which account for nearly all scheduled work
+        and are only ever dropped by the network's own connectivity
+        checks, never rescinded.
         """
         if time < self._now:
             raise SimulationError(

@@ -195,6 +195,30 @@ def test_chunked_transfer_moves_all_chunks_in_order():
     assert sender.done
 
 
+def test_receiver_keeps_no_state_per_finished_transfer():
+    class _Stack:
+        """All a ``ChunkReceiver`` asks of its stack."""
+
+        def send_direct(self, dst, payload):
+            acks.append(payload)
+
+    acks: list = []
+    done: list = []
+    receiver = ChunkReceiver(_Stack(), on_complete=done.append)
+    donor = ProcessId(0)
+    for k in range(1000):
+        for index in range(3):
+            receiver.on_chunk(donor, TChunk((donor, k), index, (k, index), index == 2))
+    assert receiver.completed == 1000
+    assert len(done) == 1000 and len(acks) == 3000
+    held = {
+        name: value
+        for name, value in vars(receiver).items()
+        if isinstance(value, (list, dict, set, tuple)) and value
+    }
+    assert not held
+
+
 def test_transfer_time_grows_linearly_with_chunks():
     durations = {}
     for n_chunks in (2, 8):

@@ -236,6 +236,67 @@ def test_send_many_from_process():
     assert all(p.inbox for p in procs[1:])
 
 
+def test_constant_latency_multicast_is_one_heap_entry():
+    sched, net, procs = _net(latency=ConstantLatency(1.0))
+    net.multicast(procs[0].pid, [p.pid for p in procs[1:]], "one")
+    assert len(sched._heap) == 1
+    sched.run()
+    assert sched.events_run == 1
+    assert all(p.inbox == [(procs[0].pid, "one", 1.0)] for p in procs[1:])
+
+
+def test_steady_window_runs_one_event_per_send_or_timer(monkeypatch):
+    """n=24, every site multicasting on a 2-unit tick: a window's events
+    are bounded by its network calls plus its timer firings (plus the
+    deliveries already queued when it opened), not by the copies — one
+    event per fan-out instant.  FIFO links are off: a link clock's
+    1e-9 bump can split one call's copies over two instants."""
+    from repro.sim.process import Timer
+
+    counts = {"send": 0, "multicast": 0, "timer": 0}
+    nested = [0]
+    send, multicast, fire = Network.send, Network.multicast, Timer._fire
+
+    def counted_send(self, *args):
+        counts["send"] += 1
+        nested[0] += 1
+        try:
+            send(self, *args)
+        finally:
+            nested[0] -= 1
+
+    def counted_multicast(self, *args):
+        counts["multicast"] += 0 if nested[0] else 1
+        multicast(self, *args)
+
+    def counted_fire(self):
+        counts["timer"] += 1
+        fire(self)
+
+    monkeypatch.setattr(Network, "send", counted_send)
+    monkeypatch.setattr(Network, "multicast", counted_multicast)
+    monkeypatch.setattr(Timer, "_fire", counted_fire)
+    config = ClusterConfig(
+        seed=7, trace_level="none", latency=ConstantLatency(1.0), fifo_links=False
+    )
+    cluster = Cluster(24, config=config)
+    assert cluster.settle()
+    for stack in cluster.stacks.values():
+        stack.set_periodic(2.0, lambda s=stack: s.multicast(("w", s.pid.site)))
+    cluster.run_for(40.0)
+    sched = cluster.scheduler
+    queued = sum(1 for entry in sched._heap if entry[4] is None)
+    events, delivered = sched.events_run, cluster.network.stats.delivered
+    for key in counts:
+        counts[key] = 0
+    cluster.run_for(100.0)
+    events = sched.events_run - events
+    delivered = cluster.network.stats.delivered - delivered
+    assert counts["multicast"] > 1000
+    assert delivered > 20 * counts["multicast"]
+    assert events <= counts["multicast"] + counts["send"] + counts["timer"] + queued
+
+
 # ---------------------------------------------------------------------------
 # Trace recorder: level filter and ring buffer
 # ---------------------------------------------------------------------------
