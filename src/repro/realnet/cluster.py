@@ -55,7 +55,7 @@ from repro.runtime.core import (
     build_observability,
     crash_stack,
     new_recorder,
-    register_net_gauges,
+    register_wire_gauges,
     sum_network_stats,
     sum_transport_stats,
 )
@@ -155,16 +155,7 @@ class RealCluster(WallClockCluster):
             self.config, lambda: self.now,
             runtime="realnet", name="cluster", epoch=time.time(),
         )
-        register_net_gauges(self.metrics, self.network_stats)
-        # The ``transport_*`` series are wall-clock-only (sockets/frames
-        # have no simulator analogue).
-        for key in ("frames_sent", "bytes_sent", "frames_received",
-                    "bytes_received", "frames_dropped", "flushes",
-                    "write_stalls"):
-            self.metrics.gauge_callback(
-                f"transport_{key}_total", f"Transport {key.replace('_', ' ')}",
-                (lambda k: lambda: float(self.transport_stats().get(k, 0)))(key),
-            )
+        register_wire_gauges(self.metrics, self.network_stats, self.transport_stats)
 
     # -- lifecycle -----------------------------------------------------
 

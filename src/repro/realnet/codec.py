@@ -156,6 +156,8 @@ def decode_value(value: Any) -> Any:
             if cls is None:
                 raise CodecError(f"unknown wire payload type: {name!r}")
             raw_fields = value.get("f", {})
+            if not isinstance(raw_fields, dict):
+                raise CodecError(f"{name}: wire fields are not an object")
             known = {f.name for f in fields(cls)}
             unknown = set(raw_fields) - known
             if unknown:

@@ -53,9 +53,17 @@ from typing import Any, Callable, NamedTuple
 from repro.errors import CodecError
 from repro.realnet import codec as _json_codec
 from repro.realnet.codec import MAX_FRAME_BYTES, _LEN, _REGISTRY
+from repro.types import ProcessId, ViewId
 
 FORMAT_JSON = "json"
 FORMAT_BIN = "bin1"
+
+#: What well-framed garbage raises below the codec's own checks: a
+#: registered constructor given a field of the wrong type or shape (or an
+#: unhashable one, when its hash is precomputed or it is a memo key),
+#: undecodable UTF-8, a nesting too deep to walk.  Every decode entry
+#: point reports these as :class:`CodecError`, like a truncation.
+_DECODE_ERRORS = (TypeError, ValueError, RecursionError)
 
 # -- value tags -----------------------------------------------------------
 #
@@ -126,12 +134,49 @@ def _side(kind: str, value: Any, reply: bool) -> tuple[str, Any]:
     return kind, value
 
 
+# -- identifier memo ------------------------------------------------------
+#
+# A node talks to a small, stable set of processes and views, and their
+# identifiers fill every frame (a store put makes about 29 ProcessId and
+# 10 ViewId values across the frames a server reads).  The decoder
+# builds each such value once and hands the same object out again.
+# Both classes are frozen with a precomputed hash, so the shared object
+# is indistinguishable from a fresh equal one.  Each memo is keyed by the
+# decoded fields and is cleared when full, like the header cache below:
+# incarnation churn grows the key space, never the steady-state set.
+
+#: The identifier classes the bin1 decoder interns.
+INTERNED: tuple[type, ...] = (ProcessId, ViewId)
+
+#: Entries one memo holds before it is cleared.
+MEMO_CAP = 4096
+
+_MEMOS: dict[type, dict[tuple, Any]] = {cls: {} for cls in INTERNED}
+_PID_MEMO = _MEMOS[ProcessId]
+
+
+def _intern_miss(memo: dict[tuple, Any], cls: type, key: tuple) -> Any:
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    value = memo[key] = cls(*key)
+    return value
+
+
+def process_id(site: int, incarnation: int) -> ProcessId:
+    """The shared :class:`ProcessId` of ``(site, incarnation)``: the
+    object the bin1 decoder returns for that value."""
+    key = (site, incarnation)
+    pid = _PID_MEMO.get(key)
+    return pid if pid is not None else _intern_miss(_PID_MEMO, ProcessId, key)
+
+
 # -- class table ----------------------------------------------------------
 #
 # Derived from the shared registry; rebuilt whenever a new payload class
 # is registered (the registry only grows).  Encode side: class -> (id,
 # attrgetter over the field names).  Decode side: id -> (class, arity,
-# min_arity).
+# min_arity, memo), ``memo`` being the class's identifier memo (above)
+# or None.
 #
 # Trailing fields whose dataclass default is ``None`` are *elidable*:
 # when their values are all None the encoder writes a reduced field
@@ -148,7 +193,7 @@ class _ClassTable:
         names = sorted(_REGISTRY)
         self.version = len(_REGISTRY)
         self.by_class: dict[type, tuple[int, Callable[[Any], Any], int, int]] = {}
-        self.by_id: list[tuple[type, int, int]] = []
+        self.by_id: list[tuple[type, int, int, dict | None]] = []
         lines = []
         for class_id, name in enumerate(names):
             cls = _REGISTRY[name]
@@ -167,7 +212,7 @@ class _ClassTable:
                 elidable += 1
             arity = len(field_names)
             self.by_class[cls] = (class_id, getter, arity, elidable)
-            self.by_id.append((cls, arity, arity - elidable))
+            self.by_id.append((cls, arity, arity - elidable, _MEMOS.get(cls)))
             lines.append(f"{name}({','.join(field_names)})")
         self.fingerprint = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
@@ -411,7 +456,9 @@ def _dec_at(buf: bytes, pos: int, by_id: list) -> tuple[Any, int]:
     variables, a single-byte fast path for every varint (counts, class
     ids and small ints are almost always < 0x80), and *implicit* bounds
     checks — an overrun raises ``IndexError``/``struct.error``, which
-    the entry points translate to the canonical truncation CodecError.
+    the entry points translate to the canonical truncation CodecError,
+    as they translate :data:`_DECODE_ERRORS`.  An :data:`INTERNED` class
+    comes out of its memo.
     """
     tag = buf[pos]
     pos += 1
@@ -424,7 +471,7 @@ def _dec_at(buf: bytes, pos: int, by_id: list) -> tuple[Any, int]:
             class_id, pos = _uvarint_at(buf, pos - 1)
         if class_id >= len(by_id):
             raise CodecError(f"unknown wire payload class id: {class_id}")
-        cls, arity, min_arity = by_id[class_id]
+        cls, arity, min_arity, memo = by_id[class_id]
         n_fields = buf[pos]
         pos += 1
         if n_fields >= 0x80:
@@ -444,7 +491,13 @@ def _dec_at(buf: bytes, pos: int, by_id: list) -> tuple[Any, int]:
             else:
                 value, pos = _dec_at(buf, pos, by_id)
                 append(value)
-        return cls(*args), pos
+        if memo is None:
+            return cls(*args), pos
+        key = tuple(args)
+        value = memo.get(key)
+        if value is None:
+            value = _intern_miss(memo, cls, key)
+        return value, pos
     if tag == _T_STR:
         n = buf[pos]
         pos += 1
@@ -513,15 +566,31 @@ def _dec_at(buf: bytes, pos: int, by_id: list) -> tuple[Any, int]:
     raise CodecError(f"unknown binary value tag: 0x{tag:02x}")
 
 
+def _garbage(exc: Exception) -> CodecError:
+    """The CodecError for one of :data:`_DECODE_ERRORS`."""
+    return CodecError(f"undecodable value: {type(exc).__name__}: {exc}")
+
+
 def decode_value_bin(data: bytes) -> Any:
     """Inverse of :func:`encode_value_bin`; rejects trailing bytes."""
     try:
         value, pos = _dec_at(data, 0, class_table().by_id)
     except (IndexError, struct.error):
         raise CodecError("truncated binary frame") from None
+    except _DECODE_ERRORS as exc:
+        raise _garbage(exc) from None
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after binary value")
     return value
+
+
+def _decode_json(value: Any) -> Any:
+    """The JSON codec's ``decode_value``, reporting
+    :data:`_DECODE_ERRORS` as :class:`CodecError`."""
+    try:
+        return _json_codec.decode_value(value)
+    except _DECODE_ERRORS as exc:
+        raise _garbage(exc) from None
 
 
 # -- wire formats ---------------------------------------------------------
@@ -612,7 +681,7 @@ class JsonWireFormat:
             src_inc,
             dst_site,
             dst_inc,
-            lambda: _json_codec.decode_value(frame.get("p")),
+            lambda: _decode_json(frame.get("p")),
         )
 
     def frame_side(self, kind: str, value: Any, reply: bool = False) -> bytes:
@@ -634,7 +703,7 @@ class JsonWireFormat:
         kind = _SIDE_BY_JSON[reply].get(frame.get("k"))
         if kind is None:
             return None
-        return _side(kind, _json_codec.decode_value(frame.get("p")), reply)
+        return _side(kind, _decode_json(frame.get("p")), reply)
 
 
 class BinWireFormat:
@@ -752,6 +821,8 @@ class BinWireFormat:
                 pos += 1
         except (IndexError, struct.error):
             raise CodecError("truncated binary frame") from None
+        except _DECODE_ERRORS as exc:
+            raise _garbage(exc) from None
         if pos > end:
             raise CodecError("truncated binary frame")
 
@@ -760,6 +831,8 @@ class BinWireFormat:
                 value, stop = _dec_at(buf, start, by_id)
             except (IndexError, struct.error):
                 raise CodecError("truncated binary frame") from None
+            except _DECODE_ERRORS as exc:
+                raise _garbage(exc) from None
             if stop > end:
                 # Ran into bytes beyond this frame (shared buffer): the
                 # frame itself was short.
@@ -799,6 +872,8 @@ class BinWireFormat:
             value, stop = _dec_at(buf, start + 1, class_table().by_id)
         except (IndexError, struct.error):
             raise CodecError("truncated binary frame") from None
+        except _DECODE_ERRORS as exc:
+            raise _garbage(exc) from None
         if stop != end:
             raise CodecError(f"{kind} frame payload ends {stop - end:+d} bytes off its frame")
         return _side(kind, value, reply)

@@ -36,13 +36,17 @@ of the simulator delivering only to the registered ``ProcessId``.
 
 from __future__ import annotations
 
-import logging
 from typing import Any, Callable, Iterable
 
-from repro.errors import CodecError, TransportError
+from repro.errors import TransportError
 from repro.net.network import NetworkStats
 from repro.ports import ProcessPort
-from repro.realnet.codec_bin import WIRE_FORMATS, ParsedMsg, supported_formats
+from repro.realnet.codec_bin import (
+    WIRE_FORMATS,
+    ParsedMsg,
+    process_id,
+    supported_formats,
+)
 from repro.realnet.transport import (
     BATCH_BYTES,
     FrameServer,
@@ -53,8 +57,6 @@ from repro.realnet.transport import (
 from repro.realnet.wallclock import WallClockScheduler
 from repro.sim.rng import RngStreams
 from repro.types import ProcessId, SiteId
-
-logger = logging.getLogger("repro.realnet.network")
 
 Connectivity = Callable[[SiteId, SiteId], bool]
 
@@ -266,7 +268,12 @@ class RealNetwork:
     # -- receive path --------------------------------------------------
 
     def _on_msg(self, msg: ParsedMsg) -> None:
-        """Validate and deliver one inbound ``msg`` frame."""
+        """Validate and deliver one inbound ``msg`` frame.
+
+        An undecodable payload raises :class:`~repro.errors.CodecError`
+        to the frame server, which counts it in ``bad_frames`` and keeps
+        the link.
+        """
         stats = self.stats
         if msg.dst_site != self.site:
             stats.dropped_dead += 1  # misdelivered: stale address book
@@ -283,18 +290,9 @@ class RealNetwork:
         if msg.dst_inc is not None and msg.dst_inc != proc.pid.incarnation:
             stats.dropped_dead += 1  # addressed to a previous incarnation
             return
-        try:
-            payload = msg.payload()
-        except CodecError as exc:
-            stats.dropped_dead += 1
-            logger.info("site %s: undecodable payload from %s: %s",
-                        self.site, msg.src_site, exc)
-            return
-        except Exception:
-            stats.dropped_dead += 1
-            return
+        payload = msg.payload()
         stats.delivered += 1
-        proc.deliver_network(ProcessId(msg.src_site, msg.src_inc), payload)
+        proc.deliver_network(process_id(msg.src_site, msg.src_inc), payload)
 
     def _on_side(self, kind: str, value: Any, reply: Callable[[Any], None]) -> None:
         """Hand one decoded side frame to the handler of its kind."""

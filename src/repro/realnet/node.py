@@ -38,7 +38,12 @@ from typing import Any, Callable, Iterable
 from repro.gms.membership import MembershipConfig
 from repro.realnet.network import Connectivity, RealNetwork
 from repro.realnet.wallclock import WallClockScheduler
-from repro.runtime.core import AppFactory, ClusterConfig, build_observability
+from repro.runtime.core import (
+    AppFactory,
+    ClusterConfig,
+    build_observability,
+    register_wire_gauges,
+)
 from repro.sim.rng import RngStreams
 from repro.sim.stable_storage import SiteStorage, StableStore
 from repro.trace.recorder import TraceRecorder
@@ -262,6 +267,8 @@ async def run_standalone(
         metrics=registry,
         flight=flight,
     )
+    network = node.network
+    register_wire_gauges(registry, lambda: network.stats, network.transport_stats)
     await node.start_transport()
     node.start_stack()
     if on_view is not None:

@@ -51,6 +51,7 @@ from repro.runtime.core import (
     build_observability,
     crash_stack,
     new_recorder,
+    register_wire_gauges,
 )
 from repro.sim.rng import RngStreams
 from repro.trace.events import RecoverEvent
@@ -111,7 +112,11 @@ class NodeSupervisor:
             metrics=self.registry,
             flight=self.flight,
         )
-        self.node.network.side_handlers["ctl"] = self._handle_ctl
+        network = self.node.network
+        register_wire_gauges(
+            self.registry, lambda: network.stats, network.transport_stats
+        )
+        network.side_handlers["ctl"] = self._handle_ctl
 
     # -- lifecycle -----------------------------------------------------
 

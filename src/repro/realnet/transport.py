@@ -48,12 +48,16 @@ connection failures trigger exponential backoff (:data:`BACKOFF_BASE`
 doubling to :data:`BACKOFF_CAP`) and a redial, and whatever was queued
 meanwhile is flushed right after the next ``welcome``.
 
-The server side accepts any number of connections, validates the
-``hello``, replies with the ``welcome``, and then splits its read
-buffer into frames in batches — one ``reader.read`` can yield dozens
-of frames, each handed synchronously to the node's receive callback —
-instead of paying two ``readexactly`` awaits per frame.  A connection
-that talks garbage is logged and closed; the node keeps serving.
+The server side accepts any number of connections, each an
+:class:`asyncio.Protocol` with no task behind it.  Its
+``data_received`` validates the ``hello``, writes the ``welcome``, and
+then walks every complete frame of the read in place, handing each
+synchronously to the node's receive callback; only a trailing partial
+frame waits for the next read.  So the loop runs protocol code straight
+from the socket callback, with no stream buffer, future or task step
+per read.  A frame with a bad body is counted and dropped; a
+connection that talks garbage is logged and closed; the node keeps
+serving.
 
 Diagnostics go through the ``repro.realnet.*`` :mod:`logging` loggers
 (silent by default; :func:`enable_stderr_logging` restores the old
@@ -114,9 +118,6 @@ OUTSIDER = (-1, 0)
 #: *not* an OSError — its absence here once aborted `repro obs watch`
 #: loops on node crashes.
 CONN_LOST = (OSError, EOFError, CodecError, asyncio.TimeoutError)
-
-#: Server-side read size for the batched frame-splitting loop.
-READ_CHUNK = 256 * 1024
 
 Resolver = Callable[[], "tuple[str, int] | None"]
 
@@ -509,10 +510,13 @@ class PeerLink:
 class FrameServer:
     """Listening side: accepts peer connections and forwards messages.
 
-    ``on_msg(parsed)`` is called synchronously on the event loop for
-    every inbound :class:`~repro.realnet.codec_bin.ParsedMsg`;
-    validation beyond frame shape is the receiver's business
-    (incarnation and connectivity checks live in
+    Each accepted connection is a :class:`_ServerConnection` protocol
+    whose ``data_received`` walks the frames of the read and dispatches
+    them before it returns: ``on_msg(parsed)`` is called synchronously
+    on the event loop for every inbound
+    :class:`~repro.realnet.codec_bin.ParsedMsg`, ``on_side`` for every
+    side frame.  Validation beyond frame shape is the receiver's
+    business (incarnation and connectivity checks live in
     :class:`~repro.realnet.network.RealNetwork`).
     """
 
@@ -535,9 +539,11 @@ class FrameServer:
         #: ignored like any unknown kind.
         self._on_side = on_side
         self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Transports of the open accepted connections.
+        self._transports: set[asyncio.Transport] = set()
         self.frames_received = 0
         self.bytes_received = 0
+        #: Reads that carried at least one frame after the hello.
         self.reads = 0
         self.max_frames_per_read = 0
         self.bad_connections = 0
@@ -558,31 +564,33 @@ class FrameServer:
         return host, port
 
     async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            self._connection, self._host, self._port
         )
         return self.address
 
     async def stop(self) -> None:
         server, self._server = self._server, None
-        if server is not None:
-            server.close()
-            await server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        for task in list(self._conn_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._conn_tasks.clear()
+        if server is None:
+            return
+        server.close()
+        # Close the accepted connections before waiting: from Python
+        # 3.12 on, wait_closed() also waits for every one of them.
+        for transport in list(self._transports):
+            transport.close()
+        await server.wait_closed()
+
+    def _connection(self) -> "_ServerConnection":
+        """Protocol factory: one :class:`_ServerConnection` per accept."""
+        return _ServerConnection(self)
 
     def _split_frames(self, buf: bytearray) -> list[bytes]:
         """Carve every complete ``length + body`` frame off ``buf``.
 
         Retained as the copying reference implementation (and for the
-        framing unit tests); the live receive loop in :meth:`_handle`
-        walks frame extents in place instead.
+        framing unit tests); the live receive path in
+        :meth:`_ServerConnection.data_received` walks frame extents in
+        place instead.
         """
         bodies: list[bytes] = []
         pos = 0
@@ -602,127 +610,140 @@ class FrameServer:
             del buf[:pos]
         return bodies
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        buf = bytearray()
-        fmt: Any = None  # negotiated after the hello
-        on_msg = self._on_msg
-        on_side = self._on_side
 
-        def reply_as(kind: str) -> Callable[[Any], None]:
-            # The reply channel handed to the side handler; safe to call
-            # after the dispatching frame (deferred client replies), a
-            # no-op once the peer is gone.
-            def reply(value: Any) -> None:
-                if not writer.is_closing():
-                    writer.write(fmt.frame_side(kind, value, True))
+class _ServerConnection(asyncio.Protocol):
+    """One accepted connection of a :class:`FrameServer`.
 
-            return reply
+    The first frame must be the JSON ``hello``; the ``welcome`` goes back
+    through the transport and names the format of every later frame.
+    ``data_received`` then walks the complete frames of each read in
+    place and dispatches them synchronously, so every payload thunk is
+    consumed before the read is released and the connection never
+    buffers more than one partial frame (which is also why it needs no
+    read-side flow control).  A bad body costs one frame
+    (``bad_frames``); a bad hello, a length over
+    :data:`~repro.realnet.codec.MAX_FRAME_BYTES` or EOF in the middle
+    of a frame costs the connection (``bad_connections``).
+    """
 
-        try:
-            while True:
-                chunk = await reader.read(READ_CHUNK)
-                if not chunk:
-                    if buf:  # EOF mid-frame
-                        self.bad_connections += 1
-                        logger.info("server %s:%s: connection closed mid-frame",
-                                    self._host, self._port)
-                    return
-                buf += chunk
-                self.bytes_received += len(chunk)
-                # Walk complete frames in place: each body is parsed at
-                # its (start, end) extent inside the read buffer, no
-                # per-frame slice.  Dispatch is synchronous, so every
-                # payload thunk is consumed before the buffer is
-                # compacted below.  Only the hello copies its body out.
-                pos = 0
-                end = len(buf)
-                walked = 0
-                msgs = 0
-                while end - pos >= _LEN.size:
-                    (length,) = _LEN.unpack_from(buf, pos)
-                    if length > MAX_FRAME_BYTES:
-                        raise CodecError(
-                            f"frame length {length} exceeds cap {MAX_FRAME_BYTES}"
-                        )
-                    body_start = pos + _LEN.size
-                    frame_end = body_start + length
-                    if frame_end > end:
-                        break
-                    if fmt is None:
-                        # First frame must be the JSON hello; answer
-                        # with a welcome naming the format the rest of
-                        # the stream (and any later frames already in
-                        # this batch) uses.
-                        hello = decode_frame_body(bytes(buf[body_start:frame_end]))
-                        if hello.get("k") != "hello":
-                            self.bad_connections += 1
-                            return
-                        chosen = choose_format(
-                            hello.get("codecs"), hello.get("schema"), self._accept
-                        )
-                        writer.write(encode_frame({"k": "welcome", "codec": chosen}))
-                        await writer.drain()
-                        fmt = WIRE_FORMATS[chosen]
-                        self.format_counts[chosen] = (
-                            self.format_counts.get(chosen, 0) + 1
-                        )
-                        pos = frame_end
-                        continue
-                    walked += 1
-                    try:
-                        parsed = fmt.parse_msg_at(buf, body_start, frame_end)
-                        if parsed is not None:
-                            msgs += 1
-                            on_msg(parsed)
-                        elif on_side is not None:
-                            # Not a msg: decode it once as a side frame
-                            # (obs polls, control ops, client requests);
-                            # unknown kinds stay ignored so future
-                            # frames don't kill the link.
-                            side = fmt.parse_side(buf, body_start, frame_end)
-                            if side is not None:
-                                on_side(side[0], side[1], reply_as(side[0]))
-                    except CodecError as exc:
-                        # The framing is intact (the length prefix was
-                        # sane), only this body is garbage: drop the one
-                        # frame and keep the link — a single bad payload
-                        # must not sever an otherwise healthy peer.
-                        self.bad_frames += 1
-                        logger.info(
-                            "server %s:%s: dropped bad frame: %s",
-                            self._host, self._port, exc,
-                        )
-                    pos = frame_end
-                if pos:
-                    del buf[:pos]
-                if walked:
-                    self.reads += 1
-                    self.frames_received += msgs
-                    if walked > self.max_frames_per_read:
-                        self.max_frames_per_read = walked
-        except CodecError as exc:
-            self.bad_connections += 1
-            logger.info("server %s:%s: bad peer frame: %s", self._host, self._port, exc)
-        except (OSError, ConnectionError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels connection tasks; swallowing the
-            # cancellation here lets the task finish cleanly instead of
-            # tripping asyncio.streams' connection_made callback, which
-            # would log a spurious traceback for every open connection.
-            pass
-        finally:
-            writer.close()
+    def __init__(self, server: FrameServer) -> None:
+        self._server = server
+        self._buf = bytearray()  # at most one partial frame
+        self._fmt: Any = None  # negotiated by the hello
+        self.transport: Any = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self._server._transports.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._server._transports.discard(self.transport)
+
+    def eof_received(self) -> None:
+        # Returning None lets the transport close itself.
+        if self._buf:
+            server = self._server
+            server.bad_connections += 1
+            logger.info("server %s:%s: connection closed mid-frame",
+                        server._host, server._port)
+
+    def data_received(self, data: bytes) -> None:
+        server = self._server
+        server.bytes_received += len(data)
+        buf = self._buf
+        if buf:
+            buf += data
+            data = buf
+        # Walk complete frames in place: each body is parsed at its
+        # (start, end) extent inside the read, no per-frame slice.
+        fmt = self._fmt
+        on_msg = server._on_msg
+        on_side = server._on_side
+        end = len(data)
+        pos = 0
+        walked = 0
+        msgs = 0
+        fatal: str | None = None
+        while end - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, pos)
+            if length > MAX_FRAME_BYTES:
+                fatal = f"frame length {length} exceeds cap {MAX_FRAME_BYTES}"
+                break
+            body_start = pos + _LEN.size
+            frame_end = body_start + length
+            if frame_end > end:
+                break
+            pos = frame_end
+            if fmt is None:
+                try:
+                    fmt = self._welcome(data, body_start, frame_end)
+                except CodecError as exc:
+                    fatal = str(exc)
+                    break
+                continue
+            walked += 1
             try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+                parsed = fmt.parse_msg_at(data, body_start, frame_end)
+                if parsed is not None:
+                    msgs += 1
+                    on_msg(parsed)
+                elif on_side is not None:
+                    # Not a msg: decode it once as a side frame (obs
+                    # polls, control ops, client requests); unknown
+                    # kinds stay ignored so future frames don't kill
+                    # the link.
+                    side = fmt.parse_side(data, body_start, frame_end)
+                    if side is not None:
+                        on_side(side[0], side[1], self._reply_as(side[0]))
+            except CodecError as exc:
+                # The framing is intact (the length prefix was sane),
+                # only this body is garbage: drop the one frame and keep
+                # the link — a single bad payload must not sever an
+                # otherwise healthy peer.
+                server.bad_frames += 1
+                logger.info("server %s:%s: dropped bad frame: %s",
+                            server._host, server._port, exc)
+        if walked:
+            server.reads += 1
+            server.frames_received += msgs
+            if walked > server.max_frames_per_read:
+                server.max_frames_per_read = walked
+        if fatal is not None:
+            server.bad_connections += 1
+            logger.info("server %s:%s: bad peer frame: %s",
+                        server._host, server._port, fatal)
+            buf.clear()
+            self.transport.close()
+        elif data is buf:
+            del buf[:pos]
+        elif pos < end:
+            buf += memoryview(data)[pos:]
+
+    def _welcome(self, data: Any, start: int, end: int) -> Any:
+        """Answer the hello occupying ``data[start:end]``; returns the
+        format it negotiated."""
+        hello = decode_frame_body(bytes(data[start:end]))
+        if hello.get("k") != "hello":
+            raise CodecError(f"first frame is not a hello: {hello.get('k')!r}")
+        server = self._server
+        chosen = choose_format(hello.get("codecs"), hello.get("schema"), server._accept)
+        self.transport.write(encode_frame({"k": "welcome", "codec": chosen}))
+        server.format_counts[chosen] = server.format_counts.get(chosen, 0) + 1
+        self._fmt = fmt = WIRE_FORMATS[chosen]
+        return fmt
+
+    def _reply_as(self, kind: str) -> Callable[[Any], None]:
+        """The reply channel handed to the side handler: safe to call
+        after the dispatching frame (deferred client replies), a no-op
+        once the connection is closing."""
+        transport = self.transport
+        fmt = self._fmt
+
+        def reply(value: Any) -> None:
+            if not transport.is_closing():
+                transport.write(fmt.frame_side(kind, value, True))
+
+        return reply
 
 
 async def wait_for_condition(

@@ -16,7 +16,8 @@ per site — and each of those is a thin *adapter* subclassing
 Everything else is stated once, here: the one config dataclass
 (:class:`ClusterConfig`), the definition of "the group has converged"
 (:func:`settled`), the observability wiring
-(:func:`build_observability`, :func:`register_net_gauges`), the wire
+(:func:`build_observability`, :func:`register_net_gauges`,
+:func:`register_wire_gauges`), the wire
 counter sums (:func:`sum_network_stats`, :func:`sum_transport_stats`),
 the scenario-unit time base (:data:`SECONDS_PER_UNIT`,
 :meth:`ClusterCore.arm`) and the introspection surface over
@@ -294,6 +295,30 @@ def register_net_gauges(
             name, help_text,
             (lambda k: lambda: float(getattr(network_stats(), k)))(key),
             ("reason",) if reason else (), reason,
+        )
+
+
+#: ``transport_stats()`` counters exported as ``transport_<key>_total``.
+TRANSPORT_GAUGES = (
+    "frames_sent", "bytes_sent", "frames_received", "bytes_received",
+    "frames_dropped", "flushes", "write_stalls", "reads", "bad_frames",
+    "bad_connections",
+)
+
+
+def register_wire_gauges(
+    registry: MetricsRegistry,
+    network_stats: Callable[[], NetworkStats],
+    transport_stats: Callable[[], Mapping[str, Any]],
+) -> None:
+    """The ``net_*`` gauges plus the socket-level ``transport_*`` ones
+    (wall-clock runtimes only: frames have no simulator analogue), for
+    every registry that serves a realnet node."""
+    register_net_gauges(registry, network_stats)
+    for key in TRANSPORT_GAUGES:
+        registry.gauge_callback(
+            f"transport_{key}_total", f"Transport {key.replace('_', ' ')}",
+            (lambda k: lambda: float(transport_stats().get(k, 0)))(key),
         )
 
 

@@ -39,7 +39,6 @@ class Sink(FrameServer):
     def __init__(self) -> None:
         super().__init__("127.0.0.1", 0, self._keep, accept_formats=FORMATS)
         self.frames: list[tuple[int, object]] = []  # (src incarnation, payload)
-        self._transports: list[asyncio.Transport] = []
 
     def _keep(self, msg: ParsedMsg) -> None:
         self.frames.append((msg.src_inc, msg.payload()))
@@ -48,11 +47,9 @@ class Sink(FrameServer):
     def payloads(self) -> list[object]:
         return [payload for _, payload in self.frames]
 
-    async def _handle(self, reader, writer) -> None:
-        self._transports.append(writer.transport)
-        await super()._handle(reader, writer)
-
     def pause_reading(self) -> None:
+        # The server's accepted transports, as each connection recorded
+        # its own in connection_made.
         for transport in self._transports:
             transport.pause_reading()
 

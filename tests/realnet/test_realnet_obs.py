@@ -118,3 +118,30 @@ def test_realnet_fig2_workload_emits_the_unified_metric_names():
         "settlement_duration",
     }) - names
     assert not missing, f"realnet snapshot missing {sorted(missing)}"
+
+
+def test_a_standalone_nodes_registry_exports_the_wire_gauges():
+    """``repro realnet node`` serves its own registry, with the same
+    ``net_*`` and ``transport_*`` rows as the cluster registries."""
+    from repro.realnet.node import run_standalone
+    from repro.realnet.transport import wait_for_condition
+
+    async def scenario():
+        book = {0: ("127.0.0.1", 0)}  # the bound port is written back
+        stop = asyncio.Event()
+        node = asyncio.get_running_loop().create_task(
+            run_standalone(0, book, stop_event=stop)
+        )
+        try:
+            assert await wait_for_condition(lambda: book[0][1] != 0, SETTLE)
+            names = set((await fetch_snapshot(*book[0])).names())
+            assert {
+                "net_messages_sent_total",
+                "transport_frames_received_total",
+                "transport_bad_frames_total",
+            } <= names
+        finally:
+            stop.set()
+            await node
+
+    run(scenario())

@@ -316,3 +316,39 @@ def test_a_timed_out_control_op_leaves_no_stale_reply(monkeypatch):
             await child.stop()
 
     asyncio.run(asyncio.wait_for(scenario(), 10.0))
+
+
+def test_a_proc_childs_registry_exports_the_wire_gauges():
+    """Each child serves its own registry, and it carries the ``net_*``
+    and ``transport_*`` rows: one garbled msg frame sent to a child
+    moves that child's ``transport_bad_frames_total`` by one."""
+    from repro.obs.watch import fetch_snapshot
+    from repro.realnet.transport import OUTSIDER, handshake, wait_for_condition
+
+    async def garble(host: str, port: int) -> tuple[float, float]:
+        before = await fetch_snapshot(host, port)
+        assert before.total("net_messages_sent_total") > 0
+        bad = before.total("transport_bad_frames_total")
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            fmt = await handshake(reader, writer, OUTSIDER, ("bin1",))
+            writer.write(fmt.frame_msg((0, 0), 1, None, b"\x7f"))
+            await writer.drain()
+            now = [bad]
+
+            async def poll() -> None:
+                snap = await fetch_snapshot(host, port)
+                now[0] = snap.total("transport_bad_frames_total")
+
+            await wait_for_condition(lambda: now[0] > bad, SETTLE, 0.05, poll)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        return bad, now[0]
+
+    with contextlib.closing(proc_cluster(3, seed=9)) as cluster:
+        assert cluster.settle(timeout=SETTLE), cluster.views()
+        host, port = cluster.cluster.address_book[1]
+        bad, after = asyncio.run(asyncio.wait_for(garble(host, port), 2 * SETTLE))
+        assert after == bad + 1
+        assert cluster.settle(timeout=SETTLE), cluster.views()

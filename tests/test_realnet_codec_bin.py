@@ -284,3 +284,55 @@ def test_schema_fingerprint_is_stable_and_short():
     assert fp == schema_fingerprint()
     assert len(fp) == 16
     int(fp, 16)  # hex
+
+
+# ---------------------------------------------------------------------------
+# Identifier memo: one shared object per ProcessId / ViewId value
+# ---------------------------------------------------------------------------
+
+
+def test_decoded_identifiers_are_shared_and_equal_to_fresh_ones():
+    pid = ProcessId(3, 7)
+    vid = ViewId(9, ProcessId(3, 7))
+    first = decode_value_bin(encode_value_bin((pid, vid)))
+    second = BIN_FORMAT.parse_msg(_bin_body((vid, pid))).payload()
+    assert first == (pid, vid) and second == (vid, pid)
+    assert (hash(first[0]), hash(first[1])) == (hash(pid), hash(vid))
+    assert first[0] is second[1] and first[1] is second[0]
+    assert first[1].coordinator is first[0]
+    # the receiver's sender ids come from the same memo
+    assert codec_bin.process_id(3, 7) is first[0]
+
+
+def test_identifier_memos_are_bounded():
+    for inc in range(10_000):
+        decoded = decode_value_bin(encode_value_bin(ViewId(inc, ProcessId(5, inc))))
+        assert decoded.coordinator == ProcessId(5, inc)
+    for cls in codec_bin.INTERNED:
+        assert 0 < len(codec_bin._MEMOS[cls]) <= codec_bin.MEMO_CAP == 4096
+
+
+def test_a_warm_put_frame_decodes_without_building_identifiers(monkeypatch):
+    from collections import Counter
+
+    from repro.core.group_object import _OpMsg
+    from repro.types import Message, MessageId
+
+    built: Counter[str] = Counter()
+    for cls in (ProcessId, ViewId):
+        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    writer = ProcessId(1, 0)
+    put = Message(
+        MessageId(writer, ViewId(4, ProcessId(0, 0)), 7),
+        _OpMsg(("put", "k42", "v", "gen0", 3)),
+        eview_seq=2,
+    )
+    body = _bin_body(put)
+    assert BIN_FORMAT.parse_msg(body).payload() == put  # warms the memos
+    built.clear()
+    assert BIN_FORMAT.parse_msg(body).payload() == put
+    assert built == Counter()

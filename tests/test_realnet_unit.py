@@ -63,6 +63,26 @@ def test_real_network_satisfies_network_port():
     asyncio.run(check())
 
 
+def test_every_registry_serving_a_node_exports_the_wire_gauges():
+    from repro.realnet.cluster import RealCluster
+    from repro.realnet.procnode import NodeSupervisor
+    from repro.runtime.core import TRANSPORT_GAUGES, ClusterConfig
+
+    wanted = {"net_messages_sent_total", "net_messages_dropped_total"} | {
+        f"transport_{key}_total" for key in TRANSPORT_GAUGES
+    }
+    assert {"transport_reads_total", "transport_bad_frames_total",
+            "transport_bad_connections_total"} <= wanted
+
+    async def check():
+        child = NodeSupervisor(0, {0: ("127.0.0.1", 0)}, ClusterConfig())
+        assert wanted <= set(child.registry.snapshot("site0").names())
+        cluster = RealCluster(2)
+        assert wanted <= set(cluster.metrics.snapshot("cluster").names())
+
+    asyncio.run(check())
+
+
 # ---------------------------------------------------------------------------
 # Codec: JSON framing and tagging
 # ---------------------------------------------------------------------------
@@ -114,6 +134,8 @@ def test_codec_rejects_unknown_type_tag_and_unknown_fields():
         decode_value({"__c__": "EvilClass", "f": {}})
     with pytest.raises(CodecError):
         decode_value({"__c__": "ProcessId", "f": {"site": 0, "bogus": 1}})
+    with pytest.raises(CodecError):  # fields that are not an object
+        decode_value({"__c__": "ProcessId", "f": ["site"]})
     with pytest.raises(CodecError):
         decode_value({"untagged": 1})
 

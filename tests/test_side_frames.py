@@ -4,7 +4,8 @@ Everything that is not a ``msg`` — obs polls, control ops, client
 requests — is one row of ``codec_bin.SIDE_KINDS``, framed and parsed by
 the two wire formats and dispatched by kind (docs/protocol.md §7).  The
 framing cases run over every kind x format x direction; the dispatch
-cases drive a ``FrameServer`` over a fake stream, no sockets.
+cases drive a ``FrameServer`` connection over a fake transport, no
+sockets.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.realnet.codec_bin import (
 from repro.realnet.network import RealNetwork
 from repro.realnet.transport import FrameServer
 from repro.realnet.wallclock import WallClockScheduler
+from tests.test_frame_server import FakeTransport
 
 FORMATS = (BIN_FORMAT, JSON_FORMAT)
 
@@ -113,29 +115,8 @@ def test_bin1_side_frame_must_fill_its_frame():
 
 
 # ---------------------------------------------------------------------------
-# Dispatch: FrameServer + RealNetwork over a fake stream
+# Dispatch: FrameServer + RealNetwork over a fake transport
 # ---------------------------------------------------------------------------
-
-
-class _FakeWriter:
-    def __init__(self) -> None:
-        self.writes: list[bytes] = []
-        self.closed = False
-
-    def write(self, data) -> None:
-        self.writes.append(bytes(data))
-
-    def is_closing(self) -> bool:
-        return self.closed
-
-    async def drain(self) -> None:
-        pass
-
-    def close(self) -> None:
-        self.closed = True
-
-    async def wait_closed(self) -> None:
-        pass
 
 
 def _counting(base):
@@ -196,12 +177,13 @@ def test_a_side_frame_is_decoded_once_and_reaches_exactly_one_handler(
             "", 0, network._on_msg, accept_formats=(fmt.name,),
             on_side=network._on_side,
         )
-        reader = asyncio.StreamReader()
-        reader.feed_data(stream)
-        reader.feed_eof()
-        writer = _FakeWriter()
-        await server._handle(reader, writer)
-        return server, writer
+        transport = FakeTransport()
+        conn = server._connection()
+        conn.connection_made(transport)
+        conn.data_received(stream)
+        conn.eof_received()
+        conn.connection_lost(None)
+        return server, transport
 
     server, writer = asyncio.run(asyncio.wait_for(scenario(), 5))
     assert seen == [("obs", "snapshot"), ("ctl", ("ping", None))]
