@@ -769,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="offer open-loop client load against the store "
                           "app at this rate (store ops per scenario unit; "
                           "~100 units/s of wall time on realnet).  Implies "
-                          "--app store and runs the AckedWriteLoss checker "
-                          "over the merged trace")
+                          "--app store and runs the AckedWriteLoss and "
+                          "ReplicaDivergence checkers over the merged trace")
     run.add_argument("--client-count", type=int, default=8,
                      help="client connections/identities for --client-rate")
     run.add_argument("--client-keys", type=int, default=1_000_000,

@@ -340,10 +340,10 @@ class AckedWriteLossChecker(TraceChecker):
 
     :class:`~repro.apps.versioned_store.VersionedStore` records three
     audit events: ``store_ack`` when a put earns its quorum certificate
-    (the client saw "ok"), ``store_apply`` when a member appends a
-    version, and ``store_state`` whenever a member's whole chain set is
+    (the client saw "ok"), ``store_apply`` when a member adds a version,
+    and ``store_state`` whenever a member's whole chain set is
     *replaced* (state adoption after settlement, or a disk restore on
-    recovery) — carrying the full provenance inventory it now holds.
+    recovery) — carrying the provenance of every version it now holds.
 
     Replaying those per process — ``store_state`` resets the process's
     holdings, ``store_apply`` adds to them — yields what each process
@@ -391,6 +391,73 @@ class AckedWriteLossChecker(TraceChecker):
                     f"by {pid} at t={time:g} but no live process retains "
                     f"it at the end of the run"
                 )
+        return report
+
+
+@register_checker
+class ReplicaDivergenceChecker(TraceChecker):
+    """The live replicas of one component end with one store, in order.
+
+    Replays each process's ``store_state`` (every chain, in order:
+    ``keys``, their chain ``lens`` and the ``provs`` in chain order) and
+    ``store_apply`` events (a version appended, or inserted at ``at``)
+    into the chains it holds at the end of the run, then groups the
+    live store replicas by the last view each installed.  Within a
+    group every key's versions must stand in one order, hence one head
+    for an any-replica ``get``.  Multicast is FIFO per sender only, so a
+    store whose result depended on the order in which different
+    writers' puts arrived would fail here.  A put still in flight when
+    the run ends is left out (only versions every replica of the group
+    holds are compared); whether a version survives at all is
+    :class:`AckedWriteLossChecker`'s business.
+    """
+
+    name = "ReplicaDivergence"
+
+    def run(self, rec: TraceRecorder, ctx: CheckContext) -> CheckReport:
+        report = self.report()
+        held: dict = {}  # pid -> key -> [prov tuple, ...] in chain order
+        for ev in rec.of_type(AppEvent):
+            if not isinstance(ev.data, dict):
+                continue
+            if ev.tag == "store_apply":
+                chain = held.setdefault(ev.pid, {}).setdefault(ev.data.get("key"), [])
+                chain.insert(ev.data.get("at", len(chain)), tuple(ev.data.get("prov", ())))
+            elif ev.tag == "store_state":
+                provs = [tuple(p) for p in ev.data.get("provs", ())]
+                chains = held[ev.pid] = {}
+                at = 0
+                for key, n in zip(ev.data.get("keys", ()), ev.data.get("lens", ())):
+                    chains[key] = provs[at : at + n]
+                    at += n
+        if not held:
+            return report
+        dead = {ev.pid for ev in rec.of_type(CrashEvent)}
+        last_view: dict = {}
+        for ev in rec.of_type(ViewInstallEvent):
+            last_view[ev.pid] = ev.view_id
+        components: dict = {}
+        for pid in sorted(held):
+            if pid not in dead and pid in last_view:
+                components.setdefault(last_view[pid], []).append(pid)
+        for view_id, pids in components.items():
+            if len(pids) < 2:
+                continue
+            keys = set().union(*(held[pid] for pid in pids))
+            for key in sorted(keys, key=repr):
+                report.checked += 1
+                chains = [held[pid].get(key, ()) for pid in pids]
+                # A put still in flight when the run ends is held by
+                # some replicas only: compare the versions all hold.
+                common = set(chains[0]).intersection(*chains[1:])
+                orders = {tuple(p for p in chain if p in common) for chain in chains}
+                if len(orders) > 1:
+                    heads = {order[-1] for order in orders if order}
+                    report.violation(
+                        f"the {len(pids)} live replicas in {view_id} hold "
+                        f"{len(orders)} orders of key {key!r}'s "
+                        f"{len(common)} versions ({len(heads)} different heads)"
+                    )
         return report
 
 

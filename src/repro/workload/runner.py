@@ -173,7 +173,7 @@ def run_client_load(
     settle_timeout: float = 600.0,
     settle_poll: float = 10.0,
     slo_p99: float = 50.0,
-    checkers: Sequence[str] | None = ("AckedWriteLoss",),
+    checkers: Sequence[str] | None = ("AckedWriteLoss", "ReplicaDivergence"),
     enriched: bool = True,
 ) -> ClientLoadReport:
     """Open-loop client load plus a fault schedule, then the checks.
@@ -185,7 +185,9 @@ def run_client_load(
     armed scenario-unit fault schedule, settles, and checks the merged
     trace — the paper's property checks plus the named fuzz checkers
     (by default ``AckedWriteLoss``: no write acked to a client may
-    vanish across the run's partitions and settlements).  ``slo_p99``
+    vanish across the run's partitions and settlements; and
+    ``ReplicaDivergence``: the replicas of one component hold every key's
+    versions in one order).  ``slo_p99``
     is in scenario units and converted via ``time_scale``, like every
     other duration here.
 

@@ -332,3 +332,15 @@ def test_open_loop_load_with_partition_heal_no_acked_loss():
         cluster.close()
 
     assert result.ok
+
+
+def test_concurrent_writers_leave_one_chain_order_realnet():
+    """The store's hot-key reproducer over real sockets: every replica
+    ends with one chain order and one head."""
+    from tests.scenario_checks import hot_key_chains
+
+    chains, report = hot_key_chains("realnet")
+    assert chains[0], "no put landed"
+    assert all(chain == chains[0] for chain in chains)
+    assert chains[0] == sorted(chains[0])
+    assert report.checked == 1 and report.ok, report.violations

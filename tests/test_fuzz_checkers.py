@@ -326,8 +326,9 @@ def _apply(rec, t, pid, prov=PROV, key="k"):
     _app(rec, t, pid, "store_apply", {"key": key, "prov": prov, "client": "c", "client_seq": 1})
 
 
-def _state(rec, t, pid, provs):
-    _app(rec, t, pid, "store_state", {"provs": tuple(provs)})
+def _state(rec, t, pid, provs, key="k"):
+    data = {"keys": (key,), "lens": (len(provs),), "provs": tuple(provs)}
+    _app(rec, t, pid, "store_state", data)
 
 
 def test_acked_write_loss_passes_when_any_live_process_retains():
@@ -385,3 +386,75 @@ def test_acked_write_loss_silent_without_store_traffic():
     rec = TraceRecorder()
     report = AckedWriteLossChecker().run(rec, CTX)
     assert report.checked == 0 and report.ok
+
+
+# -- replica divergence -----------------------------------------------------
+
+from repro.fuzz.checkers import ReplicaDivergenceChecker  # noqa: E402
+
+A, B, C = (1, 0, 0, 1), (1, 1, 0, 1), (1, 2, 0, 1)
+
+
+def _members(rec, t, view, pids):
+    for pid in pids:
+        rec.record(
+            ViewInstallEvent(time=t, pid=pid, view_id=view, members=frozenset(pids),
+                             prev_view_id=None)
+        )
+
+
+def _apply_at(rec, t, pid, prov, at=None, key="k"):
+    data = {"key": key, "prov": prov, "client": "", "client_seq": 0}
+    if at is not None:
+        data["at"] = at
+    _app(rec, t, pid, "store_apply", data)
+
+
+def test_replica_divergence_passes_when_inserts_rebuild_one_order():
+    rec = TraceRecorder()
+    _members(rec, 0.0, V1, [P0, P1])
+    _state(rec, 0.5, P0, [A])
+    _state(rec, 0.5, P1, [A])
+    # P0 sees C then B (B inserted before C); P1 sees B then C.
+    _apply_at(rec, 1.0, P0, C)
+    _apply_at(rec, 1.1, P0, B, at=1)
+    _apply_at(rec, 1.0, P1, B)
+    _apply_at(rec, 1.1, P1, C)
+    report = ReplicaDivergenceChecker().run(rec, CTX)
+    assert report.checked == 1 and report.ok
+
+
+def test_replica_divergence_flags_two_orders_of_one_key():
+    rec = TraceRecorder()
+    _members(rec, 0.0, V1, [P0, P1])
+    _apply_at(rec, 1.0, P0, C)
+    _apply_at(rec, 1.1, P0, B)
+    _apply_at(rec, 1.0, P1, B)
+    _apply_at(rec, 1.1, P1, C)
+    report = ReplicaDivergenceChecker().run(rec, CTX)
+    assert not report.ok
+    assert "2 orders of key 'k''s 2 versions (2 different heads)" in report.violations[0]
+
+
+def test_replica_divergence_leaves_out_a_put_still_in_flight():
+    rec = TraceRecorder()
+    _members(rec, 0.0, V1, [P0, P1])
+    for pid in (P0, P1):
+        _apply_at(rec, 1.0, pid, A)
+    _apply_at(rec, 2.0, P0, B)  # the run ends before P1 applies it
+    report = ReplicaDivergenceChecker().run(rec, CTX)
+    assert report.checked == 1 and report.ok
+
+
+def test_replica_divergence_compares_only_live_replicas_of_one_component():
+    rec = TraceRecorder()
+    _members(rec, 0.0, V1, [P0, P1])
+    _members(rec, 0.0, V2, [P2])
+    _apply_at(rec, 1.0, P0, A)
+    _apply_at(rec, 1.0, P1, A)
+    _apply_at(rec, 1.0, P2, B)  # another component may hold other writes
+    _apply_at(rec, 1.2, P1, C)
+    rec.record(CrashEvent(time=2.0, pid=P1))  # the odd one out died
+    report = ReplicaDivergenceChecker().run(rec, CTX)
+    assert report.checked == 0 and report.ok
+    assert ReplicaDivergenceChecker().run(TraceRecorder(), CTX).checked == 0

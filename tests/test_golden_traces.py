@@ -152,9 +152,14 @@ SCENARIOS = {
 #: at commit 04b1eb7, before the blocking tool's receiving side moved
 #: onto ``ChunkReceiver``; ``random_schedule`` at commit c0846cb, through
 #: the sim-only schedule runner that ``run_checked_workload`` replaced.
+#: ``store_faults`` was re-recorded when the store began inserting each
+#: version by provenance: only audit fields changed.  ``store_state``
+#: lists its ``provs`` key by key in chain order (they were sorted) and
+#: adds ``keys`` and ``lens``; ``store_apply`` names ``at`` for the 41
+#: versions that did not go on the end of their chain.
 GOLDEN = {
     "figure2": "cf2dded8ed3c36f4d47ca043073b87052c0289b42fc4c14de50e98fc9475475e",
-    "store_faults": "c9cba93aac5b47e498a995a4c55ecea20116205c7ed730b744dfe621a2f3467f",
+    "store_faults": "ac3e0f4fd3cb3737a4a02c5a29ece18c9eea94850b325dd6b5b77113e802110a",
     "scale_profile": "d40ecf40a39cf124e631e846887840b19497e5f7808370fbf0b9ddf78eeb1f37",
     "isis_blocking": "4d995ee9465806c051c45668833d324cf29f13d82837cf98b46b2ad466e0d9fd",
     "random_schedule": "d81562f955640e5c5759edecad068dae3ff588114dd432e77dcbe9229073ea6d",

@@ -6,9 +6,12 @@ and asserts the corresponding checker flags it (and only it).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.fuzz.bugs import KNOWN_BUGS
+from repro.fuzz.corpus import WorkloadSpec
 from repro.fuzz.engine import FuzzConfig, FuzzEngine, quick_entry
 from repro.net.faults import Heal, Partition
 from repro.trace.checks import (
@@ -513,6 +516,14 @@ def test_query_results_are_the_callers_to_mutate():
 CATCHES = {
     "lost_settlement": "LostSettlement",
     "stale_transfer": "StaleStateTransfer",
+    "append_order": "ReplicaDivergence",
+}
+
+#: The workload a planted bug needs, where the default one (the
+#: replicated file) cannot show it: a store bug needs the store, and
+#: puts to one key from several sites close enough to race.
+WORKLOADS = {
+    "append_order": WorkloadSpec(app="store", clients=(("store", 1.0),)),
 }
 
 
@@ -526,7 +537,10 @@ def test_planted_bug_still_caught_by_its_checker(bug):
     (run, gather, every registered checker over the indexed trace)."""
     schedule = [Partition(200.0, ((1, 2, 3, 4), (0,))), Heal(400.0)]
     engine = FuzzEngine(FuzzConfig(seed=3))
-    executed = engine.execute_entry(quick_entry(schedule, seed=3, planted_bug=bug))
+    entry = quick_entry(schedule, seed=3)
+    if bug in WORKLOADS:
+        entry = replace(entry, workload=WORKLOADS[bug])
+    executed = engine.execute_entry(replace(entry, planted_bug=bug))
     assert executed.failing_checkers == (CATCHES[bug],)
-    clean = engine.execute_entry(quick_entry(schedule, seed=3))
+    clean = engine.execute_entry(entry)
     assert not clean.failed

@@ -13,9 +13,11 @@ from repro.apps.versioned_store import (
 )
 from repro.client.sim import SimStoreClient
 from repro.core.versioning import Provenance, VersionEntry
+from repro.fuzz import bugs
 from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.types import ProcessId
+from repro.types import MessageId, ProcessId
+from tests.scenario_checks import hot_key_chains
 
 
 def store_cluster(n: int = 5, seed: int = 0) -> Cluster:
@@ -267,3 +269,43 @@ def test_no_acked_write_lost_across_crash_recover_partition_merge() -> None:
     )
     assert reports and reports[0].checked > 0
     assert not reports[0].violations, reports[0].violations
+
+
+# ---------------------------------------------------------------------------
+# Replica determinism: chain order does not depend on arrival order
+# ---------------------------------------------------------------------------
+
+
+def test_concurrent_writers_leave_one_chain_order_and_one_head() -> None:
+    chains, report = hot_key_chains("sim")
+    assert len(chains[0]) == 100
+    assert all(chain == chains[0] for chain in chains)
+    assert chains[0] == sorted(chains[0])
+    assert report.checked == 1 and report.ok
+
+
+def test_append_order_bug_diverges_and_the_checker_sees_it() -> None:
+    with bugs.planted("append_order"):
+        chains, report = hot_key_chains("sim")
+    assert len({tuple(chain) for chain in chains}) > 1
+    assert len({chain[-1] for chain in chains}) > 1
+    assert report.violations and "orders of key 'k''s 100 versions" in report.violations[0]
+
+
+def test_apply_inserts_by_provenance_and_recovery_replays_in_that_order() -> None:
+    cluster = store_cluster(n=3)
+    app = cluster.app_at(0)
+    view = cluster.stack_at(0).current_view_id()
+    # Two writers outside the cluster (their acks go nowhere), arriving
+    # larger provenance first.
+    late, early = ProcessId(8, 0), ProcessId(7, 0)
+    app.apply_op(late, ("put", "hot", "b", "", 0), MessageId(late, view, 900))
+    app.apply_op(early, ("put", "hot", "a", "", 0), MessageId(early, view, 900))
+    assert [e.value for e in app.chains["hot"]] == ["a", "b"]
+    assert app.get("hot").value == "b"
+    before = app.chains["hot"]
+    cluster.crash(0)
+    cluster.run_for(50)
+    cluster.recover(0)
+    # Straight from the base and the op log, before any settlement.
+    assert cluster.app_at(0).chains["hot"] == before
