@@ -57,6 +57,9 @@ class WriteHandle:
 
 @dataclass(frozen=True)
 class _WriteAck:
+    """A cumulative ack: the sender applied every write of ours through
+    ``msg_id`` (see :class:`~repro.core.versioning.QuorumTally`)."""
+
     msg_id: MessageId
 
 
@@ -67,9 +70,9 @@ class ReplicatedFile(GroupObject):
         super().__init__(QuorumModeFunction(votes))
         self.votes = dict(votes)
         self.files: dict[str, tuple[Any, MessageId]] = {}
-        # Quorum bookkeeping (pending handles, vote counting, the
-        # early-ack race with synchronous self-delivery) lives in the
-        # shared tally; votes are the static per-site weights.
+        # Quorum bookkeeping (pending handles, cumulative acks, vote
+        # counting) lives in the shared tally; votes are the static
+        # per-site weights.
         self._tally = QuorumTally(votes)
         self.reads_served = 0
         self.stale_reads_possible = 0
@@ -96,7 +99,7 @@ class ReplicatedFile(GroupObject):
             handle.status = "aborted"  # a view change is in progress
             return handle
         handle.msg_id = msg_id
-        self._tally.open(msg_id, handle, self.pid)
+        self._tally.open(msg_id, handle)
         return handle
 
     def read(self, name: str) -> Any:
@@ -131,18 +134,18 @@ class ReplicatedFile(GroupObject):
             self.files[name] = (value, msg_id)
         self._persist()
         if sender == self.pid:
-            self._tally.ack(msg_id, self.pid, self.pid)  # our replica counts
+            self._tally.ack(msg_id, sender)  # our replica counts
         else:
-            self.stack.send_direct(sender, _WriteAck(msg_id))
+            self.send_ack(sender, _WriteAck(msg_id))
 
     def on_app_direct(self, sender: ProcessId, payload: Any) -> None:
         if isinstance(payload, _WriteAck):
-            self._tally.ack(payload.msg_id, sender, self.pid)
+            self._tally.ack(payload.msg_id, sender)
 
     def on_view(self, eview: EView) -> None:
         # A view change aborts unacknowledged writes: their quorum can no
         # longer be certified in the view they were issued in (2.2).
-        self._tally.abort_all()
+        self._tally.abort_all(eview.view_id)
         super().on_view(eview)
 
     # ------------------------------------------------------------------

@@ -86,6 +86,8 @@ class GroupObject(ModeTrackingApp):
         self._prev_members: frozenset[ProcessId] | None = None
         self._buffered_ops: list[tuple[ProcessId, Any, MessageId]] = []
         self._applied_ops: set[MessageId] = set()
+        #: writer -> newest ack owed to it at the end of the input batch.
+        self._batched_acks: dict[ProcessId, Any] = {}
         self.ops_applied = 0
         self.ops_rejected = 0
 
@@ -344,6 +346,30 @@ class GroupObject(ModeTrackingApp):
 
     def on_app_direct(self, sender: ProcessId, payload: Any) -> None:
         """Hook for subclasses using point-to-point messages."""
+
+    def send_ack(self, writer: ProcessId, ack: Any) -> None:
+        """Send ``writer`` a cumulative acknowledgement of its operations
+        (see :class:`~repro.core.versioning.QuorumTally`).
+
+        Outside an input batch it goes at once.  Inside one, only the
+        newest ack per writer is kept, and the batch's acks leave when
+        it ends, in the order their writers were first acked: each one
+        covers every earlier ack to the same writer.
+        """
+        stack = self.stack
+        if not stack.input_batch:
+            stack.send_direct(writer, ack)
+            return
+        acks = self._batched_acks
+        if not acks:
+            stack.at_batch_end(self._send_batched_acks)
+        acks[writer] = ack
+
+    def _send_batched_acks(self) -> None:
+        acks, self._batched_acks = self._batched_acks, {}
+        send_direct = self.stack.send_direct
+        for writer, ack in acks.items():
+            send_direct(writer, ack)
 
     def _persist_meta(self) -> None:
         if self.stack is not None:

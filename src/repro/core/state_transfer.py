@@ -116,6 +116,10 @@ class ChunkReceiver:
     The final chunk completes the transfer *before* it is acknowledged:
     whatever ``on_complete`` sends (installing state may drive
     settlement) leaves ahead of the ack that releases the donor.
+
+    A donor that dies mid-transfer never sends the rest, so its partial
+    transfer would be held forever: :meth:`on_view` drops the transfers
+    of donors outside the view just installed, and counts them.
     """
 
     def __init__(
@@ -128,6 +132,8 @@ class ChunkReceiver:
         self._collected: dict[TransferId, dict[int, Any]] = {}
         #: Transfers finished so far (a count: nothing per transfer is kept).
         self.completed = 0
+        #: Partial transfers dropped because their donor left the view.
+        self.dropped = 0
 
     def on_chunk(self, src: ProcessId, chunk: TChunk) -> None:
         store = self._collected.setdefault(chunk.transfer, {})
@@ -138,6 +144,14 @@ class ChunkReceiver:
             del self._collected[chunk.transfer]
             self.on_complete(payloads)
         self.stack.send_direct(src, TAck(chunk.transfer, chunk.index))
+
+    def on_view(self, members: frozenset[ProcessId]) -> None:
+        """A view was installed: drop the partial transfers of donors
+        that are not among its ``members``."""
+        gone = [t for t in self._collected if t[0] not in members]
+        for transfer in gone:
+            del self._collected[transfer]
+        self.dropped += len(gone)
 
 
 class TwoPieceTransfer:

@@ -17,9 +17,8 @@ implementation:
   partitions repair: every entry from every donor survives exactly
   once, ordered by provenance.
 * **Quorum tallies** — the acknowledgement bookkeeping of
-  quorum-acked writes (pending handles, vote counting, the early-ack
-  race with synchronous self-delivery), previously private to
-  ``replicated_file``.
+  quorum-acked writes: pending handles, and each replica's cumulative
+  acknowledged prefix, which counts votes.
 
 :func:`newest_incarnations` addresses a subtle state-merge hazard: a
 site that crashed, recovered and then partitioned can appear in the
@@ -32,10 +31,11 @@ per site first makes any downstream fold safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.types import MessageId, ProcessId, SiteId
+from repro.types import MessageId, ProcessId, SiteId, ViewId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.group_object import AppStateOffer
@@ -132,96 +132,120 @@ def newest_incarnations(offers: list["AppStateOffer"]) -> list["AppStateOffer"]:
     return [best[pid] for pid in sorted(best)]
 
 
-@dataclass
-class _PendingAck:
-    """Tally-internal view of one pending quorum-acked operation."""
-
-    handle: Any
-    ackers: set[ProcessId] = field(default_factory=set)
-    votes: int = 0
-
-
 class QuorumTally:
-    """Acknowledgement bookkeeping for quorum-acked writes.
+    """Acknowledgement bookkeeping for one writer's quorum-acked writes.
 
     The owning group object multicasts an operation, registers the
     returned message identifier with :meth:`open`, counts replica
     acknowledgements with :meth:`ack` and aborts everything still
-    pending on a view change with :meth:`abort_all`.  The tally also
-    handles the *early-ack* race: self-delivery is synchronous inside
-    ``multicast``, so our own replica's acknowledgement can arrive
-    before ``open`` registers the handle; it parks until then.  No
-    other replica can be that early, and our messages open in sending
-    order, so an acknowledgement for one at or below the newest opened
-    is late (the operation already committed), not early: it is
-    dropped, and nothing stays parked behind a committed operation.
+    pending on a view change with :meth:`abort_all`, which also names
+    the view the tally counts in from then on.
+
+    Acknowledgements are *cumulative*: an ack of ``msg_id`` from a
+    replica means "I applied every operation of yours through
+    ``msg_id.seqno`` in ``msg_id.view``".  View-synchronous delivery is
+    FIFO per sender within a view, and a settling replica replays its
+    buffered operations in identifier order, so a replica that applied
+    one of our operations applied all our earlier ones of that view.
+    The tally therefore keeps only each replica's acknowledged prefix;
+    the voters of a pending operation are the replicas whose prefix
+    covers it, so voters shrink along the pending list, and operations
+    commit in sending order.  Our own replica applies our operation
+    synchronously inside ``multicast``, before ``open``: that simply
+    raises our own prefix, and ``open`` counts it.
 
     Handles are duck-typed: they must expose mutable ``status``
     (``"pending"`` until the tally sets ``"committed"``/``"aborted"``),
     ``ackers`` (set of replicas counted) and ``acked_votes`` fields.
     """
 
-    def __init__(self, votes: Mapping[SiteId, int]) -> None:
+    def __init__(self, votes: Mapping[SiteId, int], view: ViewId | None = None) -> None:
         self.votes = dict(votes)
         self._total = sum(self.votes.values())
-        self._pending: dict[MessageId, Any] = {}
-        self._early: dict[MessageId, set[ProcessId]] = {}
-        self._newest_opened: MessageId | None = None
+        #: The view whose acknowledgements count.
+        self.view = view
+        #: Pending handles in sending order, with their sequence numbers.
+        self._seqnos: list[int] = []
+        self._pending: list[Any] = []
+        #: replica -> highest sequence number it acknowledged in ``view``.
+        self._prefix: dict[ProcessId, int] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
 
-    def open(self, msg_id: MessageId, handle: Any, my_pid: ProcessId) -> Any | None:
-        """Track ``handle`` until quorum; drain parked early acks.
+    def open(self, msg_id: MessageId, handle: Any) -> list[Any]:
+        """Track ``handle`` until quorum, with the vote of every replica
+        whose prefix already covers it; returns the handles that
+        commits (``[handle]`` or none)."""
+        seqno = msg_id.seqno
+        votes = self.votes
+        for replica, acked in self._prefix.items():
+            if acked >= seqno:
+                handle.ackers.add(replica)
+                handle.acked_votes += votes.get(replica.site, 0)
+        self._seqnos.append(seqno)
+        self._pending.append(handle)
+        return self._commit_front()
 
-        Returns the handle if the drained acks already commit it (a
-        single-site quorum), else ``None``.
+    def ack(self, msg_id: MessageId, replica: ProcessId) -> list[Any]:
+        """Raise ``replica``'s prefix to ``msg_id.seqno``.
+
+        The replica's vote goes to every pending handle the new prefix
+        newly covers.  Returns the handles this commits, oldest first.
+        An ack for another view, or at or below the replica's prefix
+        (reordered or stale), changes nothing.
         """
-        self._pending[msg_id] = handle
-        self._newest_opened = msg_id
-        committed = None
-        for replica in sorted(self._early.pop(msg_id, set())):
-            done = self.ack(msg_id, replica, my_pid)
-            if done is not None:
-                committed = done
+        view = msg_id.view
+        if view is not self.view and view != self.view:
+            return []
+        seqno = msg_id.seqno
+        prefix = self._prefix
+        old = prefix.get(replica, 0)
+        if seqno <= old:
+            return []
+        prefix[replica] = seqno
+        seqnos = self._seqnos
+        if not seqnos or seqnos[-1] <= old:
+            return []  # a late ack: what it covers already committed
+        lo = bisect_right(seqnos, old)
+        hi = bisect_right(seqnos, seqno)
+        if lo == hi:
+            return []
+        vote = self.votes.get(replica.site, 0)
+        pending = self._pending
+        for i in range(lo, hi):
+            handle = pending[i]
+            handle.ackers.add(replica)
+            handle.acked_votes += vote
+        # Voters shrink along the list, so only an ack that reached the
+        # oldest pending handle can commit anything.
+        if lo or 2 * pending[0].acked_votes <= self._total:
+            return []
+        return self._commit_front()
+
+    def _commit_front(self) -> list[Any]:
+        pending = self._pending
+        total = self._total
+        done = 0
+        while done < len(pending) and 2 * pending[done].acked_votes > total:
+            pending[done].status = "committed"
+            done += 1
+        if not done:
+            return []
+        committed = pending[:done]
+        del pending[:done]
+        del self._seqnos[:done]
         return committed
 
-    def ack(
-        self, msg_id: MessageId, replica: ProcessId, my_pid: ProcessId
-    ) -> Any | None:
-        """Count one replica's acknowledgement.
-
-        Returns the handle when this acknowledgement commits it, else
-        ``None``.  Our own ack for a message of ours not opened yet is
-        parked for :meth:`open`; anything else is a stale ack for an
-        operation already committed or aborted and is dropped.
-        """
-        handle = self._pending.get(msg_id)
-        if handle is None:
-            newest = self._newest_opened
-            if (
-                replica == my_pid
-                and msg_id.sender == my_pid
-                and (newest is None or msg_id > newest)
-            ):
-                self._early.setdefault(msg_id, set()).add(replica)
-            return None
-        if handle.done or replica in handle.ackers:
-            return None
-        handle.ackers.add(replica)
-        handle.acked_votes += self.votes.get(replica.site, 0)
-        if 2 * handle.acked_votes > self._total:
-            handle.status = "committed"
-            del self._pending[msg_id]
-            return handle
-        return None
-
-    def abort_all(self) -> list[Any]:
+    def abort_all(self, view: ViewId | None = None) -> list[Any]:
         """Abort every pending handle (view change: the quorum can no
-        longer be certified in the view the write was issued in)."""
-        aborted = list(self._pending.values())
+        longer be certified in the view the write was issued in) and
+        count acknowledgements in ``view`` from now on."""
+        aborted = self._pending
         for handle in aborted:
             handle.status = "aborted"
-        self._pending.clear()
-        self._early.clear()
+        self._pending = []
+        self._seqnos = []
+        self._prefix = {}
+        self.view = view
         return aborted

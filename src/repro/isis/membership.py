@@ -335,6 +335,8 @@ class PrimaryPartitionAgreement(ViewAgreement):
             view.epoch, view.coordinator, view.members
         )
         super()._install(view, flat, predecessors, trace=trace)
+        if self.transfer_tool is not None:
+            self.transfer_tool.on_view(view.members)
         self._endorsed = None
         if not self._bootstrapping:
             # Every non-bootstrap install comes from a primary round, so

@@ -105,6 +105,11 @@ class BlockingTransferTool:
 
     # -- message handling (both sides) -------------------------------------------
 
+    def on_view(self, members: frozenset[ProcessId]) -> None:
+        """A view was installed here: a transfer still arriving from a
+        donor outside it will never finish."""
+        self._receiver.on_view(members)
+
     def on_direct(self, src: ProcessId, payload: Any) -> bool:
         """Intercept transfer traffic; returns True when consumed."""
         if isinstance(payload, TChunk):

@@ -80,10 +80,14 @@ class ProcessPort(Protocol):
 
     pid: ProcessId
     alive: bool
+    #: Set by the backend while it hands over one batch of input.
+    input_batch: bool
 
     def attach(self, network: "NetworkPort") -> None: ...
 
     def deliver_network(self, src: ProcessId, payload: Any) -> None: ...
+
+    def end_input_batch(self) -> None: ...
 
 
 @runtime_checkable

@@ -123,6 +123,7 @@ class RealNetwork:
             self.host, self._requested_port, self._on_msg,
             accept_formats=self._formats,
             on_side=self._on_side,
+            on_read_end=self._end_input_batch,
         )
         address = await self._server.start()
         self.address_book[self.site] = address
@@ -292,7 +293,16 @@ class RealNetwork:
             return
         payload = msg.payload()
         stats.delivered += 1
+        # The frames of one read are one input batch: the stack may hold
+        # work (cumulative acks) for the batch's end.
+        proc.input_batch = True
         proc.deliver_network(process_id(msg.src_site, msg.src_inc), payload)
+
+    def _end_input_batch(self) -> None:
+        """The frame server finished a read that carried msg frames."""
+        proc = self._proc
+        if proc is not None and proc.input_batch:
+            proc.end_input_batch()
 
     def _on_side(self, kind: str, value: Any, reply: Callable[[Any], None]) -> None:
         """Hand one decoded side frame to the handler of its kind."""

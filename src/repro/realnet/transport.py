@@ -515,8 +515,10 @@ class FrameServer:
     them before it returns: ``on_msg(parsed)`` is called synchronously
     on the event loop for every inbound
     :class:`~repro.realnet.codec_bin.ParsedMsg`, ``on_side`` for every
-    side frame.  Validation beyond frame shape is the receiver's
-    business (incarnation and connectivity checks live in
+    side frame, and ``on_read_end()`` once after the last frame of a
+    read that carried any msg frame, so the receiver can treat one
+    read as one batch of input.  Validation beyond frame shape is the
+    receiver's business (incarnation and connectivity checks live in
     :class:`~repro.realnet.network.RealNetwork`).
     """
 
@@ -527,10 +529,14 @@ class FrameServer:
         on_msg: Callable[[ParsedMsg], None],
         accept_formats: tuple[str, ...] = (FORMAT_JSON,),
         on_side: Callable[[str, Any, Callable[[Any], None]], None] | None = None,
+        on_read_end: Callable[[], None] | None = None,
     ) -> None:
         self._host = host
         self._port = port
         self._on_msg = on_msg
+        #: Called once after every read that dispatched a msg frame (even
+        #: when a handler raised): the receiver's end of an input batch.
+        self._on_read_end = on_read_end
         self._accept = accept_formats
         #: Optional handler for side frames: called with ``(kind, value,
         #: reply)`` where ``reply(value)`` writes one frame of the same
@@ -664,45 +670,49 @@ class _ServerConnection(asyncio.Protocol):
         walked = 0
         msgs = 0
         fatal: str | None = None
-        while end - pos >= _LEN.size:
-            (length,) = _LEN.unpack_from(data, pos)
-            if length > MAX_FRAME_BYTES:
-                fatal = f"frame length {length} exceeds cap {MAX_FRAME_BYTES}"
-                break
-            body_start = pos + _LEN.size
-            frame_end = body_start + length
-            if frame_end > end:
-                break
-            pos = frame_end
-            if fmt is None:
-                try:
-                    fmt = self._welcome(data, body_start, frame_end)
-                except CodecError as exc:
-                    fatal = str(exc)
+        try:
+            while end - pos >= _LEN.size:
+                (length,) = _LEN.unpack_from(data, pos)
+                if length > MAX_FRAME_BYTES:
+                    fatal = f"frame length {length} exceeds cap {MAX_FRAME_BYTES}"
                     break
-                continue
-            walked += 1
-            try:
-                parsed = fmt.parse_msg_at(data, body_start, frame_end)
-                if parsed is not None:
-                    msgs += 1
-                    on_msg(parsed)
-                elif on_side is not None:
-                    # Not a msg: decode it once as a side frame (obs
-                    # polls, control ops, client requests); unknown
-                    # kinds stay ignored so future frames don't kill
-                    # the link.
-                    side = fmt.parse_side(data, body_start, frame_end)
-                    if side is not None:
-                        on_side(side[0], side[1], self._reply_as(side[0]))
-            except CodecError as exc:
-                # The framing is intact (the length prefix was sane),
-                # only this body is garbage: drop the one frame and keep
-                # the link — a single bad payload must not sever an
-                # otherwise healthy peer.
-                server.bad_frames += 1
-                logger.info("server %s:%s: dropped bad frame: %s",
-                            server._host, server._port, exc)
+                body_start = pos + _LEN.size
+                frame_end = body_start + length
+                if frame_end > end:
+                    break
+                pos = frame_end
+                if fmt is None:
+                    try:
+                        fmt = self._welcome(data, body_start, frame_end)
+                    except CodecError as exc:
+                        fatal = str(exc)
+                        break
+                    continue
+                walked += 1
+                try:
+                    parsed = fmt.parse_msg_at(data, body_start, frame_end)
+                    if parsed is not None:
+                        msgs += 1
+                        on_msg(parsed)
+                    elif on_side is not None:
+                        # Not a msg: decode it once as a side frame (obs
+                        # polls, control ops, client requests); unknown
+                        # kinds stay ignored so future frames don't kill
+                        # the link.
+                        side = fmt.parse_side(data, body_start, frame_end)
+                        if side is not None:
+                            on_side(side[0], side[1], self._reply_as(side[0]))
+                except CodecError as exc:
+                    # The framing is intact (the length prefix was sane),
+                    # only this body is garbage: drop the one frame and
+                    # keep the link — a single bad payload must not
+                    # sever an otherwise healthy peer.
+                    server.bad_frames += 1
+                    logger.info("server %s:%s: dropped bad frame: %s",
+                                server._host, server._port, exc)
+        finally:
+            if msgs and server._on_read_end is not None:
+                server._on_read_end()
         if walked:
             server.reads += 1
             server.frames_received += msgs

@@ -75,6 +75,11 @@ class Process:
         self.alive = True
         self.network: NetworkPort | None = None
         self._timers: list[Timer] = []
+        #: True while a runtime is handing this process one batch of
+        #: input (on the wall clock: the frames of one socket read).  The
+        #: simulator never opens a batch.
+        self.input_batch = False
+        self._at_batch_end: list[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -125,6 +130,22 @@ class Process:
         if not self.alive:
             return
         self.on_network(src, payload)
+
+    # -- input batches ----------------------------------------------------
+
+    def at_batch_end(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the open input batch ends (callers check
+        :attr:`input_batch` first: outside a batch there is no end)."""
+        self._at_batch_end.append(callback)
+
+    def end_input_batch(self) -> None:
+        """The runtime handed over the whole batch: run what waited for
+        its end, in the order it was registered."""
+        self.input_batch = False
+        if self._at_batch_end:
+            callbacks, self._at_batch_end = self._at_batch_end, []
+            for callback in callbacks:
+                callback()
 
     # -- timers -----------------------------------------------------------
 

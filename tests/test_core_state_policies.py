@@ -219,6 +219,22 @@ def test_receiver_keeps_no_state_per_finished_transfer():
     assert not held
 
 
+def test_receiver_drops_partial_transfers_of_donors_outside_the_view():
+    class _Stack:
+        def send_direct(self, dst, payload):
+            pass
+
+    receiver = ChunkReceiver(_Stack(), on_complete=lambda _: None)
+    dead, live = ProcessId(0), ProcessId(1)
+    receiver.on_chunk(dead, TChunk((dead, 1), 0, "a", False))
+    receiver.on_chunk(live, TChunk((live, 2), 0, "b", False))
+    receiver.on_view(frozenset({live, ProcessId(2)}))
+    assert list(receiver._collected) == [(live, 2)]
+    assert receiver.dropped == 1
+    receiver.on_view(frozenset({live}))
+    assert receiver.dropped == 1  # nothing more to drop
+
+
 def test_transfer_time_grows_linearly_with_chunks():
     durations = {}
     for n_chunks in (2, 8):

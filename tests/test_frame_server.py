@@ -83,6 +83,7 @@ class Process:
     def __init__(self, pid: ProcessId) -> None:
         self.pid = pid
         self.alive = True
+        self.input_batch = False
         self.delivered: list[tuple[ProcessId, object]] = []
 
     def attach(self, network) -> None:
@@ -90,6 +91,9 @@ class Process:
 
     def deliver_network(self, src: ProcessId, payload) -> None:
         self.delivered.append((src, payload))
+
+    def end_input_batch(self) -> None:
+        self.input_batch = False
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)

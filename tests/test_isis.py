@@ -216,3 +216,31 @@ def test_repeated_partition_cycles_always_reabsorb():
             if len(ev.members) > 1:
                 by_epoch.setdefault(ev.view_id.epoch, set()).add(ev.view_id)
         assert all(len(v) == 1 for v in by_epoch.values())
+
+
+def test_a_dead_donors_partial_transfer_is_dropped_at_the_view_change():
+    """Bounded transfer state: the coordinator streaming state to a
+    rejoining site crashes mid-transfer; once the joiner installs a view
+    without it, the partial transfer is gone and counted."""
+    cluster = isis_cluster(5, seed=7, blocking_transfer=True, size_of=lambda app: 20)
+    cluster.run_for(900)
+    cluster.partition([[0, 1, 2], [3, 4]])
+    cluster.run_for(300)
+    cluster.heal()
+    receivers = {s: cluster.stack_at(s).app_transfer_hook._receiver for s in (3, 4)}
+    partial = None
+    for _ in range(400):
+        cluster.run_for(1)
+        partial = next(
+            ((s, r) for s, r in receivers.items() if r._collected), None
+        )
+        if partial is not None:
+            break
+    assert partial is not None, "no transfer to a joiner started"
+    site, receiver = partial
+    (donor, _n), = receiver._collected
+    cluster.crash(donor.site)
+    cluster.run_for(900)
+    assert receiver._collected == {}
+    assert receiver.dropped == 1
+    assert donor not in cluster.stack_at(site).view.members
