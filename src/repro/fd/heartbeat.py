@@ -1,8 +1,11 @@
 """Heartbeat failure detector.
 
 Every process periodically sends a :class:`Heartbeat` to every site in
-the universe.  The detector considers a site reachable iff it heard from
-it recently enough; the freshest incarnation heard wins, which is how a
+the universe, except to the view members its latest multicast reached
+within the last interval: that message names everything the beat would
+(:meth:`HeartbeatDetector._beat`).  The detector considers a site
+reachable iff it heard from it (any message counts) recently enough;
+the freshest incarnation heard wins, which is how a
 recovered process (fresh identifier, same site) replaces its predecessor
 in everyone's estimates without any extra mechanism.
 
@@ -100,6 +103,9 @@ class DetectorBase:
         # learned)).
         self.sweep_examined = 0
         self.full_rebuilds = 0
+        # Heartbeat copies a just-sent multicast stood in for
+        # (HeartbeatDetector._beat; the gossip plane never skips one).
+        self.beats_skipped = 0
 
     def start(self) -> None:
         """Arm the beacon and sweep timers.
@@ -213,8 +219,9 @@ class DetectorBase:
         else:
             self._oldest = oldest
 
-    def _beacon(self, src: ProcessId, view_id: ViewId | None) -> None:
-        """A beacon from ``src`` naming its view.  An incarnation
+    def beacon(self, src: ProcessId, view_id: ViewId | None) -> None:
+        """A beacon from ``src`` naming its view: a heartbeat, a digest,
+        or a multicast of a newer view than ours.  An incarnation
         :meth:`heard` rejects as stale leaves no view behind either."""
         known = self._last_heard.get(src.site)
         if known is None or known[1].incarnation <= src.incarnation:
@@ -226,7 +233,7 @@ class DetectorBase:
         heartbeat-plane node shares a cluster with gossip-plane nodes)
         is to read it as a plain beacon from its sender; the gossip
         detector overrides this to mine the rows."""
-        self._beacon(src, digest.view_id)
+        self.beacon(src, digest.view_id)
 
     def force_down(self, site: SiteId) -> None:
         """Expire a site immediately (used for graceful leaves)."""
@@ -268,11 +275,24 @@ class DetectorBase:
 
     def heard_view(self, pid: ProcessId) -> ViewId | None:
         """Last view identifier heard from ``pid`` (None if never, or if
-        a newer incarnation of its site has been heard since)."""
+        a newer incarnation of its site has been heard since).
+
+        A peer that delivered a multicast to us in our current view has
+        installed it, though every beat it sent since may have been
+        skipped (:meth:`HeartbeatDetector._beat`): that view counts as
+        heard, read off the channel's delivered prefix at query time.
+        """
         entry = self._heard_views.get(pid.site)
-        if entry is None or entry[1].incarnation != pid.incarnation:
-            return None
-        return entry[2]
+        heard = None
+        if entry is not None:
+            if entry[1].incarnation > pid.incarnation:
+                return None
+            if entry[1].incarnation == pid.incarnation:
+                heard = entry[2]
+        shown = self.stack.channels.delivered_view(pid)
+        if shown is not None and (heard is None or heard < shown):
+            return shown
+        return heard
 
     def view_disagreement(self, since: float = 0.0) -> bool:
         """True iff some reachable peer reports a different view id.
@@ -311,23 +331,53 @@ class DetectorBase:
 
 
 class HeartbeatDetector(DetectorBase):
-    """The all-to-all beacon flavour: every site, every interval."""
+    """The all-to-all beacon flavour: every site, every interval, less
+    the view peers a multicast has just reached."""
 
     # -- sending ----------------------------------------------------------
 
     def _beat(self) -> None:
-        beat = Heartbeat(
-            self.stack.pid,
-            self.stack.current_view_id(),
-            last_seqno=self.stack.channels.own_seqno(),
-            eview_seq=self.stack.evs.applied_seq,
-        )
-        own = self.stack.pid.site
-        self.stack.send_sites(
-            (site for site in self.stack.universe_sites() if site != own), beat
-        )
+        """Beacon every other site, except the view peers our latest
+        multicast reached within the last interval.
+
+        That multicast names our incarnation, view, seqno and e-view
+        count, which is all a beat says, so those peers lose nothing
+        (docs/protocol.md §2).  Only ``Message`` multicasts count: acks
+        and other point-to-point traffic carry none of those fields, so
+        they suppress no beat.  Sites outside the view are always
+        beaconed (merge detection), and nothing is skipped during a
+        flush.  The same tick chases the gaps no beat advertises now
+        (:meth:`~repro.vsync.channel.ViewChannels.chase_held`).
+        """
+        stack = self.stack
+        channels = stack.channels
+        view_id = stack.current_view_id()
+        eview_seq = stack.evs.applied_seq
+        own = stack.pid.site
+        sites = [site for site in stack.universe_sites() if site != own]
+        flushing = stack.is_flushing
+        if not flushing:
+            covered = channels.covered_sites(
+                stack.now - self.interval, view_id, eview_seq
+            )
+            if covered:
+                kept = [site for site in sites if site not in covered]
+                self.beats_skipped += len(sites) - len(kept)
+                sites = kept
+        if sites:
+            stack.send_sites(
+                sites,
+                Heartbeat(
+                    stack.pid,
+                    view_id,
+                    last_seqno=channels.own_seqno(),
+                    eview_seq=eview_seq,
+                ),
+            )
+        if not flushing:
+            channels.chase_held()
 
     # -- receiving --------------------------------------------------------
 
     def on_heartbeat(self, src: ProcessId, beat: Heartbeat) -> None:
-        self._beacon(src, beat.view_id)
+        self.beacon(src, beat.view_id)

@@ -155,7 +155,10 @@ class RealCluster(WallClockCluster):
             self.config, lambda: self.now,
             runtime="realnet", name="cluster", epoch=time.time(),
         )
-        register_wire_gauges(self.metrics, self.network_stats, self.transport_stats)
+        register_wire_gauges(
+            self.metrics, self.network_stats, self.transport_stats,
+            lambda: self.stacks.values(),
+        )
 
     # -- lifecycle -----------------------------------------------------
 

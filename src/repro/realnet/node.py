@@ -268,7 +268,10 @@ async def run_standalone(
         flight=flight,
     )
     network = node.network
-    register_wire_gauges(registry, lambda: network.stats, network.transport_stats)
+    register_wire_gauges(
+        registry, lambda: network.stats, network.transport_stats,
+        lambda: [node.stack] if node.stack is not None else [],
+    )
     await node.start_transport()
     node.start_stack()
     if on_view is not None:

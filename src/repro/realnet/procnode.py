@@ -112,9 +112,10 @@ class NodeSupervisor:
             metrics=self.registry,
             flight=self.flight,
         )
-        network = self.node.network
+        node, network = self.node, self.node.network
         register_wire_gauges(
-            self.registry, lambda: network.stats, network.transport_stats
+            self.registry, lambda: network.stats, network.transport_stats,
+            lambda: [node.stack] if node.stack is not None else [],
         )
         network.side_handlers["ctl"] = self._handle_ctl
 

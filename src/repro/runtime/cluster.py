@@ -81,7 +81,9 @@ class Cluster(ClusterCore):
             " counts the copies)",
             lambda: float(self.scheduler.events_run),
         )
-        register_net_gauges(self.metrics, self.network_stats)
+        register_net_gauges(
+            self.metrics, self.network_stats, lambda: self.stacks.values()
+        )
         self.stacks: dict[SiteId, GroupStack] = {}
         self.apps: dict[SiteId, GroupApplication] = {}
         if auto_start:

@@ -273,9 +273,12 @@ def build_observability(
 
 
 def register_net_gauges(
-    registry: MetricsRegistry, network_stats: Callable[[], NetworkStats]
+    registry: MetricsRegistry,
+    network_stats: Callable[[], NetworkStats],
+    stacks: Callable[[], Iterable[Any]],
 ) -> None:
-    """``net_*`` callback gauges over the wire counters a backend keeps.
+    """``net_*`` callback gauges over the wire counters a backend keeps,
+    and ``fd_heartbeats_skipped_total`` over its stacks' detectors.
 
     Read at snapshot time only — the hot path never touches the registry
     for these — and named identically on every runtime, so snapshots of
@@ -296,6 +299,12 @@ def register_net_gauges(
             (lambda k: lambda: float(getattr(network_stats(), k)))(key),
             ("reason",) if reason else (), reason,
         )
+    registry.gauge_callback(
+        "fd_heartbeats_skipped_total",
+        "Heartbeat copies not sent because a multicast had just carried"
+        " their fields to the same view peer (current incarnations)",
+        lambda: float(sum(stack.fd.beats_skipped for stack in stacks())),
+    )
 
 
 #: ``transport_stats()`` counters exported as ``transport_<key>_total``.
@@ -310,11 +319,12 @@ def register_wire_gauges(
     registry: MetricsRegistry,
     network_stats: Callable[[], NetworkStats],
     transport_stats: Callable[[], Mapping[str, Any]],
+    stacks: Callable[[], Iterable[Any]],
 ) -> None:
-    """The ``net_*`` gauges plus the socket-level ``transport_*`` ones
-    (wall-clock runtimes only: frames have no simulator analogue), for
-    every registry that serves a realnet node."""
-    register_net_gauges(registry, network_stats)
+    """The :func:`register_net_gauges` set plus the socket-level
+    ``transport_*`` gauges (wall-clock runtimes only: frames have no
+    simulator analogue), for every registry that serves a realnet node."""
+    register_net_gauges(registry, network_stats, stacks)
     for key in TRANSPORT_GAUGES:
         registry.gauge_callback(
             f"transport_{key}_total", f"Transport {key.replace('_', ' ')}",

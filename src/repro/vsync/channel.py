@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ViewSynchronyError
 from repro.gms.view import View
 from repro.trace.events import DeliveryEvent, MulticastEvent
-from repro.types import Message, MessageId, ProcessId, ViewId, sorted_pids
+from repro.types import Message, MessageId, ProcessId, SiteId, ViewId, sorted_pids
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
@@ -59,6 +59,14 @@ class ViewChannels:
         # Garbage collection: per-sender stable prefix (everything at or
         # below it was delivered by every member and has been pruned).
         self._stable: dict[ProcessId, int] = {}
+        self._peer_sites: frozenset[SiteId] = frozenset()
+        # When our latest multicast left and the e-view count it carried
+        # (see covered_sites): one store each per multicast.
+        self._mcast_at = float("-inf")
+        self._mcast_eview = 0
+        # Senders with an arrival the normal path could not deliver (a
+        # gap or the e-view gate); chase_held re-examines them.
+        self._held: set[ProcessId] = set()
 
     @property
     def received(self) -> dict[MessageId, Message]:
@@ -88,8 +96,10 @@ class ViewChannels:
         self._senders = tuple(sorted_pids(view.members))
         own = self.stack.pid
         self._peers = tuple(m for m in self._senders if m != own)
+        self._peer_sites = frozenset(m.site for m in self._peers)
         self.suspended = False
         self._stable = {}
+        self._held = set()
 
     def activate(self) -> None:
         """Feed in the new view's early arrivals (post e-view install)."""
@@ -141,6 +151,8 @@ class ViewChannels:
         msg = Message(
             msg_id, payload, eview_seq=self.stack.evs.applied_seq, trace=send_ctx
         )
+        self._mcast_at = self.stack.now
+        self._mcast_eview = msg.eview_seq
         self.stack.send_many(self._peers, msg)
         self.on_app_message(msg)  # self-delivery path
         return msg_id
@@ -164,6 +176,12 @@ class ViewChannels:
         # Identity first: in-process delivery shares the installer's
         # ViewId object, so the common case never runs the field compare.
         if vid is not my_vid and vid != my_vid:
+            if vid > my_vid:
+                # Evidence for the divergence rule, as a beacon naming
+                # this view would be.  An older view is evidence of
+                # nothing, and under reordering it could overwrite a
+                # fresher heard view.
+                self.stack.fd.beacon(mid.sender, vid)
             if vid.epoch > view.epoch:
                 self._future.setdefault(vid, []).append(msg)
             return  # older view: the message missed its window (2.2)
@@ -200,6 +218,8 @@ class ViewChannels:
             self._deliver(msg)
             return
         self._run_sender(sender)
+        if seqno >= self._fifo_next.get(sender, 1):
+            self._held.add(sender)  # a gap or the e-view gate
 
     def try_deliver(self) -> None:
         """Deliver everything currently eligible on the normal path.
@@ -291,30 +311,75 @@ class ViewChannels:
         """Our multicast count in the current view (heartbeat payload)."""
         return self._next_seqno
 
+    def covered_sites(
+        self, since: float, view_id: ViewId | None, eview_seq: int
+    ) -> frozenset[SiteId]:
+        """The peer sites a heartbeat naming ``view_id``, :meth:`own_seqno`
+        and ``eview_seq`` would tell nothing new: our latest multicast
+        reached them after ``since`` carrying exactly those fields (it is
+        the latest of this view, so its seqno is our count)."""
+        view = self.view
+        if (
+            self._next_seqno
+            and self._mcast_at > since
+            and self._mcast_eview == eview_seq
+            and view is not None
+            and view.view_id == view_id
+        ):
+            return self._peer_sites
+        return frozenset()
+
     def note_sender_high(self, sender: ProcessId, high: int) -> None:
-        """A heartbeat advertised ``sender``'s multicast count; request
-        retransmission of anything we are missing below it.  Without a
-        view change, a lost copy would otherwise never be repaired."""
+        """``sender`` has multicast at least ``high`` messages in this
+        view (a heartbeat's count, or the highest seqno we hold); request
+        retransmission of the first 64 we are missing below it.  Without
+        a view change, a lost copy would otherwise never be repaired."""
         if self.view is None or self.suspended or high <= 0:
             return
         if sender not in self.view.members:
             return
-        if self._fifo_next.get(sender, 1) > high:
-            return  # delivered prefix already covers the advertised count
-        # Probe the sender's chain by integer seqno over the un-stable
-        # window instead of building a set of every buffered seqno —
-        # heartbeats arrive constantly and the backlog can be large.
-        floor = self._stable.get(sender, 0)
+        # Everything below the delivered prefix arrived, and a stable
+        # seqno is refused on arrival: the walk starts past both.
+        start = max(self._fifo_next.get(sender, 1), self._stable.get(sender, 0) + 1)
         chain = self._chains.get(sender) or {}
-        missing = tuple(
-            seqno
-            for seqno in range(floor + 1, high + 1)
-            if seqno not in chain
-        )[:64]
+        missing: list[int] = []
+        for seqno in range(start, high + 1):
+            if seqno not in chain:
+                missing.append(seqno)
+                if len(missing) == 64:
+                    break
         if missing:
             self.stack.send(
-                sender, RetransmitRequest(self.view.view_id, missing)
+                sender, RetransmitRequest(self.view.view_id, tuple(missing))
             )
+
+    def chase_held(self) -> None:
+        """Repair what no heartbeat advertises while multicasts stand in
+        for them; the detector calls this once per ``fd_interval``.
+
+        For each sender whose buffered messages the normal path could not
+        deliver: request the seqnos missing below the highest one held,
+        and when the next one waits on the e-view gate, ask for the
+        e-view changes it names.  A gap that a reordered copy filled in
+        before the tick costs nothing.
+        """
+        held = self._held
+        if not held or self.view is None or self.suspended:
+            return
+        self._held = still = set()
+        for sender in sorted_pids(held):
+            chain = self._chains.get(sender)
+            if not chain:
+                continue
+            high = max(chain)
+            next_seqno = self._fifo_next.get(sender, 1)
+            if high < next_seqno:
+                continue  # delivered since it was held
+            still.add(sender)
+            head = chain.get(next_seqno)
+            if head is not None:
+                self.stack.evs.note_peer_seq(sender, head.eview_seq)
+            self.note_sender_high(sender, high)
 
     def on_retransmit_request(self, src: ProcessId, request: "RetransmitRequest") -> None:
         """Resend our own messages a peer reports missing."""
@@ -327,6 +392,14 @@ class ViewChannels:
                 self.stack.send(src, msg)
 
     # -- stability / garbage collection ------------------------------------
+
+    def delivered_view(self, sender: ProcessId) -> ViewId | None:
+        """Our current view if ``sender`` has delivered a multicast to us
+        in it (so it has installed that view), else None."""
+        view = self.view
+        if view is not None and self._fifo_next.get(sender, 1) > 1:
+            return view.view_id
+        return None
 
     def delivered_prefix(self) -> dict[ProcessId, int]:
         """Per sender, the contiguous prefix of seqnos we delivered."""

@@ -36,6 +36,7 @@ UNIFIED_NAMES = {
     "mode_transitions_total",
     "net_messages_sent_total",
     "net_messages_delivered_total",
+    "fd_heartbeats_skipped_total",
 }
 
 

@@ -73,6 +73,45 @@ def test_node_kill_triggers_view_change():
     run(scenario())
 
 
+def test_busy_site_beacons_no_view_peer_and_its_crash_is_still_seen():
+    """Site 1 multicasts every 10 ms for a second.  After its first
+    interval its links to its view peers carry no Heartbeat frame (each
+    multicast names what a beat would), and crashing it mid-stream still
+    gets it excluded within fd_timeout + 2 fd_interval of the crash."""
+
+    async def scenario():
+        config = ClusterConfig(seed=6, scale=2.0)
+        async with RealCluster(3, config=config) as cluster:
+            assert await cluster.settle(timeout=SETTLE), cluster.views()
+            busy = cluster.stack_at(1)
+            view = busy.current_view_id()
+            busy.set_periodic(0.01, lambda: busy.multicast("tick"))
+            interval = busy.config.fd_interval
+            await asyncio.sleep(1.5 * interval)
+            stats = cluster.nodes[1].network.stats
+            beats = stats.by_type.get("Heartbeat", 0)
+            skipped = busy.fd.beats_skipped
+            await asyncio.sleep(1.0)
+            assert busy.current_view_id() == view  # no flush meanwhile
+            assert stats.by_type.get("Heartbeat", 0) == beats
+            assert busy.fd.beats_skipped > skipped
+            crashed_at = cluster.now
+            cluster.crash(1)
+            survivors = [cluster.stack_at(0), cluster.stack_at(2)]
+            assert await cluster.wait_until(
+                lambda c: all(
+                    busy.pid not in s.view.members and not s.is_flushing
+                    for s in survivors
+                ),
+                timeout=SETTLE,
+            ), cluster.views()
+            took = max(s.membership.last_install_time for s in survivors) - crashed_at
+            assert took <= busy.config.fd_timeout + 2 * interval, took
+            assert_no_violations(cluster)
+
+    run(scenario())
+
+
 def test_killed_node_recovers_with_fresh_incarnation():
     async def scenario():
         async with RealCluster(3, config=ClusterConfig(seed=3)) as cluster:

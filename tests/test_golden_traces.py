@@ -156,10 +156,16 @@ SCENARIOS = {
 #: version by provenance: only audit fields changed.  ``store_state``
 #: lists its ``provs`` key by key in chain order (they were sorted) and
 #: adds ``keys`` and ``lens``; ``store_apply`` names ``at`` for the 41
-#: versions that did not go on the end of their chain.
+#: versions that did not go on the end of their chain.  It was
+#: re-recorded again when a process stopped beaconing the view peers its
+#: latest multicast had just reached: the times of exactly 10 events
+#: (one install at two sites, 291.2705098322484 -> 291.27050983124843
+#: and 292.27...) moved by about 1e-9, the FIFO link-clock bumps the
+#: skipped beats used to cause on shared links; every other byte is
+#: identical.
 GOLDEN = {
     "figure2": "cf2dded8ed3c36f4d47ca043073b87052c0289b42fc4c14de50e98fc9475475e",
-    "store_faults": "ac3e0f4fd3cb3737a4a02c5a29ece18c9eea94850b325dd6b5b77113e802110a",
+    "store_faults": "5d1b2ad60195d6cea718031c691df46f9d241ac81c9b53aab2a196cb52916e28",
     "scale_profile": "d40ecf40a39cf124e631e846887840b19497e5f7808370fbf0b9ddf78eeb1f37",
     "isis_blocking": "4d995ee9465806c051c45668833d324cf29f13d82837cf98b46b2ad466e0d9fd",
     "random_schedule": "d81562f955640e5c5759edecad068dae3ff588114dd432e77dcbe9229073ea6d",

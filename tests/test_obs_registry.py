@@ -238,6 +238,7 @@ def test_sim_metrics_identical_across_two_seeded_runs():
         "mode_residency",
         "view_change_duration",
         "sim_events_total",
+        "fd_heartbeats_skipped_total",
     ):
         assert name in snap1.names(), name
     assert snap1.total("view_changes_total") > 0

@@ -68,7 +68,10 @@ def test_every_registry_serving_a_node_exports_the_wire_gauges():
     from repro.realnet.procnode import NodeSupervisor
     from repro.runtime.core import TRANSPORT_GAUGES, ClusterConfig
 
-    wanted = {"net_messages_sent_total", "net_messages_dropped_total"} | {
+    wanted = {
+        "net_messages_sent_total", "net_messages_dropped_total",
+        "fd_heartbeats_skipped_total",
+    } | {
         f"transport_{key}_total" for key in TRANSPORT_GAUGES
     }
     assert {"transport_reads_total", "transport_bad_frames_total",
