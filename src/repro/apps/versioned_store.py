@@ -27,12 +27,25 @@ living versioned data rather than static rows:
 Writes are allowed in every view (each partition keeps serving its
 clients; chains make the repair safe), which makes this the store-side
 half of the paper's partition-availability story.
+
+**Group commit.**  The puts a replica receives in one input batch (on
+the wall clock: the client requests of one socket read) leave as one
+multicast when the batch ends, one provenance per put, and commit
+together on one cumulative ack from each replica.  View synchrony
+delivers that multicast whole or not at all to every survivor of the
+view, FIFO per sender, so the replicas apply the k puts together and in
+one order — the certificate k multicasts would give.  Provenance seqs
+stay unique per writer through a carried skew (see
+:class:`~repro.core.versioning.Provenance`); a multicast that carries
+or adds skew is never re-issued in a later view, its puts abort and the
+clients retry.  The simulator never opens a batch, so there every put
+is its own ``("put", ...)`` multicast.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -50,13 +63,38 @@ from repro.core.versioning import (
 from repro.evs.eview import EView
 from repro.fuzz import bugs as _fuzz_bugs
 from repro.trace.events import AppEvent
-from repro.types import MessageId, ProcessId
+from repro.types import MessageId, ProcessId, ViewId
 
 _CHAINS_KEY = "versioned_store.chains"
 _LOG_KEY = "versioned_store.log"
 
 #: Appended writes between full-base compactions of the persisted state.
 _COMPACT_EVERY = 4096
+
+#: Estimated bytes (:func:`_wire_size`) of the puts one group-commit
+#: multicast may carry before the next put starts a new one: an eighth
+#: of the wire's 16 MiB frame cap (``repro.realnet.codec.
+#: MAX_FRAME_BYTES``), which leaves room for UTF-8, JSON escapes and
+#: type tags on top of the estimate.
+_MULTICAST_BYTES = 2 * 1024 * 1024
+
+
+def _wire_size(value: Any) -> int:
+    """A cheap estimate of ``value``'s encoded size: the length of a
+    string or bytes, 16 per other scalar, summed over containers and
+    dataclass fields."""
+    kind = type(value)
+    if kind is str or kind is bytes:
+        return len(value) + 16
+    if kind is int:
+        return 16 + value.bit_length() // 3
+    if kind is tuple or kind is list or kind is frozenset or kind is set:
+        return 16 + sum(map(_wire_size, value))
+    if kind is dict:
+        return 16 + sum(_wire_size(k) + _wire_size(v) for k, v in value.items())
+    if is_dataclass(value):
+        return 16 + sum(_wire_size(getattr(value, f.name)) for f in fields(value))
+    return 16
 
 
 def prov_tuple(prov: Provenance) -> tuple[int, int, int, int]:
@@ -78,6 +116,8 @@ class PutHandle:
     client: str = ""
     client_seq: int = 0
     msg_id: MessageId | None = None
+    #: The put's own provenance, set when it is multicast.
+    prov: Provenance | None = None
     acked_votes: int = 0
     status: str = "pending"  # pending | committed | aborted
     ackers: set[ProcessId] = field(default_factory=set)
@@ -119,9 +159,18 @@ class VersionedStore(GroupObject):
         #: (client, client_seq) -> (key, prov): the exactly-once index.
         self._client_index: dict[tuple[str, int], tuple[Any, Provenance]] = {}
         self._tally = QuorumTally({})
+        #: Puts of the open input batch, with their trace parents.
+        self._queued_puts: list[tuple[PutHandle, Any]] = []
+        #: Extra provenance seqs our group-commit multicasts used in
+        #: ``_skew_view`` (see :class:`~repro.core.versioning.Provenance`).
+        self._skew = 0
+        self._skew_view: ViewId | None = None
         self.audit_trace = audit_trace
         self.puts_committed = 0
         self.puts_aborted = 0
+        #: Multicasts that carried puts (``puts_committed`` over this is
+        #: puts per multicast).
+        self.put_multicasts = 0
         self.gets_served = 0
         self.ryw_retries = 0
         #: Writes appended to the persisted op log since the last
@@ -171,9 +220,11 @@ class VersionedStore(GroupObject):
         Returns a handle that commits once a majority of the current
         view applied the write; a view change aborts it and the client
         retries with the same ``(client, client_seq)``, which the
-        exactly-once index collapses onto the original entry.
-        ``trace`` names the causal parent of the replication multicast
-        (the serving tier's request span; tracing only).
+        exactly-once index collapses onto the original entry.  Inside an
+        input batch the put is multicast when the batch ends, with the
+        batch's other puts (group commit).  ``trace`` names the causal
+        parent of the replication multicast (the serving tier's request
+        span; tracing only).
         """
         handle = PutHandle(key, value, client, client_seq, on_done=on_done)
         if client:
@@ -187,19 +238,16 @@ class VersionedStore(GroupObject):
                 self._finish(handle)
                 return handle
         if self.mode is not Mode.NORMAL:
-            handle.status = "aborted"
-            self.puts_aborted += 1
-            self._finish(handle)
+            self._abort(handle)
             return handle
-        msg_id = self.submit_op(("put", key, value, client, client_seq), trace)
-        if msg_id is None:
-            handle.status = "aborted"  # a view change is in progress
-            self.puts_aborted += 1
-            self._finish(handle)
+        stack = self.stack
+        if stack.input_batch:
+            queued = self._queued_puts
+            if not queued:
+                stack.at_batch_end(self._send_queued_puts)
+            queued.append((handle, trace))
             return handle
-        handle.msg_id = msg_id
-        for committed in self._tally.open(msg_id, handle):
-            self._committed(committed)
+        self._multicast_puts([(handle, trace)])
         return handle
 
     def get(self, key: Any, ryw: Provenance | None = None) -> ReadResult:
@@ -249,28 +297,90 @@ class VersionedStore(GroupObject):
     # Replication machinery
     # ------------------------------------------------------------------
 
-    def apply_op(self, sender: ProcessId, op: Any, msg_id: MessageId) -> None:
-        kind, key, value, client, client_seq = op
-        if kind != "put":
+    def _send_queued_puts(self) -> None:
+        """The input batch ended: multicast its puts in arrival order,
+        starting a new multicast wherever the next put would take one
+        past :data:`_MULTICAST_BYTES`."""
+        queued, self._queued_puts = self._queued_puts, []
+        if self.mode is not Mode.NORMAL:
+            for handle, _trace in queued:
+                self._abort(handle)
             return
-        prov = provenance_of(msg_id)
-        duplicate = bool(client) and (client, client_seq) in self._client_index
-        if not duplicate:
+        start = size = 0
+        for i, (handle, _trace) in enumerate(queued):
+            cost = _wire_size(handle.key) + _wire_size(handle.value) + len(handle.client)
+            if i > start and size + cost > _MULTICAST_BYTES:
+                self._multicast_puts(queued[start:i])
+                start, size = i, 0
+            size += cost
+        self._multicast_puts(queued[start:])
+
+    def _multicast_puts(self, puts: list[tuple[PutHandle, Any]]) -> None:
+        """Multicast ``puts`` as one operation, parented under the first
+        one's trace, and track each one's quorum.
+
+        One put with no skew in this view is the plain ``("put", key,
+        value, client, client_seq)`` op, re-issued in the next view if a
+        view change is in progress.  Anything else is ``("puts", skew,
+        ((key, value, client, client_seq), ...))``: its puts take seqs
+        from the message seqno plus ``skew``, and it is never re-issued
+        in a later view, whose seqs it would collide with.
+        """
+        skew = self._skew if self.stack.view.view_id == self._skew_view else 0
+        if len(puts) == 1 and not skew:
+            handle, trace = puts[0]
+            op = ("put", handle.key, handle.value, handle.client, handle.client_seq)
+            msg_id = self.submit_op(op, trace)
+        else:
+            op = (
+                "puts",
+                skew,
+                tuple((h.key, h.value, h.client, h.client_seq) for h, _ in puts),
+            )
+            msg_id = self.submit_op(op, puts[0][1], reissue=False)
+        if msg_id is None:
+            for handle, _trace in puts:
+                self._abort(handle)  # a view change is in progress
+            return
+        self.put_multicasts += 1
+        self._skew_view, self._skew = msg_id.view, skew + len(puts) - 1
+        tally = self._tally
+        for i, (handle, _trace) in enumerate(puts, skew):
+            handle.msg_id = msg_id
+            handle.prov = provenance_of(msg_id, i)
+            for committed in tally.open(msg_id, handle):
+                self._committed(committed)
+
+    def apply_op(self, sender: ProcessId, op: Any, msg_id: MessageId) -> None:
+        kind = op[0]
+        if kind == "put":
+            skew, puts = 0, (op[1:],)
+        elif kind == "puts":
+            _kind, skew, puts = op
+        else:
+            return
+        chains = self.chains
+        index = self._client_index
+        audits = self._audits()
+        for offset, (key, value, client, client_seq) in enumerate(puts, skew):
+            prov = provenance_of(msg_id, offset)
+            if client and (client, client_seq) in index:
+                continue  # a retry of a write that already landed
             entry = VersionEntry(value, prov, client, client_seq)
-            chain = self.chains.get(key, ())
+            chain = chains.get(key, ())
             if not chain or chain[-1].prov < prov or _fuzz_bugs.active("append_order"):
                 at = len(chain)
-                self.chains[key] = chain + (entry,)
+                chains[key] = chain + (entry,)
             else:
                 # Multicast is FIFO per sender only, so writes from
                 # different writers reach replicas in different orders:
                 # insert by provenance so every replica builds one chain.
                 at = bisect_right(chain, prov, key=attrgetter("prov"))
-                self.chains[key] = chain[:at] + (entry,) + chain[at:]
+                chains[key] = chain[:at] + (entry,) + chain[at:]
             if client:
-                self._client_index[(client, client_seq)] = (key, prov)
+                index[(client, client_seq)] = (key, prov)
             self._persist_entry(key, entry)
-            if self._audits():
+            if audits:
                 data = {
                     "key": key,
                     "prov": prov_tuple(prov),
@@ -300,8 +410,8 @@ class VersionedStore(GroupObject):
             done = self._client_index.get((handle.client, handle.client_seq))
         if done is not None:
             handle.token = done[1]
-        elif handle.msg_id is not None:
-            handle.token = provenance_of(handle.msg_id)
+        else:
+            handle.token = handle.prov
         if handle.token is not None and self._audits():
             self._record(
                 "store_ack",
@@ -312,6 +422,11 @@ class VersionedStore(GroupObject):
                     "client_seq": handle.client_seq,
                 },
             )
+        self._finish(handle)
+
+    def _abort(self, handle: PutHandle) -> None:
+        handle.status = "aborted"
+        self.puts_aborted += 1
         self._finish(handle)
 
     def _finish(self, handle: PutHandle) -> None:

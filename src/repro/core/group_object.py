@@ -182,13 +182,17 @@ class GroupObject(ModeTrackingApp):
     # External operations
     # ------------------------------------------------------------------
 
-    def submit_op(self, op: Any, trace: Any = None) -> MessageId | None:
+    def submit_op(
+        self, op: Any, trace: Any = None, reissue: bool = True
+    ) -> MessageId | None:
         """Multicast an external operation to the group.
 
         Raises :class:`ApplicationError` if the current mode does not
         admit it (callers can pre-check with :meth:`can_submit`).
         ``trace`` optionally names the causal parent of the multicast
-        (e.g. a client request's root span; tracing only).
+        (e.g. a client request's root span; tracing only).  Returns
+        None during a view change; ``reissue=False`` then drops the
+        operation instead of re-issuing it in the next view.
         """
         if self.stack is None or self.mode is None:
             raise ApplicationError("object not running yet")
@@ -197,7 +201,7 @@ class GroupObject(ModeTrackingApp):
             raise ApplicationError(
                 f"operation {op!r} not allowed in mode {self.mode}"
             )
-        return self.stack.multicast(_OpMsg(op), trace)
+        return self.stack.multicast(_OpMsg(op), trace, reissue)
 
     def can_submit(self, op: Any) -> bool:
         return (

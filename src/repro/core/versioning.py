@@ -6,11 +6,14 @@ record store, the quorum file and the lock manager consume one
 implementation:
 
 * **Provenance** — the ``(view_epoch, writer, seq)`` coordinate of one
-  applied external operation, derived from its :class:`~repro.types.
-  MessageId`.  Provenance totally orders writes system-wide (epochs
-  grow along every history; within an epoch the writer identifier and
-  its per-view sequence number break ties) and names them stably across
-  partitions, merges and state transfers.
+  applied write, derived from the :class:`~repro.types.MessageId` of
+  the multicast that carried it.  A multicast carrying one write gives
+  it the message's seqno; one carrying several (group commit) gives
+  them consecutive seqs from a carried offset, so seq is not always the
+  message seqno (see :class:`Provenance`).  Provenance totally orders
+  writes system-wide (epochs grow along every history; within an epoch
+  the writer identifier and its per-view seq break ties) and names them
+  stably across partitions, merges and state transfers.
 * **Version chains** — append-only per-key histories of
   :class:`VersionEntry` records.  :func:`merge_chains` is the
   deterministic provenance-union reconciliation used when divergent
@@ -54,10 +57,20 @@ __all__ = [
 class Provenance:
     """Where one write came from: ``(view_epoch, writer, seq)``.
 
-    The triple is a projection of the write's :class:`MessageId` that
-    drops the view coordinator: coordinators differ between concurrent
-    partitions with equal epochs, and provenance must order such writes
-    the same way at every site, so only writer identity breaks the tie.
+    The triple is derived from the carrying multicast's
+    :class:`MessageId` and drops the view coordinator: coordinators
+    differ between concurrent partitions with equal epochs, and
+    provenance must order such writes the same way at every site, so
+    only writer identity breaks the tie.
+
+    ``seq`` is the message seqno for a multicast that carries one write
+    and no skew.  A writer that multicasts ``k`` writes in one message
+    at seqno ``n`` gives them ``n + s .. n + s + k - 1``, where ``s``,
+    carried in the message, counts the extra seqs the writer's earlier
+    such messages of the view used; the next message then starts at the
+    last seq plus one.  So a writer's seqs stay unique, increasing in
+    issue order and gap-free within one view, and receivers read ``s``
+    off the message instead of counting.
     """
 
     view_epoch: int
@@ -68,9 +81,11 @@ class Provenance:
         return f"w{self.view_epoch}/{self.writer}/{self.seq}"
 
 
-def provenance_of(msg_id: MessageId) -> Provenance:
-    """The provenance coordinate of the operation multicast ``msg_id``."""
-    return Provenance(msg_id.view.epoch, msg_id.sender, msg_id.seqno)
+def provenance_of(msg_id: MessageId, offset: int = 0) -> Provenance:
+    """The provenance of a write multicast as ``msg_id``: ``offset`` is
+    the carried skew plus the write's index in the message (0 for a
+    lone write with no skew, see :class:`Provenance`)."""
+    return Provenance(msg_id.view.epoch, msg_id.sender, msg_id.seqno + offset)
 
 
 @dataclass(frozen=True)
@@ -157,6 +172,8 @@ class QuorumTally:
     Handles are duck-typed: they must expose mutable ``status``
     (``"pending"`` until the tally sets ``"committed"``/``"aborted"``),
     ``ackers`` (set of replicas counted) and ``acked_votes`` fields.
+    Several handles may open with one ``msg_id`` (the writes of one
+    group-commit multicast): they share every vote and commit together.
     """
 
     def __init__(self, votes: Mapping[SiteId, int], view: ViewId | None = None) -> None:

@@ -299,15 +299,26 @@ class RealNetwork:
         proc.deliver_network(process_id(msg.src_site, msg.src_inc), payload)
 
     def _end_input_batch(self) -> None:
-        """The frame server finished a read that carried msg frames."""
+        """The frame server finished a read that carried msg or side
+        frames."""
         proc = self._proc
         if proc is not None and proc.input_batch:
             proc.end_input_batch()
 
     def _on_side(self, kind: str, value: Any, reply: Callable[[Any], None]) -> None:
-        """Hand one decoded side frame to the handler of its kind."""
+        """Hand one decoded side frame to the handler of its kind.
+
+        Client requests are input to the stack, so the ``cli`` frames of
+        one read are one input batch too: their puts leave as one
+        multicast when it ends (group commit).  Control and obs frames
+        are served outside any batch.
+        """
         handler = self.side_handlers.get(kind)
         if handler is not None:
+            if kind == "cli":
+                proc = self._proc
+                if proc is not None and proc.alive:
+                    proc.input_batch = True
             handler(value, reply)
 
     # -- introspection -------------------------------------------------

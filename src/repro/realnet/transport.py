@@ -516,8 +516,8 @@ class FrameServer:
     on the event loop for every inbound
     :class:`~repro.realnet.codec_bin.ParsedMsg`, ``on_side`` for every
     side frame, and ``on_read_end()`` once after the last frame of a
-    read that carried any msg frame, so the receiver can treat one
-    read as one batch of input.  Validation beyond frame shape is the
+    read that dispatched any msg or side frame, so the receiver can
+    treat one read as one batch of input.  Validation beyond frame shape is the
     receiver's business (incarnation and connectivity checks live in
     :class:`~repro.realnet.network.RealNetwork`).
     """
@@ -534,8 +534,9 @@ class FrameServer:
         self._host = host
         self._port = port
         self._on_msg = on_msg
-        #: Called once after every read that dispatched a msg frame (even
-        #: when a handler raised): the receiver's end of an input batch.
+        #: Called once after every read that dispatched a msg or side
+        #: frame (even when a handler raised): the receiver's end of an
+        #: input batch.
         self._on_read_end = on_read_end
         self._accept = accept_formats
         #: Optional handler for side frames: called with ``(kind, value,
@@ -669,6 +670,7 @@ class _ServerConnection(asyncio.Protocol):
         pos = 0
         walked = 0
         msgs = 0
+        sides = 0
         fatal: str | None = None
         try:
             while end - pos >= _LEN.size:
@@ -701,6 +703,7 @@ class _ServerConnection(asyncio.Protocol):
                         # the link.
                         side = fmt.parse_side(data, body_start, frame_end)
                         if side is not None:
+                            sides += 1
                             on_side(side[0], side[1], self._reply_as(side[0]))
                 except CodecError as exc:
                     # The framing is intact (the length prefix was sane),
@@ -711,7 +714,7 @@ class _ServerConnection(asyncio.Protocol):
                     logger.info("server %s:%s: dropped bad frame: %s",
                                 server._host, server._port, exc)
         finally:
-            if msgs and server._on_read_end is not None:
+            if (msgs or sides) and server._on_read_end is not None:
                 server._on_read_end()
         if walked:
             server.reads += 1

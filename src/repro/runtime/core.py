@@ -278,7 +278,8 @@ def register_net_gauges(
     stacks: Callable[[], Iterable[Any]],
 ) -> None:
     """``net_*`` callback gauges over the wire counters a backend keeps,
-    and ``fd_heartbeats_skipped_total`` over its stacks' detectors.
+    ``fd_heartbeats_skipped_total`` over its stacks' detectors and
+    ``store_put_multicasts_total`` over their store applications.
 
     Read at snapshot time only — the hot path never touches the registry
     for these — and named identically on every runtime, so snapshots of
@@ -304,6 +305,14 @@ def register_net_gauges(
         "Heartbeat copies not sent because a multicast had just carried"
         " their fields to the same view peer (current incarnations)",
         lambda: float(sum(stack.fd.beats_skipped for stack in stacks())),
+    )
+    registry.gauge_callback(
+        "store_put_multicasts_total",
+        "Multicasts that carried store puts (current incarnations); puts"
+        " committed over this is puts per multicast",
+        lambda: float(
+            sum(getattr(stack.app, "put_multicasts", 0) for stack in stacks())
+        ),
     )
 
 

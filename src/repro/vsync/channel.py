@@ -121,11 +121,15 @@ class ViewChannels:
 
     # -- sending ---------------------------------------------------------------
 
-    def multicast(self, payload: Any, trace: Any = None) -> MessageId | None:
+    def multicast(
+        self, payload: Any, trace: Any = None, reissue: bool = True
+    ) -> MessageId | None:
         """Multicast ``payload`` in the current view.
 
-        Returns the message identifier, or None if the send was buffered
-        because a view change is in progress.  ``trace`` is the causal
+        Returns the message identifier, or None if a view change is in
+        progress: the send is then buffered and re-issued in the next
+        view, or, with ``reissue=False`` (a payload whose meaning is
+        bound to the view it is sent in), dropped.  ``trace`` is the causal
         parent of the send (e.g. a client put's root span); with tracing
         on the send mints its own span and the context rides on the
         :class:`Message` so receivers can parent their delivery spans.
@@ -133,7 +137,8 @@ class ViewChannels:
         if self.view is None:
             raise ViewSynchronyError("multicast before the first view")
         if self.suspended:
-            self.pending_sends.append((payload, trace))
+            if reissue:
+                self.pending_sends.append((payload, trace))
             return None
         self._next_seqno += 1
         msg_id = MessageId(self.stack.pid, self.view.view_id, self._next_seqno)

@@ -339,8 +339,24 @@ def test_concurrent_writers_leave_one_chain_order_realnet():
     ends with one chain order and one head."""
     from tests.scenario_checks import hot_key_chains
 
-    chains, report = hot_key_chains("realnet")
+    chains, report, _tokens = hot_key_chains("realnet")
     assert chains[0], "no put landed"
     assert all(chain == chains[0] for chain in chains)
     assert chains[0] == sorted(chains[0])
+    assert report.checked == 1 and report.ok, report.violations
+
+
+def test_burst_writers_leave_one_chain_order_and_distinct_tokens_realnet():
+    """The hot-key reproducer with each site's puts of a round arriving
+    as one input batch, so they leave as one group-commit multicast:
+    the replicas still end with one chain order, and no two committed
+    puts share a token."""
+    from tests.scenario_checks import hot_key_chains
+
+    chains, report, tokens = hot_key_chains("realnet", burst=4)
+    assert tokens, "no put committed"
+    assert len(set(tokens)) == len(tokens)
+    assert all(chain == chains[0] for chain in chains)
+    assert chains[0] == sorted(chains[0])
+    assert set(tokens) <= set(chains[0])
     assert report.checked == 1 and report.ok, report.violations

@@ -37,6 +37,7 @@ UNIFIED_NAMES = {
     "net_messages_sent_total",
     "net_messages_delivered_total",
     "fd_heartbeats_skipped_total",
+    "store_put_multicasts_total",
 }
 
 

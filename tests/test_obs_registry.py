@@ -239,6 +239,7 @@ def test_sim_metrics_identical_across_two_seeded_runs():
         "view_change_duration",
         "sim_events_total",
         "fd_heartbeats_skipped_total",
+        "store_put_multicasts_total",
     ):
         assert name in snap1.names(), name
     assert snap1.total("view_changes_total") > 0

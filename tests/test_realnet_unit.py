@@ -70,7 +70,7 @@ def test_every_registry_serving_a_node_exports_the_wire_gauges():
 
     wanted = {
         "net_messages_sent_total", "net_messages_dropped_total",
-        "fd_heartbeats_skipped_total",
+        "fd_heartbeats_skipped_total", "store_put_multicasts_total",
     } | {
         f"transport_{key}_total" for key in TRANSPORT_GAUGES
     }

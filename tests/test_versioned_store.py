@@ -277,7 +277,7 @@ def test_no_acked_write_lost_across_crash_recover_partition_merge() -> None:
 
 
 def test_concurrent_writers_leave_one_chain_order_and_one_head() -> None:
-    chains, report = hot_key_chains("sim")
+    chains, report, _tokens = hot_key_chains("sim")
     assert len(chains[0]) == 100
     assert all(chain == chains[0] for chain in chains)
     assert chains[0] == sorted(chains[0])
@@ -286,7 +286,7 @@ def test_concurrent_writers_leave_one_chain_order_and_one_head() -> None:
 
 def test_append_order_bug_diverges_and_the_checker_sees_it() -> None:
     with bugs.planted("append_order"):
-        chains, report = hot_key_chains("sim")
+        chains, report, _tokens = hot_key_chains("sim")
     assert len({tuple(chain) for chain in chains}) > 1
     assert len({chain[-1] for chain in chains}) > 1
     assert report.violations and "orders of key 'k''s 100 versions" in report.violations[0]
