@@ -6,8 +6,7 @@ This package is the reproduction of Sections 3, 4 and 6.2:
   modes and the transition automaton of Figure 1;
 * :mod:`repro.core.mode_functions` — pluggable mode functions (quorum
   voting, static majority, always-available);
-* :mod:`repro.core.history` / :mod:`repro.core.cuts` — process histories
-  and consistent cuts over recorded traces;
+* :mod:`repro.core.cuts` — consistent cuts over recorded traces;
 * :mod:`repro.core.shared_state` — the taxonomy: state transfer, state
   creation, state merging, with the paper's necessary conditions over
   ``S_R``, ``S_N`` and clusters;
@@ -18,8 +17,10 @@ This package is the reproduction of Sections 3, 4 and 6.2:
   the Section 6.2 methodology (external operations within a subview,
   internal operations across the subviews of one sv-set, merge on
   success);
-* :mod:`repro.core.state_transfer`, :mod:`repro.core.state_merge`,
-  :mod:`repro.core.state_creation` — the three repair protocols.
+* :mod:`repro.core.state_transfer`, :mod:`repro.core.state_creation` —
+  the transfer and creation repair protocols (each application supplies
+  its own merge:
+  :meth:`~repro.core.group_object.GroupObject.merge_app_states`).
 """
 
 from repro.core.modes import Mode, ModeAutomaton, ModeTrackingApp, Transition

@@ -139,7 +139,8 @@ class GroupObject(ModeTrackingApp):
 
         Called with one entry per donor cluster.  The default refuses:
         an application that can experience state merging must choose a
-        policy (see :mod:`repro.core.state_merge`).
+        policy (each app in :mod:`repro.apps` defines its own; the
+        versioned store's is :func:`repro.core.versioning.merge_chains`).
         """
         raise ApplicationError(
             f"{type(self).__name__} got a state-merging problem but "

@@ -22,7 +22,6 @@ application multicasts (Property 6.2).
 
 from repro.evs.eview import EvDelta, EView, EViewStructure, Subview, SvSet
 from repro.evs.manager import EViewManager
-from repro.evs.render import format_eview, format_structure
 
 __all__ = [
     "Subview",
@@ -31,6 +30,4 @@ __all__ = [
     "EvDelta",
     "EView",
     "EViewManager",
-    "format_structure",
-    "format_eview",
 ]

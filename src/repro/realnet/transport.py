@@ -783,8 +783,3 @@ async def wait_for_condition(
             return bool(predicate())
         await asyncio.sleep(poll)
 
-
-async def run_with_timeout(coro: Awaitable[Any], timeout: float) -> Any:
-    """``asyncio.wait_for`` wrapper: every realnet entry point takes a
-    hard wall-clock budget so a wedged cluster can never hang CI."""
-    return await asyncio.wait_for(coro, timeout=timeout)

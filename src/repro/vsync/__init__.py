@@ -19,13 +19,10 @@ channels and the enriched-view manager into a single process.
 from repro.vsync.events import GroupApplication
 from repro.vsync.channel import ViewChannels
 from repro.vsync.stack import GroupStack, StackConfig
-from repro.vsync.ordering import CausalOrderApp, TotalOrderApp
 
 __all__ = [
     "GroupApplication",
     "ViewChannels",
     "GroupStack",
     "StackConfig",
-    "CausalOrderApp",
-    "TotalOrderApp",
 ]

@@ -1,13 +1,10 @@
-"""Seeded random generation of adversarial runs: faults and load.
+"""Seeded random generation of adversarial fault schedules.
 
 Produces well-formed fault schedules (no double crashes, recoveries
 only of crashed sites, partitions over the full universe) whose mix of
-crashes, recoveries, partitions and repairs is controlled by weights,
-and — for the client service tier — matching open-loop
-:class:`~repro.workload.openloop.LoadSpec` shapes, so an experiment's
-*entire* environment (what breaks and what load arrives while it
-breaks) derives from one seed.  The same seed always yields the same
-schedule and spec, so any failing adversarial run is replayable.
+crashes, recoveries, partitions and repairs is controlled by weights.
+The same seed always yields the same schedule, so any failing
+adversarial run is replayable.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from repro.net.faults import (
     Partition,
     Recover,
 )
-from repro.workload.openloop import LoadSpec
 
 
 #: The action kinds ``weights`` may mention; anything else is a typo
@@ -152,34 +148,3 @@ class RandomFaultGenerator:
         for index, site in enumerate(sites):
             groups[index % n_groups].append(site)
         return tuple(tuple(sorted(g)) for g in groups)
-
-
-@dataclass
-class RandomLoadGenerator:
-    """Seeded open-loop load shapes to pair with a fault schedule.
-
-    Rates and durations are backend time, like :class:`LoadSpec`
-    itself; ``rate_range`` brackets the offered rate, ``duration`` the
-    steady-state window.  The generated spec's ``seed`` is derived from
-    this generator's seed, so the key/op stream replays too.
-    """
-
-    seed: int = 0
-    rate_range: tuple[float, float] = (0.2, 2.0)
-    duration: float = 400.0
-    clients_range: tuple[int, int] = (2, 8)
-    n_keys: int = 1024
-
-    def generate(self) -> LoadSpec:
-        rng = random.Random(self.seed)
-        read_fraction = rng.uniform(0.4, 0.95)
-        return LoadSpec(
-            rate=rng.uniform(*self.rate_range),
-            duration=self.duration,
-            clients=rng.randint(*self.clients_range),
-            n_keys=self.n_keys,
-            key_dist=rng.choice(("uniform", "zipfian")),
-            read_fraction=read_fraction,
-            history_fraction=min(0.05, 1.0 - read_fraction),
-            seed=rng.randrange(1 << 30),
-        )

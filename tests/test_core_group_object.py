@@ -6,7 +6,6 @@ from __future__ import annotations
 from repro.core.classify import classify_enriched, ground_truth
 from repro.core.cuts import cut_at_install, s_mode_entries
 from repro.core.group_object import GroupObject
-from repro.core.history import all_histories, history_of
 from repro.core.mode_functions import AlwaysFullModeFunction, QuorumModeFunction
 from repro.core.modes import Mode
 from repro.core.shared_state import Problem
@@ -239,13 +238,6 @@ def test_op_buffered_before_fresh_not_applied_twice():
 
 def test_mode_history_and_cuts_are_extractable():
     cluster = quorum_cluster()
-    histories = all_histories(cluster.recorder)
-    assert len(histories) == 5
-    for history in histories.values():
-        assert history.joined_first()
-        assert history.current_view is not None
-    pid0 = cluster.stack_at(0).pid
-    assert history_of(cluster.recorder, pid0).pid == pid0
     entries = s_mode_entries(cluster.recorder)
     assert entries, "bootstrap must produce S-mode entries"
     view_id = cluster.stack_at(0).current_view_id()

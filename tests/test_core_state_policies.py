@@ -1,22 +1,14 @@
-"""Tests for state transfer chunks, merge policies and creation choice."""
+"""Tests for state transfer chunks and creation choice."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.group_object import AppStateOffer
 from repro.core.settlement import StateOffer
 from repro.core.state_creation import (
     choose_by_last_to_fail,
     creation_is_safe,
     last_to_fail_order,
-)
-from repro.core.state_merge import (
-    LastWriterWins,
-    SetUnionMerge,
-    Versioned,
-    VersionVectorMerge,
-    divergence,
 )
 from repro.core.state_transfer import (
     ChunkReceiver,
@@ -32,10 +24,6 @@ from repro.types import ProcessId
 from tests.conftest import settled_cluster
 
 
-def offer(site: int, state, version: int = 0, last_epoch: int = 0) -> AppStateOffer:
-    return AppStateOffer(ProcessId(site), state, version, last_epoch)
-
-
 def raw_offer(site: int, version: int, last_epoch: int) -> StateOffer:
     return StateOffer(
         session=(ProcessId(0), 1),
@@ -44,95 +32,6 @@ def raw_offer(site: int, version: int, last_epoch: int) -> StateOffer:
         version=version,
         last_epoch=last_epoch,
     )
-
-
-# ---------------------------------------------------------------------------
-# Merge policies
-# ---------------------------------------------------------------------------
-
-
-def test_lww_highest_version_wins():
-    merged = LastWriterWins().merge(
-        [offer(0, {"k": "old"}, version=1), offer(1, {"k": "new"}, version=5)]
-    )
-    assert merged == {"k": "new"}
-
-
-def test_lww_keeps_disjoint_keys():
-    merged = LastWriterWins().merge(
-        [offer(0, {"a": 1}, 1), offer(1, {"b": 2}, 2)]
-    )
-    assert merged == {"a": 1, "b": 2}
-
-
-def test_lww_requires_offers():
-    with pytest.raises(ApplicationError):
-        LastWriterWins().merge([])
-
-
-def test_lww_deterministic_on_ties():
-    a = LastWriterWins().merge([offer(0, {"k": "x"}, 1), offer(1, {"k": "y"}, 1)])
-    b = LastWriterWins().merge([offer(1, {"k": "y"}, 1), offer(0, {"k": "x"}, 1)])
-    assert a == b
-
-
-def test_set_union_merge():
-    merged = SetUnionMerge().merge(
-        [offer(0, {"s": {1, 2}}), offer(1, {"s": {2, 3}, "t": {9}})]
-    )
-    assert merged == {"s": {1, 2, 3}, "t": {9}}
-
-
-def test_versioned_dominance():
-    a = Versioned("a").bump(0).bump(0)
-    b = Versioned("b").bump(0)
-    assert a.dominates(b)
-    assert not b.dominates(a)
-    assert not a.concurrent_with(b)
-
-
-def test_versioned_concurrency():
-    a = Versioned("a").bump(0)
-    b = Versioned("b").bump(1)
-    assert a.concurrent_with(b)
-
-
-def test_version_vector_merge_dominant_wins():
-    base = Versioned("v0").bump(0)
-    newer = base.with_value("v1").bump(0)
-    policy = VersionVectorMerge()
-    merged = policy.merge([offer(0, {"k": newer}), offer(1, {"k": base})])
-    assert merged["k"].value == "v1"
-    assert policy.conflicts == []
-
-
-def test_version_vector_merge_detects_conflicts():
-    left = Versioned("L").bump(0)
-    right = Versioned("R").bump(1)
-    policy = VersionVectorMerge()
-    merged = policy.merge([offer(0, {"k": left}), offer(1, {"k": right})])
-    assert policy.conflicts == ["k"]
-    # Resolution joins the clocks so the result dominates both inputs.
-    assert merged["k"].dominates(left) and merged["k"].dominates(right)
-
-
-def test_version_vector_custom_resolver():
-    left = Versioned("L").bump(0)
-    right = Versioned("R").bump(1)
-    policy = VersionVectorMerge(resolver=lambda key, a, b: a)
-    merged = policy.merge([offer(0, {"k": left}), offer(1, {"k": right})])
-    assert merged["k"].value == "L"
-
-
-def test_divergence_report():
-    report = divergence(
-        [offer(0, {"a": 1, "b": 2}), offer(1, {"a": 1, "b": 3, "c": 4})]
-    )
-    assert report == {"agree": 1, "conflict": 1, "partial": 1}
-
-
-def test_divergence_empty():
-    assert divergence([]) == {"agree": 0, "conflict": 0, "partial": 0}
 
 
 # ---------------------------------------------------------------------------

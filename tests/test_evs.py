@@ -165,6 +165,7 @@ def test_sv_set_merge_then_subview_merge_figure3():
     mid = stack.eview
     assert mid.seq == 1
     assert len(mid.structure.svsets) == 1
+    assert "seq=1" in str(mid)
     stack.subview_merge([sv.sid for sv in mid.structure.subviews[:2]])
     cluster.run_for(15)
     after = cluster.stack_at(3).eview  # check a non-coordinator
@@ -254,18 +255,3 @@ def test_messages_gated_on_eview_changes():
     cluster.run_for(20)
     assert check_causal_order(cluster.recorder).ok
 
-
-def test_format_structure_notation():
-    from repro.evs.render import format_eview, format_structure
-
-    cluster = settled_cluster(3)
-    stack = cluster.stack_at(0)
-    text = format_structure(stack.eview.structure)
-    assert text.count("[") == 3 and text.count("{") == 3  # singletons
-    stack.sv_set_merge([ss.ssid for ss in stack.eview.structure.svsets])
-    cluster.run_for(15)
-    text = format_structure(stack.eview.structure)
-    assert text.count("[") == 1 and text.count("{") == 3
-    flat = format_structure(stack.eview.structure, with_svsets=False)
-    assert "[" not in flat
-    assert "seq=1" in format_eview(stack.eview)

@@ -1,8 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures.
 
 These pin down the algebraic invariants the protocols rely on:
-structure partitions stay partitions under merges, version-vector
-dominance is a preorder compatible with merging, flat classification
+structure partitions stay partitions under merges, flat classification
 always contains the truth, the scheduler is deterministic, and so on.
 """
 
@@ -11,9 +10,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.classify import classify_flat
-from repro.core.group_object import AppStateOffer
 from repro.core.shared_state import diagnose
-from repro.core.state_merge import LastWriterWins, SetUnionMerge, Versioned
 from repro.evs.eview import EvDelta, EViewStructure
 from repro.sim.scheduler import Scheduler
 from repro.types import MessageId, ProcessId, SubviewId, SvSetId, ViewId
@@ -103,80 +100,6 @@ def test_merges_only_coarsen_subviews(program):
         structure = structure.apply(delta)
         for pid in members:
             assert before[pid] <= structure.subview_of(pid).members
-
-
-# ---------------------------------------------------------------------------
-# Version vectors
-# ---------------------------------------------------------------------------
-
-
-clocks = st.dictionaries(sites, st.integers(min_value=0, max_value=5), max_size=4)
-
-
-def _versioned(value, clock) -> Versioned:
-    return Versioned(value, tuple(sorted(clock.items())))
-
-
-@given(clocks)
-def test_dominance_is_reflexive(clock):
-    v = _versioned("x", clock)
-    assert v.dominates(v)
-
-
-@given(clocks, clocks, clocks)
-def test_dominance_is_transitive(a, b, c):
-    va, vb, vc = _versioned("a", a), _versioned("b", b), _versioned("c", c)
-    if va.dominates(vb) and vb.dominates(vc):
-        assert va.dominates(vc)
-
-
-@given(clocks, clocks)
-def test_concurrency_is_symmetric(a, b):
-    va, vb = _versioned("a", a), _versioned("b", b)
-    assert va.concurrent_with(vb) == vb.concurrent_with(va)
-
-
-@given(clocks, sites)
-def test_bump_strictly_dominates(clock, site):
-    v = _versioned("x", clock)
-    bumped = v.bump(site)
-    assert bumped.dominates(v)
-    assert not v.dominates(bumped) or v.clock() == bumped.clock()
-
-
-# ---------------------------------------------------------------------------
-# Merge policies
-# ---------------------------------------------------------------------------
-
-
-states = st.dictionaries(
-    st.text(alphabet="abc", min_size=1, max_size=2),
-    st.integers(min_value=0, max_value=9),
-    max_size=4,
-)
-
-
-@given(st.lists(st.tuples(sites, states, st.integers(0, 9)), min_size=1, max_size=4))
-def test_lww_is_order_insensitive(entries):
-    offers = [
-        AppStateOffer(ProcessId(site, i), dict(state), version, 0)
-        for i, (site, state, version) in enumerate(entries)
-    ]
-    merged_fwd = LastWriterWins().merge(offers)
-    merged_rev = LastWriterWins().merge(list(reversed(offers)))
-    assert merged_fwd == merged_rev
-
-
-@given(st.lists(st.tuples(sites, states), min_size=1, max_size=4))
-def test_set_union_contains_every_input(entries):
-    offers = [
-        AppStateOffer(ProcessId(site, i), {k: {v} for k, v in state.items()}, 0, 0)
-        for i, (site, state) in enumerate(entries)
-    ]
-    merged = SetUnionMerge().merge(offers)
-    for offer in offers:
-        for key, values in offer.state.items():
-            assert values <= merged[key]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
-"""Tests for trace statistics and history-form mode functions."""
+"""Tests for trace statistics and the ASCII timeline."""
 
 from __future__ import annotations
 
 from repro.apps.replicated_file import ReplicatedFile
-from repro.core.history import History, HistoryModeFunction, history_of
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.trace.events import DeliveryEvent, ViewInstallEvent
 from repro.trace.stats import concurrent_view_peak, mode_residency, summarize
 
 from tests.conftest import settled_cluster
@@ -71,51 +69,6 @@ def test_concurrent_view_peak_sees_partition():
     cluster.partition([[0, 1, 2], [3, 4]])
     cluster.settle(timeout=500)
     assert concurrent_view_peak(cluster.recorder) >= 2
-
-
-def test_history_mode_function_induces_figure1_modes():
-    cluster = file_cluster()
-    cluster.partition([[0, 1, 2], [3, 4]])
-    cluster.settle(timeout=500)
-    cluster.run_for(100)
-    history = history_of(cluster.recorder, cluster.stack_at(3).pid)
-
-    def classify(prefix: History) -> str:
-        """A quorum-style history predicate: N iff the latest view in
-        the prefix holds a majority of five."""
-        view_events = [
-            e for e in prefix.events if isinstance(e, ViewInstallEvent)
-        ]
-        if not view_events:
-            return "S"
-        return "N" if 2 * len(view_events[-1].members) > 5 else "R"
-
-    fn = HistoryModeFunction(classify)
-    sequence = fn.mode_sequence(history)
-    assert sequence[-1] == "R"  # the minority member ends reduced
-    assert "N" in sequence  # it was in the full view before
-    transitions = fn.transitions(history)
-    assert ("N", "R") in transitions
-
-
-def test_history_mode_function_prefix_evaluation():
-    cluster = settled_cluster(2)
-    cluster.stack_at(0).multicast("x")
-    cluster.run_for(20)
-    history = history_of(cluster.recorder, cluster.stack_at(0).pid)
-    deliveries = HistoryModeFunction(
-        lambda prefix: "N" if any(
-            isinstance(e, DeliveryEvent) for e in prefix.events
-        ) else "S"
-    )
-    sequence = deliveries.mode_sequence(history)
-    assert sequence[0] == "S"  # before any delivery
-    assert sequence[-1] == "N"
-
-
-# ---------------------------------------------------------------------------
-# Timeline rendering
-# ---------------------------------------------------------------------------
 
 
 def test_timeline_renders_lanes_and_events():

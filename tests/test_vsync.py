@@ -101,6 +101,22 @@ def test_agreement_across_partition_cut():
     assert cluster.settle(timeout=500)
     report = check_agreement(cluster.recorder)
     assert report.ok, report.violations
+    assert_all_properties(cluster.recorder)
+
+
+def test_multicast_in_flight_at_a_crash_reaches_every_survivor():
+    """A multicast still in flight when a member crashes is delivered
+    to every survivor, once, before or in the next view."""
+    cluster = collector_cluster(4, seed=2)
+    cluster.stack_at(0).multicast("cutover")
+    cluster.run_for(1.0)  # delivered at the sender only
+    cluster.crash(3)
+    assert cluster.settle(timeout=500)
+    cluster.run_for(60)
+    for site in range(3):
+        payloads = [p for _, p in cluster.apps[site].messages]
+        assert payloads.count("cutover") == 1, site
+    assert_all_properties(cluster.recorder)
 
 
 def test_uniqueness_under_churn():
