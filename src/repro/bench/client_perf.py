@@ -1,11 +1,10 @@
 """Client-tier throughput/latency bench: the store under open-loop load.
 
-The :mod:`repro.bench.realnet_perf` lane measures the wire data path
-(multicast throughput between members); this lane measures what an
-*external* client actually experiences — request over TCP, quorum-acked
-put or any-replica get inside, reply back out — under an open-loop
-offered rate, the honest way to price a service tier (a slow server
-cannot slow the arrival process down and flatter its own tail).
+This lane measures what an *external* client actually experiences —
+request over TCP, quorum-acked put or any-replica get inside, reply
+back out — under an open-loop offered rate, the honest way to price a
+service tier (a slow server cannot slow the arrival process down and
+flatter its own tail).
 
 Cells, recorded in the ``client`` section of ``BENCH_PERF.json``:
 

@@ -494,8 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     prev_scale: dict[str, Any] | None = None
     payload: dict[str, Any] = {}
     if out.exists():
-        # Read-modify-write: other harnesses (repro.bench.realnet_perf)
-        # own sibling sections of the same file, and the previous scale
+        # Read-modify-write: other harnesses (repro.bench.client_perf,
+        # repro.bench.obs_perf) own sibling sections of the same file, and the previous scale
         # section feeds the vs_prev delta column.
         try:
             payload = json.loads(out.read_text())

@@ -22,7 +22,7 @@ delivery throughput (deliveries/sec of wall time), and the per-message
 delivery latency distribution (send to remote ``on_message``).  The
 two latency columns are *not* the same quantity — the simulator's is
 virtual units under the model's latency distribution, the realnet one
-is real microseconds through the kernel loopback plus the JSON codec —
+is real microseconds through the kernel loopback plus the wire codec —
 which is exactly the point of printing them together: the simulator
 models ordering and failure interleavings, not wall-clock cost, while
 realnet pays for real sockets, real timers and real serialization.

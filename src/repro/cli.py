@@ -44,7 +44,7 @@ Commands:
     entry and verifies its verdict; ``fuzz shrink`` minimizes one
     entry; ``fuzz corpus`` summarizes a corpus directory.
 
-A flag several commands take (``--sites``, ``--seed``, ``--codec``, the
+A flag several commands take (``--sites``, ``--seed``, ``--scale``, the
 address flags, ...) is declared once, in :data:`SHARED_FLAGS`, with one
 help text; each command supplies only its default.  Addresses are read
 once, after parsing, by :func:`_read_addresses`, and a malformed entry
@@ -94,8 +94,6 @@ SHARED_FLAGS: dict[str, dict] = {
     "scale": dict(type=float, default=1.0,
                   help="wall-clock runtimes: stretch every protocol timer "
                        "by this factor"),
-    "codec": dict(choices=("bin", "json"), default="bin",
-                  help="preferred wire codec, negotiated per link"),
     "tracing": dict(action="store_true",
                     help="causal tracing into per-node flight recorders"),
     "app": dict(choices=APP_NAMES, help="application on every site"),
@@ -177,7 +175,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from repro.workload.scenarios import partition_merge
 
     cluster = _cluster(args.runtime, args.sites, seed=args.seed,
-                       scale=args.scale, codec=args.codec)
+                       scale=args.scale)
     try:
         report = partition_merge(cluster, print)
     finally:
@@ -256,7 +254,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # and make_cluster rejects what the chosen runtime cannot honour.
     cluster = _cluster(
         args.runtime, args.sites, seed=args.seed, loss_prob=args.loss,
-        app=args.app, scale=args.scale, codec=args.codec,
+        app=args.app, scale=args.scale,
         fd_mode=args.fd_mode, gossip_fanout=args.gossip_fanout,
         tracing=args.tracing,
     )
@@ -395,7 +393,7 @@ def cmd_realnet_node(args: argparse.Namespace) -> int:
             args.site,
             book,
             ClusterConfig(
-                seed=args.seed, scale=args.scale, codec=args.codec,
+                seed=args.seed, scale=args.scale,
                 tracing=args.tracing, quiet=False,
             ),
             incarnation=args.incarnation,
@@ -409,7 +407,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Boot a realnet store cluster and serve external clients."""
     cluster = make_cluster(
         "realnet", args.sites, app="store",
-        seed=args.seed, scale=args.scale, codec=args.codec,
+        seed=args.seed, scale=args.scale,
     )
     try:
         if not cluster.settle(timeout=args.timeout):
@@ -422,7 +420,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         spec = ",".join(
             f"{site}:{host}:{port}" for site, (host, port) in sorted(book.items())
         )
-        print(f"store cluster serving (sites={args.sites} codec={args.codec})")
+        print(f"store cluster serving (sites={args.sites})")
         for site, (host, port) in sorted(book.items()):
             print(f"  site {site}: {host}:{port}")
         print(f"\ndrive it with:  repro load --book {spec}")
@@ -511,7 +509,7 @@ def cmd_obs_watch(args: argparse.Namespace) -> int:
 
     return watch(
         list(args.addresses.values()), interval=args.interval,
-        count=args.count, codec=args.codec,
+        count=args.count,
     )
 
 
@@ -573,7 +571,7 @@ def cmd_obs_trace(args: argparse.Namespace) -> int:
         from repro.obs.watch import fetch_traces
 
         targets = list(args.addresses.values())
-        pulled = asyncio.run(fetch_traces(targets, codec=args.codec))
+        pulled = asyncio.run(fetch_traces(targets))
         for (host, port), dump in zip(targets, pulled):
             if dump is None:
                 print(
@@ -746,12 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition / SV-SetMerge / heal / SV-SetMerge walkthrough "
              "with property checks",
     )
-    _shared(demo, "runtime", "scale", "codec", runtimes=IN_PROCESS_RUNTIMES,
+    _shared(demo, "runtime", "scale", runtimes=IN_PROCESS_RUNTIMES,
             sites=5, seed=0)
     demo.set_defaults(func=cmd_demo)
 
     run = sub.add_parser("run", help="run a random fault schedule")
-    _shared(run, "runtime", "loss", "asymmetric", "scale", "codec", "tracing",
+    _shared(run, "runtime", "loss", "asymmetric", "scale", "tracing",
             "metrics", "metrics_jsonl", sites=5, seed=0, app="none")
     run.add_argument("--duration", type=float, default=400.0)
     run.add_argument("--no-faults", action="store_true",
@@ -811,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
         "node", help="one standalone node of a fixed-port deployment"
     )
     rnode.add_argument("--site", type=int, required=True)
-    _shared(rnode, "base_port", "host", "scale", "codec", "book", "tracing",
+    _shared(rnode, "base_port", "host", "scale", "book", "tracing",
             sites=3, seed=0)
     rnode.add_argument("--incarnation", type=int, default=0,
                        help="bump after a crash so the site rejoins fresh")
@@ -822,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--book and --config)")
     rnode.add_argument("--config", default=None, metavar="JSON",
                        help="supervised mode: the parent's ClusterConfig "
-                            "(replaces --seed/--scale/--codec/--tracing)")
+                            "(replaces --seed/--scale/--tracing)")
     rnode.set_defaults(func=cmd_realnet_node)
 
     serve = sub.add_parser(
@@ -830,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot a realnet store cluster and serve external clients "
              "(drive it with 'repro load' from another terminal)",
     )
-    _shared(serve, "scale", "codec", sites=3, seed=0)
+    _shared(serve, "scale", sites=3, seed=0)
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="wall seconds to wait for the initial view")
     serve.add_argument("--duration", type=float, default=0.0,
@@ -883,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="poll running realnet nodes for live metric snapshots "
              "(over their normal listening sockets)",
     )
-    _shared(owatch, "targets", "host", "base_port", "codec", sites=3)
+    _shared(owatch, "targets", "host", "base_port", sites=3)
     owatch.add_argument("--interval", type=float, default=2.0,
                         help="seconds between polls")
     owatch.add_argument("--count", type=int, default=0,
@@ -895,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(live node pulls, dump files, or a built-in demo run) "
              "with critical paths and Perfetto export",
     )
-    _shared(otrace, "runtime", "targets", "codec",
+    _shared(otrace, "runtime", "targets",
             runtimes=IN_PROCESS_RUNTIMES, sites=3, seed=7)
     otrace.add_argument("--files", nargs="+", metavar="FILE", default=None,
                         help="flight-recorder dump files (repro-flight-v1 "

@@ -56,7 +56,6 @@ class AsyncStoreClient:
         addresses: Mapping[int, tuple[str, int]] | None = None,
         site: int = 0,
         client_id: str = "c0",
-        codec: str = "bin",
         read_mode: str = "any",
         retry_delay: float = RETRY_DELAY,
         max_attempts: int = MAX_ATTEMPTS,
@@ -69,7 +68,6 @@ class AsyncStoreClient:
             self.addresses.setdefault(site, target)
         self.site = site
         self.client_id = client_id
-        self.codec = codec
         self.read_mode = read_mode
         self.retry_delay = retry_delay
         self.max_attempts = max_attempts
@@ -86,10 +84,10 @@ class AsyncStoreClient:
     # -- connection ----------------------------------------------------
 
     async def connect(self, site: int | None = None) -> None:
-        """Dial ``site`` (default: the configured one) and negotiate."""
+        """Dial ``site`` (default: the configured one) and handshake."""
         await self.close()
         dial = self.site if site is None else site
-        self._conn = await SideConn.open(*self.addresses[dial], self.codec)
+        self._conn = await SideConn.open(*self.addresses[dial])
         self._connected_site = dial
         self._read_task = asyncio.ensure_future(self._read_loop(self._conn))
 
@@ -268,7 +266,6 @@ class DriverStoreClient:
         driver: Any,
         site: int = 0,
         client_id: str = "c0",
-        codec: str = "bin",
         read_mode: str = "any",
     ) -> None:
         self.driver = driver
@@ -276,7 +273,6 @@ class DriverStoreClient:
             addresses=dict(driver.address_book),
             site=site,
             client_id=client_id,
-            codec=codec,
             read_mode=read_mode,
         )
 

@@ -92,16 +92,16 @@ class ClientReply:
 # -- frames ---------------------------------------------------------------
 #
 # The ``cli`` row of the side-frame table, spelled per direction; ``fmt``
-# is a connection's negotiated wire format.
+# is the wire format object, :data:`~repro.realnet.codec_bin.BIN_FORMAT`.
 
 
 def client_request_frame(fmt: Any, request: ClientRequest) -> bytes:
-    """One framed client request in the connection's negotiated format."""
+    """One framed client request."""
     return fmt.frame_side("cli", request)
 
 
 def client_reply_frame(fmt: Any, reply: ClientReply) -> bytes:
-    """One framed client reply in the connection's negotiated format."""
+    """One framed client reply."""
     return fmt.frame_side("cli", reply, True)
 
 

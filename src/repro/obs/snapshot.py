@@ -4,9 +4,9 @@ A :class:`MetricsSnapshot` is a point-in-time copy of a registry: a flat
 tuple of :class:`MetricSample` rows, sorted by ``(name, labels)`` so two
 snapshots of equal state serialize byte-identically.  Both types are
 plain frozen dataclasses built from the wire codec's value vocabulary
-(strings, floats, ints, nested tuples), so they are registered with the
-JSON and bin1 codecs (see :mod:`repro.realnet.codec`) and travel the
-link protocol for ``repro obs watch``.
+(strings, floats, ints, nested tuples), so they are registered wire
+payloads (see :mod:`repro.realnet.codec`) and travel the link protocol
+for ``repro obs watch``.
 
 Merging snapshots sums counters, gauges and histograms key-wise.  That
 matches the merge semantics of the underlying quantities (per-node

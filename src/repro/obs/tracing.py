@@ -15,7 +15,7 @@ Determinism: span identifiers come from a per-tracer counter salted
 with the node's site, never from randomness or wall time, so a seeded
 simulator run produces byte-identical traces.  Tracing is off by
 default; when off, every context field stays ``None`` and costs zero
-bytes on the wire (both codecs elide ``None``-default fields).
+bytes on the wire (bin1 elides trailing ``None``-default fields).
 
 Span taxonomy (see docs/observability.md for the full contract):
 

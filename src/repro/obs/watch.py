@@ -44,12 +44,12 @@ _REQUEST_TIMEOUT = 5.0
 
 
 async def _fetch_obs(
-    host: str, port: int, what: str, expect: type, codec: str, timeout: float
+    host: str, port: int, what: str, expect: type, timeout: float
 ) -> Any:
-    """One negotiated obs round trip for ``what``, an ``expect``."""
+    """One obs round trip for ``what``, an ``expect``."""
 
     async def _go() -> Any:
-        conn = await SideConn.open(host, port, codec)
+        conn = await SideConn.open(host, port)
         try:
             await conn.send("obs", what)
             return await conn.recv("obs")
@@ -66,31 +66,28 @@ async def fetch_snapshot(
     host: str,
     port: int,
     *,
-    codec: str = "bin",
     timeout: float = _REQUEST_TIMEOUT,
 ) -> MetricsSnapshot:
-    """Dial one node, negotiate, request and return its snapshot."""
-    return await _fetch_obs(host, port, "snapshot", MetricsSnapshot, codec, timeout)
+    """Dial one node, request and return its snapshot."""
+    return await _fetch_obs(host, port, "snapshot", MetricsSnapshot, timeout)
 
 
 async def fetch_trace(
     host: str,
     port: int,
     *,
-    codec: str = "bin",
     timeout: float = _REQUEST_TIMEOUT,
 ) -> TraceDump:
     """Pull one node's flight recorder (a TraceDump).
 
     Times out (the node never answers) when the node has no tracer.
     """
-    return await _fetch_obs(host, port, "trace", TraceDump, codec, timeout)
+    return await _fetch_obs(host, port, "trace", TraceDump, timeout)
 
 
 async def fetch_snapshots(
     targets: Sequence[tuple[str, int]],
     *,
-    codec: str = "bin",
     timeout: float = _REQUEST_TIMEOUT,
     on_skip: Callable[[], None] | None = None,
 ) -> list[MetricsSnapshot | None]:
@@ -103,7 +100,7 @@ async def fetch_snapshots(
 
     async def _one(host: str, port: int) -> MetricsSnapshot | None:
         try:
-            return await fetch_snapshot(host, port, codec=codec, timeout=timeout)
+            return await fetch_snapshot(host, port, timeout=timeout)
         except CONN_LOST:
             if on_skip is not None:
                 on_skip()
@@ -117,14 +114,13 @@ async def fetch_snapshots(
 async def fetch_traces(
     targets: Sequence[tuple[str, int]],
     *,
-    codec: str = "bin",
     timeout: float = _REQUEST_TIMEOUT,
 ) -> list[Any]:
     """Pull every target's flight recorder; traceless nodes yield None."""
 
     async def _one(host: str, port: int) -> Any:
         try:
-            return await fetch_trace(host, port, codec=codec, timeout=timeout)
+            return await fetch_trace(host, port, timeout=timeout)
         except CONN_LOST:
             return None
 
@@ -187,7 +183,6 @@ def watch(
     *,
     interval: float = 2.0,
     count: int = 0,
-    codec: str = "bin",
     out: Callable[[str], None] = print,
     registry: Any = None,
 ) -> int:
@@ -218,7 +213,7 @@ def watch(
     try:
         while True:
             snapshots = asyncio.run(
-                fetch_snapshots(targets, codec=codec, on_skip=on_skip)
+                fetch_snapshots(targets, on_skip=on_skip)
             )
             any_alive = any(s is not None for s in snapshots)
             stamp = time.strftime("%H:%M:%S")

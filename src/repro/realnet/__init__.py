@@ -9,7 +9,7 @@ event loop and TCP:
 * :class:`WallClockScheduler` — :class:`~repro.ports.SchedulerPort`
   over ``loop.call_at``;
 * :class:`RealNetwork` — :class:`~repro.ports.NetworkPort` over
-  length-prefixed JSON frames on per-peer TCP links, with injected
+  length-prefixed ``bin1`` frames on per-peer TCP links, with injected
   loss/latency and a firewall predicate so the simulator's fault knobs
   carry over to live sockets;
 * :class:`RealNode` / :class:`RealCluster` — per-site harness and
@@ -22,7 +22,8 @@ event loop and TCP:
   thread) so synchronous harness code — workloads, invariant monitors,
   the CLI — drives either wall-clock adapter exactly like a simulated
   cluster;
-* :mod:`repro.realnet.codec` — the wire format (see docs/protocol.md).
+* :mod:`repro.realnet.codec` / :mod:`repro.realnet.codec_bin` — the
+  payload registry and the wire format (see docs/protocol.md).
 
 The protocol layers are byte-identical between backends; nothing in
 fd/gms/vsync/evs knows which one it is running on.
@@ -30,12 +31,7 @@ fd/gms/vsync/evs knows which one it is running on.
 
 from repro.realnet.cluster import RealCluster
 from repro.realnet.driver import RealClusterDriver
-from repro.realnet.codec import (
-    MAX_FRAME_BYTES,
-    decode_value,
-    encode_value,
-    register_payload,
-)
+from repro.realnet.codec import MAX_FRAME_BYTES, register_payload
 from repro.realnet.network import RealNetwork
 from repro.realnet.node import RealNode, realnet_stack_config, run_standalone
 from repro.realnet.wallclock import WallClockEvent, WallClockScheduler
@@ -48,8 +44,6 @@ __all__ = [
     "RealNode",
     "WallClockEvent",
     "WallClockScheduler",
-    "decode_value",
-    "encode_value",
     "realnet_stack_config",
     "register_payload",
     "run_standalone",

@@ -1,51 +1,35 @@
-"""Wire codec: protocol payloads <-> length-prefixed JSON frames.
+"""The wire's payload registry and its JSON handshake frames.
 
 The protocol stacks exchange frozen dataclasses built from a small
 vocabulary of shapes — identifiers, tuples, frozensets, mappings and
-opaque application payloads.  The codec walks that shape recursively and
-emits plain JSON with explicit type tags, so a frame is self-describing
-and debuggable with ``jq`` on a packet capture:
+opaque application payloads.  Every wire dataclass of the stack is
+registered here by class name; a deployment embedding its own
+application payload types registers them with :func:`register_payload`
+on both ends.  The ``bin1`` codec (:mod:`repro.realnet.codec_bin`)
+numbers the registered classes and encodes their fields positionally,
+so both ends must hold the same registry: its schema fingerprint is
+what the handshake compares.  Decoding an unregistered class id raises
+:class:`~repro.errors.CodecError` — a version-skewed or malicious peer
+cannot instantiate arbitrary classes.
 
-===========================  =============================================
-Python value                 JSON encoding
-===========================  =============================================
-None / bool / int / str      itself
-float                        ``{"__f__": value-or-"inf"/"-inf"/"nan"}``
-list                         ``[...]`` (elements encoded)
-tuple                        ``{"__t__": [...]}``
-frozenset / set              ``{"__fs__"/"__s__": [...]}``
-dict                         ``{"__d__": [[key, value], ...]}``
-registered dataclass         ``{"__c__": "ClassName", "f": {field: ...}}``
-===========================  =============================================
-
-Dicts are encoded as pair lists because protocol mappings are keyed by
-identifiers (e.g. ``VcInstall.predecessors`` maps :class:`ViewId` to
-plans), which JSON objects cannot express.  Floats are tagged so ints
-and floats survive the round trip distinguishably and the non-finite
-values JSON rejects still travel.
-
-Every wire dataclass of the stack is registered here by class name; a
-deployment embedding its own application payload types registers them
-with :func:`register_payload` on both ends.  Decoding an unregistered
-tag raises :class:`~repro.errors.CodecError` — a version-skewed or
-malicious peer cannot instantiate arbitrary classes.
-
-Frames on the socket are ``4-byte big-endian length + UTF-8 JSON body``,
-capped at :data:`MAX_FRAME_BYTES` (a corrupt length prefix must not make
-a reader allocate gigabytes).  See docs/protocol.md ("Wire format").
+Frames on the socket are ``4-byte big-endian length + body``, capped
+at :data:`MAX_FRAME_BYTES` (a corrupt length prefix must not make a
+reader allocate gigabytes).  The two handshake frames (``hello`` and
+``welcome``) have a small JSON object for a body
+(:func:`encode_frame` / :func:`decode_frame_body`); every later frame
+is ``bin1``.  See docs/protocol.md §7.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from typing import Any
 
 from repro.errors import CodecError
 
-#: Hard ceiling on one frame's JSON body (16 MiB).
+#: Hard ceiling on one frame's body (16 MiB).
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
@@ -73,105 +57,11 @@ def registered_payloads() -> dict[str, type]:
     return dict(_REGISTRY)
 
 
-# -- value codec ----------------------------------------------------------
-
-#: Per-class cache: field names whose declared default is ``None``.
-#: Such fields are elided from the encoding when their value is None —
-#: the decoder already tolerates missing fields — so optional context
-#: fields (tracing) cost zero wire bytes while unused.
-_NONE_DEFAULT_FIELDS: dict[type, frozenset] = {}
-
-
-def _none_default_fields(cls: type) -> frozenset:
-    cached = _NONE_DEFAULT_FIELDS.get(cls)
-    if cached is None:
-        cached = _NONE_DEFAULT_FIELDS[cls] = frozenset(
-            f.name for f in fields(cls) if f.default is None
-        )
-    return cached
-
-
-def encode_value(value: Any) -> Any:
-    """Encode ``value`` into the JSON-safe tagged representation."""
-    if value is None or value is True or value is False:
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return {"__f__": value}
-        return {"__f__": "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")}
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list):
-        return [encode_value(item) for item in value]
-    if isinstance(value, tuple):
-        return {"__t__": [encode_value(item) for item in value]}
-    if isinstance(value, frozenset):
-        return {"__fs__": [encode_value(item) for item in value]}
-    if isinstance(value, set):
-        return {"__s__": [encode_value(item) for item in value]}
-    if isinstance(value, dict):
-        return {"__d__": [[encode_value(k), encode_value(v)] for k, v in value.items()]}
-    if is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        if _REGISTRY.get(name) is not type(value):
-            raise CodecError(
-                f"unregistered dataclass on the wire: {type(value).__module__}.{name}"
-            )
-        elidable = _none_default_fields(type(value))
-        encoded_fields = {}
-        for f in fields(value):
-            item = getattr(value, f.name)
-            if item is None and f.name in elidable:
-                continue
-            encoded_fields[f.name] = encode_value(item)
-        return {"__c__": name, "f": encoded_fields}
-    raise CodecError(f"cannot encode {type(value).__name__} value for the wire: {value!r}")
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):  # a bare float only via hand-written JSON
-        return value
-    if isinstance(value, list):
-        return [decode_value(item) for item in value]
-    if isinstance(value, dict):
-        if "__f__" in value:
-            raw = value["__f__"]
-            return float(raw)
-        if "__t__" in value:
-            return tuple(decode_value(item) for item in value["__t__"])
-        if "__fs__" in value:
-            return frozenset(decode_value(item) for item in value["__fs__"])
-        if "__s__" in value:
-            return {decode_value(item) for item in value["__s__"]}
-        if "__d__" in value:
-            return {decode_value(k): decode_value(v) for k, v in value["__d__"]}
-        if "__c__" in value:
-            name = value["__c__"]
-            cls = _REGISTRY.get(name)
-            if cls is None:
-                raise CodecError(f"unknown wire payload type: {name!r}")
-            raw_fields = value.get("f", {})
-            if not isinstance(raw_fields, dict):
-                raise CodecError(f"{name}: wire fields are not an object")
-            known = {f.name for f in fields(cls)}
-            unknown = set(raw_fields) - known
-            if unknown:
-                raise CodecError(f"{name}: unknown wire fields {sorted(unknown)}")
-            return cls(**{k: decode_value(v) for k, v in raw_fields.items()})
-        raise CodecError(f"untagged JSON object on the wire: {sorted(value)[:4]}")
-    raise CodecError(f"cannot decode wire value of type {type(value).__name__}")
-
-
 # -- frame codec ----------------------------------------------------------
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
-    """Serialize one frame dict to ``length-prefix + JSON`` bytes."""
+    """Serialize one handshake frame dict to ``length-prefix + JSON`` bytes."""
     body = json.dumps(frame, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise CodecError(f"frame of {len(body)} bytes exceeds cap {MAX_FRAME_BYTES}")
@@ -179,7 +69,7 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
 
 
 def decode_frame_body(body: bytes) -> dict[str, Any]:
-    """Parse one frame body; raises :class:`CodecError` on garbage."""
+    """Parse one handshake frame body; raises :class:`CodecError` on garbage."""
     try:
         frame = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -269,10 +159,10 @@ def _register_harness_payloads() -> None:
 
 
 def _register_obs_payloads() -> None:
-    """Metric-snapshot and tracing payloads for the ``obs`` side frames:
-    registered with both wire codecs so a watch/trace client can poll
-    mixed-codec clusters, and so :class:`~repro.obs.tracing.TraceCtx`
-    can ride inside any protocol payload."""
+    """Metric-snapshot and tracing payloads for the ``obs`` side frames,
+    registered so a watch/trace client can poll any node, and so
+    :class:`~repro.obs.tracing.TraceCtx` can ride inside any protocol
+    payload."""
     from repro.obs.snapshot import MetricSample, MetricsSnapshot
     from repro.obs.tracing import SpanEvent, TraceCtx, TraceDump
 

@@ -1,61 +1,43 @@
-"""Compact binary wire codec + the wire-format negotiation layer.
+"""The wire codec, ``bin1``: protocol payloads <-> compact binary bodies.
 
-The tagged-JSON codec (:mod:`repro.realnet.codec`) is self-describing
-and ``jq``-able, but it pays for that on every frame: the value walk
-allocates a tagged intermediate structure, ``json.dumps`` re-serializes
-the whole frame per destination, and identifiers explode into
-``{"__c__": "ProcessId", "f": {...}}`` objects many times their
-information content.  Group-communication systems in this paper's
-lineage (Isis/Horus, Spread) all moved to compact binary framing for
-exactly this reason: codec cost dominates small-multicast throughput.
-
-This module provides the binary alternative, ``bin1``:
+Every frame on a node socket after the handshake is a 4-byte
+big-endian length plus a ``bin1`` body, capped at
+:data:`~repro.realnet.codec.MAX_FRAME_BYTES`:
 
 * **Values** are encoded with one tag byte per value: varint (LEB128,
   zigzag for sign) integers, raw 8-byte doubles (so ``inf``/``nan``
   travel natively), length-prefixed UTF-8 strings, count-prefixed
-  containers, and — the payoff — registered dataclasses as a *class id
-  plus positional fields*, no field names on the wire.  Small ints
-  (0..127, the bulk of protocol traffic: sites, seqnos, epochs) are a
-  single byte.
+  containers, and registered dataclasses as a *class id plus
+  positional fields*, no field names on the wire.  Small ints (0..127,
+  the bulk of protocol traffic: sites, seqnos, epochs) are a single
+  byte.
 * **Field tables** are derived from the shared payload registry in
   :mod:`repro.realnet.codec`: classes are numbered in sorted-name
   order, fields in dataclass declaration order.  Positional encoding
-  only works when both ends agree on the layout, so a **schema
-  fingerprint** (hash over every registered class's name and field
-  names) is exchanged in the ``hello`` handshake; peers whose
-  fingerprints differ fall back to JSON instead of mis-decoding.
-* **Negotiation**: the dialing side lists the formats it speaks in its
-  (always-JSON) ``hello``; the server picks the first mutually
-  supported one — binary only on a fingerprint match — and answers
-  with a ``welcome`` naming the choice.  A JSON-only peer therefore
-  interoperates with a binary-capable one automatically, and ``bin1``
-  upgrades nothing unless both ends prove they share a schema.
+  only works when both ends agree on the layout, so the dialer's
+  ``hello`` carries a **schema fingerprint** (hash over every
+  registered class's name and field names), and a server whose own
+  fingerprint differs refuses the connection instead of mis-decoding.
 
-Both formats are wrapped in :class:`WireFormat` objects with a common
-surface (``encode_payload`` / ``frame_msg`` / ``parse_msg`` for protocol
-messages, ``frame_side`` / ``parse_side`` for everything else on the
-socket, see :data:`SIDE_KINDS`) so the transport — and every client of
-a node socket — treats the codec as per-connection state.  Framing on the
-socket is unchanged — 4-byte big-endian length + body, capped at
-:data:`~repro.realnet.codec.MAX_FRAME_BYTES` — only the body bytes
-differ.  See docs/protocol.md §7.
+:data:`BIN_FORMAT` carries the codec's surface (``encode_payload`` /
+``frame_msg_into`` / ``parse_msg_at`` for protocol messages,
+``frame_side`` / ``parse_side`` for everything else on the socket, see
+:data:`SIDE_KINDS`).  See docs/protocol.md §7.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from repro.errors import CodecError
-from repro.realnet import codec as _json_codec
 from repro.realnet.codec import MAX_FRAME_BYTES, _LEN, _REGISTRY
 from repro.types import ProcessId, ViewId
 
-FORMAT_JSON = "json"
+#: The body format's name in the handshake frames.
 FORMAT_BIN = "bin1"
 
 #: What well-framed garbage raises below the codec's own checks: a
@@ -89,38 +71,30 @@ _F64 = struct.Struct(">d")
 
 #: Frame-kind byte opening a binary ``msg`` body (the side kinds'
 #: bytes are in :data:`SIDE_KINDS`).  Unknown kinds are ignored (future
-#: compatibility), mirroring the JSON server loop.
+#: compatibility).
 MSG_KIND = 0x01
 
 
 class SideKind(NamedTuple):
     """One row of the side-frame table: how a kind looks on the wire."""
 
-    byte: int  # bin1 frame-kind byte (requests and replies alike)
-    request: str  # JSON "k" of a request
-    reply: str  # JSON "k" of a reply
+    byte: int  # frame-kind byte (requests and replies alike)
     request_types: tuple[str, ...]  # payload type names a request may carry
     reply_types: tuple[str, ...]
 
 
 #: Every frame kind on a node socket other than ``msg``, by name: a side
-#: frame is its kind plus ONE value in the connection's format (bin1
-#: ``byte . value``, JSON ``{"k": name, "p": tagged value}``), sent by
-#: an outside dialer and answered with frames of the same kind.  Payload
+#: frame is its kind byte plus ONE value, sent by an outside dialer and
+#: answered with frames of the same kind.  Payload
 #: types are named, not imported: the decoders only build builtins and
 #: registered classes, whose names are unique.  docs/protocol.md §7.
 SIDE_KINDS: dict[str, SideKind] = {
-    "obs": SideKind(0x02, "obs_req", "obs_rep", ("str",), ("MetricsSnapshot", "TraceDump")),
-    "ctl": SideKind(0x03, "ctl", "ctl_r", ("tuple",), ("tuple",)),
-    "cli": SideKind(0x04, "cli_req", "cli_rep", ("ClientRequest",), ("ClientReply",)),
+    "obs": SideKind(0x02, ("str",), ("MetricsSnapshot", "TraceDump")),
+    "ctl": SideKind(0x03, ("tuple",), ("tuple",)),
+    "cli": SideKind(0x04, ("ClientRequest",), ("ClientReply",)),
 }
 
 _SIDE_BY_BYTE = {row.byte: kind for kind, row in SIDE_KINDS.items()}
-#: Indexed by ``reply``: JSON frame name -> kind.
-_SIDE_BY_JSON = (
-    {row.request: kind for kind, row in SIDE_KINDS.items()},
-    {row.reply: kind for kind, row in SIDE_KINDS.items()},
-)
 
 
 def _side(kind: str, value: Any, reply: bool) -> tuple[str, Any]:
@@ -232,8 +206,8 @@ def class_table() -> _ClassTable:
 def schema_fingerprint() -> str:
     """Hash of every registered class's name + field layout.
 
-    Exchanged in the ``hello`` handshake: binary encoding is positional,
-    so it is only enabled between peers with identical fingerprints.
+    Carried by the ``hello`` handshake: the encoding is positional, so
+    a server only accepts a dialer whose fingerprint equals its own.
     """
     return class_table().fingerprint
 
@@ -247,8 +221,8 @@ def schema_fingerprint() -> str:
 # single dict lookup per value — no isinstance chain, no per-value
 # varint rendering for the class header.  Values whose exact type is
 # not in the table (bool/int/str subclasses, unregistered classes) take
-# the slow fallback, which defers to the JSON codec's vocabulary check
-# so both codecs accept and reject exactly the same values.
+# the slow fallback, which encodes the scalar subclasses as their base
+# type and rejects everything else.
 
 
 def _enc_uvarint(out: bytearray, value: int) -> None:
@@ -411,8 +385,12 @@ def _enc_fallback(out: bytearray, value: Any) -> None:
     if isinstance(value, str):
         _enc_str(out, str(value))
         return
-    _json_codec.encode_value(value)  # raises CodecError with the canonical message
-    raise CodecError(f"cannot binary-encode {type(value).__name__} value: {value!r}")
+    if is_dataclass(value) and not isinstance(value, type):
+        raise CodecError(
+            f"unregistered dataclass on the wire: "
+            f"{type(value).__module__}.{type(value).__name__}"
+        )
+    raise CodecError(f"cannot encode {type(value).__name__} value for the wire: {value!r}")
 
 
 def _enc(out: bytearray, value: Any) -> None:
@@ -584,15 +562,6 @@ def decode_value_bin(data: bytes) -> Any:
     return value
 
 
-def _decode_json(value: Any) -> Any:
-    """The JSON codec's ``decode_value``, reporting
-    :data:`_DECODE_ERRORS` as :class:`CodecError`."""
-    try:
-        return _json_codec.decode_value(value)
-    except _DECODE_ERRORS as exc:
-        raise _garbage(exc) from None
-
-
 # -- wire formats ---------------------------------------------------------
 
 
@@ -619,95 +588,8 @@ class ParsedMsg:
         return self._thunk()
 
 
-class JsonWireFormat:
-    """The PR-2 tagged-JSON data path behind the common format surface."""
-
-    name = FORMAT_JSON
-    binary = False
-
-    def encode_payload(self, payload: Any) -> Any:
-        return _json_codec.encode_value(payload)
-
-    def frame_msg(
-        self,
-        src: tuple[int, int],
-        dst_site: int,
-        dst_inc: int | None,
-        encoded_payload: Any,
-    ) -> bytes:
-        return _json_codec.encode_frame(
-            {
-                "k": "msg",
-                "src": [src[0], src[1]],
-                "ds": dst_site,
-                "di": dst_inc,
-                "p": encoded_payload,
-            }
-        )
-
-    def frame_msg_into(
-        self,
-        out: bytearray,
-        src: tuple[int, int],
-        dst_site: int,
-        dst_inc: int | None,
-        encoded_payload: Any,
-    ) -> None:
-        """Append one framed msg to ``out`` (JSON has no zero-copy path)."""
-        out += self.frame_msg(src, dst_site, dst_inc, encoded_payload)
-
-    def parse_msg_at(
-        self, buf: bytes | bytearray, start: int, end: int
-    ) -> ParsedMsg | None:
-        """Parse the frame body occupying ``buf[start:end]``.
-
-        JSON bodies need a contiguous ``bytes`` for the decoder anyway,
-        so this copies the slice; the zero-copy win is binary-only.
-        """
-        return self.parse_msg(bytes(buf[start:end]))
-
-    def parse_msg(self, body: bytes) -> ParsedMsg | None:
-        frame = _json_codec.decode_frame_body(body)
-        if frame.get("k") != "msg":
-            return None  # future frame kinds: ignore, don't kill the link
-        try:
-            src_site, src_inc = frame["src"]
-            dst_site = frame["ds"]
-            dst_inc = frame["di"]
-        except (KeyError, TypeError, ValueError):
-            raise CodecError("malformed msg frame header") from None
-        return ParsedMsg(
-            src_site,
-            src_inc,
-            dst_site,
-            dst_inc,
-            lambda: _decode_json(frame.get("p")),
-        )
-
-    def frame_side(self, kind: str, value: Any, reply: bool = False) -> bytes:
-        """One framed side request (or reply) of ``kind`` carrying ``value``."""
-        row = SIDE_KINDS[kind]
-        return _json_codec.encode_frame(
-            {
-                "k": row.reply if reply else row.request,
-                "p": _json_codec.encode_value(value),
-            }
-        )
-
-    def parse_side(
-        self, buf: bytes | bytearray, start: int, end: int, reply: bool = False
-    ) -> tuple[str, Any] | None:
-        """``(kind, value)`` of the side request (or reply) occupying
-        ``buf[start:end]``; None for a ``msg`` or unknown frame kind."""
-        frame = _json_codec.decode_frame_body(bytes(buf[start:end]))
-        kind = _SIDE_BY_JSON[reply].get(frame.get("k"))
-        if kind is None:
-            return None
-        return _side(kind, _decode_json(frame.get("p")), reply)
-
-
 class BinWireFormat:
-    """``bin1``: positional binary bodies behind the same surface.
+    """``bin1``: positional binary bodies.
 
     Body layout (after the shared 4-byte length prefix)::
 
@@ -718,9 +600,6 @@ class BinWireFormat:
     Sites and incarnations use the zigzag varint (sites are ints by
     contract but nothing forces them non-negative).
     """
-
-    name = FORMAT_BIN
-    binary = True
 
     def __init__(self) -> None:
         # (src, dst_site, dst_inc) -> rendered header bytes.  A node
@@ -847,7 +726,7 @@ class BinWireFormat:
 
     def frame_side(self, kind: str, value: Any, reply: bool = False) -> bytes:
         """One framed side frame; the kind byte is the same both ways
-        (``reply`` only matters to the JSON format's frame names)."""
+        (``reply`` is accepted for symmetry with :meth:`parse_side`)."""
         packer_table()
         out = bytearray((0, 0, 0, 0, SIDE_KINDS[kind].byte))
         _enc(out, value)
@@ -879,46 +758,4 @@ class BinWireFormat:
         return _side(kind, value, reply)
 
 
-JSON_FORMAT = JsonWireFormat()
 BIN_FORMAT = BinWireFormat()
-
-#: Every format this build can speak, by wire name.
-WIRE_FORMATS: dict[str, Any] = {FORMAT_JSON: JSON_FORMAT, FORMAT_BIN: BIN_FORMAT}
-
-
-# -- negotiation ----------------------------------------------------------
-
-
-def supported_formats(codec: str) -> tuple[str, ...]:
-    """Preference list for a node configured with ``codec``.
-
-    ``"bin"``/``"bin1"`` nodes offer (and accept) binary first with a
-    JSON fallback; ``"json"`` nodes are JSON-only (the debug/compat
-    mode — also what a pre-binary peer effectively offers).
-    """
-    if codec in (FORMAT_JSON,):
-        return (FORMAT_JSON,)
-    if codec in ("bin", FORMAT_BIN):
-        return (FORMAT_BIN, FORMAT_JSON)
-    raise CodecError(f"unknown wire codec {codec!r} (expected 'bin' or 'json')")
-
-
-def choose_format(
-    offered: Any, peer_schema: Any, accept: tuple[str, ...]
-) -> str:
-    """Server-side pick: first mutually supported format, JSON fallback.
-
-    Binary formats are only chosen when the peer's schema fingerprint
-    matches ours — positional field tables must agree exactly.  A hello
-    without a ``codecs`` list (a pre-binary peer) yields JSON.
-    """
-    if not isinstance(offered, (list, tuple)):
-        return FORMAT_JSON
-    local = schema_fingerprint()
-    for name in offered:
-        if name not in accept or name not in WIRE_FORMATS:
-            continue
-        if WIRE_FORMATS[name].binary and peer_schema != local:
-            continue
-        return name
-    return FORMAT_JSON

@@ -41,12 +41,7 @@ from typing import Any, Callable, Iterable
 from repro.errors import TransportError
 from repro.net.network import NetworkStats
 from repro.ports import ProcessPort
-from repro.realnet.codec_bin import (
-    WIRE_FORMATS,
-    ParsedMsg,
-    process_id,
-    supported_formats,
-)
+from repro.realnet.codec_bin import BIN_FORMAT, ParsedMsg, process_id
 from repro.realnet.transport import (
     BATCH_BYTES,
     FrameServer,
@@ -79,7 +74,6 @@ class RealNetwork:
         latency: Any = None,
         rng: RngStreams | None = None,
         detailed_stats: bool = True,
-        codec: str = "bin",
         batch_bytes: int | None = None,
         quiet: bool = True,
     ) -> None:
@@ -93,8 +87,6 @@ class RealNetwork:
         self.latency = latency
         self._rng = (rng or RngStreams(0)).stream(f"realnet.{site}")
         self.stats = NetworkStats(detailed=detailed_stats)
-        self._formats = supported_formats(codec)
-        self._preferred = WIRE_FORMATS[self._formats[0]]
         self._batch_bytes = BATCH_BYTES if batch_bytes is None else batch_bytes
         if not quiet:
             enable_stderr_logging()
@@ -121,7 +113,6 @@ class RealNetwork:
             raise TransportError(f"site {self.site}: transport already started")
         self._server = FrameServer(
             self.host, self._requested_port, self._on_msg,
-            accept_formats=self._formats,
             on_side=self._on_side,
             on_read_end=self._end_input_batch,
         )
@@ -162,14 +153,14 @@ class RealNetwork:
         stats.sent += 1
         if stats.detailed:
             stats.record_type(payload)
-        self._transmit(dst.site, dst.incarnation, payload, {})
+        self._transmit(dst.site, dst.incarnation, payload)
 
     def send_to_site(self, src: ProcessId, site: SiteId, payload: Any) -> None:
         stats = self.stats
         stats.sent += 1
         if stats.detailed:
             stats.record_type(payload)
-        self._transmit(site, None, payload, {})
+        self._transmit(site, None, payload)
 
     def multicast(self, src: ProcessId, dsts: Iterable[ProcessId], payload: Any) -> None:
         self._fan_out(tuple((d.site, d.incarnation) for d in dsts), payload)
@@ -180,24 +171,25 @@ class RealNetwork:
     def _fan_out(
         self, targets: tuple[tuple[SiteId, int | None], ...], payload: Any
     ) -> None:
-        """Shared fan-out: one payload-encoding cell across every target."""
+        """Shared fan-out: one payload encoding across every target."""
         stats = self.stats
         stats.sent += len(targets)
         if stats.detailed:
             for _ in targets:
                 stats.record_type(payload)
-        cell: dict[str, Any] = {}
+        encoded = None
         for site, incarnation in targets:
-            self._transmit(site, incarnation, payload, cell)
+            encoded = self._transmit(site, incarnation, payload, encoded)
 
     def _transmit(
         self,
         dst_site: SiteId,
         dst_inc: int | None,
         payload: Any,
-        cell: dict[str, Any],
-    ) -> None:
-        """Route one payload; ``cell`` shares encodings across a fan-out.
+        encoded: bytes | None = None,
+    ) -> bytes | None:
+        """Route one payload; returns its encoding (``encoded``, or the
+        one made here) so a fan-out encodes it at most once.
 
         Drop accounting mirrors the simulator: unknown/unreachable site
         -> ``dropped_dead``, firewall -> ``dropped_partition``, injected
@@ -206,30 +198,30 @@ class RealNetwork:
         stats = self.stats
         if not self.connectivity(self.site, dst_site):
             stats.dropped_partition += 1
-            return
+            return encoded
         if self.loss_prob > 0 and self._rng.random() < self.loss_prob:
             stats.dropped_loss += 1
-            return
+            return encoded
         delay = self.latency.sample(self._rng) if self.latency is not None else 0.0
         if dst_site == self.site:
             # Loop back locally — but never synchronously: the stack
             # must not be reentered before its send() returns.
             self.scheduler.fire_after(delay, self._deliver_local, dst_inc, payload)
-            return
+            return encoded
         if dst_site not in self.address_book:
             stats.dropped_dead += 1
-            return
-        fmt = self._preferred
-        if fmt.name not in cell:
-            # Encode eagerly in our preferred format: the work is shared
-            # across the fan-out and an unencodable payload raises here,
-            # in the sender's context, not in a background link task.
-            cell[fmt.name] = fmt.encode_payload(payload)
-        msg = OutMessage(dst_inc, payload, cell)
+            return encoded
+        if encoded is None:
+            # Encode eagerly: the work is shared across the fan-out and
+            # an unencodable payload raises here, in the sender's
+            # context, not in a background link task.
+            encoded = BIN_FORMAT.encode_payload(payload)
+        msg = OutMessage(dst_inc, encoded)
         if delay > 0:
             self.scheduler.fire_after(delay, self._offer, dst_site, msg)
         else:
             self._offer(dst_site, msg)
+        return encoded
 
     def _offer(self, dst_site: SiteId, msg: OutMessage) -> None:
         link = self._links.get(dst_site)
@@ -240,7 +232,6 @@ class RealNetwork:
                 src=(pid.site, pid.incarnation),
                 dst_site=dst_site,
                 resolve=lambda site=dst_site: self.address_book.get(site),
-                offer_formats=self._formats,
                 batch_bytes=self._batch_bytes,
             )
             self._links[dst_site] = link
@@ -328,11 +319,8 @@ class RealNetwork:
         return self.address_book.get(self.site)
 
     def link_stats(self) -> dict[SiteId, dict[str, Any]]:
-        """Per-peer link counters, including batching and codec state."""
-        return {
-            site: {**link.stats(), "codec": link.wire_format}
-            for site, link in sorted(self._links.items())
-        }
+        """Per-peer link counters, including batching state."""
+        return {site: link.stats() for site, link in sorted(self._links.items())}
 
     def transport_stats(self) -> dict[str, Any]:
         """This node's wire totals: links + server, one flat dict."""
@@ -353,15 +341,12 @@ class RealNetwork:
             "bad_connections": 0,
             "bad_frames": 0,
         }
-        codecs: dict[str, int] = {}
         for link in self._links.values():
             for key, value in link.stats().items():
                 if key == "max_batch":
                     totals[key] = max(totals[key], value)
                 else:
                     totals[key] += value
-            if link.wire_format is not None:
-                codecs[link.wire_format] = codecs.get(link.wire_format, 0) + 1
         server = self._server
         if server is not None:
             totals["frames_received"] = server.frames_received
@@ -370,7 +355,6 @@ class RealNetwork:
             totals["max_frames_per_read"] = server.max_frames_per_read
             totals["bad_connections"] = server.bad_connections
             totals["bad_frames"] = server.bad_frames
-        totals["codecs"] = codecs
         return totals
 
     def frames_received(self) -> int:

@@ -125,7 +125,6 @@ class RealNode:
             loss_prob=config.loss_prob,
             latency=config.latency,
             detailed_stats=config.detailed_stats,
-            codec=config.codec,
             batch_bytes=config.batch_bytes,
             quiet=config.quiet,
         )

@@ -85,16 +85,15 @@ class _CtlClient:
     request: that one dials afresh.
     """
 
-    def __init__(self, name: str, host: str, port: int, codec: str) -> None:
+    def __init__(self, name: str, host: str, port: int) -> None:
         self.name = name
         self._host = host
         self._port = port
-        self._codec = codec
         self._lock = asyncio.Lock()
         self._conn: SideConn | None = None
 
     async def connect(self) -> None:
-        self._conn = await SideConn.open(self._host, self._port, self._codec)
+        self._conn = await SideConn.open(self._host, self._port)
 
     async def aclose(self) -> None:
         conn, self._conn = self._conn, None
@@ -318,7 +317,7 @@ class ProcCluster(WallClockCluster):
 
     async def _connect_ctl(self, site: SiteId) -> None:
         host, port = self.address_book[site]
-        client = _CtlClient(f"site{site}", host, port, self.config.codec)
+        client = _CtlClient(f"site{site}", host, port)
         deadline = asyncio.get_running_loop().time() + self.config.startup_timeout
         while True:
             proc = self._procs.get(site)

@@ -199,7 +199,7 @@ class NodeSupervisor:
         if op == "flight":
             # The flight recorder's current ring (None without tracing);
             # TraceDump is codec-registered, so it crosses the control
-            # protocol in either negotiated format.
+            # protocol like any other value.
             return self.flight.dump() if self.flight is not None else None
         if op == "net_stats":
             return self._net_stats()

@@ -3,15 +3,14 @@
 Connections are **unidirectional** for protocol traffic: a node dials
 one outbound link per peer site and only ever writes ``msg`` frames on
 it; its server socket only ever reads them.  The single exception is
-the handshake (:func:`handshake`) — the dialer opens with a JSON
-``hello`` naming the wire formats it speaks (and its payload-schema
-fingerprint), the server answers with one JSON ``welcome`` naming the
-format it picked (see :func:`~repro.realnet.codec_bin.choose_format`),
-and everything after that travels in the negotiated format.  A
-JSON-only peer and a binary-capable peer therefore interoperate without
-configuration.  Whoever is not a site — store clients, the process
-driver, ``repro obs`` — dials the same socket through a
-:class:`SideConn` and exchanges *side frames*
+the handshake (:func:`handshake`) — the dialer opens with a fixed JSON
+``hello`` carrying its payload-schema fingerprint, the server answers
+with one fixed JSON ``welcome``, and everything after that travels in
+``bin1`` (:mod:`repro.realnet.codec_bin`).  A server whose own
+fingerprint differs refuses the dial: it closes the connection without
+a welcome, so the dialer sees EOF at once.  Whoever is not a site —
+store clients, the process driver, ``repro obs`` — dials the same
+socket through a :class:`SideConn` and exchanges *side frames*
 (:data:`~repro.realnet.codec_bin.SIDE_KINDS`), which the server decodes
 once and hands to its ``on_side`` callback with a reply function.
 
@@ -21,9 +20,9 @@ of a turn schedules one ``loop.call_soon`` callback, and when the loop
 reaches it every message the turn produced for that peer — a burst's
 multicasts, a read buffer's worth of acks, a protocol round's replies —
 is already queued.  The callback packs them all (split at
-:data:`BATCH_BYTES`) into one buffer per ``write``, encoding each in
-the link's negotiated format (payload bytes are encoded once per
-format and shared across a multicast's links via :class:`OutMessage`).
+:data:`BATCH_BYTES`) into one buffer per ``write``, framing each
+around its payload bytes (encoded once by the sender and shared across
+a multicast's links via :class:`OutMessage`).
 So a turn's traffic shares batches and syscalls, and a lone message
 on an idle link leaves as its turn ends: there is no flush timer
 because waiting can only add latency — under load the queue is never
@@ -81,12 +80,10 @@ from repro.realnet.codec import (
     read_body,
 )
 from repro.realnet.codec_bin import (
-    FORMAT_JSON,
+    BIN_FORMAT,
+    FORMAT_BIN,
     ParsedMsg,
-    WIRE_FORMATS,
-    choose_format,
     schema_fingerprint,
-    supported_formats,
 )
 
 logger = logging.getLogger("repro.realnet.transport")
@@ -137,68 +134,69 @@ def enable_stderr_logging(level: int = logging.INFO) -> logging.Logger:
     return root
 
 
-async def handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    src: tuple[int, int],
-    offer: tuple[str, ...],
-) -> Any:
-    """Dialling half of the negotiation: send the ``hello``, return the
-    wire format the ``welcome`` names.
-
-    A peer that accepted but does not answer within
-    :data:`WELCOME_TIMEOUT` raises :class:`asyncio.TimeoutError`, one
-    that answers anything but a usable welcome :class:`CodecError`, one
-    that hangs up ``EOFError``: all three are a failed dial.
-    """
-    writer.write(
-        encode_frame(
-            {
-                "k": "hello",
-                "src": [src[0], src[1]],
-                "codecs": list(offer),
-                "schema": schema_fingerprint(),
-            }
-        )
+def hello_frame(src: tuple[int, int]) -> bytes:
+    """The dialer's opening frame.  ``codecs`` is fixed at ``["bin1"]``,
+    the only body format; ``schema`` is what the server checks."""
+    return encode_frame(
+        {
+            "k": "hello",
+            "src": [src[0], src[1]],
+            "codecs": [FORMAT_BIN],
+            "schema": schema_fingerprint(),
+        }
     )
+
+
+#: The server's answer to an accepted hello.
+WELCOME = {"k": "welcome", "codec": FORMAT_BIN}
+
+
+async def handshake(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, src: tuple[int, int]
+) -> None:
+    """Dialling half of the handshake: send the ``hello``, await the
+    ``welcome``.
+
+    A server that refuses the dial hangs up (``EOFError``); one that
+    accepted but does not answer within :data:`WELCOME_TIMEOUT` raises
+    :class:`asyncio.TimeoutError`; one that answers anything but the
+    welcome :class:`CodecError`: all three are a failed dial.
+    """
+    writer.write(hello_frame(src))
     welcome = decode_frame_body(
         await asyncio.wait_for(read_body(reader), WELCOME_TIMEOUT)
     )
-    name = welcome.get("codec") if welcome.get("k") == "welcome" else None
-    if name not in (*offer, FORMAT_JSON):  # JSON is the server's fallback
+    if welcome != WELCOME:
         raise CodecError(f"no usable welcome: {welcome!r}")
-    return WIRE_FORMATS[name]
 
 
 class SideConn:
-    """One negotiated connection from outside the group to a node socket.
+    """One connection from outside the group to a node socket.
 
     The dialling side of every side plane: :meth:`send` a request of
     some kind, :meth:`recv` the next reply of that kind.  What a caller
     layers on top — pipelining, a lock, one round trip — is its own.
     """
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, fmt: Any
-    ) -> None:
+    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._reader = reader
         self._writer = writer
-        self.fmt = fmt
 
     @classmethod
-    async def open(cls, host: str, port: int, codec: str = "bin") -> "SideConn":
-        """Dial and negotiate; a node that accepts but never welcomes
-        fails the dial after :data:`WELCOME_TIMEOUT`."""
+    async def open(cls, host: str, port: int) -> "SideConn":
+        """Dial and handshake; a node that refuses the dial fails it at
+        once, one that accepts but never welcomes after
+        :data:`WELCOME_TIMEOUT`."""
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            fmt = await handshake(reader, writer, OUTSIDER, supported_formats(codec))
+            await handshake(reader, writer, OUTSIDER)
         except BaseException:
             writer.close()
             raise
-        return cls(reader, writer, fmt)
+        return cls(reader, writer)
 
     async def send(self, kind: str, value: Any) -> None:
-        self._writer.write(self.fmt.frame_side(kind, value))
+        self._writer.write(BIN_FORMAT.frame_side(kind, value))
         await self._writer.drain()
 
     async def recv(self, kind: str) -> Any:
@@ -206,7 +204,7 @@ class SideConn:
         kind on the shared socket are skipped."""
         while True:
             body = await read_body(self._reader)
-            parsed = self.fmt.parse_side(body, 0, len(body), True)
+            parsed = BIN_FORMAT.parse_side(body, 0, len(body), True)
             if parsed is not None and parsed[0] == kind:
                 return parsed[1]
 
@@ -219,27 +217,19 @@ class SideConn:
 
 
 class OutMessage:
-    """One queued outbound protocol message, encoded lazily per format.
+    """One queued outbound protocol message: its destination incarnation
+    and its encoded payload.
 
-    ``cell`` is shared across every :class:`OutMessage` of one
-    multicast fan-out: the payload is encoded at most once per wire
-    format no matter how many links (or which formats they negotiated)
-    carry it.  The sender pre-fills its preferred format's entry so
-    encoding errors surface in the caller, like the simulator.
+    ``payload`` is the ``bin1`` encoding, made once by the sender (so an
+    unencodable payload raises in the caller, like the simulator) and
+    shared by every :class:`OutMessage` of one multicast fan-out.
     """
 
-    __slots__ = ("dst_inc", "payload", "cell")
+    __slots__ = ("dst_inc", "payload")
 
-    def __init__(self, dst_inc: int | None, payload: Any, cell: dict[str, Any]) -> None:
+    def __init__(self, dst_inc: int | None, payload: bytes) -> None:
         self.dst_inc = dst_inc
         self.payload = payload
-        self.cell = cell
-
-    def encoded(self, fmt: Any) -> Any:
-        enc = self.cell.get(fmt.name)
-        if enc is None:
-            enc = self.cell[fmt.name] = fmt.encode_payload(self.payload)
-        return enc
 
 
 class _LinkProtocol(asyncio.StreamReaderProtocol):
@@ -265,7 +255,7 @@ class _LinkProtocol(asyncio.StreamReaderProtocol):
 
 
 class PeerLink:
-    """Outbound message pipe to one peer site: reconnect, negotiate, batch."""
+    """Outbound message pipe to one peer site: reconnect, handshake, batch."""
 
     def __init__(
         self,
@@ -273,7 +263,6 @@ class PeerLink:
         src: tuple[int, int],
         dst_site: Any,
         resolve: Resolver,
-        offer_formats: tuple[str, ...] = (FORMAT_JSON,),
         queue_cap: int = SEND_QUEUE_CAP,
         batch_bytes: int = BATCH_BYTES,
     ) -> None:
@@ -281,7 +270,6 @@ class PeerLink:
         self._src = src
         self._dst_site = dst_site
         self._resolve = resolve
-        self._offer = offer_formats
         self._queue_cap = queue_cap
         self._batch_bytes = batch_bytes
         self._pending: deque[OutMessage] = deque()
@@ -289,7 +277,6 @@ class PeerLink:
         # Set between a welcome and the loss of that connection: the
         # only time offers schedule flushes.
         self._writer: asyncio.StreamWriter | None = None
-        self._fmt: Any = None
         self._high_water = 0
         self._call_soon: Callable[..., Any] | None = None
         #: A flush callback is pending — or, while ``_stalled``, owed by
@@ -309,10 +296,9 @@ class PeerLink:
         self.write_stalls = 0
 
     @property
-    def wire_format(self) -> str | None:
-        """Wire-format name negotiated on the current connection."""
-        fmt = self._fmt
-        return fmt.name if fmt is not None else None
+    def connected(self) -> bool:
+        """Between a welcome and the loss of that connection."""
+        return self._writer is not None
 
     def start(self) -> None:
         if self._task is None:
@@ -341,7 +327,7 @@ class PeerLink:
             self.frames_dropped += 1
             return False
         pending.append(msg)
-        if not self._flush_scheduled and self._fmt is not None:
+        if not self._flush_scheduled and self._writer is not None:
             self._flush_scheduled = True
             self._call_soon(self._flush)
         return True
@@ -379,12 +365,11 @@ class PeerLink:
         writer = self._writer
         if writer is None or self._peer_gone or writer.is_closing():
             return
-        fmt = self._fmt
         pending = self._pending
         transport = writer.transport
         high_water = self._high_water
         batch_bytes = self._batch_bytes
-        frame_into = fmt.frame_msg_into
+        frame_into = BIN_FORMAT.frame_msg_into
         dst_site = self._dst_site
         # Re-read per flush: rebind_src may have moved the link to a
         # fresh local incarnation mid-connection.
@@ -409,7 +394,7 @@ class PeerLink:
             while pending:
                 msg = pending.popleft()
                 try:
-                    frame_into(batch, src, dst_site, msg.dst_inc, msg.encoded(fmt))
+                    frame_into(batch, src, dst_site, msg.dst_inc, msg.payload)
                 except CodecError as exc:
                     self.encode_errors += 1
                     logger.warning("link %s: cannot encode frame: %s", self.name, exc)
@@ -426,10 +411,9 @@ class PeerLink:
                     self.max_batch = frames
         self._flush_scheduled = False
 
-    def _link_up(self, writer: asyncio.StreamWriter, fmt: Any) -> None:
+    def _link_up(self, writer: asyncio.StreamWriter) -> None:
         """The welcome arrived: flush whatever queued while dialling."""
         self._writer = writer
-        self._fmt = fmt
         self._high_water = writer.transport.get_write_buffer_limits()[1]
         self._call_soon = asyncio.get_running_loop().call_soon
         if self._pending:
@@ -438,7 +422,6 @@ class PeerLink:
 
     def _link_down(self) -> None:
         self._writer = None
-        self._fmt = None
         self._flush_scheduled = False
         self._stalled = False
 
@@ -488,14 +471,18 @@ class PeerLink:
                 continue
             self.connects += 1
             try:
-                fmt = await handshake(reader, writer, self._src, self._offer)
+                try:
+                    await handshake(reader, writer, self._src)
+                except (CodecError, asyncio.TimeoutError, OSError, EOFError) as exc:
+                    # Accepted, but no welcome (refused, wedged or
+                    # garbage): a failed dial.
+                    logger.info("link %s: dial failed: %r", self.name, exc)
+                    await asyncio.sleep(backoff * (0.5 + rng.random()))
+                    backoff = min(backoff * 2, BACKOFF_CAP)
+                    continue
                 backoff = BACKOFF_BASE  # handshake done: healthy link
-                self._link_up(writer, fmt)
+                self._link_up(writer)
                 await self._idle(writer)
-            except (CodecError, asyncio.TimeoutError):
-                # Accepted, but no usable welcome: a failed dial.
-                await asyncio.sleep(backoff * (0.5 + rng.random()))
-                backoff = min(backoff * 2, BACKOFF_CAP)
             except (OSError, EOFError):
                 logger.info("link %s: peer went away; reconnecting", self.name)
             finally:
@@ -527,7 +514,6 @@ class FrameServer:
         host: str,
         port: int,
         on_msg: Callable[[ParsedMsg], None],
-        accept_formats: tuple[str, ...] = (FORMAT_JSON,),
         on_side: Callable[[str, Any, Callable[[Any], None]], None] | None = None,
         on_read_end: Callable[[], None] | None = None,
     ) -> None:
@@ -538,7 +524,6 @@ class FrameServer:
         #: frame (even when a handler raised): the receiver's end of an
         #: input batch.
         self._on_read_end = on_read_end
-        self._accept = accept_formats
         #: Optional handler for side frames: called with ``(kind, value,
         #: reply)`` where ``reply(value)`` writes one frame of the same
         #: kind back on the originating connection, now or at any later
@@ -553,13 +538,13 @@ class FrameServer:
         #: Reads that carried at least one frame after the hello.
         self.reads = 0
         self.max_frames_per_read = 0
+        #: Connections closed for a bad hello (a refused dial), a cap
+        #: violation or EOF mid-frame.
         self.bad_connections = 0
         #: Well-framed bodies that failed to parse, logged and dropped
         #: without killing the connection (frame *lengths* are still
-        #: trusted once negotiated; a cap violation closes the link).
+        #: trusted after the handshake; a cap violation closes the link).
         self.bad_frames = 0
-        #: Connections by negotiated format name (lifetime counts).
-        self.format_counts: dict[str, int] = {}
 
     @property
     def address(self) -> tuple[str, int]:
@@ -621,14 +606,15 @@ class FrameServer:
 class _ServerConnection(asyncio.Protocol):
     """One accepted connection of a :class:`FrameServer`.
 
-    The first frame must be the JSON ``hello``; the ``welcome`` goes back
-    through the transport and names the format of every later frame.
-    ``data_received`` then walks the complete frames of each read in
-    place and dispatches them synchronously, so every payload thunk is
-    consumed before the read is released and the connection never
-    buffers more than one partial frame (which is also why it needs no
-    read-side flow control).  A bad body costs one frame
-    (``bad_frames``); a bad hello, a length over
+    The first frame must be the JSON ``hello`` with this build's schema
+    fingerprint; the ``welcome`` goes back through the transport, and
+    every later frame is ``bin1``.  ``data_received`` then walks the
+    complete frames of each read in place and dispatches them
+    synchronously, so every payload thunk is consumed before the read
+    is released and the connection never buffers more than one partial
+    frame (which is also why it needs no read-side flow control).  A
+    bad body costs one frame (``bad_frames``); a bad hello (including a
+    refused dial), a length over
     :data:`~repro.realnet.codec.MAX_FRAME_BYTES` or EOF in the middle
     of a frame costs the connection (``bad_connections``).
     """
@@ -636,7 +622,7 @@ class _ServerConnection(asyncio.Protocol):
     def __init__(self, server: FrameServer) -> None:
         self._server = server
         self._buf = bytearray()  # at most one partial frame
-        self._fmt: Any = None  # negotiated by the hello
+        self._welcomed = False
         self.transport: Any = None
 
     def connection_made(self, transport: Any) -> None:
@@ -663,7 +649,8 @@ class _ServerConnection(asyncio.Protocol):
             data = buf
         # Walk complete frames in place: each body is parsed at its
         # (start, end) extent inside the read, no per-frame slice.
-        fmt = self._fmt
+        welcomed = self._welcomed
+        parse_msg_at = BIN_FORMAT.parse_msg_at
         on_msg = server._on_msg
         on_side = server._on_side
         end = len(data)
@@ -683,16 +670,17 @@ class _ServerConnection(asyncio.Protocol):
                 if frame_end > end:
                     break
                 pos = frame_end
-                if fmt is None:
+                if not welcomed:
                     try:
-                        fmt = self._welcome(data, body_start, frame_end)
+                        self._welcome(data, body_start, frame_end)
                     except CodecError as exc:
                         fatal = str(exc)
                         break
+                    welcomed = True
                     continue
                 walked += 1
                 try:
-                    parsed = fmt.parse_msg_at(data, body_start, frame_end)
+                    parsed = parse_msg_at(data, body_start, frame_end)
                     if parsed is not None:
                         msgs += 1
                         on_msg(parsed)
@@ -701,7 +689,7 @@ class _ServerConnection(asyncio.Protocol):
                         # polls, control ops, client requests); unknown
                         # kinds stay ignored so future frames don't kill
                         # the link.
-                        side = fmt.parse_side(data, body_start, frame_end)
+                        side = BIN_FORMAT.parse_side(data, body_start, frame_end)
                         if side is not None:
                             sides += 1
                             on_side(side[0], side[1], self._reply_as(side[0]))
@@ -732,29 +720,31 @@ class _ServerConnection(asyncio.Protocol):
         elif pos < end:
             buf += memoryview(data)[pos:]
 
-    def _welcome(self, data: Any, start: int, end: int) -> Any:
-        """Answer the hello occupying ``data[start:end]``; returns the
-        format it negotiated."""
+    def _welcome(self, data: Any, start: int, end: int) -> None:
+        """Answer the hello occupying ``data[start:end]``, or raise
+        :class:`CodecError` to refuse it: a peer whose schema
+        fingerprint is not ours would mis-decode every positional
+        field, so there is nothing to fall back to."""
         hello = decode_frame_body(bytes(data[start:end]))
         if hello.get("k") != "hello":
             raise CodecError(f"first frame is not a hello: {hello.get('k')!r}")
-        server = self._server
-        chosen = choose_format(hello.get("codecs"), hello.get("schema"), server._accept)
-        self.transport.write(encode_frame({"k": "welcome", "codec": chosen}))
-        server.format_counts[chosen] = server.format_counts.get(chosen, 0) + 1
-        self._fmt = fmt = WIRE_FORMATS[chosen]
-        return fmt
+        local = schema_fingerprint()
+        if hello.get("schema") != local:
+            raise CodecError(
+                f"refused dial: peer schema {hello.get('schema')!r}, local schema {local!r}"
+            )
+        self.transport.write(encode_frame(WELCOME))
+        self._welcomed = True
 
     def _reply_as(self, kind: str) -> Callable[[Any], None]:
         """The reply channel handed to the side handler: safe to call
         after the dispatching frame (deferred client replies), a no-op
         once the connection is closing."""
         transport = self.transport
-        fmt = self._fmt
 
         def reply(value: Any) -> None:
             if not transport.is_closing():
-                transport.write(fmt.frame_side(kind, value, True))
+                transport.write(BIN_FORMAT.frame_side(kind, value, True))
 
         return reply
 

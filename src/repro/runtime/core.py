@@ -59,9 +59,9 @@ SECONDS_PER_UNIT = 0.01
 UNSUPPORTED: dict[str, tuple[str, ...]] = {
     "sim": ("scale", "host", "codec", "batch_bytes", "quiet",
             "startup_timeout"),
-    "realnet": ("fifo_links",),
+    "realnet": ("fifo_links", "codec"),
     # Objects cannot cross the process boundary; the rest travels as JSON.
-    "realnet-proc": ("fifo_links", "latency", "stack"),
+    "realnet-proc": ("fifo_links", "latency", "stack", "codec"),
 }
 
 
@@ -106,9 +106,13 @@ class ClusterConfig:
     ``fd_timeout`` must cover an epidemic round, not one hop
     (docs/scaling.md).
 
-    Wall-clock fields: ``codec`` picks the wire format every node
-    *prefers* (``"bin"`` or the ``"json"`` debug mode; negotiated per
-    connection, so mixed clusters interoperate); ``batch_bytes``
+    ``codec`` selects nothing: ``bin1`` is the only wire format.  The
+    field stays only because the benchmark harness passes
+    ``codec="bin"``; every runtime lists it in :data:`UNSUPPORTED`, so
+    any other value is a ``ValueError``, and nothing else reads it.
+    ROADMAP item 11 removes that argument, and then this field.
+
+    Wall-clock fields: ``batch_bytes``
     overrides the links' byte cap per write (``0`` = one frame per
     write, the unbatched benchmark baseline); ``startup_timeout``
     bounds boot (on realnet-proc: spawn + connect + boot, dominated by
@@ -364,21 +368,15 @@ def sum_transport_stats(parts: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     """Cluster-wide link/server counters from per-node ones.
 
     Sums frame, flush, byte and connection counters; ``max_batch`` /
-    ``max_frames_per_read`` are cluster-wide maxima and ``codecs``
-    counts live links by negotiated wire format.
+    ``max_frames_per_read`` are cluster-wide maxima.
     """
     total: dict[str, Any] = {}
-    codecs: dict[str, int] = {}
     for stats in parts:
         for key, value in stats.items():
-            if key == "codecs":
-                for name, count in value.items():
-                    codecs[name] = codecs.get(name, 0) + count
-            elif key in ("max_batch", "max_frames_per_read"):
+            if key in ("max_batch", "max_frames_per_read"):
                 total[key] = max(total.get(key, 0), value)
             else:
                 total[key] = total.get(key, 0) + value
-    total["codecs"] = codecs
     return total
 
 

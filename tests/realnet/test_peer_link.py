@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.realnet.codec_bin import ParsedMsg
+from repro.realnet.codec_bin import BIN_FORMAT, ParsedMsg
 from repro.realnet.transport import (
     FrameServer,
     OutMessage,
@@ -25,7 +25,6 @@ pytestmark = pytest.mark.realnet
 
 HARD_TIMEOUT = 60.0
 WAIT = 20.0
-FORMATS = ("bin1", "json")
 
 
 def run(coro) -> None:
@@ -37,7 +36,7 @@ class Sink(FrameServer):
     can stop reading its connections (a peer that is not keeping up)."""
 
     def __init__(self) -> None:
-        super().__init__("127.0.0.1", 0, self._keep, accept_formats=FORMATS)
+        super().__init__("127.0.0.1", 0, self._keep)
         self.frames: list[tuple[int, object]] = []  # (src incarnation, payload)
 
     def _keep(self, msg: ParsedMsg) -> None:
@@ -59,16 +58,14 @@ class Sink(FrameServer):
 
 
 def message(payload: object) -> OutMessage:
-    return OutMessage(None, payload, {})
+    return OutMessage(None, BIN_FORMAT.encode_payload(payload))
 
 
 async def connected_link(address: list, **kwargs) -> PeerLink:
     """A started link (dialling ``address[0]``) whose handshake is done."""
-    link = PeerLink(
-        "0->1", (0, 0), 1, lambda: address[0], offer_formats=FORMATS, **kwargs
-    )
+    link = PeerLink("0->1", (0, 0), 1, lambda: address[0], **kwargs)
     link.start()
-    assert await wait_for_condition(lambda: link.wire_format is not None, WAIT)
+    assert await wait_for_condition(lambda: link.connected, WAIT)
     return link
 
 
@@ -187,7 +184,7 @@ def test_messages_offered_while_the_peer_is_down_arrive_in_order_on_its_new_port
             assert await wait_for_condition(lambda: first.payloads == ["before"], WAIT)
             await first.stop()
             # The link notices the loss by itself, without an offer.
-            assert await wait_for_condition(lambda: link.wire_format is None, WAIT)
+            assert await wait_for_condition(lambda: not link.connected, WAIT)
             for i in range(5):
                 assert link.offer(message(("down", i)))
             assert link.stats()["queued"] == 5

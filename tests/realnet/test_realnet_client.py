@@ -22,7 +22,8 @@ from repro.realnet import transport
 from repro.realnet.cluster import RealCluster
 from repro.runtime.core import ClusterConfig
 from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
-from repro.realnet.codec_bin import BIN_FORMAT, WIRE_FORMATS, schema_fingerprint
+from repro.realnet.codec_bin import BIN_FORMAT
+from repro.realnet.transport import OUTSIDER, WELCOME, hello_frame
 
 pytestmark = pytest.mark.realnet
 
@@ -105,23 +106,14 @@ def test_garbage_frame_is_dropped_and_link_survives():
             host, port = cluster.address_book[0]
             reader, writer = await asyncio.open_connection(host, port)
             try:
-                writer.write(
-                    encode_frame(
-                        {
-                            "k": "hello",
-                            "src": [-1, 0],
-                            "codecs": ["bin1"],
-                            "schema": schema_fingerprint(),
-                        }
-                    )
-                )
+                writer.write(hello_frame(OUTSIDER))
                 await writer.drain()
                 prefix = await reader.readexactly(_LEN.size)
                 welcome = decode_frame_body(
                     await reader.readexactly(_LEN.unpack(prefix)[0])
                 )
-                fmt = WIRE_FORMATS[welcome["codec"]]
-                assert fmt.binary
+                assert welcome == WELCOME
+                fmt = BIN_FORMAT
                 # A well-framed msg-kind body with a truncated header:
                 # the codec raises, the server drops the frame, the link
                 # lives.
@@ -180,7 +172,7 @@ class StubNode:
                 await reader.read()  # until the dialer gives up
                 return
             assert decode_frame_body(await self._read(reader))["k"] == "hello"
-            writer.write(encode_frame({"k": "welcome", "codec": "bin1"}))
+            writer.write(encode_frame(WELCOME))
             while True:
                 request = parse_client_request(BIN_FORMAT, await self._read(reader))
                 if behaviour == "garbage":

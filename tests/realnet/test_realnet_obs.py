@@ -1,9 +1,8 @@
 """Realnet observability smoke: live snapshots over the link protocol.
 
 ``repro obs watch`` clients dial a node's *normal* listening socket,
-negotiate a codec like any peer, and poll metric snapshots.  These
-tests run an in-process :class:`RealCluster` and fetch snapshots over
-both wire codecs, then check the checked-workload path emits the same
+handshake like any peer, and poll metric snapshots.  These tests run
+an in-process :class:`RealCluster` and fetch snapshots, then check the checked-workload path emits the same
 named metrics the simulator does (the unified-namespace acceptance
 criterion).  Real sockets + wall clock, so they live behind the
 ``realnet`` marker.
@@ -45,17 +44,16 @@ def run(coro) -> None:
     asyncio.run(asyncio.wait_for(coro, HARD_TIMEOUT))
 
 
-@pytest.mark.parametrize("codec", ["bin", "json"])
-def test_watch_fetches_live_snapshot_over_each_codec(codec):
+def test_watch_fetches_live_snapshot():
     async def scenario():
-        config = ClusterConfig(seed=11, codec=codec)
+        config = ClusterConfig(seed=11)
         async with RealCluster(3, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             for stack in cluster.live_stacks():
                 stack.multicast(("w", stack.pid.site))
             await asyncio.sleep(0.3)
             host, port = cluster.address_book[0]
-            snap = await fetch_snapshot(host, port, codec=codec)
+            snap = await fetch_snapshot(host, port)
             assert snap.runtime == "realnet"
             assert snap.total("view_changes_total") >= 3
             assert snap.total("multicasts_total") >= 3

@@ -26,6 +26,7 @@ from repro.ports import ClusterPort, make_cluster
 from repro.realnet import proc_driver
 from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
 from repro.realnet.codec_bin import BIN_FORMAT
+from repro.realnet.transport import WELCOME
 from repro.trace.checks import check_enriched_views, check_view_synchrony
 
 pytestmark = pytest.mark.realnet
@@ -141,15 +142,6 @@ def test_proc_cluster_join_grows_the_group():
         assert stack.pid in cluster.live_pids()
         assert len(cluster.live_pids()) == 4
         assert len(set(cluster.views().values())) == 1
-        assert_no_violations(cluster)
-
-
-def test_proc_cluster_json_codec_interops():
-    with contextlib.closing(proc_cluster(3, seed=4, codec="json")) as cluster:
-        assert cluster.settle(timeout=SETTLE), cluster.views()
-        assert len(set(cluster.views().values())) == 1
-        stats = cluster.transport_stats()
-        assert stats["codecs"].get("json", 0) > 0
         assert_no_violations(cluster)
 
 
@@ -273,7 +265,7 @@ class SlowChild:
         self.dials += 1
         try:
             assert decode_frame_body(await self._read(reader))["k"] == "hello"
-            writer.write(encode_frame({"k": "welcome", "codec": "bin1"}))
+            writer.write(encode_frame(WELCOME))
             while True:
                 body = await self._read(reader)
                 kind, value = BIN_FORMAT.parse_side(body, 0, len(body))
@@ -301,7 +293,7 @@ def test_a_timed_out_control_op_leaves_no_stale_reply(monkeypatch):
     async def scenario():
         child = SlowChild(slow=0.5)
         host, port = await child.start()
-        client = proc_driver._CtlClient("stub", host, port, "bin")
+        client = proc_driver._CtlClient("stub", host, port)
         try:
             with pytest.raises(asyncio.TimeoutError):
                 await client.request("slow", timeout=0.1)
@@ -331,8 +323,8 @@ def test_a_proc_childs_registry_exports_the_wire_gauges():
         bad = before.total("transport_bad_frames_total")
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            fmt = await handshake(reader, writer, OUTSIDER, ("bin1",))
-            writer.write(fmt.frame_msg((0, 0), 1, None, b"\x7f"))
+            await handshake(reader, writer, OUTSIDER)
+            writer.write(BIN_FORMAT.frame_msg((0, 0), 1, None, b"\x7f"))
             await writer.drain()
             now = [bad]
 

@@ -129,12 +129,11 @@ def test_killed_node_recovers_with_fresh_incarnation():
     run(scenario())
 
 
-@pytest.mark.parametrize("codec", ["bin", "json"])
-def test_partition_merge_scenario_over_sockets(codec):
+def test_partition_merge_scenario_over_sockets():
     """The acceptance scenario behind `repro demo --runtime realnet`:
     firewall -> two e-views -> SV-SetMerge -> heal -> SV-SetMerge, with
     the assertions the simulator run is held to."""
-    assert_partition_merge("realnet", 3, seed=4, codec=codec)
+    assert_partition_merge("realnet", 3, seed=4)
 
 
 def test_fault_schedule_applies_to_real_sockets():
@@ -184,9 +183,9 @@ def test_bootstrap_survives_injected_loss_and_latency():
 
     run(scenario())
 
-def test_binary_links_negotiate_and_multicast_delivers():
-    """Default (bin) cluster: every link upgrades to bin1 and app
-    multicasts cross the wire through the binary data path."""
+def test_every_link_connects_and_multicast_delivers():
+    """Every link completes its handshake and app multicasts cross the
+    wire through the bin1 data path."""
 
     async def scenario():
         delivered: list = []
@@ -200,7 +199,7 @@ def test_binary_links_negotiate_and_multicast_delivers():
 
             return App()
 
-        config = ClusterConfig(seed=7, codec="bin")
+        config = ClusterConfig(seed=7)
         async with RealCluster(3, app_factory=factory, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             cluster.stack_at(0).multicast(("bin-payload", 1, 2.5, (3, 4)))
@@ -210,83 +209,14 @@ def test_binary_links_negotiate_and_multicast_delivers():
             assert arrived, delivered
             assert all(p == ("bin-payload", 1, 2.5, (3, 4)) for _, p in delivered)
             wire = cluster.transport_stats()
-            assert wire["codecs"] == {"bin1": 6}  # every live link upgraded
+            links = [
+                link for node in cluster.nodes.values() for link in node.network._links.values()
+            ]
+            assert len(links) == 6 and all(link.connected for link in links)
             assert wire["frames_sent"] > 0
             assert wire["flushes"] > 0
             assert wire["frames_dropped"] == 0
             assert_no_violations(cluster)
-
-    run(scenario())
-
-
-def test_json_codec_cluster_still_settles():
-    """codec="json" keeps the debug/compat data path fully working."""
-
-    async def scenario():
-        config = ClusterConfig(seed=8, codec="json")
-        async with RealCluster(3, config=config) as cluster:
-            assert await cluster.settle(timeout=SETTLE), cluster.views()
-            wire = cluster.transport_stats()
-            assert wire["codecs"] == {"json": 6}
-            assert_no_violations(cluster)
-
-    run(scenario())
-
-
-def test_mixed_codec_cluster_interoperates():
-    """A JSON-only peer in a binary-capable cluster: hello negotiation
-    downgrades exactly the links that touch it, and the group still
-    reaches one common view."""
-
-    async def scenario():
-        from repro.realnet.node import RealNode
-        from repro.realnet.wallclock import WallClockScheduler
-        from repro.types import ProcessId
-
-        scheduler = WallClockScheduler()
-        address_book: dict[int, tuple[str, int]] = {}
-        codecs = {0: "bin", 1: "bin", 2: "json"}
-        nodes = {
-            site: RealNode(
-                ProcessId(site, 0),
-                address_book,
-                ClusterConfig(codec=codec),
-                scheduler=scheduler,
-                universe=lambda: {0, 1, 2},
-            )
-            for site, codec in codecs.items()
-        }
-        try:
-            for node in nodes.values():
-                await node.start_transport()
-            for node in nodes.values():
-                node.start_stack()
-
-            def settled() -> bool:
-                expected = {n.stack.pid for n in nodes.values()}
-                return all(
-                    n.stack.view is not None
-                    and not n.stack.is_flushing
-                    and n.stack.view.members == expected
-                    for n in nodes.values()
-                )
-
-            from repro.realnet.transport import wait_for_condition
-
-            assert await wait_for_condition(settled, SETTLE), {
-                site: str(n.stack.view) for site, n in nodes.items()
-            }
-            negotiated: dict[str, int] = {}
-            for node in nodes.values():
-                for stats in node.network.link_stats().values():
-                    name = stats["codec"]
-                    negotiated[name] = negotiated.get(name, 0) + 1
-            # 0<->1 upgraded to binary; every link touching the
-            # JSON-only site 2 fell back to JSON.
-            assert negotiated == {"bin1": 2, "json": 4}
-        finally:
-            for node in nodes.values():
-                await node.stop()
 
     run(scenario())
 
@@ -363,7 +293,7 @@ def test_checked_workload_over_realnet_with_gossip_plane():
     switched to gossip digests (full fanout at n=6, so the epidemic
     degenerates to all-to-all and the default one-hop ``fd_timeout``
     stays valid): GossipDigest frames cross real sockets through the
-    negotiated codec and the merged trace still passes every check."""
+    wire codec and the merged trace still passes every check."""
     import contextlib
 
     from repro.ports import make_cluster

@@ -2,7 +2,7 @@
 
 Acceptance half of the tracing tentpole that needs real sockets: a
 traced :class:`RealCluster` serves its flight recorder over the 0x02
-obs frame on the normal listening port (both codecs), the merged dumps
+obs frame on the normal listening port, the merged dumps
 reconstruct the same span taxonomy the simulator produces, and a
 traceless node simply never answers the trace request (the poller
 yields ``None`` instead of hanging or crashing).
@@ -30,14 +30,13 @@ def run(coro) -> None:
     asyncio.run(asyncio.wait_for(coro, HARD_TIMEOUT))
 
 
-@pytest.mark.parametrize("codec", ["bin", "json"])
-def test_fetch_trace_pulls_the_flight_recorder_over_each_codec(codec):
+def test_fetch_trace_pulls_the_flight_recorder():
     async def scenario():
-        config = ClusterConfig(seed=11, codec=codec, tracing=True)
+        config = ClusterConfig(seed=11, tracing=True)
         async with RealCluster(3, config=config) as cluster:
             assert await cluster.settle(timeout=SETTLE), cluster.views()
             host, port = cluster.address_book[0]
-            dump = await fetch_trace(host, port, codec=codec)
+            dump = await fetch_trace(host, port)
             assert isinstance(dump, TraceDump)
             assert dump.runtime == "realnet"
             assert dump.epoch > 0  # wall-clock base for cross-node merge

@@ -73,12 +73,12 @@ def node_behind_a_connection() -> tuple[StoreNode, RealNetwork, object]:
     node = StoreNode(ProcessId(0, 0))
     network.register(node)
     server = FrameServer(
-        "", 0, network._on_msg, accept_formats=(FMT.name,),
+        "", 0, network._on_msg,
         on_side=network._on_side, on_read_end=network._end_input_batch,
     )
     conn = server._connection()
     conn.connection_made(FakeTransport())
-    conn.data_received(hello(FMT))
+    conn.data_received(hello())
     return node, network, conn
 
 

@@ -185,7 +185,7 @@ def test_fuzz_requires_subcommand():
 
 
 SHARED_FLAGS = (
-    "--runtime", "--sites", "--seed", "--scale", "--codec", "--tracing",
+    "--runtime", "--sites", "--seed", "--scale", "--tracing",
     "--app", "--loss", "--asymmetric", "--host", "--base-port", "--book",
     "targets", "--metrics", "--metrics-jsonl",
 )
@@ -210,6 +210,12 @@ def test_shared_flags_have_one_help_and_one_type_everywhere():
     assert set(seen) == set(SHARED_FLAGS)
     mixed = sorted(name for name, variants in seen.items() if len(variants) > 1)
     assert mixed == []
+
+
+def test_no_command_takes_a_codec_flag():
+    # bin1 is the only wire format: there is nothing to choose.
+    flags = {flag for action in _actions(build_parser()) for flag in action.option_strings}
+    assert not [flag for flag in flags if "codec" in flag]
 
 
 def test_obs_report_exports_jsonl_under_the_shared_flag():

@@ -202,8 +202,8 @@ def test_cli_parsers_for_client_tier() -> None:
     )
     assert run.client_rate == 2.0 and run.no_faults
     assert run.client_read_mode == "leader"
-    serve = parser.parse_args(["serve", "--sites", "5", "--codec", "json"])
-    assert serve.sites == 5 and serve.codec == "json"
+    serve = parser.parse_args(["serve", "--sites", "5"])
+    assert serve.sites == 5
     load = parser.parse_args(
         ["load", "--book", "0:h:1,1:h:2", "--rate", "50", "--dist", "uniform"]
     )

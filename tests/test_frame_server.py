@@ -5,13 +5,16 @@ whose ``data_received`` walks the frames of one read and dispatches
 them before it returns.  These cases drive one such connection over a
 fake transport: the framing property (any split of a byte stream
 dispatches what one read of it does, and what the copying reference
-``FrameServer._split_frames`` carves), the connection-fatal cases, and
-the accounting of a payload that does not decode.
+``FrameServer._split_frames`` carves), the connection-fatal cases, the
+refused dial of a peer with another schema fingerprint, and the
+accounting of a payload that does not decode.  One case dials a real
+loopback socket, to time how fast a refused dialer finds out.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import random
 
 import pytest
@@ -21,17 +24,24 @@ from repro.realnet import codec_bin
 from repro.realnet.codec import _LEN, MAX_FRAME_BYTES, encode_frame
 from repro.realnet.codec_bin import (
     BIN_FORMAT,
-    JSON_FORMAT,
+    FORMAT_BIN,
     encode_value_bin,
     schema_fingerprint,
 )
 from repro.realnet.network import RealNetwork
-from repro.realnet.transport import FrameServer
+from repro.realnet.transport import (
+    CONN_LOST,
+    WELCOME,
+    WELCOME_TIMEOUT,
+    FrameServer,
+    SideConn,
+    hello_frame,
+)
 from repro.realnet.wallclock import WallClockScheduler
 from repro.types import ProcessId
 
-FORMATS = (BIN_FORMAT, JSON_FORMAT)
-
+#: The wire formats these cases run over; ``bin1`` is the only one.
+FORMATS = (BIN_FORMAT,)
 
 class FakeTransport:
     """What a connection writes to: records each ``write``, closes on
@@ -51,25 +61,27 @@ class FakeTransport:
         self.closed = True
 
 
-def hello(fmt) -> bytes:
-    return encode_frame(
-        {"k": "hello", "src": [1, 0], "codecs": [fmt.name], "schema": schema_fingerprint()}
-    )
+def hello() -> bytes:
+    """What site 1 opens a connection with."""
+    return hello_frame((1, 0))
 
 
-def wrong_typed_payload(fmt):
+def wrong_typed_payload():
     """A ProcessId whose site is a list: well framed, but its
     constructor (or its memo key) cannot hash it."""
-    if fmt is JSON_FORMAT:
-        return {"__c__": "ProcessId", "f": {"site": [1], "incarnation": 0}}
     out = bytearray([codec_bin._T_CLASS])
     codec_bin._enc_uvarint(out, codec_bin.class_table().by_class[ProcessId][0])
     codec_bin._enc_uvarint(out, 2)
     return bytes(out + encode_value_bin([1]) + encode_value_bin(0))
 
 
-def garbled_payload(fmt):
-    return {"__c__": "NoSuchClass", "f": {}} if fmt is JSON_FORMAT else b"\x7f"
+def garbled_payload():
+    return b"\x7f"
+
+
+def msg_frame(src, dst_inc, payload) -> bytes:
+    """One framed ``msg`` to site 0."""
+    return BIN_FORMAT.frame_msg(src, 0, dst_inc, BIN_FORMAT.encode_payload(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +108,18 @@ class Process:
         self.input_batch = False
 
 
-@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("fmt", FORMATS, ids=[FORMAT_BIN])
 def test_an_undecodable_payload_is_one_bad_frame_and_the_link_lives(fmt):
     async def scenario():
         network = RealNetwork(WallClockScheduler(), 0, {})
         process = Process(ProcessId(0, 0))
         network.register(process)
-        server = FrameServer(
-            "", 0, network._on_msg, accept_formats=(fmt.name,),
-            on_side=network._on_side,
-        )
+        server = FrameServer("", 0, network._on_msg, on_side=network._on_side)
         transport = FakeTransport()
         conn = server._connection()
         conn.connection_made(transport)
-        conn.data_received(hello(fmt))
-        for payload in (garbled_payload(fmt), wrong_typed_payload(fmt)):
+        conn.data_received(hello())
+        for payload in (garbled_payload(), wrong_typed_payload()):
             before = (server.bad_frames, network.stats.dropped_dead)
             conn.data_received(fmt.frame_msg((1, 0), 0, 0, payload))
             after = (server.bad_frames, network.stats.dropped_dead)
@@ -130,7 +139,7 @@ def test_an_undecodable_payload_is_one_bad_frame_and_the_link_lives(fmt):
 
 def seeded_stream(fmt, rng: random.Random, n_frames: int = 60) -> bytes:
     """One hello, then msg, side and garbage-body frames in random order."""
-    frames = [hello(fmt)]
+    frames = [hello()]
     for i in range(n_frames):
         shape = rng.choice(("msg", "msg", "side", "garbage", "unknown"))
         if shape == "msg":
@@ -139,12 +148,10 @@ def seeded_stream(fmt, rng: random.Random, n_frames: int = 60) -> bytes:
         elif shape == "side":
             frames.append(fmt.frame_side("ctl", ("ping", i)))
         elif shape == "garbage":
-            bad = rng.choice((garbled_payload(fmt), wrong_typed_payload(fmt)))
+            bad = rng.choice((garbled_payload(), wrong_typed_payload()))
             frames.append(fmt.frame_msg((1, 0), 0, None, bad))
-        elif fmt is BIN_FORMAT:
-            frames.append(_LEN.pack(2) + b"\x7f\x00")
         else:
-            frames.append(encode_frame({"k": "from_the_future", "p": i}))
+            frames.append(_LEN.pack(2) + b"\x7f\x00")
     return b"".join(frames)
 
 
@@ -183,11 +190,9 @@ def split(stream: bytes, rng: random.Random, low: int, high: int) -> list[bytes]
 class Recorder:
     """A frame server whose handlers record, in order, what reaches them."""
 
-    def __init__(self, fmt) -> None:
+    def __init__(self) -> None:
         self.dispatched: list = []
-        self.server = FrameServer(
-            "", 0, self._msg, accept_formats=(fmt.name,), on_side=self._side
-        )
+        self.server = FrameServer("", 0, self._msg, on_side=self._side)
         self.transport = FakeTransport()
         self.conn = self.server._connection()
         self.conn.connection_made(self.transport)
@@ -223,14 +228,14 @@ def splits(stream: bytes, rng: random.Random) -> dict[str, list[bytes]]:
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("fmt", FORMATS, ids=[FORMAT_BIN])
 def test_any_split_dispatches_what_one_read_and_the_reference_do(fmt, seed):
     rng = random.Random(seed)
     stream = seeded_stream(fmt, rng)
     expected, expected_bad, expected_msgs = reference_dispatch(fmt, stream)
     assert expected_bad > 0 and any(d[0] == "side" for d in expected)
 
-    whole = Recorder(fmt)
+    whole = Recorder()
     whole.feed([stream])
     whole.conn.eof_received()
     walked = len(FrameServer("", 0, None)._split_frames(bytearray(stream))) - 1
@@ -243,7 +248,7 @@ def test_any_split_dispatches_what_one_read_and_the_reference_do(fmt, seed):
     assert whole.server.bytes_received == len(stream)
 
     for name, chunks in splits(stream, rng).items():
-        pieces = Recorder(fmt)
+        pieces = Recorder()
         pieces.feed(chunks)
         pieces.conn.eof_received()
         assert pieces.dispatched == expected, name
@@ -254,33 +259,104 @@ def test_any_split_dispatches_what_one_read_and_the_reference_do(fmt, seed):
         assert len(pieces.transport.writes) == 1, name
 
 
-@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("fmt", FORMATS, ids=[FORMAT_BIN])
 def test_an_oversize_length_closes_the_connection_once(fmt):
     rng = random.Random(11)
     head = seeded_stream(fmt, rng, n_frames=20)
     expected, _, _ = reference_dispatch(fmt, head)
-    tail = seeded_stream(fmt, rng, n_frames=5)[len(hello(fmt)):]
+    tail = seeded_stream(fmt, rng, n_frames=5)[len(hello()):]
     stream = head + _LEN.pack(MAX_FRAME_BYTES + 1) + b"junk" + tail
     with pytest.raises(CodecError, match="exceeds cap"):
         FrameServer("", 0, None)._split_frames(bytearray(stream))
     for name, chunks in {"one read": [stream], **splits(stream, rng)}.items():
-        rec = Recorder(fmt)
+        rec = Recorder()
         rec.feed(chunks)
         assert rec.transport.closed, name
         assert rec.dispatched == expected, name
         assert rec.server.bad_connections == 1, name
 
 
-@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("fmt", FORMATS, ids=[FORMAT_BIN])
 def test_eof_mid_frame_and_a_missing_hello_cost_the_connection(fmt):
     frame = fmt.frame_msg((1, 0), 0, None, fmt.encode_payload("x"))
-    rec = Recorder(fmt)
-    rec.feed([hello(fmt) + frame + frame[:3]])
+    rec = Recorder()
+    rec.feed([hello() + frame + frame[:3]])
     rec.conn.eof_received()
     assert [d[2] for d in rec.dispatched] == ["x"]
     assert rec.server.bad_connections == 1
 
-    rec = Recorder(fmt)
-    rec.feed([frame, hello(fmt)])  # a msg where the hello belongs
+    rec = Recorder()
+    rec.feed([frame, hello()])  # a msg where the hello belongs
     assert rec.transport.closed and rec.transport.writes == []
     assert (rec.server.bad_connections, rec.dispatched) == (1, [])
+
+
+# ---------------------------------------------------------------------------
+# A peer with another schema fingerprint is a refused dial
+# ---------------------------------------------------------------------------
+
+FORGED = "0123456789abcdef"
+
+
+def hello_with(**fields) -> bytes:
+    """Site 1's hello with ``fields`` replaced; a field set to None is left out."""
+    frame = {"k": "hello", "src": [1, 0], "codecs": ["bin1"], "schema": schema_fingerprint()}
+    frame.update(fields)
+    return encode_frame({k: v for k, v in frame.items() if v is not None})
+
+
+def test_our_hello_is_welcomed_with_the_fixed_welcome():
+    rec = Recorder()
+    rec.feed([hello()])
+    assert rec.transport.writes == [encode_frame(WELCOME)]
+    assert hello() == hello_with()  # the handcrafted hellos below differ only in schema
+
+
+@pytest.mark.parametrize(
+    "bad_hello, peer_schema",
+    [
+        (hello_with(schema=FORGED), repr(FORGED)),
+        (hello_with(schema=None), "None"),
+    ],
+    ids=["forged-fingerprint", "no-fingerprint"],
+)
+def test_a_hello_with_another_schema_is_refused(bad_hello, peer_schema, caplog):
+    rec = Recorder()
+    with caplog.at_level(logging.INFO, logger="repro.realnet.transport"):
+        # the msg behind the hello must not be dispatched either
+        rec.feed([bad_hello + msg_frame((1, 0), 0, "x")])
+    assert rec.transport.writes == []  # no welcome
+    assert rec.transport.closed
+    assert (rec.server.bad_connections, rec.dispatched) == (1, [])
+    (line,) = [r.getMessage() for r in caplog.records if "refused dial" in r.getMessage()]
+    assert peer_schema in line and repr(schema_fingerprint()) in line
+
+
+def test_a_hello_that_is_not_json_is_refused():
+    rec = Recorder()
+    rec.feed([_LEN.pack(6) + b"\xff\xfe{x}!"])
+    assert rec.transport.writes == [] and rec.transport.closed
+    assert rec.server.bad_connections == 1
+
+
+def test_a_refused_side_dial_fails_at_once_not_after_the_welcome_timeout(monkeypatch):
+    """One real loopback dial: the refusing server hangs up, so the
+    dialer reads EOF instead of waiting for a welcome."""
+    from repro.realnet import transport
+
+    monkeypatch.setattr(transport, "hello_frame", lambda src: hello_with(schema=FORGED))
+
+    async def scenario():
+        server = FrameServer("127.0.0.1", 0, lambda msg: None)
+        host, port = await server.start()
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        try:
+            with pytest.raises(CONN_LOST):
+                await SideConn.open(host, port)
+            assert loop.time() - start < WELCOME_TIMEOUT / 4
+            assert server.bad_connections == 1
+        finally:
+            await server.stop()
+
+    asyncio.run(asyncio.wait_for(scenario(), 2 * WELCOME_TIMEOUT))

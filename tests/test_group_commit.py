@@ -29,7 +29,7 @@ from repro.core.group_object import _OpMsg
 from repro.core.modes import Mode
 from repro.core.versioning import Provenance, QuorumTally
 from repro.realnet.codec import MAX_FRAME_BYTES
-from repro.realnet.codec_bin import BIN_FORMAT, JSON_FORMAT
+from repro.realnet.codec_bin import BIN_FORMAT, FORMAT_BIN
 from repro.realnet.network import RealNetwork
 from repro.realnet.transport import FrameServer
 from repro.realnet.wallclock import WallClockScheduler
@@ -81,13 +81,13 @@ def node_behind_a_connection() -> tuple[StoreNode, FakeTransport, object]:
     network.register(node)
     network.side_handlers["cli"] = StoreService(node.store).handle_control
     server = FrameServer(
-        "", 0, network._on_msg, accept_formats=(FMT.name,),
+        "", 0, network._on_msg,
         on_side=network._on_side, on_read_end=network._end_input_batch,
     )
     conn = server._connection()
     transport = FakeTransport()
     conn.connection_made(transport)
-    conn.data_received(hello(FMT))
+    conn.data_received(hello())
     transport.writes.clear()  # the welcome
     return node, transport, conn
 
@@ -134,8 +134,7 @@ def test_one_put_in_a_read_sends_the_plain_put_op():
         (msg,) = node.sent
         plain = Message(msg.msg_id, _OpMsg(("put", "k", "v", "c", 7)))
         assert msg == plain
-        for fmt in (BIN_FORMAT, JSON_FORMAT):
-            assert fmt.encode_payload(msg) == fmt.encode_payload(plain)
+        assert FMT.encode_payload(msg) == FMT.encode_payload(plain)
         node.ack_from(REPLICAS[:2], msg.msg_id)
         (reply,) = replies(transport)
         assert reply.prov == (3, 0, 0, msg.msg_id.seqno)
@@ -153,9 +152,8 @@ def test_a_read_of_many_large_puts_is_cut_into_several_multicasts():
         assert [len(m.payload.op[2]) for m in node.sent] == [3, 3, 1]
         assert [m.payload.op[1] for m in node.sent] == [0, 2, 4]
         for msg in node.sent:
-            for fmt in (BIN_FORMAT, JSON_FORMAT):
-                frame = fmt.frame_msg((0, 0), 1, 0, fmt.encode_payload(msg))
-                assert len(frame) < MAX_FRAME_BYTES // 4
+            frame = FMT.frame_msg((0, 0), 1, 0, FMT.encode_payload(msg))
+            assert len(frame) < MAX_FRAME_BYTES // 4
         node.ack_from(REPLICAS[:2], node.sent[-1].msg_id)
         got = replies(transport)
         assert [r.status for r in got] == ["ok"] * 7
@@ -251,7 +249,7 @@ def test_a_skewed_put_during_a_view_change_aborts_and_its_retry_lands_once():
     assert skewed.put("k", "late", client="c", client_seq=3).token == retry.token
 
 
-@pytest.mark.parametrize("fmt", (BIN_FORMAT, JSON_FORMAT), ids=lambda f: f.name)
+@pytest.mark.parametrize("fmt", (FMT,), ids=[FORMAT_BIN])
 def test_the_batched_op_round_trips_on_the_wire(fmt):
     msg = Message(
         MessageId(ProcessId(2, 1), VIEW, 9),

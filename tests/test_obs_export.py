@@ -4,9 +4,10 @@
   dependency-free parser in ``tests/prom_parser.py`` (the same parser
   the CI obs-smoke steps use) and passes its structural validation.
 * The JSONL export is one meta line plus one JSON object per sample.
-* Metric-snapshot payloads round-trip through **both** wire codecs
-  (tagged JSON and ``bin1``), including ``+Inf`` histogram bounds — the
-  frames ``repro obs watch`` polls over mixed-codec clusters.
+* Metric-snapshot payloads round-trip through both codec layers of
+  ``bin1`` — the value codec and the ``obs`` reply frame around it —
+  including ``+Inf`` histogram bounds: the frames ``repro obs watch``
+  polls.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import pytest
 from repro.obs.export import to_jsonl, to_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import MetricsSnapshot
-from repro.realnet.codec import decode_value, encode_value
-from repro.realnet.codec_bin import decode_value_bin, encode_value_bin
+from repro.realnet.codec_bin import BIN_FORMAT, decode_value_bin, encode_value_bin
 from repro.runtime.cluster import Cluster, ClusterConfig
 
 from tests.prom_parser import parse, validate
@@ -94,8 +94,9 @@ def test_jsonl_shape(run_snapshot):
 
 def test_snapshot_roundtrips_both_codecs(run_snapshot):
     snap, _helps = run_snapshot
-    assert decode_value(encode_value(snap)) == snap
     assert decode_value_bin(encode_value_bin(snap)) == snap
+    body = BIN_FORMAT.frame_side("obs", snap, True)[4:]
+    assert BIN_FORMAT.parse_side(body, 0, len(body), True) == ("obs", snap)
 
 
 def test_inf_bucket_bounds_survive_bin_codec():

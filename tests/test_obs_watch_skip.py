@@ -39,7 +39,7 @@ _FAILURES = [
     "failure", _FAILURES, ids=lambda exc: type(exc).__name__
 )
 def test_one_dead_node_never_aborts_the_round(monkeypatch, failure):
-    async def fake_fetch(host, port, *, codec="bin", timeout=5.0):
+    async def fake_fetch(host, port, *, timeout=5.0):
         if port == 2:
             raise failure
         return _snapshot(f"site{port}")
@@ -56,7 +56,7 @@ def test_one_dead_node_never_aborts_the_round(monkeypatch, failure):
 
 
 def test_fetch_traces_skips_dead_nodes_too(monkeypatch):
-    async def fake_fetch(host, port, *, codec="bin", timeout=5.0):
+    async def fake_fetch(host, port, *, timeout=5.0):
         raise asyncio.IncompleteReadError(partial=b"x", expected=4)
 
     monkeypatch.setattr(watch_mod, "fetch_trace", fake_fetch)
@@ -67,7 +67,7 @@ def test_fetch_traces_skips_dead_nodes_too(monkeypatch):
 def test_watch_loop_counts_skips_in_the_gauge(monkeypatch):
     calls = {"n": 0}
 
-    async def fake_fetch(host, port, *, codec="bin", timeout=5.0):
+    async def fake_fetch(host, port, *, timeout=5.0):
         calls["n"] += 1
         if port == 2:  # one persistently down node
             raise asyncio.IncompleteReadError(partial=b"", expected=4)
@@ -93,7 +93,7 @@ def test_watch_loop_counts_skips_in_the_gauge(monkeypatch):
 
 
 def test_watch_returns_nonzero_when_every_node_is_down(monkeypatch):
-    async def fake_fetch(host, port, *, codec="bin", timeout=5.0):
+    async def fake_fetch(host, port, *, timeout=5.0):
         raise ConnectionRefusedError
 
     monkeypatch.setattr(watch_mod, "fetch_snapshot", fake_fetch)

@@ -1,43 +1,39 @@
-"""Binary wire codec units: roundtrips, negotiation, error paths.
+"""Binary wire codec units: roundtrips and error paths.
 
 Tier-1 (socket-free) coverage for :mod:`repro.realnet.codec_bin`:
 
 * a sample of **every** registered wire dataclass (the shared
-  ``tests/wire_samples.py`` table) round-trips identically under both
-  codecs (a coverage assertion keeps the table honest when new payload
+  ``tests/wire_samples.py`` table) round-trips identically through
+  both codec layers — the value codec and the ``msg`` frame around it
+  (a coverage assertion keeps the table honest when new payload
   classes are registered);
+* scalars and containers round-trip with their types, and values
+  outside the wire vocabulary are refused;
 * the ``bin1`` msg framing round-trips through ``frame_msg`` /
   ``parse_msg``;
-* both codecs reject the same malformed inputs — truncation, oversized
-  frames, unknown classes, field-layout drift, registry collisions;
-* ``hello`` negotiation picks binary only between schema-matched peers
-  and falls back to JSON everywhere else.
+* malformed input dies loudly — truncation, oversized frames, unknown
+  classes, field-layout drift, registry collisions.
+
+The handshake that refuses a peer with another schema fingerprint is
+``tests/test_frame_server.py``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.errors import CodecError
 from repro.fd.heartbeat import Heartbeat
 from repro.realnet import codec_bin
-from repro.realnet.codec import (
-    MAX_FRAME_BYTES,
-    decode_value,
-    encode_value,
-    register_payload,
-    registered_payloads,
-)
+from repro.realnet.codec import MAX_FRAME_BYTES, register_payload, registered_payloads
 from repro.realnet.codec_bin import (
     BIN_FORMAT,
     FORMAT_BIN,
-    FORMAT_JSON,
-    JSON_FORMAT,
-    choose_format,
     decode_value_bin,
     encode_value_bin,
     schema_fingerprint,
-    supported_formats,
 )
 from repro.types import ProcessId, ViewId
 from tests.wire_samples import samples
@@ -50,12 +46,13 @@ def test_samples_cover_every_registered_class():
 
 @pytest.mark.parametrize("payload", samples(), ids=lambda p: type(p).__name__)
 def test_both_codecs_roundtrip_identically(payload):
-    via_bin = decode_value_bin(encode_value_bin(payload))
-    via_json = decode_value(encode_value(payload))
-    assert via_bin == payload
-    assert via_json == payload
-    assert type(via_bin) is type(payload)
-    assert via_bin == via_json
+    via_value = decode_value_bin(encode_value_bin(payload))
+    frame = BIN_FORMAT.frame_msg((2, 1), 5, 0, BIN_FORMAT.encode_payload(payload))
+    via_frame = BIN_FORMAT.parse_msg(frame[4:]).payload()
+    assert via_value == payload
+    assert via_frame == payload
+    assert type(via_value) is type(payload)
+    assert type(via_frame) is type(payload)
 
 
 @pytest.mark.parametrize(
@@ -100,11 +97,32 @@ def test_bin_nan_and_numeric_types_survive():
     assert decode_value_bin(encode_value_bin(False)) is False
 
 
+class _FloatSub(float):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Unregistered:
+    x: int = 1
+
+
+#: Values outside the wire vocabulary, each with what its error says.
+#: Only bool/int/str subclasses are encoded as their base type.
+REJECTED = (
+    (object(), "cannot encode object value"),
+    (b"raw-bytes", "cannot encode bytes value"),
+    (1 + 2j, "cannot encode complex value"),
+    (_FloatSub(1.5), "cannot encode _FloatSub value"),
+    (_Unregistered(), "unregistered dataclass on the wire"),
+    (_Unregistered, "cannot encode type value"),
+    ((1, [object()]), "cannot encode object value"),
+)
+
+
 def test_bin_rejects_what_json_rejects():
-    for bad in (object(), b"raw-bytes", 1 + 2j):
-        with pytest.raises(CodecError):
-            encode_value(bad)
-        with pytest.raises(CodecError):
+    """The values the former tagged-JSON encoder refused, and more."""
+    for bad, message in REJECTED:
+        with pytest.raises(CodecError, match=message):
             encode_value_bin(bad)
 
 
@@ -113,7 +131,7 @@ def test_bin_rejects_what_json_rejects():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt", [JSON_FORMAT, BIN_FORMAT], ids=lambda f: f.name)
+@pytest.mark.parametrize("fmt", [BIN_FORMAT], ids=[FORMAT_BIN])
 @pytest.mark.parametrize("dst_inc", [None, 0, 7, 300], ids=lambda v: f"inc={v}")
 def test_msg_framing_roundtrip(fmt, dst_inc):
     payload = Heartbeat(ProcessId(2, 1), ViewId(9, ProcessId(0, 0)), 4, 1)
@@ -190,16 +208,6 @@ def test_bin_varint_too_long():
         decode_value_bin(bytes([codec_bin._T_INT]) + b"\xff" * 25)
 
 
-def test_json_truncated_body_raises():
-    from repro.realnet.codec import decode_frame_body, encode_frame
-
-    frame = encode_frame({"k": "msg", "p": "hello"})
-    with pytest.raises(CodecError):
-        decode_frame_body(frame[4:-3])
-    with pytest.raises(CodecError):
-        decode_frame_body(b"\xff\xfe not json")
-
-
 def test_split_frames_rejects_oversized_length_prefix():
     from repro.realnet.codec import _LEN
     from repro.realnet.transport import FrameServer
@@ -237,46 +245,6 @@ def test_register_payload_collision_rules():
     ProcessId2.__name__ = "ProcessId"
     with pytest.raises(CodecError):
         register_payload(ProcessId2)
-
-
-# ---------------------------------------------------------------------------
-# negotiation
-# ---------------------------------------------------------------------------
-
-
-def test_supported_formats_preference_order():
-    assert supported_formats("json") == (FORMAT_JSON,)
-    assert supported_formats("bin") == (FORMAT_BIN, FORMAT_JSON)
-    assert supported_formats("bin1") == (FORMAT_BIN, FORMAT_JSON)
-    with pytest.raises(CodecError):
-        supported_formats("msgpack")
-
-
-def test_choose_format_picks_binary_on_schema_match():
-    fp = schema_fingerprint()
-    accept = supported_formats("bin")
-    assert choose_format([FORMAT_BIN, FORMAT_JSON], fp, accept) == FORMAT_BIN
-    assert choose_format([FORMAT_JSON, FORMAT_BIN], fp, accept) == FORMAT_JSON
-
-
-def test_choose_format_schema_mismatch_falls_back_to_json():
-    accept = supported_formats("bin")
-    assert choose_format([FORMAT_BIN, FORMAT_JSON], "0" * 16, accept) == FORMAT_JSON
-    assert choose_format([FORMAT_BIN], None, accept) == FORMAT_JSON
-
-
-def test_choose_format_json_only_server_never_picks_binary():
-    fp = schema_fingerprint()
-    accept = supported_formats("json")
-    assert choose_format([FORMAT_BIN, FORMAT_JSON], fp, accept) == FORMAT_JSON
-
-
-def test_choose_format_pre_binary_peer_and_garbage_hellos():
-    fp = schema_fingerprint()
-    accept = supported_formats("bin")
-    assert choose_format(None, fp, accept) == FORMAT_JSON  # pre-binary hello
-    assert choose_format("bin1", fp, accept) == FORMAT_JSON  # not a list
-    assert choose_format(["gzip", 42], fp, accept) == FORMAT_JSON  # unknown names
 
 
 def test_schema_fingerprint_is_stable_and_short():

@@ -12,24 +12,15 @@ import asyncio
 import pytest
 
 from repro.errors import CodecError
-from repro.gms.messages import VcInstall
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.ports import NetworkPort, SchedulerPort
-from repro.realnet.codec import (
-    MAX_FRAME_BYTES,
-    decode_frame_body,
-    decode_value,
-    encode_frame,
-    encode_value,
-    registered_payloads,
-)
-from repro.realnet.codec_bin import WIRE_FORMATS
+from repro.realnet.codec import MAX_FRAME_BYTES, encode_frame, registered_payloads
+from repro.realnet.codec_bin import BIN_FORMAT, decode_value_bin, encode_value_bin
 from repro.realnet.transport import FrameServer, OutMessage, PeerLink
 from repro.realnet.wallclock import WallClockScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Scheduler
-from tests.wire_samples import samples
 
 
 # ---------------------------------------------------------------------------
@@ -87,15 +78,8 @@ def test_every_registry_serving_a_node_exports_the_wire_gauges():
 
 
 # ---------------------------------------------------------------------------
-# Codec: JSON framing and tagging
+# Codec: bin1 values, the handshake frame cap, the registry
 # ---------------------------------------------------------------------------
-
-
-def test_codec_roundtrip_through_json_frame():
-    payload = next(s for s in samples() if isinstance(s, VcInstall))
-    frame = encode_frame({"k": "msg", "p": encode_value(payload)})
-    body = decode_frame_body(frame[4:])
-    assert decode_value(body["p"]) == payload
 
 
 def test_codec_scalar_and_container_tags():
@@ -106,19 +90,12 @@ def test_codec_scalar_and_container_tags():
         "none": None,
         ("tuple", "key"): frozenset({"a"}),
     }
-    decoded = decode_value(encode_value(value))
-    assert decoded["ints"] == (1, -2, 0)
-    assert decoded["floats"][1] == float("inf")
-    assert decoded["set"] == {1, 2}
-    assert decoded[("tuple", "key")] == frozenset({"a"})
-    nan = decode_value(encode_value(float("nan")))
+    decoded = decode_value_bin(encode_value_bin(value))
+    assert decoded == value
+    assert type(decoded["ints"]) is tuple and type(decoded["floats"]) is list
+    assert type(decoded["set"]) is set
+    nan = decode_value_bin(encode_value_bin(float("nan")))
     assert nan != nan  # NaN survives the trip as NaN
-
-
-def test_codec_int_float_distinction_survives():
-    assert decode_value(encode_value(3)) == 3
-    assert isinstance(decode_value(encode_value(3)), int)
-    assert isinstance(decode_value(encode_value(3.0)), float)
 
 
 def test_codec_rejects_unregistered_dataclass():
@@ -128,24 +105,15 @@ def test_codec_rejects_unregistered_dataclass():
     class NotOnTheWire:
         x: int = 1
 
-    with pytest.raises(CodecError):
-        encode_value(NotOnTheWire())
-
-
-def test_codec_rejects_unknown_type_tag_and_unknown_fields():
-    with pytest.raises(CodecError):
-        decode_value({"__c__": "EvilClass", "f": {}})
-    with pytest.raises(CodecError):
-        decode_value({"__c__": "ProcessId", "f": {"site": 0, "bogus": 1}})
-    with pytest.raises(CodecError):  # fields that are not an object
-        decode_value({"__c__": "ProcessId", "f": ["site"]})
-    with pytest.raises(CodecError):
-        decode_value({"untagged": 1})
+    with pytest.raises(CodecError, match="unregistered dataclass"):
+        encode_value_bin(NotOnTheWire())
 
 
 def test_codec_rejects_arbitrary_objects():
     with pytest.raises(CodecError):
-        encode_value(object())
+        encode_value_bin(object())
+    with pytest.raises(CodecError):  # nested inside a container too
+        BIN_FORMAT.encode_payload(("m", [object()]))
 
 
 def test_frame_cap_enforced():
@@ -269,17 +237,21 @@ class _FakeWriter:
         return (16 * 1024, 64 * 1024)
 
 
-def _flushed_link(payloads, **link_kwargs):
-    """Offer ``payloads`` to a connected link in one loop turn; returns
+def out(payload) -> OutMessage:
+    """``payload`` queued for any incarnation, encoded like the sender does."""
+    return OutMessage(None, BIN_FORMAT.encode_payload(payload))
+
+
+def _flushed_link(messages, **link_kwargs):
+    """Offer ``messages`` to a connected link in one loop turn; returns
     (link, payloads carried by each write, in write order)."""
-    fmt = WIRE_FORMATS["bin1"]
     writer = _FakeWriter()
     link = PeerLink("0->1", (0, 0), 1, lambda: None, **link_kwargs)
 
     async def scenario():
-        link._link_up(writer, fmt)
-        for payload in payloads:
-            assert link.offer(OutMessage(None, payload, {}))
+        link._link_up(writer)
+        for msg in messages:
+            assert link.offer(msg)
         assert writer.writes == []  # nothing leaves before the turn ends
         await asyncio.sleep(0)
 
@@ -287,7 +259,7 @@ def _flushed_link(payloads, **link_kwargs):
     splitter = FrameServer("", 0, lambda msg: None)
     written = [
         [
-            fmt.parse_msg_at(body, 0, len(body)).payload()
+            BIN_FORMAT.parse_msg_at(body, 0, len(body)).payload()
             for body in splitter._split_frames(bytearray(data))
         ]
         for data in writer.writes
@@ -297,7 +269,7 @@ def _flushed_link(payloads, **link_kwargs):
 
 def test_link_flush_splits_one_turns_messages_at_batch_bytes_in_order():
     payloads = [("m", i, "x" * 1000) for i in range(10)]
-    link, written = _flushed_link(payloads, batch_bytes=2500)
+    link, written = _flushed_link([out(p) for p in payloads], batch_bytes=2500)
     assert [len(batch) for batch in written] == [3, 3, 3, 1]
     assert [p for batch in written for p in batch] == payloads
     stats = link.stats()
@@ -307,28 +279,30 @@ def test_link_flush_splits_one_turns_messages_at_batch_bytes_in_order():
 
 def test_link_flush_with_batch_bytes_zero_writes_one_frame_per_write():
     payloads = [("m", i) for i in range(5)]
-    link, written = _flushed_link(payloads, batch_bytes=0)
+    link, written = _flushed_link([out(p) for p in payloads], batch_bytes=0)
     assert written == [[p] for p in payloads]
     assert link.stats()["max_batch"] == 1
 
 
 def test_link_flush_counts_and_skips_an_unencodable_payload():
-    link, written = _flushed_link([("a", 1), object(), ("b", 2)])
+    # The sender encodes, so an unencodable payload never reaches a
+    # link; what a link can still fail to frame is a body over the cap.
+    oversize = OutMessage(None, b"x" * MAX_FRAME_BYTES)
+    link, written = _flushed_link([out(("a", 1)), oversize, out(("b", 2))])
     assert written == [[("a", 1), ("b", 2)]]  # neighbours kept, in order
     stats = link.stats()
     assert (stats["encode_errors"], stats["frames_sent"], stats["queued"]) == (1, 2, 0)
 
 
 def test_link_flush_above_high_water_writes_nothing_and_keeps_the_queue():
-    fmt = WIRE_FORMATS["bin1"]
     writer = _FakeWriter()
     link = PeerLink("0->1", (0, 0), 1, lambda: None, queue_cap=4)
 
     def offer(i: int) -> bool:
-        return link.offer(OutMessage(None, ("m", i), {}))
+        return link.offer(out(("m", i)))
 
     async def scenario():
-        link._link_up(writer, fmt)
+        link._link_up(writer)
         writer.buffered = 64 * 1024 + 1
         assert [offer(i) for i in range(3)] == [True] * 3
         await asyncio.sleep(0)

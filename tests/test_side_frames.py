@@ -2,10 +2,9 @@
 
 Everything that is not a ``msg`` — obs polls, control ops, client
 requests — is one row of ``codec_bin.SIDE_KINDS``, framed and parsed by
-the two wire formats and dispatched by kind (docs/protocol.md §7).  The
-framing cases run over every kind x format x direction; the dispatch
-cases drive a ``FrameServer`` connection over a fake transport, no
-sockets.
+``bin1`` and dispatched by kind (docs/protocol.md §7).  The framing
+cases run over every kind x direction; the dispatch cases drive a
+``FrameServer`` connection over a fake transport, no sockets.
 """
 
 from __future__ import annotations
@@ -24,22 +23,12 @@ from repro.client.protocol import (
 )
 from repro.errors import CodecError
 from repro.obs.snapshot import MetricsSnapshot
-from repro.realnet.codec import _LEN, decode_frame_body, encode_frame
-from repro.realnet.codec_bin import (
-    BIN_FORMAT,
-    JSON_FORMAT,
-    SIDE_KINDS,
-    WIRE_FORMATS,
-    BinWireFormat,
-    JsonWireFormat,
-    schema_fingerprint,
-)
+from repro.realnet.codec import _LEN, decode_frame_body
+from repro.realnet.codec_bin import BIN_FORMAT, FORMAT_BIN, SIDE_KINDS
 from repro.realnet.network import RealNetwork
-from repro.realnet.transport import FrameServer
+from repro.realnet.transport import OUTSIDER, WELCOME, FrameServer, hello_frame
 from repro.realnet.wallclock import WallClockScheduler
-from tests.test_frame_server import FakeTransport
-
-FORMATS = (BIN_FORMAT, JSON_FORMAT)
+from tests.test_frame_server import FORMATS, FakeTransport
 
 SNAPSHOT = MetricsSnapshot(source="site0", runtime="realnet", time=1.5, samples=())
 REQUEST = ClientRequest(7, "put", "k123456", 4242, client="gen0", client_seq=99)
@@ -61,7 +50,7 @@ def test_samples_cover_the_table():
 
 
 @pytest.mark.parametrize("reply", [False, True], ids=["request", "reply"])
-@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("fmt", FORMATS, ids=[FORMAT_BIN])
 @pytest.mark.parametrize("kind", sorted(SIDE_KINDS))
 def test_side_frame(kind, fmt, reply):
     value = SAMPLES[kind][reply]
@@ -119,41 +108,22 @@ def test_bin1_side_frame_must_fill_its_frame():
 # ---------------------------------------------------------------------------
 
 
-def _counting(base):
-    class Counting(base):
-        side_parses = 0
-
-        def parse_side(self, buf, start, end, reply=False):
-            self.side_parses += 1
-            return super().parse_side(buf, start, end, reply)
-
-    return Counting()
-
-
-@pytest.mark.parametrize(
-    "base", [BinWireFormat, JsonWireFormat], ids=lambda cls: cls.name
-)
+@pytest.mark.parametrize("fmt", FORMATS, ids=[FORMAT_BIN])
 def test_a_side_frame_is_decoded_once_and_reaches_exactly_one_handler(
-    monkeypatch, base
+    monkeypatch, fmt
 ):
-    fmt = _counting(base)
-    monkeypatch.setitem(WIRE_FORMATS, fmt.name, fmt)
-    hello = encode_frame(
-        {
-            "k": "hello",
-            "src": [-1, 0],
-            "codecs": [fmt.name],
-            "schema": schema_fingerprint(),
-        }
-    )
-    unknown = (
-        _LEN.pack(2) + b"\x7f\x00"
-        if fmt.name == "bin1"
-        else encode_frame({"k": "from_the_future", "p": 1})
-    )
+    parses = []
+    parse_side = type(fmt).parse_side
+
+    def counting(self, buf, start, end, reply=False):
+        parses.append(start)
+        return parse_side(self, buf, start, end, reply)
+
+    monkeypatch.setattr(type(fmt), "parse_side", counting)
+    unknown = _LEN.pack(2) + b"\x7f\x00"
     garbled = fmt.frame_side("obs", WRONG["obs"])
     stream = (
-        hello
+        hello_frame(OUTSIDER)
         + fmt.frame_side("obs", "snapshot")
         + fmt.frame_side("cli", REQUEST)  # nobody serves cli here
         + unknown
@@ -173,10 +143,7 @@ def test_a_side_frame_is_decoded_once_and_reaches_exactly_one_handler(
         network = RealNetwork(WallClockScheduler(), 0, {})
         network.side_handlers["obs"] = serve("obs")
         network.side_handlers["ctl"] = serve("ctl")
-        server = FrameServer(
-            "", 0, network._on_msg, accept_formats=(fmt.name,),
-            on_side=network._on_side,
-        )
+        server = FrameServer("", 0, network._on_msg, on_side=network._on_side)
         transport = FakeTransport()
         conn = server._connection()
         conn.connection_made(transport)
@@ -188,13 +155,13 @@ def test_a_side_frame_is_decoded_once_and_reaches_exactly_one_handler(
     server, writer = asyncio.run(asyncio.wait_for(scenario(), 5))
     assert seen == [("obs", "snapshot"), ("ctl", ("ping", None))]
     # one decode per non-msg frame, whoever (if anyone) serves its kind
-    assert fmt.side_parses == 5
+    assert len(parses) == 5
     # the unserved and the unknown kind cost nothing; the garbled frame
     # cost one frame, not the link: the ctl request after it was served
     assert (server.bad_frames, server.bad_connections) == (1, 0)
     welcome, *replies = writer.writes
-    assert decode_frame_body(welcome[4:]) == {"k": "welcome", "codec": fmt.name}
-    assert [fmt.parse_side(r, 4, len(r), True) for r in replies] == [
+    assert decode_frame_body(welcome[4:]) == WELCOME
+    assert [parse_side(fmt, r, 4, len(r), True) for r in replies] == [
         ("obs", SNAPSHOT),
         ("ctl", SAMPLES["ctl"][True]),
     ]

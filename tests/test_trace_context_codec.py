@@ -1,15 +1,15 @@
-"""Trace-context wire fields: both codecs, with and without context.
+"""Trace-context wire fields, with and without context.
 
 Every protocol dataclass that grew an optional trailing ``trace`` field
 must:
 
-* round-trip identically through both codecs with a context attached;
+* round-trip identically through both codec layers of ``bin1`` — the
+  value codec and the ``msg`` frame around it — with a context attached;
 * round-trip with the context absent (``None``), the tracing-off case;
-* cost **zero wire bytes** while absent — the JSON codec elides the
-  key entirely, the ``bin1`` codec elides the trailing field from the
-  announced arity (so the bytes equal what a pre-tracing peer would
-  have produced, which is also why the decoder's ``min_arity``
-  tolerance makes the formats interoperable across the change).
+* cost **zero wire bytes** while absent — ``bin1`` elides the trailing
+  field from the announced arity (so the bytes equal what a
+  pre-tracing peer would have produced, which is also why the
+  decoder's ``min_arity`` tolerance reads both).
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import pytest
 
 from repro.client.protocol import ClientReply
 from repro.obs.tracing import TraceCtx
-from repro.realnet.codec import decode_value, encode_value
-from repro.realnet.codec_bin import decode_value_bin, encode_value_bin
+from repro.realnet.codec_bin import BIN_FORMAT, decode_value_bin, encode_value_bin
 from tests.wire_samples import samples
 
 CTX = TraceCtx(trace_id=0x4001, span_id=0x5001, parent=0x4001)
@@ -39,6 +38,12 @@ def _ids(sample):
     return type(sample).__name__
 
 
+def _via_frame(value):
+    """``value`` sent as one ``msg`` frame and parsed back."""
+    frame = BIN_FORMAT.frame_msg((2, 1), 0, 0, BIN_FORMAT.encode_payload(value))
+    return BIN_FORMAT.parse_msg(frame[4:]).payload()
+
+
 @pytest.mark.parametrize("sample", _traced_samples(), ids=_ids)
 def test_has_trace_field_defaulting_none(sample):
     assert sample.trace is None
@@ -49,26 +54,18 @@ def test_has_trace_field_defaulting_none(sample):
 @pytest.mark.parametrize("sample", _traced_samples(), ids=_ids)
 def test_roundtrip_with_context_both_codecs(sample):
     traced = dataclasses.replace(sample, trace=CTX)
-    via_bin = decode_value_bin(encode_value_bin(traced))
-    via_json = decode_value(encode_value(traced))
-    assert via_bin == traced and via_json == traced
-    assert via_bin.trace == CTX and via_json.trace == CTX
+    via_value = decode_value_bin(encode_value_bin(traced))
+    via_frame = _via_frame(traced)
+    assert via_value == traced and via_frame == traced
+    assert via_value.trace == CTX and via_frame.trace == CTX
 
 
 @pytest.mark.parametrize("sample", _traced_samples(), ids=_ids)
 def test_roundtrip_without_context_both_codecs(sample):
-    via_bin = decode_value_bin(encode_value_bin(sample))
-    via_json = decode_value(encode_value(sample))
-    assert via_bin == sample and via_json == sample
-    assert via_bin.trace is None and via_json.trace is None
-
-
-@pytest.mark.parametrize("sample", _traced_samples(), ids=_ids)
-def test_absent_context_costs_zero_json_bytes(sample):
-    encoded = encode_value(sample)
-    assert "trace" not in encoded["f"]
-    traced = encode_value(dataclasses.replace(sample, trace=CTX))
-    assert "trace" in traced["f"]
+    via_value = decode_value_bin(encode_value_bin(sample))
+    via_frame = _via_frame(sample)
+    assert via_value == sample and via_frame == sample
+    assert via_value.trace is None and via_frame.trace is None
 
 
 @pytest.mark.parametrize("sample", _traced_samples(), ids=_ids)
@@ -83,13 +80,9 @@ def test_absent_context_costs_zero_bin_bytes(sample):
 
 
 def test_reply_echoes_request_context_shape():
-    """The service echoes the root ctx on the reply; both codecs carry
-    it as a nested registered dataclass, not an opaque blob."""
+    """The service echoes the root ctx on the reply; the wire carries it
+    as a nested registered dataclass, not an opaque blob."""
     reply = ClientReply(req_id=9, status="ok", trace=CTX)
-    for roundtrip in (
-        lambda v: decode_value_bin(encode_value_bin(v)),
-        lambda v: decode_value(encode_value(v)),
-    ):
-        back = roundtrip(reply)
-        assert isinstance(back.trace, TraceCtx)
-        assert back.trace == CTX
+    back = decode_value_bin(encode_value_bin(reply))
+    assert isinstance(back.trace, TraceCtx)
+    assert back.trace == CTX
