@@ -82,7 +82,7 @@ _MULTICAST_BYTES = 2 * 1024 * 1024
 def _wire_size(value: Any) -> int:
     """A cheap estimate of ``value``'s encoded size: the length of a
     string or bytes, 16 per other scalar, summed over containers and
-    dataclass fields."""
+    the fields of dataclasses and identifiers (named tuples)."""
     kind = type(value)
     if kind is str or kind is bytes:
         return len(value) + 16
@@ -92,6 +92,8 @@ def _wire_size(value: Any) -> int:
         return 16 + sum(map(_wire_size, value))
     if kind is dict:
         return 16 + sum(_wire_size(k) + _wire_size(v) for k, v in value.items())
+    if isinstance(value, tuple):  # an identifier: its fields are its items
+        return 16 + sum(map(_wire_size, value))
     if is_dataclass(value):
         return 16 + sum(_wire_size(getattr(value, f.name)) for f in fields(value))
     return 16

@@ -12,7 +12,7 @@ from typing import Iterable, Literal
 
 from repro.errors import EnrichedViewError
 from repro.gms.view import View
-from repro.types import ProcessId, SubviewId, SvSetId, sorted_pids
+from repro.types import ProcessId, SubviewId, SvSetId
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class Subview:
     members: frozenset[ProcessId]
 
     def __str__(self) -> str:
-        names = ",".join(str(p) for p in sorted_pids(self.members))
+        names = ",".join(str(p) for p in sorted(self.members))
         return f"{self.sid}{{{names}}}"
 
 
@@ -74,7 +74,7 @@ class EViewStructure:
         """
         subviews = []
         svsets = []
-        for pid in sorted_pids(members):
+        for pid in sorted(members):
             sid = SubviewId(view_epoch, pid, 0)
             ssid = SvSetId(view_epoch, pid, 0)
             subviews.append(Subview(sid, frozenset({pid})))

@@ -55,8 +55,6 @@ from repro.types import (
     ViewId,
     least_member,
     min_process,
-    pid_key,
-    sorted_pids,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -415,7 +413,7 @@ class ViewAgreement:
         svsets: list[SvSet] = []
         for prev_vid, flushes in groups.items():
             authority = max(
-                flushes, key=lambda f: (f.eview_seq, *pid_key(f.sender))
+                flushes, key=lambda f: (f.eview_seq, f.sender)
             )
             union: dict[MessageId, Message] = {}
             for flush in flushes:
@@ -500,13 +498,10 @@ class ViewAgreement:
             )
             if remaining_ids:
                 anchor = min(
-                    (
-                        member
-                        for sv in subviews
-                        if sv.sid in remaining_ids
-                        for member in sv.members
-                    ),
-                    key=pid_key,
+                    member
+                    for sv in subviews
+                    if sv.sid in remaining_ids
+                    for member in sv.members
                 )
                 svsets.append(
                     SvSet(SvSetId(new_epoch, anchor, 0), remaining_ids)
@@ -526,7 +521,7 @@ class ViewAgreement:
             if children:
                 self.stack.send_many(children, msg)
         least = (least_member(msg.members), least_member(self.stack.fd.reachable()))
-        candidate = min(*least, self.stack.pid, key=pid_key)
+        candidate = min(*least, self.stack.pid)
         if candidate == self.stack.pid and coordinator != self.stack.pid:
             # We should coordinate instead; tell them and do it.
             self.stack.send(coordinator, VcNack(msg.round_id, self.stack.pid))
@@ -634,7 +629,7 @@ class ViewAgreement:
             agg.timer = None
         batch = VcFlushBatch(
             agg.round_id,
-            tuple(agg.collected[pid] for pid in sorted_pids(agg.collected)),
+            tuple(agg.collected[pid] for pid in sorted(agg.collected)),
         )
         self.stack.send(agg.parent, batch)
 

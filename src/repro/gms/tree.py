@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from repro.types import ProcessId, sorted_pids
+from repro.types import ProcessId
 
 #: Trees kept by :func:`round_tree`.  Rounds in flight at one instant are
 #: far fewer; at n=128 a tree is about 6 KB, so the memo stays under 1 MB.
@@ -50,7 +50,7 @@ class AggregationTree:
         others = set(members)
         others.discard(root)
         # A tuple: one tree is handed to every member of the round.
-        self.order: tuple[ProcessId, ...] = (root, *sorted_pids(others))
+        self.order: tuple[ProcessId, ...] = (root, *sorted(others))
         self._index = {pid: i for i, pid in enumerate(self.order)}
 
     def __contains__(self, pid: ProcessId) -> bool:

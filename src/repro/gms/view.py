@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.types import ProcessId, ViewId, sorted_pids
+from repro.types import ProcessId, ViewId
 
 
 @dataclass(frozen=True)
@@ -35,5 +35,5 @@ class View:
         return len(self.members)
 
     def __str__(self) -> str:
-        names = ",".join(str(p) for p in sorted_pids(self.members))
+        names = ",".join(str(p) for p in sorted(self.members))
         return f"View({self.view_id}: {names})"

@@ -1,9 +1,10 @@
 """The wire's payload registry and its JSON handshake frames.
 
-The protocol stacks exchange frozen dataclasses built from a small
-vocabulary of shapes — identifiers, tuples, frozensets, mappings and
-opaque application payloads.  Every wire dataclass of the stack is
-registered here by class name; a deployment embedding its own
+The protocol stacks exchange frozen dataclasses and the identifier
+named tuples of :mod:`repro.types`, built from a small vocabulary of
+shapes — identifiers, tuples, frozensets, mappings and opaque
+application payloads.  Every wire class of the stack is registered here
+by class name; a deployment embedding its own
 application payload types registers them with :func:`register_payload`
 on both ends.  The ``bin1`` codec (:mod:`repro.realnet.codec_bin`)
 numbers the registered classes and encodes their fields positionally,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from typing import Any
 
 from repro.errors import CodecError
@@ -37,14 +38,32 @@ _LEN = struct.Struct(">I")
 _REGISTRY: dict[str, type] = {}
 
 
+def _is_named_tuple(cls: type) -> bool:
+    """True for a :func:`~collections.namedtuple` or
+    :class:`typing.NamedTuple` class."""
+    return isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+
+
+def wire_fields(cls: type) -> tuple[tuple[str, Any], ...]:
+    """``(name, default)`` of each field of a wire class, in declaration
+    order; ``default`` is :data:`dataclasses.MISSING` when there is none."""
+    if _is_named_tuple(cls):
+        names, defaults = cls._fields, cls._field_defaults  # type: ignore[attr-defined]
+        return tuple((name, defaults.get(name, MISSING)) for name in names)
+    return tuple((f.name, f.default) for f in fields(cls))
+
+
 def register_payload(cls: type) -> type:
-    """Register a dataclass for wire transport (usable as a decorator).
+    """Register a dataclass or named tuple for wire transport (usable as
+    a decorator).
 
     Registration is by ``__name__``; both peers must register the same
     name to the same field layout.  Returns ``cls`` unchanged.
     """
-    if not is_dataclass(cls):
-        raise CodecError(f"only dataclasses can be wire payloads: {cls!r}")
+    if not (is_dataclass(cls) or _is_named_tuple(cls)):
+        raise CodecError(
+            f"only dataclasses and named tuples can be wire payloads: {cls!r}"
+        )
     existing = _REGISTRY.get(cls.__name__)
     if existing is not None and existing is not cls:
         raise CodecError(f"payload name collision: {cls.__name__}")

@@ -7,13 +7,14 @@ big-endian length plus a ``bin1`` body, capped at
 * **Values** are encoded with one tag byte per value: varint (LEB128,
   zigzag for sign) integers, raw 8-byte doubles (so ``inf``/``nan``
   travel natively), length-prefixed UTF-8 strings, count-prefixed
-  containers, and registered dataclasses as a *class id plus
+  containers, and registered classes (dataclasses and named tuples)
+  as a *class id plus
   positional fields*, no field names on the wire.  Small ints (0..127,
   the bulk of protocol traffic: sites, seqnos, epochs) are a single
   byte.
 * **Field tables** are derived from the shared payload registry in
   :mod:`repro.realnet.codec`: classes are numbered in sorted-name
-  order, fields in dataclass declaration order.  Positional encoding
+  order, fields in declaration order.  Positional encoding
   only works when both ends agree on the layout, so the dialer's
   ``hello`` carries a **schema fingerprint** (hash over every
   registered class's name and field names), and a server whose own
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from repro.errors import CodecError
-from repro.realnet.codec import MAX_FRAME_BYTES, _LEN, _REGISTRY
+from repro.realnet.codec import MAX_FRAME_BYTES, _LEN, _REGISTRY, wire_fields
 from repro.types import ProcessId, ViewId
 
 #: The body format's name in the handshake frames.
@@ -42,7 +43,7 @@ FORMAT_BIN = "bin1"
 
 #: What well-framed garbage raises below the codec's own checks: a
 #: registered constructor given a field of the wrong type or shape (or an
-#: unhashable one, when its hash is precomputed or it is a memo key),
+#: unhashable one, when it is a memo key),
 #: undecodable UTF-8, a nesting too deep to walk.  Every decode entry
 #: point reports these as :class:`CodecError`, like a truncation.
 _DECODE_ERRORS = (TypeError, ValueError, RecursionError)
@@ -114,10 +115,14 @@ def _side(kind: str, value: Any, reply: bool) -> tuple[str, Any]:
 # identifiers fill every frame (a store put makes about 29 ProcessId and
 # 10 ViewId values across the frames a server reads).  The decoder
 # builds each such value once and hands the same object out again.
-# Both classes are frozen with a precomputed hash, so the shared object
-# is indistinguishable from a fresh equal one.  Each memo is keyed by the
-# decoded fields and is cleared when full, like the header cache below:
-# incarnation churn grows the key space, never the steady-state set.
+# Both classes are immutable tuples, so the shared object is
+# indistinguishable from a fresh equal one.  A memo hit (one dict probe
+# on the field tuple) is still cheaper than the named tuple's
+# ``__new__``, and shared objects keep version chains small
+# (docs/performance.md, "Identifiers are tuples").  Each memo is keyed
+# by the decoded fields and is cleared when full, like the header cache
+# below: incarnation churn grows the key space, never the steady-state
+# set.
 
 #: The identifier classes the bin1 decoder interns.
 INTERNED: tuple[type, ...] = (ProcessId, ViewId)
@@ -152,7 +157,7 @@ def process_id(site: int, incarnation: int) -> ProcessId:
 # min_arity, memo), ``memo`` being the class's identifier memo (above)
 # or None.
 #
-# Trailing fields whose dataclass default is ``None`` are *elidable*:
+# Trailing fields whose default is ``None`` are *elidable*:
 # when their values are all None the encoder writes a reduced field
 # count and the decoder lets the constructor defaults fill them in.
 # This is what makes optional context fields (tracing) cost zero wire
@@ -171,8 +176,8 @@ class _ClassTable:
         lines = []
         for class_id, name in enumerate(names):
             cls = _REGISTRY[name]
-            class_fields = fields(cls)
-            field_names = tuple(f.name for f in class_fields)
+            class_fields = wire_fields(cls)
+            field_names = tuple(field_name for field_name, _ in class_fields)
             if len(field_names) > 1:
                 getter = attrgetter(*field_names)
             elif field_names:
@@ -180,8 +185,8 @@ class _ClassTable:
             else:
                 getter = lambda v: ()  # noqa: E731
             elidable = 0
-            for f in reversed(class_fields):
-                if f.default is not None:  # MISSING or a non-None default
+            for _, default in reversed(class_fields):
+                if default is not None:  # MISSING or a non-None default
                     break
                 elidable += 1
             arity = len(field_names)
@@ -216,7 +221,7 @@ def schema_fingerprint() -> str:
 #
 # One precomputed **packer table** maps ``type(value)`` straight to a
 # packing function: builtins get module-level packers, every registered
-# dataclass gets a closure whose tag + class-id + arity header bytes
+# class gets a closure whose tag + class-id + arity header bytes
 # were rendered once at table-build time.  The hot path is therefore a
 # single dict lookup per value — no isinstance chain, no per-value
 # varint rendering for the class header.  Values whose exact type is

@@ -11,9 +11,10 @@ failure, exactly as in Skeen's algorithm cited by the paper.
 Snapshot semantics with a copy-on-write fast path: a write must behave
 like a force-write to disk — the writer keeping a reference to the value
 must not be able to mutate what was "persisted".  For a *recursively
-immutable* value (numbers, strings, tuples/frozensets of immutables,
-frozen dataclasses such as every identifier type in :mod:`repro.types`)
-sharing the object IS a snapshot, so the blanket ``copy.deepcopy`` the
+immutable* value (numbers, strings, tuples/frozensets of immutables —
+the identifier named tuples of :mod:`repro.types` among them — and
+frozen dataclasses of immutables) sharing the object IS a snapshot, so
+the blanket ``copy.deepcopy`` the
 first implementation used is skipped entirely; only values that can
 actually be mutated are deep-copied.  Protocol-critical writes (epoch
 counters, view logs of frozen records) hit the zero-copy path.

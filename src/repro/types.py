@@ -18,33 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
-from typing import Any, Iterable
+from typing import Any, NamedTuple
 
 SiteId = int
 
 
-@dataclass(frozen=True, order=True)
-class ProcessId:
+class ProcessId(NamedTuple):
     """Identifier of one incarnation of a process at a site.
 
     Ordering is lexicographic on ``(site, incarnation)``; the membership
     protocol uses the minimum live identifier as view coordinator.
 
-    The hash is precomputed: identifiers key every hot dict and set in
-    the simulator (delivery maps, reachability estimates, link clocks),
-    and the generated dataclass ``__hash__`` would rebuild a field tuple
-    on each call.
+    Identifiers key every hot dict and set (delivery maps, reachability
+    estimates, link clocks), so the three identifier classes are tuples:
+    hash, equality, order and construction run in C, and the hash of an
+    identifier is the hash of the tuple of its fields (DESIGN.md 4.9).
     """
 
     site: SiteId
     incarnation: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.site, self.incarnation)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     def __str__(self) -> str:
         return f"p{self.site}.{self.incarnation}"
@@ -54,8 +46,7 @@ class ProcessId:
         return ProcessId(self.site, self.incarnation + 1)
 
 
-@dataclass(frozen=True, order=True)
-class ViewId:
+class ViewId(NamedTuple):
     """Identifier of an installed view: ``(epoch, coordinator)``.
 
     Epochs grow monotonically along every process history (a coordinator
@@ -67,18 +58,11 @@ class ViewId:
     epoch: int
     coordinator: ProcessId
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.epoch, self.coordinator)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
     def __str__(self) -> str:
         return f"v{self.epoch}@{self.coordinator}"
 
 
-@dataclass(frozen=True, order=True)
-class MessageId:
+class MessageId(NamedTuple):
     """Identifier of an application multicast.
 
     ``seqno`` numbers the sender's multicasts *within* ``view`` starting
@@ -89,16 +73,12 @@ class MessageId:
     view: ViewId
     seqno: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.sender, self.view, self.seqno))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
     def __str__(self) -> str:
         return f"m({self.sender},{self.view},{self.seqno})"
+
+
+# Subview and sv-set identifiers stay dataclasses: as tuples of one
+# shape they would compare equal to each other (DESIGN.md 4.9).
 
 
 @dataclass(frozen=True, order=True)
@@ -152,23 +132,11 @@ class Message:
         return f"Message({self.msg_id}, eview_seq={self.eview_seq})"
 
 
-#: Sort key of a :class:`ProcessId`: its two ints.  The order is the
-#: dataclass order (lexicographic on the same fields), but a keyed sort
-#: extracts n tuples in C and compares ints, where the generated
-#: ``__lt__`` runs a Python frame per comparison — n·log(n) of them.
-pid_key = attrgetter("site", "incarnation")
-
-
-def sorted_pids(pids: "Iterable[ProcessId]") -> list[ProcessId]:
-    """``sorted(pids)``, by :data:`pid_key`."""
-    return sorted(pids, key=pid_key)
-
-
 def min_process(pids: "set[ProcessId] | frozenset[ProcessId]") -> ProcessId:
     """Deterministic coordinator choice: the least process identifier."""
     if not pids:
         raise ValueError("cannot pick a coordinator from an empty set")
-    return min(pids, key=pid_key)
+    return min(pids)
 
 
 @lru_cache(maxsize=512)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ViewSynchronyError
 from repro.gms.view import View
 from repro.trace.events import DeliveryEvent, MulticastEvent
-from repro.types import Message, MessageId, ProcessId, SiteId, ViewId, sorted_pids
+from repro.types import Message, MessageId, ProcessId, SiteId, ViewId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
@@ -93,7 +93,7 @@ class ViewChannels:
         self._next_seqno = 0
         self._fifo_next = {m: 1 for m in view.members}
         self._chains = {}
-        self._senders = tuple(sorted_pids(view.members))
+        self._senders = tuple(sorted(view.members))
         own = self.stack.pid
         self._peers = tuple(m for m in self._senders if m != own)
         self._peer_sites = frozenset(m.site for m in self._peers)
@@ -372,7 +372,7 @@ class ViewChannels:
         if not held or self.view is None or self.suspended:
             return
         self._held = still = set()
-        for sender in sorted_pids(held):
+        for sender in sorted(held):
             chain = self._chains.get(sender)
             if not chain:
                 continue

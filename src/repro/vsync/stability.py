@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.types import ProcessId, ViewId, sorted_pids
+from repro.types import ProcessId, ViewId
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
@@ -74,7 +74,7 @@ class StabilityTracker:
         if view is None or stack.is_flushing or len(view.members) < 2:
             return
         delivered = stack.channels.delivered_prefix()
-        prefix = tuple((pid, delivered[pid]) for pid in sorted_pids(delivered))
+        prefix = tuple((pid, delivered[pid]) for pid in sorted(delivered))
         report = StabilityReport(view.view_id, stack.pid, prefix)
         if view.coordinator == stack.pid:
             self.on_report(stack.pid, report)
@@ -117,7 +117,7 @@ class StabilityTracker:
         if not stable:
             return
         notice = StabilityNotice(
-            view.view_id, tuple((pid, stable[pid]) for pid in sorted_pids(stable))
+            view.view_id, tuple((pid, stable[pid]) for pid in sorted(stable))
         )
         self.notices_sent += 1
         own = self.stack.pid

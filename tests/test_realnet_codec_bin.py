@@ -288,17 +288,18 @@ def test_a_warm_put_frame_decodes_without_building_identifiers(monkeypatch):
 
     built: Counter[str] = Counter()
     for cls in (ProcessId, ViewId):
-        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+        def counting(cls_, *args, _original=cls.__new__, _name=cls.__name__):
             built[_name] += 1
-            _original(self)
+            return _original(cls_, *args)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__new__", counting)
     writer = ProcessId(1, 0)
     put = Message(
         MessageId(writer, ViewId(4, ProcessId(0, 0)), 7),
         _OpMsg(("put", "k42", "v", "gen0", 3)),
         eview_seq=2,
     )
+    assert built == Counter(ProcessId=2, ViewId=1)  # the patch counts
     body = _bin_body(put)
     assert BIN_FORMAT.parse_msg(body).payload() == put  # warms the memos
     built.clear()

@@ -20,6 +20,7 @@ import pytest
 
 from repro.client.protocol import ClientReply
 from repro.obs.tracing import TraceCtx
+from repro.realnet.codec import wire_fields
 from repro.realnet.codec_bin import BIN_FORMAT, decode_value_bin, encode_value_bin
 from tests.wire_samples import samples
 
@@ -30,7 +31,7 @@ def _traced_samples():
     """Every shared wire sample whose class carries a ``trace`` field."""
     return [
         s for s in samples()
-        if any(f.name == "trace" for f in dataclasses.fields(s))
+        if any(name == "trace" for name, _ in wire_fields(type(s)))
     ]
 
 

@@ -30,8 +30,6 @@ from repro.types import (
     SvSetId,
     ViewId,
     min_process,
-    pid_key,
-    sorted_pids,
 )
 
 from tests.conftest import settled_cluster
@@ -76,17 +74,16 @@ def test_min_process_picks_least():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_int_key_order_is_the_dataclass_order(seed):
-    """``sorted_pids`` / ``min_process`` sort by the two ints; the result
-    must be what the generated ``__lt__`` gives, incarnation ties of one
-    site included."""
+    """``sorted`` / ``min_process`` order process ids by their two ints,
+    ``(site, incarnation)``, incarnation ties of one site included."""
     rng = random.Random(seed)
     pids = {
         ProcessId(rng.randrange(12), rng.randrange(4)) for _ in range(40)
     }
     assert len({p.site for p in pids}) < len(pids)  # ties on site exist
-    assert sorted_pids(pids) == sorted(pids)
-    assert min_process(pids) == min(pids)
-    assert [pid_key(p) for p in sorted(pids)] == sorted(pid_key(p) for p in pids)
+    by_ints = sorted(pids, key=lambda p: (p.site, p.incarnation))
+    assert sorted(pids) == by_ints
+    assert min_process(pids) == min(pids) == by_ints[0]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -96,7 +93,7 @@ def test_memoised_round_tree_equals_a_fresh_one(seed):
         ProcessId(rng.randrange(200), rng.randrange(3))
         for _ in range(rng.randrange(2, 90))
     )
-    root = rng.choice(sorted_pids(members))
+    root = rng.choice(sorted(members))
     fanout = rng.randrange(1, 9)
     fresh = AggregationTree(members, root, fanout)
     shared = round_tree(members, root, fanout)
