@@ -23,9 +23,11 @@ up:
 ``repro.apps``
     the paper's example applications (replicated file, parallel-lookup
     database, majority lock manager);
-``repro.trace`` / ``repro.workload`` / ``repro.bench``
+``repro.trace`` / ``repro.workload``
     trace recording, property checkers, fault-schedule generators and
-    the experiment harness behind EXPERIMENTS.md.
+    the experiment harness behind EXPERIMENTS.md;
+``repro.bench``
+    the two perf gates CI runs (scale and tracing overhead).
 
 Quickstart::
 

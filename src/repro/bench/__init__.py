@@ -1,4 +1,4 @@
-"""The legacy performance ledger: ``perf``, ``client_perf``,
-``obs_perf`` and ``realnet_compare``, which write and compare
-``BENCH_PERF.json``.  Nothing outside this package imports it;
-fault schedules run through :func:`repro.workload.run_checked_workload`."""
+"""The two perf gates CI runs, ``python -m repro.bench.gates scale`` and
+``python -m repro.bench.gates tracing``, kept here until the repo
+benchmark (``perfbench/``) carries them.  Nothing outside this package
+imports it, so the package can go in one change."""

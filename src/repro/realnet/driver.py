@@ -38,6 +38,10 @@ from repro.realnet.wallclock import new_event_loop
 #: Default hard timeout for individual submitted actions (seconds).
 #: Generous — actions are local socket operations; a hang is a bug.
 ACTION_TIMEOUT = 30.0
+#: Hard timeout for booting a cluster or one joining site (seconds); on
+#: realnet-proc it covers spawn + connect + boot, dominated by
+#: interpreter startup.
+STARTUP_TIMEOUT = 60.0
 
 
 class LoopTimer:
@@ -193,9 +197,7 @@ class RealClusterDriver:
         ``self`` for chaining.  A failed boot closes everything."""
         self.loop.start()
         try:
-            self.loop.submit(
-                self.cluster.start(), timeout=self.cluster.config.startup_timeout
-            )
+            self.loop.submit(self.cluster.start(), timeout=STARTUP_TIMEOUT)
         except BaseException:
             self.close()
             raise
@@ -271,6 +273,4 @@ class RealClusterDriver:
         """Grow the universe by ``site`` and return its stack once up
         (bounded by the startup timeout: on realnet-proc an interpreter
         has to boot)."""
-        return self.loop.invoke(
-            self.cluster.join, site, timeout=self.cluster.config.startup_timeout
-        )
+        return self.loop.invoke(self.cluster.join, site, timeout=STARTUP_TIMEOUT)

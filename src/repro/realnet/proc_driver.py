@@ -61,7 +61,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import MetricsSnapshot, merge_snapshots
 from repro.obs.tracing import FlightRecorder, TraceDump
 from repro.realnet.cluster import WallClockCluster
-from repro.realnet.driver import ACTION_TIMEOUT
+from repro.realnet.driver import ACTION_TIMEOUT, STARTUP_TIMEOUT
 from repro.realnet.transport import CONN_LOST, SideConn
 from repro.realnet.wallclock import WallClockScheduler
 from repro.runtime.core import (
@@ -318,7 +318,7 @@ class ProcCluster(WallClockCluster):
     async def _connect_ctl(self, site: SiteId) -> None:
         host, port = self.address_book[site]
         client = _CtlClient(f"site{site}", host, port)
-        deadline = asyncio.get_running_loop().time() + self.config.startup_timeout
+        deadline = asyncio.get_running_loop().time() + STARTUP_TIMEOUT
         while True:
             proc = self._procs.get(site)
             if proc is not None and proc.poll() is not None:
@@ -334,8 +334,7 @@ class ProcCluster(WallClockCluster):
                 await client.aclose()
                 if asyncio.get_running_loop().time() >= deadline:
                     raise SimulationError(
-                        f"site {site} did not come up within "
-                        f"{self.config.startup_timeout}s"
+                        f"site {site} did not come up within {STARTUP_TIMEOUT}s"
                     ) from None
                 await asyncio.sleep(0.1)
         self._ctl[site] = client

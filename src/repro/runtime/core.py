@@ -57,8 +57,7 @@ SECONDS_PER_UNIT = 0.01
 #: Fields a runtime cannot honour.  A non-default value in one of them
 #: is a ``ValueError`` naming the field, never a silently ignored knob.
 UNSUPPORTED: dict[str, tuple[str, ...]] = {
-    "sim": ("scale", "host", "codec", "batch_bytes", "quiet",
-            "startup_timeout"),
+    "sim": ("scale", "host", "codec", "batch_bytes", "quiet"),
     "realnet": ("fifo_links", "codec"),
     # Objects cannot cross the process boundary; the rest travels as JSON.
     "realnet-proc": ("fifo_links", "latency", "stack", "codec"),
@@ -95,9 +94,9 @@ class ClusterConfig:
     ``tracing`` attaches a causal :class:`~repro.obs.tracing.Tracer`
     backed by a byte-budgeted flight recorder to the same hooks (it
     implies they are live even with ``metrics=False``);
-    ``flight_budget`` bounds the ring in approximate encoded bytes and
-    ``trace_sample`` is the 1-in-N gate for *uncaused* root spans —
-    caused spans are always traced, see :meth:`Tracer.sample_root`.
+    ``flight_budget`` bounds the ring in approximate encoded bytes;
+    *uncaused* root spans are sampled 1-in-16 and caused spans are
+    always traced, see :meth:`Tracer.sample_root`.
 
     ``fd_mode`` / ``gossip_fanout`` / ``tree_fanout`` /
     ``expand_debounce`` are scale knobs folded onto the stack config
@@ -112,13 +111,11 @@ class ClusterConfig:
     any other value is a ``ValueError``, and nothing else reads it.
     ROADMAP item 11 removes that argument, and then this field.
 
-    Wall-clock fields: ``batch_bytes``
-    overrides the links' byte cap per write (``0`` = one frame per
-    write, the unbatched benchmark baseline); ``startup_timeout``
-    bounds boot (on realnet-proc: spawn + connect + boot, dominated by
-    interpreter startup).  ``app`` names a factory from
-    :mod:`repro.apps.factories`, used when no factory closure is given
-    — the only way to pick an application on realnet-proc.
+    On the wall clock ``batch_bytes`` overrides the links' byte cap per
+    write (``0`` = one frame per write, the unbatched benchmark
+    baseline).  ``app`` names a factory from :mod:`repro.apps.factories`,
+    used when no factory closure is given — the only way to pick an
+    application on realnet-proc.
     """
 
     seed: int = 0
@@ -132,7 +129,6 @@ class ClusterConfig:
     metrics: bool = True
     tracing: bool = False
     flight_budget: int = 256 * 1024
-    trace_sample: int = 16
     fd_mode: str | None = None
     gossip_fanout: int | None = None
     tree_fanout: int | None = None
@@ -143,7 +139,6 @@ class ClusterConfig:
     batch_bytes: int | None = None
     quiet: bool = True
     app: str = "none"
-    startup_timeout: float = 60.0
 
     def resolved_stack(self, profile: StackConfig) -> StackConfig:
         """``stack`` (or the runtime's ``profile``) with the scale-knob
@@ -265,9 +260,7 @@ def build_observability(
         flight = FlightRecorder(
             name, runtime, budget=config.flight_budget, epoch=epoch
         )
-        tracer = Tracer(
-            flight, clock, salt=salt, root_sample=config.trace_sample
-        )
+        tracer = Tracer(flight, clock, salt=salt)
     obs = (
         ClusterObs(registry, tracer)
         if (config.metrics or tracer is not None)

@@ -15,8 +15,9 @@ non-test file under ``src/``, ``benchmarks/``, ``examples/``,
 * counts the ``python -m`` targets of the CI workflow as imports.
 
 This file also holds the rule that nothing outside ``src/repro/bench/``
-imports ``repro.bench``, the legacy perf ledger, so that the package
-stays deletable in one change.
+imports ``repro.bench``: the package is the two CI perf gates, reached
+only as ``python -m`` targets, so that it stays deletable in one change
+once the repo benchmark carries them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ BENCH_SCAN_DIRS = ("src", "tests", "benchmarks", "examples", "scripts", "perfben
 #: Modules allowed to go unreached, with the reason for each.
 EXEMPT = {
     "repro.__main__": "entry point of `python -m repro`; nothing imports it",
-    "repro.bench.*": "legacy perf ledger; ROADMAP 5(a) deletes the package whole",
     "repro.core.invariants": "online checker whose fate ROADMAP 7(a) decides",
 }
 
@@ -203,4 +203,7 @@ def test_nothing_outside_the_bench_package_imports_repro_bench():
         for path in sorted((ROOT / top).rglob("*.py"))
         if not path.is_relative_to(bench) and _imports_bench(ast.parse(path.read_text()))
     ]
-    assert not offenders, f"repro.bench is imported outside src/repro/bench/: {offenders}"
+    assert not offenders, (
+        f"repro.bench is imported outside src/repro/bench/: {offenders}; the"
+        f" package holds only the CI perf gates and must stay deletable whole"
+    )
