@@ -82,7 +82,8 @@ _MULTICAST_BYTES = 2 * 1024 * 1024
 def _wire_size(value: Any) -> int:
     """A cheap estimate of ``value``'s encoded size: the length of a
     string or bytes, 16 per other scalar, summed over containers and
-    the fields of dataclasses and identifiers (named tuples)."""
+    the fields of dataclasses and named tuples (identifiers, version
+    records)."""
     kind = type(value)
     if kind is str or kind is bytes:
         return len(value) + 16
@@ -92,7 +93,7 @@ def _wire_size(value: Any) -> int:
         return 16 + sum(map(_wire_size, value))
     if kind is dict:
         return 16 + sum(_wire_size(k) + _wire_size(v) for k, v in value.items())
-    if isinstance(value, tuple):  # an identifier: its fields are its items
+    if isinstance(value, tuple):  # a named tuple: its fields are its items
         return 16 + sum(map(_wire_size, value))
     if is_dataclass(value):
         return 16 + sum(_wire_size(getattr(value, f.name)) for f in fields(value))
@@ -469,15 +470,42 @@ class VersionedStore(GroupObject):
         chain set is a grow-only provenance union, so merging the
         decision with what is held locally is deterministic, idempotent
         and always safe.
+
+        The work is in proportion to the divergence, not to the state:
+        a decided chain equal to the held one is skipped, any other is
+        merged with it in place, and only the versions the merge adds
+        reach the exactly-once index and the op log.  A key held but
+        not decided is already its own union.
         """
-        merged: dict[Any, tuple[VersionEntry, ...]] = {}
-        for key in set(state) | set(self.chains):
-            merged[key] = merge_chains(
-                (tuple(state.get(key, ())), self.chains.get(key, ()))
-            )
-        self.chains = merged
-        self._reindex()
-        self._persist()
+        chains = self.chains
+        index = self._client_index
+        added: list[tuple[Any, VersionEntry]] = []
+        for key, decided in state.items():
+            held = chains.get(key, ())
+            if decided == held:
+                continue
+            merged = merge_chains((decided, held))
+            chains[key] = merged
+            if len(merged) == len(held):
+                continue  # nothing new, at most reordered
+            held_provs = {e.prov for e in held}
+            for entry in merged:
+                if entry.prov in held_provs:
+                    continue
+                added.append((key, entry))
+                if entry.client:
+                    # The index names the newest version of a request
+                    # (the last one in its chain), as a rebuild would.
+                    request = (entry.client, entry.client_seq)
+                    done = index.get(request)
+                    if done is None or done[1] < entry.prov:
+                        index[request] = (key, entry.prov)
+        if added:
+            if self._log_len + len(added) >= _COMPACT_EVERY:
+                self._persist()
+            else:
+                for key, entry in added:
+                    self._persist_entry(key, entry)
         if self._audits():
             self._record_state()
 
@@ -511,15 +539,18 @@ class VersionedStore(GroupObject):
         }
 
     def _persist_entry(self, key: Any, entry: VersionEntry) -> None:
-        """O(1) durability for one applied write: append to the op log.
+        """O(1) durability for one applied or adopted write: append to
+        the op log.
 
         Rewriting (and snapshotting) the whole chain set on every put is
         O(total state) work on the serving path; on realnet that stalls
         the shared event loop long enough to trip the failure detector
-        under load.  Instead each apply appends ``(key, entry)`` —
-        ``entry`` is a frozen dataclass, so stable storage shares it
-        without a copy — and the base is rewritten only on adoption or
-        every ``_COMPACT_EVERY`` appends.
+        under load.  Instead each apply, and each version an adoption
+        adds, appends ``(key, entry)`` — ``entry`` is a tuple, so stable
+        storage shares it without a copy unless its value is mutable —
+        and the base is rewritten only once the log holds
+        ``_COMPACT_EVERY`` records (an adoption that would take it there
+        rewrites the base instead of appending).
         """
         if self.stack is None:
             return
@@ -548,9 +579,10 @@ class VersionedStore(GroupObject):
     def _record_state(self) -> None:
         """Every chain held, flat: ``provs`` lists the chains of ``keys``
         one after another, in chain order, ``lens`` says where each ends.
-        Keys go by ``repr``: adoption rebuilds the dict from a set of
-        keys, so its order is not the same from one interpreter to the
-        next."""
+        Keys go by ``repr``: adoption adds new keys in the decided
+        state's order, which comes from a set of keys
+        (:meth:`merge_app_states`), so the dict's order is not the same
+        from one interpreter to the next."""
         chains = self.chains
         keys = sorted(chains, key=repr)
         self._record(

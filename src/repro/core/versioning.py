@@ -35,8 +35,7 @@ per site first makes any downstream fold safe.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from repro.types import MessageId, ProcessId, SiteId, ViewId
 
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Where one write came from: ``(view_epoch, writer, seq)``.
 
     The triple is derived from the carrying multicast's
@@ -71,6 +69,11 @@ class Provenance:
     last seq plus one.  So a writer's seqs stay unique, increasing in
     issue order and gap-free within one view, and receivers read ``s``
     off the message instead of counting.
+
+    Every apply builds one and every chain insert, merge and
+    read-your-writes probe compares them, so provenance is a tuple like
+    the identifiers of :mod:`repro.types`: its hash is the hash of its
+    field tuple and its order is field-tuple order (DESIGN.md 4.9).
     """
 
     view_epoch: int
@@ -88,14 +91,14 @@ def provenance_of(msg_id: MessageId, offset: int = 0) -> Provenance:
     return Provenance(msg_id.view.epoch, msg_id.sender, msg_id.seqno + offset)
 
 
-@dataclass(frozen=True)
-class VersionEntry:
+class VersionEntry(NamedTuple):
     """One link of a per-key version chain.
 
     ``client``/``client_seq`` identify the external request that caused
     the write (empty for writes submitted by the group members
     themselves); they are what makes client retries after a view change
-    idempotent.
+    idempotent.  A tuple, like :class:`Provenance`: chains are ordered
+    by ``prov`` explicitly, never by comparing entries.
     """
 
     value: Any

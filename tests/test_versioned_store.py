@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.apps.versioned_store as vs_mod
 from repro.apps.factories import app_factory
@@ -12,7 +13,7 @@ from repro.apps.versioned_store import (
     prov_tuple,
 )
 from repro.client.sim import SimStoreClient
-from repro.core.versioning import Provenance, VersionEntry
+from repro.core.versioning import Provenance, VersionEntry, merge_chains
 from repro.fuzz import bugs
 from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
 from repro.runtime.cluster import Cluster, ClusterConfig
@@ -121,7 +122,7 @@ def test_crash_recover_restores_chains_from_disk() -> None:
 def test_applies_append_to_op_log_not_full_base(monkeypatch) -> None:
     # The serving path must stay O(1) per write: applies append to the
     # op log; the full base is only rewritten at the compaction
-    # threshold (or on adoption).
+    # threshold.
     cluster = store_cluster(n=3)
     app = cluster.app_at(0)
     baseline_base = app.stack.storage.read(vs_mod._CHAINS_KEY)
@@ -177,6 +178,177 @@ def test_adopt_state_unions_with_local_chains() -> None:
     snapshot = dict(store.chains)
     store.adopt_state({"k": (decided,)})
     assert store.chains == snapshot
+
+
+class _StorageCalls:
+    """Counts the op-log appends and base writes a store makes."""
+
+    def __init__(self, monkeypatch, storage) -> None:
+        self.appends = self.base_writes = 0
+        append, write = storage.append, storage.write
+
+        def counting_append(key, item):
+            self.appends += key == vs_mod._LOG_KEY
+            append(key, item)
+
+        def counting_write(key, value):
+            self.base_writes += key == vs_mod._CHAINS_KEY
+            write(key, value)
+
+        monkeypatch.setattr(storage, "append", counting_append)
+        monkeypatch.setattr(storage, "write", counting_write)
+
+
+def test_adoption_persists_exactly_the_versions_it_adds(monkeypatch) -> None:
+    cluster = store_cluster(n=3)
+    client = SimStoreClient(cluster, site=0, client_id="dur")
+    for i in range(3):
+        assert client.put(f"k{i}", i).ok
+    app = cluster.app_at(0)
+    storage = app.stack.storage
+    calls = _StorageCalls(monkeypatch, storage)
+
+    # The decided state equals what is held: no append, no base write.
+    app.adopt_state(app.snapshot_state())
+    assert (calls.appends, calls.base_writes) == (0, 0)
+
+    # Three versions from a writer outside the cluster: one that sorts
+    # before the held version of k0, one on a new key, and one carrying a
+    # client request.
+    writer = ProcessId(9, 0)
+    early = VersionEntry("early", Provenance(0, writer, 1))
+    fresh = VersionEntry("fresh", Provenance(1, writer, 2))
+    retried = VersionEntry("req", Provenance(1, writer, 3), "other", 5)
+    decided = app.snapshot_state()
+    decided["k0"] = merge_chains((decided["k0"], (early,)))
+    decided["new"] = (fresh,)
+    decided["k1"] = merge_chains((decided["k1"], (retried,)))
+    log_before = len(storage.read(vs_mod._LOG_KEY))
+    app.adopt_state(decided)
+    assert (calls.appends, calls.base_writes) == (3, 0)
+    assert len(storage.read(vs_mod._LOG_KEY)) == log_before + 3
+    assert app.chains == decided
+
+    # The index knows the adopted request at once: a retry commits with
+    # its original provenance and adds no version.
+    again = app.put("k1", "req", client="other", client_seq=5)
+    assert again.status == "committed" and again.token == retried.prov
+    assert app.chains["k1"] == decided["k1"]
+
+    # Recovery rebuilds the adopted versions from base + op log, before
+    # any settlement runs, and the rebuilt index knows the request too.
+    cluster.crash(0)
+    cluster.run_for(50)
+    cluster.recover(0)
+    recovered = cluster.app_at(0)
+    assert recovered.chains == decided
+    again = recovered.put("k1", "req", client="other", client_seq=5)
+    assert again.status == "committed" and again.token == retried.prov
+    assert recovered.chains["k1"] == decided["k1"]
+
+
+def test_adoption_that_fills_the_op_log_rewrites_the_base(monkeypatch) -> None:
+    # Appending the adopted versions one by one would cross the
+    # compaction threshold midway, and a base written there already
+    # holds the versions still to be appended: recovery would read them
+    # twice.  The adoption writes the base instead.
+    monkeypatch.setattr(vs_mod, "_COMPACT_EVERY", 4)
+    cluster = store_cluster(n=3)
+    app = cluster.app_at(0)
+    storage = app.stack.storage
+    assert app._log_len == 0
+    writer = ProcessId(9, 0)
+    decided = app.snapshot_state()
+    for seq in range(1, 6):
+        decided.setdefault("k", ())
+        decided["k"] += (VersionEntry(seq, Provenance(1, writer, seq)),)
+    calls = _StorageCalls(monkeypatch, storage)
+    app.adopt_state(decided)
+    assert (calls.appends, calls.base_writes) == (0, 1)
+    assert storage.read(vs_mod._LOG_KEY) == [] and app._log_len == 0
+    cluster.crash(0)
+    cluster.run_for(50)
+    cluster.recover(0)
+    assert cluster.app_at(0).chains == decided
+
+
+def _rebuild_adoption(
+    held: dict[str, tuple[VersionEntry, ...]],
+    decided: dict[str, tuple[VersionEntry, ...]],
+) -> tuple[dict, dict]:
+    """Adoption as a full rebuild: every key held or decided merged
+    afresh, the exactly-once index rebuilt from every chain."""
+    chains = {
+        key: merge_chains((tuple(decided.get(key, ())), held.get(key, ())))
+        for key in set(decided) | set(held)
+    }
+    index = {
+        (e.client, e.client_seq): (key, e.prov)
+        for key, chain in chains.items()
+        for e in chain
+        if e.client
+    }
+    return chains, index
+
+
+_KEYS = ("a", "b", "c", "d")
+
+
+@st.composite
+def held_and_decided(draw):
+    """Provenance-sorted held and decided chain sets over one pool of
+    writes: a write has one provenance, one key and one entry wherever
+    it is carried.  Keys may be on one side only, or carry one chain on
+    both; a request ``(client, client_seq)`` can land twice on its key
+    under two provenances (a retry served in two partitions)."""
+    writes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3),  # view epoch
+                st.integers(0, 2),  # writer site
+                st.integers(1, 4),  # seq
+                st.sampled_from(_KEYS),
+                st.sampled_from((None, 0, 1)),  # client request, if any
+                st.sampled_from(("held", "decided", "both")),
+            ),
+            max_size=24,
+            unique_by=lambda w: w[:3],
+        )
+    )
+    held: dict[str, list[VersionEntry]] = {}
+    decided: dict[str, list[VersionEntry]] = {}
+    for epoch, site, seq, key, request, side in writes:
+        prov = Provenance(epoch, ProcessId(site, 0), seq)
+        client = "" if request is None else f"client-{key}"
+        entry = VersionEntry(f"{key}@{prov}", prov, client, request or 0)
+        if side != "decided":
+            held.setdefault(key, []).append(entry)
+        if side != "held":
+            decided.setdefault(key, []).append(entry)
+    for key in draw(st.sets(st.sampled_from(_KEYS))):
+        if key in held:
+            decided[key] = list(held[key])  # identical chains
+
+    def sort(chains):
+        return {
+            key: tuple(sorted(chain, key=lambda e: e.prov))
+            for key, chain in chains.items()
+        }
+
+    return sort(held), sort(decided)
+
+
+@settings(max_examples=200, deadline=None)
+@given(held_and_decided())
+def test_delta_adoption_equals_a_full_rebuild(sides) -> None:
+    held, decided = sides
+    store = VersionedStore()
+    store.chains = dict(held)
+    store._reindex()
+    store.adopt_state(decided)
+    chains, index = _rebuild_adoption(held, decided)
+    assert store.chains == chains
+    assert store._client_index == index
 
 
 def test_merge_app_states_drops_retired_incarnations() -> None:
