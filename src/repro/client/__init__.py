@@ -1,14 +1,10 @@
 """Client service tier: external access to a :class:`VersionedStore`.
 
-The store's client API is one request/reply vocabulary
-(:mod:`repro.client.protocol`) served by one router
-(:mod:`repro.client.service`) and reachable two ways:
-
-* **realnet**: ``cli`` side frames on every node's normal listening
-  socket (:mod:`repro.client.client` — real TCP clients);
-* **sim**: an in-process port with the same request/reply semantics
-  (:mod:`repro.client.sim`), so workloads drive both runtimes through
-  one client surface.
+One request/reply vocabulary (:mod:`repro.client.protocol`), one
+server-side router (:mod:`repro.client.service`) and one retry contract
+(:mod:`repro.client.core`, sans-I/O), carried out by two adapters:
+:mod:`repro.client.client` over TCP ``cli`` side frames on realnet, and
+:mod:`repro.client.sim` in-process on the simulator.
 """
 
 from __future__ import annotations
@@ -16,8 +12,4 @@ from __future__ import annotations
 from repro.client.protocol import ClientReply, ClientRequest
 from repro.client.service import StoreService
 
-__all__ = [
-    "ClientRequest",
-    "ClientReply",
-    "StoreService",
-]
+__all__ = ["ClientRequest", "ClientReply", "StoreService"]

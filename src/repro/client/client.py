@@ -1,26 +1,14 @@
 """Real TCP store clients: dial a node socket, pipeline requests.
 
-:class:`AsyncStoreClient` is the asyncio-native client: one
-:class:`~repro.realnet.transport.SideConn` to one serving node, plus
-what the store protocol adds to it — pipelined ``cli`` frames with
-replies matched to in-flight requests by ``req_id``.  Pipelining
-matters: put replies are deferred server-side until quorum commit, so
-one connection can carry many outstanding operations — the open-loop
-load generator depends on that.
-
-:meth:`AsyncStoreClient.call` also implements the client half of the
-retry contract: on ``retry`` it backs off and resubmits *the same*
-``(client, client_seq)`` (the store's exactly-once index collapses
-duplicates of writes that actually landed), on ``not_leader`` it
-redials the named site, and on connection loss — a dial nobody
-welcomes and a garbled reply included — it redials the next site and
-resubmits: an acked write is therefore acked exactly once, whatever
-views did in between.
-
+:class:`AsyncStoreClient` is one :class:`~repro.realnet.transport.
+SideConn` to one serving node plus pipelined ``cli`` frames, replies
+matched to in-flight requests by ``req_id`` (put replies wait for
+quorum commit, so one connection carries many operations).  Its
+:meth:`~AsyncStoreClient.call` carries out the actions of
+:class:`~repro.client.core.ClientCore` with ``asyncio.sleep``,
+:meth:`~AsyncStoreClient.connect` and :meth:`~AsyncStoreClient.request`.
 :class:`DriverStoreClient` is the blocking facade over a
-:class:`~repro.realnet.driver.RealClusterDriver`: it runs one
-:class:`AsyncStoreClient` on the driver's loop thread and exposes the
-same ``submit``/``put``/``get``/``history`` surface as the sim port.
+:class:`~repro.realnet.driver.RealClusterDriver`'s loop thread.
 """
 
 from __future__ import annotations
@@ -28,24 +16,18 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Mapping
 
+from repro.client import core
+from repro.client.core import ClientCore
 from repro.client.protocol import ClientReply, ClientRequest
 from repro.realnet.transport import CONN_LOST, SideConn
-
-#: Wall seconds between resubmissions of a retried operation.
-RETRY_DELAY = 0.2
-
-#: Attempts before giving up on an operation.
-MAX_ATTEMPTS = 25
-
-#: Wall seconds to await one reply before treating the attempt as lost.
-REPLY_TIMEOUT = 10.0
+from repro.runtime.core import SECONDS_PER_UNIT
 
 
 class AsyncStoreClient:
     """One client identity over TCP; redials across faults and views.
 
     ``addresses`` maps sites to ``(host, port)`` so ``not_leader``
-    redirects and reconnects after a crash can find their target; a
+    redirects and failover after a crash can find their target; a
     bare ``(host, port)`` pair in ``target`` works for single-node use.
     """
 
@@ -57,34 +39,30 @@ class AsyncStoreClient:
         site: int = 0,
         client_id: str = "c0",
         read_mode: str = "any",
-        retry_delay: float = RETRY_DELAY,
-        max_attempts: int = MAX_ATTEMPTS,
-        reply_timeout: float = REPLY_TIMEOUT,
     ) -> None:
         if target is None and not addresses:
             raise ValueError("need a target address or an address book")
         self.addresses: dict[int, tuple[str, int]] = dict(addresses or {})
         if target is not None:
             self.addresses.setdefault(site, target)
-        self.site = site
-        self.client_id = client_id
-        self.read_mode = read_mode
-        self.retry_delay = retry_delay
-        self.max_attempts = max_attempts
-        self.reply_timeout = reply_timeout
-        #: Read-your-writes token: provenance of our last acked put.
-        self.last_token: tuple | None = None
-        self._seq = 0
-        self._req = 0
+        self.core = ClientCore(client_id, site, self.addresses, read_mode)
         self._conn: SideConn | None = None
         self._read_task: asyncio.Task | None = None
         self._inflight: dict[int, asyncio.Future] = {}
         self._connected_site: int | None = None
 
+    @property
+    def site(self) -> int:
+        return self.core.site
+
+    @property
+    def last_token(self) -> tuple | None:
+        return self.core.last_token
+
     # -- connection ----------------------------------------------------
 
     async def connect(self, site: int | None = None) -> None:
-        """Dial ``site`` (default: the configured one) and handshake."""
+        """Dial ``site`` (default: the client's current one) and handshake."""
         await self.close()
         dial = self.site if site is None else site
         self._conn = await SideConn.open(*self.addresses[dial])
@@ -128,7 +106,8 @@ class AsyncStoreClient:
     # -- one attempt ---------------------------------------------------
 
     async def request(self, request: ClientRequest) -> ClientReply:
-        """Send one request on the live connection, await its reply."""
+        """Send one request on the live connection, await its reply
+        (``asyncio.TimeoutError`` after ``core.REPLY_TIMEOUT``)."""
         conn = self._conn
         if conn is None:
             raise ConnectionResetError("not connected")
@@ -136,7 +115,9 @@ class AsyncStoreClient:
         self._inflight[request.req_id] = future
         try:
             await conn.send("cli", request)
-            return await asyncio.wait_for(future, timeout=self.reply_timeout)
+            return await asyncio.wait_for(
+                future, timeout=core.REPLY_TIMEOUT * SECONDS_PER_UNIT
+            )
         finally:
             self._inflight.pop(request.req_id, None)
             if future.done() and not future.cancelled():
@@ -145,29 +126,7 @@ class AsyncStoreClient:
                 # reply never logs "exception was never retrieved".
                 future.exception()
 
-    # -- retrying operations -------------------------------------------
-
-    def _next_request(
-        self,
-        op: str,
-        key: Any,
-        value: Any,
-        read_mode: str | None,
-        ryw: tuple | None,
-    ) -> ClientRequest:
-        self._req += 1
-        if op == "put":
-            self._seq += 1
-        return ClientRequest(
-            req_id=self._req,
-            op=op,
-            key=key,
-            value=value,
-            client=self.client_id,
-            client_seq=self._seq if op == "put" else 0,
-            read_mode=read_mode or self.read_mode,
-            ryw=ryw,
-        )
+    # -- operations ----------------------------------------------------
 
     async def call(
         self,
@@ -178,67 +137,23 @@ class AsyncStoreClient:
         ryw: tuple | None = None,
     ) -> ClientReply:
         """One operation, retried to completion across views and faults."""
-        request = self._next_request(op, key, value, read_mode, ryw)
-        dial: int | None = None
-        last = ClientReply(request.req_id, "retry")
-        for attempt in range(self.max_attempts):
-            if attempt:
-                await asyncio.sleep(self.retry_delay)
-                # Fresh req_id per attempt (a stale reply to a timed-out
-                # attempt must not satisfy the resubmission), same
-                # client_seq (so a put retry stays exactly-once).
-                request = ClientRequest(
-                    req_id=self._bump(),
-                    op=request.op,
-                    key=request.key,
-                    value=request.value,
-                    client=request.client,
-                    client_seq=request.client_seq,
-                    read_mode=request.read_mode,
-                    ryw=request.ryw,
-                )
+        pending, send = self.core.start(op, key, value, read_mode, ryw)
+        while send is not None:
+            if send.delay:
+                await asyncio.sleep(send.delay * SECONDS_PER_UNIT)
+            conn = None
             try:
-                if self._conn is None or (
-                    dial is not None and dial != self._connected_site
-                ):
-                    await self.connect(dial)
-                reply = await self.request(request)
+                if self._connected_site != send.site:
+                    await self.connect(send.site)
+                conn = self._conn
+                reply = await self.request(send.request)
             except CONN_LOST:
-                # Dead, wedged or garbling connection: redial somewhere
-                # and retry the same client_seq — never double-acked,
-                # thanks to the store's exactly-once index.
-                await self.close()
-                dial = self._fallback_site(dial)
-                continue
-            last = reply
-            if reply.status == "retry":
-                continue
-            if reply.status == "not_leader":
-                if reply.leader_site >= 0 and reply.leader_site in self.addresses:
-                    dial = reply.leader_site
-                continue
-            if op == "put" and reply.status == "ok":
-                self.last_token = reply.prov
-            return reply
-        return last
-
-    def _bump(self) -> int:
-        self._req += 1
-        return self._req
-
-    def _fallback_site(self, dial: int | None) -> int | None:
-        """Next site to try once the current one stops answering."""
-        sites = sorted(self.addresses)
-        if not sites:
-            return dial
-        current = dial if dial is not None else self.site
-        try:
-            where = sites.index(current)
-        except ValueError:
-            return sites[0]
-        return sites[(where + 1) % len(sites)]
-
-    # -- conveniences --------------------------------------------------
+                if self._conn is conn:  # not already replaced by another call
+                    await self.close()
+                send = self.core.on_lost(pending, send.request.req_id)
+            else:
+                send = self.core.on_reply(pending, reply)
+        return pending.reply
 
     async def put(self, key: Any, value: Any) -> ClientReply:
         return await self.call("put", key, value)
@@ -254,12 +169,8 @@ class AsyncStoreClient:
 
 
 class DriverStoreClient:
-    """Blocking store client over a :class:`RealClusterDriver`.
-
-    Mirrors the sim port's blocking surface: each call submits the
-    coroutine to the driver's loop thread and waits for the final
-    (post-retry) reply.
-    """
+    """Blocking store client over a :class:`RealClusterDriver`: each call
+    runs on the driver's loop thread and returns the final reply."""
 
     def __init__(
         self,

@@ -10,18 +10,17 @@ the current view applied it, so the server keeps the connection's
 ``reply`` function and answers when the store commits.  ``req_id``
 matches replies to pipelined requests on one connection.
 
-Reply statuses and the client's obligations:
+Reply statuses (what the client does with each is
+:mod:`repro.client.core`'s retry contract):
 
 =============  ==========================================================
-``ok``         the operation completed; ``prov`` carries the version
-               provenance (for puts this is the read-your-writes token)
+``ok``         completed; ``prov`` is the version's provenance (for a
+               put, the read-your-writes token)
 ``missing``    a read of a key with no versions
-``retry``      a view change aborted the operation (or a read could not
-               satisfy its read-your-writes token / the replica is
-               settling): resubmit unchanged — ``(client, client_seq)``
-               makes put retries exactly-once
-``not_leader`` a leader-mode read reached a non-leader replica;
-               ``leader_site`` names the replica to redial
+``retry``      a view change aborted the operation, or a read could not
+               be served yet (settling, or an unmet ``ryw`` token)
+``not_leader`` a leader-mode read reached a non-leader; ``leader_site``
+               names the leader
 ``error``      the request was malformed or the node has no store
 =============  ==========================================================
 

@@ -12,11 +12,8 @@ registers :meth:`handle_control` as its ``cli`` side-frame handler
 (docs/protocol.md §7), so it gets decoded requests and the connection's
 ``reply`` function.
 
-Retry-on-view-change is the client's half of the contract: the service
-never blocks an operation across a view change — it answers ``retry``
-(put aborted by the view change, read refused while settling or by a
-read-your-writes token) and the client resubmits, with put idempotence
-guaranteed by the store's ``(client, client_seq)`` index.
+The service never blocks an operation across a view change: it answers
+``retry`` and the client resubmits (:mod:`repro.client.core`).
 """
 
 from __future__ import annotations
@@ -42,10 +39,8 @@ class StoreService:
         self, store: VersionedStore, registry: Any = None, obs: Any = None
     ) -> None:
         self.store = store
-        self._registry = registry
         self._obs = obs
-        self._requests = None
-        self._duration = None
+        self._requests = self._duration = None
         if registry is not None:
             self._requests = registry.counter(
                 "client_requests_total",
@@ -58,7 +53,6 @@ class StoreService:
                 "(request dispatch to reply, in the runtime's clock units).",
                 ("op",),
             )
-        if registry is not None:
             self._now = registry.now
         elif obs is not None:
             self._now = obs.registry.now

@@ -1,66 +1,25 @@
 """In-process client port: the client API on the simulator runtime.
 
 The simulator has no sockets, but workloads must drive the store
-through the *same* request/reply vocabulary and retry semantics as the
-TCP clients, so this port routes real
-:class:`~repro.client.protocol.ClientRequest` objects through a real
-:class:`~repro.client.service.StoreService` on the target site — only
-the wire framing is skipped.  Everything above the frame layer is
-shared: deferred put replies, ``retry`` on view change with idempotent
-resubmission, ``not_leader`` redirects, read-your-writes tokens.
-
-Two calling styles:
-
-* :meth:`submit` returns a :class:`PendingOp` immediately and completes
-  it as virtual time advances — the form workload drivers use from
-  inside scheduler callbacks;
-* :meth:`put` / :meth:`get` / :meth:`history` block by running the
-  cluster until the operation completes — the form tests use at the
-  top level.
+through the *same* request/reply vocabulary and retry contract
+(:class:`~repro.client.core.ClientCore`) as the TCP clients.  This
+adapter turns the core's actions into cluster timers and
+:meth:`~repro.client.service.StoreService.handle_request` calls on the
+target site (only the wire framing is skipped), counts a down replica
+as a lost connection and arms the reply timeout.  :meth:`submit`
+returns a :class:`PendingOp` that completes as virtual time advances
+(for scheduler callbacks); :meth:`put` / :meth:`get` / :meth:`history`
+run the cluster until it completes (for top-level callers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.client.protocol import ClientReply, ClientRequest
+from repro.client import core
+from repro.client.core import ClientCore, PendingOp, Send
+from repro.client.protocol import ClientReply
 from repro.client.service import StoreService
-
-#: Scenario units between resubmissions of a retried operation.
-RETRY_DELAY = 20.0
-
-#: Attempts before a PendingOp gives up with its last reply.
-MAX_ATTEMPTS = 10
-
-
-@dataclass
-class PendingOp:
-    """Completion state of one client operation (across retries)."""
-
-    request: ClientRequest
-    site: int
-    reply: ClientReply | None = None
-    attempts: int = 0
-    #: Transient replies consumed by the retry loop (for diagnostics).
-    retries: list[str] = field(default_factory=list)
-    #: Fired once with this op when the final reply lands (open-loop
-    #: load measures completion latency through it).
-    on_done: Any = None
-
-    @property
-    def done(self) -> bool:
-        return self.reply is not None
-
-    @property
-    def ok(self) -> bool:
-        return self.reply is not None and self.reply.status == "ok"
-
-    def _finish(self, reply: ClientReply) -> None:
-        self.reply = reply
-        callback, self.on_done = self.on_done, None
-        if callback is not None:
-            callback(self)
 
 
 class SimStoreClient:
@@ -72,23 +31,18 @@ class SimStoreClient:
         site: int = 0,
         client_id: str = "c0",
         read_mode: str = "any",
-        retry_delay: float = RETRY_DELAY,
-        max_attempts: int = MAX_ATTEMPTS,
+        max_attempts: int = core.MAX_ATTEMPTS,
     ) -> None:
         self.cluster = cluster
-        self.site = site
-        self.client_id = client_id
-        self.read_mode = read_mode
-        self.retry_delay = retry_delay
-        self.max_attempts = max_attempts
-        #: Read-your-writes token: provenance of our last acked put.
-        self.last_token: tuple | None = None
-        self._seq = 0
-        self._req = 0
+        self.core = ClientCore(
+            client_id, site, cluster.stacks, read_mode, max_attempts
+        )
+        #: One router per serving app (a recovered site is a new app).
+        self._services: dict[int, StoreService] = {}
 
-    # ------------------------------------------------------------------
-    # Async form (usable from scheduler callbacks)
-    # ------------------------------------------------------------------
+    @property
+    def last_token(self) -> tuple | None:
+        return self.core.last_token
 
     def submit(
         self,
@@ -100,81 +54,63 @@ class SimStoreClient:
         on_done: Any = None,
     ) -> PendingOp:
         """Issue one operation; completion arrives as the sim runs."""
-        self._req += 1
-        if op == "put":
-            self._seq += 1
-        request = ClientRequest(
-            req_id=self._req,
-            op=op,
-            key=key,
-            value=value,
-            client=self.client_id,
-            client_seq=self._seq if op == "put" else 0,
-            read_mode=read_mode or self.read_mode,
-            ryw=ryw,
-        )
-        pending = PendingOp(request, self.site, on_done=on_done)
-        self._dispatch(pending, self.site)
+        pending, send = self.core.start(op, key, value, read_mode, ryw, on_done)
+        self._act(pending, send)
         return pending
 
-    def _dispatch(self, pending: PendingOp, site: int) -> None:
-        pending.attempts += 1
-        app = None
+    def _act(self, pending: PendingOp, send: Send | None) -> None:
+        """Carry out one action of the core: an attempt, now or later."""
+        if send is None or pending.done:
+            return
+        if send.delay:
+            later = send._replace(delay=0.0)
+            self.cluster.after(
+                send.delay * self.cluster.time_scale, self._act, pending, later
+            )
+            return
+        req_id = send.request.req_id
+        service = self._service(send.site)
+        if service is None:
+            return self._lost(pending, req_id)
+        timer = None
+
+        def on_reply(reply: ClientReply) -> None:
+            if timer is not None:
+                timer.cancel()
+            self._act(pending, self.core.on_reply(pending, reply))
+
+        service.handle_request(send.request, on_reply)
+        if not pending.done and pending.request.req_id == req_id:
+            # Not answered at once (a put waits for quorum commit).
+            timer = self.cluster.after(
+                core.REPLY_TIMEOUT * self.cluster.time_scale,
+                self._lost, pending, req_id, "timeout",
+            )
+
+    def _lost(self, pending: PendingOp, req_id: int, why: str = "lost") -> None:
+        self._act(pending, self.core.on_lost(pending, req_id, why))
+
+    def _service(self, site: int) -> StoreService | None:
+        """The router of the live app at ``site``; None when it is down
+        (the same as a refused connection)."""
         try:
             app = self.cluster.app_at(site)
         except Exception:
-            pass
+            return None
         stack = getattr(app, "stack", None)
-        if app is None or stack is None or not getattr(stack, "alive", False):
-            # The dialed replica is down: same as a connection refusal —
-            # back off and try again (the site may recover).
-            self._reschedule(pending, site)
-            return
-        service = StoreService(
-            app, registry=self.cluster.metrics, obs=self.cluster.obs
-        )
-        service.handle_request(
-            pending.request, lambda reply: self._on_reply(pending, site, reply)
-        )
-
-    def _on_reply(self, pending: PendingOp, site: int, reply: ClientReply) -> None:
-        if pending.done:
-            return
-        if reply.status == "retry" and pending.attempts < self.max_attempts:
-            pending.retries.append(reply.status)
-            self._reschedule(pending, site)
-            return
-        if (
-            reply.status == "not_leader"
-            and reply.leader_site >= 0
-            and pending.attempts < self.max_attempts
-        ):
-            pending.retries.append(reply.status)
-            self._dispatch(pending, reply.leader_site)
-            return
-        if pending.request.op == "put" and reply.status == "ok":
-            self.last_token = reply.prov
-        pending._finish(reply)
-
-    def _reschedule(self, pending: PendingOp, site: int) -> None:
-        if pending.attempts >= self.max_attempts:
-            pending._finish(ClientReply(pending.request.req_id, "retry"))
-            return
-        self.cluster.after(
-            self.retry_delay * self.cluster.time_scale,
-            self._dispatch,
-            pending,
-            site,
-        )
-
-    # ------------------------------------------------------------------
-    # Blocking form (top-level callers)
-    # ------------------------------------------------------------------
+        if stack is None or not getattr(stack, "alive", False):
+            return None
+        service = self._services.get(site)
+        if service is None or service.store is not app:
+            service = self._services[site] = StoreService(
+                app, registry=self.cluster.metrics, obs=self.cluster.obs
+            )
+        return service
 
     def _wait(self, pending: PendingOp, timeout: float) -> PendingOp:
         deadline = self.cluster.now + timeout * self.cluster.time_scale
         while not pending.done and self.cluster.now < deadline:
-            self.cluster.run_for(self.retry_delay * self.cluster.time_scale)
+            self.cluster.run_for(core.RETRY_DELAY * self.cluster.time_scale)
         if pending.reply is None:
             pending._finish(ClientReply(pending.request.req_id, "retry"))
         return pending

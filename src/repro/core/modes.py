@@ -95,7 +95,6 @@ class ModeAutomaton:
         self.on_change = on_change
         self.mode: Mode | None = None
         self.eview: EView | None = None
-        self.changes: list[ModeChange] = []
 
     # -- environment-driven transitions ----------------------------------
 
@@ -146,7 +145,6 @@ class ModeAutomaton:
                 )
         self.mode = new
         change = ModeChange(old, new, transition)
-        self.changes.append(change)
         if self.on_change is not None and self.eview is not None:
             self.on_change(change, self.eview)
         return change

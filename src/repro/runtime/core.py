@@ -98,12 +98,12 @@ class ClusterConfig:
     *uncaused* root spans are sampled 1-in-16 and caused spans are
     always traced, see :meth:`Tracer.sample_root`.
 
-    ``fd_mode`` / ``gossip_fanout`` / ``tree_fanout`` /
-    ``expand_debounce`` are scale knobs folded onto the stack config
-    (``None`` leaves the profile's own value alone), so a scale profile
-    moves between runtimes unchanged; with gossip remember
+    ``fd_mode`` / ``gossip_fanout`` are scale knobs folded onto the
+    stack config (``None`` leaves the profile's own value alone), so a
+    scale profile moves between runtimes unchanged; with gossip remember
     ``fd_timeout`` must cover an epidemic round, not one hop
-    (docs/scaling.md).
+    (docs/scaling.md).  The membership knobs (``tree_fanout``,
+    ``expand_debounce``) are set in ``stack.membership`` only.
 
     ``codec`` selects nothing: ``bin1`` is the only wire format.  The
     field stays only because the benchmark harness passes
@@ -131,8 +131,6 @@ class ClusterConfig:
     flight_budget: int = 256 * 1024
     fd_mode: str | None = None
     gossip_fanout: int | None = None
-    tree_fanout: int | None = None
-    expand_debounce: float | None = None
     scale: float = 1.0
     host: str = "127.0.0.1"
     codec: str = "bin"
@@ -149,15 +147,6 @@ class ClusterConfig:
             overrides["fd_mode"] = self.fd_mode
         if self.gossip_fanout is not None:
             overrides["gossip_fanout"] = self.gossip_fanout
-        moverrides: dict[str, Any] = {}
-        if self.tree_fanout is not None:
-            moverrides["tree_fanout"] = self.tree_fanout
-        if self.expand_debounce is not None:
-            moverrides["expand_debounce"] = self.expand_debounce
-        if moverrides:
-            overrides["membership"] = dataclasses.replace(
-                stack.membership, **moverrides
-            )
         return dataclasses.replace(stack, **overrides) if overrides else stack
 
     def check_supported(self, runtime: str) -> None:

@@ -359,6 +359,7 @@ class OpenLoopLoad:
     # -- simulator -----------------------------------------------------
 
     def _run_sim(self) -> None:
+        from repro.client import core
         from repro.client.sim import SimStoreClient
 
         spec = self.spec
@@ -387,8 +388,11 @@ class OpenLoopLoad:
         for k in range(spec.total_ops):
             self.cluster.after(k / spec.rate, fire, k)
         self.cluster.run_for(spec.duration)
-        # Drain stragglers: retries may still be in flight.
-        deadline = self.cluster.now + spec.duration
+        # Drain stragglers: retries may still be in flight, and an
+        # attempt lost with its replica ends only at its reply timeout.
+        deadline = self.cluster.now + spec.duration + (
+            core.REPLY_TIMEOUT + core.RETRY_DELAY
+        ) * self.cluster.time_scale
         while self.cluster.now < deadline and any(
             not p.done for p in pending
         ):

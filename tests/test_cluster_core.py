@@ -127,7 +127,7 @@ def test_run_until_times_out_on_impossible_predicate():
 
 def test_cluster_config_is_the_union_of_the_three_former_dataclasses():
     fields = [f.name for f in dataclasses.fields(ClusterConfig)]
-    assert len(fields) == 21
+    assert len(fields) == 19
     for names in UNSUPPORTED.values():
         assert set(names) <= set(fields)
 

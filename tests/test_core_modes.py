@@ -205,11 +205,12 @@ def test_legal_transition_table_matches_figure_1():
 
 
 def test_change_history_is_recorded():
-    auto = ModeAutomaton(quorum5())
+    seen = []
+    auto = ModeAutomaton(quorum5(), on_change=lambda c, e: seen.append(c))
     auto.on_view(make_eview(1, 0, 1, 2))
     auto.reconcile()
     auto.on_view(make_eview(2, 0))
-    labels = [c.transition for c in auto.changes]
+    labels = [c.transition for c in seen]
     assert labels == [Transition.JOIN, Transition.RECONCILE, Transition.FAILURE]
 
 

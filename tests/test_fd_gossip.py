@@ -297,10 +297,9 @@ def test_scale_profile_partition_heal_preserves_properties():
         24,
         fd_mode="gossip",
         gossip_fanout=4,
-        tree_fanout=8,
         stack=StackConfig(
             fd_timeout=45.0,
-            membership=MembershipConfig(flush_stall_timeout=90.0),
+            membership=MembershipConfig(tree_fanout=8, flush_stall_timeout=90.0),
         ),
     )
     assert_all_properties(cluster.gather_trace())
