@@ -45,13 +45,14 @@ is its own ``("put", ...)`` multicast.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable
 
 from repro.core.group_object import AppStateOffer, GroupObject
 from repro.core.mode_functions import AlwaysFullModeFunction
 from repro.core.modes import Mode
+from repro.core.settlement import wire_size as _wire_size
 from repro.core.versioning import (
     Provenance,
     QuorumTally,
@@ -77,27 +78,6 @@ _COMPACT_EVERY = 4096
 #: MAX_FRAME_BYTES``), which leaves room for UTF-8, JSON escapes and
 #: type tags on top of the estimate.
 _MULTICAST_BYTES = 2 * 1024 * 1024
-
-
-def _wire_size(value: Any) -> int:
-    """A cheap estimate of ``value``'s encoded size: the length of a
-    string or bytes, 16 per other scalar, summed over containers and
-    the fields of dataclasses and named tuples (identifiers, version
-    records)."""
-    kind = type(value)
-    if kind is str or kind is bytes:
-        return len(value) + 16
-    if kind is int:
-        return 16 + value.bit_length() // 3
-    if kind is tuple or kind is list or kind is frozenset or kind is set:
-        return 16 + sum(map(_wire_size, value))
-    if kind is dict:
-        return 16 + sum(_wire_size(k) + _wire_size(v) for k, v in value.items())
-    if isinstance(value, tuple):  # a named tuple: its fields are its items
-        return 16 + sum(map(_wire_size, value))
-    if is_dataclass(value):
-        return 16 + sum(_wire_size(getattr(value, f.name)) for f in fields(value))
-    return 16
 
 
 def prov_tuple(prov: Provenance) -> tuple[int, int, int, int]:

@@ -14,8 +14,11 @@ stay here until that benchmark carries them.
   (gossip failure detection at fanout 4, the flush aggregation tree at
   fanout 8; docs/scaling.md): a cold bootstrap, then, on a fresh
   cluster, one half/half partition and its heal.  It fails unless the
-  bootstrap, the partition and the heal each settle and the whole run
-  fits :data:`SCALE_BUDGET_S` of wall time.
+  bootstrap, the partition and the heal each settle, every site's
+  bootstrap is one view change (its singleton, then exactly one more
+  install: a count that repeats exactly), and the whole run fits
+  :data:`SCALE_BUDGET_S` of wall time.  It prints the bootstrap's
+  view-agreement sends by type.
 * **tracing** — steady multicast at n=16 (every site multicasts on a
   2.0-unit tick for 400 units), tracer off against tracer on with the
   metrics hooks live in both, so the ratio isolates the tracer itself.
@@ -45,6 +48,7 @@ from typing import Iterator
 
 from repro.gms.membership import MembershipConfig
 from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.trace.stats import GMS_PAYLOADS
 from repro.vsync.stack import StackConfig
 
 SEED = 7
@@ -69,8 +73,9 @@ TRACING_PAIRS = 9
 TRACING_GATE_PCT = 25.0
 
 
-def _scale_config() -> ClusterConfig:
-    """The scale profile, with benchmark recording modes.
+def _scale_config(detailed_stats: bool = False) -> ClusterConfig:
+    """The scale profile, with benchmark recording modes (plus the
+    per-type send counters when ``detailed_stats``).
 
     Gossip needs ``fd_timeout`` to cover a whole epidemic round —
     ``T*(log n / log(k+1) + 2)`` ≈ 45 at n=256, k=4, T=5 — not the one
@@ -80,7 +85,7 @@ def _scale_config() -> ClusterConfig:
     """
     return ClusterConfig(
         seed=SEED,
-        detailed_stats=False,
+        detailed_stats=detailed_stats,
         trace_level="none",
         metrics=False,
         stack=StackConfig(
@@ -120,11 +125,20 @@ def _settle(cluster: Cluster) -> float | None:
 
 
 def scale_gate() -> int:
-    """n=128 bootstrap, partition and heal each settle within budget."""
+    """n=128 bootstrap, partition and heal each settle within budget,
+    and the bootstrap is one view change per site."""
     t0 = time.perf_counter()
     with _gc_quiesced():
-        bootstrap = _settle(Cluster(SCALE_N, config=_scale_config()))
+        boot = Cluster(SCALE_N, config=_scale_config(detailed_stats=True))
+        bootstrap = _settle(boot)
     boot_wall = time.perf_counter() - t0
+    # The singleton every process starts in, then one settled view.
+    extra = [
+        stack.pid.site
+        for stack in boot.live_stacks()
+        if stack.membership.views_installed != 2
+    ]
+    sends = boot.network_stats().by_type
     # The cycle runs on a fresh cluster, as it always has: its bootstrap
     # repeats the first one event for event, so the budget still covers
     # the same work.
@@ -140,15 +154,25 @@ def scale_gate() -> int:
         cycle_wall = time.perf_counter() - t1
     wall = time.perf_counter() - t0
     phases = {"bootstrap": bootstrap, "partition": partition, "heal": heal}
-    ok = None not in phases.values() and wall <= SCALE_BUDGET_S
+    ok = None not in phases.values() and not extra and wall <= SCALE_BUDGET_S
     settled = ", ".join(
         f"{name} UNSETTLED" if at is None else f"{name} at t={at:g}"
         for name, at in phases.items()
     )
+    installs = (
+        "one view change per site"
+        if not extra
+        else f"{len(extra)} sites changed view more than once"
+    )
     print(
-        f"scale gate n={SCALE_N}: {settled}; bootstrap {boot_wall:.2f}s,"
-        f" partition+heal {cycle_wall:.2f}s, total {wall:.1f}s"
-        f" (budget {SCALE_BUDGET_S:.0f}s) -> {'OK' if ok else 'FAIL'}"
+        "scale gate bootstrap gms sends: "
+        + ", ".join(f"{name} {sends.get(name, 0)}" for name in GMS_PAYLOADS)
+    )
+    print(
+        f"scale gate n={SCALE_N}: {settled}; bootstrap {installs};"
+        f" bootstrap {boot_wall:.2f}s, partition+heal {cycle_wall:.2f}s,"
+        f" total {wall:.1f}s (budget {SCALE_BUDGET_S:.0f}s)"
+        f" -> {'OK' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
 

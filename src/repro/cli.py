@@ -194,6 +194,7 @@ def _print_load_results(load_report, verdict, unit: str) -> None:
     table.add("late send slots", load_report.late)
     table.add(f"duration ({unit})", round(load_report.duration, 3))
     table.add(f"achieved ops/{unit}", round(load_report.achieved_rate, 1))
+    table.add(f"drain ({unit})", round(load_report.drain, 3))
     table.show()
     slo = Table(f"client latency ({unit})", ["op", "count", "p50", "p99"])
     for op, row in sorted(verdict.per_op.items()):

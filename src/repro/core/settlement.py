@@ -36,7 +36,7 @@ application can safely do.  Experiment E9 measures the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.core.classify import classify_enriched
@@ -50,6 +50,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.group_object import GroupObject
 
 SessionId = tuple[ProcessId, int]
+
+
+def wire_size(value: Any) -> int:
+    """A cheap estimate of ``value``'s encoded size: the length of a
+    string or bytes, 16 per other scalar, summed over containers and
+    the fields of dataclasses and named tuples (identifiers, version
+    records).  The store caps a group-commit multicast with it, and a
+    detailed run sizes every settlement offer and adopt by it."""
+    kind = type(value)
+    if kind is str or kind is bytes:
+        return len(value) + 16
+    if kind is int:
+        return 16 + value.bit_length() // 3
+    if kind is tuple or kind is list or kind is frozenset or kind is set:
+        return 16 + sum(map(wire_size, value))
+    if kind is dict:
+        return 16 + sum(wire_size(k) + wire_size(v) for k, v in value.items())
+    if isinstance(value, tuple):  # a named tuple: its fields are its items
+        return 16 + sum(map(wire_size, value))
+    if is_dataclass(value):
+        return 16 + sum(wire_size(getattr(value, f.name)) for f in fields(value))
+    return 16
 
 
 @dataclass(frozen=True)
@@ -278,10 +300,9 @@ class SettlementEngine:
         if not session.adopted_sent:
             state = self._decide(session)
             session.adopted_sent = True
-            stack.multicast(
-                StateAdopt(session.session_id, state, eview.view_id, trace=ctx),
-                ctx,
-            )
+            adopt = StateAdopt(session.session_id, state, eview.view_id, trace=ctx)
+            self._count_bytes(stack, adopt)
+            stack.multicast(adopt, ctx)
             return
         # Phase 5: collapse subviews once everyone could adopt.
         sids = [sv.sid for sv in eview.structure.subviews]
@@ -330,12 +351,22 @@ class SettlementEngine:
         remote: the snapshot, the round's trace echoed back, and the
         ``settle.offer`` span."""
         offer = self.obj.make_offer(request.session)
+        stack = self.obj.stack
         if request.trace is not None:
             offer = replace(offer, trace=request.trace)
-            stack = self.obj.stack
             if stack.obs is not None:
                 stack.obs.settle_offer(self.obj.pid, stack.now, request.trace)
+        self._count_bytes(stack, offer)
         return offer
+
+    @staticmethod
+    def _count_bytes(stack: Any, payload: Any) -> None:
+        """Add ``payload``'s estimated size to the wire counters of a
+        detailed run (:func:`repro.trace.stats.cost_vector` reads them);
+        a run that keeps no per-type breakdown sizes nothing."""
+        stats = stack.network.stats
+        if stats.detailed:
+            stats.record_bytes(payload, wire_size(payload))
 
     # -- message hooks (wired through the group object) ---------------------------------
 

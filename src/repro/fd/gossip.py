@@ -106,6 +106,15 @@ class GossipDetector(DetectorBase):
         )
         self.digests_sent = 0
 
+    @property
+    def settle_hold(self) -> float:  # type: ignore[override]
+        """One interval below full fanout, where peers are learnt hop by
+        hop and a first estimate is partial; zero at full fanout, where
+        the plane is the heartbeat plane (module docstring)."""
+        if self.fanout >= self.stack.universe_size() - 1:
+            return 0.0
+        return self.interval
+
     # -- sending ----------------------------------------------------------
 
     def _targets(self) -> list[SiteId]:
@@ -124,17 +133,25 @@ class GossipDetector(DetectorBase):
             return
         own = self.stack.pid
         now = self.stack.now
-        last_heard = self._last_heard.get
+        if now - self._oldest <= self.timeout:
+            # Inside the bound (DetectorBase) every reachable peer is
+            # fresh, and a site outside the set was never heard or has
+            # not been heard since it expired: the suspects are exactly
+            # the table's sites the set lacks.
+            suspects = frozenset(self._counters.keys() - self._reachable_incs.keys())
+        else:
+            last_heard = self._last_heard.get
+            suspects = frozenset([
+                site for site in self._counters
+                if (seen := last_heard(site)) is None or now - seen[0] > self.timeout
+            ])
         digest = GossipDigest(
             own,
             self.stack.current_view_id(),
             last_seqno=self.stack.channels.own_seqno(),
             eview_seq=self.stack.evs.applied_seq,
             rows=((own.site, (own.incarnation, self._counter)), *self._counters.items()),
-            suspects=frozenset([
-                site for site in self._counters
-                if (seen := last_heard(site)) is None or now - seen[0] > self.timeout
-            ]),
+            suspects=suspects,
         )
         self.stack.send_sites(targets, digest)
         self.digests_sent += len(targets)

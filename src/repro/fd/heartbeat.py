@@ -75,6 +75,13 @@ class DetectorBase:
     what expires whoever timed out when an arrival triggers it.
     """
 
+    #: How long the reachable set must stay unchanged, while this
+    #: detector is still learning its peers, before the process proposes
+    #: a view (``ViewAgreement._held``).  Zero here: every peer is heard
+    #: directly within one interval, so no estimate is partial for long.
+    #: Sparse gossip overrides it.
+    settle_hold = 0.0
+
     def __init__(
         self,
         stack: "GroupStack",

@@ -82,9 +82,14 @@ class MembershipConfig:
     tree_fanout: int = 0
     #: Coordinator-side debounce for flush-reply expansion.  At scale,
     #: restarting the round on *every* flush that names a new reachable
-    #: member makes bootstrap quadratic; with a debounce the extras
-    #: batch up for this long and the round restarts once.  0 restarts
-    #: immediately (the original behavior).
+    #: member costs a round per discovery wave; with a debounce the
+    #: extras batch up for this long and the round restarts once.  0
+    #: restarts immediately (the original behavior).  Under sparse
+    #: gossip the bootstrap hold (:meth:`ViewAgreement._held`) already
+    #: starts the first round from a settled set, so few flushes name
+    #: anyone new: at n=128 under the scale profile, 0 instead of 6
+    #: costs 1,268 instead of 1,088 bootstrap prepares (6,706 against
+    #: 5,943 without the hold) and leaves the heal unchanged.
     expand_debounce: float = 0.0
 
 
@@ -143,6 +148,14 @@ class ViewAgreement:
         self._flush_agg: _FlushAgg | None = None
         self._pending_extra: set[ProcessId] = set()
         self._expand_timer: object = None
+        # Bootstrap hold (:meth:`_held`), fixed at the reachable set's
+        # first change: the hold, the end of the detector's learning
+        # window (the cap), the set's last change, and the wake-up armed
+        # while the hold lasts.
+        self._hold = 0.0
+        self._learning_until: float | None = None
+        self._fd_last_change = 0.0
+        self._hold_timer: object = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -168,18 +181,69 @@ class ViewAgreement:
             if self.stack.now - self._flush_since > self.config.flush_stall_timeout:
                 self._initiate()
             return
-        reachable = self.stack.fd.reachable() - (
-            self._quarantined() - {self.stack.pid}
-        )
+        reachable = self._unquarantined(self.stack.fd.reachable())
         # The disagreement probe walks every reachable peer; it is a
         # pure query, so ask only when the cheap test did not decide.
-        if reachable != self.view.members or self.stack.fd.view_disagreement(
-            since=self.last_install_time
-        ):
+        if (
+            reachable != self.view.members
+            or self.stack.fd.view_disagreement(since=self.last_install_time)
+        ) and not self._held():
             self._initiate()
 
     def on_fd_change(self) -> None:
         """Failure-detector output changed; maybe start a view change."""
+        now = self.stack.now
+        self._fd_last_change = now
+        if self._learning_until is None:
+            fd = self.stack.fd
+            self._hold = fd.settle_hold
+            self._learning_until = now + fd.timeout if self._hold > 0 else now
+        if not self._held():  # else the hold's wake-up runs the check
+            self._check()
+
+    def _held(self) -> bool:
+        """Whether this process must hold its proposals a while longer.
+
+        A detector that learns peers epidemically (``fd.settle_hold >
+        0``: sparse gossip) fills in a fresh process's reachable set hop
+        by hop, for up to ``fd.timeout`` after the set's first change
+        (its learning window).  Inside that window:
+
+        * a process initiates only once its set has been unchanged for
+          ``settle_hold``: a proposal made earlier names a partial
+          "least" candidate that a smaller one soon supersedes, a nacked
+          round per neighbourhood;
+        * a set that only *lacks* members of the installed view waits
+          for the window's end: no stamp taken inside the window can
+          expire before it closes, so such a member has not been heard
+          of yet rather than failed, and proposing would only install
+          the same membership again.
+
+        The window's end is the cap: a set still changing by then is
+        flapping, not learning, and waits no longer.  Prepares and
+        proposes from other sites are answered at once; only initiating
+        waits (docs/protocol.md §3).
+        """
+        until = self._learning_until
+        if until is None:
+            return False
+        now = self.stack.now
+        # Timers fire at their due time up to rounding: read it as due.
+        if now >= until - 1e-9:
+            return False
+        release = self._fd_last_change + self._hold
+        if now >= release - 1e-9:
+            if not self.stack.fd.reachable() < self.view.members:
+                return False
+            release = until
+        if self._hold_timer is None:
+            self._hold_timer = self.stack.set_timer(
+                min(release, until) - now, self._hold_expired
+            )
+        return True
+
+    def _hold_expired(self) -> None:
+        self._hold_timer = None
         self._check()
 
     def _initiate(self) -> None:
@@ -187,9 +251,7 @@ class ViewAgreement:
         if now - self._last_initiate < self.config.min_initiate_gap:
             return
         self._last_initiate = now
-        target = (self.stack.fd.reachable() | {self.stack.pid}) - (
-            self._quarantined() - {self.stack.pid}
-        )
+        target = self._unquarantined(self.stack.fd.reachable() | {self.stack.pid})
         obs = self.stack.obs
         root = obs.view_trigger(self.stack.pid, now) if obs is not None else None
         candidate = min_process(target)
@@ -203,9 +265,9 @@ class ViewAgreement:
     # -- coordinator side ---------------------------------------------------------
 
     def on_propose(self, src: ProcessId, msg: VcPropose) -> None:
-        target = (
+        target = self._unquarantined(
             msg.target | self.stack.fd.reachable() | {self.stack.pid}
-        ) - (self._quarantined() - {self.stack.pid})
+        )
         candidate = min_process(target)
         if candidate != self.stack.pid:
             # We are not the right coordinator; forward.
@@ -320,6 +382,12 @@ class ViewAgreement:
                 self._quarantine[silent] = until
         survivors = frozenset(rnd.replies) | {self.stack.pid}
         self._start_round(survivors)
+
+    def _unquarantined(self, pids: frozenset[ProcessId]) -> frozenset[ProcessId]:
+        """``pids`` less the quarantined peers (this process never is)."""
+        if not self._quarantine:
+            return pids
+        return pids - (self._quarantined() - {self.stack.pid})
 
     def _quarantined(self) -> frozenset[ProcessId]:
         now = self.stack.now
@@ -526,8 +594,7 @@ class ViewAgreement:
             # We should coordinate instead; tell them and do it.
             self.stack.send(coordinator, VcNack(msg.round_id, self.stack.pid))
             self._start_round(
-                (msg.members | self.stack.fd.reachable())
-                - (self._quarantined() - {self.stack.pid}),
+                self._unquarantined(msg.members | self.stack.fd.reachable()),
                 trace=msg.trace,
             )
             return

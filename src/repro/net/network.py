@@ -61,10 +61,17 @@ class NetworkStats:
     dropped_loss: int = 0
     dropped_dead: int = 0
     by_type: dict[str, int] = field(default_factory=dict)
+    #: Estimated bytes of the payloads whose size a detailed run tracks
+    #: (settlement offers and adopts), by payload type.
+    bytes_by_type: dict[str, int] = field(default_factory=dict)
 
     def record_type(self, payload: Any, count: int = 1) -> None:
         name = type(payload).__name__
         self.by_type[name] = self.by_type.get(name, 0) + count
+
+    def record_bytes(self, payload: Any, size: int) -> None:
+        name = type(payload).__name__
+        self.bytes_by_type[name] = self.bytes_by_type.get(name, 0) + size
 
 
 class Network:

@@ -343,6 +343,8 @@ def sum_network_stats(
         total.dropped_dead += stats.dropped_dead
         for name, count in stats.by_type.items():
             total.by_type[name] = total.by_type.get(name, 0) + count
+        for name, size in stats.bytes_by_type.items():
+            total.bytes_by_type[name] = total.bytes_by_type.get(name, 0) + size
     return total
 
 

@@ -101,9 +101,14 @@ class SiteStorage:
     def __init__(self, site: SiteId) -> None:
         self.site = site
         self._data: dict[str, Any] = {}
+        # Cumulative force-writes, for the exact cost of a run
+        # (repro.trace.stats.cost_vector).
+        self.writes = 0
+        self.appends = 0
 
     def write(self, key: str, value: Any) -> None:
         """Atomically persist ``value`` under ``key``."""
+        self.writes += 1
         self._data[key] = snapshot(value)
 
     def read(self, key: str, default: Any = None) -> Any:
@@ -114,6 +119,7 @@ class SiteStorage:
 
     def append(self, key: str, item: Any) -> None:
         """Append ``item`` to the list persisted under ``key``."""
+        self.appends += 1
         log = self._data.setdefault(key, [])
         log.append(snapshot(item))
 

@@ -9,6 +9,7 @@ and settlement activity.  Used by the CLI and by E-series analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.trace.events import (
     AppEvent,
@@ -139,3 +140,70 @@ def summarize(rec: TraceRecorder) -> TraceStats:
         1 for e in rec.of_type(AppEvent) if e.tag == "settle_start"
     )
     return stats
+
+
+#: The view-agreement payloads (:mod:`repro.gms.messages`) whose sends
+#: make up ``gms.sends_per_install``.
+GMS_PAYLOADS = (
+    "VcPrepare",
+    "VcPropose",
+    "VcNack",
+    "VcFlush",
+    "VcFlushBatch",
+    "VcInstall",
+)
+
+
+def cost_vector(cluster: Any) -> dict[str, float]:
+    """The exact protocol cost of one sim run, one named row per cost.
+
+    Built from what a run records anyway: sends per payload type (the
+    network's detailed counters, so the cluster must keep them — the
+    :class:`~repro.runtime.cluster.Cluster` default), installs, e-view
+    changes, multicasts, deliveries and settlement sessions from the
+    trace, every site's stable-storage writes and appends, and the
+    estimated bytes of the settlement offers and adopts.
+    ``gms.sends_per_install`` is the view-agreement traffic per view
+    installed.  Every row repeats exactly for one seed, so a behaviour
+    gate can pin the vector beside a trace digest and print the rows
+    that moved.
+    """
+    net = cluster.network_stats()
+    if not net.detailed:
+        raise ValueError("cost_vector needs a cluster with detailed_stats")
+    rec = cluster.gather_trace()
+    stats = summarize(rec)
+    out: dict[str, float] = {}
+    for name, count in sorted(net.by_type.items()):
+        out[f"send.{name}"] = count
+    for name, size in sorted(net.bytes_by_type.items()):
+        out[f"bytes.{name}"] = size
+    out["installs"] = stats.view_installs
+    out["eview_changes"] = stats.eview_changes
+    out["multicasts"] = stats.multicasts
+    out["deliveries"] = stats.deliveries
+    out["settle_sessions"] = stats.settlement_sessions
+    storages = [stack.storage for stack in cluster.stacks.values()]
+    out["storage.writes"] = sum(s.writes for s in storages)
+    out["storage.appends"] = sum(s.appends for s in storages)
+    gms = sum(net.by_type.get(name, 0) for name in GMS_PAYLOADS)
+    out["gms.sends_per_install"] = round(gms / max(1, stats.view_installs), 3)
+    return out
+
+
+def cost_table(pinned: dict[str, float], actual: dict[str, float]) -> str:
+    """One row per cost of either vector: pinned, actual, and their
+    ratio; a row that moved is marked ``*``."""
+    lines = [f"  {'cost':<28} {'pinned':>12} {'actual':>12} {'ratio':>7}"]
+    for name in sorted(pinned.keys() | actual.keys()):
+        old, new = pinned.get(name), actual.get(name)
+        ratio = f"{new / old:.3f}" if old and new is not None else "-"
+        mark = " " if old == new else "*"
+        lines.append(
+            f"{mark} {name:<28} {_cell(old):>12} {_cell(new):>12} {ratio:>7}"
+        )
+    return "\n".join(lines)
+
+
+def _cell(value: float | None) -> str:
+    return "-" if value is None else f"{value:g}"

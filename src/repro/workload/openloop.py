@@ -183,7 +183,14 @@ class SloVerdict:
 
 @dataclass
 class LoadReport:
-    """What an open-loop run offered, finished and measured."""
+    """What an open-loop run offered, finished and measured.
+
+    ``duration`` is the offer window and ``achieved_rate`` the
+    completions inside it per unit of it, so a straggler that finishes
+    long after the window (an attempt lost with its replica ends only at
+    the reply timeout) does not sink the rate.  ``drain`` is how long
+    past the window the last completion came (0 if none did).
+    """
 
     offered: int
     completed: int
@@ -192,6 +199,7 @@ class LoadReport:
     by_status: dict[str, int]
     duration: float
     achieved_rate: float
+    drain: float
 
     @property
     def ok_fraction(self) -> float:
@@ -318,6 +326,11 @@ class OpenLoopLoad:
         self.completed = 0
         self.ok = 0
         self.late = 0
+        # Completions inside the offer window, and when the last one
+        # came (both on the cluster clock, set when run() opens the window).
+        self.in_window = 0
+        self._window_end = 0.0
+        self._last_done = 0.0
 
     # -- op selection --------------------------------------------------
 
@@ -332,6 +345,10 @@ class OpenLoopLoad:
 
     def _count(self, op: str, status: str, latency: float) -> None:
         self.completed += 1
+        now = self.cluster.now
+        if now <= self._window_end:
+            self.in_window += 1
+        self._last_done = max(self._last_done, now)
         self.by_status[status] = self.by_status.get(status, 0) + 1
         if status == "ok" or status == "missing":
             self.ok += 1
@@ -340,20 +357,21 @@ class OpenLoopLoad:
 
     def run(self) -> LoadReport:
         """Offer the whole grid, wait for stragglers, report."""
-        start = self.cluster.now
+        window = self.spec.duration
+        self._window_end = self._last_done = self.cluster.now + window
         if getattr(self.cluster, "runtime", "sim") == "sim":
             self._run_sim()
         else:
             self._run_realnet()
-        elapsed = max(self.cluster.now - start, 1e-9)
         return LoadReport(
             offered=self.spec.total_ops,
             completed=self.completed,
             ok=self.ok,
             late=self.late,
             by_status=dict(sorted(self.by_status.items())),
-            duration=elapsed,
-            achieved_rate=self.completed / elapsed,
+            duration=window,
+            achieved_rate=self.in_window / max(window, 1e-9),
+            drain=self._last_done - self._window_end,
         )
 
     # -- simulator -----------------------------------------------------
@@ -438,6 +456,8 @@ class OpenLoopLoad:
                 self._count(op, status, loop.time() - issued)
 
             t0 = loop.time()
+            # The window opens once the clients are connected.
+            self._window_end = self._last_done = driver.now + spec.duration
             for k in range(spec.total_ops):
                 due = t0 + k / spec.rate
                 delay = due - loop.time()

@@ -206,3 +206,20 @@ def test_open_loop_counts_every_op_through_a_crash() -> None:
     report = OpenLoopLoad(cluster, spec).run()
     assert report.completed == report.offered == 150
     assert report.ok == report.offered
+
+
+def test_open_loop_rate_is_measured_over_the_offer_window() -> None:
+    """One op lost with its replica ends only at the reply timeout, far
+    past the offer window.  The rate counts the completions inside the
+    window over the window, so that straggler does not sink it; how long
+    it took is reported as the drain."""
+    cluster = _store_cluster()
+    cluster.arm(FaultSchedule([Crash(100.5, 0), Recover(150.5, 0)]))
+    spec = LoadSpec(
+        rate=0.5, duration=300.0, clients=5, n_keys=16, read_fraction=0.0, seed=3
+    )
+    report = OpenLoopLoad(cluster, spec).run()
+    assert report.completed == report.offered
+    assert report.duration == spec.duration
+    assert report.achieved_rate >= 0.9 * spec.rate
+    assert report.drain >= core.REPLY_TIMEOUT - spec.duration

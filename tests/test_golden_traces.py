@@ -6,15 +6,24 @@ a refactor that is meant to leave protocol behaviour alone (ROADMAP
 aim 2: "seeded sim traces stay byte-identical") is checked against the
 commit that recorded the digests, not only against itself.
 
+Beside each digest sits the run's exact cost
+(:func:`repro.trace.stats.cost_vector`: sends per payload type,
+installs, deliveries, storage writes, settlement bytes, ...).  When a
+digest moves, the cost test prints one row per cost, pinned against
+actual, which says what the change did to the protocol's work.
+
 Regenerate when a protocol change is intended:
-``PYTHONPATH=src python tests/test_golden_traces.py`` prints the new
-table; paste it over ``GOLDEN`` and say why in the commit message.
+``PYTHONPATH=src python tests/test_golden_traces.py`` prints both new
+tables; paste them over ``GOLDEN`` and ``COSTS``, and paste the cost
+table of every moved scenario into the change's description.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
+import pprint
 
 import pytest
 
@@ -25,6 +34,7 @@ from repro.isis import isis_stack_config
 from repro.net.faults import Crash, FaultSchedule, Heal, Partition, Recover
 from repro.ports import make_cluster
 from repro.trace.export import dump_trace
+from repro.trace.stats import cost_table, cost_vector
 from repro.vsync.stack import StackConfig
 from repro.workload.clients import MulticastClient, QueryClient
 from repro.workload.generator import RandomFaultGenerator
@@ -51,7 +61,7 @@ def figure2_trace():
         ],
     )
     assert report.ok, report.violations[:5]
-    return report.trace
+    return report.trace, cluster
 
 
 def store_faults_trace():
@@ -67,7 +77,7 @@ def store_faults_trace():
     )
     result = run_client_load(cluster, spec, schedule, slo_p99=200.0)
     assert result.ok, result.workload.violations[:5]
-    return result.workload.trace
+    return result.workload.trace, cluster
 
 
 def scale_profile_trace():
@@ -95,7 +105,7 @@ def scale_profile_trace():
     assert cluster.settle()
     cluster.heal()
     assert cluster.settle()
-    return cluster.gather_trace()
+    return cluster.gather_trace(), cluster
 
 
 def random_schedule_trace():
@@ -106,7 +116,7 @@ def random_schedule_trace():
     cluster = make_cluster("sim", 5, lambda pid: ReplicatedFile(votes), seed=3)
     run_checked_workload(cluster, gen.generate(), tail=gen.settle_tail)
     cluster.run_for(200)
-    return cluster.gather_trace()
+    return cluster.gather_trace(), cluster
 
 
 def isis_blocking_trace():
@@ -133,7 +143,7 @@ def isis_blocking_trace():
     cluster.run_for(900)
     for site in range(5):
         assert cluster.apps[site].read("ledger") == "v2", site
-    return cluster.gather_trace()
+    return cluster.gather_trace(), cluster
 
 
 SCENARIOS = {
@@ -162,21 +172,155 @@ SCENARIOS = {
 #: (one install at two sites, 291.2705098322484 -> 291.27050983124843
 #: and 292.27...) moved by about 1e-9, the FIFO link-clock bumps the
 #: skipped beats used to cause on shared links; every other byte is
-#: identical.
+#: identical.  ``scale_profile`` was re-recorded when a process under
+#: sparse gossip began holding its proposals while its detector learns
+#: the universe (docs/protocol.md §3): no nacked bootstrap rounds and
+#: no second, identical view, so fewer gms sends and installs; its cost
+#: vector before the hold read VcPrepare 346, VcPropose 232, VcNack 24,
+#: VcFlush 17, VcFlushBatch 323, VcInstall 155, StabilityReport 182 and
+#: 191 installs, and every GossipDigest send is unchanged.
 GOLDEN = {
     "figure2": "cf2dded8ed3c36f4d47ca043073b87052c0289b42fc4c14de50e98fc9475475e",
     "store_faults": "5d1b2ad60195d6cea718031c691df46f9d241ac81c9b53aab2a196cb52916e28",
-    "scale_profile": "d40ecf40a39cf124e631e846887840b19497e5f7808370fbf0b9ddf78eeb1f37",
+    "scale_profile": "e212303e1cfe389964b75fa153775114942a410ac428f83a49b2ed5c06350c8b",
     "isis_blocking": "4d995ee9465806c051c45668833d324cf29f13d82837cf98b46b2ad466e0d9fd",
     "random_schedule": "d81562f955640e5c5759edecad068dae3ff588114dd432e77dcbe9229073ea6d",
 }
 
 
+#: ``cost_vector`` of each scenario's run, pinned beside its digest.
+COSTS: dict[str, dict[str, float]] = {
+    "figure2": {
+        "send.DirectPayload": 95,
+        "send.EvChange": 20,
+        "send.Heartbeat": 3089,
+        "send.Message": 924,
+        "send.StabilityNotice": 103,
+        "send.StabilityReport": 114,
+        "send.VcFlush": 22,
+        "send.VcInstall": 14,
+        "send.VcNack": 4,
+        "send.VcPrepare": 30,
+        "send.VcPropose": 21,
+        "bytes.StateAdopt": 4599,
+        "bytes.StateOffer": 6923,
+        "installs": 24,
+        "eview_changes": 24,
+        "multicasts": 234,
+        "deliveries": 1136,
+        "settle_sessions": 8,
+        "storage.writes": 288,
+        "storage.appends": 0,
+        "gms.sends_per_install": 3.792,
+    },
+    "isis_blocking": {
+        "send.DirectPayload": 246,
+        "send.Heartbeat": 8727,
+        "send.Message": 22,
+        "send.StabilityNotice": 124,
+        "send.StabilityReport": 275,
+        "send.VcAbort": 48,
+        "send.VcFlush": 77,
+        "send.VcInstall": 23,
+        "send.VcPrepare": 81,
+        "send.VcPropose": 344,
+        "bytes.StateAdopt": 2364,
+        "bytes.StateOffer": 2364,
+        "installs": 36,
+        "eview_changes": 0,
+        "multicasts": 7,
+        "deliveries": 29,
+        "settle_sessions": 5,
+        "storage.writes": 142,
+        "storage.appends": 0,
+        "gms.sends_per_install": 14.583,
+    },
+    "random_schedule": {
+        "send.DirectPayload": 16,
+        "send.EvChange": 24,
+        "send.Heartbeat": 4102,
+        "send.Message": 12,
+        "send.StabilityNotice": 88,
+        "send.StabilityReport": 116,
+        "send.VcFlush": 49,
+        "send.VcInstall": 34,
+        "send.VcNack": 6,
+        "send.VcPrepare": 74,
+        "send.VcPropose": 100,
+        "bytes.StateAdopt": 770,
+        "bytes.StateOffer": 2824,
+        "installs": 67,
+        "eview_changes": 30,
+        "multicasts": 3,
+        "deliveries": 15,
+        "settle_sessions": 3,
+        "storage.writes": 164,
+        "storage.appends": 0,
+        "gms.sends_per_install": 3.925,
+    },
+    "scale_profile": {
+        "send.GossipDigest": 4044,
+        "send.StabilityReport": 163,
+        "send.VcFlushBatch": 233,
+        "send.VcInstall": 123,
+        "send.VcNack": 1,
+        "send.VcPrepare": 247,
+        "send.VcPropose": 142,
+        "installs": 156,
+        "eview_changes": 0,
+        "multicasts": 0,
+        "deliveries": 0,
+        "settle_sessions": 0,
+        "storage.writes": 156,
+        "storage.appends": 0,
+        "gms.sends_per_install": 4.782,
+    },
+    "store_faults": {
+        "send.DirectPayload": 303,
+        "send.EvChange": 24,
+        "send.Heartbeat": 3124,
+        "send.Message": 310,
+        "send.StabilityNotice": 101,
+        "send.StabilityReport": 117,
+        "send.VcFlush": 34,
+        "send.VcInstall": 28,
+        "send.VcNack": 3,
+        "send.VcPrepare": 41,
+        "send.VcPropose": 22,
+        "bytes.StateAdopt": 32595,
+        "bytes.StateOffer": 47216,
+        "installs": 43,
+        "eview_changes": 30,
+        "multicasts": 105,
+        "deliveries": 408,
+        "settle_sessions": 9,
+        "storage.writes": 494,
+        "storage.appends": 445,
+        "gms.sends_per_install": 2.977,
+    },
+}
+
+
+@functools.cache
+def _run(name: str) -> tuple[str, dict[str, float]]:
+    """One run of scenario ``name``: its digest and its cost vector."""
+    trace, cluster = SCENARIOS[name]()
+    return _digest(trace), cost_vector(cluster)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_seeded_trace_matches_golden_digest(name: str) -> None:
-    assert _digest(SCENARIOS[name]()) == GOLDEN[name]
+    assert _run(name)[0] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_seeded_cost_vector_matches_pinned(name: str) -> None:
+    actual = _run(name)[1]
+    assert actual == COSTS[name], f"{name}:\n{cost_table(COSTS[name], actual)}"
 
 
 if __name__ == "__main__":
-    for name, build in sorted(SCENARIOS.items()):
-        print(f'    "{name}": "{_digest(build())}",')
+    runs = {name: _run(name) for name in sorted(SCENARIOS)}
+    for name, (digest, _) in runs.items():
+        print(f'    "{name}": "{digest}",')
+    pprint.pprint({name: costs for name, (_, costs) in runs.items()}, sort_dicts=False)

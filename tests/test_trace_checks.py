@@ -432,7 +432,8 @@ def _assert_queries_match_scan(rec):
 
 @pytest.fixture(scope="module", params=sorted(SCENARIOS))
 def golden_trace(request):
-    return SCENARIOS[request.param]()
+    trace, _cluster = SCENARIOS[request.param]()
+    return trace
 
 
 def test_indexed_queries_match_scan_on_golden_traces(golden_trace):
