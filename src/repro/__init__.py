@@ -43,7 +43,6 @@ from repro.errors import (
     ApplicationError,
     ClassificationError,
     EnrichedViewError,
-    InvariantViolation,
     MembershipError,
     NetworkError,
     ReproError,
@@ -75,7 +74,6 @@ __all__ = [
     "ViewSynchronyError",
     "EnrichedViewError",
     "ApplicationError",
-    "InvariantViolation",
     "ClassificationError",
     "ProcessId",
     "SiteId",

@@ -35,16 +35,6 @@ class ApplicationError(ReproError):
     """Error raised by a group-object application."""
 
 
-class InvariantViolation(ReproError):
-    """A group-object invariant was found violated.
-
-    Raised by invariant checkers (e.g. in :mod:`repro.core.group_object`
-    and :mod:`repro.trace.checks`) when a property the paper guarantees
-    does not hold on an execution.  Test suites treat any instance of
-    this exception as a reproduction failure.
-    """
-
-
 class ClassificationError(ReproError):
     """A shared-state classifier was invoked on an ineligible event."""
 

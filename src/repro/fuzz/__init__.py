@@ -1,4 +1,4 @@
-"""Coverage-guided protocol fuzzer with pluggable trace checkers.
+"""Coverage-guided protocol fuzzer with trace checkers chosen by name.
 
 The fuzzer *generates* fault schedules plus client workloads, executes
 them on any :class:`~repro.ports.ClusterPort` runtime through
@@ -11,10 +11,10 @@ A failing schedule is shrunk to a minimal reproducer
 (:mod:`repro.fuzz.shrink`) serialized as JSON (:mod:`repro.fuzz.corpus`)
 so it replays byte-identically in sim or over real sockets.
 
-Checkers are pluggable objects over the merged trace
-(:mod:`repro.fuzz.checkers`), RESTler-style: independent
-sequence-pattern detectors registered by name, discovered from entry
-points, and run after the paper's six core property checks.
+A run is judged by the paper's property checks plus the
+sequence-pattern detectors it names, RESTler-style: every check is a
+function over the merged trace, listed under its report name in one
+table (:data:`repro.trace.checks.CHECKS`).
 
 This ``__init__`` stays lazy: :mod:`repro.core.settlement` imports
 :mod:`repro.fuzz.bugs` (the planted-bug hooks), so importing the
@@ -30,11 +30,6 @@ from typing import Any
 _EXPORTS = {
     "FuzzConfig": "repro.fuzz.engine",
     "FuzzEngine": "repro.fuzz.engine",
-    "CheckContext": "repro.fuzz.checkers",
-    "TraceChecker": "repro.fuzz.checkers",
-    "register_checker": "repro.fuzz.checkers",
-    "make_checkers": "repro.fuzz.checkers",
-    "run_checkers": "repro.fuzz.checkers",
     "coverage_signature": "repro.fuzz.signature",
     "Corpus": "repro.fuzz.corpus",
     "CorpusEntry": "repro.fuzz.corpus",

@@ -2,11 +2,10 @@
 
 One iteration = one checked workload run: build a cluster (any
 :func:`~repro.ports.make_cluster` runtime), drive it through a fault
-schedule plus a client workload, then judge the merged trace twice —
-the paper's core property checks
-(:func:`~repro.trace.checks.check_cluster`, via
-:func:`~repro.workload.runner.run_checked_workload`) and the pluggable
-detector library (:mod:`repro.fuzz.checkers`).  The run's
+schedule plus a client workload, then judge the merged trace by the
+paper's property checks and the named sequence-pattern detectors
+(both from :data:`repro.trace.checks.CHECKS`, run by
+:func:`~repro.workload.runner.run_checked_workload`).  The run's
 protocol-coverage signature (:mod:`repro.fuzz.signature`) decides its
 fate: runs contributing unseen features join the corpus and become
 mutation parents; failing runs additionally get shrunk
@@ -26,17 +25,15 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.fuzz import bugs
-from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
 from repro.fuzz.corpus import Corpus, CorpusEntry, WorkloadSpec
 from repro.fuzz.mutate import mutate, normalize_schedule
 from repro.fuzz.shrink import ShrinkResult, shrink_entry
 from repro.fuzz.signature import coverage_signature
 from repro.obs.registry import MetricsRegistry
 from repro.ports import make_cluster
+from repro.trace.checks import make_checkers
 from repro.workload.generator import RandomFaultGenerator
 from repro.workload.runner import run_checked_workload
-
-#: Checkers rerun on every iteration; instantiate once per engine.
 
 
 @dataclass
@@ -52,12 +49,10 @@ class FuzzConfig:
     iterations: int | None = 50
     #: Stop after this many wall seconds (None = no time cap).
     time_budget_s: float | None = None
-    #: Checker names / specs to run (None = the full registry).
+    #: Detectors to run besides the properties (None = all of them).
     checkers: tuple[str, ...] | None = None
     #: Arm this planted bug for every run (test-only hook).
     planted_bug: str | None = None
-    #: Also count core property-check violations as failures.
-    core_checks: bool = True
     #: Include asymmetric one-way cuts in generated schedules.
     asymmetric: bool = False
     #: Scenario-unit shape of generated schedules.
@@ -104,7 +99,7 @@ class FuzzEngine:
         self.config = config
         self.corpus = corpus if corpus is not None else Corpus()
         self.rng = random.Random(config.seed)
-        self.checkers = make_checkers(config.checkers)
+        self.checkers = [name for name, _check in make_checkers(config.checkers)]
         self.metrics = (
             metrics
             if metrics is not None
@@ -155,8 +150,8 @@ class FuzzEngine:
                         spec.client_factories(),
                         tail=spec.tail,
                         settle_timeout=config.settle_timeout,
+                        checkers=self.checkers,
                     )
-                    time_scale = cluster.time_scale
                 finally:
                     cluster.close()
         finally:
@@ -165,14 +160,9 @@ class FuzzEngine:
                     os.environ.pop("REPRO_FUZZ_BUG", None)
                 else:
                     os.environ["REPRO_FUZZ_BUG"] = prior_env
-        ctx = CheckContext(time_scale=time_scale, n_sites=spec.n_sites)
-        fuzz_reports = run_checkers(report.trace, self.checkers, ctx)
         failing: list[str] = []
         violations: list[str] = []
-        reports = list(fuzz_reports)
-        if self.config.core_checks:
-            reports += report.reports
-        for check in reports:
+        for check in report.reports:
             if not check.ok:
                 failing.append(check.name)
                 violations.extend(check.violations)

@@ -32,8 +32,8 @@ Three ports exist:
 
 :class:`ClusterPort`
     The contract one layer up: what the harness code *around* the stacks
-    (workload clients, fault scenarios, invariant monitors, trace-based
-    property checks, the CLI) needs from a running cluster, regardless
+    (workload clients, fault scenarios, trace-based property checks,
+    the CLI) needs from a running cluster, regardless
     of which backend drives it.  The simulator's
     :class:`~repro.runtime.cluster.Cluster` satisfies it natively; the
     wall-clock runtimes satisfy it through the blocking
@@ -148,7 +148,7 @@ class ClusterPort(Protocol):
     """Runtime-agnostic contract of a running cluster.
 
     Everything above the protocol stacks — workload clients, fault
-    scenarios, invariant monitors, property checks, the CLI — drives a
+    scenarios, property checks, the CLI — drives a
     cluster exclusively through this surface, so the same harness code
     runs over simulated time and over real sockets.
 

@@ -19,7 +19,7 @@ event loop and TCP:
   :class:`~repro.runtime.core.ClusterConfig` as every other runtime;
 * :class:`RealClusterDriver` — blocking
   :class:`~repro.ports.ClusterPort` facade (event loop on a dedicated
-  thread) so synchronous harness code — workloads, invariant monitors,
+  thread) so synchronous harness code — workloads, property checks,
   the CLI — drives either wall-clock adapter exactly like a simulated
   cluster;
 * :mod:`repro.realnet.codec` / :mod:`repro.realnet.codec_bin` — the

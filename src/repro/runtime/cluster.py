@@ -8,9 +8,9 @@ heal / join).  Examples, tests and benchmarks all start here.
 :class:`Cluster` is the virtual-time adapter over
 :class:`~repro.runtime.core.ClusterCore` and the simulator's
 implementation of :class:`repro.ports.ClusterPort` — the harness layer
-(workload clients, scenarios, invariant monitors, property checks, the
-CLI) drives it only through that contract, so the same code runs over
-the wall-clock adapters unchanged.  Waiting advances virtual time;
+(workload clients, scenarios, property checks, the CLI) drives it only
+through that contract, so the same code runs over the wall-clock
+adapters unchanged.  Waiting advances virtual time;
 backend time equals scenario time (``time_scale == 1.0``).
 """
 

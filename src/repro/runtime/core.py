@@ -458,8 +458,8 @@ class ClusterCore:
         """Schedule ``callback`` after ``delay`` backend-time units.
 
         The :class:`~repro.ports.ClusterPort` timer surface — workload
-        drivers and invariant monitors arm their ticks here instead of
-        touching the backend scheduler directly.
+        drivers arm their ticks here instead of touching the backend
+        scheduler directly.
         """
         return self.scheduler.after(delay, callback, *args)
 

@@ -1,20 +1,42 @@
-"""Mechanical checkers for the paper's six properties.
+"""Every check of a run, in one table.
 
-Each checker consumes a recorded trace and returns a
-:class:`CheckReport`; an empty ``violations`` list means the property
-held on that execution.  The test suite and the E2/E3/E4 experiments run
-these over adversarial fault schedules.
+A check is a function ``(trace, ctx) -> CheckReport``; an empty
+``violations`` list means what it checks held on that execution.
+:data:`CHECKS` lists every check under its report name:
+
+* the paper's properties (:data:`PROPERTIES`): Agreement (2.1),
+  Uniqueness (2.2), Integrity (2.3) and the view-chain sanity check for
+  view synchrony, then Total Order (6.1), Causal Order (6.2, as a
+  mechanism and as consistent cuts) and Structure (6.3) for enriched
+  views;
+* the sequence-pattern detectors (:data:`DETECTORS`), RESTler-style:
+  each scans the trace for one bug pattern the properties do not state
+  (a stale state transfer, a lost settlement, a torn subview merge, an
+  acked write lost, replicas in different orders, a zombie
+  incarnation), and is chosen by name.
+
+:func:`check_cluster` runs the properties over a cluster's trace,
+:func:`make_checkers`/:func:`run_checkers` run any named subset; the
+workload runner, the CLI (``--checkers``, ``recheck``) and the fuzzer
+all pick from this one table.  The test suite and the E2/E3/E4
+experiments run these over adversarial fault schedules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
+from repro.errors import ReproError
 from repro.ports import ClusterPort
 from repro.trace.events import (
+    AppEvent,
+    CrashEvent,
     DeliveryEvent,
     EViewChangeEvent,
+    ModeChangeEvent,
     MulticastEvent,
+    RecoverEvent,
     ViewInstallEvent,
 )
 from repro.trace.recorder import TraceRecorder
@@ -23,7 +45,7 @@ from repro.types import ProcessId, ViewId
 
 @dataclass
 class CheckReport:
-    """Outcome of one property check on one trace."""
+    """Outcome of one check on one trace."""
 
     name: str
     checked: int = 0
@@ -36,15 +58,25 @@ class CheckReport:
     def violation(self, text: str) -> None:
         self.violations.append(text)
 
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        merged = CheckReport(f"{self.name}+{other.name}")
-        merged.checked = self.checked + other.checked
-        merged.violations = self.violations + other.violations
-        return merged
-
     def __str__(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} VIOLATIONS"
         return f"[{self.name}] checked={self.checked} {status}"
+
+
+@dataclass(frozen=True)
+class CheckContext:
+    """What a check may know about the run besides the trace."""
+
+    #: Backend-time cost of one scenario unit (1.0 on the simulator):
+    #: trace timestamps are backend time, grace periods scenario units.
+    time_scale: float = 1.0
+
+
+#: The context of a simulated run, for checks called without one.
+CONTEXT = CheckContext()
+
+#: A check: a trace and its context in, one report out.
+Check = Callable[[TraceRecorder, CheckContext], CheckReport]
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +84,7 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_agreement(rec: TraceRecorder) -> CheckReport:
+def check_agreement(rec: TraceRecorder, ctx: CheckContext = CONTEXT) -> CheckReport:
     """Property 2.1: processes that survive from one view to the same
     next view deliver the same set of messages (in the old view)."""
     report = CheckReport("Agreement(2.1)")
@@ -74,7 +106,7 @@ def check_agreement(rec: TraceRecorder) -> CheckReport:
     return report
 
 
-def check_uniqueness(rec: TraceRecorder) -> CheckReport:
+def check_uniqueness(rec: TraceRecorder, ctx: CheckContext = CONTEXT) -> CheckReport:
     """Property 2.2: a message is delivered in at most one view."""
     report = CheckReport("Uniqueness(2.2)")
     views_of: dict = {}
@@ -87,7 +119,7 @@ def check_uniqueness(rec: TraceRecorder) -> CheckReport:
     return report
 
 
-def check_integrity(rec: TraceRecorder) -> CheckReport:
+def check_integrity(rec: TraceRecorder, ctx: CheckContext = CONTEXT) -> CheckReport:
     """Property 2.3: at-most-once per process, and only genuine messages."""
     report = CheckReport("Integrity(2.3)")
     multicast_ids = {ev.msg_id for ev in rec.of_type(MulticastEvent)}
@@ -103,7 +135,9 @@ def check_integrity(rec: TraceRecorder) -> CheckReport:
     return report
 
 
-def check_view_monotonicity(rec: TraceRecorder) -> CheckReport:
+def check_view_monotonicity(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
     """Sanity: each process installs strictly increasing view ids."""
     report = CheckReport("ViewMonotonicity")
     for pid in {ev.pid for ev in rec.of_type(ViewInstallEvent)}:
@@ -121,22 +155,12 @@ def check_view_monotonicity(rec: TraceRecorder) -> CheckReport:
     return report
 
 
-def check_view_synchrony(rec: TraceRecorder) -> list[CheckReport]:
-    """All of Properties 2.1-2.3 plus the view-chain sanity check."""
-    return [
-        check_agreement(rec),
-        check_uniqueness(rec),
-        check_integrity(rec),
-        check_view_monotonicity(rec),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Enriched views: Properties 6.1 - 6.3
 # ---------------------------------------------------------------------------
 
 
-def check_total_order(rec: TraceRecorder) -> CheckReport:
+def check_total_order(rec: TraceRecorder, ctx: CheckContext = CONTEXT) -> CheckReport:
     """Property 6.1: e-view changes within a view are totally ordered.
 
     Concretely: every process applies consecutively numbered changes
@@ -170,7 +194,7 @@ def check_total_order(rec: TraceRecorder) -> CheckReport:
     return report
 
 
-def check_causal_order(rec: TraceRecorder) -> CheckReport:
+def check_causal_order(rec: TraceRecorder, ctx: CheckContext = CONTEXT) -> CheckReport:
     """Property 6.2: e-view changes are consistent cuts — no process
     delivers a message multicast after an e-view change it has not yet
     applied itself."""
@@ -194,7 +218,7 @@ def _subview_partner_map(snapshot: tuple) -> dict[ProcessId, frozenset[ProcessId
     return {pid: members for _, members in snapshot for pid in members}
 
 
-def check_structure(rec: TraceRecorder) -> CheckReport:
+def check_structure(rec: TraceRecorder, ctx: CheckContext = CONTEXT) -> CheckReport:
     """Property 6.3: subview and sv-set structures are preserved across
     view changes, and never split within a view.
 
@@ -287,7 +311,9 @@ def _svset_partner_map(ev: EViewChangeEvent) -> dict[ProcessId, frozenset[Proces
     return result
 
 
-def check_cut_consistency(rec: TraceRecorder) -> CheckReport:
+def check_cut_consistency(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
     """Property 6.2, order-theoretic form: e-view changes define
     consistent cuts of the computation.
 
@@ -346,47 +372,427 @@ def check_cut_consistency(rec: TraceRecorder) -> CheckReport:
     return report
 
 
+
+
+# ---------------------------------------------------------------------------
+# Sequence-pattern detectors
+# ---------------------------------------------------------------------------
+
+
+def check_stale_state_transfer(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
+    """A state transfer/merge adopted less than the best offered state.
+
+    The settlement leader records every ``settle_decide`` with the
+    offered versions and the version actually adopted.  Outside state
+    *creation* (where last-process-to-fail selection may legitimately
+    prefer an older-versioned snapshot), adopting a version below the
+    maximum offered silently discards committed operations.
+    """
+    report = CheckReport("StaleStateTransfer")
+    for ev in rec.of_type(AppEvent):
+        if ev.tag != "settle_decide" or not isinstance(ev.data, dict):
+            continue
+        if ev.data.get("kind") not in ("transfer", "merge"):
+            continue
+        versions = ev.data.get("versions")
+        chosen = ev.data.get("chosen_version")
+        if not versions or chosen is None:
+            continue  # trace predates version accounting
+        report.checked += 1
+        best = max(versions)
+        if chosen < best:
+            report.violation(
+                f"{ev.pid} adopted version {chosen} but a donor offered "
+                f"{best} (t={ev.time:g}, kind={ev.data.get('kind')})"
+            )
+    return report
+
+
+#: Scenario units of quiet after which a process stuck in S counts as
+#: a lost settlement.
+LOST_SETTLEMENT_GRACE = 120.0
+
+
+def check_lost_settlement(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
+    """A process entered S-mode and the settlement never came.
+
+    After the run's settle tail, a process still in SETTLING whose view
+    has been stable for longer than :data:`LOST_SETTLEMENT_GRACE` —
+    with no settlement activity anywhere in that window, and not parked
+    on the legitimate ``settle_wait_all_sites`` state-creation barrier —
+    lost its internal operation: the leader never started (or never
+    finished) the session that would reconcile it back to N-mode.
+    """
+    report = CheckReport("LostSettlement")
+    if not rec.events:
+        return report
+    t_end = max(ev.time for ev in rec.events)
+    grace = LOST_SETTLEMENT_GRACE * ctx.time_scale
+    crashed = {ev.pid for ev in rec.of_type(CrashEvent)}
+    last_mode: dict = {}
+    mode_at: dict = {}
+    for ev in rec.of_type(ModeChangeEvent):
+        last_mode[ev.pid] = ev.new_mode
+        mode_at[ev.pid] = ev.time
+    last_install: dict = {}
+    for ev in rec.of_type(ViewInstallEvent):
+        last_install[ev.pid] = ev.time
+    settle_events = [
+        ev for ev in rec.of_type(AppEvent) if ev.tag.startswith("settle")
+    ]
+    latest_settle = max((ev.time for ev in settle_events), default=None)
+    waiting_all_sites = {
+        ev.pid
+        for ev in settle_events
+        if ev.tag == "settle_wait_all_sites" and ev.time > t_end - grace
+    }
+    for pid, mode in sorted(last_mode.items(), key=lambda kv: repr(kv[0])):
+        if pid in crashed:
+            continue
+        report.checked += 1
+        if mode != "S":
+            continue
+        if t_end - last_install.get(pid, t_end) < grace:
+            continue  # view changed recently; settlement may be due
+        if t_end - mode_at.get(pid, t_end) < grace:
+            continue
+        if latest_settle is not None and t_end - latest_settle < grace:
+            continue  # a session is visibly making progress
+        if waiting_all_sites:
+            continue  # creation legitimately parked on missing sites
+        report.violation(
+            f"{pid} stuck in S-mode since t={mode_at.get(pid, 0.0):g} "
+            f"with no settlement activity in the last "
+            f"{LOST_SETTLEMENT_GRACE:g} scenario units"
+        )
+    return report
+
+
+def check_subview_merge_atomicity(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
+    """Subview merges must be whole and agreed.
+
+    Two patterns (Section 6.2's merge discipline):
+
+    * *whole*: within a view, a later structure's subview must be the
+      union of complete earlier subviews — a subview that absorbs only
+      part of another was split by the merge, which the paper forbids;
+    * *agreed*: processes that survive a view change into the same next
+      view must have applied the same number of e-view changes in the
+      old view — a survivor that missed a merge violates the
+      view-synchronous delivery of e-view changes.
+    """
+    report = CheckReport("SubviewMergeAtomicity")
+    canonical: dict = {}
+    max_seq: dict = {}
+    for ev in rec.of_type(EViewChangeEvent):
+        canonical.setdefault((ev.view_id, ev.eview_seq), ev.subviews)
+        key = (ev.pid, ev.view_id)
+        if ev.eview_seq > max_seq.get(key, -1):
+            max_seq[key] = ev.eview_seq
+    by_view: dict = {}
+    for (view_id, seq), subviews in canonical.items():
+        by_view.setdefault(view_id, {})[seq] = subviews
+    # Whole-subview merges within each view.
+    for view_id, seq_map in by_view.items():
+        for seq in sorted(seq_map):
+            before = seq_map.get(seq - 1)
+            if before is None:
+                continue
+            report.checked += 1
+            old_sets = [members for _, members in before]
+            for sid, members in seq_map[seq]:
+                parts = [m for m in old_sets if m & members]
+                torn = [m for m in parts if not m <= members]
+                union = frozenset().union(*parts) if parts else frozenset()
+                if torn or (parts and union != members):
+                    report.violation(
+                        f"partial subview merge at {view_id} seq {seq}: "
+                        f"{sid} is not a union of whole prior subviews"
+                    )
+    # Survivor agreement on the e-view change count.
+    groups: dict = {}
+    for (pid, prev), nxt in rec.successor_views().items():
+        groups.setdefault((prev, nxt), set()).add(pid)
+    for (prev, _nxt), pids in groups.items():
+        counts = {
+            pid: max_seq[(pid, prev)] for pid in pids if (pid, prev) in max_seq
+        }
+        if len(counts) < 2:
+            continue
+        report.checked += 1
+        if len(set(counts.values())) > 1:
+            detail = ", ".join(
+                f"{pid}={count}"
+                for pid, count in sorted(counts.items(), key=lambda kv: repr(kv[0]))
+            )
+            report.violation(
+                f"survivors of {prev} applied different e-view change "
+                f"counts: {detail}"
+            )
+    return report
+
+
+def check_acked_write_loss(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
+    """No acknowledged client write may vanish from the store.
+
+    :class:`~repro.apps.versioned_store.VersionedStore` records three
+    audit events: ``store_ack`` when a put earns its quorum certificate
+    (the client saw "ok"), ``store_apply`` when a member adds a version,
+    and ``store_state`` whenever a member's whole chain set is
+    *replaced* (state adoption after settlement, or a disk restore on
+    recovery) — carrying the provenance of every version it now holds.
+
+    Replaying those per process — ``store_state`` resets the process's
+    holdings, ``store_apply`` adds to them — yields what each process
+    retains at the end of the run.  Every acked provenance must appear
+    in the union over processes still alive at the end: merges are
+    provenance-unions, so losing an acked write means a state decision
+    discarded a version some client was promised.
+    """
+    report = CheckReport("AckedWriteLoss")
+    acked: dict[tuple, tuple] = {}  # prov -> (time, pid, key)
+    holdings: dict = {}  # pid -> set of prov tuples
+    # Replay in time order: a later store_state replaces holdings, so
+    # ordering against store_apply matters.
+    for ev in sorted(rec.of_type(AppEvent), key=lambda e: e.time):
+        if not isinstance(ev.data, dict):
+            continue
+        if ev.tag == "store_ack":
+            prov = tuple(ev.data.get("prov", ()))
+            if prov:
+                acked.setdefault(prov, (ev.time, ev.pid, ev.data.get("key")))
+        elif ev.tag == "store_apply":
+            prov = tuple(ev.data.get("prov", ()))
+            if prov:
+                holdings.setdefault(ev.pid, set()).add(prov)
+        elif ev.tag == "store_state":
+            holdings[ev.pid] = {tuple(p) for p in ev.data.get("provs", ())}
+    if not acked:
+        return report
+    dead = {ev.pid for ev in rec.of_type(CrashEvent)}
+    retained: set = set()
+    for pid, provs in holdings.items():
+        if pid not in dead:
+            retained |= provs
+    for prov, (time, pid, key) in sorted(acked.items()):
+        report.checked += 1
+        if prov not in retained:
+            report.violation(
+                f"write {prov} on key {key!r} was acked to its client "
+                f"by {pid} at t={time:g} but no live process retains "
+                f"it at the end of the run"
+            )
+    return report
+
+
+def check_replica_divergence(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
+    """The live replicas of one component end with one store, in order.
+
+    Replays each process's ``store_state`` (every chain, in order:
+    ``keys``, their chain ``lens`` and the ``provs`` in chain order) and
+    ``store_apply`` events (a version appended, or inserted at ``at``)
+    into the chains it holds at the end of the run, then groups the
+    live store replicas by the last view each installed.  Within a
+    group every key's versions must stand in one order, hence one head
+    for an any-replica ``get``.  Multicast is FIFO per sender only, so a
+    store whose result depended on the order in which different
+    writers' puts arrived would fail here.  A put still in flight when
+    the run ends is left out (only versions every replica of the group
+    holds are compared); whether a version survives at all is
+    :func:`check_acked_write_loss`'s business.
+    """
+    report = CheckReport("ReplicaDivergence")
+    held: dict = {}  # pid -> key -> [prov tuple, ...] in chain order
+    for ev in rec.of_type(AppEvent):
+        if not isinstance(ev.data, dict):
+            continue
+        if ev.tag == "store_apply":
+            chain = held.setdefault(ev.pid, {}).setdefault(ev.data.get("key"), [])
+            chain.insert(ev.data.get("at", len(chain)), tuple(ev.data.get("prov", ())))
+        elif ev.tag == "store_state":
+            provs = [tuple(p) for p in ev.data.get("provs", ())]
+            chains = held[ev.pid] = {}
+            at = 0
+            for key, n in zip(ev.data.get("keys", ()), ev.data.get("lens", ())):
+                chains[key] = provs[at : at + n]
+                at += n
+    if not held:
+        return report
+    dead = {ev.pid for ev in rec.of_type(CrashEvent)}
+    last_view: dict = {}
+    for ev in rec.of_type(ViewInstallEvent):
+        last_view[ev.pid] = ev.view_id
+    components: dict = {}
+    for pid in sorted(held):
+        if pid not in dead and pid in last_view:
+            components.setdefault(last_view[pid], []).append(pid)
+    for view_id, pids in components.items():
+        if len(pids) < 2:
+            continue
+        keys = set().union(*(held[pid] for pid in pids))
+        for key in sorted(keys, key=repr):
+            report.checked += 1
+            chains = [held[pid].get(key, ()) for pid in pids]
+            # A put still in flight when the run ends is held by some
+            # replicas only: compare the versions all hold.
+            common = set(chains[0]).intersection(*chains[1:])
+            orders = {tuple(p for p in chain if p in common) for chain in chains}
+            if len(orders) > 1:
+                heads = {order[-1] for order in orders if order}
+                report.violation(
+                    f"the {len(pids)} live replicas in {view_id} hold "
+                    f"{len(orders)} orders of key {key!r}'s "
+                    f"{len(common)} versions ({len(heads)} different heads)"
+                )
+    return report
+
+
+def check_zombie_incarnation(
+    rec: TraceRecorder, ctx: CheckContext = CONTEXT
+) -> CheckReport:
+    """No event from a crashed or superseded incarnation.
+
+    A process identifier names one incarnation of a site.  After its
+    crash is recorded, no later trace event may carry that pid; and
+    once a site recovers under a fresh incarnation, deliveries
+    attributed to a *retired* incarnation of the same site are zombie
+    deliveries — state surviving where the failure model says it died.
+    """
+    report = CheckReport("ZombieIncarnation")
+    crashed_at: dict = {}
+    superseded_at: dict = {}  # pid -> time a newer incarnation started
+    for ev in rec.events:
+        if type(ev) is CrashEvent:
+            crashed_at.setdefault(ev.pid, ev.time)
+        elif type(ev) is RecoverEvent:
+            site = ev.pid.site
+            for inc in range(ev.pid.incarnation):
+                superseded_at.setdefault(type(ev.pid)(site, inc), ev.time)
+    if not crashed_at and not superseded_at:
+        return report
+    for ev in rec.events:
+        if type(ev) in (CrashEvent, RecoverEvent):
+            continue
+        pid = getattr(ev, "pid", None)
+        if pid is None:
+            continue
+        report.checked += 1
+        t_dead = crashed_at.get(pid)
+        if t_dead is not None and ev.time > t_dead:
+            report.violation(
+                f"{pid} recorded {type(ev).__name__} at t={ev.time:g} "
+                f"after crashing at t={t_dead:g}"
+            )
+            continue
+        if type(ev) is DeliveryEvent:
+            t_super = superseded_at.get(pid)
+            if t_super is not None and ev.time > t_super:
+                report.violation(
+                    f"retired incarnation {pid} delivered {ev.msg_id} "
+                    f"at t={ev.time:g} after its site recovered as a "
+                    f"newer incarnation at t={t_super:g}"
+                )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# The table, and running from it
+# ---------------------------------------------------------------------------
+
+
+#: Every check under its report name (``CHECKS[n](rec).name == n``).
+CHECKS: dict[str, Check] = {
+    "Agreement(2.1)": check_agreement,
+    "Uniqueness(2.2)": check_uniqueness,
+    "Integrity(2.3)": check_integrity,
+    "ViewMonotonicity": check_view_monotonicity,
+    "TotalOrder(6.1)": check_total_order,
+    "CausalOrder(6.2)": check_causal_order,
+    "CutConsistency(6.2)": check_cut_consistency,
+    "Structure(6.3)": check_structure,
+    "AckedWriteLoss": check_acked_write_loss,
+    "LostSettlement": check_lost_settlement,
+    "ReplicaDivergence": check_replica_divergence,
+    "StaleStateTransfer": check_stale_state_transfer,
+    "SubviewMergeAtomicity": check_subview_merge_atomicity,
+    "ZombieIncarnation": check_zombie_incarnation,
+}
+
+#: Section 2: Properties 2.1-2.3 plus the view-chain sanity check.
+VIEW_SYNCHRONY = tuple(list(CHECKS)[:4])
+#: Section 6: Properties 6.1-6.3 (both 6.2 formulations).
+ENRICHED_VIEWS = tuple(list(CHECKS)[4:8])
+#: The paper's properties, in report order: what every run is checked by.
+PROPERTIES = VIEW_SYNCHRONY + ENRICHED_VIEWS
+#: The sequence-pattern detectors, which a run names to be checked by.
+DETECTORS = tuple(list(CHECKS)[8:])
+#: The store's guarantees, checked on every run that serves the store.
+STORE_CHECKS = ("AckedWriteLoss", "ReplicaDivergence")
+
+
+def make_checkers(names: Iterable[str] | None = None) -> list[tuple[str, Check]]:
+    """``(name, check)`` for each named check (the detectors by default)."""
+    names = DETECTORS if names is None else tuple(names)
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise ReproError(f"unknown checker(s) {unknown}; known: {sorted(CHECKS)}")
+    return [(name, CHECKS[name]) for name in names]
+
+
+def run_checkers(
+    rec: TraceRecorder,
+    checks: Sequence[tuple[str, Check]],
+    ctx: CheckContext = CONTEXT,
+) -> list[CheckReport]:
+    """Run every check; one check crashing becomes a violation of its
+    own report instead of aborting the sweep."""
+    reports: list[CheckReport] = []
+    for name, check in checks:
+        try:
+            reports.append(check(rec, ctx))
+        except Exception as exc:  # checker bugs must surface, not abort
+            report = CheckReport(name)
+            report.violation(f"checker crashed: {exc!r}")
+            reports.append(report)
+    return reports
+
+
+def check_view_synchrony(rec: TraceRecorder) -> list[CheckReport]:
+    """All of Properties 2.1-2.3 plus the view-chain sanity check."""
+    return run_checkers(rec, make_checkers(VIEW_SYNCHRONY))
+
+
 def check_enriched_views(rec: TraceRecorder) -> list[CheckReport]:
     """All of Properties 6.1-6.3 (both 6.2 formulations)."""
-    return [
-        check_total_order(rec),
-        check_causal_order(rec),
-        check_cut_consistency(rec),
-        check_structure(rec),
-    ]
+    return run_checkers(rec, make_checkers(ENRICHED_VIEWS))
 
 
 def all_ok(reports: list[CheckReport]) -> bool:
     return all(r.ok for r in reports)
 
 
-# ---------------------------------------------------------------------------
-# Cluster-level entry point (any runtime)
-# ---------------------------------------------------------------------------
-
-
 def check_cluster(
-    cluster: "ClusterPort",
-    *,
-    enriched: bool = True,
-    trace: TraceRecorder | None = None,
+    cluster: "ClusterPort", *, trace: TraceRecorder | None = None
 ) -> list[CheckReport]:
-    """Run the property checks over a whole cluster's execution.
+    """Run the paper's :data:`PROPERTIES` over a whole cluster's execution.
 
     Works on any :class:`~repro.ports.ClusterPort`: the trace comes
     from ``cluster.gather_trace()``, which is the simulator's single
     shared recorder or the real-network runtime's per-node recorders
     merged into one globally ordered history
-    (:meth:`~repro.trace.recorder.TraceRecorder.merge`) — the checkers
+    (:meth:`~repro.trace.recorder.TraceRecorder.merge`) — the checks
     themselves are identical on either.  Pass ``trace`` to reuse an
     already-gathered recorder (gathering merges on the realnet).
-
-    Returns the Section 2 view-synchrony reports
-    (:func:`check_view_synchrony`), plus the Section 6 enriched-view
-    reports (:func:`check_enriched_views`) unless ``enriched=False``.
     """
     rec = trace if trace is not None else cluster.gather_trace()
-    reports = check_view_synchrony(rec)
-    if enriched:
-        reports += check_enriched_views(rec)
-    return reports
+    return run_checkers(rec, make_checkers(PROPERTIES))

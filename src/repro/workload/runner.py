@@ -26,7 +26,14 @@ from typing import Any, Callable, Sequence
 from repro.net.faults import FaultSchedule
 from repro.obs.tracing import dump_on_violations
 from repro.ports import ClusterPort
-from repro.trace.checks import CheckReport, check_cluster
+from repro.trace.checks import (
+    PROPERTIES,
+    STORE_CHECKS,
+    CheckContext,
+    CheckReport,
+    make_checkers,
+    run_checkers,
+)
 from repro.trace.recorder import TraceRecorder
 
 #: Build a workload driver for a cluster (e.g. ``MulticastClient``).
@@ -70,7 +77,7 @@ def run_checked_workload(
     tail: float = 250.0,
     settle_timeout: float = 600.0,
     settle_poll: float = 10.0,
-    enriched: bool = True,
+    checkers: Sequence[str] = (),
 ) -> WorkloadReport:
     """Run ``schedule`` + clients on ``cluster``, settle, check, report.
 
@@ -83,9 +90,9 @@ def run_checked_workload(
     4. stop the clients and wait up to ``settle_timeout`` scenario
        units for membership to converge;
     5. gather the trace — the simulator's shared recorder, or the
-       realnet per-node recorders merged — and run the Section 2
-       view-synchrony checks (plus the Section 6 enriched-view checks
-       unless ``enriched=False``).
+       realnet per-node recorders merged — and run the paper's
+       property checks, then the named ``checkers`` from
+       :data:`~repro.trace.checks.CHECKS`.
     """
     scale = cluster.time_scale
     schedule = schedule if schedule is not None else FaultSchedule()
@@ -97,7 +104,7 @@ def run_checked_workload(
     for client in clients:
         client.stop()
     return _settle_and_check(
-        cluster, schedule, tail, settle_timeout, settle_poll, enriched, clients
+        cluster, schedule, tail, settle_timeout, settle_poll, clients, checkers
     )
 
 
@@ -107,12 +114,11 @@ def _settle_and_check(
     tail: float,
     settle_timeout: float,
     settle_poll: float,
-    enriched: bool,
     clients: list[Any],
-    checkers: Sequence[str] | None = None,
+    checkers: Sequence[str],
 ) -> WorkloadReport:
-    """The tail both runners share: settle, gather the trace, run the
-    property checks (plus the named fuzz ``checkers``), snapshot the
+    """The tail every checked run ends in: settle, gather the trace, run
+    the property checks plus the named ``checkers``, snapshot the
     metrics and report.  Everything after the settle only reads state."""
     scale = cluster.time_scale
     settled = cluster.settle(
@@ -120,13 +126,10 @@ def _settle_and_check(
     )
     t0 = time.perf_counter()
     trace = cluster.gather_trace()
-    reports = check_cluster(cluster, enriched=enriched, trace=trace)
-    if checkers:
-        from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
-
-        reports += run_checkers(
-            trace, make_checkers(checkers), CheckContext(time_scale=scale)
-        )
+    names = dict.fromkeys((*PROPERTIES, *checkers))  # in order, once each
+    reports = run_checkers(
+        trace, make_checkers(names), CheckContext(time_scale=scale)
+    )
     check_wall = time.perf_counter() - t0
     report = WorkloadReport(
         runtime_now=cluster.now,
@@ -173,8 +176,7 @@ def run_client_load(
     settle_timeout: float = 600.0,
     settle_poll: float = 10.0,
     slo_p99: float = 50.0,
-    checkers: Sequence[str] | None = ("AckedWriteLoss", "ReplicaDivergence"),
-    enriched: bool = True,
+    checkers: Sequence[str] = STORE_CHECKS,
 ) -> ClientLoadReport:
     """Open-loop client load plus a fault schedule, then the checks.
 
@@ -183,13 +185,12 @@ def run_client_load(
     :class:`~repro.workload.openloop.OpenLoopLoad` with ``spec``
     (**backend-time** rate/duration, like the spec itself) against an
     armed scenario-unit fault schedule, settles, and checks the merged
-    trace — the paper's property checks plus the named fuzz checkers
-    (by default ``AckedWriteLoss``: no write acked to a client may
-    vanish across the run's partitions and settlements; and
-    ``ReplicaDivergence``: the replicas of one component hold every key's
-    versions in one order).  ``slo_p99``
-    is in scenario units and converted via ``time_scale``, like every
-    other duration here.
+    trace — the paper's property checks plus the named ``checkers``
+    (by default the store's: ``AckedWriteLoss``, no write acked to a
+    client may vanish across the run's partitions and settlements; and
+    ``ReplicaDivergence``, the replicas of one component hold every
+    key's versions in one order).  ``slo_p99`` is in scenario units and
+    converted via ``time_scale``, like every other duration here.
 
     The load starts against a *formed* group (an initial settle), so
     the latency histograms price faults, not bootstrap.
@@ -208,8 +209,7 @@ def run_client_load(
     cluster.run_for(max(0.0, remaining) + tail * scale)
     return ClientLoadReport(
         workload=_settle_and_check(
-            cluster, schedule, tail, settle_timeout, settle_poll, enriched, [],
-            checkers,
+            cluster, schedule, tail, settle_timeout, settle_poll, [], checkers
         ),
         load=load_report,
         verdict=slo_verdict(cluster, slo_p99 * scale),

@@ -39,6 +39,23 @@ def test_check_command(capsys):
     assert "2/2 seeds clean" in out
 
 
+def test_check_counts_an_unsettled_seed_as_failing(monkeypatch, capsys):
+    """A seed whose membership never converges fails the soak, and the
+    summary counts seeds, not failing reports."""
+    from repro.runtime.cluster import Cluster
+
+    settled = Cluster.is_settled
+    monkeypatch.setattr(
+        Cluster, "is_settled", lambda self: self.config.seed != 1 and settled(self)
+    )
+    assert main(["check", "--runs", "2", "--sites", "3",
+                 "--duration", "120"]) == 1
+    out = capsys.readouterr().out
+    assert "seed 0: ok" in out
+    assert "seed 1: FAIL" in out
+    assert "1/2 seeds clean" in out
+
+
 def test_experiments_command_lists_all(capsys):
     assert main(["experiments"]) == 0
     out = capsys.readouterr().out
@@ -66,6 +83,30 @@ def test_export_and_recheck_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "loaded" in out
     assert "VIOLATIONS" not in out
+
+
+def test_recheck_runs_the_store_checks(tmp_path, capsys):
+    """An acked put that no live replica keeps fails ``recheck``, as it
+    fails the ``run --client-rate`` that wrote the trace."""
+    from repro.trace.events import AppEvent, CrashEvent
+    from repro.trace.export import dump_trace
+    from repro.trace.recorder import TraceRecorder
+    from repro.types import ProcessId
+
+    prov = (1, 0, 0, 1)
+    rec = TraceRecorder()
+    rec.record(AppEvent(time=1.0, pid=ProcessId(0), tag="store_apply",
+                        data={"key": "k", "prov": prov}))
+    rec.record(AppEvent(time=1.1, pid=ProcessId(0), tag="store_ack",
+                        data={"key": "k", "prov": prov}))
+    rec.record(CrashEvent(time=2.0, pid=ProcessId(0)))
+    trace_file = tmp_path / "lost.jsonl"
+    with open(trace_file, "w", encoding="utf-8") as handle:
+        dump_trace(rec, handle)
+    assert main(["recheck", str(trace_file)]) == 1
+    out = capsys.readouterr().out
+    assert "[AckedWriteLoss] checked=1 1 VIOLATIONS" in out
+    assert "[ReplicaDivergence] checked=0 OK" in out
 
 
 def test_recheck_timeline_option(tmp_path, capsys):

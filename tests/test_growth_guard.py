@@ -1,0 +1,165 @@
+"""Nothing a running node holds grows with the length of its history.
+
+Aim 3 asks for bounded memory everywhere, and a long soak measures
+whatever grows with history, not the protocol.  This guard runs one
+simulated store scenario with faults (open-loop puts and gets through
+crash/recover and partition/heal cycles) at one and at four times its
+length, walks every object reachable from each stack, the network and
+the scheduler, and adds up the sizes of the containers each attribute
+holds, under the attribute's ``Owner.attr`` name (a container inside a
+container counts toward the attribute that holds the outer one).  A
+name whose total at 4x is at least twice its total at 1x plus
+:data:`SLACK` grows with the run, and fails the guard unless
+:data:`ALLOWED` lists it with the reason it grows and the ROADMAP item
+that removes it.  The second test fails when an allowed name stops
+growing, so the table only shrinks.
+
+Two things are bounded by construction and are not counted:
+
+* an object that carries an int ``capacity`` (the trace recorder built
+  with ``trace_capacity``, the span maps) bounds the containers it
+  holds directly; what their elements hold is still counted;
+* a crashed process is not walked.  The sim network keeps every
+  incarnation it registered (``Network._procs``), so it grows by one
+  entry per crash, which this guard does not see as growth.
+"""
+
+from __future__ import annotations
+
+import collections
+import functools
+import types
+
+from repro.net.faults import Crash, FaultSchedule, Heal, Partition, Recover
+from repro.ports import make_cluster
+from repro.workload.openloop import LoadSpec, OpenLoopLoad
+
+#: Scenario units of one fault cycle: a crash and its recovery, then a
+#: partition and its heal, under load throughout.
+CYCLE = 400.0
+
+#: Growth the guard forgives between 1x and 4x, in elements: what a
+#: run's end state varies by (timers pending, a structure mid-merge).
+SLACK = 32
+
+#: Names that grow with the run, with why and the item that bounds them.
+ALLOWED = {
+    "VersionedStore.chains": (
+        "every version ever written stays in its key's chain",
+        "ROADMAP 10(a), a per-key stable cut",
+    ),
+    "VersionedStore._client_index": (
+        "one exactly-once entry per put ever made",
+        "ROADMAP 10(b), a per-client high-water mark",
+    ),
+    "VersionedStore._applied_ops": (
+        "GroupObject keeps the id of every operation it applied",
+        "ROADMAP 10(d), the applied set as prefixes",
+    ),
+    "SiteStorage._data": (
+        "the persisted op log and base hold the chains and both indexes",
+        "ROADMAP 10(a)-(d), with the structures they persist",
+    ),
+    "AppEvent.data": (
+        "a store_state audit event lists every provenance its replica "
+        "holds, so a bounded trace still holds the store's history",
+        "ROADMAP 10, once chains are bounded",
+    ),
+}
+
+_CONTAINERS = (list, dict, set, frozenset, collections.deque, tuple)
+_ATOMS = (int, float, complex, str, bytes, type(None), type, types.ModuleType)
+
+
+def _run(cycles: int):
+    """The store scenario, ``cycles`` fault cycles long, settled."""
+    n = 5
+    cluster = make_cluster("sim", n, app="store", seed=7, trace_capacity=2000)
+    assert cluster.settle()
+    schedule = FaultSchedule()
+    for cycle in range(cycles):
+        t = cycle * CYCLE
+        schedule.add(Crash(t + 40.0, n - 1))
+        schedule.add(Recover(t + 120.0, n - 1))
+        schedule.add(Partition(t + 200.0, ((0, 1, 2), (3, 4))))
+        schedule.add(Heal(t + 300.0))
+    cluster.arm(schedule)
+    spec = LoadSpec(
+        rate=0.4, duration=cycles * CYCLE, clients=4, n_keys=32,
+        read_fraction=0.5, seed=7,
+    )
+    assert OpenLoopLoad(cluster, spec).run().completed
+    cluster.run_for(100.0)
+    assert cluster.settle()
+    return cluster
+
+
+def _attributes(obj) -> dict:
+    attrs = dict(getattr(obj, "__dict__", {}))
+    for slot in getattr(type(obj), "__slots__", ()):
+        if hasattr(obj, slot):
+            attrs[slot] = getattr(obj, slot)
+    return attrs
+
+
+def container_sizes(cluster) -> collections.Counter:
+    """``Owner.attr`` -> elements held, over everything the stacks, the
+    network and the scheduler reach (breadth first, each object once)."""
+    sizes: collections.Counter = collections.Counter()
+    seen: set[int] = set()
+    roots = [*cluster.stacks.values(), cluster.network, cluster.scheduler]
+    frontier = [("", root) for root in roots]
+    while frontier:
+        reached = []
+        for name, obj in frontier:
+            if isinstance(obj, _ATOMS) or id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if getattr(obj, "alive", True) is False:
+                continue  # a crashed process (see the module docstring)
+            if isinstance(obj, _CONTAINERS):
+                if name and not hasattr(obj, "_fields"):  # a record is no container
+                    sizes[name] += len(obj)
+                elements = obj.items() if isinstance(obj, dict) else obj
+                reached += [(name, element) for element in elements]
+                continue
+            capacity = getattr(obj, "capacity", getattr(obj, "_capacity", None))
+            bounded = isinstance(capacity, int)
+            owner = type(obj).__name__
+            for attr, value in _attributes(obj).items():
+                named = not (bounded and isinstance(value, _CONTAINERS))
+                reached.append((f"{owner}.{attr}" if named else "", value))
+            if hasattr(obj, "__self__"):  # a bound method's receiver
+                reached.append(("", obj.__self__))
+        frontier = reached
+    return sizes
+
+
+@functools.lru_cache(maxsize=None)
+def _sizes(cycles: int) -> collections.Counter:
+    return container_sizes(_run(cycles))
+
+
+def growing() -> dict[str, tuple[int, int]]:
+    """Names whose size at 4x is at least twice that at 1x plus SLACK."""
+    short, long = _sizes(1), _sizes(4)
+    return {
+        name: (short[name], long[name])
+        for name in sorted(set(short) | set(long))
+        if long[name] >= 2 * short[name] + SLACK
+    }
+
+
+def test_nothing_grows_with_the_run_unless_allowed():
+    grown = {name: sizes for name, sizes in growing().items() if name not in ALLOWED}
+    assert not grown, (
+        f"containers that grow with run length (elements at 1x, 4x): {grown}; "
+        f"bound each, or give it an ALLOWED entry with its reason and the "
+        f"ROADMAP item that bounds it"
+    )
+
+
+def test_every_allowed_entry_still_grows():
+    grown = growing()
+    stale = sorted(name for name in ALLOWED if name not in grown)
+    assert not stale, f"bounded now, drop them from ALLOWED: {stale}"

@@ -40,7 +40,6 @@ BENCH_SCAN_DIRS = ("src", "tests", "benchmarks", "examples", "scripts", "perfben
 #: Modules allowed to go unreached, with the reason for each.
 EXEMPT = {
     "repro.__main__": "entry point of `python -m repro`; nothing imports it",
-    "repro.core.invariants": "online checker whose fate ROADMAP 7(a) decides",
 }
 
 

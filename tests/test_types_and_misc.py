@@ -13,7 +13,6 @@ from repro.errors import (
     ApplicationError,
     ClassificationError,
     EnrichedViewError,
-    InvariantViolation,
     MembershipError,
     NetworkError,
     ReproError,
@@ -120,8 +119,7 @@ def test_all_errors_derive_from_repro_error():
         ViewSynchronyError,
         EnrichedViewError,
         ApplicationError,
-        InvariantViolation,
-        ClassificationError,
+            ClassificationError,
     ):
         assert issubclass(cls, ReproError)
         with pytest.raises(ReproError):
