@@ -17,6 +17,12 @@ Mode interpretation (the paper's): a quorum view is N-mode; a
 non-quorum view is R-mode (reads only); a view where some members lack
 an up-to-date replica is S-mode until transfer completes.
 
+Each replica acks a writer's writes to it cumulatively.  Only the
+writer's ack successors — the fewest view members after it in ring
+order whose votes make a quorum with the writer's own — ack at once;
+the rest send their newest owed ack at their next failure-detector
+beat tick (:meth:`~repro.core.group_object.GroupObject.send_ack`).
+
 File contents are *permanent* local state (Section 3 allows part of the
 local state to survive failures): every applied write is persisted, so
 after a total failure state creation can recover the file from the

@@ -22,7 +22,10 @@ living versioned data rather than static rows:
   (:class:`~repro.core.versioning.QuorumTally`), so an acked write is
   carried by at least one donor of every future merge and can never be
   lost — the invariant the ``acked_write_loss`` fuzz checker enforces
-  on traces.
+  on traces.  Only the writer's next ``k // 2`` members in ring order
+  (its ack successors) ack at once; the other replicas' acks wait for
+  their next beat tick (:meth:`~repro.core.group_object.GroupObject.
+  send_ack`).
 
 Writes are allowed in every view (each partition keeps serving its
 clients; chains make the repair safe), which makes this the store-side

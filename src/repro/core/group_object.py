@@ -36,6 +36,7 @@ from repro.core.settlement import (
     StateRequest,
 )
 from repro.core.state_creation import choose_by_last_to_fail
+from repro.core.versioning import QuorumTally
 from repro.errors import ApplicationError
 from repro.evs.eview import EView
 from repro.types import MessageId, ProcessId
@@ -86,8 +87,16 @@ class GroupObject(ModeTrackingApp):
         self._prev_members: frozenset[ProcessId] | None = None
         self._buffered_ops: list[tuple[ProcessId, Any, MessageId]] = []
         self._applied_ops: set[MessageId] = set()
+        #: The quorum-acked subclasses' :class:`~repro.core.versioning.
+        #: QuorumTally`; None for objects whose operations need no acks.
+        self._tally: QuorumTally | None = None
+        #: Writers of the current view whose ack successor this replica
+        #: is not: its acks to them wait for the next beat tick.
+        self._lazy_writers: frozenset[ProcessId] = frozenset()
         #: writer -> newest ack owed to it at the end of the input batch.
         self._batched_acks: dict[ProcessId, Any] = {}
+        #: writer -> newest ack owed to it at the next beat tick.
+        self._owed_acks: dict[ProcessId, Any] = {}
         self.ops_applied = 0
         self.ops_rejected = 0
 
@@ -273,6 +282,7 @@ class GroupObject(ModeTrackingApp):
     # ------------------------------------------------------------------
 
     def on_view(self, eview: EView) -> None:
+        self._plan_acks(eview.members)
         super().on_view(eview)  # drive the mode automaton first
         if self.mode is Mode.NORMAL:
             # Pure shrink while fresh: nothing to rebuild.
@@ -356,11 +366,21 @@ class GroupObject(ModeTrackingApp):
         """Send ``writer`` a cumulative acknowledgement of its operations
         (see :class:`~repro.core.versioning.QuorumTally`).
 
-        Outside an input batch it goes at once.  Inside one, only the
-        newest ack per writer is kept, and the batch's acks leave when
-        it ends, in the order their writers were first acked: each one
-        covers every earlier ack to the same writer.
+        Only a writer's ack successors (:meth:`~repro.core.versioning.
+        QuorumTally.ack_successors`) ack it at once: with the writer's
+        own vote theirs make the quorum.  Every other replica keeps the
+        newest ack it owes each writer and sends it at its next failure-
+        detector beat tick (:meth:`on_beat`), so a crashed, settling or
+        slow successor delays a commit by at most one beat interval.
+
+        "At once" is at once outside an input batch.  Inside one, only
+        the newest ack per writer is kept, and the batch's acks leave
+        when it ends, in the order their writers were first acked: each
+        one covers every earlier ack to the same writer.
         """
+        if writer in self._lazy_writers:
+            self._owed_acks[writer] = ack
+            return
         stack = self.stack
         if not stack.input_batch:
             stack.send_direct(writer, ack)
@@ -372,9 +392,33 @@ class GroupObject(ModeTrackingApp):
 
     def _send_batched_acks(self) -> None:
         acks, self._batched_acks = self._batched_acks, {}
+        self._send_acks(acks)
+
+    def on_beat(self) -> None:
+        """The failure detector's beat tick: send the owed acks."""
+        if self._owed_acks:
+            acks, self._owed_acks = self._owed_acks, {}
+            self._send_acks(acks)
+
+    def _send_acks(self, acks: dict[ProcessId, Any]) -> None:
         send_direct = self.stack.send_direct
         for writer, ack in acks.items():
             send_direct(writer, ack)
+
+    def _plan_acks(self, members: frozenset[ProcessId]) -> None:
+        """A view of ``members`` was installed: drop the acks owed in
+        the old one (the new tally ignores them) and work out, once for
+        the view, which writers this replica acks only at a beat tick."""
+        self._owed_acks = {}
+        tally = self._tally
+        if tally is None:
+            return
+        me = self.pid
+        self._lazy_writers = frozenset(
+            writer
+            for writer, successors in tally.ack_successors(members).items()
+            if writer != me and me not in successors
+        )
 
     def _persist_meta(self) -> None:
         if self.stack is not None:

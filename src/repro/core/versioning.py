@@ -20,8 +20,9 @@ implementation:
   partitions repair: every entry from every donor survives exactly
   once, ordered by provenance.
 * **Quorum tallies** — the acknowledgement bookkeeping of
-  quorum-acked writes: pending handles, and each replica's cumulative
-  acknowledged prefix, which counts votes.
+  quorum-acked writes: pending handles, each replica's cumulative
+  acknowledged prefix, which counts votes, and each writer's ack
+  successors, the replicas whose acks it waits for.
 
 :func:`newest_incarnations` addresses a subtle state-merge hazard: a
 site that crashed, recovered and then partitioned can appear in the
@@ -192,6 +193,39 @@ class QuorumTally:
 
     def __len__(self) -> int:
         return len(self._pending)
+
+    def ack_successors(
+        self, members: Iterable[ProcessId]
+    ) -> dict[ProcessId, tuple[ProcessId, ...]]:
+        """Each member's *ack successors* in a view of ``members``.
+
+        A writer's successors are the fewest members after it in the
+        sorted ring of ``members`` whose votes, with the writer's own,
+        exceed half of :attr:`votes`' total: the replicas whose acks
+        commit its writes, with one vote per member the next
+        ``len(members) // 2``.  Any two majorities intersect, so acks
+        from the other replicas add nothing to safety and may wait
+        (:meth:`~repro.core.group_object.GroupObject.send_ack`).  When
+        the members cannot reach a quorum at all, every other member is
+        a successor.
+        """
+        ring = sorted(members)
+        k = len(ring)
+        weights = [self.votes.get(pid.site, 0) for pid in ring]
+        total = self._total
+        if 2 * sum(weights) <= total:
+            return {
+                writer: tuple(ring[i + 1:] + ring[:i])
+                for i, writer in enumerate(ring)
+            }
+        table = {}
+        for i, writer in enumerate(ring):
+            held, last = weights[i], i
+            while 2 * held <= total:
+                last += 1
+                held += weights[last % k]
+            table[writer] = tuple(ring[j % k] for j in range(i + 1, last + 1))
+        return table
 
     def open(self, msg_id: MessageId, handle: Any) -> list[Any]:
         """Track ``handle`` until quorum, with the vote of every replica

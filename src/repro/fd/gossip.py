@@ -127,6 +127,8 @@ class GossipDetector(DetectorBase):
     def _beat(self) -> None:
         self._counter += 1
         self._push(self._targets())
+        if self.on_beat is not None:
+            self.on_beat()
 
     def _push(self, targets: list[SiteId]) -> None:
         if not targets:

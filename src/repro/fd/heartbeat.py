@@ -103,6 +103,10 @@ class DetectorBase:
         }
         self._oldest = _NEVER
         self.on_change: Callable[[], None] | None = None
+        #: Called at the end of every beat tick (the stack wires the
+        #: application's :meth:`~repro.vsync.events.GroupApplication.
+        #: on_beat` here).
+        self.on_beat: Callable[[], None] | None = None
         # Work accounting for the perf regression tests, cumulative:
         # entries examined by the periodic sweep (must stay O(live
         # peers), not O(every site ever heard)) and full rebuilds of the
@@ -354,7 +358,8 @@ class HeartbeatDetector(DetectorBase):
         they suppress no beat.  Sites outside the view are always
         beaconed (merge detection), and nothing is skipped during a
         flush.  The same tick chases the gaps no beat advertises now
-        (:meth:`~repro.vsync.channel.ViewChannels.chase_held`).
+        (:meth:`~repro.vsync.channel.ViewChannels.chase_held`) and lets
+        the application send what waits for it (:attr:`on_beat`).
         """
         stack = self.stack
         channels = stack.channels
@@ -383,6 +388,8 @@ class HeartbeatDetector(DetectorBase):
             )
         if not flushing:
             channels.chase_held()
+        if self.on_beat is not None:
+            self.on_beat()
 
     # -- receiving --------------------------------------------------------
 

@@ -115,11 +115,19 @@ class Network:
     # -- registration -------------------------------------------------
 
     def register(self, process: Process) -> None:
-        """Attach ``process`` so it can send and receive."""
+        """Attach ``process`` so it can send and receive.
+
+        A site's next incarnation supersedes its previous one, which is
+        forgotten: nothing is delivered to a superseded incarnation, and
+        keeping it would hold a dead stack per crash for the whole run.
+        """
         if process.pid in self._procs:
             raise NetworkError(f"duplicate process id {process.pid}")
         if process.pid.site not in self.topology.sites:
             raise NetworkError(f"site {process.pid.site} not in topology")
+        superseded = self._site_proc.get(process.pid.site)
+        if superseded is not None:
+            del self._procs[superseded]
         self._procs[process.pid] = process
         self._site_proc[process.pid.site] = process.pid
         self._site_live[process.pid.site] = process

@@ -9,7 +9,10 @@ the hooks it cares about.  The stack calls:
 * :meth:`on_message` for every view-synchronous delivery;
 * :meth:`on_direct` for point-to-point payloads sent with
   :meth:`~repro.vsync.stack.GroupStack.send_direct` (state-transfer
-  protocols use these — bulk data does not need view synchrony).
+  protocols use these — bulk data does not need view synchrony);
+* :meth:`on_beat` at every beat tick of the failure detector, for work
+  that may wait up to one detector interval (a quorum object's owed
+  acks).
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ class GroupApplication:
 
     def on_direct(self, sender: ProcessId, payload: Any) -> None:
         """A point-to-point payload arrived."""
+
+    def on_beat(self) -> None:
+        """The failure detector's beat tick (every ``fd_interval``)."""
 
     def on_stop(self) -> None:
         """The hosting process crashed or left the group."""

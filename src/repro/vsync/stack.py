@@ -152,6 +152,7 @@ class GroupStack(Process):
     def on_start(self) -> None:
         self.membership.start()
         self.fd.on_change = self.membership.on_fd_change
+        self.fd.on_beat = self.app.on_beat
         self.fd.start()
         self.stability.start()
 

@@ -4,7 +4,9 @@ A replica's ``_StoreAck`` says "I applied every put of yours through
 this one", so within one batch of input a replica owes each writer only
 its newest ack.  On the wall clock a batch is one read of the node
 socket: ``RealNetwork._on_msg`` opens it, the frame server's
-``on_read_end`` callback closes it, and the store's acks leave then.
+``on_read_end`` callback closes it, and the acks of a writer's ack
+successors (``QuorumTally.ack_successors``) leave then.  Every other
+replica owes its newest ack until its next failure-detector beat tick.
 The first cases drive a node's receive path over a fake transport; the
 last one runs a real cluster (``realnet`` marker).
 """
@@ -18,6 +20,7 @@ import pytest
 from repro.apps.factories import app_factory
 from repro.apps.versioned_store import VersionedStore, _StoreAck
 from repro.core.group_object import _OpMsg
+from repro.core.versioning import QuorumTally
 from repro.realnet.codec_bin import BIN_FORMAT as FMT
 from repro.realnet.network import RealNetwork
 from repro.realnet.transport import FrameServer
@@ -28,18 +31,25 @@ from repro.types import Message, MessageId, ProcessId, ViewId
 from tests.test_frame_server import FakeTransport, hello
 
 VIEW = ViewId(3, ProcessId(0, 0))
+MEMBERS = frozenset(ProcessId(site, 0) for site in range(5))
+#: The node under test: in a ring of five, an ack successor of writers 1
+#: and 2 (their next two sites), not of writers 4 and 0.
+NODE = ProcessId(3, 0)
 
 
 class StoreNode(Process):
     """A registered process whose store applies every put it is handed.
 
     No view machinery: what is under test is the receive path and the
-    store's acks, which this node records as it sends them."""
+    store's acks, which this node records as it sends them.  Its store
+    plans its acks as site 3 of a five-member view."""
 
     def __init__(self, pid: ProcessId) -> None:
         super().__init__(pid, WallClockScheduler(), SiteStorage(pid.site))
         self.store = VersionedStore(audit_trace=False)
         self.store.stack = self
+        self.store._tally = QuorumTally({m.site: 1 for m in MEMBERS}, VIEW)
+        self.store._plan_acks(MEMBERS)
         self.acks: list[tuple[ProcessId, int]] = []
 
     def send_direct(self, dst: ProcessId, payload) -> None:
@@ -57,11 +67,11 @@ def put(writer: int, seqno: int) -> bytes:
         MessageId(ProcessId(writer, 0), VIEW, seqno),
         _OpMsg(("put", f"k{seqno}", seqno, "", 0)),
     )
-    return FMT.frame_msg((writer, 0), 0, 0, FMT.encode_payload(msg))
+    return FMT.frame_msg((writer, 0), NODE.site, 0, FMT.encode_payload(msg))
 
 
 def boom() -> bytes:
-    return FMT.frame_msg((1, 0), 0, 0, FMT.encode_payload("boom"))
+    return FMT.frame_msg((1, 0), NODE.site, 0, FMT.encode_payload("boom"))
 
 
 def run(scenario) -> None:
@@ -69,8 +79,8 @@ def run(scenario) -> None:
 
 
 def node_behind_a_connection() -> tuple[StoreNode, RealNetwork, object]:
-    network = RealNetwork(WallClockScheduler(), 0, {})
-    node = StoreNode(ProcessId(0, 0))
+    network = RealNetwork(WallClockScheduler(), NODE.site, {})
+    node = StoreNode(NODE)
     network.register(node)
     server = FrameServer(
         "", 0, network._on_msg,
@@ -133,6 +143,39 @@ def test_applies_outside_a_read_ack_at_once():
         network.side_handlers["ctl"] = handler
         conn.data_received(FMT.frame_side("ctl", ("ping", 1)))
         assert node.acks == [(writer, 1), (writer, 2)]
+
+    run(scenario)
+
+
+def test_acks_to_a_writer_the_node_does_not_succeed_wait_for_the_beat():
+    async def scenario():
+        node, _network, conn = node_behind_a_connection()
+        frames = [put(4, 1), put(1, 1), put(4, 2), put(0, 1), put(4, 3)]
+        conn.data_received(b"".join(frames))
+        # Only the writer it succeeds hears from it at the batch's end.
+        assert node.acks == [(ProcessId(1, 0), 1)]
+        node.store.apply_op(
+            ProcessId(4, 0), ("put", "late", 0, "", 0),
+            MessageId(ProcessId(4, 0), VIEW, 4),
+        )
+        assert node.acks == [(ProcessId(1, 0), 1)]  # outside a read too
+        # The beat tick sends the newest owed ack per writer, once.
+        node.store.on_beat()
+        assert node.acks[1:] == [(ProcessId(4, 0), 4), (ProcessId(0, 0), 1)]
+        node.store.on_beat()
+        assert len(node.acks) == 3
+
+    run(scenario)
+
+
+def test_a_view_install_drops_the_owed_acks():
+    async def scenario():
+        node, _network, conn = node_behind_a_connection()
+        conn.data_received(put(4, 1) + put(4, 2))
+        assert node.acks == []
+        node.store._plan_acks(MEMBERS)  # what on_view does first
+        node.store.on_beat()
+        assert node.acks == []
 
     run(scenario)
 

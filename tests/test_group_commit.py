@@ -42,7 +42,12 @@ from tests.test_frame_server import FakeTransport, hello
 
 FMT = BIN_FORMAT
 VIEW = ViewId(3, ProcessId(0, 0))
-REPLICAS = [ProcessId(site, 0) for site in range(1, 5)]
+MEMBERS = frozenset(ProcessId(site, 0) for site in range(5))
+#: The writer's ack successors: in a ring of five, sites 1 and 2.  Their
+#: acks leave at once and, with the writer's own vote, are the quorum.
+SUCCESSORS = list(
+    QuorumTally({m.site: 1 for m in MEMBERS}).ack_successors(MEMBERS)[ProcessId(0, 0)]
+)
 
 
 class StoreNode(Process):
@@ -115,8 +120,8 @@ def test_k_puts_in_one_read_are_one_multicast_committed_by_one_ack_per_replica()
         provs = [node.store.chains[f"k{i}"][0].prov for i in range(1, 6)]
         assert provs == [Provenance(3, node.pid, seq) for seq in range(1, 6)]
         assert transport.writes == []  # nothing commits on our vote alone
-        # One cumulative ack from each of two replicas is the quorum.
-        node.ack_from(REPLICAS[:2], msg.msg_id)
+        # One cumulative ack from each of the two successors is the quorum.
+        node.ack_from(SUCCESSORS, msg.msg_id)
         got = replies(transport)
         assert [r.req_id for r in got] == [1, 2, 3, 4, 5]
         assert [r.status for r in got] == ["ok"] * 5
@@ -135,7 +140,7 @@ def test_one_put_in_a_read_sends_the_plain_put_op():
         plain = Message(msg.msg_id, _OpMsg(("put", "k", "v", "c", 7)))
         assert msg == plain
         assert FMT.encode_payload(msg) == FMT.encode_payload(plain)
-        node.ack_from(REPLICAS[:2], msg.msg_id)
+        node.ack_from(SUCCESSORS, msg.msg_id)
         (reply,) = replies(transport)
         assert reply.prov == (3, 0, 0, msg.msg_id.seqno)
 
@@ -154,7 +159,7 @@ def test_a_read_of_many_large_puts_is_cut_into_several_multicasts():
         for msg in node.sent:
             frame = FMT.frame_msg((0, 0), 1, 0, FMT.encode_payload(msg))
             assert len(frame) < MAX_FRAME_BYTES // 4
-        node.ack_from(REPLICAS[:2], node.sent[-1].msg_id)
+        node.ack_from(SUCCESSORS, node.sent[-1].msg_id)
         got = replies(transport)
         assert [r.status for r in got] == ["ok"] * 7
         tokens = [r.prov for r in got]
@@ -215,6 +220,19 @@ def test_a_put_after_a_batch_carries_the_skew_and_takes_the_next_seq():
     for site in range(5):
         chains = cluster.app_at(site).chains
         assert [chains[k][-1].prov for k in "abcd"] == [h.token for h in (*batch, single)]
+
+
+def test_a_batch_commits_on_its_successors_acks_and_the_others_owe_theirs():
+    cluster = store_cluster()
+    store = cluster.app_at(0)
+    batch = in_one_batch(store, ("a", 1, "c", 1), ("b", 2, "c", 2), ("c", 3, "c", 3))
+    # Just past one link latency out and one back: the successors' acks
+    # commit it, wherever the other replicas' beat ticks fall.
+    cluster.run_for(2.5)
+    assert all(h.status == "committed" for h in batch)
+    assert {p.site for p in batch[0].ackers} >= {0, 1, 2}
+    lazy = [store.pid in cluster.app_at(site)._lazy_writers for site in range(1, 5)]
+    assert lazy == [False, False, True, True]
 
 
 def test_a_skewed_put_during_a_view_change_aborts_and_its_retry_lands_once():

@@ -14,14 +14,12 @@ name whose total at 4x is at least twice its total at 1x plus
 that removes it.  The second test fails when an allowed name stops
 growing, so the table only shrinks.
 
-Two things are bounded by construction and are not counted:
-
-* an object that carries an int ``capacity`` (the trace recorder built
-  with ``trace_capacity``, the span maps) bounds the containers it
-  holds directly; what their elements hold is still counted;
-* a crashed process is not walked.  The sim network keeps every
-  incarnation it registered (``Network._procs``), so it grows by one
-  entry per crash, which this guard does not see as growth.
+One thing is bounded by construction and is not counted: an object
+that carries an int ``capacity`` (the trace recorder built with
+``trace_capacity``, the span maps) bounds the containers it holds
+directly; what their elements hold is still counted.  Crashed processes
+are walked like live ones, so what a dead incarnation leaves behind
+counts as growth per crash.
 """
 
 from __future__ import annotations
@@ -115,8 +113,6 @@ def container_sizes(cluster) -> collections.Counter:
             if isinstance(obj, _ATOMS) or id(obj) in seen:
                 continue
             seen.add(id(obj))
-            if getattr(obj, "alive", True) is False:
-                continue  # a crashed process (see the module docstring)
             if isinstance(obj, _CONTAINERS):
                 if name and not hasattr(obj, "_fields"):  # a record is no container
                     sizes[name] += len(obj)
