@@ -25,7 +25,8 @@ Subclasses implement the abstract-data-type half: ``snapshot_state`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable
 
 from repro.core.mode_functions import ModeFunction
 from repro.core.modes import Mode, ModeTrackingApp
@@ -39,10 +40,35 @@ from repro.core.state_creation import choose_by_last_to_fail
 from repro.core.versioning import QuorumTally
 from repro.errors import ApplicationError
 from repro.evs.eview import EView
-from repro.types import MessageId, ProcessId
+from repro.types import MessageId, ProcessId, ViewId
 
 _VERSION_KEY = "groupobject.version"
 _EPOCH_KEY = "groupobject.last_epoch"
+
+#: ``(sender, view) -> seqno``: every operation ``sender`` multicast in
+#: ``view`` with a seqno up to this one has been applied, and no later
+#: one has (DESIGN.md 4.10).
+AppliedPrefixes = dict[tuple[ProcessId, ViewId], int]
+
+
+def high_water_ids(prefixes: AppliedPrefixes) -> frozenset[MessageId]:
+    """``prefixes`` as it travels in a snapshot envelope: one
+    :class:`MessageId` per ``(sender, view)``, its highest applied."""
+    return frozenset(
+        MessageId(sender, view, seqno) for (sender, view), seqno in prefixes.items()
+    )
+
+
+def prefixes_of(ids: Iterable[MessageId]) -> AppliedPrefixes:
+    """The prefixes that high-water ``ids`` name; for one ``(sender,
+    view)`` named twice the higher wins, since of two prefixes the
+    longer contains the shorter."""
+    prefixes: AppliedPrefixes = {}
+    for sender, view, seqno in ids:
+        key = (sender, view)
+        if seqno > prefixes.get(key, 0):
+            prefixes[key] = seqno
+    return prefixes
 
 
 @dataclass(frozen=True)
@@ -86,7 +112,10 @@ class GroupObject(ModeTrackingApp):
         self.version = 0
         self._prev_members: frozenset[ProcessId] | None = None
         self._buffered_ops: list[tuple[ProcessId, Any, MessageId]] = []
-        self._applied_ops: set[MessageId] = set()
+        #: What has been applied, as one prefix per (sender, view):
+        #: delivery is FIFO per sender per view, and a replay after an
+        #: adopt goes in identifier order.
+        self._applied_prefixes: AppliedPrefixes = {}
         #: The quorum-acked subclasses' :class:`~repro.core.versioning.
         #: QuorumTally`; None for objects whose operations need no acks.
         self._tally: QuorumTally | None = None
@@ -165,7 +194,7 @@ class GroupObject(ModeTrackingApp):
         return choose_by_last_to_fail(offers)
 
     # The two methods below keep the settlement engine ignorant of the
-    # (state, applied-ops, version) envelope this class transports.
+    # (state, high-water ids, version) envelope this class transports.
 
     def merge_states(self, offers: list[StateOffer]) -> Any:
         app_offers = [
@@ -173,9 +202,10 @@ class GroupObject(ModeTrackingApp):
             for o in offers
         ]
         merged = self.merge_app_states(app_offers)
-        applied = frozenset().union(*(o.snapshot[1] for o in offers))
+        # The union of two prefixes of one (sender, view) is the longer.
+        applied = prefixes_of(chain.from_iterable(o.snapshot[1] for o in offers))
         version = max(o.version for o in offers)
-        return (merged, applied, version)
+        return (merged, high_water_ids(applied), version)
 
     def choose_creation_state(self, offers: list[StateOffer]) -> Any:
         return self.choose_creation_offer(offers).snapshot
@@ -242,9 +272,12 @@ class GroupObject(ModeTrackingApp):
             self._buffered_ops.append((sender, op, msg_id))
 
     def _apply(self, sender: ProcessId, op: Any, msg_id: MessageId) -> None:
-        if msg_id in self._applied_ops:
-            return
-        self._applied_ops.add(msg_id)
+        prefixes = self._applied_prefixes
+        key = msg_id[:2]  # (sender, view)
+        seqno = msg_id[2]
+        if seqno <= prefixes.get(key, 0):
+            return  # inside the applied prefix: the snapshot has it
+        prefixes[key] = seqno
         self.version += 1
         self.apply_op(sender, op, msg_id)
         self.ops_applied += 1
@@ -266,7 +299,7 @@ class GroupObject(ModeTrackingApp):
             obs.settle_adopt(self.pid, self.stack.now, adopt.trace)
         state, applied, version = adopt.state
         self.adopt_state(state)
-        self._applied_ops = set(applied)
+        self._applied_prefixes = prefixes_of(applied)
         self.version = max(self.version, version)
         self.fresh = True
         self._persist_meta()
@@ -338,15 +371,20 @@ class GroupObject(ModeTrackingApp):
     # Settlement support
     # ------------------------------------------------------------------
 
+    def state_envelope(self) -> tuple[Any, frozenset[MessageId], int]:
+        """What a transfer carries: the snapshot, the high-water ids of
+        the applied prefixes, and the version."""
+        return (
+            self.snapshot_state(),
+            high_water_ids(self._applied_prefixes),
+            self.version,
+        )
+
     def make_offer(self, session) -> StateOffer:
         return StateOffer(
             session=session,
             sender=self.pid,
-            snapshot=(
-                self.snapshot_state(),
-                frozenset(self._applied_ops),
-                self.version,
-            ),
+            snapshot=self.state_envelope(),
             version=self.version,
             last_epoch=int(self.stack.storage.read(_EPOCH_KEY, 0)),
         )

@@ -16,7 +16,8 @@ One settlement session, led by the least view member:
    :class:`StateRequest` to the responders it identifies: one
    representative per donor subview, or everybody for state creation;
    each answers with exactly one :class:`StateOffer` carrying its whole
-   ``(state, applied-ops, version)`` snapshot;
+   state, one high-water id per ``(sender, view)`` it applied
+   operations from, and its version;
 3. **decide** — a single donor's snapshot is adopted as-is; multiple
    donors go through the application's ``merge_states``; creation goes
    through ``choose_creation_state``;
@@ -320,13 +321,9 @@ class SettlementEngine:
         if _fuzz_bugs.active("stale_transfer") and session.kind != "creation":
             # Planted bug (test-only): the leader ignores the donors and
             # adopts its own state — stale whenever it was not a donor.
-            chosen = (
-                self.obj.snapshot_state(),
-                frozenset(getattr(self.obj, "_applied_ops", ())),
-                self.obj.version,
-            )
+            chosen = self.obj.state_envelope()
         # The versions of every offer plus the adopted one go into the
-        # trace: the StaleStateTransfer detector (repro.fuzz.checkers)
+        # trace: the StaleStateTransfer detector (repro.trace.checks)
         # flags a transfer/merge that adopted less than the best offer.
         chosen_version = (
             chosen[2]

@@ -95,13 +95,8 @@ class BlockingTransferTool:
 
     @staticmethod
     def _snapshot_envelope(app: Any) -> Any:
-        if hasattr(app, "snapshot_state") and hasattr(app, "version"):
-            return (
-                app.snapshot_state(),
-                frozenset(getattr(app, "_applied_ops", frozenset())),
-                app.version,
-            )
-        return None
+        envelope = getattr(app, "state_envelope", None)
+        return envelope() if envelope is not None else None
 
     # -- message handling (both sides) -------------------------------------------
 

@@ -33,6 +33,15 @@ def _site(pid: Any) -> int:
     return getattr(pid, "site", -1)
 
 
+def _label(pid: Any) -> str:
+    """The metric label and span-state key of ``pid``: its site, so a
+    recovered incarnation continues its site's series instead of
+    starting one per crash.  A reporter that is not a ProcessId labels
+    as itself."""
+    site = getattr(pid, "site", None)
+    return str(pid) if site is None else str(site)
+
+
 class _ModeTracker:
     """Per-process mode-interval integrator (process-time per mode)."""
 
@@ -40,7 +49,7 @@ class _ModeTracker:
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self._open: dict[str, tuple[str, float]] = {}  # pid -> (mode, since)
+        self._open: dict[str, tuple[str, float]] = {}  # site -> (mode, since)
         self._acc: dict[str, float] = {m: 0.0 for m in _MODES}
 
     def change(self, pid: str, mode: str, at: float) -> None:
@@ -85,36 +94,36 @@ class ClusterObs:
         self.tracer = tracer
         r = registry
         self.view_changes = r.counter(
-            "view_changes_total", "Views installed, per process", ("pid",)
+            "view_changes_total", "Views installed, per site", ("site",)
         )
         self.view_change_duration = r.histogram(
             "view_change_duration",
-            "Flush start to view install, per process",
-            ("pid",),
+            "Flush start to view install, per site",
+            ("site",),
         )
         self.eview_changes = r.counter(
-            "eview_changes_total", "E-view changes applied, per process", ("pid",)
+            "eview_changes_total", "E-view changes applied, per site", ("site",)
         )
         self.multicasts = r.counter(
-            "multicasts_total", "View-synchronous multicasts sent", ("pid",)
+            "multicasts_total", "View-synchronous multicasts sent", ("site",)
         )
         self.deliveries = r.counter(
-            "deliveries_total", "Application deliveries", ("pid",)
+            "deliveries_total", "Application deliveries", ("site",)
         )
         self.delivery_latency = r.histogram(
             "multicast_delivery_latency",
             "Multicast send to each delivery (the tail is the last delivery)",
-            ("pid",),
+            ("site",),
         )
         self.settlements = r.counter(
             "settlement_sessions_total",
             "Settlement sessions resolved, by outcome",
-            ("pid", "outcome"),
+            ("site", "outcome"),
         )
         self.settlement_duration = r.histogram(
             "settlement_duration",
-            "Settlement start to reconciliation, per process and kind",
-            ("pid", "kind"),
+            "Settlement start to reconciliation, per site and kind",
+            ("site", "kind"),
         )
         self.mode_transitions = r.counter(
             "mode_transitions_total",
@@ -123,16 +132,16 @@ class ClusterObs:
         )
         self.transfer_duration = r.histogram(
             "state_transfer_duration",
-            "Chunked state transfer start to final ack, per sender",
-            ("pid",),
+            "Chunked state transfer start to final ack, per sending site",
+            ("site",),
         )
         self.crashes = r.counter(
-            "crashes_total", "Process crashes injected", ("pid",)
+            "crashes_total", "Process crashes injected", ("site",)
         )
         self.gossip_digests = r.counter(
             "gossip_digests_sent_total",
-            "Gossip failure-detector digests pushed, per process",
-            ("pid",),
+            "Gossip failure-detector digests pushed, per site",
+            ("site",),
         )
         self.spans_evicted = r.counter(
             "spans_evicted_total",
@@ -143,12 +152,14 @@ class ClusterObs:
         self._mcast = SpanMap(  # msg_id -> multicast time
             4096, on_evict=lambda _key: self.spans_evicted.labels("mcast").inc()
         )
-        self._transfers = SpanMap(  # (pid, peer) -> start time
+        self._transfers = SpanMap(  # (site, peer site) -> start time
             512, on_evict=lambda _key: self.spans_evicted.labels("transfer").inc()
         )
-        self._flush: dict[str, float] = {}  # pid -> flush start
-        self._settle: dict[str, tuple] = {}  # pid -> (start, kind, ctx)
-        self._view_ctx: dict[str, TraceCtx] = {}  # pid -> last install ctx
+        # Keyed by site like the labels: a crash clears its site's
+        # entries, and the next incarnation reuses the key.
+        self._flush: dict[str, float] = {}  # site -> flush start
+        self._settle: dict[str, tuple] = {}  # site -> (start, kind, ctx)
+        self._view_ctx: dict[str, TraceCtx] = {}  # site -> last install ctx
         self._modes = _ModeTracker(r.now)
         for mode in _MODES:
             r.gauge_callback(
@@ -194,7 +205,7 @@ class ClusterObs:
     def view_change_started(
         self, pid: Any, at: float, trace: TraceCtx | None = None
     ) -> None:
-        self._flush.setdefault(str(pid), at)
+        self._flush.setdefault(_label(pid), at)
         t = self.tracer
         if t is not None and trace is not None:
             t.span("view.flush", pid, _site(pid), at, parent=trace)
@@ -202,7 +213,7 @@ class ClusterObs:
     def view_installed(
         self, pid: Any, at: float, trace: TraceCtx | None = None, view: Any = None
     ) -> None:
-        label = str(pid)
+        label = _label(pid)
         self.view_changes.labels(label).inc()
         start = self._flush.pop(label, None)
         if start is not None:
@@ -225,7 +236,7 @@ class ClusterObs:
     # -- evs ---------------------------------------------------------------
 
     def eview_changed(self, pid: Any) -> None:
-        self.eview_changes.labels(str(pid)).inc()
+        self.eview_changes.labels(_label(pid)).inc()
 
     # -- vsync: multicast and delivery ------------------------------------
 
@@ -239,7 +250,7 @@ class ClusterObs:
         traffic) is root-sampled 1-in-``tracer.root_sample`` to keep the
         span pipeline off the hottest path — see
         :meth:`Tracer.sample_root`."""
-        self.multicasts.labels(str(pid)).inc()
+        self.multicasts.labels(_label(pid)).inc()
         self._mcast.open(msg_id, at)
         t = self.tracer
         if t is None:
@@ -251,7 +262,7 @@ class ClusterObs:
     def message_delivered(
         self, pid: Any, msg_id: Any, at: float, trace: TraceCtx | None = None
     ) -> None:
-        label = str(pid)
+        label = _label(pid)
         self.deliveries.labels(label).inc()
         start = self._mcast.get(msg_id)
         if start is not None:
@@ -260,7 +271,7 @@ class ClusterObs:
         if t is not None and trace is not None:
             t.span(
                 "mcast.deliver",
-                label,  # already stringified for the metric labels
+                pid,
                 _site(pid),
                 start if start is not None else at,
                 at,
@@ -270,7 +281,7 @@ class ClusterObs:
     # -- settlement --------------------------------------------------------
 
     def settlement_event(self, pid: Any, tag: str, kind: str, at: float) -> None:
-        label = str(pid)
+        label = _label(pid)
         t = self.tracer
         if tag == "settle_start":
             ctx = None
@@ -310,7 +321,7 @@ class ClusterObs:
 
     def settle_ctx(self, pid: Any) -> TraceCtx | None:
         """The open settlement round's context (for StateRequest et al)."""
-        entry = self._settle.get(str(pid))
+        entry = self._settle.get(_label(pid))
         return entry[2] if entry is not None else None
 
     def settle_offer(
@@ -376,27 +387,27 @@ class ClusterObs:
 
     def mode_changed(self, pid: Any, new: Any, transition: Any, at: float) -> None:
         self.mode_transitions.labels(str(transition)).inc()
-        self._modes.change(str(pid), str(new), at)
+        self._modes.change(_label(pid), str(new), at)
 
     # -- failure detection -------------------------------------------------
 
     def gossip_digest_sent(self, pid: Any, count: int) -> None:
-        self.gossip_digests.labels(str(pid)).inc(count)
+        self.gossip_digests.labels(_label(pid)).inc(count)
 
     # -- state transfer ----------------------------------------------------
 
     def transfer_started(self, pid: Any, peer: Any, at: float) -> None:
-        self._transfers.open((str(pid), str(peer)), at)
+        self._transfers.open((_label(pid), _label(peer)), at)
 
     def transfer_done(self, pid: Any, peer: Any, at: float) -> None:
-        duration = self._transfers.close((str(pid), str(peer)), at)
+        duration = self._transfers.close((_label(pid), _label(peer)), at)
         if duration is not None:
-            self.transfer_duration.labels(str(pid)).observe(duration)
+            self.transfer_duration.labels(_label(pid)).observe(duration)
 
     # -- faults ------------------------------------------------------------
 
     def process_crashed(self, pid: Any, at: float) -> None:
-        label = str(pid)
+        label = _label(pid)
         self.crashes.labels(label).inc()
         self._modes.crash(label, at)
         self._flush.pop(label, None)

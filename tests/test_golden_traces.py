@@ -212,8 +212,8 @@ COSTS: dict[str, dict[str, float]] = {
         "send.VcNack": 4,
         "send.VcPrepare": 30,
         "send.VcPropose": 21,
-        "bytes.StateAdopt": 4599,
-        "bytes.StateOffer": 6923,
+        "bytes.StateAdopt": 4279,
+        "bytes.StateOffer": 6603,
         "installs": 24,
         "eview_changes": 24,
         "multicasts": 234,
@@ -297,8 +297,8 @@ COSTS: dict[str, dict[str, float]] = {
         "send.VcNack": 3,
         "send.VcPrepare": 41,
         "send.VcPropose": 22,
-        "bytes.StateAdopt": 32595,
-        "bytes.StateOffer": 47216,
+        "bytes.StateAdopt": 22786,
+        "bytes.StateOffer": 33874,
         "installs": 43,
         "eview_changes": 30,
         "multicasts": 105,

@@ -50,9 +50,9 @@ ALLOWED = {
         "one exactly-once entry per put ever made",
         "ROADMAP 10(b), a per-client high-water mark",
     ),
-    "VersionedStore._applied_ops": (
-        "GroupObject keeps the id of every operation it applied",
-        "ROADMAP 10(d), the applied set as prefixes",
+    "VersionedStore._applied_prefixes": (
+        "one high-water seqno per writer per view, kept for every view",
+        "ROADMAP 3(a), a stable cut below which no buffered op can replay",
     ),
     "SiteStorage._data": (
         "the persisted op log and base hold the chains and both indexes",
@@ -132,8 +132,13 @@ def container_sizes(cluster) -> collections.Counter:
 
 
 @functools.lru_cache(maxsize=None)
+def _cluster(cycles: int):
+    return _run(cycles)
+
+
+@functools.lru_cache(maxsize=None)
 def _sizes(cycles: int) -> collections.Counter:
-    return container_sizes(_run(cycles))
+    return container_sizes(_cluster(cycles))
 
 
 def growing() -> dict[str, tuple[int, int]]:
@@ -159,3 +164,25 @@ def test_every_allowed_entry_still_grows():
     grown = growing()
     stale = sorted(name for name in ALLOWED if name not in grown)
     assert not stale, f"bounded now, drop them from ALLOWED: {stale}"
+
+
+def test_applied_prefixes_grow_with_views_not_operations():
+    """One entry per writer per view it was in, so a replica holds no
+    more entries than the installs summed over every site's
+    incarnations (at most sites x views installed), and that is fewer
+    than the operations it applied."""
+    cluster = _cluster(4)
+    installs = cluster.metrics_snapshot().total("view_changes_total")
+    for site, app in cluster.apps.items():
+        held = len(app._applied_prefixes)
+        assert held <= installs < app.version, (site, held, installs, app.version)
+
+
+def _series(cluster) -> int:
+    return sum(len(family._children) for family in cluster.metrics._families.values())
+
+
+def test_metric_series_do_not_grow_with_crashes():
+    """Per-process metrics are labelled by site, so a recovery continues
+    its site's series instead of adding one per incarnation."""
+    assert _series(_cluster(1)) == _series(_cluster(4))

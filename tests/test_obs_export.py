@@ -57,14 +57,14 @@ def test_prometheus_values_match_snapshot(run_snapshot):
     snap, helps = run_snapshot
     exposition = parse(to_prometheus(snap, helps))
     assert exposition.value(
-        "view_changes_total", pid="p0.0"
-    ) == snap.sample("view_changes_total", pid="p0.0").value
-    hist = snap.sample("view_change_duration", pid="p0.0")
+        "view_changes_total", site="0"
+    ) == snap.sample("view_changes_total", site="0").value
+    hist = snap.sample("view_change_duration", site="0")
     assert exposition.value(
-        "view_change_duration_count", pid="p0.0"
+        "view_change_duration_count", site="0"
     ) == hist.count
     assert exposition.value(
-        "view_change_duration_bucket", pid="p0.0", le="+Inf"
+        "view_change_duration_bucket", site="0", le="+Inf"
     ) == hist.count
 
 
