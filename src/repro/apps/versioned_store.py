@@ -84,7 +84,8 @@ _MULTICAST_BYTES = 2 * 1024 * 1024
 
 
 def prov_tuple(prov: Provenance) -> tuple[int, int, int, int]:
-    """Trace/wire-friendly flat form of a provenance coordinate."""
+    """Client-wire flat form of a provenance coordinate (a trace export
+    writes the same form, :func:`repro.trace.export.flat_provenance`)."""
     return (prov.view_epoch, prov.writer.site, prov.writer.incarnation, prov.seq)
 
 
@@ -369,7 +370,7 @@ class VersionedStore(GroupObject):
             if audits:
                 data = {
                     "key": key,
-                    "prov": prov_tuple(prov),
+                    "prov": prov,
                     "client": client,
                     "client_seq": client_seq,
                 }
@@ -403,7 +404,7 @@ class VersionedStore(GroupObject):
                 "store_ack",
                 {
                     "key": handle.key,
-                    "prov": prov_tuple(handle.token),
+                    "prov": handle.token,
                     "client": handle.client,
                     "client_seq": handle.client_seq,
                 },
@@ -562,6 +563,7 @@ class VersionedStore(GroupObject):
     def _record_state(self) -> None:
         """Every chain held, flat: ``provs`` lists the chains of ``keys``
         one after another, in chain order, ``lens`` says where each ends.
+        The provenances are the chain entries' own objects, not copies.
         Keys go by ``repr``: adoption adds new keys in the decided
         state's order, which comes from a set of keys
         (:meth:`merge_app_states`), so the dict's order is not the same
@@ -573,9 +575,7 @@ class VersionedStore(GroupObject):
             {
                 "keys": tuple(keys),
                 "lens": tuple(len(chains[key]) for key in keys),
-                "provs": tuple(
-                    prov_tuple(e.prov) for key in keys for e in chains[key]
-                ),
+                "provs": tuple(e.prov for key in keys for e in chains[key]),
             },
         )
 

@@ -231,20 +231,26 @@ class DetectorBase:
             self._oldest = oldest
 
     def beacon(self, src: ProcessId, view_id: ViewId | None) -> None:
-        """A beacon from ``src`` naming its view: a heartbeat, a digest,
-        or a multicast of a newer view than ours.  An incarnation
-        :meth:`heard` rejects as stale leaves no view behind either."""
+        """A multicast of a newer view than ours names ``src``'s view.
+        Its sender ``src`` need not be the network source the stack
+        heard, so record the view and hear ``src`` too."""
+        self.note_view(src, view_id)
+        self.heard(src)
+
+    def note_view(self, src: ProcessId, view_id: ViewId | None) -> None:
+        """Record the view ``src`` names.  An incarnation :meth:`heard`
+        rejects as stale leaves no view behind either."""
         known = self._last_heard.get(src.site)
         if known is None or known[1].incarnation <= src.incarnation:
             self._heard_views[src.site] = (self.stack.now, src, view_id)
-        self.heard(src)
 
     def on_digest(self, src: ProcessId, digest) -> None:
-        """A gossip digest arrived.  The base treatment (used when a
-        heartbeat-plane node shares a cluster with gossip-plane nodes)
-        is to read it as a plain beacon from its sender; the gossip
-        detector overrides this to mine the rows."""
-        self.beacon(src, digest.view_id)
+        """A gossip digest arrived from ``src``, which the stack has
+        already :meth:`heard` (it hears every network source).  The
+        base treatment (used when a heartbeat-plane node shares a
+        cluster with gossip-plane nodes) records the view it names; the
+        gossip detector overrides this to mine the rows too."""
+        self.note_view(src, digest.view_id)
 
     def force_down(self, site: SiteId) -> None:
         """Expire a site immediately (used for graceful leaves)."""
@@ -394,4 +400,5 @@ class HeartbeatDetector(DetectorBase):
     # -- receiving --------------------------------------------------------
 
     def on_heartbeat(self, src: ProcessId, beat: Heartbeat) -> None:
-        self.beacon(src, beat.view_id)
+        """A heartbeat from ``src``, already :meth:`heard` by the stack."""
+        self.note_view(src, beat.view_id)

@@ -53,16 +53,29 @@ def _client_factory(kind: str, interval: float) -> Callable:
     return lambda cluster: ctor(cluster, interval=interval)
 
 
+#: Each application's own workload client (``none`` has none).
+APP_CLIENTS = {"file": "file", "db": "query", "store": "store", "lock": "lock"}
+
+
+def default_clients(app: str) -> tuple[tuple[str, float], ...]:
+    """Multicast traffic plus ``app``'s own client, every 15 units."""
+    own = APP_CLIENTS.get(app)
+    return (("mcast", 10.0),) + (((own, 15.0),) if own else ())
+
+
 @dataclass
 class WorkloadSpec:
-    """The reproducible workload shape of one fuzz run."""
+    """The reproducible workload shape of one fuzz run.  ``clients``
+    defaults to :func:`default_clients` of ``app``."""
 
     app: str = "file"
     n_sites: int = 5
-    clients: tuple[tuple[str, float], ...] = (("mcast", 10.0), ("file", 15.0))
+    clients: tuple[tuple[str, float], ...] | None = None
     tail: float = 250.0  # scenario units of quiet after the last fault
 
     def __post_init__(self) -> None:
+        if self.clients is None:
+            self.clients = default_clients(self.app)
         self.clients = tuple((str(k), float(i)) for k, i in self.clients)
         for kind, _interval in self.clients:
             if kind not in CLIENT_KINDS:
@@ -87,9 +100,7 @@ class WorkloadSpec:
         return cls(
             app=payload.get("app", "file"),
             n_sites=int(payload.get("n_sites", 5)),
-            clients=tuple(
-                (kind, ivl) for kind, ivl in payload.get("clients", [])
-            ),
+            clients=payload.get("clients"),
             tail=float(payload.get("tail", 250.0)),
         )
 

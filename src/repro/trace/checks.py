@@ -556,25 +556,35 @@ def check_acked_write_loss(
     in the union over processes still alive at the end: merges are
     provenance-unions, so losing an acked write means a state decision
     discarded a version some client was promised.
+
+    A provenance is the store's own
+    :class:`~repro.core.versioning.Provenance` in a recorded trace and
+    its flat ``(epoch, site, incarnation, seq)`` in an imported one.
+    Either is read as it is, and a report prints the flat form, so a
+    trace and its export report the same text.
     """
+    # trace.export imports repro.core, whose package imports
+    # repro.trace and so this module: bound at call time, not at the top.
+    from repro.trace.export import flat_provenance
+
     report = CheckReport("AckedWriteLoss")
     acked: dict[tuple, tuple] = {}  # prov -> (time, pid, key)
-    holdings: dict = {}  # pid -> set of prov tuples
+    holdings: dict = {}  # pid -> set of provs
     # Replay in time order: a later store_state replaces holdings, so
     # ordering against store_apply matters.
     for ev in sorted(rec.of_type(AppEvent), key=lambda e: e.time):
         if not isinstance(ev.data, dict):
             continue
         if ev.tag == "store_ack":
-            prov = tuple(ev.data.get("prov", ()))
+            prov = ev.data.get("prov")
             if prov:
                 acked.setdefault(prov, (ev.time, ev.pid, ev.data.get("key")))
         elif ev.tag == "store_apply":
-            prov = tuple(ev.data.get("prov", ()))
+            prov = ev.data.get("prov")
             if prov:
                 holdings.setdefault(ev.pid, set()).add(prov)
         elif ev.tag == "store_state":
-            holdings[ev.pid] = {tuple(p) for p in ev.data.get("provs", ())}
+            holdings[ev.pid] = set(ev.data.get("provs", ()))
     if not acked:
         return report
     dead = {ev.pid for ev in rec.of_type(CrashEvent)}
@@ -586,9 +596,9 @@ def check_acked_write_loss(
         report.checked += 1
         if prov not in retained:
             report.violation(
-                f"write {prov} on key {key!r} was acked to its client "
-                f"by {pid} at t={time:g} but no live process retains "
-                f"it at the end of the run"
+                f"write {flat_provenance(prov)} on key {key!r} was acked "
+                f"to its client by {pid} at t={time:g} but no live process "
+                f"retains it at the end of the run"
             )
     return report
 
@@ -609,22 +619,23 @@ def check_replica_divergence(
     writers' puts arrived would fail here.  A put still in flight when
     the run ends is left out (only versions every replica of the group
     holds are compared); whether a version survives at all is
-    :func:`check_acked_write_loss`'s business.
+    :func:`check_acked_write_loss`'s business.  Provenances are read in
+    either form, as there.
     """
     report = CheckReport("ReplicaDivergence")
-    held: dict = {}  # pid -> key -> [prov tuple, ...] in chain order
+    held: dict = {}  # pid -> key -> [prov, ...] in chain order
     for ev in rec.of_type(AppEvent):
         if not isinstance(ev.data, dict):
             continue
         if ev.tag == "store_apply":
             chain = held.setdefault(ev.pid, {}).setdefault(ev.data.get("key"), [])
-            chain.insert(ev.data.get("at", len(chain)), tuple(ev.data.get("prov", ())))
+            chain.insert(ev.data.get("at", len(chain)), ev.data.get("prov"))
         elif ev.tag == "store_state":
-            provs = [tuple(p) for p in ev.data.get("provs", ())]
+            provs = ev.data.get("provs", ())
             chains = held[ev.pid] = {}
             at = 0
             for key, n in zip(ev.data.get("keys", ()), ev.data.get("lens", ())):
-                chains[key] = provs[at : at + n]
+                chains[key] = list(provs[at : at + n])
                 at += n
     if not held:
         return report

@@ -4,6 +4,13 @@ Each record captures one externally visible event of the execution, in
 the vocabulary of the paper: ``mcast(p, m)``, ``dlvr(p, m)`` and
 ``vchg(p, v)`` (Section 2), plus e-view changes (Section 6), mode
 transitions (Section 3) and environment events.
+
+Records are frozen and slotted: a checked fault run keeps tens of
+thousands of them until its checks end, and a slotted record carries
+no per-instance dict.  An :class:`AppEvent`'s ``data`` references what
+the application holds instead of copying it (the store's audit events
+list the store's own :class:`~repro.core.versioning.Provenance`
+objects); :mod:`repro.trace.export` writes those in their flat form.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Any
 from repro.types import MessageId, ProcessId, SiteId, SubviewId, SvSetId, ViewId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """Base record: when and at which process something happened."""
 
@@ -22,14 +29,14 @@ class TraceEvent:
     pid: ProcessId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MulticastEvent(TraceEvent):
     """``mcast(pid, msg)``: the application handed a message to VS."""
 
     msg_id: MessageId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryEvent(TraceEvent):
     """``dlvr(pid, msg)``: VS delivered a message to the application.
 
@@ -46,7 +53,7 @@ class DeliveryEvent(TraceEvent):
     sender_eview_seq: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewInstallEvent(TraceEvent):
     """``vchg(pid, view)``: the process installed a new view."""
 
@@ -55,7 +62,7 @@ class ViewInstallEvent(TraceEvent):
     prev_view_id: ViewId | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EViewChangeEvent(TraceEvent):
     """An enriched-view change was applied at a process.
 
@@ -70,7 +77,7 @@ class EViewChangeEvent(TraceEvent):
     svsets: tuple[tuple[SvSetId, frozenset[SubviewId]], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeChangeEvent(TraceEvent):
     """A mode-automaton transition (Figure 1) at a process."""
 
@@ -80,19 +87,19 @@ class ModeChangeEvent(TraceEvent):
     view_id: ViewId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrashEvent(TraceEvent):
     """The process at ``pid`` crashed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoverEvent(TraceEvent):
     """A site restarted; ``pid`` is the fresh incarnation."""
 
     site: SiteId = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppEvent(TraceEvent):
     """Free-form application event (state transfers, merges, ...)."""
 

@@ -3,7 +3,13 @@
 Serialises a recorded trace to JSON-lines and reads it back, so runs
 can be archived, diffed across code versions, or re-checked offline
 (``python -m repro run`` output + an exported trace is a reproducible
-bug report).  The round trip is exact for every event type.
+bug report).  The round trip is exact for every event type, with one
+documented flattening: the store's audit events hold the store's own
+:class:`~repro.core.versioning.Provenance` objects, which are written
+as the flat ``{"$tuple": [epoch, site, incarnation, seq]}`` of
+:func:`flat_provenance` and so come back from import as that flat
+tuple.  The checks read either form (:mod:`repro.trace.checks`), and
+export -> import -> export is byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, IO, Iterable
 
+from repro.core.versioning import Provenance
 from repro.errors import ReproError
 from repro.trace.events import (
     AppEvent,
@@ -44,6 +51,16 @@ _EVENT_TYPES = {
 # -- value codecs -----------------------------------------------------------
 
 
+def flat_provenance(prov: Provenance | tuple) -> tuple:
+    """A store provenance as a trace writes it: ``(epoch, site,
+    incarnation, seq)``.  A provenance read back from an exported trace
+    is that flat tuple already and is returned as it is."""
+    if isinstance(prov, Provenance):
+        writer = prov.writer
+        return (prov.view_epoch, writer.site, writer.incarnation, prov.seq)
+    return prov
+
+
 def _encode(value: Any) -> Any:
     if isinstance(value, ProcessId):
         return {"$pid": [value.site, value.incarnation]}
@@ -59,6 +76,8 @@ def _encode(value: Any) -> Any:
         return {"$ssid": [value.view_epoch, _encode(value.origin), value.counter]}
     if isinstance(value, frozenset):
         return {"$fset": sorted((_encode(v) for v in value), key=json.dumps)}
+    if isinstance(value, Provenance):
+        return {"$tuple": list(flat_provenance(value))}
     if isinstance(value, tuple):
         return {"$tuple": [_encode(v) for v in value]}
     if isinstance(value, dict):

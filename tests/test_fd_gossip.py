@@ -262,8 +262,9 @@ def test_gossip_merge_matches_per_row_rule(seed: int) -> None:
         roll = rng.random()
         if roll < 0.65:
             src, digest = _random_digest(rng, det._counters, incarnation)
-            det.on_digest(src, digest)
-            oracle.on_digest(src, digest)
+            for side in (det, oracle):  # as GroupStack.on_network does
+                side.heard(src)
+                side.on_digest(src, digest)
         elif roll < 0.80:
             step = rng.uniform(0.0, TIMEOUT / 3)
             if rng.random() < 0.25:

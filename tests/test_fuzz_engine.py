@@ -127,6 +127,17 @@ def test_workload_spec_rejects_unknown_client_kind():
         WorkloadSpec(clients=(("tcp", 10.0),))
 
 
+def test_workload_spec_defaults_to_the_apps_own_client():
+    assert WorkloadSpec().clients == (("mcast", 10.0), ("file", 15.0))
+    assert WorkloadSpec(app="db").clients == (("mcast", 10.0), ("query", 15.0))
+    assert WorkloadSpec(app="store").clients[-1] == ("store", 15.0)
+    assert WorkloadSpec(app="lock").clients[-1] == ("lock", 15.0)
+    assert WorkloadSpec(app="none").clients == (("mcast", 10.0),)
+    assert WorkloadSpec(app="store", clients=()).clients == ()
+    spec = WorkloadSpec(app="lock")
+    assert WorkloadSpec.from_json_obj(spec.to_json_obj()) == spec
+
+
 def test_rarity_weight_counts_and_reload(tmp_path):
     corpus = Corpus(tmp_path)
     common = frozenset({("vroot", 1)})
@@ -274,6 +285,19 @@ def test_clean_campaign_collects_coverage_not_failures():
     snapshot = engine.metrics.snapshot(source="fuzz")
     names = {s.name for s in snapshot.samples}
     assert "fuzz_runs_total" in names
+
+
+@pytest.mark.parametrize("app", ["file", "db", "store", "lock", "none"])
+def test_one_clean_iteration_per_app(app):
+    """Every app's default workload drives that app (a client of
+    another app's type would crash on its first tick)."""
+    engine = FuzzEngine(
+        FuzzConfig(app=app, iterations=1, seed=7, fault_duration=200.0)
+    )
+    stats = engine.run()
+    assert stats.iterations == 1
+    assert stats.failures == 0
+    assert stats.features > 0
 
 
 def test_planted_bug_is_found_shrunk_and_replayable(tmp_path):

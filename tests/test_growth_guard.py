@@ -60,7 +60,8 @@ ALLOWED = {
     ),
     "AppEvent.data": (
         "a store_state audit event lists every provenance its replica "
-        "holds, so a bounded trace still holds the store's history",
+        "holds, so a bounded trace still holds the store's history; it "
+        "references the chain entries' own provenances, not copies",
         "ROADMAP 10, once chains are bounded",
     ),
 }
