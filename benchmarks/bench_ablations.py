@@ -26,11 +26,7 @@ from typing import Any
 from repro.isis import IsisConfig, isis_stack_config
 from repro.net.latency import UniformLatency
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.trace.checks import (
-    check_causal_order,
-    check_structure,
-    check_total_order,
-)
+from repro.trace.checks import run_check
 from repro.trace.events import ViewInstallEvent
 from repro.vsync.stack import StackConfig
 
@@ -92,7 +88,7 @@ def ablation_gate(disabled: bool) -> int:
         cluster.scheduler.at(base + 90.0, cluster.partition, [[0, 1, 2], [3, 4]])
         cluster.scheduler.at(base + 180.0, cluster.heal)
         cluster.run(until=base + 440.0)
-        violations += len(check_causal_order(cluster.recorder).violations)
+        violations += len(run_check("CausalOrder(6.2)", cluster.recorder).violations)
     return violations
 
 
@@ -116,8 +112,8 @@ def ablation_suspension(disabled: bool) -> int:
         cluster.scheduler.at(base + 201.0, cluster.crash, 4)
         cluster.scheduler.at(base + 261.0, cluster.recover, 4)
         cluster.run(until=base + 440.0)
-        violations += len(check_total_order(cluster.recorder).violations)
-        violations += len(check_structure(cluster.recorder).violations)
+        violations += len(run_check("TotalOrder(6.1)", cluster.recorder).violations)
+        violations += len(run_check("Structure(6.3)", cluster.recorder).violations)
     return violations
 
 

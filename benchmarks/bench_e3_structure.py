@@ -14,7 +14,7 @@ from typing import Any
 
 from repro.ports import make_cluster
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.trace.checks import check_structure
+from repro.trace.checks import run_check
 from repro.workload import Table, run_checked_workload
 from repro.workload.generator import RandomFaultGenerator
 
@@ -54,7 +54,7 @@ def figure2_replay() -> list[tuple[str, str]]:
     cluster.heal()
     assert cluster.settle(timeout=500)
     snap("after repair (merged view)")
-    report = check_structure(cluster.recorder)
+    report = run_check("Structure(6.3)", cluster.recorder)
     assert report.ok, report.violations[:5]
     return stages
 
@@ -66,7 +66,7 @@ def preservation_rate() -> dict[str, Any]:
         run = run_checked_workload(
             make_cluster("sim", 5, seed=seed), gen.generate(), tail=gen.settle_tail
         )
-        report = check_structure(run.trace)
+        report = run_check("Structure(6.3)", run.trace)
         checked += report.checked
         violations += len(report.violations)
     return {"checked": checked, "violations": violations}

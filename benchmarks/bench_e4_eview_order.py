@@ -14,11 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.trace.checks import (
-    check_causal_order,
-    check_cut_consistency,
-    check_total_order,
-)
+from repro.trace.checks import run_check
 from repro.trace.events import EViewChangeEvent
 from repro.workload import Table
 
@@ -76,9 +72,9 @@ def merge_storm(seed: int) -> dict[str, Any]:
     if len(structure.svsets) == 1 and len(structure.subviews) >= 2:
         lead.subview_merge([sv.sid for sv in structure.subviews])
         cluster.run_for(25)
-    total = check_total_order(cluster.recorder)
-    causal = check_causal_order(cluster.recorder)
-    cuts = check_cut_consistency(cluster.recorder)
+    total = run_check("TotalOrder(6.1)", cluster.recorder)
+    causal = run_check("CausalOrder(6.2)", cluster.recorder)
+    cuts = run_check("CutConsistency(6.2)", cluster.recorder)
     applied = max(
         (e.eview_seq for e in cluster.recorder.of_type(EViewChangeEvent)),
         default=0,

@@ -66,7 +66,7 @@ from repro.core.versioning import (
 )
 from repro.evs.eview import EView
 from repro.fuzz import bugs as _fuzz_bugs
-from repro.trace.events import AppEvent
+from repro.trace.events import AppEvent, StoreApplied
 from repro.types import MessageId, ProcessId, ViewId
 
 _CHAINS_KEY = "versioned_store.chains"
@@ -143,8 +143,8 @@ class VersionedStore(GroupObject):
         super().__init__(AlwaysFullModeFunction())
         #: key -> append-only chain ordered by provenance.
         self.chains: dict[Any, tuple[VersionEntry, ...]] = {}
-        #: (client, client_seq) -> (key, prov): the exactly-once index.
-        self._client_index: dict[tuple[str, int], tuple[Any, Provenance]] = {}
+        #: (client, client_seq) -> prov: the exactly-once index.
+        self._client_index: dict[tuple[str, int], Provenance] = {}
         self._tally = QuorumTally({})
         #: Puts of the open input batch, with their trace parents.
         self._queued_puts: list[tuple[PutHandle, Any]] = []
@@ -220,7 +220,7 @@ class VersionedStore(GroupObject):
                 # A retry of a write that already landed: committed with
                 # its original provenance, no new chain entry.
                 handle.status = "committed"
-                handle.token = done[1]
+                handle.token = done
                 self.puts_committed += 1
                 self._finish(handle)
                 return handle
@@ -365,18 +365,17 @@ class VersionedStore(GroupObject):
                 at = bisect_right(chain, prov, key=attrgetter("prov"))
                 chains[key] = chain[:at] + (entry,) + chain[at:]
             if client:
-                index[(client, client_seq)] = (key, prov)
+                index[(client, client_seq)] = prov
             self._persist_entry(key, entry)
             if audits:
-                data = {
-                    "key": key,
-                    "prov": prov,
-                    "client": client,
-                    "client_seq": client_seq,
-                }
-                if at < len(chain):
-                    data["at"] = at  # not an append: where it went
-                self._record("store_apply", data)
+                # ``at`` only when not an append: where the version went.
+                self._record(
+                    "store_apply",
+                    StoreApplied(
+                        key, prov, client, client_seq,
+                        at if at < len(chain) else None,
+                    ),
+                )
         # Acknowledge even duplicates: the writer's retry still needs
         # its quorum certificate.
         if sender == self.pid:
@@ -396,7 +395,7 @@ class VersionedStore(GroupObject):
         if handle.client:
             done = self._client_index.get((handle.client, handle.client_seq))
         if done is not None:
-            handle.token = done[1]
+            handle.token = done
         else:
             handle.token = handle.prov
         if handle.token is not None and self._audits():
@@ -482,8 +481,8 @@ class VersionedStore(GroupObject):
                     # (the last one in its chain), as a rebuild would.
                     request = (entry.client, entry.client_seq)
                     done = index.get(request)
-                    if done is None or done[1] < entry.prov:
-                        index[request] = (key, entry.prov)
+                    if done is None or done < entry.prov:
+                        index[request] = entry.prov
         if added:
             if self._log_len + len(added) >= _COMPACT_EVERY:
                 self._persist()
@@ -516,8 +515,8 @@ class VersionedStore(GroupObject):
 
     def _reindex(self) -> None:
         self._client_index = {
-            (e.client, e.client_seq): (key, e.prov)
-            for key, chain in self.chains.items()
+            (e.client, e.client_seq): e.prov
+            for chain in self.chains.values()
             for e in chain
             if e.client
         }

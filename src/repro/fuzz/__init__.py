@@ -13,8 +13,8 @@ so it replays byte-identically in sim or over real sockets.
 
 A run is judged by the paper's property checks plus the
 sequence-pattern detectors it names, RESTler-style: every check is a
-function over the merged trace, listed under its report name in one
-table (:data:`repro.trace.checks.CHECKS`).
+monitor fed the merged trace in one pass, listed under its report name
+in one table (:data:`repro.trace.checks.CHECKS`).
 
 This ``__init__`` stays lazy: :mod:`repro.core.settlement` imports
 :mod:`repro.fuzz.bugs` (the planted-bug hooks), so importing the

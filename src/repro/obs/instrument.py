@@ -88,10 +88,16 @@ class ClusterObs:
     """
 
     def __init__(
-        self, registry: MetricsRegistry, tracer: Tracer | None = None
+        self,
+        registry: MetricsRegistry,
+        tracer: Tracer | None = None,
+        whole_cluster: bool = True,
     ) -> None:
         self.registry = registry
         self.tracer = tracer
+        #: Does this see every site's deliveries (one per cluster), or
+        #: only its own process's (one per process)?
+        self.whole_cluster = whole_cluster
         r = registry
         self.view_changes = r.counter(
             "view_changes_total", "Views installed, per site", ("site",)
@@ -149,7 +155,7 @@ class ClusterObs:
             " (each one is a lost latency observation)",
             ("map",),
         )
-        self._mcast = SpanMap(  # msg_id -> multicast time
+        self._mcast = SpanMap(  # msg_id -> multicast time, until delivered
             4096, on_evict=lambda _key: self.spans_evicted.labels("mcast").inc()
         )
         self._transfers = SpanMap(  # (site, peer site) -> start time
@@ -241,7 +247,12 @@ class ClusterObs:
     # -- vsync: multicast and delivery ------------------------------------
 
     def multicast_sent(
-        self, pid: Any, msg_id: Any, at: float, parent: TraceCtx | None = None
+        self,
+        pid: Any,
+        msg_id: Any,
+        at: float,
+        parent: TraceCtx | None = None,
+        receivers: int = 1,
     ) -> TraceCtx | None:
         """Returns the send's causal context (rides on the Message), or
         None when tracing is off.  With tracing on, a *caused* multicast
@@ -249,9 +260,11 @@ class ClusterObs:
         parented under its cause; an uncaused one (steady workload
         traffic) is root-sampled 1-in-``tracer.root_sample`` to keep the
         span pipeline off the hottest path — see
-        :meth:`Tracer.sample_root`."""
+        :meth:`Tracer.sample_root`.  ``receivers`` is how many members
+        will deliver the message (the sender included): its span closes
+        at the last delivery this observer sees."""
         self.multicasts.labels(_label(pid)).inc()
-        self._mcast.open(msg_id, at)
+        self._mcast.open(msg_id, at, receivers if self.whole_cluster else 1)
         t = self.tracer
         if t is None:
             return None
@@ -264,7 +277,7 @@ class ClusterObs:
     ) -> None:
         label = _label(pid)
         self.deliveries.labels(label).inc()
-        start = self._mcast.get(msg_id)
+        start = self._mcast.hit(msg_id)
         if start is not None:
             self.delivery_latency.labels(label).observe(at - start)
         t = self.tracer

@@ -89,7 +89,7 @@ class NodeSupervisor:
         self.scheduler = WallClockScheduler()
         self.registry, self.flight, _tracer, self.obs = build_observability(
             config, lambda: self.scheduler.now, runtime="realnet",
-            name=f"site{site}", epoch=self.epoch, salt=site,
+            name=f"site{site}", epoch=self.epoch, salt=site, whole_cluster=False,
         )
         self.topology = Topology(sorted(self.address_book))
         self.env_recorder = new_recorder(config, f"env{site}")

@@ -232,6 +232,7 @@ def build_observability(
     name: str,
     epoch: float,
     salt: int = 0,
+    whole_cluster: bool = True,
 ) -> tuple[MetricsRegistry, FlightRecorder | None, Tracer | None, ClusterObs | None]:
     """Registry, flight recorder, tracer and stack hooks from ``config``.
 
@@ -239,9 +240,10 @@ def build_observability(
     already a global order; ``epoch`` 0), all co-located realnet nodes
     (they share one wall-clock scheduler), or one supervised/standalone
     process (``salt`` = its site, so span ids minted by different
-    processes never collide without coordination).  ``epoch`` is the
-    wall time of the clock's t=0, which lets ``repro obs trace`` merge
-    dumps from different processes on one clock.
+    processes never collide without coordination, and
+    ``whole_cluster=False``: it sees only its own deliveries).
+    ``epoch`` is the wall time of the clock's t=0, which lets ``repro
+    obs trace`` merge dumps from different processes on one clock.
     """
     registry = MetricsRegistry(clock=clock, runtime=runtime)
     flight = tracer = None
@@ -251,7 +253,7 @@ def build_observability(
         )
         tracer = Tracer(flight, clock, salt=salt)
     obs = (
-        ClusterObs(registry, tracer)
+        ClusterObs(registry, tracer, whole_cluster)
         if (config.metrics or tracer is not None)
         else None
     )

@@ -3,8 +3,8 @@
 Every protocol stack reports its externally visible events (multicasts,
 deliveries, view and e-view installations, mode changes, crashes,
 recoveries) to a shared :class:`~repro.trace.recorder.TraceRecorder`.
-The checkers in :mod:`repro.trace.checks` then verify, on the recorded
-trace, the exact properties the paper states: Agreement (2.1),
+The monitors in :mod:`repro.trace.checks` then verify, in one pass over
+the recorded trace, the exact properties the paper states: Agreement (2.1),
 Uniqueness (2.2), Integrity (2.3) for view synchrony, and Total Order
 (6.1), Causal Order (6.2), Structure (6.3) for enriched views.
 
@@ -27,15 +27,9 @@ from repro.trace.events import (
 from repro.trace.recorder import TraceRecorder
 from repro.trace.checks import (
     CheckReport,
-    check_agreement,
-    check_causal_order,
-    check_cut_consistency,
-    check_integrity,
-    check_structure,
-    check_total_order,
-    check_uniqueness,
     check_view_synchrony,
     check_enriched_views,
+    run_check,
 )
 
 __all__ = [
@@ -50,13 +44,7 @@ __all__ = [
     "AppEvent",
     "TraceRecorder",
     "CheckReport",
-    "check_agreement",
-    "check_uniqueness",
-    "check_integrity",
-    "check_total_order",
-    "check_causal_order",
-    "check_cut_consistency",
-    "check_structure",
     "check_view_synchrony",
     "check_enriched_views",
+    "run_check",
 ]

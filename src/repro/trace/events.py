@@ -11,12 +11,14 @@ no per-instance dict.  An :class:`AppEvent`'s ``data`` references what
 the application holds instead of copying it (the store's audit events
 list the store's own :class:`~repro.core.versioning.Provenance`
 objects); :mod:`repro.trace.export` writes those in their flat form.
+The store's most frequent audit event, ``store_apply``, carries a
+fixed-shape :class:`StoreApplied` rather than a dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.types import MessageId, ProcessId, SiteId, SubviewId, SvSetId, ViewId
 
@@ -105,3 +107,47 @@ class AppEvent(TraceEvent):
 
     tag: str = ""
     data: Any = None
+
+
+class StoreApplied(NamedTuple):
+    """The data of a store's ``store_apply`` audit event: a member added
+    version ``prov`` of ``key``, for request ``(client, client_seq)``.
+
+    A record of fixed shape, where the event used to carry a dict of
+    these names; :mod:`repro.trace.export` writes it as that dict
+    (:meth:`as_dict`), so an imported trace holds the dict.
+    """
+
+    key: Any
+    prov: Any
+    client: str
+    client_seq: int
+    #: Where in the chain the version went, when not appended at its end.
+    at: int | None = None
+
+    def as_dict(self) -> dict[str, Any]:
+        data = {
+            "key": self.key,
+            "prov": self.prov,
+            "client": self.client,
+            "client_seq": self.client_seq,
+        }
+        if self.at is not None:
+            data["at"] = self.at
+        return data
+
+    @classmethod
+    def read(cls, data: Any) -> "StoreApplied | None":
+        """The record of a ``store_apply`` event's data, recorded or
+        imported; None for data of neither form."""
+        if type(data) is cls:
+            return data
+        if not isinstance(data, dict):
+            return None
+        return cls(
+            data.get("key"),
+            data.get("prov"),
+            data.get("client", ""),
+            data.get("client_seq", 0),
+            data.get("at"),
+        )

@@ -8,8 +8,10 @@ documented flattening: the store's audit events hold the store's own
 :class:`~repro.core.versioning.Provenance` objects, which are written
 as the flat ``{"$tuple": [epoch, site, incarnation, seq]}`` of
 :func:`flat_provenance` and so come back from import as that flat
-tuple.  The checks read either form (:mod:`repro.trace.checks`), and
-export -> import -> export is byte-identical.
+tuple.  A ``store_apply`` event's :class:`~repro.trace.events.StoreApplied`
+is written as the dict of its fields and comes back as that dict.  The
+checks read either form (:mod:`repro.trace.checks`), and export ->
+import -> export is byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.trace.events import (
     ModeChangeEvent,
     MulticastEvent,
     RecoverEvent,
+    StoreApplied,
     TraceEvent,
     ViewInstallEvent,
 )
@@ -78,6 +81,8 @@ def _encode(value: Any) -> Any:
         return {"$fset": sorted((_encode(v) for v in value), key=json.dumps)}
     if isinstance(value, Provenance):
         return {"$tuple": list(flat_provenance(value))}
+    if isinstance(value, StoreApplied):
+        return _encode(value.as_dict())
     if isinstance(value, tuple):
         return {"$tuple": [_encode(v) for v in value]}
     if isinstance(value, dict):

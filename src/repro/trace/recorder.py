@@ -28,8 +28,9 @@ installs per process, ...) is derived from those groups on first use.
 The index describes ``events`` as it stood when it was built; the next
 query after *any* change — a ``record()`` that appended or evicted, or
 ``events`` rebound to another list — rebuilds it, so a query never
-returns a stale answer and a checker pass costs a constant number of
-scans however many views the run installed.
+returns a stale answer and a run of queries costs a constant number of
+scans however many views the run installed.  The checks do not query:
+they walk ``events`` once (:mod:`repro.trace.checks`).
 """
 
 from __future__ import annotations

@@ -151,7 +151,8 @@ class ViewChannels:
         send_ctx = None
         if obs is not None:
             send_ctx = obs.multicast_sent(
-                self.stack.pid, msg_id, self.stack.now, parent=trace
+                self.stack.pid, msg_id, self.stack.now, parent=trace,
+                receivers=len(self._peers) + 1,
             )
         msg = Message(
             msg_id, payload, eview_seq=self.stack.evs.applied_seq, trace=send_ctx

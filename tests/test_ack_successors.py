@@ -17,7 +17,7 @@ from repro.apps.versioned_store import VersionedStore
 from repro.core.versioning import QuorumTally
 from repro.net.latency import ConstantLatency
 from repro.ports import make_cluster
-from repro.trace.checks import check_acked_write_loss
+from repro.trace.checks import run_check
 from repro.types import ProcessId
 
 
@@ -119,5 +119,5 @@ def test_a_put_commits_through_lazy_acks_when_a_successor_crashes():
     assert store.stack.view.view_id == view  # before the view change
     cluster.run_for(100.0)
     assert cluster.settle()
-    report = check_acked_write_loss(cluster.gather_trace())
+    report = run_check("AckedWriteLoss", cluster.gather_trace())
     assert report.checked == 1 and report.ok, report.violations

@@ -7,11 +7,7 @@ import pytest
 from repro.errors import EnrichedViewError
 from repro.evs.eview import EvDelta, EView, EViewStructure, Subview, SvSet
 from repro.gms.view import View
-from repro.trace.checks import (
-    check_causal_order,
-    check_structure,
-    check_total_order,
-)
+from repro.trace.checks import run_check
 from repro.types import ProcessId, SubviewId, SvSetId, ViewId
 
 from tests.conftest import assert_all_properties, settled_cluster
@@ -172,8 +168,8 @@ def test_sv_set_merge_then_subview_merge_figure3():
     assert after.seq == 2
     sizes = sorted(len(sv.members) for sv in after.structure.subviews)
     assert sizes == [1, 1, 2]
-    assert check_total_order(cluster.recorder).ok
-    assert check_causal_order(cluster.recorder).ok
+    assert run_check("TotalOrder(6.1)", cluster.recorder).ok
+    assert run_check("CausalOrder(6.2)", cluster.recorder).ok
 
 
 def test_eview_changes_are_identical_at_all_members():
@@ -207,7 +203,7 @@ def test_structure_projection_across_partition():
     # The two sides arrive as two intact subviews, not four singletons.
     assert len(merged.structure.subviews) == 2
     assert {len(sv.members) for sv in merged.structure.subviews} == {2}
-    assert check_structure(cluster.recorder).ok
+    assert run_check("Structure(6.3)", cluster.recorder).ok
     assert_all_properties(cluster.recorder)
 
 
@@ -227,7 +223,7 @@ def test_concurrent_merge_requests_get_distinct_sequence_numbers():
     s2.sv_set_merge(ssids[2:])
     cluster.run_for(20)
     assert cluster.stack_at(0).eview.seq == 2
-    assert check_total_order(cluster.recorder).ok
+    assert run_check("TotalOrder(6.1)", cluster.recorder).ok
 
 
 def test_stale_merge_request_from_old_view_ignored():
@@ -253,5 +249,5 @@ def test_messages_gated_on_eview_changes():
     stack.sv_set_merge([ss.ssid for ss in stack.eview.structure.svsets])
     stack.multicast("after-change")  # sent in the same scheduler turn
     cluster.run_for(20)
-    assert check_causal_order(cluster.recorder).ok
+    assert run_check("CausalOrder(6.2)", cluster.recorder).ok
 

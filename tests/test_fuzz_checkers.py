@@ -15,14 +15,10 @@ from repro.trace.checks import (
     DETECTORS,
     PROPERTIES,
     CheckContext,
-    CheckReport,
-    check_acked_write_loss,
-    check_lost_settlement,
-    check_replica_divergence,
-    check_stale_state_transfer,
-    check_subview_merge_atomicity,
-    check_zombie_incarnation,
+    LostSettlement,
+    Monitor,
     make_checkers,
+    run_check,
     run_checkers,
 )
 from repro.trace.events import (
@@ -96,7 +92,7 @@ def _decide(rec, t, pid, kind, versions, chosen):
 def test_stale_transfer_flags_adopting_below_best_offer():
     rec = TraceRecorder()
     _decide(rec, 10, P0, "transfer", (3, 7), 3)
-    report = check_stale_state_transfer(rec, CTX)
+    report = run_check("StaleStateTransfer", rec, CTX)
     assert not report.ok
     assert "adopted version 3" in report.violations[0]
 
@@ -105,7 +101,7 @@ def test_stale_transfer_passes_when_best_offer_adopted():
     rec = TraceRecorder()
     _decide(rec, 10, P0, "transfer", (3, 7), 7)
     _decide(rec, 20, P0, "merge", (5, 5), 5)
-    report = check_stale_state_transfer(rec, CTX)
+    report = run_check("StaleStateTransfer", rec, CTX)
     assert report.ok and report.checked == 2
 
 
@@ -115,7 +111,7 @@ def test_stale_transfer_ignores_creation_and_untagged_decides():
     _decide(rec, 10, P0, "creation", (3, 7), 3)
     # A trace from before version accounting carries no chosen_version.
     _decide(rec, 20, P0, "transfer", (3, 7), None)
-    report = check_stale_state_transfer(rec, CTX)
+    report = run_check("StaleStateTransfer", rec, CTX)
     assert report.ok
 
 
@@ -133,7 +129,7 @@ def _stuck_in_s(rec, *, end=500.0):
 def test_lost_settlement_flags_stuck_s_mode():
     rec = TraceRecorder()
     _stuck_in_s(rec)
-    report = check_lost_settlement(rec, CTX)
+    report = run_check("LostSettlement", rec, CTX)
     assert not report.ok
     assert "stuck in S-mode" in report.violations[0]
 
@@ -144,7 +140,7 @@ def test_lost_settlement_passes_with_recent_settle_activity():
     rec.record(
         AppEvent(time=450, pid=P1, tag="settle_start", data={"kind": "transfer"})
     )
-    assert check_lost_settlement(rec, CTX).ok
+    assert run_check("LostSettlement", rec, CTX).ok
 
 
 def test_lost_settlement_passes_when_parked_on_creation_barrier():
@@ -156,7 +152,7 @@ def test_lost_settlement_passes_when_parked_on_creation_barrier():
             data={"present": 2, "expected": 3},
         )
     )
-    assert check_lost_settlement(rec, CTX).ok
+    assert run_check("LostSettlement", rec, CTX).ok
 
 
 def test_lost_settlement_ignores_crashed_and_recent_processes():
@@ -165,14 +161,14 @@ def test_lost_settlement_ignores_crashed_and_recent_processes():
     # P2 also hits S but crashes: dead processes settle nothing.
     _mode(rec, 12, P2, "N", "S", "Failure")
     rec.record(CrashEvent(time=20, pid=P2))
-    report = check_lost_settlement(rec, CTX)
+    report = run_check("LostSettlement", rec, CTX)
     assert [v for v in report.violations if "p2" in v] == []
     # A view installed moments ago resets the grace window.
     rec2 = TraceRecorder()
     _install(rec2, 490, P0, V1, {P0, P1}, None)
     _mode(rec2, 490, P0, "N", "S", "Failure")
     rec2.record(AppEvent(time=500, pid=P1, tag="tick", data=None))
-    assert check_lost_settlement(rec2, CTX).ok
+    assert run_check("LostSettlement", rec2, CTX).ok
 
 
 def test_lost_settlement_grace_scales_with_time_scale():
@@ -183,9 +179,9 @@ def test_lost_settlement_grace_scales_with_time_scale():
     _mode(rec, 0.1, P0, "N", "S", "Failure")
     rec.record(AppEvent(time=5.0, pid=P1, tag="tick", data=None))
     ctx = CheckContext(time_scale=0.01)
-    assert not check_lost_settlement(rec, ctx).ok
+    assert not run_check("LostSettlement", rec, ctx).ok
     # At sim scale the same numbers are within grace: silent.
-    assert check_lost_settlement(rec, CTX).ok
+    assert run_check("LostSettlement", rec, CTX).ok
 
 
 # -- SubviewMergeAtomicity --------------------------------------------------
@@ -196,7 +192,7 @@ def test_merge_atomicity_flags_partial_merge():
     _structure(rec, 0, P0, V1, 0, [[P0], [P1, P2]])
     # {P1,P2} was torn apart: P1 merged into P0's subview, P2 left out.
     _structure(rec, 1, P0, V1, 1, [[P0, P1], [P2]])
-    report = check_subview_merge_atomicity(rec, CTX)
+    report = run_check("SubviewMergeAtomicity", rec, CTX)
     assert any("partial subview merge" in v for v in report.violations)
 
 
@@ -204,7 +200,7 @@ def test_merge_atomicity_passes_whole_merges():
     rec = TraceRecorder()
     _structure(rec, 0, P0, V1, 0, [[P0], [P1, P2]])
     _structure(rec, 1, P0, V1, 1, [[P0, P1, P2]])
-    assert check_subview_merge_atomicity(rec, CTX).ok
+    assert run_check("SubviewMergeAtomicity", rec, CTX).ok
 
 
 def test_merge_atomicity_flags_survivor_count_disagreement():
@@ -216,7 +212,7 @@ def test_merge_atomicity_flags_survivor_count_disagreement():
     _structure(rec, 1, P0, V1, 1, [[P0, P1]])
     for pid in (P0, P1):
         _install(rec, 2, pid, V2, {P0, P1}, V1)
-    report = check_subview_merge_atomicity(rec, CTX)
+    report = run_check("SubviewMergeAtomicity", rec, CTX)
     assert any("different e-view change counts" in v for v in report.violations)
 
 
@@ -229,7 +225,7 @@ def test_merge_atomicity_unconstrained_across_different_next_views():
     # Different successor views: the survivors rule does not apply.
     _install(rec, 2, P0, V2, {P0}, V1)
     _install(rec, 2, P1, ViewId(2, P1), {P1}, V1)
-    assert check_subview_merge_atomicity(rec, CTX).ok
+    assert run_check("SubviewMergeAtomicity", rec, CTX).ok
 
 
 # -- ZombieIncarnation ------------------------------------------------------
@@ -240,7 +236,7 @@ def test_zombie_flags_event_after_own_crash():
     m = MessageId(P0, V1, 1)
     rec.record(CrashEvent(time=5, pid=P1))
     rec.record(DeliveryEvent(time=7, pid=P1, msg_id=m, view_id=V1))
-    report = check_zombie_incarnation(rec, CTX)
+    report = run_check("ZombieIncarnation", rec, CTX)
     assert any("after crashing" in v for v in report.violations)
 
 
@@ -250,7 +246,7 @@ def test_zombie_flags_delivery_by_superseded_incarnation():
     fresh = ProcessId(1, 1)
     rec.record(RecoverEvent(time=10, pid=fresh, site=1))
     rec.record(DeliveryEvent(time=12, pid=P1, msg_id=m, view_id=V1))
-    report = check_zombie_incarnation(rec, CTX)
+    report = run_check("ZombieIncarnation", rec, CTX)
     assert any("retired incarnation" in v for v in report.violations)
 
 
@@ -262,7 +258,7 @@ def test_zombie_passes_events_before_crash_and_fresh_incarnations():
     fresh = ProcessId(1, 1)
     rec.record(RecoverEvent(time=10, pid=fresh, site=1))
     rec.record(DeliveryEvent(time=12, pid=fresh, msg_id=m, view_id=V1))
-    assert check_zombie_incarnation(rec, CTX).ok
+    assert run_check("ZombieIncarnation", rec, CTX).ok
 
 
 # -- the table ---------------------------------------------------------------
@@ -280,24 +276,32 @@ def test_the_table_holds_the_eight_properties_then_the_six_detectors():
 
 def test_every_check_reports_under_its_table_name():
     for name, check in CHECKS.items():
-        assert check(TraceRecorder(), CTX).name == name
+        assert check.name == name
+        (report,) = run_checkers(TraceRecorder(), [(name, check)], CTX)
+        assert report.name == name
 
 
 def test_make_checkers_by_name():
     ((name, check),) = make_checkers(["LostSettlement"])
-    assert name == "LostSettlement" and check is check_lost_settlement
+    assert name == "LostSettlement" and check is LostSettlement
     with pytest.raises(ReproError):
         make_checkers(["NoSuchChecker"])
     with pytest.raises(ReproError):
-        make_checkers(["repro.trace.checks:check_lost_settlement"])
+        make_checkers(["repro.trace.checks:LostSettlement"])
 
 
 def test_run_checkers_survives_a_crashing_checker():
-    def broken(rec, ctx) -> CheckReport:
-        raise RuntimeError("boom")
+    class Broken(Monitor):
+        name = "Broken"
+        feeds = (CrashEvent,)
 
-    checks = [("Broken", broken), *make_checkers(["LostSettlement"])]
-    reports = run_checkers(TraceRecorder(), checks)
+        def feed(self, ev) -> None:
+            raise RuntimeError("boom")
+
+    rec = TraceRecorder()
+    rec.record(CrashEvent(time=1.0, pid=P0))
+    checks = [("Broken", Broken), *make_checkers(["LostSettlement"])]
+    reports = run_checkers(rec, checks)
     by_name = {r.name: r for r in reports}
     assert "checker crashed" in by_name["Broken"].violations[0]
     assert by_name["LostSettlement"].ok
@@ -332,7 +336,7 @@ def test_acked_write_loss_passes_when_any_live_process_retains():
     _ack(rec, 1.2, P0)
     # P1 adopts a state without the write, but P0 still holds it.
     _state(rec, 2.0, P1, [])
-    report = check_acked_write_loss(rec, CTX)
+    report = run_check("AckedWriteLoss", rec, CTX)
     assert report.checked == 1 and report.ok
 
 
@@ -345,7 +349,7 @@ def test_acked_write_loss_flags_universal_loss():
     # the realnet settlement race this checker exists to catch.
     _state(rec, 2.0, P0, [(1, 0, 0, 7)])
     _state(rec, 2.1, P1, [])
-    report = check_acked_write_loss(rec, CTX)
+    report = run_check("AckedWriteLoss", rec, CTX)
     assert not report.ok
     assert "no live process retains" in report.violations[0]
 
@@ -355,14 +359,14 @@ def test_acked_write_loss_ignores_holdings_of_crashed_processes():
     _apply(rec, 1.0, P0)
     _ack(rec, 1.1, P0)
     rec.record(CrashEvent(time=2.0, pid=P0))
-    report = check_acked_write_loss(rec, CTX)
+    report = run_check("AckedWriteLoss", rec, CTX)
     # The only holder died and nobody else ever applied it: flagged.
     assert not report.ok
     # A recovered incarnation restoring it from disk clears the flag.
     p0b = ProcessId(0, 1)
     rec.record(RecoverEvent(time=2.5, pid=p0b))
     _state(rec, 2.6, p0b, [PROV])
-    report = check_acked_write_loss(rec, CTX)
+    report = run_check("AckedWriteLoss", rec, CTX)
     assert report.ok
 
 
@@ -372,13 +376,13 @@ def test_acked_write_loss_replays_states_in_time_order():
     # State reset happens *before* the apply: the write survives.
     _state(rec, 0.5, P0, [])
     _apply(rec, 1.5, P0)
-    report = check_acked_write_loss(rec, CTX)
+    report = run_check("AckedWriteLoss", rec, CTX)
     assert report.ok
 
 
 def test_acked_write_loss_silent_without_store_traffic():
     rec = TraceRecorder()
-    report = check_acked_write_loss(rec, CTX)
+    report = run_check("AckedWriteLoss", rec, CTX)
     assert report.checked == 0 and report.ok
 
 
@@ -412,7 +416,7 @@ def test_replica_divergence_passes_when_inserts_rebuild_one_order():
     _apply_at(rec, 1.1, P0, B, at=1)
     _apply_at(rec, 1.0, P1, B)
     _apply_at(rec, 1.1, P1, C)
-    report = check_replica_divergence(rec, CTX)
+    report = run_check("ReplicaDivergence", rec, CTX)
     assert report.checked == 1 and report.ok
 
 
@@ -423,7 +427,7 @@ def test_replica_divergence_flags_two_orders_of_one_key():
     _apply_at(rec, 1.1, P0, B)
     _apply_at(rec, 1.0, P1, B)
     _apply_at(rec, 1.1, P1, C)
-    report = check_replica_divergence(rec, CTX)
+    report = run_check("ReplicaDivergence", rec, CTX)
     assert not report.ok
     assert "2 orders of key 'k''s 2 versions (2 different heads)" in report.violations[0]
 
@@ -434,7 +438,7 @@ def test_replica_divergence_leaves_out_a_put_still_in_flight():
     for pid in (P0, P1):
         _apply_at(rec, 1.0, pid, A)
     _apply_at(rec, 2.0, P0, B)  # the run ends before P1 applies it
-    report = check_replica_divergence(rec, CTX)
+    report = run_check("ReplicaDivergence", rec, CTX)
     assert report.checked == 1 and report.ok
 
 
@@ -447,6 +451,6 @@ def test_replica_divergence_compares_only_live_replicas_of_one_component():
     _apply_at(rec, 1.0, P2, B)  # another component may hold other writes
     _apply_at(rec, 1.2, P1, C)
     rec.record(CrashEvent(time=2.0, pid=P1))  # the odd one out died
-    report = check_replica_divergence(rec, CTX)
+    report = run_check("ReplicaDivergence", rec, CTX)
     assert report.checked == 0 and report.ok
-    assert check_replica_divergence(TraceRecorder(), CTX).checked == 0
+    assert run_check("ReplicaDivergence", TraceRecorder(), CTX).checked == 0

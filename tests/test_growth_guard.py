@@ -20,16 +20,24 @@ that carries an int ``capacity`` (the trace recorder built with
 directly; what their elements hold is still counted.  Crashed processes
 are walked like live ones, so what a dead incarnation leaves behind
 counts as growth per crash.
+
+The same walk holds the trace checks to bounded state: run over the
+whole trace of each scenario in one pass, a monitor (and the view
+lifetimes they share) may keep per-delivery and per-message state only
+for the views still open, and whatever of theirs grows with the run is
+named in :data:`MONITORS_ALLOWED`.
 """
 
 from __future__ import annotations
 
 import collections
+import copy
 import functools
 import types
 
 from repro.net.faults import Crash, FaultSchedule, Heal, Partition, Recover
 from repro.ports import make_cluster
+from repro.trace.checks import CHECKS, CheckPass, make_checkers
 from repro.workload.openloop import LoadSpec, OpenLoopLoad
 
 #: Scenario units of one fault cycle: a crash and its recovery, then a
@@ -47,7 +55,7 @@ ALLOWED = {
         "ROADMAP 10(a), a per-key stable cut",
     ),
     "VersionedStore._client_index": (
-        "one exactly-once entry per put ever made",
+        "one exactly-once entry (the put's provenance) per put ever made",
         "ROADMAP 10(b), a per-client high-water mark",
     ),
     "VersionedStore._applied_prefixes": (
@@ -66,14 +74,35 @@ ALLOWED = {
     ),
 }
 
+#: Monitor state that grows with the run (``Monitor/Owner.attr``), with why.
+MONITORS_ALLOWED = {
+    "Uniqueness/Seqnos.high": (
+        "one high-water seqno per (sender, view): the messages delivered"
+    ),
+    "Integrity/Seqnos.high": (
+        "one high-water seqno per (sender, view): the messages multicast"
+    ),
+    "AckedWriteLoss.acked": "one entry per acked write, as the store keeps",
+    "AckedWriteLoss.holdings": (
+        "each replica's versions: its last inventory (the trace's own "
+        "tuple) and what it applied since; bounded with the store's chains "
+        "(ROADMAP 10)"
+    ),
+    "ReplicaDivergence.chains": (
+        "a replica of each store's chains; bounded with them (ROADMAP 10)"
+    ),
+}
+
 _CONTAINERS = (list, dict, set, frozenset, collections.deque, tuple)
 _ATOMS = (int, float, complex, str, bytes, type(None), type, types.ModuleType)
 
 
-def _run(cycles: int):
+def _run(cycles: int, trace_capacity: int | None = 2000):
     """The store scenario, ``cycles`` fault cycles long, settled."""
     n = 5
-    cluster = make_cluster("sim", n, app="store", seed=7, trace_capacity=2000)
+    cluster = make_cluster(
+        "sim", n, app="store", seed=7, trace_capacity=trace_capacity
+    )
     assert cluster.settle()
     schedule = FaultSchedule()
     for cycle in range(cycles):
@@ -101,12 +130,11 @@ def _attributes(obj) -> dict:
     return attrs
 
 
-def container_sizes(cluster) -> collections.Counter:
-    """``Owner.attr`` -> elements held, over everything the stacks, the
-    network and the scheduler reach (breadth first, each object once)."""
+def container_sizes(roots) -> collections.Counter:
+    """``Owner.attr`` -> elements held, over everything ``roots`` reach
+    (breadth first, each object once)."""
     sizes: collections.Counter = collections.Counter()
     seen: set[int] = set()
-    roots = [*cluster.stacks.values(), cluster.network, cluster.scheduler]
     frontier = [("", root) for root in roots]
     while frontier:
         reached = []
@@ -139,12 +167,15 @@ def _cluster(cycles: int):
 
 @functools.lru_cache(maxsize=None)
 def _sizes(cycles: int) -> collections.Counter:
-    return container_sizes(_cluster(cycles))
+    cluster = _cluster(cycles)
+    return container_sizes(
+        [*cluster.stacks.values(), cluster.network, cluster.scheduler]
+    )
 
 
-def growing() -> dict[str, tuple[int, int]]:
+def growing(sizes=_sizes) -> dict[str, tuple[int, int]]:
     """Names whose size at 4x is at least twice that at 1x plus SLACK."""
-    short, long = _sizes(1), _sizes(4)
+    short, long = sizes(1), sizes(4)
     return {
         name: (short[name], long[name])
         for name in sorted(set(short) | set(long))
@@ -187,3 +218,59 @@ def test_metric_series_do_not_grow_with_crashes():
     """Per-process metrics are labelled by site, so a recovery continues
     its site's series instead of adding one per incarnation."""
     assert _series(_cluster(1)) == _series(_cluster(4))
+
+
+@functools.lru_cache(maxsize=None)
+def _checked(cycles: int) -> CheckPass:
+    """Every check, fed the whole trace of the scenario in one pass and
+    not yet asked for its report (which would let the open views go)."""
+    checking = CheckPass(make_checkers(CHECKS))
+    checking.feed_all(_run(cycles, trace_capacity=None).gather_trace().events)
+    assert not checking.crashes
+    return checking
+
+
+@functools.lru_cache(maxsize=None)
+def _monitor_sizes(cycles: int) -> collections.Counter:
+    """``Monitor/Owner.attr`` -> elements held, per monitor, and the
+    shared view lifetimes under their own names.  A monitor's ``held``
+    is left out: it is the open views' state, which
+    :func:`test_monitors_hold_state_only_for_open_views` bounds, and
+    its size is a matter of where the run ended."""
+    checking = _checked(cycles)
+    sizes = container_sizes([checking.views])
+    for monitor in checking.monitors:
+        kept = copy.copy(monitor)
+        kept.held = {}
+        for name, size in container_sizes([kept]).items():
+            owner = type(monitor).__name__
+            sizes[name if name.startswith(owner + ".") else f"{owner}/{name}"] += size
+    return sizes
+
+
+def test_monitors_hold_state_only_for_open_views():
+    for cycles in (1, 4):
+        checking = _checked(cycles)
+        still_open = set(checking.views.open)
+        assert len(still_open) <= 2, still_open
+        for monitor in checking.monitors:
+            assert set(monitor.held) <= still_open, (monitor.name, cycles)
+
+
+def test_no_monitor_state_grows_with_the_run_unless_allowed():
+    grown = {
+        name: sizes
+        for name, sizes in growing(_monitor_sizes).items()
+        if name not in MONITORS_ALLOWED
+    }
+    assert not grown, (
+        f"monitor state that grows with run length (elements at 1x, 4x): "
+        f"{grown}; let it go when its view closes, or name it in "
+        f"MONITORS_ALLOWED with the reason"
+    )
+
+
+def test_every_allowed_monitor_entry_still_grows():
+    grown = growing(_monitor_sizes)
+    stale = sorted(name for name in MONITORS_ALLOWED if name not in grown)
+    assert not stale, f"bounded now, drop them from MONITORS_ALLOWED: {stale}"

@@ -296,3 +296,57 @@ def test_open_span_evictions_are_metered():
         if s.name == "spans_evicted_total" and ("map", "transfer") in s.labels
     ]
     assert transfer and transfer[0].value == 600 - 512
+
+
+def _evicted(registry, span_map: str) -> float:
+    snap = registry.snapshot("test")
+    return sum(
+        s.value for s in snap.samples
+        if s.name == "spans_evicted_total" and ("map", span_map) in s.labels
+    )
+
+
+def test_a_fully_delivered_multicast_is_no_eviction():
+    """A multicast's span closes at its last expected delivery, so only
+    a member that never delivered makes an eviction."""
+    from repro.obs.instrument import ClusterObs
+    from repro.obs.registry import MetricsRegistry
+
+    registry = MetricsRegistry(clock=lambda: 0.0, runtime="sim")
+    obs = ClusterObs(registry)
+    members = [f"p{site}.0" for site in range(4)]
+    for i in range(5000):
+        obs.multicast_sent(members[0], ("m", i), float(i), receivers=4)
+        for member in members:
+            obs.message_delivered(member, ("m", i), float(i) + 1.0)
+    assert _evicted(registry, "mcast") == 0
+    assert len(obs._mcast) == 0
+    # One member missing every delivery: each span stays open, and the
+    # ones pushed out are lost observations.
+    for i in range(5000, 10000):
+        obs.multicast_sent(members[0], ("m", i), float(i), receivers=4)
+        for member in members[:3]:
+            obs.message_delivered(member, ("m", i), float(i) + 1.0)
+    assert _evicted(registry, "mcast") == 5000 - 4096
+
+
+def test_a_one_process_observer_closes_at_its_own_delivery():
+    from repro.obs.instrument import ClusterObs
+    from repro.obs.registry import MetricsRegistry
+
+    registry = MetricsRegistry(clock=lambda: 0.0, runtime="realnet")
+    obs = ClusterObs(registry, whole_cluster=False)
+    for i in range(5000):
+        obs.multicast_sent("p0.0", ("m", i), float(i), receivers=4)
+        obs.message_delivered("p0.0", ("m", i), float(i) + 1.0)
+    assert _evicted(registry, "mcast") == 0
+
+
+def test_span_queue_stays_bounded_as_spans_close():
+    from repro.obs.spans import SpanMap
+
+    spans = SpanMap(8)
+    for i in range(1000):
+        spans.open(i, float(i))
+        assert spans.hit(i) == float(i)
+    assert len(spans) == 0 and len(spans._order) <= 16

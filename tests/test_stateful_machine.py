@@ -20,12 +20,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.trace.checks import (
-    check_integrity,
-    check_structure,
-    check_total_order,
-    check_uniqueness,
-)
+from repro.trace.checks import run_check
 
 N_SITES = 3
 
@@ -96,10 +91,10 @@ class StackMachine(RuleBasedStateMachine):
             return
         rec = self.cluster.recorder
         for report in (
-            check_uniqueness(rec),
-            check_integrity(rec),
-            check_total_order(rec),
-            check_structure(rec),
+            run_check("Uniqueness(2.2)", rec),
+            run_check("Integrity(2.3)", rec),
+            run_check("TotalOrder(6.1)", rec),
+            run_check("Structure(6.3)", rec),
         ):
             assert report.ok, f"{report.name}: {report.violations[:3]}"
 

@@ -7,7 +7,7 @@ import io
 import pytest
 
 from repro.errors import ReproError
-from repro.trace.checks import check_cut_consistency, check_view_synchrony
+from repro.trace.checks import check_view_synchrony, run_check
 from repro.trace.events import DeliveryEvent, EViewChangeEvent, MulticastEvent
 from repro.trace.export import dump_trace, event_from_json, event_to_json, load_trace
 from repro.trace.recorder import TraceRecorder
@@ -101,7 +101,7 @@ def test_cut_consistency_holds_on_real_runs():
     lead.sv_set_merge([ss.ssid for ss in lead.eview.structure.svsets])
     lead.multicast("racing")
     cluster.run_for(30)
-    report = check_cut_consistency(cluster.recorder)
+    report = run_check("CutConsistency(6.2)", cluster.recorder)
     assert report.ok
     assert report.checked >= 1
 
@@ -123,7 +123,7 @@ def test_cut_consistency_flags_backward_crossing():
                              sender_eview_seq=1))
     rec.record(EViewChangeEvent(time=4, pid=P1, view_id=V1, eview_seq=1,
                                 subviews=sub, svsets=sets))
-    report = check_cut_consistency(rec)
+    report = run_check("CutConsistency(6.2)", rec)
     assert not report.ok
     assert "crosses the cut" in report.violations[0]
 
@@ -145,4 +145,4 @@ def test_cut_consistency_allows_forward_crossing():
                                 subviews=sub, svsets=sets))
     rec.record(DeliveryEvent(time=4, pid=P1, msg_id=M1, view_id=V1,
                              sender_eview_seq=0))
-    assert check_cut_consistency(rec).ok
+    assert run_check("CutConsistency(6.2)", rec).ok

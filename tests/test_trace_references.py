@@ -17,7 +17,7 @@ from repro.fuzz import bugs
 from repro.net.faults import FaultSchedule, Heal, Partition
 from repro.ports import make_cluster
 from repro.trace.checks import CHECKS, make_checkers, run_checkers
-from repro.trace.events import AppEvent, CrashEvent
+from repro.trace.events import AppEvent, CrashEvent, StoreApplied
 from repro.trace.export import dump_trace, load_trace
 from repro.trace.recorder import TraceRecorder
 from repro.types import ProcessId
@@ -49,11 +49,13 @@ def test_store_faults_checks_read_the_same_on_the_export() -> None:
     imported = load_trace(text.splitlines())
     assert _dumped(imported) == text
     assert _reports(imported) == _reports(trace)
-    # The recorded trace holds the store's provenances; the import
-    # holds their flat form.
-    for rec, kind in ((trace, Provenance), (imported, tuple)):
-        provs = [ev.data["prov"] for ev in _store_events(rec, "store_apply")]
-        assert provs and all(type(p) is kind for p in provs)
+    # The recorded trace holds the store's provenances in fixed-shape
+    # records; the import holds their flat form in dicts.
+    for rec, record, kind in ((trace, StoreApplied, Provenance), (imported, dict, tuple)):
+        applied = [ev.data for ev in _store_events(rec, "store_apply")]
+        assert applied and all(type(data) is record for data in applied)
+        provs = [StoreApplied.read(data).prov for data in applied]
+        assert all(type(p) is kind for p in provs)
 
 
 def test_planted_append_order_reads_the_same_on_the_export() -> None:
@@ -87,7 +89,7 @@ def test_a_lost_write_prints_its_flat_provenance_either_way() -> None:
 
 def test_store_audit_events_hold_the_stores_own_provenances(monkeypatch) -> None:
     """Checked as each audit event is recorded, against what the store
-    holds at that moment: a ``store_apply`` names the chain entry's
+    holds at that moment: a ``store_apply`` record names the chain entry's
     ``prov``, a ``store_ack`` the put handle's token, and a
     ``store_state`` every chain entry's ``prov``, in order — the same
     objects, not equal copies."""
@@ -104,8 +106,9 @@ def test_store_audit_events_hold_the_stores_own_provenances(monkeypatch) -> None
 
     def recording(self, tag, data) -> None:
         if tag == "store_apply":
-            chain = self.chains[data["key"]]
-            assert data["prov"] is chain[data.get("at", len(chain) - 1)].prov
+            chain = self.chains[data.key]
+            at = len(chain) - 1 if data.at is None else data.at
+            assert data.prov is chain[at].prov
         elif tag == "store_ack":
             assert data["prov"] is acking[-1].token
         elif tag == "store_state":

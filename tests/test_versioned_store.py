@@ -283,8 +283,8 @@ def _rebuild_adoption(
         for key in set(decided) | set(held)
     }
     index = {
-        (e.client, e.client_seq): (key, e.prov)
-        for key, chain in chains.items()
+        (e.client, e.client_seq): e.prov
+        for chain in chains.values()
         for e in chain
         if e.client
     }

@@ -6,11 +6,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.trace.checks import (
-    check_agreement,
-    check_integrity,
-    check_uniqueness,
-)
+from repro.trace.checks import run_check
 from repro.types import MessageId, ProcessId
 from repro.vsync.events import GroupApplication
 
@@ -99,7 +95,7 @@ def test_agreement_across_partition_cut():
     for i in range(3):
         cluster.stack_at(i).multicast(("mid", i))
     assert cluster.settle(timeout=500)
-    report = check_agreement(cluster.recorder)
+    report = run_check("Agreement(2.1)", cluster.recorder)
     assert report.ok, report.violations
     assert_all_properties(cluster.recorder)
 
@@ -132,15 +128,15 @@ def test_uniqueness_under_churn():
             cluster.heal()
         cluster.run_for(80)
     cluster.settle(timeout=500)
-    assert check_uniqueness(cluster.recorder).ok
-    assert check_integrity(cluster.recorder).ok
+    assert run_check("Uniqueness(2.2)", cluster.recorder).ok
+    assert run_check("Integrity(2.3)", cluster.recorder).ok
 
 
 def test_no_delivery_without_multicast_and_no_duplicates():
     cluster = collector_cluster(3)
     cluster.stack_at(0).multicast("once")
     cluster.run_for(20)
-    report = check_integrity(cluster.recorder)
+    report = run_check("Integrity(2.3)", cluster.recorder)
     assert report.ok
     payloads = [p for _, p in cluster.apps[1].messages if p == "once"]
     assert payloads == ["once"]
