@@ -48,6 +48,7 @@ is its own ``("put", ...)`` multicast.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable
@@ -82,6 +83,18 @@ _COMPACT_EVERY = 4096
 #: type tags on top of the estimate.
 _MULTICAST_BYTES = 2 * 1024 * 1024
 
+#: Delivered messages whose put records :func:`put_records` keeps.  In
+#: the simulator every member applies a message within a few units of
+#: the first: an n=16 fault run shares as much at 64 as at 1024.  A
+#: message applied after its entry was evicted builds its records
+#: again.  Where nothing is shared (a realnet node decodes its own
+#: copy) the memo holds the last this-many ops and their records, about
+#: half a kilobyte per one-put message beyond what the chains hold.
+PUT_MEMO = 128
+
+#: msg_id -> (the op it was built from, its puts' records), oldest first.
+_put_memo: OrderedDict[MessageId, tuple[Any, tuple[tuple, ...]]] = OrderedDict()
+
 
 def prov_tuple(prov: Provenance) -> tuple[int, int, int, int]:
     """Client-wire flat form of a provenance coordinate (a trace export
@@ -92,6 +105,48 @@ def prov_tuple(prov: Provenance) -> tuple[int, int, int, int]:
 def prov_from_tuple(raw: tuple[int, int, int, int]) -> Provenance:
     epoch, site, incarnation, seq = raw
     return Provenance(int(epoch), ProcessId(int(site), int(incarnation)), int(seq))
+
+
+def put_records(op: tuple, msg_id: MessageId, audits: bool) -> tuple[tuple, ...]:
+    """The immutable records of the puts ``op`` carries, delivered as
+    ``msg_id``: per put, ``(key, entry, request, record, applied)`` —
+    its :class:`VersionEntry` (which holds its provenance), its
+    ``(client, client_seq)`` exactly-once index key (None without a
+    client), its ``(key, entry)`` op-log record and its ``store_apply``
+    audit record for an append (built only when ``audits``, else None).
+
+    They are a function of the message alone, and every member of the
+    view applies the same message, so one set serves every replica in
+    the process (DESIGN.md 4.9): a memo of :data:`PUT_MEMO` messages,
+    oldest evicted first.  It serves an entry only for the very op
+    object it was built from — the simulator hands one payload object to
+    every receiver, while an equal op of another cluster that reached the
+    same ``msg_id`` (``1 == True``) or a copy decoded off a socket builds
+    its own.
+    """
+    held = _put_memo.get(msg_id)
+    if held is not None and held[0] is op:
+        return held[1]
+    if op[0] == "put":
+        skew, puts = 0, (op[1:],)
+    else:
+        _kind, skew, puts = op
+    records = []
+    for offset, (key, value, client, client_seq) in enumerate(puts, skew):
+        prov = provenance_of(msg_id, offset)
+        entry = VersionEntry(value, prov, client, client_seq)
+        records.append((
+            key,
+            entry,
+            (client, client_seq) if client else None,
+            (key, entry),
+            StoreApplied(key, prov, client, client_seq) if audits else None,
+        ))
+    built = tuple(records)
+    if held is None and len(_put_memo) >= PUT_MEMO:
+        _put_memo.popitem(last=False)
+    _put_memo[msg_id] = (op, built)
+    return built
 
 
 @dataclass
@@ -339,24 +394,18 @@ class VersionedStore(GroupObject):
                 self._committed(committed)
 
     def apply_op(self, sender: ProcessId, op: Any, msg_id: MessageId) -> None:
-        kind = op[0]
-        if kind == "put":
-            skew, puts = 0, (op[1:],)
-        elif kind == "puts":
-            _kind, skew, puts = op
-        else:
+        if op[0] not in ("put", "puts"):
             return
         chains = self.chains
         index = self._client_index
         audits = self._audits()
-        for offset, (key, value, client, client_seq) in enumerate(puts, skew):
-            prov = provenance_of(msg_id, offset)
-            if client and (client, client_seq) in index:
+        for key, entry, request, record, applied in put_records(op, msg_id, audits):
+            if request is not None and request in index:
                 continue  # a retry of a write that already landed
-            entry = VersionEntry(value, prov, client, client_seq)
+            prov = entry.prov
             chain = chains.get(key, ())
+            at = None
             if not chain or chain[-1].prov < prov or _fuzz_bugs.active("append_order"):
-                at = len(chain)
                 chains[key] = chain + (entry,)
             else:
                 # Multicast is FIFO per sender only, so writes from
@@ -364,18 +413,19 @@ class VersionedStore(GroupObject):
                 # insert by provenance so every replica builds one chain.
                 at = bisect_right(chain, prov, key=attrgetter("prov"))
                 chains[key] = chain[:at] + (entry,) + chain[at:]
-            if client:
-                index[(client, client_seq)] = prov
-            self._persist_entry(key, entry)
+                if at == len(chain):
+                    at = None  # an append after all
+            if request is not None:
+                index[request] = prov
+            self._persist_entry(record)
             if audits:
-                # ``at`` only when not an append: where the version went.
-                self._record(
-                    "store_apply",
-                    StoreApplied(
-                        key, prov, client, client_seq,
-                        at if at < len(chain) else None,
-                    ),
-                )
+                if at is not None or applied is None:
+                    # An insert says where the version went; and the
+                    # message's first replica may have built no record.
+                    applied = StoreApplied(
+                        key, prov, entry.client, entry.client_seq, at
+                    )
+                self._record("store_apply", applied)
         # Acknowledge even duplicates: the writer's retry still needs
         # its quorum certificate.
         if sender == self.pid:
@@ -487,8 +537,8 @@ class VersionedStore(GroupObject):
             if self._log_len + len(added) >= _COMPACT_EVERY:
                 self._persist()
             else:
-                for key, entry in added:
-                    self._persist_entry(key, entry)
+                for record in added:
+                    self._persist_entry(record)
         if self._audits():
             self._record_state()
 
@@ -521,23 +571,25 @@ class VersionedStore(GroupObject):
             if e.client
         }
 
-    def _persist_entry(self, key: Any, entry: VersionEntry) -> None:
-        """O(1) durability for one applied or adopted write: append to
-        the op log.
+    def _persist_entry(self, record: tuple[Any, VersionEntry]) -> None:
+        """O(1) durability for one applied or adopted write: append its
+        ``(key, entry)`` record to the op log.
 
         Rewriting (and snapshotting) the whole chain set on every put is
         O(total state) work on the serving path; on realnet that stalls
         the shared event loop long enough to trip the failure detector
         under load.  Instead each apply, and each version an adoption
-        adds, appends ``(key, entry)`` — ``entry`` is a tuple, so stable
-        storage shares it without a copy unless its value is mutable —
-        and the base is rewritten only once the log holds
-        ``_COMPACT_EVERY`` records (an adoption that would take it there
-        rewrites the base instead of appending).
+        adds, appends its record — a tuple, so stable storage shares it
+        without a copy unless its value is mutable; an apply's record is
+        the one :func:`put_records` built for its message, the same
+        object at every replica of the process — and the base is
+        rewritten only once the log holds ``_COMPACT_EVERY`` records (an
+        adoption that would take it there rewrites the base instead of
+        appending).
         """
         if self.stack is None:
             return
-        self.stack.storage.append(_LOG_KEY, (key, entry))
+        self.stack.storage.append(_LOG_KEY, record)
         self._log_len += 1
         if self._log_len >= _COMPACT_EVERY:
             self._persist()

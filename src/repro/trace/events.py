@@ -9,10 +9,12 @@ Records are frozen and slotted: a checked fault run keeps tens of
 thousands of them until its checks end, and a slotted record carries
 no per-instance dict.  An :class:`AppEvent`'s ``data`` references what
 the application holds instead of copying it (the store's audit events
-list the store's own :class:`~repro.core.versioning.Provenance`
-objects); :mod:`repro.trace.export` writes those in their flat form.
-The store's most frequent audit event, ``store_apply``, carries a
-fixed-shape :class:`StoreApplied` rather than a dict.
+list the :class:`~repro.core.versioning.Provenance` objects its chain
+entries hold, one object per write however many replicas of the
+process applied it); :mod:`repro.trace.export` writes those in their
+flat form.  The store's most frequent audit event, ``store_apply``,
+carries a fixed-shape :class:`StoreApplied` rather than a dict, and
+every replica that appended the same write records the same one.
 """
 
 from __future__ import annotations
