@@ -19,13 +19,16 @@ living versioned data rather than static rows:
   replica whose chain does not yet contain the write;
 * **quorum acknowledgements**: a put is acknowledged only after a
   majority of the current view applied it
-  (:class:`~repro.core.versioning.QuorumTally`), so an acked write is
-  carried by at least one donor of every future merge and can never be
-  lost — the invariant the ``acked_write_loss`` fuzz checker enforces
-  on traces.  Only the writer's next ``k // 2`` members in ring order
-  (its ack successors) ack at once; the other replicas' acks wait for
-  their next beat tick (:meth:`~repro.core.group_object.GroupObject.
-  send_ack`).
+  (:class:`~repro.core.versioning.QuorumTally`), and a retry the
+  exactly-once index holds only once the view certifies the original
+  (:meth:`VersionedStore._certified`), so a majority of the answering
+  view holds every acked write.  Two trace checks hold the store to it:
+  ``CertifiedAck`` (a majority held it when it was acked) and
+  ``AckedWriteLoss`` (some live process still holds it at the end of
+  the run; see :mod:`repro.trace.checks`).  Only the writer's next ``k // 2``
+  members in ring order (its ack successors) ack at once; the other
+  replicas' acks wait for their next beat tick
+  (:meth:`~repro.core.group_object.GroupObject.send_ack`).
 
 Writes are allowed in every view (each partition keeps serving its
 clients; chains make the repair safe), which makes this the store-side
@@ -39,10 +42,11 @@ delivers that multicast whole or not at all to every survivor of the
 view, FIFO per sender, so the replicas apply the k puts together and in
 one order — the certificate k multicasts would give.  Provenance seqs
 stay unique per writer through a carried skew (see
-:class:`~repro.core.versioning.Provenance`); a multicast that carries
-or adds skew is never re-issued in a later view, its puts abort and the
-clients retry.  The simulator never opens a batch, so there every put
-is its own ``("put", ...)`` multicast.
+:class:`~repro.core.versioning.Provenance`).  No store multicast is
+re-issued in a later view, whose seqs a skewed one would collide with:
+a put a view change catches aborts, and its client retries.  The
+simulator never opens a batch, so there every put is its own
+``("put", ...)`` multicast.
 """
 
 from __future__ import annotations
@@ -260,28 +264,33 @@ class VersionedStore(GroupObject):
         """Append a new version of ``key``.
 
         Returns a handle that commits once a majority of the current
-        view applied the write; a view change aborts it and the client
-        retries with the same ``(client, client_seq)``, which the
-        exactly-once index collapses onto the original entry.  Inside an
-        input batch the put is multicast when the batch ends, with the
-        batch's other puts (group commit).  ``trace`` names the causal
-        parent of the replication multicast (the serving tier's request
-        span; tracing only).
+        view applied the write; outside NORMAL mode, or when a view
+        change catches its multicast, it aborts and the client retries
+        with the same ``(client, client_seq)``.  A retry the exactly-once
+        index already holds adds no entry: it commits with the original
+        provenance once this view certifies that write
+        (:meth:`_certified`), and aborts until then.  Either way the
+        answer "committed" comes from :meth:`_committed` alone.  Inside
+        an input batch the put is multicast when the batch ends, with
+        the batch's other puts (group commit).  ``trace`` names the
+        causal parent of the replication multicast (the serving tier's
+        request span; tracing only).
         """
         handle = PutHandle(key, value, client, client_seq, on_done=on_done)
-        if client:
-            done = self._client_index.get((client, client_seq))
-            if done is not None:
-                # A retry of a write that already landed: committed with
-                # its original provenance, no new chain entry.
-                handle.status = "committed"
-                handle.token = done
-                self.puts_committed += 1
-                self._finish(handle)
-                return handle
         if self.mode is not Mode.NORMAL:
             self._abort(handle)
             return handle
+        if client:
+            done = self._client_index.get((client, client_seq))
+            if done is not None:
+                # A retry of a write that already landed: no new chain
+                # entry, and "committed" only once this view certifies
+                # the original.
+                if self._certified(done):
+                    self._committed(handle)
+                else:
+                    self._abort(handle)
+                return handle
         stack = self.stack
         if stack.input_batch:
             queued = self._queued_puts
@@ -362,24 +371,23 @@ class VersionedStore(GroupObject):
         one's trace, and track each one's quorum.
 
         One put with no skew in this view is the plain ``("put", key,
-        value, client, client_seq)`` op, re-issued in the next view if a
-        view change is in progress.  Anything else is ``("puts", skew,
-        ((key, value, client, client_seq), ...))``: its puts take seqs
-        from the message seqno plus ``skew``, and it is never re-issued
-        in a later view, whose seqs it would collide with.
+        value, client, client_seq)`` op.  Anything else is ``("puts",
+        skew, ((key, value, client, client_seq), ...))``: its puts take
+        seqs from the message seqno plus ``skew``.  No store op is
+        re-issued in a later view: during a view change the puts abort
+        at once, and each client's retry is the only copy that lands.
         """
         skew = self._skew if self.stack.view.view_id == self._skew_view else 0
         if len(puts) == 1 and not skew:
-            handle, trace = puts[0]
+            handle = puts[0][0]
             op = ("put", handle.key, handle.value, handle.client, handle.client_seq)
-            msg_id = self.submit_op(op, trace)
         else:
             op = (
                 "puts",
                 skew,
                 tuple((h.key, h.value, h.client, h.client_seq) for h, _ in puts),
             )
-            msg_id = self.submit_op(op, puts[0][1], reissue=False)
+        msg_id = self.submit_op(op, puts[0][1], reissue=False)
         if msg_id is None:
             for handle, _trace in puts:
                 self._abort(handle)  # a view change is in progress
@@ -426,8 +434,8 @@ class VersionedStore(GroupObject):
                         key, prov, entry.client, entry.client_seq, at
                     )
                 self._record("store_apply", applied)
-        # Acknowledge even duplicates: the writer's retry still needs
-        # its quorum certificate.
+        # Acknowledge even duplicates: a retry multicast by a replica
+        # that lacked the original still needs its quorum certificate.
         if sender == self.pid:
             for committed in self._tally.ack(msg_id, sender):
                 self._committed(committed)
@@ -439,7 +447,30 @@ class VersionedStore(GroupObject):
             for committed in self._tally.ack(payload.msg_id, sender):
                 self._committed(committed)
 
+    def _certified(self, prov: Provenance) -> bool:
+        """Does a majority of this view hold the landed write ``prov``?
+
+        Yes if it was written in an earlier view: Agreement (2.1) gave
+        it to every survivor of that view, and settlement's union to
+        every member that joined since, so every NORMAL member holds it.
+        Yes if it lies within its writer's stable prefix of this view:
+        every member delivered it (``prov.seq`` is at least the message
+        seqno, so the test errs towards no).  Otherwise it may still be
+        in flight: a retry can overtake copies of its original, held so
+        far by its writer alone (DESIGN.md 4.8).
+        """
+        stack = self.stack
+        epoch = stack.view.view_id.epoch
+        return prov.view_epoch < epoch or (
+            prov.view_epoch == epoch and prov.seq <= stack.stable_prefix(prov.writer)
+        )
+
     def _committed(self, handle: PutHandle) -> None:
+        """The one place a put is answered "committed": by its quorum
+        certificate, or, for a retry the index holds, once
+        :meth:`_certified`.  The token is the index's provenance for the
+        request, and a ``store_ack`` audit event records the answer."""
+        handle.status = "committed"
         self.puts_committed += 1
         done = None
         if handle.client:

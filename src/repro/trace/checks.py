@@ -14,8 +14,8 @@ execution.  :data:`CHECKS` lists every check under its report name:
 * the sequence-pattern detectors (:data:`DETECTORS`), RESTler-style:
   each scans the trace for one bug pattern the properties do not state
   (a stale state transfer, a lost settlement, a torn subview merge, an
-  acked write lost, replicas in different orders, a zombie
-  incarnation), and is chosen by name.
+  acked write lost, an ack no majority of the view held, replicas in
+  different orders, a zombie incarnation), and is chosen by name.
 
 State is bounded by the views still open.  A view *closes* once every
 member of it (and every process that installed it) has installed a
@@ -1056,6 +1056,14 @@ class AckedWriteLoss(Monitor):
     acked write means a state decision discarded a version some client
     was promised.
 
+    That asks more than the store promises.  "Committed" means held by
+    a majority of the certifying view (:class:`CertifiedAck`), and under
+    the always-full mode function that view can be a minority
+    component whose members all crash for good; the write is then gone
+    with no fault in the store.  So this check is sound only under
+    schedules that recover every site, as the fuzzer's and the workload
+    generator's do (``tests/test_certified_ack.py`` pins the case).
+
     A provenance is the store's own
     :class:`~repro.core.versioning.Provenance` in a recorded trace and
     its flat ``(epoch, site, incarnation, seq)`` in an imported one, and
@@ -1119,41 +1127,27 @@ class AckedWriteLoss(Monitor):
         return report
 
 
-class ReplicaDivergence(Monitor):
-    """The live replicas of one component end with one store, in order.
+class StoreReplay:
+    """What each process's store holds, replayed from its audit events.
 
-    Replays each process's ``store_state`` (every chain, in order:
-    ``keys``, their chain ``lens`` and the ``provs`` in chain order) and
-    ``store_apply`` events (a version appended, or inserted at ``at``)
-    into the chains it holds at the end of the run, then groups the
-    live store replicas by the last view each installed.  Within a
-    group every key's versions must stand in one order, hence one head
-    for an any-replica ``get``.  Multicast is FIFO per sender only, so a
-    store whose result depended on the order in which different
-    writers' puts arrived would fail here.  A put still in flight when
-    the run ends is left out (only versions every replica of the group
-    holds are compared); whether a version survives at all is
-    :class:`AckedWriteLoss`'s business.  Records are read in either
-    form, as there; what it holds is a replica of each store.
+    ``store_state`` (every chain, in order: ``keys``, their chain
+    ``lens`` and the ``provs`` in chain order) replaces what a process
+    holds, and ``store_apply`` adds a version (appended, or inserted at
+    ``at``).  A trace is in time order (a recorder appends as time
+    passes and a merge sorts by time), so once an event is fed the
+    replay holds what each process held at that event's time.  Records
+    are read in either form, recorded or imported; what it holds is a
+    replica of each store's chains.  :class:`CertifiedAck` and
+    :class:`ReplicaDivergence` each keep one.
     """
 
-    name = "ReplicaDivergence"
-    feeds = (AppEvent, ViewInstallEvent, CrashEvent)
+    __slots__ = ("chains",)
 
-    def __init__(self, ctx: CheckContext = CONTEXT) -> None:
-        super().__init__(ctx)
-        self.chains: dict[ProcessId, dict] = {}  # pid -> key -> [prov, ...]
-        self.dead: set[ProcessId] = set()
-        self.last_view: dict[ProcessId, ViewId] = {}
+    def __init__(self) -> None:
+        #: pid -> key -> the provenances of its chain, in chain order.
+        self.chains: dict[ProcessId, dict[Any, list]] = {}
 
-    def feed(self, ev: TraceEvent) -> None:
-        kind = type(ev)
-        if kind is ViewInstallEvent:
-            self.last_view[ev.pid] = ev.view_id
-            return
-        if kind is CrashEvent:
-            self.dead.add(ev.pid)
-            return
+    def feed(self, ev: AppEvent) -> None:
         tag, data = ev.tag, ev.data
         if tag == "store_apply":
             applied = StoreApplied.read(data)
@@ -1175,9 +1169,99 @@ class ReplicaDivergence(Monitor):
                 chains[key] = list(provs[at : at + n])
                 at += n
 
+    def holds(self, pid: ProcessId, key: Any, prov: Any) -> bool:
+        """Does ``pid`` hold version ``prov`` of ``key`` now?"""
+        held = self.chains.get(pid)
+        return held is not None and prov in held.get(key, ())
+
+
+class CertifiedAck(Monitor):
+    """Every "committed" the store answers was certified when given.
+
+    A ``store_ack`` by process p at time t records that p answered a
+    put "committed" with the write ``prov``.  A strict majority of p's
+    view at t (the last view p installed) must then hold ``prov``, as
+    :class:`StoreReplay` replays the members' stores up to that event:
+    the retry contract's "applied and persisted by a majority of the
+    certifying view" (docs/api.md).  Unlike :class:`AckedWriteLoss` it
+    needs no write to be lost to fire, so it holds a run to the
+    contract under schedules that recover every site too.  It holds a
+    replica of each store and each process's last install.
+    """
+
+    name = "CertifiedAck"
+    feeds = (AppEvent, ViewInstallEvent)
+
+    def __init__(self, ctx: CheckContext = CONTEXT) -> None:
+        super().__init__(ctx)
+        self.stores = StoreReplay()
+        self.installed: dict[ProcessId, ViewInstallEvent] = {}
+
+    def feed(self, ev: TraceEvent) -> None:
+        if type(ev) is ViewInstallEvent:
+            self.installed[ev.pid] = ev
+            return
+        if ev.tag != "store_ack":
+            self.stores.feed(ev)
+            return
+        data = ev.data
+        if not isinstance(data, dict) or not data.get("prov"):
+            return
+        self.checked += 1
+        prov, key = data["prov"], data.get("key")
+        view = self.installed.get(ev.pid)
+        members = view.members if view is not None else frozenset()
+        holders = sum(1 for m in members if self.stores.holds(m, key, prov))
+        if 2 * holders <= len(members):
+            self.found.append((
+                self.checked,
+                f"write {_provenance_text(prov)} on key {key!r} was acked "
+                f"to its client by {ev.pid} at t={ev.time:g} while "
+                f"{holders} of the {len(members)} members of its view "
+                f"{view.view_id if view is not None else None} held it",
+            ))
+
+
+class ReplicaDivergence(Monitor):
+    """The live replicas of one component end with one store, in order.
+
+    Replays each process's ``store_state`` (every chain, in order:
+    ``keys``, their chain ``lens`` and the ``provs`` in chain order) and
+    ``store_apply`` events (a version appended, or inserted at ``at``)
+    into the chains it holds at the end of the run, then groups the
+    live store replicas by the last view each installed.  Within a
+    group every key's versions must stand in one order, hence one head
+    for an any-replica ``get``.  Multicast is FIFO per sender only, so a
+    store whose result depended on the order in which different
+    writers' puts arrived would fail here.  A put still in flight when
+    the run ends is left out (only versions every replica of the group
+    holds are compared); whether a version survives at all is
+    :class:`AckedWriteLoss`'s business.  The replay is
+    :class:`StoreReplay`.
+    """
+
+    name = "ReplicaDivergence"
+    feeds = (AppEvent, ViewInstallEvent, CrashEvent)
+
+    def __init__(self, ctx: CheckContext = CONTEXT) -> None:
+        super().__init__(ctx)
+        self.stores = StoreReplay()
+        self.dead: set[ProcessId] = set()
+        self.last_view: dict[ProcessId, ViewId] = {}
+
+    def feed(self, ev: TraceEvent) -> None:
+        kind = type(ev)
+        if kind is ViewInstallEvent:
+            self.last_view[ev.pid] = ev.view_id
+            return
+        if kind is CrashEvent:
+            self.dead.add(ev.pid)
+            return
+        self.stores.feed(ev)
+
     def report(self) -> CheckReport:
         report = CheckReport(self.name)
-        held = self.chains
+        held = self.stores.chains
         if not held:
             return report
         components: dict[ViewId, list[ProcessId]] = {}
@@ -1282,6 +1366,7 @@ CHECKS: dict[str, Check] = {
         CutConsistency,
         Structure,
         AckedWriteLoss,
+        CertifiedAck,
         LostSettlement,
         ReplicaDivergence,
         StaleStateTransfer,
@@ -1299,7 +1384,7 @@ PROPERTIES = VIEW_SYNCHRONY + ENRICHED_VIEWS
 #: The sequence-pattern detectors, which a run names to be checked by.
 DETECTORS = tuple(list(CHECKS)[8:])
 #: The store's guarantees, checked on every run that serves the store.
-STORE_CHECKS = ("AckedWriteLoss", "ReplicaDivergence")
+STORE_CHECKS = ("AckedWriteLoss", "CertifiedAck", "ReplicaDivergence")
 
 
 def make_checkers(names: Iterable[str] | None = None) -> list[tuple[str, Check]]:

@@ -303,6 +303,13 @@ class GroupStack(Process):
     def is_flushing(self) -> bool:
         return self.membership.flushing
 
+    def stable_prefix(self, sender: ProcessId) -> int:
+        """The highest seqno of ``sender``'s multicasts in the current
+        view that every member has delivered, as the last
+        :class:`~repro.vsync.stability.StabilityNotice` said (0 before
+        the view's first notice)."""
+        return self.channels._stable.get(sender, 0)
+
     def current_view_id(self) -> ViewId | None:
         return self.membership.current_view_id()
 

@@ -264,11 +264,11 @@ def test_zombie_passes_events_before_crash_and_fresh_incarnations():
 # -- the table ---------------------------------------------------------------
 
 
-def test_the_table_holds_the_eight_properties_then_the_six_detectors():
+def test_the_table_holds_the_eight_properties_then_the_detectors():
     assert list(CHECKS) == [*PROPERTIES, *DETECTORS]
     assert len(PROPERTIES) == 8
     assert DETECTORS == (
-        "AckedWriteLoss", "LostSettlement", "ReplicaDivergence",
+        "AckedWriteLoss", "CertifiedAck", "LostSettlement", "ReplicaDivergence",
         "StaleStateTransfer", "SubviewMergeAtomicity", "ZombieIncarnation",
     )
     assert [name for name, _check in make_checkers()] == list(DETECTORS)

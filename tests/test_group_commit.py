@@ -245,21 +245,21 @@ def test_a_skewed_put_during_a_view_change_aborts_and_its_retry_lands_once():
     late = skewed.put("k", "late", client="c", client_seq=3)
     assert late.status == "aborted"
     assert skewed.stack.channels.pending_sends == []
-    # A put with no skew keeps the old rule: buffered for the next view.
-    buffered = plain.put("p", "plain", client="q", client_seq=1)
-    assert buffered.status == "aborted"
-    assert len(plain.stack.channels.pending_sends) == 1
+    # A put with no skew follows the same rule: nothing is buffered.
+    dropped = plain.put("p", "plain", client="q", client_seq=1)
+    assert dropped.status == "aborted"
+    assert plain.stack.channels.pending_sends == []
     cluster.crash(4)
     assert cluster.settle(timeout=500)
     cluster.run_for(50)
     assert skewed.put_multicasts == 1
-    # The retries in the next view: the skewed put lands once, fresh;
-    # the buffered one was re-issued and its retry collapses onto it.
+    assert all("p" not in cluster.app_at(site).chains for site in range(4))
+    # The retries in the next view each land once, fresh.
     (retry,) = in_one_batch(skewed, ("k", "late", "c", 3))
     again = plain.put("p", "plain", client="q", client_seq=1)
     cluster.run_for(50)
     assert retry.status == "committed" and again.status == "committed"
-    assert again.msg_id is None  # answered from the exactly-once index
+    assert again.msg_id is not None
     for site in range(4):
         chains = cluster.app_at(site).chains
         assert [e.prov for e in chains["k"]] == [retry.token]

@@ -88,8 +88,13 @@ MONITORS_ALLOWED = {
         "tuple) and what it applied since; bounded with the store's chains "
         "(ROADMAP 10)"
     ),
-    "ReplicaDivergence.chains": (
-        "a replica of each store's chains; bounded with them (ROADMAP 10)"
+    "CertifiedAck/StoreReplay.chains": (
+        "a replica of each store's chains, the one replay the store checks "
+        "share; bounded with them (ROADMAP 10)"
+    ),
+    "ReplicaDivergence/StoreReplay.chains": (
+        "a replica of each store's chains, the one replay the store checks "
+        "share; bounded with them (ROADMAP 10)"
     ),
 }
 

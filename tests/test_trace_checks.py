@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.versioning import Provenance
 from repro.fuzz import bugs
 from repro.fuzz.bugs import KNOWN_BUGS
 from repro.fuzz.corpus import WorkloadSpec
@@ -1057,6 +1058,47 @@ def check_acked_write_loss(rec, ctx=CheckContext()) -> CheckReport:
     return report
 
 
+def check_certified_ack(rec, ctx=CheckContext()) -> CheckReport:
+    """Every "committed" the store answers was certified when given.
+
+    A ``store_ack`` by process p must be backed by a strict majority of
+    p's view at that point of the trace (the last view p installed)
+    holding the acked provenance.  What a process holds is replayed
+    from the trace's start, as for :func:`check_acked_write_loss`:
+    ``store_state`` replaces its holdings, ``store_apply`` adds to them.
+    """
+    report = CheckReport("CertifiedAck")
+    views: dict = {}  # pid -> the last ViewInstallEvent
+    holdings: dict = {}  # pid -> set of provs
+    for ev in rec.events:
+        if type(ev) is ViewInstallEvent:
+            views[ev.pid] = ev
+            continue
+        if type(ev) is not AppEvent:
+            continue
+        data = _dict_of(ev.data)
+        if not isinstance(data, dict):
+            continue
+        if ev.tag == "store_apply":
+            holdings.setdefault(ev.pid, set()).add(data.get("prov"))
+        elif ev.tag == "store_state":
+            holdings[ev.pid] = set(data.get("provs", ()))
+        elif ev.tag == "store_ack" and data.get("prov"):
+            report.checked += 1
+            prov = data["prov"]
+            view = views.get(ev.pid)
+            members = view.members if view is not None else frozenset()
+            holders = len([m for m in members if prov in holdings.get(m, ())])
+            if 2 * holders <= len(members):
+                report.violation(
+                    f"write {flat_provenance(prov)} on key {data.get('key')!r} "
+                    f"was acked to its client by {ev.pid} at t={ev.time:g} "
+                    f"while {holders} of the {len(members)} members of its "
+                    f"view {view.view_id if view is not None else None} held it"
+                )
+    return report
+
+
 def check_replica_divergence(rec, ctx=CheckContext()) -> CheckReport:
     """The live replicas of one component end with one store, in order.
 
@@ -1177,6 +1219,7 @@ ORACLE = {
     "CutConsistency(6.2)": check_cut_consistency,
     "Structure(6.3)": check_structure,
     "AckedWriteLoss": check_acked_write_loss,
+    "CertifiedAck": check_certified_ack,
     "LostSettlement": check_lost_settlement,
     "ReplicaDivergence": check_replica_divergence,
     "StaleStateTransfer": check_stale_state_transfer,
@@ -1270,8 +1313,33 @@ def _delivered_twice_and_elsewhere(late: bool = False):
     return rec
 
 
+def _acked_at_one_holder():
+    """P0 acks a write only it holds in the three-member V1, then one
+    that P1 holds too: the first ack was not certified."""
+    rec = TraceRecorder()
+    for pid in (P0, P1, P2):
+        _install(rec, 0, pid, V1, {P0, P1, P2}, None)
+    first, second = Provenance(1, P0, 1), Provenance(1, P0, 2)
+    ack = {"key": "k", "client": "c", "client_seq": 1}
+    rec.record(AppEvent(time=1, pid=P0, tag="store_apply",
+                        data=StoreApplied("k", first, "c", 1)))
+    rec.record(AppEvent(time=1, pid=P0, tag="store_ack", data={**ack, "prov": first}))
+    for pid in (P0, P1):
+        rec.record(AppEvent(time=2, pid=pid, tag="store_apply",
+                            data=StoreApplied("k", second, "c", 2)))
+    rec.record(AppEvent(time=3, pid=P0, tag="store_ack",
+                        data={**ack, "client_seq": 2, "prov": second}))
+    return rec
+
+
 @pytest.mark.parametrize(
-    "trace", [_late_installer, _cut_applied_twice, _delivered_twice_and_elsewhere]
+    "trace",
+    [
+        _late_installer,
+        _cut_applied_twice,
+        _delivered_twice_and_elsewhere,
+        _acked_at_one_holder,
+    ],
 )
 def test_monitors_match_the_oracle_on_synthetic_traces(trace):
     reports = _assert_monitors_match_oracle(trace())

@@ -159,7 +159,8 @@ def test_run_client_load_reports_through_the_shared_tail():
     assert report.schedule_actions == len(schedule.actions)
     expected = [(r.name, r.checked) for r in check_cluster(cluster)]
     assert [(r.name, r.checked) for r in report.reports] == expected + [
-        ("AckedWriteLoss", report.reports[-2].checked),
+        ("AckedWriteLoss", report.reports[-3].checked),
+        ("CertifiedAck", report.reports[-2].checked),
         ("ReplicaDivergence", report.reports[-1].checked),
     ]
     assert report.reports[-1].checked > 0
