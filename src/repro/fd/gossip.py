@@ -56,6 +56,10 @@ from repro.types import ProcessId, SiteId, ViewId
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vsync.stack import GroupStack
 
+#: The table's row for a site it has never held: its ``(incarnation,
+#: counter)`` is below every real one.
+_UNSEEN = (None, (-1, -1))
+
 
 @dataclass(frozen=True)
 class GossipDigest:
@@ -92,10 +96,12 @@ class GossipDetector(DetectorBase):
         if fanout < 1:
             raise ValueError(f"gossip fanout must be >= 1, got {fanout}")
         self.fanout = fanout
-        # Liveness table: site -> (incarnation, counter).  Own counter
-        # advances once per beat; peers' rows advance as digests arrive.
-        # Our own site never enters it.
-        self._counters: dict[SiteId, tuple[int, int]] = {}
+        # Liveness table: site -> its row, ``(site, (incarnation,
+        # counter))``.  Own counter advances once per beat; peers' rows
+        # advance as digests arrive, and the table keeps the very row
+        # object a digest carried, so a push sends the table's values
+        # as they are.  Our own site never enters it.
+        self._rows: dict[SiteId, tuple[SiteId, tuple[int, int]]] = {}
         self._counter = 0
         self._last_refute = -1e18
         # Peer sampling is detector-local and seeded from the process
@@ -105,6 +111,10 @@ class GossipDetector(DetectorBase):
             (stack.pid.site << 20) ^ (stack.pid.incarnation << 4) ^ 0x9E3779B9
         )
         self.digests_sent = 0
+        # Rows taken as indirect evidence (newer than the table, naming a
+        # third party the sender does not suspect), cumulative, stale
+        # incarnations included: the perf regression tests read it.
+        self.indirect_rows = 0
 
     @property
     def settle_hold(self) -> float:  # type: ignore[override]
@@ -140,11 +150,11 @@ class GossipDetector(DetectorBase):
             # fresh, and a site outside the set was never heard or has
             # not been heard since it expired: the suspects are exactly
             # the table's sites the set lacks.
-            suspects = frozenset(self._counters.keys() - self._reachable_incs.keys())
+            suspects = frozenset(self._rows.keys() - self._reachable_incs.keys())
         else:
             last_heard = self._last_heard.get
             suspects = frozenset([
-                site for site in self._counters
+                site for site in self._rows
                 if (seen := last_heard(site)) is None or now - seen[0] > self.timeout
             ])
         digest = GossipDigest(
@@ -152,7 +162,7 @@ class GossipDetector(DetectorBase):
             self.stack.current_view_id(),
             last_seqno=self.stack.channels.own_seqno(),
             eview_seq=self.stack.evs.applied_seq,
-            rows=((own.site, (own.incarnation, self._counter)), *self._counters.items()),
+            rows=((own.site, (own.incarnation, self._counter)), *self._rows.values()),
             suspects=suspects,
         )
         self.stack.send_sites(targets, digest)
@@ -164,6 +174,24 @@ class GossipDetector(DetectorBase):
     # -- receiving --------------------------------------------------------
 
     def on_digest(self, src: ProcessId, digest: GossipDigest) -> None:
+        """Merge a digest from ``src``, which the stack has already
+        :meth:`~DetectorBase.heard`, in one pass over its rows.
+
+        A row strictly newer than the table (against a ``(-1, -1)``
+        sentinel) replaces the table's row.  If it names a third party
+        the sender does not suspect, it is also indirect evidence: a
+        strictly fresher counter proves the named site beat recently
+        enough for the update to gossip here, so the site is stamped and,
+        if not reachable under that incarnation yet, admitted.  A row
+        from an incarnation older than the one last heard moves the
+        table but not the stamp.  Our own site never enters the table,
+        so a row naming it always passes, and refutation is decided
+        there.
+
+        Every stamp a digest gives is one ``now``, read once per digest:
+        in the simulator the clock does not move inside a handler, and
+        on the wall clock it is the time the digest was handled.
+        """
         super().on_digest(src, digest)
         if self.fanout >= self.stack.universe_size() - 1:
             # Degenerate all-to-all regime: every site hears every other
@@ -173,40 +201,48 @@ class GossipDetector(DetectorBase):
             # breaking bit-for-bit equivalence with the heartbeat plane.
             # Direct evidence only, exactly like a heartbeat.
             return
-        # Only rows strictly newer than the table (against a (-1, -1)
-        # sentinel) reach the loop.  Our own site never enters the table,
-        # so a row naming it always passes: refutation is decided here.
-        known = self._counters.get
-        fresh = [row for row in digest.rows if row[1] > known(row[0], (-1, -1))]
+        table = self._rows
+        known = table.get
+        unseen = _UNSEEN
+        last_heard = self._last_heard
+        heard = last_heard.get
+        reachable = self._reachable_incs.get
         own = self.stack.pid
+        own_site = own.site
+        src_site = src.site
         suspects = digest.suspects
+        now = self.stack.scheduler.now
+        noted = 0
         refute = False
-        for site, key in fresh:
-            if site == own.site:
+        for row in digest.rows:
+            site, key = row
+            if key <= known(site, unseen)[1]:
+                continue
+            if site == own_site:
                 if key[0] == own.incarnation and site in suspects:
                     refute = True
                 continue
-            self._counters[site] = key
-            if site != src.site and site not in suspects:
-                # Indirect evidence: a strictly fresher counter proves
-                # the named site beat recently enough for the update to
-                # gossip here.  Never fires in the degenerate full-fanout
-                # regime — the origin's own digest always lands first.
-                self._note_indirect(site, key[0])
+            table[site] = row
+            if site == src_site or site in suspects:
+                continue
+            noted += 1
+            incarnation = key[0]
+            prev = heard(site)
+            if prev is None:
+                pid = ProcessId(site, incarnation)
+            else:
+                pid = prev[1]  # reuse: keeps identity-based fast paths hot
+                if pid[1] != incarnation:  # pid.incarnation, without the descriptor
+                    if pid[1] > incarnation:
+                        continue  # stale incarnation; ignore
+                    pid = ProcessId(site, incarnation)
+            last_heard[site] = (now, pid)
+            if reachable(site) != incarnation:
+                self._admit(pid)
+                reachable = self._reachable_incs.get  # a rebuild replaces it
+        self.indirect_rows += noted
         if refute:
             self._refute()
-
-    def _note_indirect(self, site: SiteId, incarnation: int) -> None:
-        prev = self._last_heard.get(site)
-        if prev is not None and prev[1].incarnation > incarnation:
-            return  # stale incarnation; ignore
-        if prev is not None and prev[1].incarnation == incarnation:
-            pid = prev[1]  # reuse: keeps identity-based fast paths hot
-        else:
-            pid = ProcessId(site, incarnation)
-        self._last_heard[site] = (self.stack.scheduler.now, pid)
-        if self._reachable_incs.get(site) != incarnation:
-            self._admit(pid)
 
     def _refute(self) -> None:
         """SWIM refutation: we are being suspected under our live

@@ -213,8 +213,7 @@ class DetectorBase:
         oldest = _NEVER
         expired = False
         examined = 0
-        for pid in self._reachable_cache:
-            site = pid.site
+        for site in self._reachable_incs:
             if site == own_site:
                 continue
             examined += 1
@@ -276,7 +275,7 @@ class DetectorBase:
         new_cache = frozenset(alive)
         if new_cache != self._reachable_cache:
             self._reachable_cache = new_cache
-            self._reachable_incs = {p.site: p.incarnation for p in new_cache}
+            self._reachable_incs = dict(new_cache)  # pids are (site, incarnation)
             if self.on_change is not None:
                 self.on_change()
 
@@ -329,18 +328,12 @@ class DetectorBase:
         if mine is None:
             return False
         own_site = self.stack.pid.site
-        heard_views = self._heard_views
-        for pid in self._reachable_cache:
-            site = pid.site
-            if site == own_site:
+        reachable = self._reachable_incs.get
+        # A peer's entry counts only under the incarnation the set holds.
+        for site, (when, who, theirs) in self._heard_views.items():
+            if theirs is mine or theirs is None or when < since or site == own_site:
                 continue
-            entry = heard_views.get(site)
-            if entry is None:
-                continue
-            when, who, theirs = entry
-            if when < since or theirs is None:
-                continue
-            if who.incarnation != pid.incarnation:
+            if who.incarnation != reachable(site):
                 continue
             if theirs != mine and theirs > mine:
                 return True

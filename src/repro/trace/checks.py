@@ -294,6 +294,10 @@ class Monitor:
     name: ClassVar[str] = ""
     #: The event types ``feed`` subscribes to; None for all.
     feeds: ClassVar[tuple[type[TraceEvent], ...] | None] = ()
+    #: Whether the monitor reads the pass's one :class:`StoreReplay`,
+    #: which :class:`CheckPass` hands it as ``stores`` and feeds every
+    #: :class:`AppEvent` before any monitor sees it.
+    reads_stores: ClassVar[bool] = False
 
     def __init__(self, ctx: CheckContext = CONTEXT) -> None:
         self.ctx = ctx
@@ -1137,8 +1141,9 @@ class StoreReplay:
     passes and a merge sorts by time), so once an event is fed the
     replay holds what each process held at that event's time.  Records
     are read in either form, recorded or imported; what it holds is a
-    replica of each store's chains.  :class:`CertifiedAck` and
-    :class:`ReplicaDivergence` each keep one.
+    replica of each store's chains.  A :class:`CheckPass` keeps one for
+    the monitors that read it (:attr:`Monitor.reads_stores`:
+    :class:`CertifiedAck` and :class:`ReplicaDivergence`).
     """
 
     __slots__ = ("chains",)
@@ -1185,12 +1190,13 @@ class CertifiedAck(Monitor):
     the retry contract's "applied and persisted by a majority of the
     certifying view" (docs/api.md).  Unlike :class:`AckedWriteLoss` it
     needs no write to be lost to fire, so it holds a run to the
-    contract under schedules that recover every site too.  It holds a
-    replica of each store and each process's last install.
+    contract under schedules that recover every site too.  It reads the
+    pass's store replay and holds each process's last install.
     """
 
     name = "CertifiedAck"
     feeds = (AppEvent, ViewInstallEvent)
+    reads_stores = True
 
     def __init__(self, ctx: CheckContext = CONTEXT) -> None:
         super().__init__(ctx)
@@ -1202,7 +1208,6 @@ class CertifiedAck(Monitor):
             self.installed[ev.pid] = ev
             return
         if ev.tag != "store_ack":
-            self.stores.feed(ev)
             return
         data = ev.data
         if not isinstance(data, dict) or not data.get("prov"):
@@ -1236,12 +1241,13 @@ class ReplicaDivergence(Monitor):
     writers' puts arrived would fail here.  A put still in flight when
     the run ends is left out (only versions every replica of the group
     holds are compared); whether a version survives at all is
-    :class:`AckedWriteLoss`'s business.  The replay is
+    :class:`AckedWriteLoss`'s business.  The replay is the pass's
     :class:`StoreReplay`.
     """
 
     name = "ReplicaDivergence"
-    feeds = (AppEvent, ViewInstallEvent, CrashEvent)
+    feeds = (ViewInstallEvent, CrashEvent)
+    reads_stores = True
 
     def __init__(self, ctx: CheckContext = CONTEXT) -> None:
         super().__init__(ctx)
@@ -1250,14 +1256,10 @@ class ReplicaDivergence(Monitor):
         self.last_view: dict[ProcessId, ViewId] = {}
 
     def feed(self, ev: TraceEvent) -> None:
-        kind = type(ev)
-        if kind is ViewInstallEvent:
+        if type(ev) is ViewInstallEvent:
             self.last_view[ev.pid] = ev.view_id
-            return
-        if kind is CrashEvent:
+        else:
             self.dead.add(ev.pid)
-            return
-        self.stores.feed(ev)
 
     def report(self) -> CheckReport:
         report = CheckReport(self.name)
@@ -1399,8 +1401,12 @@ def make_checkers(names: Iterable[str] | None = None) -> list[tuple[str, Check]]
 class CheckPass:
     """Monitors fed one trace in one pass.
 
-    One monitor crashing (in its constructor, ``feed``, ``close`` or
-    ``report``) becomes a violation of its own report; the others run
+    What several monitors derive is derived here once: the view
+    lifetimes every monitor is closed by, and the one store replay the
+    monitors that read it share, fed each event before they are.  One
+    monitor crashing (in its constructor, ``feed``, ``close`` or
+    ``report``) becomes a violation of its own report, and the replay
+    crashing becomes one of each monitor that reads it; the others run
     on.
     """
 
@@ -1417,19 +1423,35 @@ class CheckPass:
             except Exception as exc:  # checker bugs must surface, not abort
                 self.monitors.append(None)
                 self.crashes[index] = exc
-        #: Event type -> the bound ``feed`` of each monitor subscribed to it.
+        readers = [m for m in self.monitors if m is not None and m.reads_stores]
+        self.stores = StoreReplay() if readers else None
+        for monitor in readers:
+            monitor.stores = self.stores
+        #: Event type -> the bound ``feed`` of the store replay (for an
+        #: :class:`AppEvent`) and of each monitor subscribed to it.
         self._routes: dict[type, list] = {}
 
     def _route(self, kind: type) -> list:
-        return [
+        feeds = [
             monitor.feed
             for monitor in self.monitors
             if monitor is not None
             and (monitor.feeds is None or kind in monitor.feeds)
         ]
+        if kind is AppEvent and self.stores is not None:
+            feeds.insert(0, self.stores.feed)
+        return feeds
 
-    def _crashed(self, monitor: Monitor, exc: Exception) -> None:
-        index = next(i for i, m in enumerate(self.monitors) if m is monitor)
+    def _crashed(self, owner: Monitor | StoreReplay, exc: Exception) -> None:
+        if owner is self.stores:
+            self.stores = None
+            for monitor in self.monitors:
+                if monitor is not None and monitor.reads_stores:
+                    self._crashed(monitor, exc)
+            return
+        index = next((i for i, m in enumerate(self.monitors) if m is owner), None)
+        if index is None:
+            return  # already crashed earlier in this event's feeds
         self.monitors[index] = None
         self.crashes[index] = exc
         self._routes.clear()

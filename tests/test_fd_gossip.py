@@ -182,8 +182,9 @@ class _Recorded(GossipDetector):
 
 
 class _PerRowOracle(_Recorded):
-    """The receive rule before rows were filtered in bulk: one row at a
-    time, each against the table as the loop has left it."""
+    """The receive rule as a spec: one row at a time, each against the
+    table as the loop has left it, and each piece of indirect evidence
+    through its own step, reading the clock as it goes."""
 
     def on_digest(self, src: ProcessId, digest: GossipDigest) -> None:
         DetectorBase.on_digest(self, src, digest)
@@ -191,21 +192,34 @@ class _PerRowOracle(_Recorded):
             return
         own = self.stack.pid
         refute = False
-        for site, (incarnation, counter) in digest.rows:
+        for row in digest.rows:
+            site, (incarnation, counter) = row
             suspect = site in digest.suspects
             if site == own.site:
                 if suspect and incarnation == own.incarnation:
                     refute = True
                 continue
-            key = (incarnation, counter)
-            cur = self._counters.get(site)
-            if cur is not None and key <= cur:
+            cur = self._rows.get(site)
+            if cur is not None and (incarnation, counter) <= cur[1]:
                 continue
-            self._counters[site] = key
+            self._rows[site] = row
             if site != src.site and not suspect:
+                self.indirect_rows += 1
                 self._note_indirect(site, incarnation)
         if refute:
             self._refute()
+
+    def _note_indirect(self, site: int, incarnation: int) -> None:
+        prev = self._last_heard.get(site)
+        if prev is not None and prev[1].incarnation > incarnation:
+            return  # stale incarnation; ignore
+        if prev is not None and prev[1].incarnation == incarnation:
+            pid = prev[1]  # reuse
+        else:
+            pid = ProcessId(site, incarnation)
+        self._last_heard[site] = (self.stack.scheduler.now, pid)
+        if self._reachable_incs.get(site) != incarnation:
+            self._admit(pid)
 
 
 def _row_key(rng: random.Random, cur, incarnation: int) -> tuple[int, int]:
@@ -261,7 +275,8 @@ def test_gossip_merge_matches_per_row_rule(seed: int) -> None:
     for _ in range(400):
         roll = rng.random()
         if roll < 0.65:
-            src, digest = _random_digest(rng, det._counters, incarnation)
+            table = {site: row[1] for site, row in det._rows.items()}
+            src, digest = _random_digest(rng, table, incarnation)
             for side in (det, oracle):  # as GroupStack.on_network does
                 side.heard(src)
                 side.on_digest(src, digest)
@@ -280,14 +295,86 @@ def test_gossip_merge_matches_per_row_rule(seed: int) -> None:
         else:  # a peer recovered under a fresh identifier
             site = rng.choice([s for s in range(SITES) if s != OWN.site])
             incarnation[site] += 1
-        assert list(det._counters.items()) == list(oracle._counters.items())
+        assert list(det._rows.items()) == list(oracle._rows.items())
+        assert all(row is oracle._rows[site] for site, row in det._rows.items())
         assert det._last_heard == oracle._last_heard
         assert det.reachable() == oracle.reachable()
         assert det.admitted == oracle.admitted
         assert det.refutations == oracle.refutations
         assert det._counter == oracle._counter
+        assert det.indirect_rows == oracle.indirect_rows
     assert det.refutations > 0 and det.admitted
     assert det.stack.pushes == oracle.stack.pushes > 0
+
+
+def _relayed(det: GossipDetector, *rows, suspects=()) -> GossipDigest:
+    """A digest from site 0 carrying ``rows``, heard first as the stack
+    would."""
+    src = ProcessId(0, 0)
+    digest = GossipDigest(src, None, rows=rows, suspects=frozenset(suspects))
+    det.heard(src)
+    det.on_digest(src, digest)
+    return digest
+
+
+def test_a_stale_incarnation_row_moves_the_table_but_not_the_stamp():
+    det = _Recorded()
+    det.heard(ProcessId(5, 2))
+    stamp = det._last_heard[5]
+    det.stack.scheduler.now = 4.0
+    digest = _relayed(det, (5, (1, 9)))
+    assert det._rows[5] is digest.rows[0]
+    assert det._last_heard[5] is stamp
+    assert det.reachable() == {OWN, ProcessId(0, 0), ProcessId(5, 2)}
+    assert det.indirect_rows == 1
+
+
+def test_a_same_incarnation_row_restamps_the_pid_already_held():
+    det = _Recorded()
+    held = ProcessId(5, 1)
+    det.heard(held)
+    det.stack.scheduler.now = 3.0
+    _relayed(det, (5, (1, 4)))
+    assert det._last_heard[5] == (3.0, held)
+    assert det._last_heard[5][1] is held
+    assert det.admitted == [held, ProcessId(0, 0)]
+
+
+def test_a_newer_incarnation_row_displaces_the_older_one():
+    det = _Recorded()
+    det.heard(ProcessId(5, 1))
+    det.stack.scheduler.now = 2.0
+    _relayed(det, (5, (2, 0)))
+    assert det._last_heard[5] == (2.0, ProcessId(5, 2))
+    assert ProcessId(5, 2) in det.reachable()
+    assert ProcessId(5, 1) not in det.reachable()
+    assert det._reachable_incs[5] == 2
+    assert det.admitted[-1] == ProcessId(5, 2)
+
+
+def test_one_digest_admits_several_peers_in_row_order():
+    """Each admission fires ``on_change`` once, with the set grown by
+    exactly that peer, in the order of the digest's rows; a row naming
+    the sender or a suspected site moves the table and admits nobody,
+    and every stamp the digest gives is the time it was handled."""
+    det = _Recorded()
+    src = ProcessId(0, 0)
+    det.heard(src)
+    seen = []
+    det.on_change = lambda: seen.append(det.reachable())
+    det.stack.scheduler.now = 1.5
+    rows = ((8, (0, 3)), (0, (0, 7)), (4, (1, 1)), (9, (0, 2)), (6, (0, 5)))
+    _relayed(det, *rows, suspects={9})
+    assert [site for site, _ in det._rows.items()] == [8, 0, 4, 9, 6]
+    base = {OWN, src}
+    assert seen == [
+        base | {ProcessId(8, 0)},
+        base | {ProcessId(8, 0), ProcessId(4, 1)},
+        base | {ProcessId(8, 0), ProcessId(4, 1), ProcessId(6, 0)},
+    ]
+    assert {det._last_heard[site][0] for site in (8, 4, 6)} == {1.5}
+    assert 9 not in det._last_heard
+    assert det.indirect_rows == 3
 
 
 def test_scale_profile_partition_heal_preserves_properties():

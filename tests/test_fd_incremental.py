@@ -1,13 +1,14 @@
 """Differential test of the incrementally kept reachable set.
 
 One detector on a fake stack is driven through seeded random sequences
-of everything that touches the set — direct and indirect evidence, new
-and stale incarnations, clock advances short of and past the timeout,
-sweeps, forced expiries — and after every step compared with an oracle
-that lives here, not in ``src/``: the rebuild-from-scratch rule the
-detector used before it learned to change one element at a time.  A
-gossip detector also pushes a digest after every step, and each one is
-checked against the table it was cut from.
+of everything that touches the set — direct evidence, indirect evidence
+(a one-row digest relayed by a third site), new and stale incarnations,
+clock advances short of and past the timeout, sweeps, forced expiries —
+and after every step compared with an oracle that lives here, not in
+``src/``: the rebuild-from-scratch rule the detector used before it
+learned to change one element at a time.  A gossip detector also pushes
+a digest after every step, and each one is checked against the table it
+was cut from.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.fd.gossip import GossipDetector
+from repro.fd.gossip import GossipDetector, GossipDigest
 from repro.fd.heartbeat import DetectorBase
 from repro.types import ProcessId
 
@@ -60,18 +61,18 @@ class FakeStack:
 
 def assert_digest_is_table(det: GossipDetector, digest) -> None:
     """A digest is the sender's table at the instant of the push: its own
-    row, then ``_counters`` in insertion order with the very key objects
-    stored there, and as suspects exactly the sites of that table not
-    heard within the timeout (or never heard)."""
+    row, then ``_rows`` in insertion order as the very row objects stored
+    there, and as suspects exactly the sites of that table not heard
+    within the timeout (or never heard)."""
     own = det.stack.pid
     assert digest.rows[0] == (own.site, (own.incarnation, det._counter))
     rest = digest.rows[1:]
-    assert [site for site, _ in rest] == list(det._counters)
-    assert all(key is det._counters[site] for site, key in rest)
+    assert [site for site, _ in rest] == list(det._rows)
+    assert all(row is det._rows[row[0]] for row in rest)
     now = det.stack.now
     assert digest.suspects == {
         site
-        for site in det._counters
+        for site in det._rows
         if site not in det._last_heard or now - det._last_heard[site][0] > det.timeout
     }
 
@@ -99,10 +100,9 @@ class Oracle:
             if site != OWN.site and now - when <= TIMEOUT
         }
 
-    def evidence(self, pid: ProcessId) -> None:
-        known = self.det._last_heard.get(pid.site)
-        # Accepted (not stale) and not a member yet -> rebuild.
-        if known is not None and known[1] == pid and pid not in self.cache:
+    def evidence(self, pid: ProcessId, stamped: bool) -> None:
+        # Accepted (the stamp moved) and not a member yet -> rebuild.
+        if stamped and pid not in self.cache:
             self.cache = self.fresh()
 
     def sweep(self) -> None:
@@ -121,13 +121,21 @@ def _drive(det: DetectorBase, seed: int, steps: int = 600) -> None:
     det.on_change = lambda: fired.append(stack.now)
     incarnation = {site: 0 for site in range(SITES)}
     indirect = isinstance(det, GossipDetector)
+    counter = iter(range(1, 10**9))
 
     def evidence(pid: ProcessId) -> None:
+        before = det._last_heard.get(pid.site)
         if indirect and rng.random() < 0.5:
-            det._note_indirect(pid.site, pid.incarnation)
+            # A third site relays pid's row under a counter newer than
+            # any this incarnation had, so only a table row of a later
+            # incarnation, or a stamp of one, can turn it away.
+            site = next(s for s in range(SITES) if s not in (pid.site, OWN.site))
+            relay = ProcessId(site, 0)
+            row = (pid.site, (pid.incarnation, next(counter)))
+            det.on_digest(relay, GossipDigest(relay, None, rows=(row,)))
         else:
             det.heard(pid)
-        oracle.evidence(pid)
+        oracle.evidence(pid, det._last_heard.get(pid.site) is not before)
 
     for _ in range(steps):
         before = oracle.cache

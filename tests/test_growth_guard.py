@@ -23,9 +23,9 @@ counts as growth per crash.
 
 The same walk holds the trace checks to bounded state: run over the
 whole trace of each scenario in one pass, a monitor (and the view
-lifetimes they share) may keep per-delivery and per-message state only
-for the views still open, and whatever of theirs grows with the run is
-named in :data:`MONITORS_ALLOWED`.
+lifetimes and store replay they share) may keep per-delivery and
+per-message state only for the views still open, and whatever of theirs
+grows with the run is named in :data:`MONITORS_ALLOWED`.
 """
 
 from __future__ import annotations
@@ -88,11 +88,7 @@ MONITORS_ALLOWED = {
         "tuple) and what it applied since; bounded with the store's chains "
         "(ROADMAP 10)"
     ),
-    "CertifiedAck/StoreReplay.chains": (
-        "a replica of each store's chains, the one replay the store checks "
-        "share; bounded with them (ROADMAP 10)"
-    ),
-    "ReplicaDivergence/StoreReplay.chains": (
+    "StoreReplay.chains": (
         "a replica of each store's chains, the one replay the store checks "
         "share; bounded with them (ROADMAP 10)"
     ),
@@ -135,11 +131,12 @@ def _attributes(obj) -> dict:
     return attrs
 
 
-def container_sizes(roots) -> collections.Counter:
+def container_sizes(roots, seen: set[int] | None = None) -> collections.Counter:
     """``Owner.attr`` -> elements held, over everything ``roots`` reach
-    (breadth first, each object once)."""
+    (breadth first, each object once, and none of the ids in ``seen``,
+    which the walk adds to)."""
     sizes: collections.Counter = collections.Counter()
-    seen: set[int] = set()
+    seen = set() if seen is None else seen
     frontier = [("", root) for root in roots]
     while frontier:
         reached = []
@@ -237,17 +234,19 @@ def _checked(cycles: int) -> CheckPass:
 
 @functools.lru_cache(maxsize=None)
 def _monitor_sizes(cycles: int) -> collections.Counter:
-    """``Monitor/Owner.attr`` -> elements held, per monitor, and the
-    shared view lifetimes under their own names.  A monitor's ``held``
-    is left out: it is the open views' state, which
+    """``Monitor/Owner.attr`` -> elements held, per monitor, and what
+    the pass shares between them (the view lifetimes and the store
+    replay) once, under their own names.  A monitor's ``held`` is left
+    out: it is the open views' state, which
     :func:`test_monitors_hold_state_only_for_open_views` bounds, and
     its size is a matter of where the run ended."""
     checking = _checked(cycles)
-    sizes = container_sizes([checking.views])
+    shared: set[int] = set()
+    sizes = container_sizes([checking.views, checking.stores], shared)
     for monitor in checking.monitors:
         kept = copy.copy(monitor)
         kept.held = {}
-        for name, size in container_sizes([kept]).items():
+        for name, size in container_sizes([kept], set(shared)).items():
             owner = type(monitor).__name__
             sizes[name if name.startswith(owner + ".") else f"{owner}/{name}"] += size
     return sizes

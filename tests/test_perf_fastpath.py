@@ -719,9 +719,11 @@ def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
     Counts, not wall time: the reachable set is rebuilt from scratch
     O(sweeps + expiries) times per site, not once per peer learned; a
     round's aggregation tree is built once, not once per member per
-    message; a digest is its sender's table, not one new object per row,
-    and only the rows newer than the receiver's table are walked; and
-    the least member of a set is computed once per distinct set."""
+    message; a digest is its sender's table, the very row objects it
+    holds, and a row older than the receiver's table stops at the
+    comparison (the detector's ``indirect_rows`` counts exactly the
+    newer third-party rows the sender does not suspect); and the least
+    member of a set is computed once per distinct set."""
     from repro.fd.gossip import GossipDetector, GossipDigest
     from repro.fd.heartbeat import DetectorBase
     from repro.gms import tree as tree_mod
@@ -734,7 +736,6 @@ def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
     built = [0]
     tree_keys = set()
     rows = {"received": 0, "newer": 0, "indirect": 0, "pushed": 0}
-    noted = [0]
     asked = set()
 
     def spy(cls, name, before):
@@ -761,19 +762,19 @@ def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
         asked.update((msg.members, agreement.stack.fd.reachable()))
 
     def received(det, src, digest):
-        table = det._counters
+        table = det._rows
         own = det.stack.pid.site
         rows["received"] += len(digest.rows)
         for site, stamp in digest.rows:
-            if site != own and stamp > table.get(site, (-1, -1)):
+            if site != own and stamp > table.get(site, (site, (-1, -1)))[1]:
                 rows["newer"] += 1
                 if site != src.site and site not in digest.suspects:
                     rows["indirect"] += 1
 
     def pushed(stack, _sites, payload):
         if isinstance(payload, GossipDigest):
-            table = stack.fd._counters
-            assert all(stamp is table[site] for site, stamp in payload.rows[1:])
+            table = stack.fd._rows
+            assert all(row is table[row[0]] for row in payload.rows[1:])
             rows["pushed"] += 1
 
     spy(DetectorBase, "_admit", count(learned))
@@ -781,7 +782,6 @@ def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
     spy(ViewAgreement, "on_prepare", prepare)
     spy(ViewAgreement, "on_install", lambda _s, _src, m: key(m.view.members, m.round_id[0]))
     spy(GossipDetector, "on_digest", received)
-    spy(GossipDetector, "_note_indirect", count(noted))
     spy(GroupStack, "send_sites", pushed)
     tree_mod.round_tree.cache_clear()
     least_member.cache_clear()
@@ -814,7 +814,7 @@ def test_scale_profile_work_counts_track_change_not_size(monkeypatch):
     assert sum(s.fd.full_rebuilds for s in stacks) * 8 <= learned[0]
     assert 0 < built[0] <= len(tree_keys)
     assert rows["pushed"] > 0
-    assert noted[0] == rows["indirect"]
+    assert sum(s.fd.indirect_rows for s in stacks) == rows["indirect"]
     assert rows["newer"] * 4 < rows["received"]
     assert 0 < least_member.cache_info().misses <= len(asked)
 

@@ -23,7 +23,9 @@ from repro.ports import make_cluster
 from repro.trace.checks import (
     CHECKS,
     LOST_SETTLEMENT_GRACE,
+    STORE_CHECKS,
     CheckContext,
+    CheckPass,
     CheckReport,
     make_checkers,
     run_check,
@@ -1344,6 +1346,32 @@ def _acked_at_one_holder():
 def test_monitors_match_the_oracle_on_synthetic_traces(trace):
     reports = _assert_monitors_match_oracle(trace())
     assert any(violations for _name, _n, violations in reports)
+
+
+def test_the_store_checks_share_one_replay_per_pass():
+    """A pass builds one store replay for the monitors that read it and
+    feeds it once per event; a pass with no reader builds none."""
+    checking = CheckPass(make_checkers(STORE_CHECKS))
+    readers = [m for m in checking.monitors if m.reads_stores]
+    assert [m.name for m in readers] == ["CertifiedAck", "ReplicaDivergence"]
+    assert all(m.stores is checking.stores for m in readers)
+    checking.feed_all(_acked_at_one_holder().events)
+    assert checking.stores.chains == {
+        P0: {"k": [Provenance(1, P0, 1), Provenance(1, P0, 2)]},
+        P1: {"k": [Provenance(1, P0, 2)]},
+    }
+    assert CheckPass(make_checkers(("Agreement(2.1)",))).stores is None
+
+
+def test_a_replay_crash_is_a_violation_of_each_monitor_that_reads_it():
+    rec = _acked_at_one_holder()
+    rec.record(AppEvent(time=4, pid=P1, tag="store_state",
+                        data={"keys": ["k"], "lens": ["one"], "provs": []}))
+    names = ("Agreement(2.1)", *STORE_CHECKS)
+    reports = {r.name: r for r in run_checkers(rec, make_checkers(names))}
+    for name in ("CertifiedAck", "ReplicaDivergence"):
+        assert reports[name].violations[0].startswith("checker crashed: TypeError")
+    assert reports["Agreement(2.1)"].ok
 
 
 def test_a_delivery_after_its_view_closed_is_uniquenesss_to_report():
