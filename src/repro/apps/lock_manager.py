@@ -32,6 +32,7 @@ from repro.core.mode_functions import StaticMajorityModeFunction
 from repro.core.modes import Mode
 from repro.core.versioning import newest_incarnations
 from repro.evs.eview import EView
+from repro.trace.events import AppEvent
 from repro.types import MessageId, ProcessId, SiteId
 
 _LOCK_KEY = "lock_manager.state"
@@ -157,6 +158,13 @@ class MajorityLockManager(GroupObject):
 
     def apply_op(self, sender: ProcessId, op: Any, msg_id: MessageId) -> None:
         kind, subject = op
+        recorder = self.stack.recorder
+        if recorder.wants(AppEvent):
+            # The holder before the op: LockExclusion's evidence.
+            recorder.record(AppEvent(
+                time=self.stack.now, pid=self.pid, tag="lock_apply",
+                data={"kind": kind, "subject": subject, "holder": self.holder},
+            ))
         if kind == "grant":
             self.holder = subject
             self.grants += 1

@@ -387,7 +387,7 @@ class VersionedStore(GroupObject):
                 skew,
                 tuple((h.key, h.value, h.client, h.client_seq) for h, _ in puts),
             )
-        msg_id = self.submit_op(op, puts[0][1], reissue=False)
+        msg_id = self.submit_op(op, puts[0][1])
         if msg_id is None:
             for handle, _trace in puts:
                 self._abort(handle)  # a view change is in progress

@@ -222,17 +222,15 @@ class GroupObject(ModeTrackingApp):
     # External operations
     # ------------------------------------------------------------------
 
-    def submit_op(
-        self, op: Any, trace: Any = None, reissue: bool = True
-    ) -> MessageId | None:
+    def submit_op(self, op: Any, trace: Any = None) -> MessageId | None:
         """Multicast an external operation to the group.
 
         Raises :class:`ApplicationError` if the current mode does not
         admit it (callers can pre-check with :meth:`can_submit`).
         ``trace`` optionally names the causal parent of the multicast
         (e.g. a client request's root span; tracing only).  Returns
-        None during a view change; ``reissue=False`` then drops the
-        operation instead of re-issuing it in the next view.
+        None during a view change: the operation is then dropped, and
+        no replica ever applies it.
         """
         if self.stack is None or self.mode is None:
             raise ApplicationError("object not running yet")
@@ -241,7 +239,7 @@ class GroupObject(ModeTrackingApp):
             raise ApplicationError(
                 f"operation {op!r} not allowed in mode {self.mode}"
             )
-        return self.stack.multicast(_OpMsg(op), trace, reissue)
+        return self.stack.multicast(_OpMsg(op), trace)
 
     def can_submit(self, op: Any) -> bool:
         return (

@@ -764,7 +764,6 @@ class ViewAgreement:
             )
         self.stack.app.on_view(self.stack.evs.eview)
         self.stack.channels.activate()
-        self.stack.channels.flush_pending_sends()
         self.stack.channels.try_deliver()
 
     # -- leaves ----------------------------------------------------------------------

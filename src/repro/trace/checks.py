@@ -14,8 +14,9 @@ execution.  :data:`CHECKS` lists every check under its report name:
 * the sequence-pattern detectors (:data:`DETECTORS`), RESTler-style:
   each scans the trace for one bug pattern the properties do not state
   (a stale state transfer, a lost settlement, a torn subview merge, an
-  acked write lost, an ack no majority of the view held, replicas in
-  different orders, a zombie incarnation), and is chosen by name.
+  acked write lost, an ack no majority of the view held, a lock granted
+  over a live holder, replicas in different orders, a zombie
+  incarnation), and is chosen by name.
 
 State is bounded by the views still open.  A view *closes* once every
 member of it (and every process that installed it) has installed a
@@ -1227,6 +1228,46 @@ class CertifiedAck(Monitor):
             ))
 
 
+class LockExclusion(Monitor):
+    """No lock grant lands over a live holder.
+
+    A ``lock_apply`` by process p records a lock op (``kind`` grant or
+    release, its ``subject``) and the ``holder`` p knew just before
+    applying it.  A grant to s while another process h of p's view (the
+    last view p installed) holds the lock takes the lock from h without
+    h releasing it: h was told ``granted`` and has lost the lock, so
+    two processes of one view each believe they hold it.  Holds each
+    process's last installed membership.
+    """
+
+    name = "LockExclusion"
+    feeds = (AppEvent, ViewInstallEvent)
+
+    def __init__(self, ctx: CheckContext = CONTEXT) -> None:
+        super().__init__(ctx)
+        self.members: dict[ProcessId, frozenset[ProcessId]] = {}
+
+    def feed(self, ev: TraceEvent) -> None:
+        if type(ev) is ViewInstallEvent:
+            self.members[ev.pid] = ev.members
+            return
+        data = ev.data
+        if ev.tag != "lock_apply" or not isinstance(data, dict):
+            return
+        if data.get("kind") != "grant":
+            return  # a release cannot take the lock from anyone
+        self.checked += 1
+        holder, subject = data.get("holder"), data.get("subject")
+        if holder is None or holder == subject:
+            return
+        if holder in self.members.get(ev.pid, ()):
+            self.found.append((
+                self.checked,
+                f"{ev.pid} applied a grant to {subject} at t={ev.time:g} "
+                f"while {holder} of its view held the lock",
+            ))
+
+
 class ReplicaDivergence(Monitor):
     """The live replicas of one component end with one store, in order.
 
@@ -1369,6 +1410,7 @@ CHECKS: dict[str, Check] = {
         Structure,
         AckedWriteLoss,
         CertifiedAck,
+        LockExclusion,
         LostSettlement,
         ReplicaDivergence,
         StaleStateTransfer,

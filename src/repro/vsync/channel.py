@@ -10,8 +10,8 @@ Agreement (2.1) comes from.
 
 Uniqueness (2.2) is enforced by the view tag: a message is delivered
 only while the view it was multicast in is the receiver's current view.
-Multicasts requested while a flush is in progress are buffered and
-re-issued (with fresh identifiers) in the next view.
+A multicast requested while a flush is in progress is refused and
+dropped: the caller gets None, and no member ever delivers it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class ViewChannels:
         self._next_seqno = 0
         self._fifo_next: dict[ProcessId, int] = {}
         self.suspended = False
-        self.pending_sends: list[Any] = []
         self._future: dict[ViewId, list[Message]] = {}
         # The single message buffer (sender -> seqno -> message): the
         # delivery loop probes "sender's next seqno" on every arrival,
@@ -121,24 +120,20 @@ class ViewChannels:
 
     # -- sending ---------------------------------------------------------------
 
-    def multicast(
-        self, payload: Any, trace: Any = None, reissue: bool = True
-    ) -> MessageId | None:
+    def multicast(self, payload: Any, trace: Any = None) -> MessageId | None:
         """Multicast ``payload`` in the current view.
 
         Returns the message identifier, or None if a view change is in
-        progress: the send is then buffered and re-issued in the next
-        view, or, with ``reissue=False`` (a payload whose meaning is
-        bound to the view it is sent in), dropped.  ``trace`` is the causal
-        parent of the send (e.g. a client put's root span); with tracing
-        on the send mints its own span and the context rides on the
-        :class:`Message` so receivers can parent their delivery spans.
+        progress: the send is then dropped, never re-issued in a later
+        view, so a refused send stays a definite failure.  ``trace`` is
+        the causal parent of the send (e.g. a client put's root span);
+        with tracing on the send mints its own span and the context
+        rides on the :class:`Message` so receivers can parent their
+        delivery spans.
         """
         if self.view is None:
             raise ViewSynchronyError("multicast before the first view")
         if self.suspended:
-            if reissue:
-                self.pending_sends.append((payload, trace))
             return None
         self._next_seqno += 1
         msg_id = MessageId(self.stack.pid, self.view.view_id, self._next_seqno)
@@ -162,12 +157,6 @@ class ViewChannels:
         self.stack.send_many(self._peers, msg)
         self.on_app_message(msg)  # self-delivery path
         return msg_id
-
-    def flush_pending_sends(self) -> None:
-        """Re-issue multicasts buffered during the last view change."""
-        queued, self.pending_sends = self.pending_sends, []
-        for payload, trace in queued:
-            self.multicast(payload, trace)
 
     # -- receiving ----------------------------------------------------------------
 

@@ -244,17 +244,15 @@ class GroupStack(Process):
 
     # -- the paper's interface -----------------------------------------------------
 
-    def multicast(
-        self, payload: Any, trace: Any = None, reissue: bool = True
-    ) -> MessageId | None:
+    def multicast(self, payload: Any, trace: Any = None) -> MessageId | None:
         """View-synchronous multicast to the current view.
 
         ``trace`` optionally names the causal parent of the send
         (tracing only; ignored when the cluster has no tracer).  During
-        a view change the send is buffered for the next view, or
-        dropped with ``reissue=False`` (:meth:`ViewChannels.multicast`).
+        a view change the send is dropped and this returns None
+        (:meth:`ViewChannels.multicast`).
         """
-        return self.channels.multicast(payload, trace, reissue)
+        return self.channels.multicast(payload, trace)
 
     def multicast_subview(self, payload: Any) -> MessageId | None:
         """Multicast delivered (to the application) only within the

@@ -268,8 +268,9 @@ def test_the_table_holds_the_eight_properties_then_the_detectors():
     assert list(CHECKS) == [*PROPERTIES, *DETECTORS]
     assert len(PROPERTIES) == 8
     assert DETECTORS == (
-        "AckedWriteLoss", "CertifiedAck", "LostSettlement", "ReplicaDivergence",
-        "StaleStateTransfer", "SubviewMergeAtomicity", "ZombieIncarnation",
+        "AckedWriteLoss", "CertifiedAck", "LockExclusion", "LostSettlement",
+        "ReplicaDivergence", "StaleStateTransfer", "SubviewMergeAtomicity",
+        "ZombieIncarnation",
     )
     assert [name for name, _check in make_checkers()] == list(DETECTORS)
 

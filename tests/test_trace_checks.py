@@ -44,6 +44,9 @@ from repro.trace.events import (
 )
 from repro.trace.export import dump_trace, flat_provenance, load_trace
 from repro.trace.recorder import TraceRecorder
+from repro.vsync.channel import ViewChannels
+from repro.workload.clients import LockClient
+from repro.workload.generator import RandomFaultGenerator
 from repro.workload.runner import run_checked_workload
 from repro.types import MessageId, ProcessId, SubviewId, SvSetId, ViewId
 from tests.test_golden_traces import SCENARIOS
@@ -1165,6 +1168,37 @@ def check_replica_divergence(rec, ctx=CheckContext()) -> CheckReport:
     return report
 
 
+def check_lock_exclusion(rec, ctx=CheckContext()) -> CheckReport:
+    """No lock grant lands over a live holder.
+
+    Every ``lock_apply`` grant by p is judged against p's view at that
+    point of the trace, the last one it installed before the grant:
+    the holder p knew before the grant must be nobody, the grantee, or
+    a process outside that view.
+    """
+    report = CheckReport("LockExclusion")
+    installs: dict = {}  # pid -> [(event index, members)], in trace order
+    for index, ev in enumerate(rec.events):
+        if type(ev) is ViewInstallEvent:
+            installs.setdefault(ev.pid, []).append((index, ev.members))
+    for index, ev in enumerate(rec.events):
+        if type(ev) is not AppEvent or ev.tag != "lock_apply":
+            continue
+        data = _dict_of(ev.data)
+        if data.get("kind") != "grant":
+            continue
+        report.checked += 1
+        before = [m for at, m in installs.get(ev.pid, ()) if at < index]
+        members = before[-1] if before else frozenset()
+        holder = data.get("holder")
+        if holder not in (None, data.get("subject")) and holder in members:
+            report.violation(
+                f"{ev.pid} applied a grant to {data.get('subject')} at "
+                f"t={ev.time:g} while {holder} of its view held the lock"
+            )
+    return report
+
+
 def check_zombie_incarnation(rec, ctx=CheckContext()) -> CheckReport:
     """No event from a crashed or superseded incarnation.
 
@@ -1222,6 +1256,7 @@ ORACLE = {
     "Structure(6.3)": check_structure,
     "AckedWriteLoss": check_acked_write_loss,
     "CertifiedAck": check_certified_ack,
+    "LockExclusion": check_lock_exclusion,
     "LostSettlement": check_lost_settlement,
     "ReplicaDivergence": check_replica_divergence,
     "StaleStateTransfer": check_stale_state_transfer,
@@ -1334,6 +1369,29 @@ def _acked_at_one_holder():
     return rec
 
 
+def _granted_over_a_holder():
+    """In V1 = {P0, P1, P2}, P0 grants P1 the lock, re-grants it to P1
+    and then grants it to P2 while P1 still holds it; P1, now alone in
+    V2, grants itself the lock P0 held (P0 is outside V2: no
+    violation) and releases it."""
+    rec = TraceRecorder()
+    for pid in (P0, P1, P2):
+        _install(rec, 0, pid, V1, {P0, P1, P2}, None)
+
+    def lock(t, pid, kind, subject, holder):
+        rec.record(AppEvent(time=t, pid=pid, tag="lock_apply", data={
+            "kind": kind, "subject": subject, "holder": holder,
+        }))
+
+    lock(1, P0, "grant", P1, None)
+    lock(2, P0, "grant", P1, P1)
+    lock(3, P0, "grant", P2, P1)
+    _install(rec, 4, P1, V2, {P1}, V1)
+    lock(5, P1, "grant", P1, P0)
+    lock(6, P1, "release", P1, P1)
+    return rec
+
+
 @pytest.mark.parametrize(
     "trace",
     [
@@ -1341,11 +1399,70 @@ def _acked_at_one_holder():
         _cut_applied_twice,
         _delivered_twice_and_elsewhere,
         _acked_at_one_holder,
+        _granted_over_a_holder,
     ],
 )
 def test_monitors_match_the_oracle_on_synthetic_traces(trace):
     reports = _assert_monitors_match_oracle(trace())
     assert any(violations for _name, _n, violations in reports)
+
+
+def test_lock_exclusion_reports_only_the_grant_over_a_live_holder():
+    report = run_check("LockExclusion", _granted_over_a_holder())
+    assert report.checked == 4
+    assert report.violations == [
+        f"{P0} applied a grant to {P2} at t=3 while {P1} of its view held the lock"
+    ]
+
+
+@pytest.fixture
+def resending_channel(monkeypatch):
+    """The channel as it was before a refused send became a drop: it
+    buffers a send it refuses during a view change and re-issues it,
+    with a fresh identifier, right after the next view's early
+    arrivals."""
+    multicast, activate = ViewChannels.multicast, ViewChannels.activate
+    held: dict[ViewChannels, list] = {}
+
+    def buffering_multicast(self, payload, trace=None):
+        if self.view is not None and self.suspended:
+            held.setdefault(self, []).append((payload, trace))
+            return None
+        return multicast(self, payload, trace)
+
+    def resending_activate(self):
+        activate(self)
+        for payload, trace in held.pop(self, ()):
+            self.multicast(payload, trace)
+
+    monkeypatch.setattr(ViewChannels, "multicast", buffering_multicast)
+    monkeypatch.setattr(ViewChannels, "activate", resending_activate)
+
+
+def test_lock_exclusion_catches_a_resent_grant(resending_channel):
+    """Lock seed 8 on the re-issuing channel: a manager granted each
+    request it received during a flush (its holder was still None),
+    and the buffered grants land one after another at t=136.361, so
+    p0.0's lock passes to p1.0 without a release.  The send rule drops
+    those grants; ``tests/test_applied_prefixes.py`` runs this seed
+    clean."""
+    gen = RandomFaultGenerator(n_sites=5, seed=8, duration=200)
+    cluster = make_cluster("sim", 5, app="lock", seed=8)
+    run = run_checked_workload(
+        cluster,
+        gen.generate(),
+        [lambda c: LockClient(c, interval=5.0)],
+        tail=gen.settle_tail,
+    )
+    report = run_check("LockExclusion", run.trace)
+    assert report.violations[0] == (
+        "p0.0 applied a grant to p1.0 at t=136.361 while p0.0 of its view "
+        "held the lock"
+    )
+    oracle = check_lock_exclusion(run.trace)
+    assert (oracle.checked, oracle.violations) == (
+        report.checked, report.violations
+    )
 
 
 def test_the_store_checks_share_one_replay_per_pass():

@@ -65,7 +65,7 @@ def test_interleaved_senders_all_delivered():
         assert len(cluster.apps[site].messages) == 15
 
 
-def test_multicast_during_flush_is_buffered_and_resent_in_next_view():
+def test_multicast_during_flush_is_dropped_and_never_delivered():
     cluster = collector_cluster(4)
     cluster.crash(3)
     cluster.run_for(18)  # suspicion propagates; flush starts
@@ -74,13 +74,13 @@ def test_multicast_during_flush_is_buffered_and_resent_in_next_view():
     sender.membership.flushing = True
     sender.channels.suspend()
     result = sender.multicast("late")
-    assert result is None  # buffered
+    assert result is None  # refused: dropped, not re-issued
     sender.membership.flushing = False
     assert cluster.settle(timeout=500)
     cluster.run_for(30)
     for site in range(3):
         payloads = [p for _, p in cluster.apps[site].messages]
-        assert "late" in payloads
+        assert "late" not in payloads
     assert_all_properties(cluster.recorder)
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ViewSynchronyError
 from repro.types import Message, MessageId, ViewId
 
-from tests.conftest import settled_cluster
+from tests.conftest import assert_all_properties, settled_cluster
 
 
 def _mk_message(stack, seqno: int, payload="x", eview_seq=0, view_id=None):
@@ -63,16 +63,21 @@ def test_eview_gate_blocks_until_change_applied():
     assert gated.msg_id in receiver.channels.received  # held, not lost
 
 
-def test_suspend_buffers_outgoing_multicasts():
+def test_suspend_drops_outgoing_multicasts():
     cluster = settled_cluster(2)
     stack = cluster.stack_at(0)
+    got = {site: [] for site in range(2)}
+    for site in range(2):
+        cluster.stack_at(site).app.on_message = (
+            lambda s, p, m, site=site: got[site].append(p)
+        )
     stack.channels.suspend()
-    assert stack.multicast("held") is None
-    assert stack.channels.pending_sends == [("held", None)]
+    assert stack.multicast("refused") is None
     stack.channels.suspended = False
-    stack.channels.flush_pending_sends()
-    assert stack.channels.pending_sends == []
+    assert stack.multicast("sent") is not None
     cluster.run_for(10)
+    assert got == {0: ["sent"], 1: ["sent"]}
+    assert_all_properties(cluster.recorder)
 
 
 def test_deliver_plan_rejects_cross_view_messages():
